@@ -1,8 +1,9 @@
 //! # bench — the experiment harness
 //!
 //! Shared infrastructure for the experiment binaries in `src/bin/`, each of which
-//! regenerates one table or figure of the paper (see `DESIGN.md` for the index and
-//! `EXPERIMENTS.md` for recorded results):
+//! regenerates one table or figure of the paper (the README lists them under
+//! "Reproducing the paper's experiments"; `DESIGN.md` records where the set-up departs
+//! from the paper's):
 //!
 //! * [`harness`] — builds every partitioning strategy on a workload, measures
 //!   optimization time, runs the simulated execution, and collects the paper's

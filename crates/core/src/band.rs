@@ -164,6 +164,17 @@ impl BandCondition {
         (s_val - self.eps_high[dim], s_val + self.eps_low[dim])
     }
 
+    /// The same condition with the roles of S and T exchanged: `(s, t)` satisfies
+    /// `self` exactly when `(t, s)` satisfies the result, bit for bit (`t − s` is the
+    /// exact negation of `s − t`). Lets code written for an S-side probe key run with
+    /// a T-side one.
+    pub(crate) fn exchanged(&self) -> BandCondition {
+        BandCondition {
+            eps_low: self.eps_high.clone(),
+            eps_high: self.eps_low.clone(),
+        }
+    }
+
     /// Check that the condition's dimensionality matches `dims`, returning an error
     /// otherwise.
     pub fn check_dims(&self, dims: usize) -> Result<(), RecPartError> {

@@ -910,7 +910,8 @@ impl RecPart {
             .clamp(1, total - 1);
         let s_sample = InputSample::draw(s, s_share, rng);
         let t_sample = InputSample::draw(t, total - s_share, rng);
-        let o_sample = OutputSample::draw(s, t, band, &self.config.sample, rng);
+        let o_sample =
+            OutputSample::draw_with(s, t, band, &self.config.sample, rng, self.parallelism());
 
         Ok(self.optimize_with_samples(
             s.len(),

@@ -13,7 +13,7 @@
 //! multiplier, chosen by bisection, so that the estimated output-to-input ratio of the
 //! scaled workload matches the paper's ratio for that row. Rows with (near-)zero paper
 //! output keep the paper's band widths unchanged. The substitution is documented in
-//! `DESIGN.md` and `EXPERIMENTS.md`.
+//! `DESIGN.md` (section 2).
 
 use crate::pareto::ParetoGenerator;
 use crate::sky::SkySurveyGenerator;
