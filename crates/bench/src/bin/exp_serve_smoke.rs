@@ -9,7 +9,9 @@
 //!   `Executor::execute` with the serving partitioner and the query band, or
 //! * the stream's cache accounting is off (`hits + subsumed + misses` must
 //!   equal the query count; only misses may shuffle), or
-//! * a subsumed or warm hit shuffles even one tuple, or
+//! * a subsumed or warm hit shuffles even one tuple or sorts even one partition
+//!   (`ServiceHealth::partitions_prepared` must rise by the plan's partition count
+//!   on a cold build and by zero otherwise — a count, not a timing), or
 //! * the median warm-hit serve is not ≥ 5× faster than a cold one-shot
 //!   pipeline (optimize + compile + shuffle + join, minimum of three rounds) —
 //!   the headline claim of the serving tier (skipped with `--quick`, where the
@@ -119,9 +121,11 @@ fn main() {
     for (i, &(eps, expected_source)) in eps_stream.iter().enumerate() {
         let band = BandCondition::symmetric(&[eps]);
         let query = BandJoinQuery::new(band.clone(), workers);
-        let shuffled_before = service.health().tuples_shuffled;
+        let before = service.health();
         let response = service.serve(&query).expect("unsupervised serving");
-        let shuffled_during = service.health().tuples_shuffled - shuffled_before;
+        let after = service.health();
+        let shuffled_during = after.tuples_shuffled - before.tuples_shuffled;
+        let prepared_during = after.partitions_prepared - before.partitions_prepared;
 
         if response.source != expected_source {
             failures.push(format!(
@@ -133,6 +137,18 @@ fn main() {
             failures.push(format!(
                 "query {i} (eps {eps}, {:?}): shuffled {shuffled_during} tuples — \
                  warm paths must shuffle zero",
+                response.source
+            ));
+        }
+
+        let expect_prepared = match response.source {
+            PlanSource::ColdBuild => response.report.partitions as u64,
+            PlanSource::WarmHit | PlanSource::SubsumedHit => 0,
+        };
+        if prepared_during != expect_prepared {
+            failures.push(format!(
+                "query {i} (eps {eps}, {:?}): sorted {prepared_during} partitions, \
+                 expected {expect_prepared} — only a cold build prepares, once per partition",
                 response.source
             ));
         }

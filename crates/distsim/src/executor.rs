@@ -11,11 +11,12 @@
 //!    call per tuple.
 //! 2. **Shuffle**: per-partition input lists are materialized; the total number of
 //!    assignments is the paper's total input `I`.
-//! 3. **Reduce / local joins**: each partition's band-join is computed with the
-//!    configured [`LocalJoinAlgorithm`]; partitions are mapped onto the `w` workers with
-//!    a longest-processing-time-first heuristic, modelling the dynamic load balancing a
-//!    YARN/Spark scheduler performs at runtime (identically for every strategy, so
-//!    comparisons remain fair).
+//! 3. **Reduce / local joins**: each partition's slices are sorted in place into
+//!    join-ready order ([`crate::join_ready`]) and its band-join is computed by the one
+//!    per-partition sweep every reduce path shares; partitions are mapped onto the `w`
+//!    workers with a longest-processing-time-first heuristic, modelling the dynamic
+//!    load balancing a YARN/Spark scheduler performs at runtime (identically for every
+//!    strategy, so comparisons remain fair).
 //! 4. **Reporting**: per-worker input/output/comparison counts, the derived
 //!    [`PartitioningStats`] (`I`, `I_m`, `O_m`, `L_m`, overheads vs. lower bounds), the
 //!    simulated wall-clock join time from the [`MachineModel`], and optional correctness
@@ -30,7 +31,7 @@
 //! [`ExecutionReport::local_join_wall_seconds`],
 //! [`ExecutionReport::verify_wall_seconds`]).
 
-use crate::local_join::LocalJoinAlgorithm;
+use crate::join_ready::{partition_tasks, JoinReadyInputs, ReadyPartition};
 use crate::machine::{MachineModel, WorkerWork};
 use crate::metrics::ShardStats;
 use crate::parallel::{chunk_ranges, Parallelism};
@@ -38,7 +39,8 @@ use crate::shuffle::{shuffle, PartitionedIndex, ShuffleConfig, ShuffledInputs};
 use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
 use rayon::prelude::*;
 use recpart::{
-    BandCondition, LoadModel, LptHeap, Partitioner, PartitioningStats, Relation, WorkerLoad,
+    BandCondition, JoinKernel, LoadModel, LptHeap, Partitioner, PartitioningStats, Relation,
+    WorkerLoad,
 };
 use serde::{Deserialize, Serialize};
 #[cfg(test)]
@@ -67,12 +69,6 @@ pub struct ExecutorConfig {
     pub workers: usize,
     /// Load weights used for `L_m` and the partition→worker mapping.
     pub load_model: LoadModel,
-    /// Local band-join algorithm run by each worker. Per-window band evaluation
-    /// dispatches through the process-wide [`recpart::JoinKernel::active`] kernel
-    /// (override with `BAND_JOIN_JOIN_KERNEL`); results are bit-identical — pairs,
-    /// order, and `comparisons` — for every kernel, so [`MachineModel`]-derived
-    /// times do not depend on the kernel either.
-    pub local_algorithm: LocalJoinAlgorithm,
     /// Timing model of the simulated cluster.
     pub machine: MachineModel,
     /// Verification level.
@@ -91,7 +87,6 @@ impl ExecutorConfig {
         ExecutorConfig {
             workers,
             load_model: LoadModel::default(),
-            local_algorithm: LocalJoinAlgorithm::default(),
             machine: MachineModel::default(),
             verification: VerificationLevel::Count,
             threads: 0,
@@ -107,12 +102,6 @@ impl ExecutorConfig {
     /// Override the load model.
     pub fn with_load_model(mut self, load_model: LoadModel) -> Self {
         self.load_model = load_model;
-        self
-    }
-
-    /// Override the local join algorithm.
-    pub fn with_local_algorithm(mut self, algorithm: LocalJoinAlgorithm) -> Self {
-        self.local_algorithm = algorithm;
         self
     }
 
@@ -243,6 +232,68 @@ pub(crate) struct LocalJoinPhase {
     pub(crate) all_pairs: Option<Vec<(u32, u32)>>,
     pub(crate) wall_seconds: f64,
     pub(crate) threads_used: usize,
+}
+
+impl LocalJoinPhase {
+    /// Gather per-partition outcomes (in partition order) into the phase.
+    fn collect(
+        outcomes: impl IntoIterator<Item = PartitionJoinOutcome>,
+        num_partitions: usize,
+        materialize: bool,
+        wall_seconds: f64,
+        threads_used: usize,
+    ) -> LocalJoinPhase {
+        let mut per_partition = Vec::with_capacity(num_partitions);
+        let mut per_partition_wall_seconds = Vec::with_capacity(num_partitions);
+        let mut all_pairs = materialize.then(Vec::new);
+        for (load, pairs, seconds) in outcomes {
+            per_partition.push(load);
+            per_partition_wall_seconds.push(seconds);
+            if let Some(all) = all_pairs.as_mut() {
+                all.extend(pairs);
+            }
+        }
+        LocalJoinPhase {
+            per_partition,
+            per_partition_wall_seconds,
+            all_pairs,
+            wall_seconds,
+            threads_used,
+        }
+    }
+}
+
+/// One partition's local join over its join-ready slices: the single per-partition
+/// computation of **every** reduce — `execute`, `execute_prepared`,
+/// `execute_sharded`, the supervised shard attempts, and a served query whether cold,
+/// warm or subsumed — so all of them agree bit for bit by construction. The sweep runs
+/// the process-wide active [`JoinKernel`]; results are bit-identical — pairs, order,
+/// `comparisons` — for every kernel, so [`MachineModel`]-derived times do not depend
+/// on the kernel either. `started` is when work on this partition began (before its
+/// sort, when the caller prepared it), so the reported seconds cover both.
+pub(crate) fn join_partition(
+    s: &Relation,
+    t: &Relation,
+    band: &BandCondition,
+    part: ReadyPartition<'_>,
+    materialize: bool,
+    started: Instant,
+) -> PartitionJoinOutcome {
+    let mut pairs = Vec::new();
+    let result = part.join(
+        JoinKernel::active(),
+        s,
+        t,
+        band,
+        materialize.then_some(&mut pairs),
+    );
+    let load = PartitionLoad {
+        s_input: part.s_len() as u64,
+        t_input: part.t_len() as u64,
+        output: result.output,
+        comparisons: result.comparisons,
+    };
+    (load, pairs, started.elapsed().as_secs_f64())
 }
 
 /// One shard's contribution to the merge: its per-partition outcomes (`None`
@@ -417,15 +468,12 @@ impl Executor {
         let num_partitions = partitioner.num_partitions().max(1);
 
         // --- Map & shuffle: materialize per-partition input index lists. ---
-        let ShuffledInputs {
-            s_parts,
-            t_parts,
-            wall_seconds: map_shuffle_wall_seconds,
-        } = self.map_shuffle(partitioner, s, t);
+        let shuffled = self.map_shuffle(partitioner, s, t);
+        let map_shuffle_wall_seconds = shuffled.wall_seconds;
 
-        // --- Reduce: local joins per partition (rayon-parallel). ---
+        // --- Reduce: prepare + join every partition in one rayon-parallel pass. ---
         let materialize = self.config.verification == VerificationLevel::FullPairs;
-        let local = self.run_local_joins(s, t, band, &s_parts, &t_parts, materialize);
+        let (_, local) = self.prepare_and_reduce(s, t, band, shuffled, materialize);
 
         self.assemble_report(
             partitioner,
@@ -440,12 +488,12 @@ impl Executor {
     }
 
     /// Execute only the reduce phase — per-partition local joins, worker mapping,
-    /// stats, verification — against **pre-shuffled** arenas: the warm path of a
-    /// plan-cached service ([`crate::serve`]), where optimize/compile/shuffle ran
-    /// once and every subsequent query reuses the arenas.
-    ///
-    /// Every per-partition computation is [`Executor::join_partition`] — the same
-    /// code `execute` runs — and everything downstream is the shared
+    /// stats, verification — against **pre-shuffled** arenas, as [`Executor::map_shuffle`]
+    /// returns them: the back half of [`Executor::execute`] on its own. The arenas
+    /// are only borrowed, so they are copied (heap or spill, like the originals) and
+    /// the copy goes through `execute`'s own prepare-and-join pass; the plan-cached
+    /// service ([`crate::serve`]) keeps [`JoinReadyInputs`] instead and skips both
+    /// the copy and the sorts. Everything downstream is the shared
     /// [`Executor::assemble_report`], so the result is bit-identical by
     /// construction to a fresh [`Executor::execute`] with the same partitioner
     /// (only the wall-clock measurements differ; `map_shuffle_wall_seconds` is
@@ -475,7 +523,12 @@ impl Executor {
             "pre-shuffled arenas were built for a different partitioning"
         );
         let materialize = self.config.verification == VerificationLevel::FullPairs;
-        let local = self.run_local_joins(s, t, band, s_parts, t_parts, materialize);
+        let copy = ShuffledInputs {
+            s_parts: s_parts.clone(),
+            t_parts: t_parts.clone(),
+            wall_seconds: 0.0,
+        };
+        let (_, local) = self.prepare_and_reduce(s, t, band, copy, materialize);
         self.assemble_report(partitioner, s, t, band, num_partitions, 0.0, local, false)
     }
 
@@ -500,45 +553,28 @@ impl Executor {
 
         // --- Map & shuffle: one global (possibly spill-backed) arena per side;
         // shards will own disjoint contiguous partition ranges of it. ---
-        let ShuffledInputs {
-            s_parts,
-            t_parts,
-            wall_seconds: map_shuffle_wall_seconds,
-        } = self.map_shuffle(partitioner, s, t);
+        let shuffled = self.map_shuffle(partitioner, s, t);
+        let map_shuffle_wall_seconds = shuffled.wall_seconds;
 
-        // --- Reduce: one sequential worker per shard, shards concurrent. ---
+        // --- Reduce: one sequential worker per shard (a task owning the shard's
+        // slices of the arenas, preparing and joining them), shards concurrent. ---
         let materialize = self.config.verification == VerificationLevel::FullPairs;
-        let join_shard = |shard: usize| -> (Vec<PartitionJoinOutcome>, f64) {
-            let start = Instant::now();
-            let (lo, hi) = plan.partition_range(shard);
-            let outcomes = (lo..hi)
-                .map(|p| self.join_partition(s, t, band, &s_parts, &t_parts, materialize, p))
-                .collect();
-            (outcomes, start.elapsed().as_secs_f64())
-        };
         let phase_start = Instant::now();
         let par = self.parallelism();
-        let (shard_results, threads_used) = match par {
-            Parallelism::Sequential => (
-                (0..plan.num_shards()).map(join_shard).collect::<Vec<_>>(),
-                1,
-            ),
-            _ => {
-                let threads = par.threads().clamp(1, plan.num_shards().max(1));
-                let results: Vec<(Vec<PartitionJoinOutcome>, f64)> = par.run(|| {
-                    (0..plan.num_shards())
-                        .into_par_iter()
-                        .map(join_shard)
-                        .collect()
-                });
-                (results, threads)
-            }
-        };
+        let (ready, per_shard) = JoinReadyInputs::prepare_with(
+            shuffled,
+            s,
+            t,
+            &par,
+            &plan.ranges,
+            |_, started, part| join_partition(s, t, band, part, materialize, started),
+        );
         let wall_seconds = phase_start.elapsed().as_secs_f64();
+        let threads_used = par.threads().clamp(1, plan.num_shards().max(1));
 
         // --- Order-preserving merge: shard order == partition order, so the merged
         // phase is indistinguishable from the unsharded collect. ---
-        let shard_outcomes = shard_results
+        let shard_outcomes = per_shard
             .into_iter()
             .map(|(outcomes, shard_wall)| ShardOutcome {
                 outcomes: Some(outcomes),
@@ -549,8 +585,7 @@ impl Executor {
             .collect();
         let (local, shard_stats) = merge_shard_outcomes(
             &plan,
-            &s_parts,
-            &t_parts,
+            &ready,
             shard_outcomes,
             materialize,
             wall_seconds,
@@ -710,7 +745,40 @@ impl Executor {
         }
     }
 
-    /// Run the local joins of all partitions, optionally materializing output pairs.
+    /// The cold reduce over arenas this query owns: sort every partition into
+    /// join-ready order and join it in the same visit, in **one** parallel pass (a
+    /// separate prepare pass costs a second barrier and a second trip through the
+    /// arenas). Returns the prepared arenas for callers that keep them (the plan
+    /// cache); a one-shot `execute` drops them.
+    pub(crate) fn prepare_and_reduce(
+        &self,
+        s: &Relation,
+        t: &Relation,
+        band: &BandCondition,
+        shuffled: ShuffledInputs,
+        materialize: bool,
+    ) -> (JoinReadyInputs, LocalJoinPhase) {
+        let num_partitions = shuffled.s_parts.num_partitions();
+        let phase_start = Instant::now();
+        let par = self.parallelism();
+        let tasks = partition_tasks(num_partitions, &par);
+        let (ready, per_task) =
+            JoinReadyInputs::prepare_with(shuffled, s, t, &par, &tasks, |_, started, part| {
+                join_partition(s, t, band, part, materialize, started)
+            });
+        let outcomes = per_task.into_iter().flat_map(|(outcomes, _)| outcomes);
+        let local = LocalJoinPhase::collect(
+            outcomes,
+            num_partitions,
+            materialize,
+            phase_start.elapsed().as_secs_f64(),
+            par.threads().clamp(1, num_partitions.max(1)),
+        );
+        (ready, local)
+    }
+
+    /// The reduce over join-ready arenas the caller only borrows — every warm and
+    /// subsumed plan-cache hit: per partition, one gather and one sweep, no sort.
     ///
     /// With `config.threads == 1` this is a plain sequential loop; otherwise the
     /// partitions are joined on a rayon pool (dynamically scheduled, so heavy
@@ -718,85 +786,29 @@ impl Executor {
     /// partitions with the same per-partition computation and collect results in
     /// partition order, so the produced loads and pairs are identical — only the
     /// wall-clock measurements differ.
-    pub(crate) fn run_local_joins(
+    pub(crate) fn reduce_ready(
         &self,
         s: &Relation,
         t: &Relation,
         band: &BandCondition,
-        s_parts: &PartitionedIndex,
-        t_parts: &PartitionedIndex,
+        ready: &JoinReadyInputs,
         materialize: bool,
     ) -> LocalJoinPhase {
-        let num_partitions = s_parts.num_partitions();
-
-        let join_one = |p: usize| self.join_partition(s, t, band, s_parts, t_parts, materialize, p);
-
+        let num_partitions = ready.num_partitions();
+        let join_one = |p| join_partition(s, t, band, ready.part(p), materialize, Instant::now());
         let phase_start = Instant::now();
         let par = self.parallelism();
-        let (results, threads_used) = match par {
-            Parallelism::Sequential => ((0..num_partitions).map(join_one).collect::<Vec<_>>(), 1),
-            _ => {
-                let threads = par.threads().clamp(1, num_partitions.max(1));
-                let results: Vec<PartitionJoinOutcome> =
-                    par.run(|| (0..num_partitions).into_par_iter().map(join_one).collect());
-                (results, threads)
-            }
+        let outcomes: Vec<PartitionJoinOutcome> = match par {
+            Parallelism::Sequential => (0..num_partitions).map(join_one).collect(),
+            _ => par.run(|| (0..num_partitions).into_par_iter().map(join_one).collect()),
         };
-        let wall_seconds = phase_start.elapsed().as_secs_f64();
-
-        let mut per_partition = Vec::with_capacity(num_partitions);
-        let mut per_partition_wall_seconds = Vec::with_capacity(num_partitions);
-        let mut all_pairs = materialize.then(Vec::new);
-        for (load, pairs, seconds) in results {
-            per_partition.push(load);
-            per_partition_wall_seconds.push(seconds);
-            if let Some(all) = all_pairs.as_mut() {
-                all.extend(pairs);
-            }
-        }
-        LocalJoinPhase {
-            per_partition,
-            per_partition_wall_seconds,
-            all_pairs,
-            wall_seconds,
-            threads_used,
-        }
-    }
-
-    /// One partition's local join: the single per-partition computation both the
-    /// partition-parallel ([`Executor::run_local_joins`]) and the shard-sequential
-    /// ([`Executor::execute_sharded`]) reduce phases invoke — one implementation,
-    /// so the two execution shapes agree bit for bit by construction. The join
-    /// inherits the process-wide active [`recpart::JoinKernel`], so `execute`,
-    /// `execute_sharded`, and `execute_supervised` all vectorize together.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn join_partition(
-        &self,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
-        s_parts: &PartitionedIndex,
-        t_parts: &PartitionedIndex,
-        materialize: bool,
-        p: usize,
-    ) -> PartitionJoinOutcome {
-        let start = Instant::now();
-        let mut pairs = Vec::new();
-        let result = self.config.local_algorithm.join(
-            s,
-            t,
-            s_parts.part(p),
-            t_parts.part(p),
-            band,
-            materialize.then_some(&mut pairs),
-        );
-        let load = PartitionLoad {
-            s_input: s_parts.part(p).len() as u64,
-            t_input: t_parts.part(p).len() as u64,
-            output: result.output,
-            comparisons: result.comparisons,
-        };
-        (load, pairs, start.elapsed().as_secs_f64())
+        LocalJoinPhase::collect(
+            outcomes,
+            num_partitions,
+            materialize,
+            phase_start.elapsed().as_secs_f64(),
+            par.threads().clamp(1, num_partitions.max(1)),
+        )
     }
 
     /// Map partitions onto workers: identity when there are at most `w` partitions,
@@ -896,13 +908,13 @@ impl Executor {
 /// arena slice length).
 pub(crate) fn merge_shard_outcomes(
     plan: &ShardPlan,
-    s_parts: &PartitionedIndex,
-    t_parts: &PartitionedIndex,
+    ready: &JoinReadyInputs,
     shard_results: Vec<ShardOutcome>,
     materialize: bool,
     phase_wall_seconds: f64,
     threads_used: usize,
 ) -> (LocalJoinPhase, Vec<ShardStats>) {
+    let (s_parts, t_parts) = (ready.s_parts(), ready.t_parts());
     let num_partitions = s_parts.num_partitions();
     let mut per_partition = Vec::with_capacity(num_partitions);
     let mut per_partition_wall_seconds = Vec::with_capacity(num_partitions);

@@ -47,6 +47,7 @@
 pub mod cost_model;
 pub mod executor;
 pub mod faults;
+pub mod join_ready;
 pub mod local_join;
 pub mod machine;
 pub mod metrics;
@@ -62,6 +63,7 @@ pub use executor::{
     ExecutionReport, Executor, ExecutorConfig, ShardPlan, ShardedExecution, VerificationLevel,
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FiredCounts, InjectionPoint};
+pub use join_ready::JoinReadyInputs;
 pub use local_join::{
     probe_sorted, probe_sorted_with, LocalJoinAlgorithm, LocalJoinResult, SortedProbeSide,
 };
@@ -70,7 +72,8 @@ pub use metrics::{process_peak_rss_bytes, RecoveryCounters, ShardStats};
 pub use plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
 pub use recpart::JoinKernel;
 pub use serve::{
-    BandJoinQuery, BandJoinService, PlanSource, QueryResponse, ServiceConfig, ServiceHealth,
+    BandJoinQuery, BandJoinService, PlanSource, QueryResponse, ServeError, ServiceConfig,
+    ServiceHealth,
 };
 pub use shuffle::{PartitionedIndex, ShuffleConfig, ShuffleError, ShuffledInputs};
 pub use supervise::{

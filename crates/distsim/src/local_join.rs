@@ -26,7 +26,10 @@
 //! once, swept with the amortized sliding window the scalar [`SortMerge`] path uses,
 //! and its pairs are emitted through a stable inverse permutation — so pair **order**
 //! stays bit-identical to the scalar per-probe binary-search loop, which remains
-//! in-tree verbatim as the measured baseline and proptest oracle.
+//! in-tree verbatim as the measured baseline and proptest oracle. The sweep itself
+//! ([`sweep_in_key_order`]) only needs its probes in dimension-0 order, so the
+//! executor's reduce — whose partitions are sorted once, by
+//! [`crate::join_ready`] — runs it over a whole partition with no blocks at all.
 //!
 //! # Comparisons accounting
 //!
@@ -67,7 +70,7 @@ pub struct LocalJoinResult {
 
 /// Probes per block of the vectorized probe path: large enough to amortize the
 /// per-block sort, small enough that the block scratch stays cache-resident.
-const PROBE_BLOCK: usize = 1024;
+pub(crate) const PROBE_BLOCK: usize = 1024;
 
 /// The T side of an index-nested-loop band-join, sorted once on dimension 0 so that
 /// several probe passes — e.g. the chunked parallel verification join — can share one
@@ -82,12 +85,34 @@ pub struct SortedProbeSide {
     sorted: Vec<u32>,
     /// Per-dimension value columns in `sorted` order; `cols[0]` is the sort key.
     cols: Vec<Vec<f64>>,
-    /// Does the sort key start with a negative NaN? `total_cmp` orders negative NaN
-    /// before `-inf`, which makes the window predicates (`v < lo`, `v <= hi`)
-    /// non-partitioned — the sliding-window advance then cannot reproduce
-    /// `partition_point`, so the blocked probe falls back to per-probe binary
-    /// search (the scalar oracle's own window computation).
-    neg_nan_first: bool,
+}
+
+/// Sort T-tuple ids on dimension 0 (`total_cmp`). This one call is *the* T order of
+/// every probe side: ties land wherever this sort leaves them for the given input
+/// order, so the join-ready arenas ([`crate::join_ready`]) sort their ascending
+/// partition slices through it and get exactly the order [`SortedProbeSide::build`]
+/// produces from the same slice.
+pub(crate) fn sort_t_ids(t: &Relation, ids: &mut [u32]) {
+    let key = t.column(0);
+    ids.sort_unstable_by(|&a, &b| key[a as usize].total_cmp(&key[b as usize]));
+}
+
+/// Sort S-tuple ids on `(dimension 0 total_cmp, id)` — a total order (for distinct
+/// ids), so the result depends on neither the input order nor the sort algorithm.
+pub(crate) fn sort_s_ids(s: &Relation, ids: &mut [u32]) {
+    let key = s.column(0);
+    ids.sort_unstable_by(|&a, &b| key[a as usize].total_cmp(&key[b as usize]).then(a.cmp(&b)));
+}
+
+/// Gather every join dimension of the T-tuples `sorted` (already in dimension-0
+/// order) into one contiguous column per dimension.
+pub(crate) fn gather_columns(t: &Relation, sorted: &[u32]) -> Vec<Vec<f64>> {
+    (0..t.dims())
+        .map(|d| {
+            let col = t.column(d);
+            sorted.iter().map(|&i| col[i as usize]).collect()
+        })
+        .collect()
 }
 
 impl SortedProbeSide {
@@ -104,20 +129,9 @@ impl SortedProbeSide {
     }
 
     fn from_ids(t: &Relation, mut sorted: Vec<u32>) -> SortedProbeSide {
-        let key = t.column(0);
-        sorted.sort_unstable_by(|&a, &b| key[a as usize].total_cmp(&key[b as usize]));
-        let cols: Vec<Vec<f64>> = (0..t.dims())
-            .map(|d| {
-                let col = t.column(d);
-                sorted.iter().map(|&i| col[i as usize]).collect()
-            })
-            .collect();
-        let neg_nan_first = cols[0].first().is_some_and(|v| v.is_nan());
-        SortedProbeSide {
-            sorted,
-            cols,
-            neg_nan_first,
-        }
+        sort_t_ids(t, &mut sorted);
+        let cols = gather_columns(t, &sorted);
+        SortedProbeSide { sorted, cols }
     }
 
     /// Number of selected T-tuples.
@@ -201,19 +215,91 @@ fn probe_scalar(
     result
 }
 
-/// The vectorized probe path: process probes in blocks, sort each block on dimension
-/// 0 once (stable order: key `total_cmp`, then arrival position), advance the
-/// dimension-0 window with amortized sliding pointers, evaluate each window with the
-/// vector kernel, and emit pairs through the block's inverse permutation so the
-/// output order matches the scalar probe loop exactly.
+/// Where a probe's matches sit in the sweep's `matched` buffer: `(offset, len)`.
+pub(crate) type MatchSlot = (usize, usize);
+
+/// The inner loop of every vector probe path: probe S-tuples that arrive in
+/// dimension-0 (`total_cmp`) order against the gathered T columns `cols` (`cols[0]`
+/// sorted), advancing **one** monotone dimension-0 window over the column instead of
+/// binary-searching per probe, and evaluating each window with the vector kernel.
+///
+/// `probes` yields `(slot, S id)`. With `collect`, the matching column positions of
+/// every probe are appended to the first buffer (window order) and its
+/// [`MatchSlot`] is recorded at `slots[slot]`, so the caller can emit pairs in
+/// whatever probe order it owes its own caller.
 ///
 /// Window equivalence with the scalar `partition_point`s: for finite probe keys the
-/// window bounds `lo`/`hi` are non-decreasing in block-sorted order, and — absent a
-/// leading negative NaN in the sort key (see [`SortedProbeSide::neg_nan_first`]) —
-/// the predicates `v < lo` / `v <= hi` are partitioned over the column, so a forward
-/// scan from the previous boundary stops exactly at the `partition_point`. Probes
-/// with non-finite keys (NaN bounds are never monotone) fall back to the literal
-/// binary search without touching the shared pointers.
+/// window bounds `lo`/`hi` are non-decreasing in key order, and — absent a leading
+/// negative NaN in the sort column (`total_cmp` orders it before `-inf`, which makes
+/// `v < lo` / `v <= hi` non-partitioned) — the predicates are partitioned over the
+/// column, so a forward scan from the previous boundary stops exactly at the
+/// `partition_point`. The window *starts* at the first finite probe's own
+/// `partition_point` rather than at 0, so a run of probes far into the column does
+/// not pay a scan from the front. Probes with non-finite keys (NaN bounds are never
+/// monotone) and every probe of a negative-NaN-led column take the literal binary
+/// search without touching the shared window.
+pub(crate) fn sweep_in_key_order(
+    kernel: JoinKernel,
+    s: &Relation,
+    cols: &[Vec<f64>],
+    band: &BandCondition,
+    probes: impl Iterator<Item = (usize, u32)>,
+    mut collect: Option<(&mut Vec<u32>, &mut [MatchSlot])>,
+) -> LocalJoinResult {
+    let mut result = LocalJoinResult::default();
+    let vals = cols[0].as_slice();
+    let n = vals.len();
+    let neg_nan_first = vals.first().is_some_and(|v| v.is_nan());
+    // The probe key is rebuilt into one reused buffer from the hoisted columns.
+    let s_cols: Vec<&[f64]> = (0..s.dims()).map(|d| s.column(d)).collect();
+    let mut sk = vec![0.0f64; s_cols.len()];
+    let mut window: Option<(usize, usize)> = None;
+    for (slot, si) in probes {
+        for (k, col) in sk.iter_mut().zip(&s_cols) {
+            *k = col[si as usize];
+        }
+        let (lo, hi) = band.range_around_s(0, sk[0]);
+        let (start, end) = if neg_nan_first || !sk[0].is_finite() {
+            (
+                vals.partition_point(|&v| v < lo),
+                vals.partition_point(|&v| v <= hi),
+            )
+        } else {
+            let (mut w_start, mut w_end) = window.unwrap_or_else(|| {
+                let first = vals.partition_point(|&v| v < lo);
+                (first, first)
+            });
+            while w_start < n && vals[w_start] < lo {
+                w_start += 1;
+            }
+            if w_end < w_start {
+                w_end = w_start;
+            }
+            while w_end < n && vals[w_end] <= hi {
+                w_end += 1;
+            }
+            window = Some((w_start, w_end));
+            (w_start, w_end)
+        };
+        result.comparisons += (end - start) as u64;
+        result.output += match collect.as_mut() {
+            Some((matched, slots)) => {
+                let offset = matched.len();
+                let count = band_window_collect(kernel, &sk, cols, start..end, band, matched);
+                slots[slot] = (offset, count as usize);
+                count
+            }
+            None => band_window_count(kernel, &sk, cols, start..end, band),
+        };
+    }
+    result
+}
+
+/// The vectorized probe path for probes in **arbitrary** order: process them in
+/// blocks, sort each block on dimension 0 once (stable order: key `total_cmp`, then
+/// arrival position), sweep the block with [`sweep_in_key_order`], and emit pairs
+/// through the block's inverse permutation so the output order matches the scalar
+/// probe loop exactly.
 fn probe_blocked(
     kernel: JoinKernel,
     s: &Relation,
@@ -223,15 +309,12 @@ fn probe_blocked(
     mut pairs: Option<&mut Vec<(u32, u32)>>,
 ) -> LocalJoinResult {
     let mut result = LocalJoinResult::default();
-    let vals = side.key_col();
-    let n = vals.len();
     let s_key = s.column(0);
-    let collect = pairs.is_some();
 
     // Scratch reused across blocks.
     let mut block: Vec<u32> = Vec::with_capacity(PROBE_BLOCK);
     let mut order: Vec<u32> = Vec::with_capacity(PROBE_BLOCK);
-    let mut slots: Vec<(u32, u32)> = Vec::new(); // (offset, len) into `matched`, by block position
+    let mut slots: Vec<MatchSlot> = Vec::new(); // by block position
     let mut matched: Vec<u32> = Vec::new();
 
     let mut iter = s_idx.into_iter();
@@ -250,56 +333,29 @@ fn probe_blocked(
                 .total_cmp(&s_key[block[b as usize] as usize])
                 .then(a.cmp(&b))
         });
-        if collect {
-            matched.clear();
-            slots.clear();
-            slots.resize(block.len(), (0, 0));
-        }
-        let (mut w_start, mut w_end) = (0usize, 0usize);
-        for &bp in &order {
-            let si = block[bp as usize];
-            let sk = s.key(si as usize);
-            let (lo, hi) = band.range_around_s(0, sk[0]);
-            let (start, end) = if side.neg_nan_first || !sk[0].is_finite() {
-                // Non-partitioned predicate or non-monotone bounds: compute the
-                // window exactly as the scalar oracle does.
-                (
-                    vals.partition_point(|&v| v < lo),
-                    vals.partition_point(|&v| v <= hi),
-                )
-            } else {
-                while w_start < n && vals[w_start] < lo {
-                    w_start += 1;
+        let probes = order.iter().map(|&bp| (bp as usize, block[bp as usize]));
+        let swept = match pairs.as_deref_mut() {
+            None => sweep_in_key_order(kernel, s, &side.cols, band, probes, None),
+            Some(p) => {
+                matched.clear();
+                slots.clear();
+                slots.resize(block.len(), (0, 0));
+                let collect = Some((&mut matched, slots.as_mut_slice()));
+                let swept = sweep_in_key_order(kernel, s, &side.cols, band, probes, collect);
+                // Emit in arrival order (the inverse of the block sort); within a
+                // probe, matches are already in window (sorted-position) order.
+                for (&si, &(offset, count)) in block.iter().zip(&slots) {
+                    p.extend(
+                        matched[offset..offset + count]
+                            .iter()
+                            .map(|&pos| (si, side.sorted[pos as usize])),
+                    );
                 }
-                if w_end < w_start {
-                    w_end = w_start;
-                }
-                while w_end < n && vals[w_end] <= hi {
-                    w_end += 1;
-                }
-                (w_start, w_end)
-            };
-            result.comparisons += (end - start) as u64;
-            if collect {
-                let offset = matched.len() as u32;
-                let count =
-                    band_window_collect(kernel, &sk, &side.cols, start..end, band, &mut matched);
-                slots[bp as usize] = (offset, count as u32);
-                result.output += count;
-            } else {
-                result.output += band_window_count(kernel, &sk, &side.cols, start..end, band);
+                swept
             }
-        }
-        if let Some(p) = pairs.as_deref_mut() {
-            // Emit in arrival order (the inverse of the block sort); within a
-            // probe, matches are already in window (sorted-position) order.
-            for (bp, &si) in block.iter().enumerate() {
-                let (offset, count) = slots[bp];
-                for &pos in &matched[offset as usize..(offset + count) as usize] {
-                    p.push((si, side.sorted[pos as usize]));
-                }
-            }
-        }
+        };
+        result.output += swept.output;
+        result.comparisons += swept.comparisons;
     }
     result
 }

@@ -3,10 +3,11 @@
 //! evicted least-recently-used under an arena-byte capacity.
 //!
 //! A cached plan is everything the pipeline's expensive front half produces —
-//! the optimized [`SplitTreePartitioner`] (which owns the compiled router), the
-//! two [`PartitionedIndex`] arenas the counting shuffle materialized, and the
-//! worker mapping of the build run. A cache hit therefore skips
-//! optimize/compile/shuffle entirely and pays only the per-partition joins.
+//! the optimized [`SplitTreePartitioner`] (which owns the compiled router) and
+//! the two arenas the counting shuffle materialized, already sorted into
+//! join-ready order ([`JoinReadyInputs`] — same bytes as the raw arenas). A cache
+//! hit therefore skips optimize/compile/shuffle *and* every per-partition sort,
+//! and pays only the gather-and-sweep of the per-partition joins.
 //!
 //! Two lookup modes:
 //!
@@ -23,7 +24,7 @@
 //! behaviour (and every [`PlanCacheCounters`] value) is a deterministic
 //! function of the query stream.
 
-use crate::shuffle::PartitionedIndex;
+use crate::join_ready::JoinReadyInputs;
 use recpart::{BandCondition, PlanCacheCounters, SplitTreePartitioner};
 
 /// The exact-match identity of a cached plan: which data, which band, how many
@@ -77,8 +78,7 @@ impl PlanKey {
 }
 
 /// Everything the expensive front half of the pipeline produced, ready for
-/// reuse: the compiled partitioning, both shuffled arenas, and the worker
-/// mapping of the build run.
+/// reuse: the compiled partitioning and both shuffled arenas in join-ready order.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The optimized split-tree partitioner (owns the compiled router).
@@ -86,27 +86,25 @@ pub struct CachedPlan {
     /// The plan's band (the ε the partitioner was built for — the widest band
     /// this plan serves).
     pub band: BandCondition,
-    /// Shuffled per-partition S-tuple index arena.
-    pub s_parts: PartitionedIndex,
-    /// Shuffled per-partition T-tuple index arena.
-    pub t_parts: PartitionedIndex,
-    /// Partition → worker mapping of the build run (recomputed identically by
-    /// every warm run — kept for inspection without re-executing).
-    pub partition_to_worker: Vec<u32>,
+    /// Both shuffled per-partition tuple-index arenas, every partition sorted
+    /// once at build time so no query served from this plan sorts it again.
+    pub inputs: JoinReadyInputs,
     /// [`SplitTreePartitioner::plan_signature`] of the partitioner.
     pub plan_signature: u64,
 }
 
 impl CachedPlan {
-    /// Bytes held by both arenas — the cache's capacity accounting unit.
+    /// Bytes held by both arenas — the cache's capacity accounting unit, and
+    /// exactly [`crate::ShuffledInputs::arena_bytes`] of the shuffle that built
+    /// the plan: join-ready order is a permutation, not an index.
     pub fn arena_bytes(&self) -> u64 {
-        self.s_parts.arena_bytes() + self.t_parts.arena_bytes()
+        self.inputs.arena_bytes()
     }
 
     /// Total cached assignments (both sides, duplicates included): the warm
     /// join cost this plan implies, used to prefer the cheapest subsuming plan.
     fn assignments(&self) -> u64 {
-        self.s_parts.len() as u64 + self.t_parts.len() as u64
+        (self.inputs.s_parts().len() + self.inputs.t_parts().len()) as u64
     }
 }
 
@@ -272,21 +270,28 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Parallelism;
+    use crate::shuffle::{PartitionedIndex, ShuffledInputs};
     use recpart::split_tree::SplitTree;
+    use recpart::Relation;
 
     fn tiny_plan(seed: u64, tuples: u32) -> CachedPlan {
         let band = BandCondition::symmetric(&[0.5]);
         let tree = SplitTree::new(1);
         let partitioner = SplitTreePartitioner::from_tree(tree, band.clone(), seed, "test");
-        let s_parts = PartitionedIndex::from_parts(&[(0..tuples).collect()]);
-        let t_parts = PartitionedIndex::from_parts(&[(0..tuples).collect()]);
+        let values: Vec<f64> = (0..tuples).map(f64::from).collect();
+        let rel = Relation::from_values_1d(&values);
+        let shuffled = ShuffledInputs {
+            s_parts: PartitionedIndex::from_parts(&[(0..tuples).collect()]),
+            t_parts: PartitionedIndex::from_parts(&[(0..tuples).collect()]),
+            wall_seconds: 0.0,
+        };
+        let (inputs, _) = JoinReadyInputs::prepare(shuffled, &rel, &rel, &Parallelism::Sequential);
         let plan_signature = partitioner.plan_signature();
         CachedPlan {
             partitioner,
             band,
-            s_parts,
-            t_parts,
-            partition_to_worker: vec![0],
+            inputs,
             plan_signature,
         }
     }
@@ -307,7 +312,7 @@ mod tests {
         // eps=0.5 is narrower than both; the cheaper (5-assignment) plan wins.
         let (plan, outcome) = cache.lookup(&key(1, 0.5)).unwrap();
         assert_eq!(outcome, CacheOutcome::SubsumedHit);
-        assert_eq!(plan.s_parts.len(), 5);
+        assert_eq!(plan.inputs.s_parts().len(), 5);
         // Wider than everything cached, and a different generation: misses.
         assert!(cache.lookup(&key(1, 9.0)).is_none());
         assert!(cache.lookup(&key(2, 0.5)).is_none());
@@ -403,6 +408,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.counters().arena_bytes_cached, 72);
         let (plan, _) = cache.lookup(&key(1, 1.0)).unwrap();
-        assert_eq!(plan.s_parts.len(), 5);
+        assert_eq!(plan.inputs.s_parts().len(), 5);
     }
 }

@@ -8,18 +8,20 @@
 //! [`PlanCache`]:
 //!
 //! * a **cold miss** builds through the existing pipeline (RecPart optimize,
-//!   router compile, counting shuffle) and caches the plan — partitioner plus
-//!   both shuffled CSR arenas;
+//!   router compile, counting shuffle), sorts every partition of both shuffled
+//!   CSR arenas into join-ready order while it joins them, and caches the plan —
+//!   partitioner plus the [`JoinReadyInputs`];
 //! * a **warm hit** (exact [`PlanKey`] match) skips straight to the reduce
-//!   phase over the cached arenas;
+//!   phase over the cached arenas — a column gather and one window sweep per
+//!   partition, no sort ([`ServiceHealth::partitions_prepared`] does not move);
 //! * a **subsumed hit** serves a query whose band is per-dimension *narrower*
 //!   than a cached plan's from that plan's arenas — zero new shuffles — because
 //!   every pair matching the narrower band also matched the wider one, the
 //!   wider plan's duplication co-locates it exactly once, and the join kernels
 //!   filter exactly with the query band.
 //!
-//! Every served path runs [`Executor::join_partition`] per partition and the
-//! shared `assemble_report` downstream, so a response is **bit-identical by
+//! Every served path runs the executor's one `join_partition` per partition and
+//! the shared `assemble_report` downstream, so a response is **bit-identical by
 //! construction** to a one-shot [`Executor::execute`] with the same partitioner
 //! and query band — only wall-clock fields differ (a warm response reports
 //! `map_shuffle_wall_seconds == 0.0`: no shuffle ran).
@@ -37,19 +39,21 @@
 //!
 //! [`append_t`]: BandJoinService::append_t
 
-use crate::executor::{ExecutionReport, Executor, ExecutorConfig, ShardPlan, VerificationLevel};
+use crate::executor::{
+    ExecutionReport, Executor, ExecutorConfig, LocalJoinPhase, ShardPlan, VerificationLevel,
+};
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::local_join::LocalJoinAlgorithm;
+use crate::join_ready::JoinReadyInputs;
 use crate::machine::MachineModel;
 use crate::metrics::RecoveryCounters;
 use crate::plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
-use crate::shuffle::{PartitionedIndex, ShuffleConfig, ShuffledInputs};
+use crate::shuffle::{ShuffleConfig, ShuffledInputs};
 use crate::supervise::{SuperviseError, SupervisorConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use recpart::{
     BandCondition, LoadModel, RecPart, RecPartConfig, Relation, SampleConfig, SplitTreePartitioner,
 };
-use recpart::{Partitioner, PlanCacheCounters};
+use recpart::{Partitioner, PlanCacheCounters, RecPartError};
 use serde::{Deserialize, Serialize};
 
 /// Everything the service fixes at load time; per-query knobs (band, workers,
@@ -69,7 +73,10 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Retry/backoff/degradation policy of the supervised reduce.
     pub supervisor: SupervisorConfig,
-    /// Verification level of every response's report.
+    /// Verification level of every response's report. Defaults to
+    /// [`VerificationLevel::None`]: `Count` and `FullPairs` run a full
+    /// unpartitioned exact join per response — an audit mode, opted into with
+    /// [`ServiceConfig::with_verification`], not something every query pays.
     pub verification: VerificationLevel,
     /// Thread knob shared by the optimizer, the shuffle, and the local joins
     /// (`0` = all cores, `1` = strictly sequential).
@@ -80,8 +87,6 @@ pub struct ServiceConfig {
     pub sample: SampleConfig,
     /// Load weights shared by the optimizer and the executor.
     pub load_model: LoadModel,
-    /// Per-worker local join algorithm.
-    pub local_algorithm: LocalJoinAlgorithm,
     /// Timing model of the simulated cluster.
     pub machine: MachineModel,
     /// Shuffle chunking/storage of the cold path (heap or mmap spill arenas —
@@ -96,12 +101,11 @@ impl Default for ServiceConfig {
             supervised: false,
             shards: 4,
             supervisor: SupervisorConfig::default(),
-            verification: VerificationLevel::Count,
+            verification: VerificationLevel::None,
             threads: 0,
             seed: 0x5EED_0001,
             sample: SampleConfig::default(),
             load_model: LoadModel::default(),
-            local_algorithm: LocalJoinAlgorithm::default(),
             machine: MachineModel::default(),
             shuffle: ShuffleConfig::default(),
         }
@@ -110,7 +114,7 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// The default configuration (256 MiB cache, unsupervised, full-core
-    /// parallelism, `Count` verification).
+    /// parallelism, no per-response verification).
     pub fn new() -> Self {
         Self::default()
     }
@@ -129,7 +133,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the verification level of every response.
+    /// Audit mode: verify every response against an exact single-node join
+    /// (`Count`) or pair by pair (`FullPairs`).
     pub fn with_verification(mut self, level: VerificationLevel) -> Self {
         self.verification = level;
         self
@@ -159,12 +164,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the per-worker local join algorithm.
-    pub fn with_local_algorithm(mut self, algorithm: LocalJoinAlgorithm) -> Self {
-        self.local_algorithm = algorithm;
-        self
-    }
-
     /// Override the cluster timing model.
     pub fn with_machine(mut self, machine: MachineModel) -> Self {
         self.machine = machine;
@@ -183,7 +182,6 @@ impl ServiceConfig {
         ExecutorConfig::new(workers)
             .with_verification(self.verification)
             .with_load_model(self.load_model)
-            .with_local_algorithm(self.local_algorithm)
             .with_machine(self.machine)
             .with_threads(self.threads)
     }
@@ -275,6 +273,10 @@ pub struct ServiceHealth {
     pub tuples_shuffled: u64,
     /// Number of shuffles run (== cold builds that reached the shuffle).
     pub shuffles_run: u64,
+    /// Partitions sorted into join-ready order: a cold build prepares each
+    /// partition of its plan exactly once; warm and subsumed hits hold the
+    /// prepared arenas immutably and prepare none.
+    pub partitions_prepared: u64,
     /// Plans currently cached.
     pub cached_plans: usize,
     /// Queries answered (successfully) so far.
@@ -296,15 +298,37 @@ pub struct BandJoinService {
     recovery: RecoveryCounters,
     tuples_shuffled: u64,
     shuffles_run: u64,
+    partitions_prepared: u64,
     queries_served: u64,
     degraded_responses: u64,
 }
 
-/// What the reduce-and-report stage hands back for one query.
-struct ReduceOutcome {
-    report: ExecutionReport,
-    pairs: Option<Vec<(u32, u32)>>,
-    degraded: bool,
+/// Why a query was not answered.
+#[derive(Debug)]
+pub enum ServeError {
+    /// The query does not fit the dataset — a band of another dimensionality, or
+    /// zero workers. Rejected before anything ran or was counted.
+    Query(RecPartError),
+    /// Supervision is enabled and a whole phase exhausted its retry budget
+    /// (shuffle, merge, or — under [`SupervisorConfig::fail_fast`] — any shard).
+    Supervise(SuperviseError),
+}
+
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeError::Query(e) => write!(f, "invalid query: {e}"),
+            ServeError::Supervise(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+impl From<SuperviseError> for ServeError {
+    fn from(e: SuperviseError) -> Self {
+        ServeError::Supervise(e)
+    }
 }
 
 impl BandJoinService {
@@ -326,6 +350,7 @@ impl BandJoinService {
             recovery: RecoveryCounters::default(),
             tuples_shuffled: 0,
             shuffles_run: 0,
+            partitions_prepared: 0,
             queries_served: 0,
             degraded_responses: 0,
         }
@@ -370,6 +395,7 @@ impl BandJoinService {
             recovery: self.recovery,
             tuples_shuffled: self.tuples_shuffled,
             shuffles_run: self.shuffles_run,
+            partitions_prepared: self.partitions_prepared,
             cached_plans: self.cache.len(),
             queries_served: self.queries_served,
             degraded_responses: self.degraded_responses,
@@ -387,7 +413,7 @@ impl BandJoinService {
     }
 
     /// Answer one query (no fault injection).
-    pub fn serve(&mut self, query: &BandJoinQuery) -> Result<QueryResponse, SuperviseError> {
+    pub fn serve(&mut self, query: &BandJoinQuery) -> Result<QueryResponse, ServeError> {
         self.serve_with_faults(query, &FaultPlan::none())
     }
 
@@ -396,20 +422,25 @@ impl BandJoinService {
     /// supervision enabled a shard that exhausts its retries degrades only
     /// this response.
     ///
-    /// Errors (`SuperviseError`) only surface when supervision is enabled and
-    /// a whole phase exhausts its budget (shuffle, merge, or — under
-    /// [`SupervisorConfig::fail_fast`] — any shard); the service stays usable
-    /// afterwards.
+    /// A malformed query (band dimensionality, zero workers) is rejected before
+    /// anything runs or is counted. [`ServeError::Supervise`] only surfaces when
+    /// supervision is enabled and a whole phase exhausts its budget (shuffle,
+    /// merge, or — under [`SupervisorConfig::fail_fast`] — any shard). Either
+    /// way the service stays usable afterwards.
     pub fn serve_with_faults(
         &mut self,
         query: &BandJoinQuery,
         faults: &FaultPlan,
-    ) -> Result<QueryResponse, SuperviseError> {
-        assert_eq!(
-            query.band.dims(),
-            self.s.dims(),
-            "query band dimensionality must match the dataset"
-        );
+    ) -> Result<QueryResponse, ServeError> {
+        query
+            .band
+            .check_dims(self.s.dims())
+            .map_err(ServeError::Query)?;
+        if query.workers == 0 {
+            return Err(ServeError::Query(RecPartError::InvalidConfig {
+                message: "a query needs at least one worker".into(),
+            }));
+        }
         let exec_idx = self.ensure_executor(query.workers);
         let key = PlanKey::new(
             self.s.generation(),
@@ -419,30 +450,24 @@ impl BandJoinService {
         );
         let injector = FaultInjector::new(faults.clone());
         let mut counters = RecoveryCounters::default();
+        let reduce = Reduce {
+            exec: &self.executors[exec_idx].1,
+            config: &self.config,
+            s: &self.s,
+            t: &self.t,
+            query,
+            injector: &injector,
+        };
 
-        let exec = &self.executors[exec_idx].1;
-        let outcome = match self.cache.lookup(&key) {
+        let (source, plan_signature, reduced) = match self.cache.lookup(&key) {
             Some((plan, cache_outcome)) => {
                 let source = match cache_outcome {
                     CacheOutcome::Hit => PlanSource::WarmHit,
                     CacheOutcome::SubsumedHit => PlanSource::SubsumedHit,
                 };
-                let plan_signature = plan.plan_signature;
-                let reduced = reduce_on_arenas(
-                    exec,
-                    &self.config,
-                    &self.s,
-                    &self.t,
-                    &query.band,
-                    &plan.partitioner,
-                    &plan.s_parts,
-                    &plan.t_parts,
-                    0.0,
-                    query.materialize,
-                    &injector,
-                    &mut counters,
-                )?;
-                (source, plan_signature, reduced)
+                let (local, degraded) = reduce.shared(&plan.inputs, &mut counters)?;
+                let reduced = reduce.report(&plan.partitioner, 0.0, local, degraded);
+                (source, plan.plan_signature, reduced)
             }
             None => {
                 // Cold build: the full existing pipeline, then cache the plan.
@@ -455,12 +480,8 @@ impl BandJoinService {
                     &mut rng,
                 );
                 let partitioner = result.partitioner;
-                let ShuffledInputs {
-                    s_parts,
-                    t_parts,
-                    wall_seconds,
-                } = if self.config.supervised {
-                    exec.supervised_shuffle(
+                let shuffled = if self.config.supervised {
+                    reduce.exec.supervised_shuffle(
                         &partitioner,
                         &self.s,
                         &self.t,
@@ -469,24 +490,14 @@ impl BandJoinService {
                         &mut counters,
                     )?
                 } else {
-                    exec.map_shuffle(&partitioner, &self.s, &self.t)
+                    reduce.exec.map_shuffle(&partitioner, &self.s, &self.t)
                 };
-                self.tuples_shuffled += (s_parts.len() + t_parts.len()) as u64;
+                self.tuples_shuffled += shuffled.total_input();
                 self.shuffles_run += 1;
-                let reduced = reduce_on_arenas(
-                    exec,
-                    &self.config,
-                    &self.s,
-                    &self.t,
-                    &query.band,
-                    &partitioner,
-                    &s_parts,
-                    &t_parts,
-                    wall_seconds,
-                    query.materialize,
-                    &injector,
-                    &mut counters,
-                )?;
+                let shuffle_seconds = shuffled.wall_seconds;
+                let (inputs, local, degraded) = reduce.owned(shuffled, &mut counters)?;
+                self.partitions_prepared += inputs.num_partitions() as u64;
+                let reduced = reduce.report(&partitioner, shuffle_seconds, local, degraded);
                 let plan_signature = partitioner.plan_signature();
                 // A degraded *response* does not poison the *plan*: the arenas
                 // are complete (the shuffle succeeded); only this query's
@@ -496,16 +507,13 @@ impl BandJoinService {
                     CachedPlan {
                         band: partitioner.band().clone(),
                         partitioner,
-                        s_parts,
-                        t_parts,
-                        partition_to_worker: reduced.report.partition_to_worker.clone(),
+                        inputs,
                         plan_signature,
                     },
                 );
                 (PlanSource::ColdBuild, plan_signature, reduced)
             }
         };
-        let (source, plan_signature, reduced) = outcome;
 
         if self.config.supervised {
             let fired = injector.fired();
@@ -515,7 +523,7 @@ impl BandJoinService {
         }
         accumulate_recovery(&mut self.recovery, &counters);
         self.queries_served += 1;
-        if reduced.degraded {
+        if reduced.report.degraded {
             self.degraded_responses += 1;
         }
         Ok(QueryResponse {
@@ -540,84 +548,116 @@ impl BandJoinService {
     }
 }
 
-/// The shared back half of every served query: reduce over the given arenas
-/// (supervised or not), extract the caller's pairs, assemble the report. The
-/// per-partition computation is [`Executor::join_partition`] and the report
-/// assembly is the executor's own — bit-identity with `Executor::execute` is
-/// by construction, for the plan's own band and for any narrower one (see the
-/// module docs on subsumption).
-#[allow(clippy::too_many_arguments)]
-fn reduce_on_arenas(
-    exec: &Executor,
-    config: &ServiceConfig,
-    s: &Relation,
-    t: &Relation,
-    band: &BandCondition,
-    partitioner: &SplitTreePartitioner,
-    s_parts: &PartitionedIndex,
-    t_parts: &PartitionedIndex,
-    map_shuffle_wall_seconds: f64,
-    want_pairs: bool,
-    injector: &FaultInjector,
-    counters: &mut RecoveryCounters,
-) -> Result<ReduceOutcome, SuperviseError> {
-    let num_partitions = partitioner.num_partitions().max(1);
-    assert_eq!(
-        s_parts.num_partitions(),
-        num_partitions,
-        "cached arenas were built for a different partitioning"
-    );
-    let verification = exec.config().verification;
-    let materialize = want_pairs || verification == VerificationLevel::FullPairs;
+/// What the reduce-and-report stage hands back for one query.
+struct ReduceOutcome {
+    report: ExecutionReport,
+    pairs: Option<Vec<(u32, u32)>>,
+}
 
-    let (mut local, degraded) = if config.supervised {
-        let shard_plan = ShardPlan::contiguous(num_partitions, config.shards);
-        let (local, _shard_stats, failed) = exec.supervised_reduce(
+/// The back half of one served query: everything a reduce needs besides the
+/// arenas. The per-partition computation is the executor's `join_partition` and
+/// the report assembly is the executor's own — bit-identity with
+/// `Executor::execute` is by construction, for the plan's own band and for any
+/// narrower one (see the module docs on subsumption).
+struct Reduce<'a> {
+    exec: &'a Executor,
+    config: &'a ServiceConfig,
+    s: &'a Relation,
+    t: &'a Relation,
+    query: &'a BandJoinQuery,
+    injector: &'a FaultInjector,
+}
+
+impl Reduce<'_> {
+    /// Pairs are materialized for the caller, for `FullPairs` verification, or both.
+    fn materialize(&self) -> bool {
+        self.query.materialize || self.config.verification == VerificationLevel::FullPairs
+    }
+
+    /// Reduce over join-ready arenas this query only borrows — every warm and
+    /// subsumed hit, and the supervised cold build. Sorts nothing. Returns the
+    /// phase and whether it is degraded.
+    fn shared(
+        &self,
+        ready: &JoinReadyInputs,
+        counters: &mut RecoveryCounters,
+    ) -> Result<(LocalJoinPhase, bool), SuperviseError> {
+        let (s, t, band) = (self.s, self.t, &self.query.band);
+        let materialize = self.materialize();
+        if !self.config.supervised {
+            let local = self.exec.reduce_ready(s, t, band, ready, materialize);
+            return Ok((local, false));
+        }
+        let shard_plan = ShardPlan::contiguous(ready.num_partitions(), self.config.shards);
+        let (local, _shard_stats, failed) = self.exec.supervised_reduce(
             s,
             t,
             band,
-            s_parts,
-            t_parts,
+            ready,
             &shard_plan,
             materialize,
-            injector,
-            &config.supervisor,
+            self.injector,
+            &self.config.supervisor,
             counters,
         )?;
-        (local, !failed.is_empty())
-    } else {
-        (
-            exec.run_local_joins(s, t, band, s_parts, t_parts, materialize),
-            false,
-        )
-    };
+        Ok((local, !failed.is_empty()))
+    }
 
-    // FullPairs verification consumes the pair list inside assemble_report, so
-    // the response clones it; otherwise the list was materialized only for the
-    // caller and is taken.
-    let pairs = if !want_pairs {
-        None
-    } else if verification == VerificationLevel::FullPairs && !degraded {
-        local.all_pairs.clone()
-    } else {
-        local.all_pairs.take()
-    };
+    /// The cold build's reduce over the arenas it just shuffled: prepare and join
+    /// in one pass (supervised: prepare, then the shared supervised reduce).
+    /// Returns the prepared arenas for the cache.
+    fn owned(
+        &self,
+        shuffled: ShuffledInputs,
+        counters: &mut RecoveryCounters,
+    ) -> Result<(JoinReadyInputs, LocalJoinPhase, bool), SuperviseError> {
+        let (s, t, band) = (self.s, self.t, &self.query.band);
+        let materialize = self.materialize();
+        if !self.config.supervised {
+            let (ready, local) = self
+                .exec
+                .prepare_and_reduce(s, t, band, shuffled, materialize);
+            return Ok((ready, local, false));
+        }
+        // Supervised shard attempts share the arenas, so prepare is its own pass.
+        let (ready, prepare_seconds) =
+            JoinReadyInputs::prepare(shuffled, s, t, &self.exec.parallelism());
+        let (mut local, degraded) = self.shared(&ready, counters)?;
+        local.wall_seconds += prepare_seconds;
+        Ok((ready, local, degraded))
+    }
 
-    let report = exec.assemble_report(
-        partitioner,
-        s,
-        t,
-        band,
-        num_partitions,
-        map_shuffle_wall_seconds,
-        local,
-        degraded,
-    );
-    Ok(ReduceOutcome {
-        report,
-        pairs,
-        degraded,
-    })
+    /// Extract the caller's pairs and assemble the report.
+    fn report(
+        &self,
+        partitioner: &SplitTreePartitioner,
+        map_shuffle_wall_seconds: f64,
+        mut local: LocalJoinPhase,
+        degraded: bool,
+    ) -> ReduceOutcome {
+        // FullPairs verification consumes the pair list inside assemble_report, so
+        // the response clones it; otherwise the list was materialized only for the
+        // caller and is taken.
+        let verifies_pairs = self.config.verification == VerificationLevel::FullPairs && !degraded;
+        let pairs = if !self.query.materialize {
+            None
+        } else if verifies_pairs {
+            local.all_pairs.clone()
+        } else {
+            local.all_pairs.take()
+        };
+        let report = self.exec.assemble_report(
+            partitioner,
+            self.s,
+            self.t,
+            &self.query.band,
+            partitioner.num_partitions().max(1),
+            map_shuffle_wall_seconds,
+            local,
+            degraded,
+        );
+        ReduceOutcome { report, pairs }
+    }
 }
 
 fn accumulate_recovery(total: &mut RecoveryCounters, add: &RecoveryCounters) {

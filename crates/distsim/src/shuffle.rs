@@ -98,10 +98,12 @@ impl ShuffleConfig {
 }
 
 /// Per-partition tuple-index lists stored as one flat arena plus partition offsets
-/// (CSR layout): partition `p` owns `data[offsets[p]..offsets[p + 1]]`, in routing
-/// (ascending tuple-index) order. The arena is a [`Storage<u32>`] so it can live on
-/// the heap or in an mmap-backed spill file; every accessor below goes through the
-/// same slice view either way.
+/// (CSR layout): partition `p` owns `data[offsets[p]..offsets[p + 1]]`. As the shuffle
+/// returns it, every partition is in routing (ascending tuple-index) order; once
+/// [`crate::JoinReadyInputs`] owns the index, every partition is in dimension-0 order
+/// instead (same ids, same offsets, same bytes). The arena is a [`Storage<u32>`] so it
+/// can live on the heap or in an mmap-backed spill file; every accessor below goes
+/// through the same slice view either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionedIndex {
     data: Storage<u32>,
@@ -137,9 +139,24 @@ impl PartitionedIndex {
         self.offsets.len() - 1
     }
 
-    /// The tuple indices routed to partition `p`, ascending.
+    /// The tuple indices routed to partition `p`: ascending in a shuffle's own output
+    /// ([`ShuffledInputs`]), in dimension-0 order inside [`crate::JoinReadyInputs`].
     pub fn part(&self, p: usize) -> &[u32] {
         &self.data[self.offsets[p]..self.offsets[p + 1]]
+    }
+
+    /// Every partition's slice at once, mutably and disjointly, in partition order —
+    /// what lets the prepare step sort partitions in place on several threads.
+    pub(crate) fn parts_mut(&mut self) -> Vec<&mut [u32]> {
+        let mut rest = self.data.as_mut_slice();
+        self.offsets
+            .windows(2)
+            .map(|w| {
+                let (part, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+                rest = tail;
+                part
+            })
+            .collect()
     }
 
     /// Total number of assignments across all partitions.

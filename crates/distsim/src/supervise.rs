@@ -33,14 +33,20 @@
 //! same `merge_shard_outcomes`, and the report assembly is the same
 //! `assemble_report` the unsupervised paths use. The chaos proptest in
 //! `tests/sharded_execution.rs` sweeps random [`FaultPlan`]s to enforce it.
+//!
+//! Attempts of one shard may overlap (speculation) and repeat (retry), so they
+//! **share** the arenas: a supervised reduce takes `&JoinReadyInputs`, prepared once
+//! as a pass of its own, where the unsupervised cold paths fuse the sort into the join
+//! pass over arenas they own.
 
 use crate::executor::{
-    merge_shard_outcomes, ExecutionReport, Executor, LocalJoinPhase, PartitionJoinOutcome,
-    ShardOutcome, ShardPlan, VerificationLevel,
+    join_partition, merge_shard_outcomes, ExecutionReport, Executor, LocalJoinPhase,
+    PartitionJoinOutcome, ShardOutcome, ShardPlan, VerificationLevel,
 };
 use crate::faults::{FaultContext, FaultInjector, FaultPlan, InjectedPanic, InjectionPoint};
+use crate::join_ready::JoinReadyInputs;
 use crate::metrics::{RecoveryCounters, ShardStats};
-use crate::shuffle::{PartitionedIndex, ShuffledInputs};
+use crate::shuffle::ShuffledInputs;
 use recpart::{BandCondition, Partitioner, Relation};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -300,27 +306,26 @@ impl Executor {
 
         // --- Phase 1: shuffle, retried as a whole (pure + idempotent). ---
         let shuffled = self.supervised_shuffle(partitioner, s, t, &injector, sup, &mut counters)?;
-        let ShuffledInputs {
-            s_parts,
-            t_parts,
-            wall_seconds: map_shuffle_wall_seconds,
-        } = shuffled;
+        let map_shuffle_wall_seconds = shuffled.wall_seconds;
 
-        // --- Phases 2–3: shard attempts + merge, shared with the plan-cached
-        // service (which runs the same reduce over cached arenas). ---
+        // --- Phases 2–3: prepare the arenas (its own pass: attempts share them),
+        // then shard attempts + merge, shared with the plan-cached service (which
+        // runs the same reduce over cached arenas). ---
         let materialize = self.config().verification == VerificationLevel::FullPairs;
-        let (local, shard_stats, failed) = self.supervised_reduce(
+        let (ready, prepare_seconds) =
+            JoinReadyInputs::prepare(shuffled, s, t, &self.parallelism());
+        let (mut local, shard_stats, failed) = self.supervised_reduce(
             s,
             t,
             band,
-            &s_parts,
-            &t_parts,
+            &ready,
             &shard_plan,
             materialize,
             &injector,
             sup,
             &mut counters,
         )?;
+        local.wall_seconds += prepare_seconds;
         let degraded = !failed.is_empty();
         let report = self.assemble_report(
             partitioner,
@@ -354,7 +359,7 @@ impl Executor {
 
     /// Phases 2–3 of a supervised run — shard attempts behind `catch_unwind`
     /// (retry, backoff, deadline speculation) and the retried merge — over
-    /// arenas the caller already holds. [`Executor::execute_supervised`] feeds
+    /// join-ready arenas the caller holds. [`Executor::execute_supervised`] feeds
     /// it a fresh shuffle; the plan-cached service feeds it cached arenas, so
     /// both paths share every line of supervision logic.
     ///
@@ -369,8 +374,7 @@ impl Executor {
         s: &Relation,
         t: &Relation,
         band: &BandCondition,
-        s_parts: &PartitionedIndex,
-        t_parts: &PartitionedIndex,
+        ready: &JoinReadyInputs,
         shard_plan: &ShardPlan,
         materialize: bool,
         injector: &FaultInjector,
@@ -411,15 +415,8 @@ impl Executor {
                             let join_start = Instant::now();
                             let outcomes: Vec<PartitionJoinOutcome> = (lo..hi)
                                 .map(|p| {
-                                    self.join_partition(
-                                        s,
-                                        t,
-                                        band,
-                                        s_parts,
-                                        t_parts,
-                                        materialize,
-                                        p,
-                                    )
+                                    let started = Instant::now();
+                                    join_partition(s, t, band, ready.part(p), materialize, started)
                                 })
                                 .collect();
                             Ok((outcomes, join_start.elapsed().as_secs_f64()))
@@ -595,8 +592,7 @@ impl Executor {
         }
         let (local, shard_stats) = merge_shard_outcomes(
             shard_plan,
-            s_parts,
-            t_parts,
+            ready,
             shard_outcomes,
             materialize,
             local_wall_seconds,

@@ -13,7 +13,9 @@
 //! this, [`crate::executor::VerificationLevel::Count`] is a hidden single-threaded
 //! exact join dominating the executor's wall-clock.
 
-use crate::local_join::{probe_sorted, LocalJoinAlgorithm, SortedProbeSide};
+use crate::local_join::{
+    probe_sorted, sort_s_ids, LocalJoinAlgorithm, SortedProbeSide, PROBE_BLOCK,
+};
 use crate::parallel::chunk_ranges;
 use rayon::prelude::*;
 use recpart::{BandCondition, Relation};
@@ -21,12 +23,6 @@ use std::collections::HashSet;
 
 /// Below this probe-side size the exact join runs sequentially even in parallel mode.
 const MIN_PARALLEL_PROBE: usize = 2_048;
-
-/// Sort-and-gather the full T side once for a parallel exact join; the count and
-/// pair passes (and every probe chunk within them) share this one SoA build.
-fn shared_probe_side(t: &Relation) -> SortedProbeSide {
-    SortedProbeSide::build_full(t)
-}
 
 /// Exact number of band-join results `|S ⋈ T|`, computed with the index-nested-loop
 /// algorithm on the current rayon context (probe side chunked across threads).
@@ -36,19 +32,34 @@ pub fn exact_join_count(s: &Relation, t: &Relation, band: &BandCondition) -> u64
 
 /// [`exact_join_count`] with an explicit probe-side chunk count; `pieces <= 1` runs
 /// strictly sequentially. The count is identical for every `pieces`.
+///
+/// A count does not depend on probe order, so S is sorted once on `(dimension 0, id)`
+/// and probed in runs of [`PROBE_BLOCK`] sorted ids: each probe block's dimension-0
+/// window then covers only the T values near that run. Probing in arrival order
+/// instead makes every block span — and scan — nearly all of T. Piece `j` takes runs
+/// `j, j + pieces, …`: dense regions of a skewed S cost far more per probe than sparse
+/// ones, and contiguous pieces of the *sorted* order would hand one piece all of them.
 pub fn exact_join_count_on(s: &Relation, t: &Relation, band: &BandCondition, pieces: usize) -> u64 {
-    if pieces <= 1 || s.len() < MIN_PARALLEL_PROBE {
-        return LocalJoinAlgorithm::IndexNestedLoop
-            .join_full(s, t, band, None)
-            .output;
+    if s.is_empty() || t.is_empty() {
+        return 0;
     }
     // Sort the T side once (no identity index vector); every probe chunk shares it.
-    let side = shared_probe_side(t);
-    let side = &side;
-    chunk_ranges(s.len(), pieces)
-        .into_par_iter()
-        .map(|(lo, hi)| probe_sorted(s, t, side, band, lo as u32..hi as u32, None).output)
-        .sum()
+    let side = SortedProbeSide::build_full(t);
+    let mut s_sorted: Vec<u32> = (0..s.len() as u32).collect();
+    sort_s_ids(s, &mut s_sorted);
+    let pieces = if s.len() < MIN_PARALLEL_PROBE {
+        1
+    } else {
+        pieces.max(1)
+    };
+    let count_piece = |j: usize| {
+        let runs = s_sorted.chunks(PROBE_BLOCK).skip(j).step_by(pieces);
+        probe_sorted(s, t, &side, band, runs.flatten().copied(), None).output
+    };
+    if pieces == 1 {
+        return count_piece(0);
+    }
+    (0..pieces).into_par_iter().map(count_piece).sum()
 }
 
 /// Exact set of matching `(s index, t index)` pairs, computed on the current rayon
@@ -71,7 +82,7 @@ pub fn exact_join_pairs_on(
         return pairs.into_iter().collect();
     }
     // Sort the T side once (no identity index vector); every probe chunk shares it.
-    let side = shared_probe_side(t);
+    let side = SortedProbeSide::build_full(t);
     let side = &side;
     let per_chunk: Vec<Vec<(u32, u32)>> = chunk_ranges(s.len(), pieces)
         .into_par_iter()

@@ -56,17 +56,17 @@ pub mod prelude {
     pub use distsim::{
         exact_join_count, exact_join_count_on, process_peak_rss_bytes, BandJoinQuery,
         BandJoinService, CostModel, ExecutionReport, Executor, ExecutorConfig, FaultKind,
-        FaultPlan, FaultSpec, InjectionPoint, LocalJoinAlgorithm, MachineModel, PartitionedIndex,
-        PlanCache, PlanKey, PlanSource, QueryResponse, RecoveryCounters, ServiceConfig,
-        ServiceHealth, ShardError, ShardFailureKind, ShardPlan, ShardStats, ShardedExecution,
-        ShuffleConfig, ShuffledInputs, SuperviseError, SupervisedExecution, SupervisorConfig,
-        VerificationLevel,
+        FaultPlan, FaultSpec, InjectionPoint, JoinReadyInputs, LocalJoinAlgorithm, MachineModel,
+        PartitionedIndex, PlanCache, PlanKey, PlanSource, QueryResponse, RecoveryCounters,
+        ServeError, ServiceConfig, ServiceHealth, ShardError, ShardFailureKind, ShardPlan,
+        ShardStats, ShardedExecution, ShuffleConfig, ShuffledInputs, SuperviseError,
+        SupervisedExecution, SupervisorConfig, VerificationLevel,
     };
     pub use recpart::{
         spill_fallback_count, AssignmentSink, BandCondition, CompiledRouter, EvalCounters,
         Evaluator, LoadModel, OptimizationReport, PartitionId, Partitioner, PartitioningStats,
-        PerTupleFallback, PlanCacheCounters, RecPart, RecPartConfig, RecPartResult, Relation,
-        RouteKernel, SampleConfig, ScatterPolicy, SpillDir, SplitScorer, SplitSearchCounters,
-        SplitTreePartitioner, StorageMode, Termination,
+        PerTupleFallback, PlanCacheCounters, RecPart, RecPartConfig, RecPartError, RecPartResult,
+        Relation, RouteKernel, SampleConfig, ScatterPolicy, SpillDir, SplitScorer,
+        SplitSearchCounters, SplitTreePartitioner, StorageMode, Termination,
     };
 }

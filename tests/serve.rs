@@ -14,8 +14,13 @@
 //!   number of queries, warm and subsumed hits shuffle zero tuples, and the
 //!   cached arena bytes respect the capacity (or a single oversized plan
 //!   remains);
+//! * **a warm hit sorts nothing** — `ServiceHealth::partitions_prepared` rises by
+//!   the plan's partition count on a cold build and by zero on warm and subsumed
+//!   hits, and a cached plan holds exactly the bytes of the shuffle that built it;
 //! * **generation staleness** — mutating the dataset purges every cached plan
 //!   and the next identical query cold-builds against the new data;
+//! * **bad queries are errors** — a band of the wrong dimensionality or zero
+//!   workers is an `Err`, and the service keeps serving;
 //! * **supervised degradation** — a permanently crashing shard degrades
 //!   exactly one response while the service keeps serving.
 
@@ -136,6 +141,11 @@ fn warm_and_subsumed_hits_are_bit_identical_to_one_shot() {
     assert_eq!(cold.report.correct, Some(true));
     let shuffled_after_cold = service.health().tuples_shuffled;
     assert!(shuffled_after_cold > 0);
+    let prepared_after_cold = service.health().partitions_prepared;
+    assert_eq!(
+        prepared_after_cold, cold.report.partitions as u64,
+        "a cold build sorts each partition of its plan exactly once"
+    );
 
     // Query 2: identical band — exact warm hit, zero new shuffles.
     let warm = service.serve(&wide).expect("warm query");
@@ -143,12 +153,22 @@ fn warm_and_subsumed_hits_are_bit_identical_to_one_shot() {
     assert_eq!(warm.plan_signature, cold.plan_signature);
     assert_eq!(warm.report.map_shuffle_wall_seconds, 0.0);
     assert_eq!(service.health().tuples_shuffled, shuffled_after_cold);
+    assert_eq!(
+        service.health().partitions_prepared,
+        prepared_after_cold,
+        "a warm hit sorts nothing"
+    );
 
     // Query 3: narrower band — subsumed hit from the same plan, zero shuffles.
     let subsumed = service.serve(&narrow).expect("subsumed query");
     assert_eq!(subsumed.source, PlanSource::SubsumedHit);
     assert_eq!(subsumed.plan_signature, cold.plan_signature);
     assert_eq!(service.health().tuples_shuffled, shuffled_after_cold);
+    assert_eq!(
+        service.health().partitions_prepared,
+        prepared_after_cold,
+        "a subsumed hit re-sorts no partition, materialized pairs or not"
+    );
     assert_eq!(
         subsumed.report.correct,
         Some(true),
@@ -178,6 +198,18 @@ fn warm_and_subsumed_hits_are_bit_identical_to_one_shot() {
     assert_eq!(h.cached_plans, 1);
     assert_eq!(h.degraded_responses, 0);
     assert_health_invariants(&service, 3);
+
+    // The cached plan holds exactly the bytes of the shuffle that built it:
+    // join-ready order is a permutation of the arenas, not an index beside them.
+    let partitioner = service
+        .cached_partitioner(cold.plan_signature)
+        .expect("the plan is cached");
+    let shuffled = Executor::new(service.config().executor_config(4)).map_shuffle(
+        partitioner,
+        service.s(),
+        service.t(),
+    );
+    assert_eq!(h.cache.arena_bytes_cached, shuffled.arena_bytes());
 }
 
 fn exact_join_count_probe(service: &BandJoinService, band: &BandCondition) -> Vec<(u32, u32)> {
@@ -192,7 +224,8 @@ fn mutation_bumps_generation_and_never_serves_stale_arenas() {
     let config = ServiceConfig::new()
         .with_seed(43)
         .with_sample(small_sample())
-        .with_threads(1);
+        .with_threads(1)
+        .with_verification(VerificationLevel::Count);
     let mut service = BandJoinService::new(s, t, config);
     let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05, 0.05]), 4);
 
@@ -254,17 +287,75 @@ fn lru_eviction_respects_the_byte_capacity() {
 
     let config = probe_config.with_cache_capacity_bytes(one_plan_bytes + one_plan_bytes / 4);
     let mut service = BandJoinService::new(s, t, config);
-    service.serve(&q1).expect("cold 1");
+    let first = service.serve(&q1).expect("cold 1");
+    assert_eq!(
+        first.report.correct, None,
+        "serving verifies only when asked to (`with_verification`)"
+    );
+    assert_eq!(service.health().cache.evictions, 0);
     service.serve(&q2).expect("cold 2 evicts plan 1");
     let h = service.health();
-    assert!(h.cache.evictions >= 1, "capacity forced an eviction");
+    assert_eq!(h.cache.evictions, 1, "capacity forced exactly one eviction");
     assert_eq!(h.cached_plans, 1);
 
-    // q1 was evicted: serving it again is a fresh cold build, not a hit.
+    // q1 was evicted: serving it again is a fresh cold build, not a hit — and
+    // evicts plan 2 in turn.
     let again = service.serve(&q1).expect("cold 3");
     assert_eq!(again.source, PlanSource::ColdBuild);
     assert_health_invariants(&service, 3);
-    assert_eq!(service.health().cache.misses, 3);
+    let h = service.health();
+    assert_eq!(
+        (h.cache.misses, h.cache.evictions, h.cached_plans),
+        (3, 2, 1)
+    );
+    assert_eq!(h.cache.arena_bytes_cached, one_plan_bytes);
+}
+
+/// A service over 2-d data that has answered nothing yet, and a query it can answer.
+fn fresh_2d_service() -> (BandJoinService, BandJoinQuery) {
+    let (s, t) = workload(23, 300, 2);
+    let config = ServiceConfig::new()
+        .with_seed(59)
+        .with_sample(small_sample())
+        .with_threads(1);
+    let good = BandJoinQuery::new(BandCondition::symmetric(&[0.05, 0.05]), 4);
+    (BandJoinService::new(s, t, config), good)
+}
+
+/// A rejected query is not counted, and the service answers the next one.
+fn assert_still_serving(service: &mut BandJoinService, good: &BandJoinQuery) {
+    assert_health_invariants(service, 0);
+    let response = service.serve(good).expect("good query");
+    assert_eq!(response.source, PlanSource::ColdBuild);
+    assert_health_invariants(service, 1);
+}
+
+#[test]
+fn a_band_of_the_wrong_dimensionality_is_an_error_not_a_panic() {
+    let (mut service, good) = fresh_2d_service();
+    let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05]), 4);
+    let err = service.serve(&query).expect_err("1-d band, 2-d data");
+    let expected = RecPartError::DimensionMismatch {
+        expected: 2,
+        found: 1,
+    };
+    assert!(
+        matches!(&err, ServeError::Query(e) if *e == expected),
+        "{err}"
+    );
+    assert_still_serving(&mut service, &good);
+}
+
+#[test]
+fn zero_workers_is_an_error_not_a_panic() {
+    let (mut service, good) = fresh_2d_service();
+    let query = BandJoinQuery::new(good.band.clone(), 0);
+    let err = service.serve(&query).expect_err("zero workers");
+    assert!(
+        matches!(err, ServeError::Query(RecPartError::InvalidConfig { .. })),
+        "{err}"
+    );
+    assert_still_serving(&mut service, &good);
 }
 
 #[test]
@@ -330,7 +421,10 @@ proptest! {
     /// Random query streams: per-dimension ε below / equal to / above the
     /// cached plans, both materialize modes, every thread setting, heap and
     /// spill arenas. Every response must be bit-identical to its one-shot
-    /// oracle, and the counters must account for the stream exactly.
+    /// oracle — and so must every other way of running the same plan
+    /// (`execute_prepared` on a raw shuffle, `execute_sharded`) — the pair list
+    /// of a (plan, band) must come out in the same order however it is served,
+    /// and the counters must account for the stream exactly.
     #[test]
     fn random_query_streams_match_one_shot_oracles(
         seed in 0u64..500,
@@ -351,6 +445,7 @@ proptest! {
 
         let eps_choices = [0.02, 0.04, 0.06];
         let workers = 4;
+        let mut pair_lists = std::collections::HashMap::new();
         for (i, &(eps_idx, materialize)) in stream.iter().enumerate() {
             let eps = vec![eps_choices[eps_idx]; dims];
             let band = BandCondition::symmetric(&eps);
@@ -358,6 +453,7 @@ proptest! {
             if materialize {
                 query = query.with_materialize();
             }
+            let prepared_before = service.health().partitions_prepared;
             let response = service.serve(&query).expect("query");
             let label = format!(
                 "seed {seed} threads {threads} shuffle {shuffle_idx} query {i} \
@@ -370,12 +466,34 @@ proptest! {
             assert_reports_identical(&response.report, &oracle, &label);
             prop_assert_eq!(response.report.correct, Some(true), "{}", label);
 
-            // A warm-served response reports no shuffle; pairs iff requested.
-            if response.source != PlanSource::ColdBuild {
+            // The other reduce paths over the same plan: the raw shuffle's arenas
+            // borrowed (scratch copies), and shard workers owning their ranges.
+            let partitioner = service.cached_partitioner(response.plan_signature).unwrap();
+            let exec = Executor::new(service.config().executor_config(workers))
+                .with_shuffle_config(service.config().shuffle.clone());
+            let (s, t) = (service.s(), service.t());
+            let raw = exec.map_shuffle(partitioner, s, t);
+            let prepared =
+                exec.execute_prepared(partitioner, s, t, &band, &raw.s_parts, &raw.t_parts);
+            assert_reports_identical(&prepared, &oracle, &format!("{label}: execute_prepared"));
+            let sharded = exec.execute_sharded(partitioner, s, t, &band, 3);
+            assert_reports_identical(&sharded.report, &oracle, &format!("{label}: sharded"));
+
+            // A warm-served response reports no shuffle and sorted no partition;
+            // a cold build sorted each partition once; pairs iff requested.
+            let prepared_now = service.health().partitions_prepared - prepared_before;
+            if response.source == PlanSource::ColdBuild {
+                prop_assert_eq!(prepared_now, response.report.partitions as u64, "{}", label);
+            } else {
                 prop_assert_eq!(response.report.map_shuffle_wall_seconds, 0.0, "{}", label);
+                prop_assert_eq!(prepared_now, 0, "{}", label);
             }
             prop_assert_eq!(response.pairs.is_some(), materialize, "{}", label);
             if let Some(mut pairs) = response.pairs {
+                let first = pair_lists
+                    .entry((response.plan_signature, eps_idx))
+                    .or_insert_with(|| pairs.clone());
+                prop_assert_eq!(&pairs, first, "{}: pair order", label);
                 let mut exact: Vec<(u32, u32)> =
                     band_join::distsim::exact_join_pairs(service.s(), service.t(), &band)
                         .into_iter()
