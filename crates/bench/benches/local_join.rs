@@ -20,7 +20,6 @@ fn bench_local_join(c: &mut Criterion) {
         let band = BandCondition::symmetric(&[0.01]);
         for algo in [
             LocalJoinAlgorithm::IndexNestedLoop,
-            LocalJoinAlgorithm::SortMerge,
             LocalJoinAlgorithm::NestedLoop,
         ] {
             // The quadratic reference algorithm only at the small size.
@@ -76,14 +75,10 @@ fn bench_local_join_3d(c: &mut Criterion) {
     let s = datagen::pareto_relation(2_000, 3, 1.5, &mut rng);
     let t = datagen::pareto_relation(2_000, 3, 1.5, &mut rng);
     let band = BandCondition::symmetric(&[1.0, 1.0, 1.0]);
-    for algo in [
-        LocalJoinAlgorithm::IndexNestedLoop,
-        LocalJoinAlgorithm::SortMerge,
-    ] {
-        group.bench_function(algo.name(), |b| {
-            b.iter(|| algo.join_full(&s, &t, &band, None).output)
-        });
-    }
+    let algo = LocalJoinAlgorithm::IndexNestedLoop;
+    group.bench_function(algo.name(), |b| {
+        b.iter(|| algo.join_full(&s, &t, &band, None).output)
+    });
     group.finish();
 }
 

@@ -22,8 +22,6 @@
 //! regresses past the 1.10× throughput gate (`--quick` skips only the timing
 //! threshold: timing gates need the full-size run).
 //!
-//! The timings and recovery accounting are written to `BENCH_chaos_smoke.json`.
-//!
 //! ```text
 //! cargo run -p bench --release --bin exp_chaos_smoke [-- --quick]
 //! ```
@@ -162,11 +160,8 @@ fn main() {
     let chaos_config = SupervisorConfig::default()
         .with_backoff_ms(2, 8)
         .with_shard_deadline_ms(DEADLINE_MS);
-    let mut recovery_overhead = 0.0f64;
-    let mut recovery = RecoveryCounters::default();
     match exec.execute_supervised(&partitioner, &s, &t, &band, SHARDS, &plan, &chaos_config) {
         Ok(sup) => {
-            recovery = sup.recovery;
             if !identical(&sup.report, &baseline) {
                 failures.push("faulted supervised run is not bit-identical after recovery".into());
             }
@@ -208,7 +203,7 @@ fn main() {
             // attempts is bounded by the straggler's sleep plus re-doing the
             // faulted shards' own joins (plus backoff and scheduling slack) —
             // nothing proportional to the full join.
-            recovery_overhead = sup
+            let recovery_overhead: f64 = sup
                 .shard_stats
                 .iter()
                 .map(|st| st.recovery_wall_seconds)
@@ -242,26 +237,6 @@ fn main() {
             "zero-fault supervision regressed throughput: {supervised_best:.4}s > 1.10 x \
              {baseline_best:.4}s over {ROUNDS} rounds"
         ));
-    }
-
-    let json = format!(
-        "{{\n  \"workload\": \"uniform-1d\",\n  \"tuples\": {},\n  \"shards\": {SHARDS},\n  \
-         \"rounds\": {ROUNDS},\n  \"best_seconds\": {{\"execute_sharded\": {baseline_best:.6}, \
-         \"supervised_zero_fault\": {supervised_best:.6}}},\n  \
-         \"recovery_overhead_seconds\": {recovery_overhead:.6},\n  \"recovery\": {{\
-         \"injected_panics\": {}, \"injected_io_errors\": {}, \"injected_delays\": {}, \
-         \"shard_retries\": {}, \"speculative_launches\": {}, \"speculative_wins\": {}}}\n}}\n",
-        s.len() + t.len(),
-        recovery.injected_panics,
-        recovery.injected_io_errors,
-        recovery.injected_delays,
-        recovery.shard_retries,
-        recovery.speculative_launches,
-        recovery.speculative_wins,
-    );
-    let json_path = std::path::Path::new("BENCH_chaos_smoke.json");
-    if std::fs::write(json_path, json).is_ok() {
-        println!("chaos smoke timings written to {}", json_path.display());
     }
 
     if failures.is_empty() {

@@ -13,8 +13,7 @@
 //!   the portable kernel — branchless scalar has no vector win to gate).
 //!
 //! Every timing is the **minimum of three rounds**, so a noisy CI neighbour cannot
-//! fail the gate spuriously. The per-kernel best-of-rounds timings are written to
-//! `BENCH_local_join.json`.
+//! fail the gate spuriously.
 //!
 //! ```text
 //! cargo run -p bench --release --bin exp_join_smoke [-- --quick]
@@ -169,7 +168,6 @@ fn main() {
     };
     let scalar_time = time_kernel(JoinKernel::Scalar);
     let detected = JoinKernel::detect();
-    let mut kernel_report = vec![(JoinKernel::Scalar, scalar_time)];
     for kernel in JoinKernel::all_supported() {
         if kernel == JoinKernel::Scalar {
             continue;
@@ -194,27 +192,6 @@ fn main() {
                 kernel.name()
             ));
         }
-        kernel_report.push((kernel, time));
-    }
-
-    // Raw per-kernel timings for plotting / regression tracking.
-    let json = format!(
-        "{{\n  \"workload\": \"pareto-1d wide-eps\",\n  \"tuples\": {},\n  \"eps\": {eps},\n  \
-         \"comparisons\": {},\n  \"output\": {},\n  \"cores\": {cores},\n  \"rounds\": {ROUNDS},\n  \
-         \"detected_kernel\": \"{}\",\n  \"best_seconds\": {{{}}}\n}}\n",
-        s.len() + t.len(),
-        scalar.comparisons,
-        scalar.output,
-        detected.name(),
-        kernel_report
-            .iter()
-            .map(|(k, t)| format!("\"{}\": {t:.6}", k.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let json_path = std::path::Path::new("BENCH_local_join.json");
-    if std::fs::write(json_path, json).is_ok() {
-        println!("join kernel timings written to {}", json_path.display());
     }
 
     if failures.is_empty() {

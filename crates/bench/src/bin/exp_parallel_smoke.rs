@@ -32,7 +32,6 @@
 //! (`portable`, and `avx2` where the CPU supports it) must route bit-identically
 //! to the scalar per-tuple descent and never be slower than it, and the
 //! auto-detected vector kernel must beat scalar ≥1.3× on supported hardware.
-//! The per-kernel best-of-rounds timings are written to `BENCH_routing.json`.
 //!
 //! Every timing gate takes the **minimum of three timed rounds for each side**
 //! before applying its threshold, so a noisy neighbour on a shared CI runner cannot
@@ -425,7 +424,6 @@ fn main() {
     let scalar_pairs = pairs_of(RouteKernel::Scalar);
     let scalar_time = time_kernel(RouteKernel::Scalar);
     let detected = RouteKernel::detect();
-    let mut kernel_report = vec![(RouteKernel::Scalar, scalar_time)];
     for kernel in RouteKernel::all_supported() {
         if kernel == RouteKernel::Scalar {
             continue;
@@ -458,26 +456,6 @@ fn main() {
                 kernel.name()
             ));
         }
-        kernel_report.push((kernel, time));
-    }
-
-    // Raw per-kernel timings for plotting / regression tracking.
-    let json = format!(
-        "{{\n  \"workload\": \"pareto-1d\",\n  \"tuples\": {},\n  \"partitions\": {},\n  \
-         \"cores\": {cores},\n  \"rounds\": {ROUNDS},\n  \"detected_kernel\": \"{}\",\n  \
-         \"best_seconds\": {{{}}}\n}}\n",
-        s.len() + t.len(),
-        router.num_partitions(),
-        detected.name(),
-        kernel_report
-            .iter()
-            .map(|(k, t)| format!("\"{}\": {t:.6}", k.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let json_path = std::path::Path::new("BENCH_routing.json");
-    if std::fs::write(json_path, json).is_ok() {
-        println!("routing kernel timings written to {}", json_path.display());
     }
 
     if failures.is_empty() {

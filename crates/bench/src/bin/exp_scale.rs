@@ -27,9 +27,6 @@
 //!   must stay within 1.10× of the unsharded best (shards add isolation, not
 //!   work).
 //!
-//! The best-of-rounds timings and per-shard arena sizes are written to
-//! `BENCH_scale.json`.
-//!
 //! ```text
 //! cargo run -p bench --release --bin exp_scale [-- --quick]
 //! ```
@@ -37,8 +34,7 @@
 use bench::ExperimentArgs;
 use datagen::uniform_relation;
 use distsim::{
-    process_peak_rss_bytes, ExecutionReport, Executor, ExecutorConfig, ShardStats, ShuffleConfig,
-    VerificationLevel,
+    ExecutionReport, Executor, ExecutorConfig, ShardStats, ShuffleConfig, VerificationLevel,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -213,25 +209,6 @@ fn main() {
             "sharded spill execution regressed: {sharded4_best:.4}s > 1.10 x \
              {unsharded_best:.4}s over {ROUNDS} rounds"
         ));
-    }
-
-    // Raw timings and arena sizes for plotting / regression tracking.
-    let peak_rss = process_peak_rss_bytes().unwrap_or(0);
-    let json = format!(
-        "{{\n  \"workload\": \"uniform-1d\",\n  \"tuples\": {total_tuples},\n  \
-         \"partitions\": {},\n  \"cores\": {cores},\n  \"rounds\": {ROUNDS},\n  \
-         \"stream_chunk\": {STREAM_CHUNK},\n  \"arena\": \"mmap-spill\",\n  \
-         \"total_arena_bytes\": {total_arena_bytes},\n  \"peak_rss_bytes\": {peak_rss},\n  \
-         \"best_seconds\": {{\"unsharded\": {unsharded_best:.6}, \"sharded_2\": {:.6}, \
-         \"sharded_4\": {:.6}}},\n  \"max_shard_arena_bytes\": {{\"sharded_2\": {max2}, \
-         \"sharded_4\": {max4}}}\n}}\n",
-        partitioner.num_partitions(),
-        shard_results[0].1,
-        shard_results[1].1,
-    );
-    let json_path = std::path::Path::new("BENCH_scale.json");
-    if std::fs::write(json_path, json).is_ok() {
-        println!("scale-tier timings written to {}", json_path.display());
     }
 
     if failures.is_empty() {

@@ -17,9 +17,6 @@
 //!   the headline claim of the serving tier (skipped with `--quick`, where the
 //!   input is too small for stable timing).
 //!
-//! Timings and the first queries/second record are written to
-//! `BENCH_serve.json`.
-//!
 //! ```text
 //! cargo run -p bench --release --bin exp_serve_smoke [-- --quick]
 //! ```
@@ -237,27 +234,6 @@ fn main() {
             "warm hit only {speedup:.2}x faster than the cold one-shot pipeline \
              (< {MIN_WARM_SPEEDUP}x): {warm_median:.4}s vs {cold_best:.4}s"
         ));
-    }
-
-    let final_health = service.health();
-    let json = format!(
-        "{{\n  \"workload\": \"pareto-1d serve stream\",\n  \"tuples\": {},\n  \
-         \"workers\": {workers},\n  \"stream_queries\": {},\n  \"rounds\": {ROUNDS},\n  \
-         \"cold_one_shot_seconds\": {cold_best:.6},\n  \"warm_hit_median_seconds\": {warm_median:.6},\n  \
-         \"warm_speedup\": {speedup:.2},\n  \"queries_per_second\": {queries_per_second:.2},\n  \
-         \"cache\": {{\"hits\": {}, \"subsumed_hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"arena_bytes_cached\": {}}}\n}}\n",
-        2 * per_side,
-        eps_stream.len(),
-        final_health.cache.hits,
-        final_health.cache.subsumed_hits,
-        final_health.cache.misses,
-        final_health.cache.evictions,
-        final_health.cache.arena_bytes_cached,
-    );
-    let json_path = std::path::Path::new("BENCH_serve.json");
-    if std::fs::write(json_path, json).is_ok() {
-        println!("serving timings written to {}", json_path.display());
     }
 
     if failures.is_empty() {

@@ -33,9 +33,10 @@
 
 use crate::join_ready::{partition_tasks, JoinReadyInputs, ReadyPartition};
 use crate::machine::{MachineModel, WorkerWork};
-use crate::metrics::ShardStats;
+use crate::metrics::{RecoveryCounters, ShardStats};
 use crate::parallel::{chunk_ranges, Parallelism};
-use crate::shuffle::{shuffle, PartitionedIndex, ShuffleConfig, ShuffledInputs};
+use crate::shuffle::{shuffle, try_shuffle, PartitionedIndex, ShuffleConfig, ShuffledInputs};
+use crate::supervise::{ShardError, SuperviseError, SupervisedExecution, Supervision};
 use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
 use rayon::prelude::*;
 use recpart::{
@@ -226,66 +227,117 @@ impl ExecutionReport {
 pub(crate) type PartitionJoinOutcome = (PartitionLoad, Vec<(u32, u32)>, f64);
 
 /// Everything produced by the local-join phase.
-pub(crate) struct LocalJoinPhase {
-    pub(crate) per_partition: Vec<PartitionLoad>,
-    pub(crate) per_partition_wall_seconds: Vec<f64>,
-    pub(crate) all_pairs: Option<Vec<(u32, u32)>>,
-    pub(crate) wall_seconds: f64,
-    pub(crate) threads_used: usize,
+struct LocalJoinPhase {
+    per_partition: Vec<PartitionLoad>,
+    per_partition_wall_seconds: Vec<f64>,
+    all_pairs: Option<Vec<(u32, u32)>>,
+    wall_seconds: f64,
+    threads_used: usize,
 }
 
-impl LocalJoinPhase {
-    /// Gather per-partition outcomes (in partition order) into the phase.
-    fn collect(
-        outcomes: impl IntoIterator<Item = PartitionJoinOutcome>,
-        num_partitions: usize,
-        materialize: bool,
-        wall_seconds: f64,
-        threads_used: usize,
-    ) -> LocalJoinPhase {
-        let mut per_partition = Vec::with_capacity(num_partitions);
-        let mut per_partition_wall_seconds = Vec::with_capacity(num_partitions);
-        let mut all_pairs = materialize.then(Vec::new);
-        for (load, pairs, seconds) in outcomes {
-            per_partition.push(load);
-            per_partition_wall_seconds.push(seconds);
-            if let Some(all) = all_pairs.as_mut() {
-                all.extend(pairs);
-            }
+/// What no stage of a query changes: the inputs, the band, and whether the joins
+/// materialize pairs (for the caller, for [`VerificationLevel::FullPairs`], or both).
+#[derive(Clone, Copy)]
+pub(crate) struct JoinQuery<'a> {
+    pub(crate) s: &'a Relation,
+    pub(crate) t: &'a Relation,
+    pub(crate) band: &'a BandCondition,
+    pub(crate) materialize: bool,
+}
+
+/// The arenas a reduce runs over.
+pub(crate) enum Arenas<'a> {
+    /// Fresh from the shuffle and owned by this query (every cold path): sorted
+    /// into join-ready order during the reduce and handed back prepared.
+    Owned(ShuffledInputs),
+    /// Already join-ready and only borrowed (a warm or subsumed plan-cache hit):
+    /// one gather and one sweep per partition, nothing sorts.
+    Shared(&'a JoinReadyInputs),
+}
+
+/// How a reduce schedules its partitions — the only thing that differs between
+/// `execute`, `execute_sharded`, `execute_supervised` and a served query.
+pub(crate) enum ReducePolicy<'a> {
+    /// Dynamically scheduled on the executor's rayon context.
+    Pool,
+    /// This many shared-nothing shards ([`ShardPlan::contiguous`]), each joining
+    /// its partitions sequentially, shards concurrent on the rayon context.
+    Sharded(usize),
+    /// Shards as above, every attempt on an OS thread of its own under
+    /// [`crate::supervise`]; the shuffle is retried too.
+    Supervised(Supervision<'a>),
+}
+
+impl<'a> ReducePolicy<'a> {
+    fn supervision(&mut self) -> Option<&mut Supervision<'a>> {
+        match self {
+            ReducePolicy::Supervised(supervision) => Some(supervision),
+            _ => None,
         }
-        LocalJoinPhase {
-            per_partition,
-            per_partition_wall_seconds,
-            all_pairs,
-            wall_seconds,
-            threads_used,
+    }
+
+    /// The contiguous partition ranges the reduce runs: a range's partitions run
+    /// sequentially on one thread, ranges run concurrently. The pool's ranges are
+    /// scheduling units only — a few fused partitions per task while each visit
+    /// also sorts (owned arenas), single partitions once nothing does (shared).
+    fn plan(&self, num_partitions: usize, owned: bool, par: &Parallelism<'_>) -> ShardPlan {
+        match self {
+            ReducePolicy::Pool if owned => ShardPlan {
+                ranges: partition_tasks(num_partitions, par),
+            },
+            ReducePolicy::Pool => ShardPlan {
+                ranges: (0..num_partitions).map(|p| (p, p + 1)).collect(),
+            },
+            ReducePolicy::Sharded(shards) => ShardPlan::contiguous(num_partitions, *shards),
+            ReducePolicy::Supervised(supervision) => {
+                ShardPlan::contiguous(num_partitions, supervision.shards)
+            }
         }
     }
 }
 
+/// What the one reduce hands to [`Executor::assemble_report`].
+struct Reduced {
+    local: LocalJoinPhase,
+    /// Per-range accounting, in partition order (the pool's ranges are its tasks).
+    shard_stats: Vec<ShardStats>,
+    /// Shards that exhausted their retry budget (supervised policy only); their
+    /// partitions carry default loads in `local`.
+    failed: Vec<ShardError>,
+    /// The prepared arenas, when the reduce owned them.
+    ready: Option<JoinReadyInputs>,
+}
+
+/// A finished query. Every policy fills in a whole [`SupervisedExecution`] (the
+/// unsupervised ones with no failures and zero recovery, the pool with its tasks
+/// as shards); each entry point returns the part it promises.
+pub(crate) struct Executed {
+    pub(crate) execution: SupervisedExecution,
+    /// The joined pairs, when the query materialized them.
+    pub(crate) pairs: Option<Vec<(u32, u32)>>,
+    /// The prepared arenas, when the query owned them.
+    pub(crate) ready: Option<JoinReadyInputs>,
+}
+
 /// One partition's local join over its join-ready slices: the single per-partition
-/// computation of **every** reduce — `execute`, `execute_prepared`,
-/// `execute_sharded`, the supervised shard attempts, and a served query whether cold,
-/// warm or subsumed — so all of them agree bit for bit by construction. The sweep runs
-/// the process-wide active [`JoinKernel`]; results are bit-identical — pairs, order,
-/// `comparisons` — for every kernel, so [`MachineModel`]-derived times do not depend
-/// on the kernel either. `started` is when work on this partition began (before its
-/// sort, when the caller prepared it), so the reported seconds cover both.
-pub(crate) fn join_partition(
-    s: &Relation,
-    t: &Relation,
-    band: &BandCondition,
+/// computation of **every** reduce, so all of them agree bit for bit by
+/// construction. The sweep runs the process-wide active [`JoinKernel`]; results are
+/// bit-identical — pairs, order, `comparisons` — for every kernel, so
+/// [`MachineModel`]-derived times do not depend on the kernel either. `started` is
+/// when work on this partition began (before its sort, when the reduce owned the
+/// arenas), so the reported seconds cover both.
+fn join_partition(
+    query: &JoinQuery<'_>,
     part: ReadyPartition<'_>,
-    materialize: bool,
     started: Instant,
 ) -> PartitionJoinOutcome {
     let mut pairs = Vec::new();
     let result = part.join(
         JoinKernel::active(),
-        s,
-        t,
-        band,
-        materialize.then_some(&mut pairs),
+        query.s,
+        query.t,
+        query.band,
+        query.materialize.then_some(&mut pairs),
     );
     let load = PartitionLoad {
         s_input: part.s_len() as u64,
@@ -294,6 +346,20 @@ pub(crate) fn join_partition(
         comparisons: result.comparisons,
     };
     (load, pairs, started.elapsed().as_secs_f64())
+}
+
+/// Join partitions `lo..hi` of shared arenas sequentially — one range of an
+/// unsupervised reduce, or one supervised shard attempt — and time the range.
+pub(crate) fn join_range(
+    query: &JoinQuery<'_>,
+    ready: &JoinReadyInputs,
+    (lo, hi): (usize, usize),
+) -> (Vec<PartitionJoinOutcome>, f64) {
+    let start = Instant::now();
+    let outcomes = (lo..hi)
+        .map(|p| join_partition(query, ready.part(p), Instant::now()))
+        .collect();
+    (outcomes, start.elapsed().as_secs_f64())
 }
 
 /// One shard's contribution to the merge: its per-partition outcomes (`None`
@@ -305,6 +371,18 @@ pub(crate) struct ShardOutcome {
     pub(crate) wall_seconds: f64,
     pub(crate) attempts: u32,
     pub(crate) recovery_wall_seconds: f64,
+}
+
+impl ShardOutcome {
+    /// A range that ran once and succeeded — every unsupervised one.
+    fn first_try((outcomes, wall_seconds): (Vec<PartitionJoinOutcome>, f64)) -> Self {
+        ShardOutcome {
+            outcomes: Some(outcomes),
+            wall_seconds,
+            attempts: 1,
+            recovery_wall_seconds: 0.0,
+        }
+    }
 }
 
 /// A shared-nothing shard layout over the partition space: shard `i` exclusively
@@ -363,7 +441,7 @@ pub struct Executor {
     /// defaults to the legacy in-memory behaviour. Kept outside [`ExecutorConfig`]
     /// so that stays `Copy` ([`crate::shuffle::ShuffleConfig`] holds a spill-dir
     /// handle).
-    pub(crate) shuffle_config: ShuffleConfig,
+    shuffle_config: ShuffleConfig,
     /// Thread pool for an explicit `threads > 1` bound, built once per executor so
     /// repeated `execute` calls do not pay pool construction. `threads == 0` uses the
     /// ambient rayon context; `threads == 1` bypasses rayon entirely.
@@ -407,7 +485,7 @@ impl Executor {
     }
 
     /// The parallelism context every phase runs under.
-    pub(crate) fn parallelism(&self) -> Parallelism<'_> {
+    fn parallelism(&self) -> Parallelism<'_> {
         match self.config.threads {
             1 => Parallelism::Sequential,
             0 => Parallelism::Ambient,
@@ -425,36 +503,80 @@ impl Executor {
         s: &Relation,
         t: &Relation,
     ) -> ShuffledInputs {
-        let num_partitions = partitioner.num_partitions().max(1);
-        shuffle(
-            partitioner,
-            s,
-            t,
-            num_partitions,
-            &self.parallelism(),
-            &self.shuffle_config,
-        )
+        unsupervised(self.shuffle_stage(partitioner, s, t, &mut ReducePolicy::Pool))
     }
 
-    /// [`Executor::map_shuffle`] with fault injection: used by the supervised
-    /// path, which retries the whole (pure, idempotent) shuffle on failure.
-    pub(crate) fn try_map_shuffle_faulted<P: Partitioner + ?Sized>(
+    /// The one map/shuffle path. A supervised policy retries the whole (pure,
+    /// idempotent) shuffle on failure and trips its fault injector on the way;
+    /// under the other policies the shuffle cannot fail.
+    pub(crate) fn shuffle_stage<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
         s: &Relation,
         t: &Relation,
-        faults: &crate::faults::FaultContext<'_>,
-    ) -> Result<ShuffledInputs, crate::shuffle::ShuffleError> {
+        policy: &mut ReducePolicy<'_>,
+    ) -> Result<ShuffledInputs, SuperviseError> {
         let num_partitions = partitioner.num_partitions().max(1);
-        crate::shuffle::try_shuffle(
-            partitioner,
+        let (par, config) = (self.parallelism(), &self.shuffle_config);
+        match policy.supervision() {
+            Some(supervision) => supervision.shuffle(|faults| {
+                try_shuffle(
+                    partitioner,
+                    s,
+                    t,
+                    num_partitions,
+                    &par,
+                    config,
+                    Some(faults),
+                )
+            }),
+            None => Ok(shuffle(partitioner, s, t, num_partitions, &par, config)),
+        }
+    }
+
+    /// The query value of a one-shot execution: pairs are materialized only for
+    /// [`VerificationLevel::FullPairs`].
+    pub(crate) fn query<'a>(
+        &self,
+        s: &'a Relation,
+        t: &'a Relation,
+        band: &'a BandCondition,
+    ) -> JoinQuery<'a> {
+        JoinQuery {
             s,
             t,
-            num_partitions,
-            &self.parallelism(),
-            &self.shuffle_config,
-            Some(faults),
-        )
+            band,
+            materialize: self.config.verification == VerificationLevel::FullPairs,
+        }
+    }
+
+    /// The pipeline every entry point — the four `execute*` methods and a served
+    /// query — is a wrapper of: shuffle (unless the caller brings arenas) →
+    /// [`reduce`](Self::reduce) under `policy` → report.
+    pub(crate) fn run<P: Partitioner + ?Sized>(
+        &self,
+        partitioner: &P,
+        query: &JoinQuery<'_>,
+        arenas: Option<Arenas<'_>>,
+        policy: &mut ReducePolicy<'_>,
+    ) -> Result<Executed, SuperviseError> {
+        let arenas = match arenas {
+            Some(arenas) => arenas,
+            None => Arenas::Owned(self.shuffle_stage(partitioner, query.s, query.t, policy)?),
+        };
+        // Seconds of the shuffle that produced the arenas: 0 when the caller shares
+        // (or, like `execute_prepared`, copied) arenas shuffled for an earlier query.
+        let shuffle_seconds = match &arenas {
+            Arenas::Owned(shuffled) => shuffled.wall_seconds,
+            Arenas::Shared(_) => 0.0,
+        };
+        let reduced = self.reduce(query, arenas, policy)?;
+        // What supervision had to do (all zeros under the unsupervised policies).
+        let recovery = policy
+            .supervision()
+            .map(|s| s.recovery())
+            .unwrap_or_default();
+        Ok(self.assemble_report(partitioner, query, reduced, shuffle_seconds, recovery))
     }
 
     /// Execute the band-join of `s` and `t` under `partitioner` and measure everything.
@@ -465,36 +587,18 @@ impl Executor {
         t: &Relation,
         band: &BandCondition,
     ) -> ExecutionReport {
-        let num_partitions = partitioner.num_partitions().max(1);
-
-        // --- Map & shuffle: materialize per-partition input index lists. ---
-        let shuffled = self.map_shuffle(partitioner, s, t);
-        let map_shuffle_wall_seconds = shuffled.wall_seconds;
-
-        // --- Reduce: prepare + join every partition in one rayon-parallel pass. ---
-        let materialize = self.config.verification == VerificationLevel::FullPairs;
-        let (_, local) = self.prepare_and_reduce(s, t, band, shuffled, materialize);
-
-        self.assemble_report(
-            partitioner,
-            s,
-            t,
-            band,
-            num_partitions,
-            map_shuffle_wall_seconds,
-            local,
-            false,
-        )
+        let query = self.query(s, t, band);
+        let done = unsupervised(self.run(partitioner, &query, None, &mut ReducePolicy::Pool));
+        done.execution.report
     }
 
     /// Execute only the reduce phase — per-partition local joins, worker mapping,
     /// stats, verification — against **pre-shuffled** arenas, as [`Executor::map_shuffle`]
     /// returns them: the back half of [`Executor::execute`] on its own. The arenas
     /// are only borrowed, so they are copied (heap or spill, like the originals) and
-    /// the copy goes through `execute`'s own prepare-and-join pass; the plan-cached
-    /// service ([`crate::serve`]) keeps [`JoinReadyInputs`] instead and skips both
-    /// the copy and the sorts. Everything downstream is the shared
-    /// [`Executor::assemble_report`], so the result is bit-identical by
+    /// the copy enters the pipeline where `execute`'s own shuffle output does; the
+    /// plan-cached service ([`crate::serve`]) keeps [`JoinReadyInputs`] instead and
+    /// skips both the copy and the sorts. The result is bit-identical by
     /// construction to a fresh [`Executor::execute`] with the same partitioner
     /// (only the wall-clock measurements differ; `map_shuffle_wall_seconds` is
     /// reported as 0 because no shuffle ran).
@@ -506,7 +610,7 @@ impl Executor {
     /// what makes band-subsumption reuse sound.
     ///
     /// # Panics
-    /// Panics if the arenas' partition count does not match the partitioner's.
+    /// Panics if either arena's partition count does not match the partitioner's.
     pub fn execute_prepared<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
@@ -516,20 +620,21 @@ impl Executor {
         s_parts: &PartitionedIndex,
         t_parts: &PartitionedIndex,
     ) -> ExecutionReport {
-        let num_partitions = partitioner.num_partitions().max(1);
-        assert_eq!(
-            s_parts.num_partitions(),
-            num_partitions,
-            "pre-shuffled arenas were built for a different partitioning"
-        );
-        let materialize = self.config.verification == VerificationLevel::FullPairs;
-        let copy = ShuffledInputs {
+        for parts in [s_parts, t_parts] {
+            assert_eq!(
+                parts.num_partitions(),
+                partitioner.num_partitions().max(1),
+                "pre-shuffled arenas were built for a different partitioning"
+            );
+        }
+        let copy = Arenas::Owned(ShuffledInputs {
             s_parts: s_parts.clone(),
             t_parts: t_parts.clone(),
             wall_seconds: 0.0,
-        };
-        let (_, local) = self.prepare_and_reduce(s, t, band, copy, materialize);
-        self.assemble_report(partitioner, s, t, band, num_partitions, 0.0, local, false)
+        });
+        let query = self.query(s, t, band);
+        let done = self.run(partitioner, &query, Some(copy), &mut ReducePolicy::Pool);
+        unsupervised(done).execution.report
     }
 
     /// Execute the band-join with shared-nothing shard workers: the partition space
@@ -548,92 +653,126 @@ impl Executor {
         band: &BandCondition,
         shards: usize,
     ) -> ShardedExecution {
-        let num_partitions = partitioner.num_partitions().max(1);
-        let plan = ShardPlan::contiguous(num_partitions, shards);
+        let query = self.query(s, t, band);
+        let policy = &mut ReducePolicy::Sharded(shards);
+        let done = unsupervised(self.run(partitioner, &query, None, policy)).execution;
+        ShardedExecution {
+            report: done.report,
+            shard_stats: done.shard_stats,
+            simulated_sharded_seconds: done.simulated_sharded_seconds,
+        }
+    }
 
-        // --- Map & shuffle: one global (possibly spill-backed) arena per side;
-        // shards will own disjoint contiguous partition ranges of it. ---
-        let shuffled = self.map_shuffle(partitioner, s, t);
-        let map_shuffle_wall_seconds = shuffled.wall_seconds;
-
-        // --- Reduce: one sequential worker per shard (a task owning the shard's
-        // slices of the arenas, preparing and joining them), shards concurrent. ---
-        let materialize = self.config.verification == VerificationLevel::FullPairs;
+    /// **The** reduce: every partition's [`join_partition`] under `policy`'s
+    /// schedule, merged in partition order by [`merge_shard_outcomes`] — so loads
+    /// and pairs are identical across policies, arenas and thread counts, and only
+    /// the wall-clock measurements differ.
+    ///
+    /// Over [`Arenas::Owned`] each partition is sorted and joined in the same visit,
+    /// in **one** parallel pass (a separate prepare pass costs a second barrier and
+    /// a second trip through the arenas) — except under supervision, where attempts
+    /// of one shard overlap (speculation) and repeat (retry) and so must share the
+    /// arenas: there the prepare is a pass of its own and the rest is the reduce
+    /// over [`Arenas::Shared`]. Fails only under a supervised policy (merge budget
+    /// exhausted, or a shard lost with degradation disabled).
+    fn reduce(
+        &self,
+        query: &JoinQuery<'_>,
+        arenas: Arenas<'_>,
+        policy: &mut ReducePolicy<'_>,
+    ) -> Result<Reduced, SuperviseError> {
         let phase_start = Instant::now();
         let par = self.parallelism();
-        let (ready, per_shard) = JoinReadyInputs::prepare_with(
-            shuffled,
-            s,
-            t,
-            &par,
-            &plan.ranges,
-            |_, started, part| join_partition(s, t, band, part, materialize, started),
-        );
-        let wall_seconds = phase_start.elapsed().as_secs_f64();
-        let threads_used = par.threads().clamp(1, plan.num_shards().max(1));
+        let (s, t) = (query.s, query.t);
+        let arenas = match arenas {
+            Arenas::Owned(shuffled) if policy.supervision().is_some() => {
+                let ready = JoinReadyInputs::prepare(shuffled, s, t, &par);
+                let mut reduced = self.reduce(query, Arenas::Shared(&ready), policy)?;
+                reduced.local.wall_seconds = phase_start.elapsed().as_secs_f64();
+                reduced.ready = Some(ready);
+                return Ok(reduced);
+            }
+            arenas => arenas,
+        };
 
-        // --- Order-preserving merge: shard order == partition order, so the merged
-        // phase is indistinguishable from the unsharded collect. ---
-        let shard_outcomes = per_shard
-            .into_iter()
-            .map(|(outcomes, shard_wall)| ShardOutcome {
-                outcomes: Some(outcomes),
-                wall_seconds: shard_wall,
-                attempts: 1,
-                recovery_wall_seconds: 0.0,
-            })
-            .collect();
+        let mut owned = None;
+        let (plan, ready, per_shard, failed) = match arenas {
+            Arenas::Owned(shuffled) => {
+                let plan = policy.plan(shuffled.s_parts.num_partitions(), true, &par);
+                let (ready, per_range) = JoinReadyInputs::prepare_with(
+                    shuffled,
+                    s,
+                    t,
+                    &par,
+                    &plan.ranges,
+                    |started, part| join_partition(query, part, started),
+                );
+                let per_shard = per_range.into_iter().map(ShardOutcome::first_try);
+                (plan, &*owned.insert(ready), per_shard.collect(), Vec::new())
+            }
+            Arenas::Shared(ready) => {
+                let plan = policy.plan(ready.num_partitions(), false, &par);
+                let (per_shard, failed) = match policy.supervision() {
+                    Some(supervision) => supervision.run_shards(query, ready, &plan)?,
+                    None => {
+                        let join = |&range: &(usize, usize)| {
+                            ShardOutcome::first_try(join_range(query, ready, range))
+                        };
+                        let per_shard = if par.is_parallel() && plan.num_shards() > 1 {
+                            par.run(|| plan.ranges.par_iter().map(join).collect())
+                        } else {
+                            plan.ranges.iter().map(join).collect()
+                        };
+                        (per_shard, Vec::new())
+                    }
+                };
+                (plan, ready, per_shard, failed)
+            }
+        };
+        let wall_seconds = phase_start.elapsed().as_secs_f64();
+        // A supervised shard attempt runs on an OS thread of its own, not on the pool.
+        let threads = policy
+            .supervision()
+            .map_or(par.threads(), |_| plan.num_shards());
         let (local, shard_stats) = merge_shard_outcomes(
             &plan,
-            &ready,
-            shard_outcomes,
-            materialize,
+            ready,
+            per_shard,
+            query.materialize,
             wall_seconds,
-            threads_used,
+            threads.clamp(1, plan.num_shards().max(1)),
         );
-
-        let report = self.assemble_report(
-            partitioner,
-            s,
-            t,
-            band,
-            num_partitions,
-            map_shuffle_wall_seconds,
+        Ok(Reduced {
             local,
-            false,
-        );
-        let simulated_sharded_seconds = self.config.machine.sharded_join_seconds(
-            report.stats.total_input,
-            &report.per_worker_work,
-            plan.num_shards(),
-        );
-        ShardedExecution {
-            report,
             shard_stats,
-            simulated_sharded_seconds,
-        }
+            failed,
+            ready: owned,
+        })
     }
 
     /// Everything downstream of the local joins — worker mapping, per-worker
     /// aggregation, stats, the simulated timing model, and verification — shared
-    /// verbatim by [`Executor::execute`] and [`Executor::execute_sharded`] so the
-    /// two paths cannot drift apart.
-    /// `degraded` marks a partial report (failed shards' partitions carry
-    /// default loads): stats are computed over what survived, and verification
-    /// is skipped — an exact-join comparison against missing work would flag
-    /// the degradation as incorrectness.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble_report<P: Partitioner + ?Sized>(
+    /// by every entry point so no two paths can drift apart.
+    ///
+    /// Lost shards make the report *degraded* (their partitions carry default
+    /// loads): stats are computed over what survived, and verification is skipped —
+    /// an exact-join comparison against missing work would flag the degradation as
+    /// incorrectness.
+    fn assemble_report<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
-        num_partitions: usize,
+        query: &JoinQuery<'_>,
+        reduced: Reduced,
         map_shuffle_wall_seconds: f64,
-        local: LocalJoinPhase,
-        degraded: bool,
-    ) -> ExecutionReport {
+        recovery: RecoveryCounters,
+    ) -> Executed {
+        let (s, t, band) = (query.s, query.t, query.band);
+        let Reduced {
+            local,
+            shard_stats,
+            failed,
+            ready,
+        } = reduced;
         let LocalJoinPhase {
             per_partition,
             per_partition_wall_seconds,
@@ -641,6 +780,7 @@ impl Executor {
             wall_seconds: local_join_wall_seconds,
             threads_used,
         } = local;
+        let degraded = !failed.is_empty();
 
         // --- Partition → worker mapping (LPT on measured load). ---
         let partition_to_worker = self.map_partitions_to_workers(&per_partition);
@@ -706,12 +846,12 @@ impl Executor {
                 (Some(exact), Some(exact == output_count), None)
             }
             VerificationLevel::FullPairs => {
-                let pairs = all_pairs.expect("pairs were materialized");
+                let pairs = all_pairs.as_ref().expect("pairs were materialized");
                 // One exact join serves both the pair-level check and the exact
                 // output count (the exact result never contains duplicates).
                 let (check, exact) = par.run(|| {
                     let exact_pairs = exact_join_pairs_on(s, t, band, pieces);
-                    let check = check_pairs_against(&exact_pairs, &pairs);
+                    let check = check_pairs_against(&exact_pairs, pairs);
                     (check, exact_pairs.len() as u64)
                 });
                 (Some(exact), Some(check.is_correct()), Some(check))
@@ -723,10 +863,10 @@ impl Executor {
             verify_start.elapsed().as_secs_f64()
         };
 
-        ExecutionReport {
+        let report = ExecutionReport {
             strategy: partitioner.name().to_string(),
             stats,
-            partitions: num_partitions,
+            partitions: per_partition.len(),
             per_partition,
             partition_to_worker,
             per_worker_work,
@@ -742,73 +882,23 @@ impl Executor {
             correct,
             pair_check,
             degraded,
-        }
-    }
-
-    /// The cold reduce over arenas this query owns: sort every partition into
-    /// join-ready order and join it in the same visit, in **one** parallel pass (a
-    /// separate prepare pass costs a second barrier and a second trip through the
-    /// arenas). Returns the prepared arenas for callers that keep them (the plan
-    /// cache); a one-shot `execute` drops them.
-    pub(crate) fn prepare_and_reduce(
-        &self,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
-        shuffled: ShuffledInputs,
-        materialize: bool,
-    ) -> (JoinReadyInputs, LocalJoinPhase) {
-        let num_partitions = shuffled.s_parts.num_partitions();
-        let phase_start = Instant::now();
-        let par = self.parallelism();
-        let tasks = partition_tasks(num_partitions, &par);
-        let (ready, per_task) =
-            JoinReadyInputs::prepare_with(shuffled, s, t, &par, &tasks, |_, started, part| {
-                join_partition(s, t, band, part, materialize, started)
-            });
-        let outcomes = per_task.into_iter().flat_map(|(outcomes, _)| outcomes);
-        let local = LocalJoinPhase::collect(
-            outcomes,
-            num_partitions,
-            materialize,
-            phase_start.elapsed().as_secs_f64(),
-            par.threads().clamp(1, num_partitions.max(1)),
-        );
-        (ready, local)
-    }
-
-    /// The reduce over join-ready arenas the caller only borrows — every warm and
-    /// subsumed plan-cache hit: per partition, one gather and one sweep, no sort.
-    ///
-    /// With `config.threads == 1` this is a plain sequential loop; otherwise the
-    /// partitions are joined on a rayon pool (dynamically scheduled, so heavy
-    /// partitions do not serialize behind a static chunking). Both paths visit
-    /// partitions with the same per-partition computation and collect results in
-    /// partition order, so the produced loads and pairs are identical — only the
-    /// wall-clock measurements differ.
-    pub(crate) fn reduce_ready(
-        &self,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
-        ready: &JoinReadyInputs,
-        materialize: bool,
-    ) -> LocalJoinPhase {
-        let num_partitions = ready.num_partitions();
-        let join_one = |p| join_partition(s, t, band, ready.part(p), materialize, Instant::now());
-        let phase_start = Instant::now();
-        let par = self.parallelism();
-        let outcomes: Vec<PartitionJoinOutcome> = match par {
-            Parallelism::Sequential => (0..num_partitions).map(join_one).collect(),
-            _ => par.run(|| (0..num_partitions).into_par_iter().map(join_one).collect()),
         };
-        LocalJoinPhase::collect(
-            outcomes,
-            num_partitions,
-            materialize,
-            phase_start.elapsed().as_secs_f64(),
-            par.threads().clamp(1, num_partitions.max(1)),
-        )
+        let simulated_sharded_seconds = self.config.machine.sharded_join_seconds(
+            total_input,
+            &report.per_worker_work,
+            shard_stats.len(),
+        );
+        Executed {
+            execution: SupervisedExecution {
+                report,
+                shard_stats,
+                simulated_sharded_seconds,
+                failed,
+                recovery,
+            },
+            pairs: all_pairs,
+            ready,
+        }
     }
 
     /// Map partitions onto workers: identity when there are at most `w` partitions,
@@ -892,21 +982,24 @@ impl Executor {
     }
 }
 
-/// The order-preserving merge of per-shard join outcomes into one
-/// [`LocalJoinPhase`] plus per-shard accounting — shared verbatim by
-/// [`Executor::execute_sharded`] and the supervised path
-/// (`Executor::execute_supervised`), so a recovered supervised run cannot
-/// drift from the fault-free merge.
+/// Unwrap the result of a pipeline stage run under an unsupervised policy.
+fn unsupervised<T>(result: Result<T, SuperviseError>) -> T {
+    result.unwrap_or_else(|e| unreachable!("only a supervised policy can fail: {e}"))
+}
+
+/// The order-preserving merge of per-range join outcomes into one
+/// [`LocalJoinPhase`] plus per-range accounting — the only place outcomes become a
+/// phase, so no schedule (pool tasks, shards, recovered supervised shards) can
+/// drift from another.
 ///
-/// Shard order equals partition order, so concatenating outcomes reproduces the
-/// unsharded collect exactly. A failed shard (`outcomes: None`) contributes
-/// default (zero) loads for every partition in its range; its assignment counts
-/// are still reported truthfully from the shuffled arena (which exists whether
-/// or not the join ran), so assignment conservation holds across *all* shards
-/// even in a degraded run. For successful shards the arena-derived counts equal
-/// the load-derived ones by construction (`PartitionLoad::s_input` *is* the
-/// arena slice length).
-pub(crate) fn merge_shard_outcomes(
+/// Range order equals partition order, so concatenating outcomes reproduces the
+/// sequential visit exactly. A failed shard (`outcomes: None`) contributes
+/// default (zero) loads for every partition in its range. Assignment counts are
+/// read off the arenas (which exist whether or not the join ran), so assignment
+/// conservation holds across *all* shards even in a degraded run; for successful
+/// shards they equal the load-derived ones by construction
+/// (`PartitionLoad::s_input` *is* the arena slice length).
+fn merge_shard_outcomes(
     plan: &ShardPlan,
     ready: &JoinReadyInputs,
     shard_results: Vec<ShardOutcome>,
@@ -922,43 +1015,31 @@ pub(crate) fn merge_shard_outcomes(
     let mut shard_stats = Vec::with_capacity(plan.num_shards());
     for (shard, result) in shard_results.into_iter().enumerate() {
         let (lo, hi) = plan.partition_range(shard);
-        let arena_bytes: u64 = (lo..hi)
-            .map(|p| ((s_parts.part(p).len() + t_parts.part(p).len()) * 4) as u64)
-            .sum();
-        let mut stats = ShardStats {
+        let assignments = |parts: &PartitionedIndex| -> u64 {
+            (lo..hi).map(|p| parts.part(p).len() as u64).sum()
+        };
+        let (s_assignments, t_assignments) = (assignments(s_parts), assignments(t_parts));
+        shard_stats.push(ShardStats {
             shard,
             partition_lo: lo,
             partition_hi: hi,
-            s_assignments: 0,
-            t_assignments: 0,
-            arena_bytes,
+            s_assignments,
+            t_assignments,
+            arena_bytes: (s_assignments + t_assignments) * 4,
             wall_seconds: result.wall_seconds,
             attempts: result.attempts,
             recovery_wall_seconds: result.recovery_wall_seconds,
-        };
-        match result.outcomes {
-            Some(outcomes) => {
-                debug_assert_eq!(outcomes.len(), hi - lo, "shard outcome range mismatch");
-                for (load, pairs, seconds) in outcomes {
-                    stats.s_assignments += load.s_input;
-                    stats.t_assignments += load.t_input;
-                    per_partition.push(load);
-                    per_partition_wall_seconds.push(seconds);
-                    if let Some(all) = all_pairs.as_mut() {
-                        all.extend(pairs);
-                    }
-                }
-            }
-            None => {
-                for p in lo..hi {
-                    stats.s_assignments += s_parts.part(p).len() as u64;
-                    stats.t_assignments += t_parts.part(p).len() as u64;
-                    per_partition.push(PartitionLoad::default());
-                    per_partition_wall_seconds.push(0.0);
-                }
+        });
+        let lost = || (lo..hi).map(|_| (PartitionLoad::default(), Vec::new(), 0.0));
+        let outcomes = result.outcomes.unwrap_or_else(|| lost().collect());
+        debug_assert_eq!(outcomes.len(), hi - lo, "shard outcome range mismatch");
+        for (load, pairs, seconds) in outcomes {
+            per_partition.push(load);
+            per_partition_wall_seconds.push(seconds);
+            if let Some(all) = all_pairs.as_mut() {
+                all.extend(pairs);
             }
         }
-        shard_stats.push(stats);
     }
     let local = LocalJoinPhase {
         per_partition,
@@ -1007,6 +1088,89 @@ mod tests {
         fn name(&self) -> &str {
             "Broken"
         }
+    }
+
+    /// Every way into the one reduce — owned or shared arenas, under the pool, 1 / 3 /
+    /// more-than-partitions shards, or fault-free supervision — merges the same
+    /// phase: loads, pairs, pair order. (Shared × sharded is a cell no public entry
+    /// point reaches.)
+    #[test]
+    fn every_arena_and_policy_reduces_to_the_same_phase() {
+        let s = random_relation(600, 1, 21);
+        let t = random_relation(600, 1, 22);
+        let band = BandCondition::symmetric(&[0.7]);
+        let query = JoinQuery {
+            s: &s,
+            t: &t,
+            band: &band,
+            materialize: true,
+        };
+        let exec = Executor::new(ExecutorConfig::new(3).with_threads(2));
+        let shuffle = || Arenas::Owned(exec.map_shuffle(&BrokenPartitioner, &s, &t));
+        let want = exec
+            .reduce(&query, shuffle(), &mut ReducePolicy::Pool)
+            .unwrap();
+        let ready = want
+            .ready
+            .as_ref()
+            .expect("owned arenas come back prepared");
+        assert_eq!(want.local.per_partition.len(), 4);
+        assert!(!want.local.all_pairs.as_ref().unwrap().is_empty());
+
+        let sup = crate::SupervisorConfig::default();
+        let policies = [
+            ReducePolicy::Pool,
+            ReducePolicy::Sharded(1),
+            ReducePolicy::Sharded(3),
+            ReducePolicy::Sharded(4 + 5),
+            ReducePolicy::supervised(3, &sup, &crate::FaultPlan::none()).unwrap(),
+        ];
+        for (i, mut policy) in policies.into_iter().enumerate() {
+            for shared in [false, true] {
+                let arenas = if shared {
+                    Arenas::Shared(ready)
+                } else {
+                    shuffle()
+                };
+                let got = exec.reduce(&query, arenas, &mut policy).unwrap();
+                let cell = format!("policy {i}, shared arenas: {shared}");
+                assert_eq!(got.local.per_partition, want.local.per_partition, "{cell}");
+                assert_eq!(got.local.all_pairs, want.local.all_pairs, "{cell}");
+                assert_eq!(got.ready.is_some(), !shared, "{cell}");
+                assert!(got.failed.is_empty(), "{cell}");
+            }
+        }
+    }
+
+    /// `execute_prepared` with a T arena of `t_partitions` partitions beside the S
+    /// arena of the (4-partition) plan.
+    fn execute_prepared_with_t_arena_of(t_partitions: usize) {
+        let s = random_relation(40, 1, 15);
+        let t = random_relation(40, 1, 16);
+        let band = BandCondition::symmetric(&[1.0]);
+        let exec = Executor::with_workers(2);
+        let shuffled = exec.map_shuffle(&BrokenPartitioner, &s, &t);
+        let t_parts = PartitionedIndex::empty(t_partitions);
+        exec.execute_prepared(
+            &BrokenPartitioner,
+            &s,
+            &t,
+            &band,
+            &shuffled.s_parts,
+            &t_parts,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "built for a different partitioning")]
+    fn a_short_t_arena_is_rejected() {
+        execute_prepared_with_t_arena_of(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "built for a different partitioning")]
+    fn a_long_t_arena_is_rejected() {
+        execute_prepared_with_t_arena_of(8);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! [`ReadyPartition::join`] emits materialized pairs in **ascending S id**, each
 //! probe's matches in window (T dimension-0) order. Shuffle arenas are ascending, so
 //! that is the order probing the raw slice in arrival order produces — pair lists are
-//! those of `LocalJoinAlgorithm::IndexNestedLoop` on the unsorted arenas, element for
+//! those of [`probe_sorted`](crate::probe_sorted) over the unsorted arenas, element for
 //! element, at the price of one integer sort of positions on the materializing path.
 
 use crate::local_join::{
@@ -76,7 +76,7 @@ impl ReadyPartition<'_> {
     /// The partition's band-join: gather T's columns (no sort), sweep the sorted S
     /// slice once with a single monotone dimension-0 window, evaluate every window
     /// with `kernel`. `output`, `comparisons`, the pairs and their order equal
-    /// `LocalJoinAlgorithm::IndexNestedLoop` on the ascending slices, for every kernel.
+    /// [`probe_sorted`](crate::probe_sorted) over the ascending slices, for every kernel.
     pub(crate) fn join(
         &self,
         kernel: JoinKernel,
@@ -135,16 +135,21 @@ impl JoinReadyInputs {
     ///
     /// `tasks` are contiguous partition ranges covering `0..num_partitions` in order.
     /// A task's partitions run sequentially on one thread; tasks run concurrently
-    /// under `par`. `visit` also receives the instant its partition's sort began.
-    /// Returns, per task, its partitions' results in partition order and the task's
-    /// wall seconds.
+    /// under `par`. `visit` receives the instant its partition's sort began. Returns,
+    /// per task, its partitions' results in partition order and the task's wall
+    /// seconds.
+    ///
+    /// # Panics
+    /// Panics if the two arenas disagree on the partition count or `tasks` does not
+    /// cover it: a partition zipped away or left unvisited would silently drop out
+    /// of the join.
     pub(crate) fn prepare_with<R: Send>(
         shuffled: ShuffledInputs,
         s: &Relation,
         t: &Relation,
         par: &Parallelism<'_>,
         tasks: &[(usize, usize)],
-        visit: impl Fn(usize, Instant, ReadyPartition<'_>) -> R + Sync,
+        visit: impl Fn(Instant, ReadyPartition<'_>) -> R + Sync,
     ) -> (JoinReadyInputs, Vec<(Vec<R>, f64)>) {
         let ShuffledInputs {
             mut s_parts,
@@ -152,28 +157,29 @@ impl JoinReadyInputs {
             ..
         } = shuffled;
         assert_eq!(
+            s_parts.num_partitions(),
+            t_parts.num_partitions(),
+            "the S and T arenas were shuffled for different partitionings"
+        );
+        assert_eq!(
             tasks.iter().map(|&(lo, hi)| hi - lo).sum::<usize>(),
             s_parts.num_partitions(),
             "tasks must cover every partition: an unvisited one would stay unsorted"
         );
-        // One work item per task: its partitions' `(p, S ids, T ids)`, each slice
+        // One work item per task: its partitions' `(S ids, T ids)`, each slice
         // mutably and disjointly borrowed from the two arenas.
-        let mut slices = s_parts
-            .parts_mut()
-            .into_iter()
-            .zip(t_parts.parts_mut())
-            .enumerate();
-        let work: Vec<Vec<_>> = tasks
+        let mut slices = s_parts.parts_mut().into_iter().zip(t_parts.parts_mut());
+        let work: Vec<Vec<IdSlices<'_>>> = tasks
             .iter()
             .map(|&(lo, hi)| slices.by_ref().take(hi - lo).collect())
             .collect();
-        let run_task = |parts: Vec<(usize, IdSlices<'_>)>| {
+        let run_task = |parts: Vec<IdSlices<'_>>| {
             let task_start = Instant::now();
             let results = parts
                 .into_iter()
-                .map(|(p, (s_ids, t_ids))| {
+                .map(|(s_ids, t_ids)| {
                     let started = Instant::now();
-                    visit(p, started, prepare_partition(s, t, s_ids, t_ids))
+                    visit(started, prepare_partition(s, t, s_ids, t_ids))
                 })
                 .collect();
             (results, task_start.elapsed().as_secs_f64())
@@ -189,17 +195,14 @@ impl JoinReadyInputs {
     /// [`JoinReadyInputs::prepare_with`] as a pass of its own, for reduces that must
     /// *share* the arenas: a supervised shard may be attempted twice at once
     /// (speculation) and again after a crash (retry), so no attempt may own them.
-    /// Also returns the pass's wall seconds (they belong to the reduce phase).
     pub(crate) fn prepare(
         shuffled: ShuffledInputs,
         s: &Relation,
         t: &Relation,
         par: &Parallelism<'_>,
-    ) -> (JoinReadyInputs, f64) {
-        let start = Instant::now();
+    ) -> JoinReadyInputs {
         let tasks = partition_tasks(shuffled.s_parts.num_partitions(), par);
-        let (ready, _) = Self::prepare_with(shuffled, s, t, par, &tasks, |_, _, _| ());
-        (ready, start.elapsed().as_secs_f64())
+        Self::prepare_with(shuffled, s, t, par, &tasks, |_, _| ()).0
     }
 
     /// Partition `p`'s join-ready slices.
@@ -248,7 +251,7 @@ mod tests {
     //! index-nested-loop oracle on the shuffle's ascending slices.
 
     use super::*;
-    use crate::local_join::LocalJoinAlgorithm;
+    use crate::local_join::{probe_sorted_with, SortedProbeSide};
     use crate::shuffle::{shuffle, ShuffleConfig};
     use proptest::prelude::*;
     use recpart::{PartitionId, Partitioner, SpillDir, StorageMode};
@@ -356,13 +359,13 @@ mod tests {
             let oracle: Vec<(LocalJoinResult, Vec<(u32, u32)>)> = (0..k)
                 .map(|p| {
                     let mut pairs = Vec::new();
-                    let result = LocalJoinAlgorithm::IndexNestedLoop.join_with(
+                    let result = probe_sorted_with(
                         JoinKernel::Scalar,
                         &s,
                         &t,
-                        raw.s_parts.part(p),
-                        raw.t_parts.part(p),
+                        &SortedProbeSide::build(&t, raw.t_parts.part(p)),
                         &band,
+                        raw.s_parts.part(p).iter().copied(),
                         Some(&mut pairs),
                     );
                     (result, pairs)
@@ -376,7 +379,7 @@ mod tests {
             ] {
                 let shuffled = shuffle(&partitioner, &s, &t, k, &par, &config);
                 prop_assert_eq!(shuffled.s_parts.is_spilled(), config.storage.is_spill());
-                let (ready, _) = JoinReadyInputs::prepare(shuffled, &s, &t, &par);
+                let ready = JoinReadyInputs::prepare(shuffled, &s, &t, &par);
 
                 // Same bytes, same ids per partition: a permutation, nothing beside it.
                 prop_assert_eq!(ready.arena_bytes(), raw.arena_bytes());

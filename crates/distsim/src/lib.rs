@@ -5,16 +5,17 @@
 //! that every experiment of the paper can be re-run on a single machine:
 //!
 //! * [`local_join`] — the per-worker band-join algorithms (index-nested-loop over sorted
-//!   ε-ranges as used in the paper's reducers, a sort-merge sweep, and a nested-loop
-//!   reference), all of which also report the number of candidate comparisons they
-//!   performed;
+//!   ε-ranges as used in the paper's reducers, and a nested-loop reference), both of
+//!   which also report the number of candidate comparisons they performed;
 //! * [`executor`] — the map–shuffle–reduce pipeline: routes every tuple through a
 //!   [`recpart::Partitioner`], materializes per-partition inputs, maps partitions onto
 //!   workers (modelling the dynamic scheduler with a longest-processing-time heuristic),
 //!   runs the local joins, and reports the paper's success measures (`I`, `I_m`, `O_m`,
 //!   `L_m`, overheads vs. lower bounds). Every phase — map/shuffle ([`shuffle`]),
 //!   local joins, verification — is rayon-parallel under one `threads` knob and
-//!   reports its own measured wall-clock;
+//!   reports its own measured wall-clock. There is **one** reduce (DESIGN.md §5):
+//!   `execute`, `execute_prepared`, `execute_sharded`, `execute_supervised` and a
+//!   served query differ only in the arenas they bring and the schedule they ask for;
 //! * [`shuffle`] — the chunked parallel tuple-routing fan-out whose merged
 //!   per-partition index lists are bit-identical to sequential routing; its
 //!   [`ShuffleConfig`] adds the out-of-core scale tier (bounded streaming chunks,

@@ -86,6 +86,19 @@ pub struct RecoveryCounters {
     pub merge_retries: u64,
 }
 
+impl std::ops::AddAssign for RecoveryCounters {
+    fn add_assign(&mut self, add: Self) {
+        self.injected_panics += add.injected_panics;
+        self.injected_io_errors += add.injected_io_errors;
+        self.injected_delays += add.injected_delays;
+        self.shuffle_retries += add.shuffle_retries;
+        self.shard_retries += add.shard_retries;
+        self.speculative_launches += add.speculative_launches;
+        self.speculative_wins += add.speculative_wins;
+        self.merge_retries += add.merge_retries;
+    }
+}
+
 /// The peak resident-set size (high-water mark) of this process in bytes, read
 /// from `VmHWM` in `/proc/self/status`. Returns `None` where procfs is absent
 /// (non-Linux) or unparsable — callers must treat the probe as best-effort

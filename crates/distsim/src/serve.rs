@@ -40,20 +40,19 @@
 //! [`append_t`]: BandJoinService::append_t
 
 use crate::executor::{
-    ExecutionReport, Executor, ExecutorConfig, LocalJoinPhase, ShardPlan, VerificationLevel,
+    Arenas, ExecutionReport, Executor, ExecutorConfig, JoinQuery, ReducePolicy, VerificationLevel,
 };
-use crate::faults::{FaultInjector, FaultPlan};
-use crate::join_ready::JoinReadyInputs;
+use crate::faults::FaultPlan;
 use crate::machine::MachineModel;
 use crate::metrics::RecoveryCounters;
 use crate::plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
-use crate::shuffle::{ShuffleConfig, ShuffledInputs};
+use crate::shuffle::ShuffleConfig;
 use crate::supervise::{SuperviseError, SupervisorConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use recpart::{
     BandCondition, LoadModel, RecPart, RecPartConfig, Relation, SampleConfig, SplitTreePartitioner,
 };
-use recpart::{Partitioner, PlanCacheCounters, RecPartError};
+use recpart::{PlanCacheCounters, RecPartError};
 use serde::{Deserialize, Serialize};
 
 /// Everything the service fixes at load time; per-query knobs (band, workers,
@@ -306,8 +305,9 @@ pub struct BandJoinService {
 /// Why a query was not answered.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The query does not fit the dataset — a band of another dimensionality, or
-    /// zero workers. Rejected before anything ran or was counted.
+    /// The query cannot be run — a band of another dimensionality, zero workers, or
+    /// a service configured with zero supervised shards. Rejected before anything
+    /// ran or was counted.
     Query(RecPartError),
     /// Supervision is enabled and a whole phase exhausted its retry budget
     /// (shuffle, merge, or — under [`SupervisorConfig::fail_fast`] — any shard).
@@ -327,7 +327,12 @@ impl std::error::Error for ServeError {}
 
 impl From<SuperviseError> for ServeError {
     fn from(e: SuperviseError) -> Self {
-        ServeError::Supervise(e)
+        match e {
+            SuperviseError::InvalidConfig { message } => {
+                ServeError::Query(RecPartError::InvalidConfig { message })
+            }
+            e => ServeError::Supervise(e),
+        }
     }
 }
 
@@ -422,11 +427,11 @@ impl BandJoinService {
     /// supervision enabled a shard that exhausts its retries degrades only
     /// this response.
     ///
-    /// A malformed query (band dimensionality, zero workers) is rejected before
-    /// anything runs or is counted. [`ServeError::Supervise`] only surfaces when
-    /// supervision is enabled and a whole phase exhausts its budget (shuffle,
-    /// merge, or — under [`SupervisorConfig::fail_fast`] — any shard). Either
-    /// way the service stays usable afterwards.
+    /// A malformed query (band dimensionality, zero workers, zero supervised shards)
+    /// is rejected before anything runs or is counted. [`ServeError::Supervise`]
+    /// only surfaces when supervision is enabled and a whole phase exhausts its
+    /// budget (shuffle, merge, or — under [`SupervisorConfig::fail_fast`] — any
+    /// shard). Either way the service stays usable afterwards.
     pub fn serve_with_faults(
         &mut self,
         query: &BandJoinQuery,
@@ -442,32 +447,38 @@ impl BandJoinService {
             }));
         }
         let exec_idx = self.ensure_executor(query.workers);
+        let exec = &self.executors[exec_idx].1;
+        // The policy this service's configuration implies; `shards == 0` is caught
+        // here, before the lookup counts anything.
+        let mut policy = if self.config.supervised {
+            ReducePolicy::supervised(self.config.shards, &self.config.supervisor, faults)?
+        } else {
+            ReducePolicy::Pool
+        };
         let key = PlanKey::new(
             self.s.generation(),
             self.t.generation(),
             &query.band,
             query.workers,
         );
-        let injector = FaultInjector::new(faults.clone());
-        let mut counters = RecoveryCounters::default();
-        let reduce = Reduce {
-            exec: &self.executors[exec_idx].1,
-            config: &self.config,
+        // Pairs are materialized for the caller, for `FullPairs` verification, or both.
+        let join = JoinQuery {
             s: &self.s,
             t: &self.t,
-            query,
-            injector: &injector,
+            band: &query.band,
+            materialize: query.materialize
+                || self.config.verification == VerificationLevel::FullPairs,
         };
 
-        let (source, plan_signature, reduced) = match self.cache.lookup(&key) {
+        let (source, plan_signature, done) = match self.cache.lookup(&key) {
             Some((plan, cache_outcome)) => {
                 let source = match cache_outcome {
                     CacheOutcome::Hit => PlanSource::WarmHit,
                     CacheOutcome::SubsumedHit => PlanSource::SubsumedHit,
                 };
-                let (local, degraded) = reduce.shared(&plan.inputs, &mut counters)?;
-                let reduced = reduce.report(&plan.partitioner, 0.0, local, degraded);
-                (source, plan.plan_signature, reduced)
+                let shared = Some(Arenas::Shared(&plan.inputs));
+                let done = exec.run(&plan.partitioner, &join, shared, &mut policy)?;
+                (source, plan.plan_signature, done)
             }
             None => {
                 // Cold build: the full existing pipeline, then cache the plan.
@@ -480,24 +491,13 @@ impl BandJoinService {
                     &mut rng,
                 );
                 let partitioner = result.partitioner;
-                let shuffled = if self.config.supervised {
-                    reduce.exec.supervised_shuffle(
-                        &partitioner,
-                        &self.s,
-                        &self.t,
-                        &injector,
-                        &self.config.supervisor,
-                        &mut counters,
-                    )?
-                } else {
-                    reduce.exec.map_shuffle(&partitioner, &self.s, &self.t)
-                };
+                let shuffled = exec.shuffle_stage(&partitioner, &self.s, &self.t, &mut policy)?;
                 self.tuples_shuffled += shuffled.total_input();
                 self.shuffles_run += 1;
-                let shuffle_seconds = shuffled.wall_seconds;
-                let (inputs, local, degraded) = reduce.owned(shuffled, &mut counters)?;
+                let owned = Some(Arenas::Owned(shuffled));
+                let mut done = exec.run(&partitioner, &join, owned, &mut policy)?;
+                let inputs = (done.ready.take()).expect("a reduce hands owned arenas back");
                 self.partitions_prepared += inputs.num_partitions() as u64;
-                let reduced = reduce.report(&partitioner, shuffle_seconds, local, degraded);
                 let plan_signature = partitioner.plan_signature();
                 // A degraded *response* does not poison the *plan*: the arenas
                 // are complete (the shuffle succeeded); only this query's
@@ -511,27 +511,22 @@ impl BandJoinService {
                         plan_signature,
                     },
                 );
-                (PlanSource::ColdBuild, plan_signature, reduced)
+                (PlanSource::ColdBuild, plan_signature, done)
             }
         };
 
-        if self.config.supervised {
-            let fired = injector.fired();
-            counters.injected_panics = fired.panics;
-            counters.injected_io_errors = fired.io_errors;
-            counters.injected_delays = fired.delays;
-        }
-        accumulate_recovery(&mut self.recovery, &counters);
+        let (report, recovery) = (done.execution.report, done.execution.recovery);
+        self.recovery += recovery;
         self.queries_served += 1;
-        if reduced.report.degraded {
+        if report.degraded {
             self.degraded_responses += 1;
         }
         Ok(QueryResponse {
             source,
             plan_signature,
-            report: reduced.report,
-            pairs: reduced.pairs,
-            recovery: counters,
+            report,
+            pairs: done.pairs.filter(|_| query.materialize),
+            recovery,
         })
     }
 
@@ -546,127 +541,4 @@ impl BandJoinService {
         self.executors.push((workers, exec));
         self.executors.len() - 1
     }
-}
-
-/// What the reduce-and-report stage hands back for one query.
-struct ReduceOutcome {
-    report: ExecutionReport,
-    pairs: Option<Vec<(u32, u32)>>,
-}
-
-/// The back half of one served query: everything a reduce needs besides the
-/// arenas. The per-partition computation is the executor's `join_partition` and
-/// the report assembly is the executor's own — bit-identity with
-/// `Executor::execute` is by construction, for the plan's own band and for any
-/// narrower one (see the module docs on subsumption).
-struct Reduce<'a> {
-    exec: &'a Executor,
-    config: &'a ServiceConfig,
-    s: &'a Relation,
-    t: &'a Relation,
-    query: &'a BandJoinQuery,
-    injector: &'a FaultInjector,
-}
-
-impl Reduce<'_> {
-    /// Pairs are materialized for the caller, for `FullPairs` verification, or both.
-    fn materialize(&self) -> bool {
-        self.query.materialize || self.config.verification == VerificationLevel::FullPairs
-    }
-
-    /// Reduce over join-ready arenas this query only borrows — every warm and
-    /// subsumed hit, and the supervised cold build. Sorts nothing. Returns the
-    /// phase and whether it is degraded.
-    fn shared(
-        &self,
-        ready: &JoinReadyInputs,
-        counters: &mut RecoveryCounters,
-    ) -> Result<(LocalJoinPhase, bool), SuperviseError> {
-        let (s, t, band) = (self.s, self.t, &self.query.band);
-        let materialize = self.materialize();
-        if !self.config.supervised {
-            let local = self.exec.reduce_ready(s, t, band, ready, materialize);
-            return Ok((local, false));
-        }
-        let shard_plan = ShardPlan::contiguous(ready.num_partitions(), self.config.shards);
-        let (local, _shard_stats, failed) = self.exec.supervised_reduce(
-            s,
-            t,
-            band,
-            ready,
-            &shard_plan,
-            materialize,
-            self.injector,
-            &self.config.supervisor,
-            counters,
-        )?;
-        Ok((local, !failed.is_empty()))
-    }
-
-    /// The cold build's reduce over the arenas it just shuffled: prepare and join
-    /// in one pass (supervised: prepare, then the shared supervised reduce).
-    /// Returns the prepared arenas for the cache.
-    fn owned(
-        &self,
-        shuffled: ShuffledInputs,
-        counters: &mut RecoveryCounters,
-    ) -> Result<(JoinReadyInputs, LocalJoinPhase, bool), SuperviseError> {
-        let (s, t, band) = (self.s, self.t, &self.query.band);
-        let materialize = self.materialize();
-        if !self.config.supervised {
-            let (ready, local) = self
-                .exec
-                .prepare_and_reduce(s, t, band, shuffled, materialize);
-            return Ok((ready, local, false));
-        }
-        // Supervised shard attempts share the arenas, so prepare is its own pass.
-        let (ready, prepare_seconds) =
-            JoinReadyInputs::prepare(shuffled, s, t, &self.exec.parallelism());
-        let (mut local, degraded) = self.shared(&ready, counters)?;
-        local.wall_seconds += prepare_seconds;
-        Ok((ready, local, degraded))
-    }
-
-    /// Extract the caller's pairs and assemble the report.
-    fn report(
-        &self,
-        partitioner: &SplitTreePartitioner,
-        map_shuffle_wall_seconds: f64,
-        mut local: LocalJoinPhase,
-        degraded: bool,
-    ) -> ReduceOutcome {
-        // FullPairs verification consumes the pair list inside assemble_report, so
-        // the response clones it; otherwise the list was materialized only for the
-        // caller and is taken.
-        let verifies_pairs = self.config.verification == VerificationLevel::FullPairs && !degraded;
-        let pairs = if !self.query.materialize {
-            None
-        } else if verifies_pairs {
-            local.all_pairs.clone()
-        } else {
-            local.all_pairs.take()
-        };
-        let report = self.exec.assemble_report(
-            partitioner,
-            self.s,
-            self.t,
-            &self.query.band,
-            partitioner.num_partitions().max(1),
-            map_shuffle_wall_seconds,
-            local,
-            degraded,
-        );
-        ReduceOutcome { report, pairs }
-    }
-}
-
-fn accumulate_recovery(total: &mut RecoveryCounters, add: &RecoveryCounters) {
-    total.injected_panics += add.injected_panics;
-    total.injected_io_errors += add.injected_io_errors;
-    total.injected_delays += add.injected_delays;
-    total.shuffle_retries += add.shuffle_retries;
-    total.shard_retries += add.shard_retries;
-    total.speculative_launches += add.speculative_launches;
-    total.speculative_wins += add.speculative_wins;
-    total.merge_retries += add.merge_retries;
 }

@@ -34,19 +34,21 @@
 //! `assemble_report` the unsupervised paths use. The chaos proptest in
 //! `tests/sharded_execution.rs` sweeps random [`FaultPlan`]s to enforce it.
 //!
-//! Attempts of one shard may overlap (speculation) and repeat (retry), so they
-//! **share** the arenas: a supervised reduce takes `&JoinReadyInputs`, prepared once
-//! as a pass of its own, where the unsupervised cold paths fuse the sort into the join
-//! pass over arenas they own.
+//! Supervision is one of the three `ReducePolicy` cases of the executor's single
+//! reduce: [`Supervision`] holds the policy, the armed injector and the recovery
+//! tally, and contributes the retried shuffle, the shard schedule and the merge
+//! gate. Attempts of one shard may overlap (speculation) and repeat (retry), so
+//! they **share** the arenas, prepared once as a pass of its own, where the
+//! unsupervised cold paths fuse the sort into the join pass over arenas they own.
 
 use crate::executor::{
-    join_partition, merge_shard_outcomes, ExecutionReport, Executor, LocalJoinPhase,
-    PartitionJoinOutcome, ShardOutcome, ShardPlan, VerificationLevel,
+    join_range, ExecutionReport, Executor, JoinQuery, PartitionJoinOutcome, ReducePolicy,
+    ShardOutcome, ShardPlan,
 };
 use crate::faults::{FaultContext, FaultInjector, FaultPlan, InjectedPanic, InjectionPoint};
 use crate::join_ready::JoinReadyInputs;
 use crate::metrics::{RecoveryCounters, ShardStats};
-use crate::shuffle::ShuffledInputs;
+use crate::shuffle::{ShuffleError, ShuffledInputs};
 use recpart::{BandCondition, Partitioner, Relation};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -175,6 +177,11 @@ impl std::fmt::Display for ShardError {
 /// A supervised execution failed outright (no report could be produced).
 #[derive(Debug)]
 pub enum SuperviseError {
+    /// The supervision request itself is unusable (zero shards); nothing ran.
+    InvalidConfig {
+        /// Human-readable description of the problem.
+        message: String,
+    },
     /// The shuffle phase exhausted its attempts.
     Shuffle {
         /// Attempts made.
@@ -196,6 +203,9 @@ pub enum SuperviseError {
 impl std::fmt::Display for SuperviseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SuperviseError::InvalidConfig { message } => {
+                write!(f, "invalid supervision configuration: {message}")
+            }
             SuperviseError::Shuffle {
                 attempts,
                 last_error,
@@ -287,7 +297,8 @@ impl Executor {
     /// retry/backoff, straggler speculation, and graceful degradation per
     /// `sup` — see the module docs. Shard attempts always run on their own OS
     /// threads (the unit of isolation); the executor's `threads` knob still
-    /// governs the shuffle and verification phases.
+    /// governs the shuffle and verification phases. `shards == 0` is a
+    /// [`SuperviseError::InvalidConfig`].
     #[allow(clippy::too_many_arguments)]
     pub fn execute_supervised<P: Partitioner + ?Sized>(
         &self,
@@ -299,109 +310,124 @@ impl Executor {
         plan: &FaultPlan,
         sup: &SupervisorConfig,
     ) -> Result<SupervisedExecution, SuperviseError> {
-        let injector = FaultInjector::new(plan.clone());
-        let mut counters = RecoveryCounters::default();
-        let num_partitions = partitioner.num_partitions().max(1);
-        let shard_plan = ShardPlan::contiguous(num_partitions, shards);
+        let mut policy = ReducePolicy::supervised(shards, sup, plan)?;
+        let query = self.query(s, t, band);
+        Ok(self.run(partitioner, &query, None, &mut policy)?.execution)
+    }
+}
 
-        // --- Phase 1: shuffle, retried as a whole (pure + idempotent). ---
-        let shuffled = self.supervised_shuffle(partitioner, s, t, &injector, sup, &mut counters)?;
-        let map_shuffle_wall_seconds = shuffled.wall_seconds;
+/// The supervised [`ReducePolicy`]: the shard count, the retry / backoff /
+/// deadline / degradation policy, the armed fault injector, and the tally of what
+/// supervision had to do. One per query; the shuffle and the reduce of that query
+/// both run under it.
+pub(crate) struct Supervision<'a> {
+    /// Shard count of the supervised reduce (at least 1).
+    pub(crate) shards: usize,
+    config: &'a SupervisorConfig,
+    injector: FaultInjector,
+    recovery: RecoveryCounters,
+}
 
-        // --- Phases 2–3: prepare the arenas (its own pass: attempts share them),
-        // then shard attempts + merge, shared with the plan-cached service (which
-        // runs the same reduce over cached arenas). ---
-        let materialize = self.config().verification == VerificationLevel::FullPairs;
-        let (ready, prepare_seconds) =
-            JoinReadyInputs::prepare(shuffled, s, t, &self.parallelism());
-        let (mut local, shard_stats, failed) = self.supervised_reduce(
-            s,
-            t,
-            band,
-            &ready,
-            &shard_plan,
-            materialize,
-            &injector,
-            sup,
-            &mut counters,
-        )?;
-        local.wall_seconds += prepare_seconds;
-        let degraded = !failed.is_empty();
-        let report = self.assemble_report(
-            partitioner,
-            s,
-            t,
-            band,
-            num_partitions,
-            map_shuffle_wall_seconds,
-            local,
-            degraded,
-        );
-        let simulated_sharded_seconds = self.config().machine.sharded_join_seconds(
-            report.stats.total_input,
-            &report.per_worker_work,
-            shard_plan.num_shards(),
-        );
+impl<'a> ReducePolicy<'a> {
+    /// The supervised policy, its injector armed with `faults`. `shards == 0` is an
+    /// error here, where the policy is built — before anything runs or is counted.
+    pub(crate) fn supervised(
+        shards: usize,
+        config: &'a SupervisorConfig,
+        faults: &FaultPlan,
+    ) -> Result<Self, SuperviseError> {
+        if shards == 0 {
+            return Err(SuperviseError::InvalidConfig {
+                message: "a supervised reduce needs at least one shard".into(),
+            });
+        }
+        Ok(ReducePolicy::Supervised(Supervision {
+            shards,
+            config,
+            injector: FaultInjector::new(faults.clone()),
+            recovery: RecoveryCounters::default(),
+        }))
+    }
+}
 
-        let fired = injector.fired();
-        counters.injected_panics = fired.panics;
-        counters.injected_io_errors = fired.io_errors;
-        counters.injected_delays = fired.delays;
-
-        Ok(SupervisedExecution {
-            report,
-            shard_stats,
-            simulated_sharded_seconds,
-            failed,
-            recovery: counters,
-        })
+impl Supervision<'_> {
+    /// What supervision did so far: the retry and speculation tally plus the
+    /// faults that actually fired.
+    pub(crate) fn recovery(&self) -> RecoveryCounters {
+        let fired = self.injector.fired();
+        RecoveryCounters {
+            injected_panics: fired.panics,
+            injected_io_errors: fired.io_errors,
+            injected_delays: fired.delays,
+            ..self.recovery
+        }
     }
 
-    /// Phases 2–3 of a supervised run — shard attempts behind `catch_unwind`
-    /// (retry, backoff, deadline speculation) and the retried merge — over
-    /// join-ready arenas the caller holds. [`Executor::execute_supervised`] feeds
-    /// it a fresh shuffle; the plan-cached service feeds it cached arenas, so
-    /// both paths share every line of supervision logic.
-    ///
-    /// Returns the merged [`LocalJoinPhase`] (pairs included when
-    /// `materialize`), per-shard accounting, and the structured failures of
-    /// exhausted shards (empty on full success; non-empty means the caller must
-    /// assemble a degraded report). Fails outright only when degradation is
-    /// disabled or the merge budget is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn supervised_reduce(
+    /// One retried phase: run `attempt` (1-based attempt number) behind
+    /// `catch_unwind` until it succeeds or the budget is gone, sleeping the
+    /// backoff between tries. Returns the value and the retries it took.
+    fn retried<T, E: std::fmt::Display>(
         &self,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
+        exhausted: fn(u32, String) -> SuperviseError,
+        attempt: impl Fn(u32) -> Result<T, E>,
+    ) -> Result<(T, u64), SuperviseError> {
+        let mut n = 0u32;
+        loop {
+            n += 1;
+            let failure = match catch_unwind(AssertUnwindSafe(|| attempt(n))) {
+                Ok(Ok(value)) => return Ok((value, u64::from(n - 1))),
+                Ok(Err(e)) => e.to_string(),
+                Err(payload) => describe_panic(&*payload),
+            };
+            if n >= self.config.max_attempts {
+                return Err(exhausted(n, failure));
+            }
+            std::thread::sleep(Duration::from_millis(self.config.backoff_ms(n + 1)));
+        }
+    }
+
+    /// The supervised shuffle phase: the whole (pure, idempotent) shuffle is
+    /// one retryable unit — a panic or injected I/O error on either side
+    /// discards the partial arenas and re-runs from scratch after backoff.
+    pub(crate) fn shuffle(
+        &mut self,
+        shuffle: impl Fn(&FaultContext<'_>) -> Result<ShuffledInputs, ShuffleError>,
+    ) -> Result<ShuffledInputs, SuperviseError> {
+        let injector = &self.injector;
+        let exhausted = |attempts, last_error| SuperviseError::Shuffle {
+            attempts,
+            last_error,
+        };
+        let (shuffled, retries) = self.retried(exhausted, |attempt| {
+            shuffle(&FaultContext { injector, attempt })
+        })?;
+        self.recovery.shuffle_retries += retries;
+        Ok(shuffled)
+    }
+
+    /// The supervised schedule of the reduce over shared arenas: shard attempts
+    /// behind `catch_unwind` (retry, backoff, deadline speculation), then the
+    /// retried merge gate.
+    ///
+    /// Returns every shard's outcome in shard order and the structured failures
+    /// of exhausted shards (empty on full success; non-empty means the report
+    /// will be degraded). Fails outright only when degradation is disabled or
+    /// the merge budget is exhausted.
+    pub(crate) fn run_shards(
+        &mut self,
+        query: &JoinQuery<'_>,
         ready: &JoinReadyInputs,
         shard_plan: &ShardPlan,
-        materialize: bool,
-        injector: &FaultInjector,
-        sup: &SupervisorConfig,
-        counters: &mut RecoveryCounters,
-    ) -> Result<(LocalJoinPhase, Vec<ShardStats>, Vec<ShardError>), SuperviseError> {
-        let phase_start = Instant::now();
-        let mut slots: Vec<ShardSlot> = (0..shard_plan.num_shards())
-            .map(|_| ShardSlot {
-                attempts_launched: 0,
-                in_flight: 0,
-                first_launch: phase_start,
-                speculative_attempt: None,
-                outcome: None,
-                winning_attempt_wall: 0.0,
-                total_attempt_wall: 0.0,
-                last_failure: None,
-            })
-            .collect();
-
-        std::thread::scope(|scope| {
+    ) -> Result<(Vec<ShardOutcome>, Vec<ShardError>), SuperviseError> {
+        let (sup, injector) = (self.config, &self.injector);
+        let counters = &mut self.recovery;
+        let slots = std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<AttemptDone>();
             // Launch one attempt of one shard on a fresh worker thread. The
             // backoff is slept by the worker, so the supervisor never blocks.
             let launch = |shard: usize, attempt: u32, backoff_ms: u64| {
                 let tx = tx.clone();
-                let (lo, hi) = shard_plan.partition_range(shard);
+                let range = shard_plan.partition_range(shard);
                 scope.spawn(move || {
                     if backoff_ms > 0 {
                         std::thread::sleep(Duration::from_millis(backoff_ms));
@@ -412,14 +438,7 @@ impl Executor {
                             injector
                                 .trip(InjectionPoint::ShardJoin, shard as u32, attempt)
                                 .map_err(|e| ShardFailureKind::Io(e.to_string()))?;
-                            let join_start = Instant::now();
-                            let outcomes: Vec<PartitionJoinOutcome> = (lo..hi)
-                                .map(|p| {
-                                    let started = Instant::now();
-                                    join_partition(s, t, band, ready.part(p), materialize, started)
-                                })
-                                .collect();
-                            Ok((outcomes, join_start.elapsed().as_secs_f64()))
+                            Ok(join_range(query, ready, range))
                         },
                     ));
                     let result = match outcome {
@@ -438,14 +457,23 @@ impl Executor {
                 });
             };
 
-            let mut live_attempts = 0u64;
-            for (shard, slot) in slots.iter_mut().enumerate() {
-                slot.attempts_launched = 1;
-                slot.in_flight = 1;
-                slot.first_launch = Instant::now();
-                launch(shard, 1, 0);
-                live_attempts += 1;
-            }
+            let mut slots: Vec<ShardSlot> = (0..shard_plan.num_shards())
+                .map(|shard| {
+                    let first_launch = Instant::now();
+                    launch(shard, 1, 0);
+                    ShardSlot {
+                        attempts_launched: 1,
+                        in_flight: 1,
+                        first_launch,
+                        speculative_attempt: None,
+                        outcome: None,
+                        winning_attempt_wall: 0.0,
+                        total_attempt_wall: 0.0,
+                        last_failure: None,
+                    }
+                })
+                .collect();
+            let mut live_attempts = slots.len() as u64;
 
             // Drain until every launched attempt has reported, resolving
             // shards (and launching retries / speculative duplicates) along
@@ -530,109 +558,50 @@ impl Executor {
                     }
                 }
             }
+            slots
         });
-        let local_wall_seconds = phase_start.elapsed().as_secs_f64();
 
-        // --- Resolve slots into shard outcomes and structured failures. ---
+        // --- Resolve slots into shard outcomes and structured failures (a lost
+        // shard has no winning attempt: all its attempt wall is recovery). ---
         let mut failed = Vec::new();
         let mut shard_outcomes = Vec::with_capacity(slots.len());
         for (shard, slot) in slots.into_iter().enumerate() {
-            match slot.outcome {
-                Some((outcomes, join_wall)) => shard_outcomes.push(ShardOutcome {
-                    outcomes: Some(outcomes),
-                    wall_seconds: join_wall,
-                    attempts: slot.attempts_launched,
-                    recovery_wall_seconds: slot.total_attempt_wall - slot.winning_attempt_wall,
-                }),
+            let (outcomes, wall_seconds) = match slot.outcome {
+                Some((outcomes, join_wall)) => (Some(outcomes), join_wall),
                 None => {
-                    let (lo, hi) = shard_plan.partition_range(shard);
+                    let (partition_lo, partition_hi) = shard_plan.partition_range(shard);
                     failed.push(ShardError {
                         shard,
-                        partition_lo: lo,
-                        partition_hi: hi,
+                        partition_lo,
+                        partition_hi,
                         attempts: slot.attempts_launched,
                         kind: slot.last_failure.unwrap_or(ShardFailureKind::WorkerLost),
                     });
-                    shard_outcomes.push(ShardOutcome {
-                        outcomes: None,
-                        wall_seconds: 0.0,
-                        attempts: slot.attempts_launched,
-                        recovery_wall_seconds: slot.total_attempt_wall,
-                    });
+                    (None, 0.0)
                 }
-            }
+            };
+            shard_outcomes.push(ShardOutcome {
+                outcomes,
+                wall_seconds,
+                attempts: slot.attempts_launched,
+                recovery_wall_seconds: slot.total_attempt_wall - slot.winning_attempt_wall,
+            });
         }
         if !failed.is_empty() && !sup.degrade {
             return Err(SuperviseError::ShardsFailed(failed));
         }
 
-        // --- Phase 3: merge, retried. The merge computation itself is pure
-        // and infallible; its failure mode is the injected crash at the
-        // [`InjectionPoint::Merge`] point, so retry the trip until it clears
-        // (or the budget is gone), then merge once. ---
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let tripped = catch_unwind(AssertUnwindSafe(|| {
-                injector.trip(InjectionPoint::Merge, 0, attempt)
-            }));
-            let failure = match tripped {
-                Ok(Ok(())) => break,
-                Ok(Err(e)) => e.to_string(),
-                Err(payload) => describe_panic(&*payload),
-            };
-            if attempt >= sup.max_attempts {
-                return Err(SuperviseError::Merge {
-                    attempts: attempt,
-                    last_error: failure,
-                });
-            }
-            counters.merge_retries += 1;
-            std::thread::sleep(Duration::from_millis(sup.backoff_ms(attempt + 1)));
-        }
-        let (local, shard_stats) = merge_shard_outcomes(
-            shard_plan,
-            ready,
-            shard_outcomes,
-            materialize,
-            local_wall_seconds,
-            shard_plan.num_shards(),
-        );
-        Ok((local, shard_stats, failed))
-    }
-
-    /// The supervised shuffle phase: the whole (pure, idempotent) shuffle is
-    /// one retryable unit — a panic or injected I/O error on either side
-    /// discards the partial arenas and re-runs from scratch after backoff.
-    pub(crate) fn supervised_shuffle<P: Partitioner + ?Sized>(
-        &self,
-        partitioner: &P,
-        s: &Relation,
-        t: &Relation,
-        injector: &FaultInjector,
-        sup: &SupervisorConfig,
-        counters: &mut RecoveryCounters,
-    ) -> Result<ShuffledInputs, SuperviseError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let ctx = FaultContext { injector, attempt };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                self.try_map_shuffle_faulted(partitioner, s, t, &ctx)
-            }));
-            let failure = match result {
-                Ok(Ok(shuffled)) => return Ok(shuffled),
-                Ok(Err(e)) => e.to_string(),
-                Err(payload) => describe_panic(&*payload),
-            };
-            if attempt >= sup.max_attempts {
-                return Err(SuperviseError::Shuffle {
-                    attempts: attempt,
-                    last_error: failure,
-                });
-            }
-            counters.shuffle_retries += 1;
-            std::thread::sleep(Duration::from_millis(sup.backoff_ms(attempt + 1)));
-        }
+        // --- The merge gate, retried. The merge itself is pure and infallible;
+        // its failure mode is the injected crash at [`InjectionPoint::Merge`],
+        // so retry the trip until it clears (or the budget is gone); the caller
+        // then merges once. ---
+        let exhausted = |attempts, last_error| SuperviseError::Merge {
+            attempts,
+            last_error,
+        };
+        let trip = |attempt| injector.trip(InjectionPoint::Merge, 0, attempt);
+        let ((), retries) = self.retried(exhausted, trip)?;
+        self.recovery.merge_retries += retries;
+        Ok((shard_outcomes, failed))
     }
 }

@@ -19,9 +19,8 @@ use proptest::prelude::*;
 use recpart::{BandCondition, Relation};
 use serde::{Deserialize, Value};
 
-const ALGOS: [LocalJoinAlgorithm; 3] = [
+const ALGOS: [LocalJoinAlgorithm; 2] = [
     LocalJoinAlgorithm::IndexNestedLoop,
-    LocalJoinAlgorithm::SortMerge,
     LocalJoinAlgorithm::NestedLoop,
 ];
 

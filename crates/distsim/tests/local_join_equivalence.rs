@@ -22,8 +22,8 @@ fn keys(dims: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Index-nested-loop and sort-merge agree with the quadratic reference on output
-    /// count for arbitrary inputs and (possibly asymmetric) band conditions.
+    /// Index-nested-loop agrees with the quadratic reference on output count for
+    /// arbitrary inputs and (possibly asymmetric) band conditions.
     #[test]
     fn local_join_algorithms_agree(
         s_vals in keys(2),
@@ -36,9 +36,7 @@ proptest! {
         let band = BandCondition::try_asymmetric(&eps_lo, &eps_hi).unwrap();
         let reference = LocalJoinAlgorithm::NestedLoop.join_full(&s, &t, &band, None).output;
         let inl = LocalJoinAlgorithm::IndexNestedLoop.join_full(&s, &t, &band, None).output;
-        let sm = LocalJoinAlgorithm::SortMerge.join_full(&s, &t, &band, None).output;
         prop_assert_eq!(reference, inl);
-        prop_assert_eq!(reference, sm);
     }
 
     /// The executor's reported totals are internally consistent: per-worker inputs sum
@@ -82,7 +80,6 @@ proptest! {
         let band = BandCondition::symmetric(&[eps]);
         for algo in [
             LocalJoinAlgorithm::IndexNestedLoop,
-            LocalJoinAlgorithm::SortMerge,
             LocalJoinAlgorithm::NestedLoop,
         ] {
             let res = algo.join_full(&s, &t, &band, None);

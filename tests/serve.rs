@@ -19,8 +19,8 @@
 //!   hits, and a cached plan holds exactly the bytes of the shuffle that built it;
 //! * **generation staleness** — mutating the dataset purges every cached plan
 //!   and the next identical query cold-builds against the new data;
-//! * **bad queries are errors** — a band of the wrong dimensionality or zero
-//!   workers is an `Err`, and the service keeps serving;
+//! * **bad queries are errors** — a band of the wrong dimensionality, zero
+//!   workers or zero supervised shards is an `Err`, and the service keeps serving;
 //! * **supervised degradation** — a permanently crashing shard degrades
 //!   exactly one response while the service keeps serving.
 
@@ -356,6 +356,43 @@ fn zero_workers_is_an_error_not_a_panic() {
         "{err}"
     );
     assert_still_serving(&mut service, &good);
+}
+
+#[test]
+fn zero_supervised_shards_is_an_error_not_a_panic() {
+    let (s, t) = workload(23, 300, 2);
+    let config = ServiceConfig::new()
+        .with_sample(small_sample())
+        .with_supervised(0, SupervisorConfig::default());
+    let mut service = BandJoinService::new(s, t, config);
+    let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05, 0.05]), 4);
+    // Every query of the misconfigured service is refused, none is counted, and
+    // refusing one does not break the service for the next.
+    for _ in 0..2 {
+        let err = service.serve(&query).expect_err("zero shards");
+        assert!(
+            matches!(err, ServeError::Query(RecPartError::InvalidConfig { .. })),
+            "{err}"
+        );
+        assert_health_invariants(&service, 0);
+    }
+}
+
+#[test]
+fn zero_shards_to_execute_supervised_is_an_error_not_a_panic() {
+    let (service, good) = fresh_2d_service();
+    let err = Executor::with_workers(good.workers)
+        .execute_supervised(
+            &recpart::partition::SinglePartition,
+            service.s(),
+            service.t(),
+            &good.band,
+            0,
+            &FaultPlan::none(),
+            &SupervisorConfig::default(),
+        )
+        .expect_err("zero shards");
+    assert!(matches!(err, SuperviseError::InvalidConfig { .. }), "{err}");
 }
 
 #[test]
