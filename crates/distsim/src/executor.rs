@@ -33,10 +33,10 @@
 
 use crate::join_ready::{partition_tasks, JoinReadyInputs, ReadyPartition};
 use crate::machine::{MachineModel, WorkerWork};
-use crate::metrics::{RecoveryCounters, ShardStats};
+use crate::metrics::ShardStats;
 use crate::parallel::{chunk_ranges, Parallelism};
 use crate::shuffle::{shuffle, try_shuffle, PartitionedIndex, ShuffleConfig, ShuffledInputs};
-use crate::supervise::{ShardError, SuperviseError, SupervisedExecution, Supervision};
+use crate::supervise::{ShardError, SuperviseError, Supervision};
 use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
 use rayon::prelude::*;
 use recpart::{
@@ -237,7 +237,6 @@ struct LocalJoinPhase {
 
 /// What no stage of a query changes: the inputs, the band, and whether the joins
 /// materialize pairs (for the caller, for [`VerificationLevel::FullPairs`], or both).
-#[derive(Clone, Copy)]
 pub(crate) struct JoinQuery<'a> {
     pub(crate) s: &'a Relation,
     pub(crate) t: &'a Relation,
@@ -268,38 +267,10 @@ pub(crate) enum ReducePolicy<'a> {
     Supervised(Supervision<'a>),
 }
 
-impl<'a> ReducePolicy<'a> {
-    fn supervision(&mut self) -> Option<&mut Supervision<'a>> {
-        match self {
-            ReducePolicy::Supervised(supervision) => Some(supervision),
-            _ => None,
-        }
-    }
-
-    /// The contiguous partition ranges the reduce runs: a range's partitions run
-    /// sequentially on one thread, ranges run concurrently. The pool's ranges are
-    /// scheduling units only — a few fused partitions per task while each visit
-    /// also sorts (owned arenas), single partitions once nothing does (shared).
-    fn plan(&self, num_partitions: usize, owned: bool, par: &Parallelism<'_>) -> ShardPlan {
-        match self {
-            ReducePolicy::Pool if owned => ShardPlan {
-                ranges: partition_tasks(num_partitions, par),
-            },
-            ReducePolicy::Pool => ShardPlan {
-                ranges: (0..num_partitions).map(|p| (p, p + 1)).collect(),
-            },
-            ReducePolicy::Sharded(shards) => ShardPlan::contiguous(num_partitions, *shards),
-            ReducePolicy::Supervised(supervision) => {
-                ShardPlan::contiguous(num_partitions, supervision.shards)
-            }
-        }
-    }
-}
-
 /// What the one reduce hands to [`Executor::assemble_report`].
 struct Reduced {
     local: LocalJoinPhase,
-    /// Per-range accounting, in partition order (the pool's ranges are its tasks).
+    /// Per-shard accounting, in partition order (the pool is one shard).
     shard_stats: Vec<ShardStats>,
     /// Shards that exhausted their retry budget (supervised policy only); their
     /// partitions carry default loads in `local`.
@@ -308,11 +279,11 @@ struct Reduced {
     ready: Option<JoinReadyInputs>,
 }
 
-/// A finished query. Every policy fills in a whole [`SupervisedExecution`] (the
-/// unsupervised ones with no failures and zero recovery, the pool with its tasks
-/// as shards); each entry point returns the part it promises.
+/// A finished query: the report, and what only some entry points pass on.
 pub(crate) struct Executed {
-    pub(crate) execution: SupervisedExecution,
+    pub(crate) report: ExecutionReport,
+    pub(crate) shard_stats: Vec<ShardStats>,
+    pub(crate) failed: Vec<ShardError>,
     /// The joined pairs, when the query materialized them.
     pub(crate) pairs: Option<Vec<(u32, u32)>>,
     /// The prepared arenas, when the query owned them.
@@ -348,7 +319,7 @@ fn join_partition(
     (load, pairs, started.elapsed().as_secs_f64())
 }
 
-/// Join partitions `lo..hi` of shared arenas sequentially — one range of an
+/// Join partitions `lo..hi` of shared arenas sequentially — one shard of an
 /// unsupervised reduce, or one supervised shard attempt — and time the range.
 pub(crate) fn join_range(
     query: &JoinQuery<'_>,
@@ -360,6 +331,20 @@ pub(crate) fn join_range(
         .map(|p| join_partition(query, ready.part(p), Instant::now()))
         .collect();
     (outcomes, start.elapsed().as_secs_f64())
+}
+
+/// `units` independent pieces of a reduce, concurrent under `par`, results in
+/// unit order.
+fn scheduled<R: Send>(
+    par: &Parallelism<'_>,
+    units: usize,
+    unit: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    if par.is_parallel() && units > 1 {
+        par.run(|| (0..units).into_par_iter().map(&unit).collect())
+    } else {
+        (0..units).map(unit).collect()
+    }
 }
 
 /// One shard's contribution to the merge: its per-partition outcomes (`None`
@@ -374,7 +359,7 @@ pub(crate) struct ShardOutcome {
 }
 
 impl ShardOutcome {
-    /// A range that ran once and succeeded — every unsupervised one.
+    /// A shard that ran once and succeeded — every unsupervised one.
     fn first_try((outcomes, wall_seconds): (Vec<PartitionJoinOutcome>, f64)) -> Self {
         ShardOutcome {
             outcomes: Some(outcomes),
@@ -503,12 +488,14 @@ impl Executor {
         s: &Relation,
         t: &Relation,
     ) -> ShuffledInputs {
-        unsupervised(self.shuffle_stage(partitioner, s, t, &mut ReducePolicy::Pool))
+        let num_partitions = partitioner.num_partitions().max(1);
+        let (par, config) = (self.parallelism(), &self.shuffle_config);
+        shuffle(partitioner, s, t, num_partitions, &par, config)
     }
 
-    /// The one map/shuffle path. A supervised policy retries the whole (pure,
-    /// idempotent) shuffle on failure and trips its fault injector on the way;
-    /// under the other policies the shuffle cannot fail.
+    /// [`Executor::map_shuffle`] as a stage of `policy`: supervision retries the
+    /// whole (pure, idempotent) shuffle on failure and trips its fault injector on
+    /// the way; under the other policies the shuffle cannot fail.
     pub(crate) fn shuffle_stage<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
@@ -516,22 +503,15 @@ impl Executor {
         t: &Relation,
         policy: &mut ReducePolicy<'_>,
     ) -> Result<ShuffledInputs, SuperviseError> {
+        let ReducePolicy::Supervised(supervision) = policy else {
+            return Ok(self.map_shuffle(partitioner, s, t));
+        };
         let num_partitions = partitioner.num_partitions().max(1);
         let (par, config) = (self.parallelism(), &self.shuffle_config);
-        match policy.supervision() {
-            Some(supervision) => supervision.shuffle(|faults| {
-                try_shuffle(
-                    partitioner,
-                    s,
-                    t,
-                    num_partitions,
-                    &par,
-                    config,
-                    Some(faults),
-                )
-            }),
-            None => Ok(shuffle(partitioner, s, t, num_partitions, &par, config)),
-        }
+        supervision.shuffle(|faults| {
+            let faults = Some(faults);
+            try_shuffle(partitioner, s, t, num_partitions, &par, config, faults)
+        })
     }
 
     /// The query value of a one-shot execution: pairs are materialized only for
@@ -552,7 +532,8 @@ impl Executor {
 
     /// The pipeline every entry point — the four `execute*` methods and a served
     /// query — is a wrapper of: shuffle (unless the caller brings arenas) →
-    /// [`reduce`](Self::reduce) under `policy` → report.
+    /// [`reduce`](Self::reduce) under `policy` → report. Fails only under a
+    /// supervised policy.
     pub(crate) fn run<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
@@ -571,12 +552,29 @@ impl Executor {
             Arenas::Shared(_) => 0.0,
         };
         let reduced = self.reduce(query, arenas, policy)?;
-        // What supervision had to do (all zeros under the unsupervised policies).
-        let recovery = policy
-            .supervision()
-            .map(|s| s.recovery())
-            .unwrap_or_default();
-        Ok(self.assemble_report(partitioner, query, reduced, shuffle_seconds, recovery))
+        Ok(self.assemble_report(partitioner, query, reduced, shuffle_seconds))
+    }
+
+    /// [`Executor::run`] for the three entry points without supervision.
+    fn run_unsupervised<P: Partitioner + ?Sized>(
+        &self,
+        partitioner: &P,
+        (s, t, band): (&Relation, &Relation, &BandCondition),
+        arenas: Option<Arenas<'_>>,
+        mut policy: ReducePolicy<'_>,
+    ) -> Executed {
+        self.run(partitioner, &self.query(s, t, band), arenas, &mut policy)
+            .unwrap_or_else(|e| unreachable!("only a supervised policy can fail: {e}"))
+    }
+
+    /// Simulated join time of `done` when each of its shards pays its own
+    /// per-process job overhead (see [`MachineModel::sharded_join_seconds`]).
+    pub(crate) fn simulated_sharded_seconds(&self, done: &Executed) -> f64 {
+        self.config.machine.sharded_join_seconds(
+            done.report.stats.total_input,
+            &done.report.per_worker_work,
+            done.shard_stats.len(),
+        )
     }
 
     /// Execute the band-join of `s` and `t` under `partitioner` and measure everything.
@@ -587,9 +585,8 @@ impl Executor {
         t: &Relation,
         band: &BandCondition,
     ) -> ExecutionReport {
-        let query = self.query(s, t, band);
-        let done = unsupervised(self.run(partitioner, &query, None, &mut ReducePolicy::Pool));
-        done.execution.report
+        self.run_unsupervised(partitioner, (s, t, band), None, ReducePolicy::Pool)
+            .report
     }
 
     /// Execute only the reduce phase — per-partition local joins, worker mapping,
@@ -632,9 +629,8 @@ impl Executor {
             t_parts: t_parts.clone(),
             wall_seconds: 0.0,
         });
-        let query = self.query(s, t, band);
-        let done = self.run(partitioner, &query, Some(copy), &mut ReducePolicy::Pool);
-        unsupervised(done).execution.report
+        self.run_unsupervised(partitioner, (s, t, band), Some(copy), ReducePolicy::Pool)
+            .report
     }
 
     /// Execute the band-join with shared-nothing shard workers: the partition space
@@ -653,13 +649,12 @@ impl Executor {
         band: &BandCondition,
         shards: usize,
     ) -> ShardedExecution {
-        let query = self.query(s, t, band);
-        let policy = &mut ReducePolicy::Sharded(shards);
-        let done = unsupervised(self.run(partitioner, &query, None, policy)).execution;
+        let policy = ReducePolicy::Sharded(shards);
+        let done = self.run_unsupervised(partitioner, (s, t, band), None, policy);
         ShardedExecution {
+            simulated_sharded_seconds: self.simulated_sharded_seconds(&done),
             report: done.report,
             shard_stats: done.shard_stats,
-            simulated_sharded_seconds: done.simulated_sharded_seconds,
         }
     }
 
@@ -672,9 +667,8 @@ impl Executor {
     /// in **one** parallel pass (a separate prepare pass costs a second barrier and
     /// a second trip through the arenas) — except under supervision, where attempts
     /// of one shard overlap (speculation) and repeat (retry) and so must share the
-    /// arenas: there the prepare is a pass of its own and the rest is the reduce
-    /// over [`Arenas::Shared`]. Fails only under a supervised policy (merge budget
-    /// exhausted, or a shard lost with degradation disabled).
+    /// arenas: there the prepare is a pass of its own. Fails only under a supervised
+    /// policy (merge budget exhausted, or a shard lost with degradation disabled).
     fn reduce(
         &self,
         query: &JoinQuery<'_>,
@@ -684,69 +678,88 @@ impl Executor {
         let phase_start = Instant::now();
         let par = self.parallelism();
         let (s, t) = (query.s, query.t);
+        let mut prepared = None;
         let arenas = match arenas {
-            Arenas::Owned(shuffled) if policy.supervision().is_some() => {
-                let ready = JoinReadyInputs::prepare(shuffled, s, t, &par);
-                let mut reduced = self.reduce(query, Arenas::Shared(&ready), policy)?;
-                reduced.local.wall_seconds = phase_start.elapsed().as_secs_f64();
-                reduced.ready = Some(ready);
-                return Ok(reduced);
+            Arenas::Owned(shuffled) if matches!(policy, ReducePolicy::Supervised(_)) => {
+                Arenas::Shared(prepared.insert(JoinReadyInputs::prepare(shuffled, s, t, &par).0))
             }
             arenas => arenas,
         };
-
-        let mut owned = None;
-        let (plan, ready, per_shard, failed) = match arenas {
-            Arenas::Owned(shuffled) => {
-                let plan = policy.plan(shuffled.s_parts.num_partitions(), true, &par);
-                let (ready, per_range) = JoinReadyInputs::prepare_with(
+        let n = match &arenas {
+            Arenas::Owned(shuffled) => shuffled.s_parts.num_partitions(),
+            Arenas::Shared(ready) => ready.num_partitions(),
+        };
+        let shards = match policy {
+            ReducePolicy::Pool => None,
+            ReducePolicy::Sharded(shards) => Some(*shards),
+            ReducePolicy::Supervised(supervision) => Some(supervision.shards),
+        };
+        // The pool merges as one shard spanning every partition: its tasks are
+        // scheduling units, nothing reports them.
+        let plan = ShardPlan::contiguous(n, shards.unwrap_or(1));
+        // What runs concurrently: the pool's partitions, or the shards — on the rayon
+        // context, except that a supervised attempt has an OS thread of its own.
+        let units = shards.map_or(n, |_| plan.num_shards());
+        let threads_used = match policy {
+            ReducePolicy::Supervised(_) => units,
+            _ => par.threads().clamp(1, units.max(1)),
+        };
+        let whole = |outcomes| {
+            let seconds = phase_start.elapsed().as_secs_f64();
+            vec![ShardOutcome::first_try((outcomes, seconds))]
+        };
+        let (ready, per_shard, failed) = match (arenas, &mut *policy) {
+            (Arenas::Owned(shuffled), _) => {
+                // Every visit also sorts, so the pool fuses a few partitions per task.
+                let pool_tasks = shards.is_none().then(|| partition_tasks(n, &par));
+                let (ready, per_task) = JoinReadyInputs::prepare_with(
                     shuffled,
                     s,
                     t,
                     &par,
-                    &plan.ranges,
+                    pool_tasks.as_ref().unwrap_or(&plan.ranges),
                     |started, part| join_partition(query, part, started),
                 );
-                let per_shard = per_range.into_iter().map(ShardOutcome::first_try);
-                (plan, &*owned.insert(ready), per_shard.collect(), Vec::new())
-            }
-            Arenas::Shared(ready) => {
-                let plan = policy.plan(ready.num_partitions(), false, &par);
-                let (per_shard, failed) = match policy.supervision() {
-                    Some(supervision) => supervision.run_shards(query, ready, &plan)?,
-                    None => {
-                        let join = |&range: &(usize, usize)| {
-                            ShardOutcome::first_try(join_range(query, ready, range))
-                        };
-                        let per_shard = if par.is_parallel() && plan.num_shards() > 1 {
-                            par.run(|| plan.ranges.par_iter().map(join).collect())
-                        } else {
-                            plan.ranges.iter().map(join).collect()
-                        };
-                        (per_shard, Vec::new())
-                    }
+                let per_shard = if shards.is_none() {
+                    whole(per_task.into_iter().flat_map(|task| task.0).collect())
+                } else {
+                    per_task.into_iter().map(ShardOutcome::first_try).collect()
                 };
-                (plan, ready, per_shard, failed)
+                (&*prepared.insert(ready), per_shard, Vec::new())
+            }
+            (Arenas::Shared(ready), ReducePolicy::Pool) => {
+                let join_one = |p| join_partition(query, ready.part(p), Instant::now());
+                (ready, whole(scheduled(&par, n, join_one)), Vec::new())
+            }
+            (Arenas::Shared(ready), ReducePolicy::Sharded(_)) => {
+                let join_shard = |shard| {
+                    ShardOutcome::first_try(join_range(query, ready, plan.partition_range(shard)))
+                };
+                let per_shard = scheduled(&par, plan.num_shards(), join_shard);
+                (ready, per_shard, Vec::new())
+            }
+            (Arenas::Shared(ready), ReducePolicy::Supervised(supervision)) => {
+                let (per_shard, failed) = supervision.run_shards(query, ready, &plan)?;
+                (ready, per_shard, failed)
             }
         };
         let wall_seconds = phase_start.elapsed().as_secs_f64();
-        // A supervised shard attempt runs on an OS thread of its own, not on the pool.
-        let threads = policy
-            .supervision()
-            .map_or(par.threads(), |_| plan.num_shards());
+        if let ReducePolicy::Supervised(supervision) = policy {
+            supervision.merge_gate()?;
+        }
         let (local, shard_stats) = merge_shard_outcomes(
             &plan,
             ready,
             per_shard,
             query.materialize,
             wall_seconds,
-            threads.clamp(1, plan.num_shards().max(1)),
+            threads_used,
         );
         Ok(Reduced {
             local,
             shard_stats,
             failed,
-            ready: owned,
+            ready: prepared,
         })
     }
 
@@ -764,7 +777,6 @@ impl Executor {
         query: &JoinQuery<'_>,
         reduced: Reduced,
         map_shuffle_wall_seconds: f64,
-        recovery: RecoveryCounters,
     ) -> Executed {
         let (s, t, band) = (query.s, query.t, query.band);
         let Reduced {
@@ -773,13 +785,7 @@ impl Executor {
             failed,
             ready,
         } = reduced;
-        let LocalJoinPhase {
-            per_partition,
-            per_partition_wall_seconds,
-            all_pairs,
-            wall_seconds: local_join_wall_seconds,
-            threads_used,
-        } = local;
+        let per_partition = local.per_partition;
         let degraded = !failed.is_empty();
 
         // --- Partition → worker mapping (LPT on measured load). ---
@@ -795,7 +801,7 @@ impl Executor {
             per_worker_work[w].output += load.output;
             per_worker_work[w].comparisons += load.comparisons;
             per_worker_work[w].partitions += 1;
-            per_worker_wall_seconds[w] += per_partition_wall_seconds[p];
+            per_worker_wall_seconds[w] += local.per_partition_wall_seconds[p];
         }
 
         let output_count: u64 = per_partition.iter().map(|p| p.output).sum();
@@ -846,7 +852,7 @@ impl Executor {
                 (Some(exact), Some(exact == output_count), None)
             }
             VerificationLevel::FullPairs => {
-                let pairs = all_pairs.as_ref().expect("pairs were materialized");
+                let pairs = local.all_pairs.as_ref().expect("pairs were materialized");
                 // One exact join serves both the pair-level check and the exact
                 // output count (the exact result never contains duplicates).
                 let (check, exact) = par.run(|| {
@@ -872,31 +878,22 @@ impl Executor {
             per_worker_work,
             total_comparisons,
             simulated_join_seconds,
-            per_partition_wall_seconds,
+            per_partition_wall_seconds: local.per_partition_wall_seconds,
             per_worker_wall_seconds,
-            local_join_wall_seconds,
+            local_join_wall_seconds: local.wall_seconds,
             map_shuffle_wall_seconds,
             verify_wall_seconds,
-            threads_used,
+            threads_used: local.threads_used,
             exact_output,
             correct,
             pair_check,
             degraded,
         };
-        let simulated_sharded_seconds = self.config.machine.sharded_join_seconds(
-            total_input,
-            &report.per_worker_work,
-            shard_stats.len(),
-        );
         Executed {
-            execution: SupervisedExecution {
-                report,
-                shard_stats,
-                simulated_sharded_seconds,
-                failed,
-                recovery,
-            },
-            pairs: all_pairs,
+            report,
+            shard_stats,
+            failed,
+            pairs: local.all_pairs,
             ready,
         }
     }
@@ -980,11 +977,6 @@ impl Executor {
         }
         assignment
     }
-}
-
-/// Unwrap the result of a pipeline stage run under an unsupervised policy.
-fn unsupervised<T>(result: Result<T, SuperviseError>) -> T {
-    result.unwrap_or_else(|e| unreachable!("only a supervised policy can fail: {e}"))
 }
 
 /// The order-preserving merge of per-range join outcomes into one

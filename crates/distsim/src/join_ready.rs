@@ -27,7 +27,7 @@
 //! [`ReadyPartition::join`] emits materialized pairs in **ascending S id**, each
 //! probe's matches in window (T dimension-0) order. Shuffle arenas are ascending, so
 //! that is the order probing the raw slice in arrival order produces — pair lists are
-//! those of [`probe_sorted`](crate::probe_sorted) over the unsorted arenas, element for
+//! those of `LocalJoinAlgorithm::IndexNestedLoop` on the unsorted arenas, element for
 //! element, at the price of one integer sort of positions on the materializing path.
 
 use crate::local_join::{
@@ -76,7 +76,7 @@ impl ReadyPartition<'_> {
     /// The partition's band-join: gather T's columns (no sort), sweep the sorted S
     /// slice once with a single monotone dimension-0 window, evaluate every window
     /// with `kernel`. `output`, `comparisons`, the pairs and their order equal
-    /// [`probe_sorted`](crate::probe_sorted) over the ascending slices, for every kernel.
+    /// `LocalJoinAlgorithm::IndexNestedLoop` on the ascending slices, for every kernel.
     pub(crate) fn join(
         &self,
         kernel: JoinKernel,
@@ -195,14 +195,17 @@ impl JoinReadyInputs {
     /// [`JoinReadyInputs::prepare_with`] as a pass of its own, for reduces that must
     /// *share* the arenas: a supervised shard may be attempted twice at once
     /// (speculation) and again after a crash (retry), so no attempt may own them.
+    /// Also returns the pass's wall seconds (they belong to the reduce phase).
     pub(crate) fn prepare(
         shuffled: ShuffledInputs,
         s: &Relation,
         t: &Relation,
         par: &Parallelism<'_>,
-    ) -> JoinReadyInputs {
+    ) -> (JoinReadyInputs, f64) {
+        let start = Instant::now();
         let tasks = partition_tasks(shuffled.s_parts.num_partitions(), par);
-        Self::prepare_with(shuffled, s, t, par, &tasks, |_, _| ()).0
+        let (ready, _) = Self::prepare_with(shuffled, s, t, par, &tasks, |_, _| ());
+        (ready, start.elapsed().as_secs_f64())
     }
 
     /// Partition `p`'s join-ready slices.
@@ -251,7 +254,7 @@ mod tests {
     //! index-nested-loop oracle on the shuffle's ascending slices.
 
     use super::*;
-    use crate::local_join::{probe_sorted_with, SortedProbeSide};
+    use crate::local_join::LocalJoinAlgorithm;
     use crate::shuffle::{shuffle, ShuffleConfig};
     use proptest::prelude::*;
     use recpart::{PartitionId, Partitioner, SpillDir, StorageMode};
@@ -359,13 +362,13 @@ mod tests {
             let oracle: Vec<(LocalJoinResult, Vec<(u32, u32)>)> = (0..k)
                 .map(|p| {
                     let mut pairs = Vec::new();
-                    let result = probe_sorted_with(
+                    let result = LocalJoinAlgorithm::IndexNestedLoop.join_with(
                         JoinKernel::Scalar,
                         &s,
                         &t,
-                        &SortedProbeSide::build(&t, raw.t_parts.part(p)),
+                        raw.s_parts.part(p),
+                        raw.t_parts.part(p),
                         &band,
-                        raw.s_parts.part(p).iter().copied(),
                         Some(&mut pairs),
                     );
                     (result, pairs)
@@ -379,7 +382,7 @@ mod tests {
             ] {
                 let shuffled = shuffle(&partitioner, &s, &t, k, &par, &config);
                 prop_assert_eq!(shuffled.s_parts.is_spilled(), config.storage.is_spill());
-                let ready = JoinReadyInputs::prepare(shuffled, &s, &t, &par);
+                let (ready, _) = JoinReadyInputs::prepare(shuffled, &s, &t, &par);
 
                 // Same bytes, same ids per partition: a permutation, nothing beside it.
                 prop_assert_eq!(ready.arena_bytes(), raw.arena_bytes());

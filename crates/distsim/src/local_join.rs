@@ -356,17 +356,19 @@ fn probe_blocked(
     result
 }
 
-/// The quadratic reference join.
+/// The quadratic reference join over arbitrary index iterators (slices or ranges).
 fn nested_loop(
     s: &Relation,
     t: &Relation,
+    s_iter: impl Iterator<Item = u32>,
+    t_iter: impl Iterator<Item = u32> + Clone,
     band: &BandCondition,
     mut pairs: Option<&mut Vec<(u32, u32)>>,
 ) -> LocalJoinResult {
     let mut result = LocalJoinResult::default();
-    for si in 0..s.len() as u32 {
+    for si in s_iter {
         let sk = s.key(si as usize);
-        for ti in 0..t.len() as u32 {
+        for ti in t_iter.clone() {
             result.comparisons += 1;
             if band.matches(&sk, &t.key(ti as usize)) {
                 result.output += 1;
@@ -388,11 +390,65 @@ impl LocalJoinAlgorithm {
         }
     }
 
-    /// Join the *entire* relations with the process-wide [`JoinKernel::active`]
-    /// kernel — exact joins and tests. No identity index vectors are materialized:
-    /// the probe side is driven by a range and the T side is built with
-    /// [`SortedProbeSide::build_full`]. Pass `Some(&mut pairs)` to additionally
-    /// materialize the matching `(s index, t index)` pairs.
+    /// Count the band-join output between the selected tuples of `s` and `t`, with
+    /// the process-wide [`JoinKernel::active`] kernel.
+    ///
+    /// `s_idx`/`t_idx` select the tuples (by index) that were shuffled to this worker's
+    /// partition. Pass `Some(&mut pairs)` to additionally materialize the matching
+    /// `(s index, t index)` pairs (used by verification and small examples).
+    pub fn join(
+        &self,
+        s: &Relation,
+        t: &Relation,
+        s_idx: &[u32],
+        t_idx: &[u32],
+        band: &BandCondition,
+        pairs: Option<&mut Vec<(u32, u32)>>,
+    ) -> LocalJoinResult {
+        self.join_with(JoinKernel::active(), s, t, s_idx, t_idx, band, pairs)
+    }
+
+    /// [`LocalJoinAlgorithm::join`] with an explicit kernel. [`NestedLoop`] is
+    /// kernel-independent (it is the pure scalar oracle); the other algorithms
+    /// produce bit-identical results — pairs, pair order, `output`, `comparisons` —
+    /// for every kernel.
+    ///
+    /// [`NestedLoop`]: LocalJoinAlgorithm::NestedLoop
+    #[allow(clippy::too_many_arguments)]
+    pub fn join_with(
+        &self,
+        kernel: JoinKernel,
+        s: &Relation,
+        t: &Relation,
+        s_idx: &[u32],
+        t_idx: &[u32],
+        band: &BandCondition,
+        pairs: Option<&mut Vec<(u32, u32)>>,
+    ) -> LocalJoinResult {
+        if s_idx.is_empty() || t_idx.is_empty() {
+            return LocalJoinResult::default();
+        }
+        match self {
+            LocalJoinAlgorithm::NestedLoop => nested_loop(
+                s,
+                t,
+                s_idx.iter().copied(),
+                t_idx.iter().copied(),
+                band,
+                pairs,
+            ),
+            LocalJoinAlgorithm::IndexNestedLoop => {
+                // Sort the T side of this partition on dimension 0, then probe.
+                let side = SortedProbeSide::build(t, t_idx);
+                probe_sorted_with(kernel, s, t, &side, band, s_idx.iter().copied(), pairs)
+            }
+        }
+    }
+
+    /// Join the *entire* relations with the process-wide kernel. Convenience for
+    /// exact joins and tests; unlike indexed [`LocalJoinAlgorithm::join`], no
+    /// identity index vectors are materialized — the probe side is driven by a
+    /// range and the T side is built with [`SortedProbeSide::build_full`].
     pub fn join_full(
         &self,
         s: &Relation,
@@ -403,13 +459,7 @@ impl LocalJoinAlgorithm {
         self.join_full_with(JoinKernel::active(), s, t, band, pairs)
     }
 
-    /// [`LocalJoinAlgorithm::join_full`] with an explicit kernel. [`NestedLoop`] is
-    /// kernel-independent (it is the pure scalar oracle); [`IndexNestedLoop`]
-    /// produces bit-identical results — pairs, pair order, `output`, `comparisons` —
-    /// for every kernel.
-    ///
-    /// [`NestedLoop`]: LocalJoinAlgorithm::NestedLoop
-    /// [`IndexNestedLoop`]: LocalJoinAlgorithm::IndexNestedLoop
+    /// [`LocalJoinAlgorithm::join_full`] with an explicit kernel.
     pub fn join_full_with(
         &self,
         kernel: JoinKernel,
@@ -422,7 +472,9 @@ impl LocalJoinAlgorithm {
             return LocalJoinResult::default();
         }
         match self {
-            LocalJoinAlgorithm::NestedLoop => nested_loop(s, t, band, pairs),
+            LocalJoinAlgorithm::NestedLoop => {
+                nested_loop(s, t, 0..s.len() as u32, 0..t.len() as u32, band, pairs)
+            }
             LocalJoinAlgorithm::IndexNestedLoop => {
                 let side = SortedProbeSide::build_full(t);
                 probe_sorted_with(kernel, s, t, &side, band, 0..s.len() as u32, pairs)
@@ -520,20 +572,20 @@ mod tests {
     }
 
     #[test]
-    fn empty_relations_produce_no_output() {
-        let r = random_relation(10, 1, 11);
-        let empty = Relation::new(1);
+    fn empty_partitions_produce_no_output() {
+        let s = random_relation(10, 1, 11);
+        let t = random_relation(10, 1, 12);
         let band = BandCondition::symmetric(&[1.0]);
         for algo in ALGOS {
-            let res = algo.join_full(&empty, &r, &band, None);
+            let res = algo.join(&s, &t, &[], &[0, 1, 2], &band, None);
             assert_eq!(res, LocalJoinResult::default());
-            let res = algo.join_full(&r, &empty, &band, None);
+            let res = algo.join(&s, &t, &[0], &[], &band, None);
             assert_eq!(res, LocalJoinResult::default());
         }
     }
 
     #[test]
-    fn subset_probe_only_considers_selected_tuples() {
+    fn subset_join_only_considers_selected_tuples() {
         let mut s = Relation::new(1);
         let mut t = Relation::new(1);
         for v in [1.0, 2.0, 3.0] {
@@ -541,16 +593,14 @@ mod tests {
             t.push(&[v]);
         }
         let band = BandCondition::symmetric(&[0.1]);
-        let probe = |s_idx: &[u32], t_idx: &[u32]| {
-            let side = SortedProbeSide::build(&t, t_idx);
-            probe_sorted(&s, &t, &side, &band, s_idx.iter().copied(), None).output
-        };
-        // Only S#0 and T#2 selected: values 1.0 vs 3.0 do not match.
-        assert_eq!(probe(&[0], &[2]), 0);
-        // S#1 and T#1 match exactly.
-        assert_eq!(probe(&[1], &[1]), 1);
-        assert_eq!(probe(&[], &[0, 1, 2]), 0);
-        assert_eq!(probe(&[0], &[]), 0);
+        for algo in ALGOS {
+            // Only S#0 and T#2 selected: values 1.0 vs 3.0 do not match.
+            let res = algo.join(&s, &t, &[0], &[2], &band, None);
+            assert_eq!(res.output, 0);
+            // S#1 and T#1 match exactly.
+            let res = algo.join(&s, &t, &[1], &[1], &band, None);
+            assert_eq!(res.output, 1);
+        }
     }
 
     #[test]
@@ -625,13 +675,40 @@ mod tests {
         for kernel in JoinKernel::all_supported() {
             let mut pairs = Vec::new();
             let res = algo.join_full_with(kernel, &s, &t, &band, Some(&mut pairs));
-            assert_eq!(res, scalar, "kernel {}", kernel.name());
+            assert_eq!(res, scalar, "{} kernel {}", algo.name(), kernel.name());
             assert_eq!(
                 pairs,
                 scalar_pairs,
-                "kernel {}: same pairs in the same order",
+                "{} kernel {}: same pairs in the same order",
+                algo.name(),
                 kernel.name()
             );
+        }
+    }
+
+    #[test]
+    fn indexed_and_full_joins_agree() {
+        let s = random_relation(300, 2, 40);
+        let t = random_relation(200, 2, 41);
+        let band = BandCondition::symmetric(&[0.9, 3.0]);
+        let s_idx: Vec<u32> = (0..s.len() as u32).collect();
+        let t_idx: Vec<u32> = (0..t.len() as u32).collect();
+        for algo in ALGOS {
+            for kernel in JoinKernel::all_supported() {
+                let mut full_pairs = Vec::new();
+                let full = algo.join_full_with(kernel, &s, &t, &band, Some(&mut full_pairs));
+                let mut idx_pairs = Vec::new();
+                let idx =
+                    algo.join_with(kernel, &s, &t, &s_idx, &t_idx, &band, Some(&mut idx_pairs));
+                assert_eq!(full, idx, "{} kernel {}", algo.name(), kernel.name());
+                assert_eq!(
+                    full_pairs,
+                    idx_pairs,
+                    "{} kernel {}",
+                    algo.name(),
+                    kernel.name()
+                );
+            }
         }
     }
 

@@ -286,7 +286,7 @@ mod tests {
             t_parts: PartitionedIndex::from_parts(&[(0..tuples).collect()]),
             wall_seconds: 0.0,
         };
-        let inputs = JoinReadyInputs::prepare(shuffled, &rel, &rel, &Parallelism::Sequential);
+        let (inputs, _) = JoinReadyInputs::prepare(shuffled, &rel, &rel, &Parallelism::Sequential);
         let plan_signature = partitioner.plan_signature();
         CachedPlan {
             partitioner,

@@ -515,7 +515,7 @@ impl BandJoinService {
             }
         };
 
-        let (report, recovery) = (done.execution.report, done.execution.recovery);
+        let (report, recovery) = (done.report, policy.recovery());
         self.recovery += recovery;
         self.queries_served += 1;
         if report.degraded {

@@ -312,7 +312,14 @@ impl Executor {
     ) -> Result<SupervisedExecution, SuperviseError> {
         let mut policy = ReducePolicy::supervised(shards, sup, plan)?;
         let query = self.query(s, t, band);
-        Ok(self.run(partitioner, &query, None, &mut policy)?.execution)
+        let done = self.run(partitioner, &query, None, &mut policy)?;
+        Ok(SupervisedExecution {
+            simulated_sharded_seconds: self.simulated_sharded_seconds(&done),
+            report: done.report,
+            shard_stats: done.shard_stats,
+            failed: done.failed,
+            recovery: policy.recovery(),
+        })
     }
 }
 
@@ -348,21 +355,24 @@ impl<'a> ReducePolicy<'a> {
             recovery: RecoveryCounters::default(),
         }))
     }
-}
 
-impl Supervision<'_> {
-    /// What supervision did so far: the retry and speculation tally plus the
-    /// faults that actually fired.
+    /// What supervision did so far — the retry and speculation tally plus the
+    /// faults that actually fired; all zeros under the unsupervised policies.
     pub(crate) fn recovery(&self) -> RecoveryCounters {
-        let fired = self.injector.fired();
+        let ReducePolicy::Supervised(supervision) = self else {
+            return RecoveryCounters::default();
+        };
+        let fired = supervision.injector.fired();
         RecoveryCounters {
             injected_panics: fired.panics,
             injected_io_errors: fired.io_errors,
             injected_delays: fired.delays,
-            ..self.recovery
+            ..supervision.recovery
         }
     }
+}
 
+impl Supervision<'_> {
     /// One retried phase: run `attempt` (1-based attempt number) behind
     /// `catch_unwind` until it succeeds or the budget is gone, sleeping the
     /// backoff between tries. Returns the value and the retries it took.
@@ -406,13 +416,11 @@ impl Supervision<'_> {
     }
 
     /// The supervised schedule of the reduce over shared arenas: shard attempts
-    /// behind `catch_unwind` (retry, backoff, deadline speculation), then the
-    /// retried merge gate.
+    /// behind `catch_unwind` (retry, backoff, deadline speculation).
     ///
     /// Returns every shard's outcome in shard order and the structured failures
     /// of exhausted shards (empty on full success; non-empty means the report
-    /// will be degraded). Fails outright only when degradation is disabled or
-    /// the merge budget is exhausted.
+    /// will be degraded). Fails outright only when degradation is disabled.
     pub(crate) fn run_shards(
         &mut self,
         query: &JoinQuery<'_>,
@@ -590,11 +598,15 @@ impl Supervision<'_> {
         if !failed.is_empty() && !sup.degrade {
             return Err(SuperviseError::ShardsFailed(failed));
         }
+        Ok((shard_outcomes, failed))
+    }
 
-        // --- The merge gate, retried. The merge itself is pure and infallible;
-        // its failure mode is the injected crash at [`InjectionPoint::Merge`],
-        // so retry the trip until it clears (or the budget is gone); the caller
-        // then merges once. ---
+    /// The merge gate, retried. The merge itself is pure and infallible; its
+    /// failure mode is the injected crash at [`InjectionPoint::Merge`], so retry
+    /// the trip until it clears (or the budget is gone); the reduce then merges
+    /// once.
+    pub(crate) fn merge_gate(&mut self) -> Result<(), SuperviseError> {
+        let injector = &self.injector;
         let exhausted = |attempts, last_error| SuperviseError::Merge {
             attempts,
             last_error,
@@ -602,6 +614,6 @@ impl Supervision<'_> {
         let trip = |attempt| injector.trip(InjectionPoint::Merge, 0, attempt);
         let ((), retries) = self.retried(exhausted, trip)?;
         self.recovery.merge_retries += retries;
-        Ok((shard_outcomes, failed))
+        Ok(())
     }
 }
