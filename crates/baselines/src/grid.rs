@@ -30,7 +30,7 @@ pub struct GridPartitioner {
     origin: Vec<f64>,
     /// Map from cell coordinates to partition id.
     cells: HashMap<Vec<i64>, PartitionId>,
-    /// Input-tuple count per partition (used as the load estimate).
+    /// Input-tuple count per partition (see [`GridPartitioner::cell_inputs`]).
     cell_input: Vec<f64>,
     name: String,
 }
@@ -115,6 +115,12 @@ impl GridPartitioner {
         self.cells.insert(coords.to_vec(), id);
         self.cell_input.push(weight);
         id
+    }
+
+    /// Input tuples per cell, duplicates included, indexed by partition id: the
+    /// quantity Lemmas 2 and 3 bound (`exp_lemma_grid_properties` prints it).
+    pub fn cell_inputs(&self) -> &[f64] {
+        &self.cell_input
     }
 
     #[inline]
@@ -338,10 +344,6 @@ impl Partitioner for GridPartitioner {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn estimated_partition_loads(&self) -> Option<Vec<f64>> {
-        Some(self.cell_input.clone())
-    }
 }
 
 #[cfg(test)]
@@ -447,7 +449,7 @@ mod tests {
         let t = random_relation(500, 1, 0.0, 100.0, 9);
         let band = BandCondition::symmetric(&[1.0]);
         let grid = GridPartitioner::build(&s, &t, &band, 1.0);
-        let loads = grid.estimated_partition_loads().unwrap();
+        let loads = grid.cell_inputs();
         let max = loads.iter().cloned().fold(0.0, f64::max);
         let mean = loads.iter().sum::<f64>() / loads.len() as f64;
         assert!(

@@ -208,9 +208,6 @@ impl Partitioner for GridStarPartitioner {
     fn name(&self) -> &str {
         "Grid*"
     }
-    fn estimated_partition_loads(&self) -> Option<Vec<f64>> {
-        self.inner.estimated_partition_loads()
-    }
 }
 
 #[cfg(test)]

@@ -136,11 +136,6 @@ impl Partitioner for OneBucket {
     fn count_total_input(&self, s: &Relation, t: &Relation) -> u64 {
         s.len() as u64 * self.cols as u64 + t.len() as u64 * self.rows as u64
     }
-
-    fn estimated_partition_loads(&self) -> Option<Vec<f64>> {
-        // All cells are statistically identical.
-        Some(vec![1.0; self.num_partitions()])
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Criterion benchmark of the RecPart split search itself: `optimize_with_samples`
-//! on pre-drawn samples (sampling excluded), comparing
+//! on pre-drawn samples (sampling excluded; the split search is sequential by
+//! construction, so there is no thread axis), comparing
 //!
-//! * the PR 2 baseline (`SplitScorer::BinarySearch`, strictly sequential),
-//! * the sweep-line scorer with cached projections (`threads = 1`),
+//! * the PR 2 baseline (`SplitScorer::BinarySearch`),
+//! * the sweep-line scorer with cached projections,
 //! * the sweep-line scorer with the `Evaluator::FullRecompute` oracle (isolates
-//!   what the incremental evaluation ledger saves end to end),
-//! * the sweep-line scorer on all cores (`threads = 0`) and a bounded 4-thread pool.
+//!   what the incremental evaluation ledger saves end to end).
 //!
 //! All rows produce bit-identical `RecPartResult`s (asserted once per workload
 //! before timing); only wall-clock differs. A second `evaluate/*` group times the
@@ -129,37 +129,18 @@ fn pareto_3d() -> PreparedWorkload {
     )
 }
 
-/// `(row label, scorer, threads, evaluator)` configurations every workload compares.
-const ROWS: [(&str, SplitScorer, usize, Evaluator); 5] = [
+/// `(row label, scorer, evaluator)` configurations every workload compares.
+const ROWS: [(&str, SplitScorer, Evaluator); 3] = [
     (
         "binary-search-seq",
         SplitScorer::BinarySearch,
-        1,
         Evaluator::Incremental,
     ),
-    (
-        "sweep-seq",
-        SplitScorer::SweepLine,
-        1,
-        Evaluator::Incremental,
-    ),
+    ("sweep-seq", SplitScorer::SweepLine, Evaluator::Incremental),
     (
         "sweep-full-eval",
         SplitScorer::SweepLine,
-        1,
         Evaluator::FullRecompute,
-    ),
-    (
-        "sweep-all-cores",
-        SplitScorer::SweepLine,
-        0,
-        Evaluator::Incremental,
-    ),
-    (
-        "sweep-pool-4",
-        SplitScorer::SweepLine,
-        4,
-        Evaluator::Incremental,
     ),
 ];
 
@@ -169,10 +150,10 @@ fn bench_workload(c: &mut Criterion, workers: usize, w: &PreparedWorkload) {
 
     // The rows are only comparable because they optimize identically: assert
     // bit-identity of the chosen tree before timing anything.
-    let result_of = |scorer: SplitScorer, threads: usize, evaluator: Evaluator| {
+    let result_of = |scorer: SplitScorer, evaluator: Evaluator| {
         let cfg = RecPartConfig::new(workers)
             .with_scorer(scorer)
-            .with_threads(threads)
+            .with_threads(1)
             .with_evaluator(evaluator);
         RecPart::new(cfg).optimize_with_samples(
             w.s_len,
@@ -184,22 +165,22 @@ fn bench_workload(c: &mut Criterion, workers: usize, w: &PreparedWorkload) {
             Instant::now(),
         )
     };
-    let baseline = result_of(SplitScorer::BinarySearch, 1, Evaluator::Incremental);
-    for (_, scorer, threads, evaluator) in ROWS {
-        let r = result_of(scorer, threads, evaluator);
+    let baseline = result_of(SplitScorer::BinarySearch, Evaluator::Incremental);
+    for (_, scorer, evaluator) in ROWS {
+        let r = result_of(scorer, evaluator);
         assert_eq!(
             baseline.partitioner.tree(),
             r.partitioner.tree(),
-            "{}: scorer {scorer:?} threads {threads} evaluator {evaluator:?} diverged",
+            "{}: scorer {scorer:?} evaluator {evaluator:?} diverged",
             w.label
         );
     }
 
-    for (label, scorer, threads, evaluator) in ROWS {
+    for (label, scorer, evaluator) in ROWS {
         let optimizer = RecPart::new(
             RecPartConfig::new(workers)
                 .with_scorer(scorer)
-                .with_threads(threads)
+                .with_threads(1)
                 .with_evaluator(evaluator),
         );
         group.bench_function(BenchmarkId::new(label, workers), |b| {

@@ -77,7 +77,7 @@ fn main() {
         let t = datagen::pareto_relation(size, 2, 1.5, &mut rng);
         let band = BandCondition::symmetric(&[0.05, 0.05]);
         let grid = GridPartitioner::build(&s, &t, &band, 1.0);
-        let loads = grid.estimated_partition_loads().unwrap();
+        let loads = grid.cell_inputs();
         let max = loads.iter().cloned().fold(0.0, f64::max);
         let share = max / (2.0 * size as f64);
         println!(

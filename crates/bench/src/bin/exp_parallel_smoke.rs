@@ -12,11 +12,12 @@
 //! * on a 4+-core machine, end-to-end parallel `execute` is not ≥1.5× faster than
 //!   sequential.
 //!
-//! It then times the **RecPart split search** on pre-drawn samples: the sweep-line +
-//! parallel optimizer (`SplitScorer::SweepLine`, `threads = 0`) against the PR 2
-//! baseline (`SplitScorer::BinarySearch`, `threads = 1`), requiring bit-identical
-//! split trees, a ≥1.5× speedup on 4+-core machines, and at least a ≥1.1× win
-//! everywhere (the sweep's algorithmic advantage is core-count independent).
+//! It then times the **RecPart split search** on pre-drawn samples: the sweep-line
+//! optimizer (`SplitScorer::SweepLine`) against the PR 2 baseline
+//! (`SplitScorer::BinarySearch`), both at `threads = 1` — the split search is
+//! sequential by construction — requiring bit-identical split trees, a ≥1.5× speedup
+//! on 4+-core machines, and at least a ≥1.1× win everywhere (the sweep's advantage
+//! is algorithmic, so it is core-count independent).
 //!
 //! It then gates the **incremental evaluator**: on the fully grown (deep) tree,
 //! `Evaluator::Incremental` must compute bit-identical evaluations to the
@@ -197,7 +198,7 @@ fn main() {
         ));
     }
 
-    // --- Optimizer gate: sweep-line + parallel split search vs the PR 2 baseline. ---
+    // --- Optimizer gate: sweep-line split search vs the PR 2 baseline. ---
     let opt_sample = if args.quick {
         SampleConfig {
             input_sample_size: 4_096,
@@ -217,8 +218,8 @@ fn main() {
     let t_sample = InputSample::draw(&t, total - total / 2, &mut rng);
     let o_sample = OutputSample::draw(&s, &t, &band, &opt_sample, &mut rng);
     let opt_cfg = RecPartConfig::new(workers).with_sample(opt_sample);
-    let time_optimize = |scorer: SplitScorer, threads: usize| -> (f64, RecPartResult) {
-        let optimizer = RecPart::new(opt_cfg.clone().with_scorer(scorer).with_threads(threads));
+    let time_optimize = |scorer: SplitScorer| -> (f64, RecPartResult) {
+        let optimizer = RecPart::new(opt_cfg.clone().with_scorer(scorer).with_threads(1));
         let start = Instant::now();
         let result = optimizer.optimize_with_samples(
             s.len(),
@@ -236,9 +237,9 @@ fn main() {
     let mut base_result: Option<RecPartResult> = None;
     let mut sweep_result: Option<RecPartResult> = None;
     for round in 1..=ROUNDS {
-        let (bt, br) = time_optimize(SplitScorer::BinarySearch, 1);
-        let (nt, nr) = time_optimize(SplitScorer::SweepLine, 0);
-        println!("optimize round {round}: binary-search/seq {bt:.4}s vs sweep/all-cores {nt:.4}s");
+        let (bt, br) = time_optimize(SplitScorer::BinarySearch);
+        let (nt, nr) = time_optimize(SplitScorer::SweepLine);
+        println!("optimize round {round}: binary-search {bt:.4}s vs sweep-line {nt:.4}s");
         base_best = base_best.min(bt);
         sweep_best = sweep_best.min(nt);
         base_result.get_or_insert(br);
@@ -246,32 +247,23 @@ fn main() {
     }
     let base_result = base_result.expect("at least one round ran");
     let sweep_result = sweep_result.expect("at least one round ran");
-    let (_, pooled_result) = time_optimize(SplitScorer::SweepLine, 4);
-    for (label, other) in [
-        ("sweep/all-cores", &sweep_result),
-        ("sweep/pool-4", &pooled_result),
-    ] {
-        if base_result.partitioner.tree() != other.partitioner.tree() {
-            failures.push(format!(
-                "optimizer result of {label} differs from the sequential binary-search baseline"
-            ));
-        }
-        if base_result.report.split_search != other.report.split_search {
-            failures.push(format!("split-search counters differ for {label}"));
-        }
+    if base_result.partitioner.tree() != sweep_result.partitioner.tree() {
+        failures.push("sweep-line optimizer result differs from the binary-search baseline".into());
+    }
+    if base_result.report.split_search != sweep_result.report.split_search {
+        failures.push("split-search counters differ between the two scorers".into());
     }
     let opt_speedup = base_best / sweep_best;
     println!(
         "optimize best-of-{ROUNDS}: {base_best:.4}s (PR 2 baseline) vs {sweep_best:.4}s \
-         (sweep + parallel) = {opt_speedup:.2}x speedup; \
+         (sweep-line) = {opt_speedup:.2}x speedup; \
          {} leaves scored, {} candidates",
         sweep_result.report.split_search.leaves_scored,
         sweep_result.report.split_search.candidates_scored,
     );
     // Both optimizer thresholds apply only at full sample sizes: in --quick mode the
-    // samples are too small for robust ratios (parallel fan-out overhead alone can
-    // dominate 4096-point leaves). At full size the sweep's algorithmic win is ~2x
-    // even on one core.
+    // samples are too small for robust ratios. At full size the sweep's algorithmic
+    // win is ~2x on one core.
     if !args.quick && cores >= 4 && opt_speedup < 1.5 {
         failures.push(format!(
             "optimize_with_samples speedup {opt_speedup:.2}x < 1.5x on a {cores}-core machine \

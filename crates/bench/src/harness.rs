@@ -131,7 +131,7 @@ pub struct HarnessConfig {
     pub seed: u64,
     /// Sample configuration for RecPart.
     pub sample: SampleConfig,
-    /// Parallelism of the executor phases **and** the RecPart split search:
+    /// Parallelism of the executor phases **and** RecPart's output-sample scan:
     /// `0` = all cores, `1` = strictly sequential, `n` = a bounded pool (see
     /// [`ExecutorConfig::threads`] and `RecPartConfig::threads`). Results are
     /// bit-identical across all settings.

@@ -100,10 +100,13 @@ pub struct RecPartConfig {
     pub max_iterations: usize,
     /// Seed for all randomized choices (sampling, 1-Bucket row/column assignment).
     pub seed: u64,
-    /// Parallelism of the split search: `0` uses one rayon thread per available core,
-    /// `1` runs strictly sequentially (no thread pool at all), `n > 1` uses a bounded
-    /// pool of `n` threads built once per [`crate::RecPart`]. The optimization result
-    /// is bit-identical across all settings; only wall-clock timing changes.
+    /// Parallelism of the output sampler's T scan — output-sample scan only; the split
+    /// search and the evaluation are sequential by construction (every measurement
+    /// read their thread fan-outs slower than one thread, DESIGN.md §6). `0` uses one
+    /// rayon thread per available core, `1` runs strictly sequentially (no thread
+    /// pool at all), `n > 1` uses a bounded pool of `n` threads built once per
+    /// [`crate::RecPart`]. The drawn sample, and with it the optimization result, is
+    /// bit-identical across all settings; only wall-clock timing changes.
     pub threads: usize,
     /// Split-search implementation (see [`SplitScorer`]); both variants choose
     /// bit-identical splits.
@@ -185,8 +188,9 @@ impl RecPartConfig {
         self
     }
 
-    /// Bound the split search to `threads` OS threads (`0` = all available cores,
-    /// `1` = strictly sequential). Results are bit-identical for every setting.
+    /// Bound the output-sample scan — output-sample scan only, the split search is
+    /// sequential — to `threads` OS threads (`0` = all available cores, `1` = strictly
+    /// sequential). Results are bit-identical for every setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

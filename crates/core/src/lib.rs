@@ -98,7 +98,7 @@ pub use recpart::{OptimizationReport, RecPart, RecPartResult, SplitTreePartition
 pub use relation::{Key, Relation};
 pub use router::CompiledRouter;
 pub use sample::{InputSample, OutputSample, SampleConfig};
-pub use simd::{band_window_collect, band_window_count, JoinKernel, RouteKernel};
+pub use simd::{band_window_collect, band_window_count, JoinKernel, Kernel, RouteKernel};
 pub use storage::{spill_fallback_count, MappedVec, SpillDir, Storage, StorageMode};
 
 /// Convenience re-exports for downstream users.

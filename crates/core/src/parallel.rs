@@ -1,6 +1,7 @@
 //! Shared parallelism context for every multi-core phase of the system.
 //!
-//! Both the RecPart optimizer ([`crate::recpart`], `RecPartConfig::threads`) and the
+//! Both the RecPart optimizer's output sampler ([`crate::sample`],
+//! `RecPartConfig::threads` — the split search itself is sequential) and the
 //! simulated-cluster executor in the `distsim` crate (`ExecutorConfig::threads`) honour
 //! the same three-way `threads` knob. This module centralizes the dispatch so no phase
 //! re-implements the sequential / ambient-pool / bounded-pool cases:
@@ -13,8 +14,8 @@
 //!
 //! Every caller is required to keep its results **bit-identical** across all three
 //! variants: parallel fan-outs go over deterministic work lists (contiguous index
-//! chunks from [`chunk_ranges`], dimensions, leaves) and reductions merge the partial
-//! results in work-list order, so the thread count is a pure wall-clock knob.
+//! chunks from [`chunk_ranges`]) and reductions merge the partial results in work-list
+//! order, so the thread count is a pure wall-clock knob.
 
 use rayon::ThreadPool;
 

@@ -395,13 +395,6 @@ pub trait Partitioner: Send + Sync {
     /// A short human-readable name of the strategy (e.g. `"RecPart"`, `"1-Bucket"`).
     fn name(&self) -> &str;
 
-    /// Optional estimate of the load share of each partition, used to map partitions
-    /// onto workers before the actual per-partition loads are known. Returns `None` if
-    /// the strategy has no estimate (the executor then falls back to measured loads).
-    fn estimated_partition_loads(&self) -> Option<Vec<f64>> {
-        None
-    }
-
     /// Count the total number of partition assignments ("input including duplicates",
     /// the quantity `I` of the paper) this partitioner produces for the given inputs.
     ///
@@ -454,9 +447,6 @@ impl<P: Partitioner + ?Sized> Partitioner for PerTupleFallback<'_, P> {
     fn name(&self) -> &str {
         self.0.name()
     }
-    fn estimated_partition_loads(&self) -> Option<Vec<f64>> {
-        self.0.estimated_partition_loads()
-    }
 }
 
 /// Blanket implementation so boxed partitioners can be used wherever a partitioner is
@@ -482,9 +472,6 @@ impl<P: Partitioner + ?Sized> Partitioner for Box<P> {
     }
     fn name(&self) -> &str {
         (**self).name()
-    }
-    fn estimated_partition_loads(&self) -> Option<Vec<f64>> {
-        (**self).estimated_partition_loads()
     }
     fn count_total_input(&self, s: &Relation, t: &Relation) -> u64 {
         (**self).count_total_input(s, t)
@@ -539,7 +526,6 @@ mod tests {
         assert_eq!(out, vec![0]);
         assert_eq!(p.num_partitions(), 1);
         assert_eq!(p.name(), "SinglePartition");
-        assert!(p.estimated_partition_loads().is_none());
     }
 
     #[test]
@@ -749,7 +735,6 @@ mod tests {
         let fallback = PerTupleFallback(&p);
         assert_eq!(fallback.name(), "FanOut");
         assert_eq!(fallback.num_partitions(), 3);
-        assert!(fallback.estimated_partition_loads().is_none());
         let mut a = AssignmentSink::new(3);
         let mut b = AssignmentSink::new(3);
         p.assign_t_block(&r, 0..r.len(), &mut a);

@@ -21,7 +21,7 @@ use crate::error::RecPartError;
 use crate::geometry::Rect;
 use crate::load::LptHeap;
 use crate::metrics::{EvalCounters, SplitSearchCounters};
-use crate::parallel::{chunk_ranges, Parallelism};
+use crate::parallel::Parallelism;
 use crate::partition::{AssignmentSink, PartitionId, Partitioner};
 use crate::relation::Relation;
 use crate::router::CompiledRouter;
@@ -30,25 +30,10 @@ use crate::scoring::{advance, merge_dedup, partition_load, variance_term, SplitS
 use crate::small::BucketGrid;
 use crate::split_tree::{LeafNode, NodeId, SplitKind, SplitTree};
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-
-/// Below this many sample points (S + T + output) in a refresh batch, leaves are
-/// scored sequentially even in parallel mode: the fan-out overhead would exceed the
-/// scoring work. Purely a wall-clock knob — results are identical either way.
-const MIN_PARALLEL_POINTS: usize = 4_096;
-
-/// Minimum number of candidate boundaries per parallel scoring chunk; smaller
-/// dimensions are swept as a single chunk.
-const MIN_CANDIDATES_PER_CHUNK: usize = 2_048;
-
-/// Fixed chunk size of `finalize`'s sample re-routing. The chunk layout is a pure
-/// function of the sample length (never of the thread count), which is what keeps
-/// the estimated per-partition loads bit-identical across `threads` settings.
-const FINALIZE_CHUNK_TUPLES: usize = 4_096;
 
 /// The action chosen for a leaf by `best_split`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,8 +72,7 @@ impl BestSplit {
 /// in some dimension, **plus the projected values themselves** in the same order.
 /// Caching the values next to the indices lets the sweep scorer read its per-visit
 /// value arrays straight out of the leaf instead of re-gathering them from the
-/// samples (`build_dim_arrays` used to do one indexed gather per array per visit) —
-/// a deliberate memory-for-time trade.
+/// samples — a deliberate memory-for-time trade.
 #[derive(Debug, Clone, Default)]
 struct SortedProj {
     idx: Vec<u32>,
@@ -250,9 +234,19 @@ struct LeafWork {
 }
 
 impl LeafWork {
-    /// Total sample points in the leaf (used to gate parallel fan-outs).
-    fn points(&self) -> usize {
-        self.s_pts.len() + self.t_pts.len() + self.o_pts.len()
+    /// A regular leaf with no sample points yet, an unsplit grid and no cached split.
+    fn new(node: NodeId) -> Self {
+        LeafWork {
+            node,
+            s_pts: Vec::new(),
+            t_pts: Vec::new(),
+            o_pts: Vec::new(),
+            proj: None,
+            grid: BucketGrid::default(),
+            is_small: false,
+            best: BestSplit::none(),
+            version: 0,
+        }
     }
 }
 
@@ -314,36 +308,6 @@ fn partition_banded_duplicating(
         }
     }
     (left, right)
-}
-
-/// The per-dimension value arrays one sweep pass runs over — **all borrowed** from
-/// the leaf's cached projections. Nothing is materialized per visit anymore: the
-/// band-shifted copies (`t_minus` = `t − ε_lo`, `t_plus` = `t + ε_hi`, and the S-side
-/// counterparts under symmetric partitioning) live in the cached [`BandProj`]s and
-/// the candidate boundaries in [`DimProjection::bounds`], both split to children in
-/// lockstep with the value arrays. All arrays are sorted ascending.
-struct DimArrays<'w> {
-    dim: usize,
-    /// The leaf region's bounds in `dim`.
-    lo: f64,
-    hi: f64,
-    s_vals: &'w [f64],
-    t_vals: &'w [f64],
-    t_minus: &'w [f64],
-    t_plus: &'w [f64],
-    o_s: &'w [f64],
-    s_minus: &'w [f64],
-    s_plus: &'w [f64],
-    o_t: &'w [f64],
-    /// Candidate boundaries: distinct values of the combined input sample in `dim`.
-    bounds: &'w [f64],
-}
-
-impl DimArrays<'_> {
-    /// Number of candidate windows (consecutive distinct-value pairs).
-    fn windows(&self) -> usize {
-        self.bounds.len().saturating_sub(1)
-    }
 }
 
 /// Entry of the leaf priority queue, ordered by split score.
@@ -717,7 +681,6 @@ pub struct SplitTreePartitioner {
     band: BandCondition,
     seed: u64,
     name: String,
-    estimated_loads: Vec<f64>,
     router: CompiledRouter,
 }
 
@@ -753,7 +716,9 @@ impl SplitTreePartitioner {
         crate::router::fnv1a_word(h, self.router.signature())
     }
 
-    /// Build a partitioner directly from a split tree (primarily for tests and tools).
+    /// Build a partitioner from a split tree: assign the partition ids and compile
+    /// the block router. What `RecPart` does with its winning tree; public for tests
+    /// and tools that build trees by hand.
     pub fn from_tree(
         mut tree: SplitTree,
         band: BandCondition,
@@ -761,14 +726,12 @@ impl SplitTreePartitioner {
         name: impl Into<String>,
     ) -> Self {
         tree.assign_partition_ids();
-        let partitions = tree.num_partitions();
         let router = CompiledRouter::compile(&tree, &band, seed);
         SplitTreePartitioner {
             tree,
             band,
             seed,
             name: name.into(),
-            estimated_loads: vec![1.0; partitions],
             router,
         }
     }
@@ -815,10 +778,6 @@ impl Partitioner for SplitTreePartitioner {
     fn name(&self) -> &str {
         &self.name
     }
-
-    fn estimated_partition_loads(&self) -> Option<Vec<f64>> {
-        Some(self.estimated_loads.clone())
-    }
 }
 
 /// Result of [`RecPart::optimize`]: the partitioner plus the optimization report.
@@ -836,7 +795,9 @@ pub struct RecPart {
     config: RecPartConfig,
     /// Thread pool for an explicit `threads > 1` bound, built once per optimizer so
     /// repeated `optimize` calls do not pay pool construction. `threads == 0` uses the
-    /// ambient rayon context; `threads == 1` bypasses rayon entirely.
+    /// ambient rayon context; `threads == 1` bypasses rayon entirely. Output-sample
+    /// scan only: the split search and the evaluation are sequential by construction
+    /// (DESIGN.md §6).
     pool: Option<std::sync::Arc<rayon::ThreadPool>>,
 }
 
@@ -848,7 +809,7 @@ impl RecPart {
                 rayon::ThreadPoolBuilder::new()
                     .num_threads(config.threads)
                     .build()
-                    .expect("building the split-search thread pool"),
+                    .expect("building the output-sample scan thread pool"),
             )
         });
         RecPart { config, pool }
@@ -859,7 +820,7 @@ impl RecPart {
         &self.config
     }
 
-    /// The parallelism context the split search runs under.
+    /// The parallelism context the output sampler's T scan runs under.
     fn parallelism(&self) -> Parallelism<'_> {
         match self.config.threads {
             1 => Parallelism::Sequential,
@@ -938,24 +899,16 @@ impl RecPart {
         o_sample: &OutputSample,
         start: Instant,
     ) -> RecPartResult {
-        let cfg = &self.config;
-        let dims = band.dims();
-        let state = OptimizerState {
-            cfg,
+        OptimizerState::new(
+            &self.config,
             band,
-            dims,
             s_len,
             t_len,
-            ws: s_sample.weight(),
-            wt: t_sample.weight(),
-            wo: o_sample.weight(),
-            est_output: o_sample.estimated_output(),
             s_sample,
             t_sample,
             o_sample,
-            par: self.parallelism(),
-        };
-        state.run(start)
+        )
+        .run(start)
     }
 
     /// Benchmark / CI-gate support, **not a public API**: grow the split tree to
@@ -976,21 +929,15 @@ impl RecPart {
         t_sample: &'a InputSample,
         o_sample: &'a OutputSample,
     ) -> EvaluationBench<'a> {
-        let state = OptimizerState {
-            cfg: &self.config,
+        let state = OptimizerState::new(
+            &self.config,
             band,
-            dims: band.dims(),
             s_len,
             t_len,
-            ws: s_sample.weight(),
-            wt: t_sample.weight(),
-            wo: o_sample.weight(),
-            est_output: o_sample.estimated_output(),
             s_sample,
             t_sample,
             o_sample,
-            par: self.parallelism(),
-        };
+        );
         let grown = state.grow();
         EvaluationBench { state, grown }
     }
@@ -1040,7 +987,9 @@ struct OptimizerState<'a> {
     s_sample: &'a InputSample,
     t_sample: &'a InputSample,
     o_sample: &'a OutputSample,
-    par: Parallelism<'a>,
+    /// Bounding box of both input samples: what "small" and "still splittable in
+    /// dimension `d`" clip an unbounded leaf region against.
+    domain: Rect,
 }
 
 /// Everything the tree-growth loop produces: handed to `finalize` by `run`, and kept
@@ -1060,6 +1009,41 @@ struct GrownState {
 }
 
 impl<'a> OptimizerState<'a> {
+    fn new(
+        cfg: &'a RecPartConfig,
+        band: &'a BandCondition,
+        s_len: usize,
+        t_len: usize,
+        s_sample: &'a InputSample,
+        t_sample: &'a InputSample,
+        o_sample: &'a OutputSample,
+    ) -> Self {
+        let dims = band.dims();
+        let s_box = Rect::bounding_box(dims, s_sample.iter());
+        let t_box = Rect::bounding_box(dims, t_sample.iter());
+        let domain = match (s_box, t_box) {
+            (Some(a), Some(b)) => a.union(&b),
+            (Some(a), None) => a,
+            (None, Some(b)) => b,
+            (None, None) => Rect::unbounded(dims),
+        };
+        OptimizerState {
+            cfg,
+            band,
+            dims,
+            s_len,
+            t_len,
+            ws: s_sample.weight(),
+            wt: t_sample.weight(),
+            wo: o_sample.weight(),
+            est_output: o_sample.estimated_output(),
+            s_sample,
+            t_sample,
+            o_sample,
+            domain,
+        }
+    }
+
     fn run(&self, start: Instant) -> RecPartResult {
         let grown = self.grow();
         self.finalize(grown, start)
@@ -1087,9 +1071,6 @@ impl<'a> OptimizerState<'a> {
         let cfg = self.cfg;
         let mut tree = SplitTree::new(self.dims);
 
-        // Domain bounding box over all sample points (used for "small" checks).
-        let domain = self.domain_box();
-
         // Leaf working state, indexed by node id.
         let mut works: Vec<Option<LeafWork>> = Vec::new();
         let mut counters = SplitSearchCounters::default();
@@ -1097,22 +1078,9 @@ impl<'a> OptimizerState<'a> {
         let mut ledger = EvalLedger::default();
         let mut eval_counters = EvalCounters::default();
         let mut evaluation_seconds = 0.0f64;
-        let root_small = self.is_small(&tree, tree.root(), &domain);
-        let root_work = LeafWork {
-            node: tree.root(),
-            s_pts: (0..self.s_sample.len() as u32).collect(),
-            t_pts: (0..self.t_sample.len() as u32).collect(),
-            o_pts: (0..self.o_sample.len() as u32).collect(),
-            proj: (cfg.scorer == SplitScorer::SweepLine && !root_small)
-                .then(|| self.build_root_projections()),
-            grid: BucketGrid::default(),
-            is_small: root_small,
-            best: BestSplit::none(),
-            version: 0,
-        };
-        Self::store_work(&mut works, root_work);
+        Self::store_work(&mut works, self.root_work(&tree));
         let t0 = Instant::now();
-        counters.merge(self.refresh_leaves(&mut works, &tree, &[tree.root()], &domain));
+        counters.merge(self.refresh_leaves(&mut works, &tree, &[tree.root()]));
         split_search_seconds += t0.elapsed().as_secs_f64();
 
         let mut heap: BinaryHeap<QueueEntry> = BinaryHeap::new();
@@ -1185,9 +1153,8 @@ impl<'a> OptimizerState<'a> {
                             prior: tree.leaf(leaf_id).clone(),
                         },
                     ));
-                    let (l, r) = self.apply_plane_split(
-                        &mut tree, &mut works, leaf_id, dim, value, kind, &domain,
-                    );
+                    let (l, r) =
+                        self.apply_plane_split(&mut tree, &mut works, leaf_id, dim, value, kind);
                     if cfg.evaluator == Evaluator::Incremental {
                         let e0 = Instant::now();
                         ledger.apply_plane_split(
@@ -1200,7 +1167,7 @@ impl<'a> OptimizerState<'a> {
                         evaluation_seconds += e0.elapsed().as_secs_f64();
                     }
                     let t0 = Instant::now();
-                    counters.merge(self.refresh_leaves(&mut works, &tree, &[l, r], &domain));
+                    counters.merge(self.refresh_leaves(&mut works, &tree, &[l, r]));
                     split_search_seconds += t0.elapsed().as_secs_f64();
                     Self::push_entry(&mut heap, &works, l);
                     Self::push_entry(&mut heap, &works, r);
@@ -1231,7 +1198,7 @@ impl<'a> OptimizerState<'a> {
                         evaluation_seconds += e0.elapsed().as_secs_f64();
                     }
                     let t0 = Instant::now();
-                    counters.merge(self.refresh_leaves(&mut works, &tree, &[leaf_id], &domain));
+                    counters.merge(self.refresh_leaves(&mut works, &tree, &[leaf_id]));
                     split_search_seconds += t0.elapsed().as_secs_f64();
                     Self::push_entry(&mut heap, &works, leaf_id);
                 }
@@ -1305,16 +1272,19 @@ impl<'a> OptimizerState<'a> {
         }
     }
 
-    fn domain_box(&self) -> Rect {
-        let dims = self.dims;
-        let s_box = Rect::bounding_box(dims, self.s_sample.iter());
-        let t_box = Rect::bounding_box(dims, self.t_sample.iter());
-        match (s_box, t_box) {
-            (Some(a), Some(b)) => a.union(&b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => Rect::unbounded(dims),
+    /// The root leaf's working state: every sample point and, for a regular root
+    /// under the sweep-line scorer, the argsorted projections all later leaves
+    /// inherit.
+    fn root_work(&self, tree: &SplitTree) -> LeafWork {
+        let mut root = LeafWork::new(tree.root());
+        root.s_pts = (0..self.s_sample.len() as u32).collect();
+        root.t_pts = (0..self.t_sample.len() as u32).collect();
+        root.o_pts = (0..self.o_sample.len() as u32).collect();
+        root.is_small = self.is_small(tree, tree.root());
+        if self.cfg.scorer == SplitScorer::SweepLine && !root.is_small {
+            root.proj = Some(self.build_root_projections());
         }
+        root
     }
 
     fn store_work(works: &mut Vec<Option<LeafWork>>, work: LeafWork) {
@@ -1338,19 +1308,19 @@ impl<'a> OptimizerState<'a> {
     }
 
     /// Is the leaf "small": extent below twice the band width in every dimension?
-    fn is_small(&self, tree: &SplitTree, leaf: NodeId, domain: &Rect) -> bool {
+    fn is_small(&self, tree: &SplitTree, leaf: NodeId) -> bool {
         let region = &tree.leaf(leaf).region;
         (0..self.dims).all(|d| {
             let eps = self.band.eps(d);
-            eps > 0.0 && region.clipped_extent(d, domain) < 2.0 * eps
+            eps > 0.0 && region.clipped_extent(d, &self.domain) < 2.0 * eps
         })
     }
 
     /// May the leaf still be split recursively in dimension `d`?
-    fn dim_allowed(&self, tree: &SplitTree, leaf: NodeId, domain: &Rect, d: usize) -> bool {
+    fn dim_allowed(&self, tree: &SplitTree, leaf: NodeId, d: usize) -> bool {
         let region = &tree.leaf(leaf).region;
         let eps = self.band.eps(d);
-        eps == 0.0 || region.clipped_extent(d, domain) >= 2.0 * eps
+        eps == 0.0 || region.clipped_extent(d, &self.domain) >= 2.0 * eps
     }
 
     fn leaf_estimates(&self, work: &LeafWork) -> (f64, f64, f64) {
@@ -1376,7 +1346,6 @@ impl<'a> OptimizerState<'a> {
         works: &mut [Option<LeafWork>],
         tree: &SplitTree,
         leaf: NodeId,
-        domain: &Rect,
     ) -> SplitSearchCounters {
         let work = works[leaf as usize].as_ref().expect("leaf work must exist");
         let (best, counters) = if work.is_small {
@@ -1389,8 +1358,8 @@ impl<'a> OptimizerState<'a> {
             )
         } else {
             match self.cfg.scorer {
-                SplitScorer::SweepLine => self.best_plane_split_sweep(tree, work, domain),
-                SplitScorer::BinarySearch => self.best_plane_split_reference(tree, work, domain),
+                SplitScorer::SweepLine => self.best_plane_split_sweep(tree, work),
+                SplitScorer::BinarySearch => self.best_plane_split_reference(tree, work),
             }
         };
         let work = works[leaf as usize].as_mut().expect("leaf work must exist");
@@ -1399,118 +1368,16 @@ impl<'a> OptimizerState<'a> {
     }
 
     /// Refresh the cached best splits of a batch of leaves — the optimizer's frontier
-    /// update after one split. Under a parallel context and the sweep-line scorer,
-    /// (leaf, dimension) projections are built and candidate chunks scored
-    /// concurrently; the reduction walks the results in (leaf, dimension, candidate)
-    /// order with the same strict-`>` comparison the sequential scan uses, so the
-    /// chosen splits are bit-identical for every thread count.
+    /// update after one split.
     fn refresh_leaves(
         &self,
         works: &mut [Option<LeafWork>],
         tree: &SplitTree,
         leaves: &[NodeId],
-        domain: &Rect,
     ) -> SplitSearchCounters {
         let mut counters = SplitSearchCounters::default();
-        let parallel_sweep = self.cfg.scorer == SplitScorer::SweepLine
-            && self.par.is_parallel()
-            && leaves.iter().any(|&leaf| {
-                works[leaf as usize]
-                    .as_ref()
-                    .is_some_and(|w| !w.is_small && w.points() >= MIN_PARALLEL_POINTS)
-            });
-        if !parallel_sweep {
-            for &leaf in leaves {
-                counters.merge(self.refresh_best(works, tree, leaf, domain));
-            }
-            return counters;
-        }
-
-        // Small leaves score their 1-Bucket grid in O(1); only regular leaves join
-        // the parallel sweep.
-        let mut plane: Vec<(NodeId, f64)> = Vec::new();
         for &leaf in leaves {
-            let work = works[leaf as usize].as_ref().expect("leaf work must exist");
-            counters.leaves_scored += 1;
-            if work.is_small {
-                let best = self.best_grid_increment(work);
-                works[leaf as usize].as_mut().expect("leaf work").best = best;
-            } else {
-                plane.push((leaf, self.leaf_variance(work)));
-            }
-        }
-        if plane.is_empty() {
-            return counters;
-        }
-
-        // (leaf, dimension) tasks, leaf-major with ascending dimensions — the order
-        // the sequential scan evaluates them in.
-        let mut tasks: Vec<(usize, usize)> = Vec::new();
-        for (pi, &(leaf, _)) in plane.iter().enumerate() {
-            for d in 0..self.dims {
-                if self.dim_allowed(tree, leaf, domain, d) {
-                    tasks.push((pi, d));
-                }
-            }
-        }
-
-        // Phase A: derive every task's sorted value arrays from the cached
-        // projections (one O(n) pass each, no sorting).
-        let works_ro: &[Option<LeafWork>] = works;
-        let arrays: Vec<DimArrays<'_>> = self.par.run(|| {
-            tasks
-                .par_iter()
-                .map(|&(pi, d)| {
-                    let leaf = plane[pi].0;
-                    let work = works_ro[leaf as usize].as_ref().expect("leaf work");
-                    let region = &tree.leaf(leaf).region;
-                    self.build_dim_arrays(work, region, d)
-                })
-                .collect()
-        });
-        counters.dims_scanned += tasks.len() as u64;
-        for a in &arrays {
-            counters.candidates_scored += a.windows() as u64;
-        }
-
-        // Phase B: sweep candidate chunks concurrently. Chunk boundaries only
-        // partition the work — every candidate's counts are pure functions of its
-        // boundary value — so the chunking cannot change the chosen split.
-        let threads = self.par.threads();
-        let mut chunk_tasks: Vec<(usize, usize, usize)> = Vec::new();
-        for (ai, a) in arrays.iter().enumerate() {
-            let wins = a.windows();
-            if wins == 0 {
-                continue;
-            }
-            let pieces = (wins / MIN_CANDIDATES_PER_CHUNK).clamp(1, threads * 2);
-            for (lo, hi) in chunk_ranges(wins, pieces) {
-                chunk_tasks.push((ai, lo, hi));
-            }
-        }
-        let chunk_bests: Vec<BestSplit> = self.par.run(|| {
-            chunk_tasks
-                .par_iter()
-                .map(|&(ai, lo, hi)| {
-                    let old_var = plane[tasks[ai].0].1;
-                    self.score_chunk(&arrays[ai], old_var, lo, hi)
-                })
-                .collect()
-        });
-
-        // Deterministic reduction in task/chunk order (= sequential candidate order).
-        let mut bests: Vec<BestSplit> = vec![BestSplit::none(); plane.len()];
-        for (&(ai, _, _), cand) in chunk_tasks.iter().zip(&chunk_bests) {
-            let pi = tasks[ai].0;
-            if cand.score > bests[pi].score {
-                bests[pi] = *cand;
-            }
-        }
-        // The sweep arrays borrow the leaves' cached projections; release them
-        // before writing the chosen splits back.
-        drop(arrays);
-        for (pi, &(leaf, _)) in plane.iter().enumerate() {
-            works[leaf as usize].as_mut().expect("leaf work").best = bests[pi];
+            counters.merge(self.refresh_best(works, tree, leaf));
         }
         counters
     }
@@ -1578,14 +1445,9 @@ impl<'a> OptimizerState<'a> {
                 bounds,
             }
         };
-        let points = self.s_sample.len() + self.t_sample.len() + self.o_sample.len();
-        let dims = if self.par.is_parallel() && self.dims > 1 && points >= MIN_PARALLEL_POINTS {
-            self.par
-                .run(|| (0..self.dims).into_par_iter().map(build).collect())
-        } else {
-            (0..self.dims).map(build).collect()
-        };
-        LeafProjections { dims }
+        LeafProjections {
+            dims: (0..self.dims).map(build).collect(),
+        }
     }
 
     /// Distribute a leaf's cached projections to the two children of a plane split
@@ -1600,7 +1462,6 @@ impl<'a> OptimizerState<'a> {
         dim: usize,
         value: f64,
         kind: SplitKind,
-        parallel: bool,
     ) -> (LeafProjections, LeafProjections) {
         let split_dim = |d: usize| -> (DimProjection, DimProjection) {
             let src = &proj.dims[d];
@@ -1659,103 +1520,57 @@ impl<'a> OptimizerState<'a> {
                 },
             )
         };
-        let pairs: Vec<(DimProjection, DimProjection)> = if parallel && self.dims > 1 {
-            self.par
-                .run(|| (0..self.dims).into_par_iter().map(split_dim).collect())
-        } else {
-            (0..self.dims).map(split_dim).collect()
-        };
-        let mut left = LeafProjections {
-            dims: Vec::with_capacity(self.dims),
-        };
-        let mut right = LeafProjections {
-            dims: Vec::with_capacity(self.dims),
-        };
-        for (l, r) in pairs {
-            left.dims.push(l);
-            right.dims.push(r);
-        }
-        (left, right)
+        let (left, right) = (0..self.dims).map(split_dim).unzip();
+        (
+            LeafProjections { dims: left },
+            LeafProjections { dims: right },
+        )
     }
 
-    /// Borrow one dimension's sweep arrays from a leaf's cached projections. This
-    /// materializes nothing: the sorted values, their band-shifted copies, and the
-    /// candidate boundaries all live in the cache and were split to this leaf in
-    /// lockstep when it was created.
-    fn build_dim_arrays<'w>(&self, work: &'w LeafWork, region: &Rect, dim: usize) -> DimArrays<'w> {
-        let proj = work
-            .proj
-            .as_ref()
-            .expect("sweep scorer requires cached projections");
-        let src = &proj.dims[dim];
-        DimArrays {
-            dim,
-            lo: region.lo(dim),
-            hi: region.hi(dim),
-            s_vals: &src.s.vals,
-            t_vals: &src.t.vals,
-            t_minus: &src.t.minus,
-            t_plus: &src.t.plus,
-            o_s: &src.o_s.vals,
-            s_minus: &src.s.minus,
-            s_plus: &src.s.plus,
-            o_t: &src.o_t.vals,
-            bounds: &src.bounds,
-        }
-    }
-
-    /// Score the candidate windows `[win_lo, win_hi)` of one dimension in a single
-    /// sweep: every left/right count is maintained by a pointer that advances
-    /// monotonically with the (non-decreasing) candidate values, so the whole chunk
-    /// costs O(windows + points) with zero per-candidate binary searches. The counts,
-    /// the arithmetic, and the strict-`>` comparison replicate the reference scorer
+    /// Score every candidate window of one dimension's cached projections (which
+    /// must hold at least two boundaries) in a single sweep: every left/right count
+    /// is maintained by a pointer that advances monotonically with the
+    /// (non-decreasing) candidate values, so the whole dimension costs
+    /// O(windows + points) with zero per-candidate binary searches. The counts, the
+    /// arithmetic, and the strict-`>` comparison replicate the reference scorer
     /// exactly, so the returned best split is bit-identical to its choice.
-    fn score_chunk(
-        &self,
-        a: &DimArrays<'_>,
-        old_var: f64,
-        win_lo: usize,
-        win_hi: usize,
-    ) -> BestSplit {
+    fn score_dim(&self, p: &DimProjection, dim: usize, region: &Rect, old_var: f64) -> BestSplit {
         let mut best = BestSplit::none();
-        if win_lo >= win_hi {
-            return best;
-        }
         let lm = &self.cfg.load_model;
         let w = self.cfg.workers;
         let symmetric = self.cfg.symmetric;
-        let ns = a.s_vals.len() as f64;
-        let nt = a.t_vals.len() as f64;
-        let no = a.o_s.len() as f64;
+        let ns = p.s.vals.len() as f64;
+        let nt = p.t.vals.len() as f64;
+        let no = p.o_s.vals.len() as f64;
 
-        // Initialize every pointer at the chunk's first candidate value; from there
-        // each only advances (candidate midpoints never decrease).
-        let x0 = 0.5 * (a.bounds[win_lo] + a.bounds[win_lo + 1]);
-        let mut ps = a.s_vals.partition_point(|&v| v < x0);
-        let mut ptm = a.t_minus.partition_point(|&v| v < x0);
-        let mut ptp = a.t_plus.partition_point(|&v| v < x0);
-        let mut pos = a.o_s.partition_point(|&v| v < x0);
+        // Initialize every pointer at the first candidate value; from there each only
+        // advances (candidate midpoints never decrease).
+        let x0 = 0.5 * (p.bounds[0] + p.bounds[1]);
+        let mut ps = p.s.vals.partition_point(|&v| v < x0);
+        let mut ptm = p.t.minus.partition_point(|&v| v < x0);
+        let mut ptp = p.t.plus.partition_point(|&v| v < x0);
+        let mut pos = p.o_s.vals.partition_point(|&v| v < x0);
         let (mut pt, mut psm, mut psp, mut pot) = if symmetric {
             (
-                a.t_vals.partition_point(|&v| v < x0),
-                a.s_minus.partition_point(|&v| v < x0),
-                a.s_plus.partition_point(|&v| v < x0),
-                a.o_t.partition_point(|&v| v < x0),
+                p.t.vals.partition_point(|&v| v < x0),
+                p.s.minus.partition_point(|&v| v < x0),
+                p.s.plus.partition_point(|&v| v < x0),
+                p.o_t.vals.partition_point(|&v| v < x0),
             )
         } else {
             (0, 0, 0, 0)
         };
 
-        for k in win_lo..win_hi {
-            let (b_lo, b_hi) = (a.bounds[k], a.bounds[k + 1]);
+        for k in 0..p.bounds.len() - 1 {
+            let (b_lo, b_hi) = (p.bounds[k], p.bounds[k + 1]);
             let x = 0.5 * (b_lo + b_hi);
-            if x <= a.lo || x >= a.hi || x <= b_lo || x >= b_hi {
+            if x <= region.lo(dim) || x >= region.hi(dim) || x <= b_lo || x >= b_hi {
                 continue;
             }
-            advance(a.s_vals, &mut ps, x);
-            advance(a.t_minus, &mut ptm, x);
-            advance(a.t_plus, &mut ptp, x);
-            advance(a.o_s, &mut pos, x);
+            advance(&p.s.vals, &mut ps, x);
+            advance(&p.t.minus, &mut ptm, x);
+            advance(&p.t.plus, &mut ptp, x);
+            advance(&p.o_s.vals, &mut pos, x);
 
             // --- T-split: S partitioned at x, T duplicated near x. ---
             {
@@ -1785,7 +1600,7 @@ impl<'a> OptimizerState<'a> {
                     best = BestSplit {
                         score,
                         action: SplitAction::Plane {
-                            dim: a.dim,
+                            dim,
                             value: x,
                             kind: SplitKind::TSplit,
                         },
@@ -1796,10 +1611,10 @@ impl<'a> OptimizerState<'a> {
 
             // --- S-split: T partitioned at x, S duplicated near x. ---
             if symmetric {
-                advance(a.t_vals, &mut pt, x);
-                advance(a.s_minus, &mut psm, x);
-                advance(a.s_plus, &mut psp, x);
-                advance(a.o_t, &mut pot, x);
+                advance(&p.t.vals, &mut pt, x);
+                advance(&p.s.minus, &mut psm, x);
+                advance(&p.s.plus, &mut psp, x);
+                advance(&p.o_t.vals, &mut pot, x);
                 let ntl = pt as f64;
                 let ntr = nt - ntl;
                 // S goes left iff s − ε_hi < x, right iff s + ε_lo ≥ x.
@@ -1826,7 +1641,7 @@ impl<'a> OptimizerState<'a> {
                     best = BestSplit {
                         score,
                         action: SplitAction::Plane {
-                            dim: a.dim,
+                            dim,
                             value: x,
                             kind: SplitKind::SSplit,
                         },
@@ -1844,26 +1659,31 @@ impl<'a> OptimizerState<'a> {
         &self,
         tree: &SplitTree,
         work: &LeafWork,
-        domain: &Rect,
     ) -> (BestSplit, SplitSearchCounters) {
         let old_var = self.leaf_variance(work);
         let region = &tree.leaf(work.node).region;
+        let proj = work
+            .proj
+            .as_ref()
+            .expect("sweep scorer requires cached projections");
         let mut best = BestSplit::none();
         let mut counters = SplitSearchCounters {
             leaves_scored: 1,
             ..SplitSearchCounters::default()
         };
         for dim in 0..self.dims {
-            if !self.dim_allowed(tree, work.node, domain, dim) {
+            if !self.dim_allowed(tree, work.node, dim) {
                 continue;
             }
-            let arrays = self.build_dim_arrays(work, region, dim);
+            let p = &proj.dims[dim];
             counters.dims_scanned += 1;
-            counters.candidates_scored += arrays.windows() as u64;
-            if arrays.windows() == 0 {
+            // Candidate windows: consecutive distinct-value pairs.
+            let windows = p.bounds.len().saturating_sub(1);
+            counters.candidates_scored += windows as u64;
+            if windows == 0 {
                 continue;
             }
-            let cand = self.score_chunk(&arrays, old_var, 0, arrays.windows());
+            let cand = self.score_dim(p, dim, region, old_var);
             if cand.score > best.score {
                 best = cand;
             }
@@ -1879,7 +1699,6 @@ impl<'a> OptimizerState<'a> {
         &self,
         tree: &SplitTree,
         work: &LeafWork,
-        domain: &Rect,
     ) -> (BestSplit, SplitSearchCounters) {
         let lm = &self.cfg.load_model;
         let w = self.cfg.workers;
@@ -1893,7 +1712,7 @@ impl<'a> OptimizerState<'a> {
         let region = &tree.leaf(work.node).region;
 
         for dim in 0..self.dims {
-            if !self.dim_allowed(tree, work.node, domain, dim) {
+            if !self.dim_allowed(tree, work.node, dim) {
                 continue;
             }
             counters.dims_scanned += 1;
@@ -2030,7 +1849,6 @@ impl<'a> OptimizerState<'a> {
     /// the cached sorted projections — both with stable linear partitions, so the
     /// work per split is proportional to the leaf's sample size). Returns the ids of
     /// the two new leaves; the caller refreshes their best splits.
-    #[allow(clippy::too_many_arguments)]
     fn apply_plane_split(
         &self,
         tree: &mut SplitTree,
@@ -2039,35 +1857,14 @@ impl<'a> OptimizerState<'a> {
         dim: usize,
         value: f64,
         kind: SplitKind,
-        domain: &Rect,
     ) -> (NodeId, NodeId) {
         let parent = works[leaf_id as usize]
             .take()
             .expect("parent leaf work must exist");
         let (left_id, right_id) = tree.split_leaf(leaf_id, dim, value, kind);
 
-        let mut left = LeafWork {
-            node: left_id,
-            s_pts: Vec::new(),
-            t_pts: Vec::new(),
-            o_pts: Vec::new(),
-            proj: None,
-            grid: BucketGrid::default(),
-            is_small: false,
-            best: BestSplit::none(),
-            version: 0,
-        };
-        let mut right = LeafWork {
-            node: right_id,
-            s_pts: Vec::new(),
-            t_pts: Vec::new(),
-            o_pts: Vec::new(),
-            proj: None,
-            grid: BucketGrid::default(),
-            is_small: false,
-            best: BestSplit::none(),
-            version: 0,
-        };
+        let mut left = LeafWork::new(left_id);
+        let mut right = LeafWork::new(right_id);
 
         match kind {
             SplitKind::TSplit => {
@@ -2124,8 +1921,8 @@ impl<'a> OptimizerState<'a> {
             }
         }
 
-        left.is_small = self.is_small(tree, left_id, domain);
-        right.is_small = self.is_small(tree, right_id, domain);
+        left.is_small = self.is_small(tree, left_id);
+        right.is_small = self.is_small(tree, right_id);
 
         // Distribute the cached projections to the non-small children (small leaves
         // never plane-split, so their arrays would be dead weight).
@@ -2134,8 +1931,7 @@ impl<'a> OptimizerState<'a> {
                 .proj
                 .as_ref()
                 .expect("regular leaf has cached projections");
-            let parallel = self.par.is_parallel() && parent.points() >= MIN_PARALLEL_POINTS;
-            let (lp, rp) = self.split_projections(proj, dim, value, kind, parallel);
+            let (lp, rp) = self.split_projections(proj, dim, value, kind);
             left.proj = (!left.is_small).then_some(lp);
             right.proj = (!right.is_small).then_some(rp);
         }
@@ -2202,7 +1998,7 @@ impl<'a> OptimizerState<'a> {
 
     fn finalize(&self, grown: GrownState, start: Instant) -> RecPartResult {
         let GrownState {
-            tree: mut grown_tree,
+            mut tree,
             undo_log,
             winner,
             iterations,
@@ -2221,68 +2017,22 @@ impl<'a> OptimizerState<'a> {
                 break;
             }
             match edit {
-                TreeEdit::Plane { leaf, prior } => grown_tree.undo_split(leaf, prior),
-                TreeEdit::Grid { leaf, prior } => grown_tree.set_leaf_grid(leaf, prior),
+                TreeEdit::Plane { leaf, prior } => tree.undo_split(leaf, prior),
+                TreeEdit::Grid { leaf, prior } => tree.set_leaf_grid(leaf, prior),
             }
         }
-        let mut tree = grown_tree;
-        tree.assign_partition_ids();
-        let router = CompiledRouter::compile(&tree, self.band, self.cfg.seed);
-
-        // Re-distribute the samples over the winning tree's leaves to obtain estimated
-        // per-partition loads (used by the executor's partition→worker mapping). The
-        // samples are re-routed through the compiled router in fixed-size chunks whose
-        // layout depends only on the sample length — each chunk produces *integer*
-        // per-partition counts, and integer addition is associative, so the combined
-        // counts (and the loads derived from them in one multiplication per
-        // partition) are bit-identical for every thread count.
-        let lm = &self.cfg.load_model;
-        let partitions = tree.num_partitions();
-        let count_side = |t_side: bool| -> Vec<u64> {
-            let sample = if t_side { self.t_sample } else { self.s_sample };
-            let count_range = |(lo, hi): (usize, usize)| -> Vec<u64> {
-                let mut counts = vec![0u64; partitions];
-                let mut stack = router.count_stack();
-                for i in lo..hi {
-                    if t_side {
-                        router.count_t(sample.key(i), i as u64, &mut stack, &mut counts);
-                    } else {
-                        router.count_s(sample.key(i), i as u64, &mut stack, &mut counts);
-                    }
-                }
-                counts
-            };
-            let ranges = chunk_ranges(sample.len(), sample.len().div_ceil(FINALIZE_CHUNK_TUPLES));
-            let parallel = self.par.is_parallel() && sample.len() >= MIN_PARALLEL_POINTS;
-            let partials: Vec<Vec<u64>> = if parallel {
-                self.par
-                    .run(|| ranges.clone().into_par_iter().map(count_range).collect())
-            } else {
-                ranges.iter().map(|&r| count_range(r)).collect()
-            };
-            let mut counts = vec![0u64; partitions];
-            for partial in partials {
-                for (acc, c) in counts.iter_mut().zip(partial) {
-                    *acc += c;
-                }
-            }
-            counts
-        };
-        let s_counts = count_side(false);
-        let t_counts = count_side(true);
-        let loads: Vec<f64> = s_counts
-            .iter()
-            .zip(&t_counts)
-            .map(|(&ns, &nt)| lm.beta_input * (self.ws * ns as f64 + self.wt * nt as f64))
-            .collect();
-
-        let leaves = tree.num_leaves();
+        let partitioner = SplitTreePartitioner::from_tree(
+            tree,
+            self.band.clone(),
+            self.cfg.seed,
+            self.cfg.strategy_name(),
+        );
         let report = OptimizationReport {
             strategy: self.cfg.strategy_name().to_string(),
             iterations,
             winning_iteration: winner.iteration,
-            leaves,
-            partitions,
+            leaves: partitioner.tree.num_leaves(),
+            partitions: partitioner.num_partitions(),
             estimated_total_input: winner.eval.total_input,
             estimated_dup_overhead: winner.eval.dup_overhead,
             estimated_load_overhead: winner.eval.load_overhead,
@@ -2294,14 +2044,6 @@ impl<'a> OptimizerState<'a> {
             split_search,
             evaluation: eval_counters,
             termination_reason,
-        };
-        let partitioner = SplitTreePartitioner {
-            tree,
-            band: self.band.clone(),
-            seed: self.cfg.seed,
-            name: self.cfg.strategy_name().to_string(),
-            estimated_loads: loads,
-            router,
         };
         RecPartResult {
             partitioner,
@@ -2556,19 +2298,6 @@ mod tests {
     }
 
     #[test]
-    fn estimated_loads_have_partition_length() {
-        let s = uniform_relation(1000, 1, 0.0, 100.0, 27);
-        let t = uniform_relation(1000, 1, 0.0, 100.0, 28);
-        let band = BandCondition::symmetric(&[1.0]);
-        let cfg = RecPartConfig::new(4).with_sample(small_sample_config());
-        let mut rng = StdRng::seed_from_u64(29);
-        let result = RecPart::new(cfg).optimize(&s, &t, &band, &mut rng);
-        let loads = result.partitioner.estimated_partition_loads().unwrap();
-        assert_eq!(loads.len(), result.partitioner.num_partitions());
-        assert!(loads.iter().all(|&l| l >= 0.0));
-    }
-
-    #[test]
     fn optimization_is_deterministic_given_seed() {
         let s = pareto_relation(2000, 2, 1.2, 30);
         let t = pareto_relation(2000, 2, 1.2, 31);
@@ -2638,11 +2367,6 @@ mod tests {
             a.partitioner.num_partitions(),
             b.partitioner.num_partitions(),
             "{label}: partitions"
-        );
-        assert_eq!(
-            a.partitioner.estimated_partition_loads(),
-            b.partitioner.estimated_partition_loads(),
-            "{label}: estimated loads"
         );
         assert_eq!(a.report.iterations, b.report.iterations, "{label}");
         assert_eq!(
@@ -2782,42 +2506,21 @@ mod tests {
             let s_sample = InputSample::draw(s, 200, &mut rng);
             let t_sample = InputSample::draw(t, 200, &mut rng);
             let o_sample = OutputSample::draw(s, t, band, &cfg.sample, &mut rng);
-            let state = OptimizerState {
-                cfg: &cfg,
+            let state = OptimizerState::new(
+                &cfg,
                 band,
-                dims: band.dims(),
-                s_len: s.len(),
-                t_len: t.len(),
-                ws: s_sample.weight(),
-                wt: t_sample.weight(),
-                wo: o_sample.weight(),
-                est_output: o_sample.estimated_output(),
-                s_sample: &s_sample,
-                t_sample: &t_sample,
-                o_sample: &o_sample,
-                par: Parallelism::Sequential,
-            };
+                s.len(),
+                t.len(),
+                &s_sample,
+                &t_sample,
+                &o_sample,
+            );
 
             let mut tree = SplitTree::new(band.dims());
-            let domain = state.domain_box();
             let root = tree.root();
-            let root_small = state.is_small(&tree, root, &domain);
             let mut works: Vec<Option<LeafWork>> = Vec::new();
-            OptimizerState::store_work(
-                &mut works,
-                LeafWork {
-                    node: root,
-                    s_pts: (0..s_sample.len() as u32).collect(),
-                    t_pts: (0..t_sample.len() as u32).collect(),
-                    o_pts: (0..o_sample.len() as u32).collect(),
-                    proj: (!root_small).then(|| state.build_root_projections()),
-                    grid: BucketGrid::default(),
-                    is_small: root_small,
-                    best: BestSplit::none(),
-                    version: 0,
-                },
-            );
-            state.refresh_leaves(&mut works, &tree, &[root], &domain);
+            OptimizerState::store_work(&mut works, state.root_work(&tree));
+            state.refresh_leaves(&mut works, &tree, &[root]);
 
             let mut ec = EvalCounters::default();
             let mut incremental = EvalLedger::default();
@@ -2870,9 +2573,8 @@ mod tests {
                 let best = works[leaf_id as usize].as_ref().unwrap().best;
                 match best.action {
                     SplitAction::Plane { dim, value, kind } => {
-                        let (l, r) = state.apply_plane_split(
-                            &mut tree, &mut works, leaf_id, dim, value, kind, &domain,
-                        );
+                        let (l, r) = state
+                            .apply_plane_split(&mut tree, &mut works, leaf_id, dim, value, kind);
                         incremental.apply_plane_split(
                             &state,
                             leaf_id,
@@ -2880,7 +2582,7 @@ mod tests {
                             works[r as usize].as_ref().unwrap(),
                             &mut ec,
                         );
-                        state.refresh_leaves(&mut works, &tree, &[l, r], &domain);
+                        state.refresh_leaves(&mut works, &tree, &[l, r]);
                     }
                     SplitAction::Grid { add_row } => {
                         let work = works[leaf_id as usize].as_mut().unwrap();
@@ -2896,7 +2598,7 @@ mod tests {
                             works[leaf_id as usize].as_ref().unwrap(),
                             &mut ec,
                         );
-                        state.refresh_leaves(&mut works, &tree, &[leaf_id], &domain);
+                        state.refresh_leaves(&mut works, &tree, &[leaf_id]);
                     }
                     SplitAction::None => break,
                 }
@@ -2961,64 +2663,41 @@ mod tests {
             let s_sample = InputSample::draw(s, 200, &mut rng);
             let t_sample = InputSample::draw(t, 200, &mut rng);
             let o_sample = OutputSample::draw(s, t, band, &cfg.sample, &mut rng);
-            let state = OptimizerState {
-                cfg: &cfg,
+            let state = OptimizerState::new(
+                &cfg,
                 band,
-                dims: band.dims(),
-                s_len: s.len(),
-                t_len: t.len(),
-                ws: s_sample.weight(),
-                wt: t_sample.weight(),
-                wo: o_sample.weight(),
-                est_output: o_sample.estimated_output(),
-                s_sample: &s_sample,
-                t_sample: &t_sample,
-                o_sample: &o_sample,
-                par: Parallelism::Sequential,
-            };
+                s.len(),
+                t.len(),
+                &s_sample,
+                &t_sample,
+                &o_sample,
+            );
 
             let mut tree = SplitTree::new(band.dims());
-            let domain = state.domain_box();
             let root = tree.root();
-            let root_small = state.is_small(&tree, root, &domain);
             let mut works: Vec<Option<LeafWork>> = Vec::new();
-            OptimizerState::store_work(
-                &mut works,
-                LeafWork {
-                    node: root,
-                    s_pts: (0..s_sample.len() as u32).collect(),
-                    t_pts: (0..t_sample.len() as u32).collect(),
-                    o_pts: (0..o_sample.len() as u32).collect(),
-                    proj: (!root_small).then(|| state.build_root_projections()),
-                    grid: BucketGrid::default(),
-                    is_small: root_small,
-                    best: BestSplit::none(),
-                    version: 0,
-                },
-            );
-            if root_small {
+            OptimizerState::store_work(&mut works, state.root_work(&tree));
+            let work = works[root as usize].as_ref().unwrap();
+            if work.is_small {
                 return;
             }
 
-            let work = works[root as usize].as_ref().unwrap();
-            let (sweep, sweep_counters) = state.best_plane_split_sweep(&tree, work, &domain);
-            let (reference, reference_counters) =
-                state.best_plane_split_reference(&tree, work, &domain);
+            let (sweep, sweep_counters) = state.best_plane_split_sweep(&tree, work);
+            let (reference, reference_counters) = state.best_plane_split_reference(&tree, work);
             prop_assert_eq!(sweep, reference, "root best split differs");
             prop_assert_eq!(sweep_counters, reference_counters, "root counters differ");
 
             // Apply the chosen split and compare the children, whose projections were
             // distributed incrementally rather than argsorted from scratch.
             if let SplitAction::Plane { dim, value, kind } = sweep.action {
-                let (l, r) =
-                    state.apply_plane_split(&mut tree, &mut works, root, dim, value, kind, &domain);
+                let (l, r) = state.apply_plane_split(&mut tree, &mut works, root, dim, value, kind);
                 for child in [l, r] {
                     let work = works[child as usize].as_ref().unwrap();
                     if work.is_small {
                         continue;
                     }
-                    let (sweep, _) = state.best_plane_split_sweep(&tree, work, &domain);
-                    let (reference, _) = state.best_plane_split_reference(&tree, work, &domain);
+                    let (sweep, _) = state.best_plane_split_sweep(&tree, work);
+                    let (reference, _) = state.best_plane_split_reference(&tree, work);
                     prop_assert_eq!(sweep, reference, "child best split differs");
                 }
             }

@@ -649,30 +649,6 @@ impl CompiledRouter {
         self.t_side
             .descend(self.root, key, tuple_id, &mut stack, |p| out.push(p));
     }
-
-    /// Count-only routing of one S-tuple: increment `counts[p]` for every partition
-    /// `p` the tuple is assigned to, materializing nothing. Used by the optimizer's
-    /// chunked load estimation, whose per-chunk integer counts make the combined
-    /// result independent of the chunk execution order.
-    #[inline]
-    pub fn count_s(&self, key: &[f64], tuple_id: u64, stack: &mut Vec<u32>, counts: &mut [u64]) {
-        self.s_side.descend(self.root, key, tuple_id, stack, |p| {
-            counts[p as usize] += 1;
-        });
-    }
-
-    /// Count-only routing of one T-tuple (see [`CompiledRouter::count_s`]).
-    #[inline]
-    pub fn count_t(&self, key: &[f64], tuple_id: u64, stack: &mut Vec<u32>, counts: &mut [u64]) {
-        self.t_side.descend(self.root, key, tuple_id, stack, |p| {
-            counts[p as usize] += 1;
-        });
-    }
-
-    /// A fresh descent stack for the `count_s`/`count_t` loops.
-    pub fn count_stack(&self) -> Vec<u32> {
-        self.stack()
-    }
 }
 
 /// Manual `Deserialize`: field-by-field like the derive would generate, plus the
@@ -716,8 +692,6 @@ mod tests {
         assert_eq!(router.num_partitions(), tree.num_partitions());
         let mut tree_out = Vec::new();
         let mut router_out = Vec::new();
-        let mut counts = vec![0u64; tree.num_partitions()];
-        let mut stack = router.count_stack();
         for i in 0..400u64 {
             let key = [i as f64 * 0.03];
             for t_side in [false, true] {
@@ -726,11 +700,9 @@ mod tests {
                 if t_side {
                     tree.route_t(&key, i, band, seed, &mut tree_out);
                     router.route_t(&key, i, &mut router_out);
-                    router.count_t(&key, i, &mut stack, &mut counts);
                 } else {
                     tree.route_s(&key, i, band, seed, &mut tree_out);
                     router.route_s(&key, i, &mut router_out);
-                    router.count_s(&key, i, &mut stack, &mut counts);
                 }
                 assert_eq!(
                     tree_out, router_out,
@@ -738,22 +710,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            counts.iter().sum::<u64>(),
-            {
-                let mut total = 0u64;
-                let mut buf = Vec::new();
-                for i in 0..400u64 {
-                    let key = [i as f64 * 0.03];
-                    buf.clear();
-                    tree.route_s(&key, i, band, seed, &mut buf);
-                    tree.route_t(&key, i, band, seed, &mut buf);
-                    total += buf.len() as u64;
-                }
-                total
-            },
-            "count-only routing must count every assignment"
-        );
     }
 
     #[test]

@@ -44,10 +44,12 @@
 //!
 //! # Forcing a kernel
 //!
-//! The environment variable `BAND_JOIN_ROUTE_KERNEL` overrides detection:
-//! `scalar`, `portable`, `avx2`, or `auto` (the default). Forcing a kernel the
-//! CPU does not support panics at first use rather than silently downgrading,
-//! so CI gates measure what they claim to measure.
+//! The environment variable `BAND_JOIN_KERNEL` overrides detection for every
+//! layer at once (the router and the join window below): `scalar`, `portable`,
+//! `avx2`, or `auto` (the default). Forcing a kernel the CPU does not support
+//! panics at first use rather than silently downgrading, so CI gates measure
+//! what they claim to measure. To force one layer alone, pass a kernel to its
+//! explicit `*_with` entry point.
 //!
 //! # Join kernels
 //!
@@ -59,7 +61,7 @@
 //! [`band_window_collect`]): scalar oracle, branchless portable, and AVX2
 //! masked compares with AND-accumulated per-dimension accept masks, popcount
 //! for output counting, and the same `pshufb` compress-store for pair
-//! materialization. The override variable is `BAND_JOIN_JOIN_KERNEL`.
+//! materialization.
 //!
 //! NaN semantics deliberately mirror [`BandCondition::matches`]: a pair is
 //! *rejected* iff `d < -ε_low || d > ε_high` for some dimension (`d = s − t`),
@@ -72,164 +74,95 @@ use crate::band::BandCondition;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Which routing kernel the batch descent uses. See the module docs for what
-/// each variant does and how [`RouteKernel::active`] picks one.
+/// Which kernel implementation a vectorized layer runs: the router's batch
+/// descent ([`RouteKernel`]) and the local join's window evaluation
+/// ([`JoinKernel`]) are the same three choices with the same detection and the
+/// same forcing contract, so they are one type under two names. See the module
+/// docs for what each variant does in each layer and how [`Kernel::active`]
+/// picks one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RouteKernel {
-    /// Per-tuple scalar descent (the baseline and bit-identity oracle).
+pub enum Kernel {
+    /// Per-tuple / per-candidate scalar code (the baseline and bit-identity oracle).
     Scalar,
-    /// Branchless portable batch kernels (any target).
+    /// Branchless portable kernels (any target).
     Portable,
-    /// AVX2 gather + compare + compress-store batch kernels (x86-64 only).
+    /// AVX2 kernels: gather + compare + compress-store for routing, masked
+    /// compare + popcount + compress-store for the join window (x86-64 only).
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
-impl RouteKernel {
+/// The kernel of the router's batch descent.
+pub type RouteKernel = Kernel;
+/// The kernel that evaluates the band condition over a local-join candidate window.
+pub type JoinKernel = Kernel;
+
+impl Kernel {
     /// The best kernel the current CPU supports, ignoring the environment.
-    pub fn detect() -> RouteKernel {
+    pub fn detect() -> Kernel {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                return RouteKernel::Avx2;
+                return Kernel::Avx2;
             }
         }
-        RouteKernel::Portable
+        Kernel::Portable
     }
 
-    /// The kernel the router uses, resolved once per process: the
-    /// `BAND_JOIN_ROUTE_KERNEL` environment variable if set (`scalar`,
-    /// `portable`, `avx2`, `auto`), otherwise [`RouteKernel::detect`].
+    /// The kernel every layer uses, resolved once per process: the
+    /// `BAND_JOIN_KERNEL` environment variable if set (see [`Kernel::forced`]),
+    /// otherwise [`Kernel::detect`].
     ///
     /// # Panics
     /// Panics if the variable names a kernel this CPU cannot run (or an
     /// unknown name) — a forced kernel that silently downgraded would make
     /// benchmark gates meaningless.
-    pub fn active() -> RouteKernel {
-        static ACTIVE: OnceLock<RouteKernel> = OnceLock::new();
-        *ACTIVE.get_or_init(|| match std::env::var("BAND_JOIN_ROUTE_KERNEL") {
-            Ok(v) => Self::from_name(&v).unwrap_or_else(|| {
-                panic!("BAND_JOIN_ROUTE_KERNEL={v:?} is not available (expected scalar, portable, avx2, or auto)")
-            }),
+    pub fn active() -> Kernel {
+        static ACTIVE: OnceLock<Kernel> = OnceLock::new();
+        *ACTIVE.get_or_init(|| match std::env::var("BAND_JOIN_KERNEL") {
+            Ok(v) => Self::forced(&v).unwrap_or_else(|e| panic!("BAND_JOIN_KERNEL: {e}")),
             Err(_) => Self::detect(),
         })
     }
 
-    /// Parse a kernel name; `None` if unknown or unsupported on this CPU.
-    pub fn from_name(name: &str) -> Option<RouteKernel> {
+    /// Parse a forced kernel name: `scalar`, `portable`, `avx2`, or `auto`
+    /// (= [`Kernel::detect`]), case-insensitive. An unknown name, or `avx2` on a
+    /// CPU without it, is an `Err` naming the accepted values — never a
+    /// downgrade.
+    pub fn forced(name: &str) -> Result<Kernel, String> {
         match name.to_ascii_lowercase().as_str() {
-            "scalar" => Some(RouteKernel::Scalar),
-            "portable" => Some(RouteKernel::Portable),
-            "auto" => Some(Self::detect()),
+            "scalar" => Ok(Kernel::Scalar),
+            "portable" => Ok(Kernel::Portable),
+            "auto" => Ok(Self::detect()),
             #[cfg(target_arch = "x86_64")]
-            "avx2" if std::arch::is_x86_feature_detected!("avx2") => Some(RouteKernel::Avx2),
-            _ => None,
+            "avx2" if std::arch::is_x86_feature_detected!("avx2") => Ok(Kernel::Avx2),
+            _ => Err(format!(
+                "kernel {name:?} is not available (expected scalar, portable, avx2, or auto)"
+            )),
         }
     }
 
     /// Every kernel the current CPU can run (always includes `Scalar` and
     /// `Portable`). Used by tests and benchmarks to sweep the whole matrix.
-    pub fn all_supported() -> Vec<RouteKernel> {
-        let mut all = vec![RouteKernel::Scalar, RouteKernel::Portable];
+    pub fn all_supported() -> Vec<Kernel> {
+        let mut all = vec![Kernel::Scalar, Kernel::Portable];
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                all.push(RouteKernel::Avx2);
+                all.push(Kernel::Avx2);
             }
         }
         all
     }
 
     /// Stable lowercase name (`scalar` / `portable` / `avx2`), accepted back
-    /// by [`RouteKernel::from_name`] and used in benchmark reports.
+    /// by [`Kernel::forced`] and used in benchmark reports.
     pub fn name(&self) -> &'static str {
         match self {
-            RouteKernel::Scalar => "scalar",
-            RouteKernel::Portable => "portable",
+            Kernel::Scalar => "scalar",
+            Kernel::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
-            RouteKernel::Avx2 => "avx2",
-        }
-    }
-}
-
-/// Which kernel evaluates the band condition over a candidate window of the
-/// local join. Mirrors [`RouteKernel`] (same detection, same forcing contract)
-/// with the `BAND_JOIN_JOIN_KERNEL` environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinKernel {
-    /// Per-candidate scalar evaluation (the baseline and bit-identity oracle).
-    Scalar,
-    /// Branchless portable window kernels (any target).
-    Portable,
-    /// AVX2 masked-compare + popcount + compress-store window kernels
-    /// (x86-64 only).
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl JoinKernel {
-    /// The best kernel the current CPU supports, ignoring the environment.
-    pub fn detect() -> JoinKernel {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return JoinKernel::Avx2;
-            }
-        }
-        JoinKernel::Portable
-    }
-
-    /// The kernel the local join uses, resolved once per process: the
-    /// `BAND_JOIN_JOIN_KERNEL` environment variable if set (`scalar`,
-    /// `portable`, `avx2`, `auto`), otherwise [`JoinKernel::detect`].
-    ///
-    /// # Panics
-    /// Panics if the variable names a kernel this CPU cannot run (or an
-    /// unknown name) — a forced kernel that silently downgraded would make
-    /// benchmark gates meaningless.
-    pub fn active() -> JoinKernel {
-        static ACTIVE: OnceLock<JoinKernel> = OnceLock::new();
-        *ACTIVE.get_or_init(|| match std::env::var("BAND_JOIN_JOIN_KERNEL") {
-            Ok(v) => Self::from_name(&v).unwrap_or_else(|| {
-                panic!("BAND_JOIN_JOIN_KERNEL={v:?} is not available (expected scalar, portable, avx2, or auto)")
-            }),
-            Err(_) => Self::detect(),
-        })
-    }
-
-    /// Parse a kernel name; `None` if unknown or unsupported on this CPU.
-    pub fn from_name(name: &str) -> Option<JoinKernel> {
-        match name.to_ascii_lowercase().as_str() {
-            "scalar" => Some(JoinKernel::Scalar),
-            "portable" => Some(JoinKernel::Portable),
-            "auto" => Some(Self::detect()),
-            #[cfg(target_arch = "x86_64")]
-            "avx2" if std::arch::is_x86_feature_detected!("avx2") => Some(JoinKernel::Avx2),
-            _ => None,
-        }
-    }
-
-    /// Every kernel the current CPU can run (always includes `Scalar` and
-    /// `Portable`). Used by tests and benchmarks to sweep the whole matrix.
-    pub fn all_supported() -> Vec<JoinKernel> {
-        let mut all = vec![JoinKernel::Scalar, JoinKernel::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                all.push(JoinKernel::Avx2);
-            }
-        }
-        all
-    }
-
-    /// Stable lowercase name (`scalar` / `portable` / `avx2`), accepted back
-    /// by [`JoinKernel::from_name`] and used in benchmark reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            JoinKernel::Scalar => "scalar",
-            JoinKernel::Portable => "portable",
-            #[cfg(target_arch = "x86_64")]
-            JoinKernel::Avx2 => "avx2",
+            Kernel::Avx2 => "avx2",
         }
     }
 }
@@ -1002,22 +935,38 @@ mod tests {
     #[test]
     fn kernel_names_round_trip() {
         for kernel in RouteKernel::all_supported() {
-            assert_eq!(RouteKernel::from_name(kernel.name()), Some(kernel));
+            assert_eq!(RouteKernel::forced(kernel.name()), Ok(kernel));
         }
-        assert_eq!(RouteKernel::from_name("auto"), Some(RouteKernel::detect()));
-        assert_eq!(RouteKernel::from_name("neon-someday"), None);
+        assert_eq!(RouteKernel::forced("auto"), Ok(RouteKernel::detect()));
+        assert!(RouteKernel::forced("neon-someday").is_err());
         assert!(RouteKernel::all_supported().contains(&RouteKernel::detect()));
     }
 
     #[test]
     fn join_kernel_names_round_trip() {
         for kernel in JoinKernel::all_supported() {
-            assert_eq!(JoinKernel::from_name(kernel.name()), Some(kernel));
+            assert_eq!(JoinKernel::forced(kernel.name()), Ok(kernel));
         }
-        assert_eq!(JoinKernel::from_name("auto"), Some(JoinKernel::detect()));
-        assert_eq!(JoinKernel::from_name("sse-someday"), None);
+        assert_eq!(JoinKernel::forced("auto"), Ok(JoinKernel::detect()));
+        assert!(JoinKernel::forced("sse-someday").is_err());
         assert!(JoinKernel::all_supported().contains(&JoinKernel::detect()));
         assert_ne!(JoinKernel::detect(), JoinKernel::Scalar);
+    }
+
+    /// The forcing contract `Kernel::active` panics on: a name that is unknown, or
+    /// a kernel this CPU cannot run, is an error that names the accepted values —
+    /// never a silent downgrade, which would void every forced-kernel gate.
+    #[test]
+    fn forcing_an_unknown_or_unsupported_kernel_is_an_error() {
+        let accepted = "expected scalar, portable, avx2, or auto";
+        let err = Kernel::forced("sse9").unwrap_err();
+        assert!(err.contains("sse9") && err.contains(accepted), "{err}");
+        assert!(Kernel::forced("").unwrap_err().contains(accepted));
+        if Kernel::detect() == Kernel::Portable {
+            // Off x86-64, or on x86-64 without AVX2.
+            assert!(Kernel::forced("avx2").unwrap_err().contains(accepted));
+        }
+        assert_eq!(Kernel::forced("AUTO"), Ok(Kernel::detect()));
     }
 
     /// `BandCondition::matches` on gathered keys — the join kernels' oracle.

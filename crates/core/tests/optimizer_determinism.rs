@@ -69,11 +69,6 @@ fn assert_bit_identical_except_eval_counters(a: &RecPartResult, b: &RecPartResul
         b.partitioner.num_partitions(),
         "{label}: partitions"
     );
-    assert_eq!(
-        a.partitioner.estimated_partition_loads(),
-        b.partitioner.estimated_partition_loads(),
-        "{label}: estimated partition loads"
-    );
     assert_eq!(a.report.strategy, b.report.strategy, "{label}");
     assert_eq!(a.report.iterations, b.report.iterations, "{label}");
     assert_eq!(

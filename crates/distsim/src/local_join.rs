@@ -19,7 +19,7 @@
 //! candidate window reads contiguous memory instead of gathering one cache-missing
 //! tuple at a time. The per-window evaluation dispatches through
 //! [`JoinKernel`] (`scalar` oracle / branchless `portable` / `avx2` masked compares;
-//! override with `BAND_JOIN_JOIN_KERNEL`, mirroring `BAND_JOIN_ROUTE_KERNEL`) — see
+//! override with `BAND_JOIN_KERNEL`, or pass one to a `*_with` entry point) — see
 //! [`recpart::simd`] for the kernel contract and NaN policy.
 //!
 //! Vectorized probes are processed in blocks: each block is sorted on dimension 0

@@ -298,37 +298,3 @@ fn scatter_policies_are_bit_identical_for_real_partitioners() {
         }
     }
 }
-
-/// RecPart's estimated per-partition loads (finalize's chunked sample re-routing)
-/// are bit-identical across thread counts.
-#[test]
-fn estimated_loads_are_thread_count_independent() {
-    let mut rng = StdRng::seed_from_u64(77);
-    let s = datagen::pareto_relation(20_000, 2, 1.4, &mut rng);
-    let t = datagen::pareto_relation(20_000, 2, 1.4, &mut rng);
-    let band = BandCondition::symmetric(&[0.5, 0.5]);
-    let cfg = RecPartConfig::new(24).with_sample(SampleConfig {
-        input_sample_size: 10_000,
-        output_sample_size: 2_000,
-        output_probe_count: 1_000,
-    });
-    let run = |threads: usize| {
-        let mut rng = StdRng::seed_from_u64(41);
-        RecPart::new(cfg.clone().with_threads(threads)).optimize(&s, &t, &band, &mut rng)
-    };
-    let sequential = run(1);
-    let seq_loads = sequential.partitioner.estimated_partition_loads().unwrap();
-    assert!(seq_loads.iter().any(|&l| l > 0.0));
-    for threads in [0usize, 4] {
-        let parallel = run(threads);
-        let par_loads = parallel.partitioner.estimated_partition_loads().unwrap();
-        assert_eq!(seq_loads.len(), par_loads.len());
-        for (i, (a, b)) in seq_loads.iter().zip(&par_loads).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "load of partition {i} differs at threads={threads}"
-            );
-        }
-    }
-}
