@@ -1,16 +1,24 @@
 //! Join-kernel smoke check (CI-guarding, not a paper table).
 //!
-//! Runs one candidate-heavy pareto-1d band-join (wide ε → large dimension-0 windows,
-//! so the per-window band evaluation dominates) through the index-nested-loop probe
-//! and **fails** (non-zero exit) if
+//! Runs two candidate-heavy pareto band-joins (wide ε₁ → large dimension-0 windows)
+//! through the index-nested-loop probe — 1-d, and 3-d with the same ε₁ — and
+//! **fails** (non-zero exit) if
 //!
-//! * any supported [`JoinKernel`] is not bit-identical to the scalar probe — same
-//!   pairs, same pair *order*, same `output` and `comparisons` — sequentially and
-//!   under chunked parallel probing on rayon pools of 1, all, and 4 threads, or
-//! * any vector kernel is slower than the scalar baseline (1.05 slack), or
-//! * on hardware with a vector unit, the auto-detected kernel does not beat the
-//!   scalar probe ≥ 1.3× (skipped with `--quick`, and when detection falls back to
-//!   the portable kernel — branchless scalar has no vector win to gate).
+//! * on either, any supported [`JoinKernel`] is not bit-identical to the scalar
+//!   probe — same pairs, same pair *order*, same `output` and `comparisons` —
+//!   sequentially and under chunked parallel probing on rayon pools of 1, all, and
+//!   4 threads, or
+//! * on the 3-d join, any vector kernel is slower than the scalar baseline (1.05
+//!   slack), or
+//! * on the 3-d join, on hardware with a vector unit, the auto-detected kernel does
+//!   not beat the scalar probe ≥ 1.3× (skipped with `--quick`, and when detection
+//!   falls back to the portable kernel — branchless scalar has no vector win to
+//!   gate).
+//!
+//! Only the 3-d join is timed: the sweep settles dimension 0 on the sorted column
+//! itself and the kernels evaluate dimensions `1..`, so on the 1-d join no kernel runs
+//! at all (every non-scalar "kernel" reads > 100× over the per-candidate scalar
+//! probe there, whatever it is) and a kernel-against-kernel gate would be blind.
 //!
 //! Every timing is the **minimum of three rounds**, so a noisy CI neighbour cannot
 //! fail the gate spuriously.
@@ -70,19 +78,19 @@ fn chunked_probe(
     (total, pairs)
 }
 
-fn main() {
-    let args = ExperimentArgs::from_env();
+/// One pareto workload: bit-identity of every kernel against the scalar probe and,
+/// when `timed`, the kernel-against-kernel timing gates. Failures append to `failures`.
+fn check_workload(args: &ExperimentArgs, dims: usize, timed: bool, failures: &mut Vec<String>) {
     let per_side: usize = if args.quick { 5_000 } else { 20_000 };
     let eps = 0.05;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let name = format!("pareto-{dims}d");
 
     let mut rng = StdRng::seed_from_u64(args.seed);
-    let s = pareto_relation(per_side, 1, 1.5, &mut rng);
-    let t = pareto_relation(per_side, 1, 1.5, &mut rng);
-    let band = BandCondition::symmetric(&[eps]);
+    let s = pareto_relation(per_side, dims, 1.5, &mut rng);
+    let t = pareto_relation(per_side, dims, 1.5, &mut rng);
+    let band = BandCondition::symmetric(&vec![eps; dims]);
     let side = SortedProbeSide::build_full(&t);
-
-    let mut failures: Vec<String> = Vec::new();
 
     // Scalar oracle: the verbatim per-probe loop, sequential.
     let mut scalar_pairs = Vec::new();
@@ -96,7 +104,7 @@ fn main() {
         Some(&mut scalar_pairs),
     );
     println!(
-        "workload: pareto-1d, |S|+|T| = {}, eps = {eps}, {} candidate comparisons, \
+        "workload: {name}, |S|+|T| = {}, eps = {eps}, {} candidate comparisons, \
          {} output pairs, {cores} cores",
         s.len() + t.len(),
         scalar.comparisons,
@@ -104,7 +112,7 @@ fn main() {
     );
     if scalar.comparisons < 10 * s.len() as u64 {
         failures.push(format!(
-            "workload not candidate-heavy: {} comparisons for {} probes",
+            "{name} not candidate-heavy: {} comparisons for {} probes",
             scalar.comparisons,
             s.len()
         ));
@@ -125,7 +133,7 @@ fn main() {
         );
         if res != scalar || pairs != scalar_pairs {
             failures.push(format!(
-                "kernel {} is not bit-identical to the scalar probe (sequential)",
+                "{name}: kernel {} is not bit-identical to the scalar probe (sequential)",
                 kernel.name()
             ));
         }
@@ -140,7 +148,7 @@ fn main() {
                 pool.install(|| chunked_probe(kernel, &s, &t, &side, &band, pieces));
             if chunked != scalar || chunked_pairs != scalar_pairs {
                 failures.push(format!(
-                    "kernel {} diverges under chunked probing (threads={threads}): \
+                    "{name}: kernel {} diverges under chunked probing (threads={threads}): \
                      output {} vs {}, comparisons {} vs {}",
                     kernel.name(),
                     chunked.output,
@@ -150,6 +158,9 @@ fn main() {
                 ));
             }
         }
+    }
+    if !timed {
+        return;
     }
 
     // --- Timing gates: count-only probe (the executor's non-materializing shape),
@@ -175,24 +186,32 @@ fn main() {
         let time = time_kernel(kernel);
         let speedup = scalar_time / time;
         println!(
-            "join kernel {}: best-of-{ROUNDS} {time:.4}s vs scalar {scalar_time:.4}s = {speedup:.2}x",
+            "{name} join kernel {}: best-of-{ROUNDS} {time:.4}s vs scalar {scalar_time:.4}s = {speedup:.2}x",
             kernel.name()
         );
         if time > scalar_time * 1.05 {
             failures.push(format!(
-                "join kernel {} slower than the scalar baseline: {time:.4}s vs \
+                "{name}: join kernel {} slower than the scalar baseline: {time:.4}s vs \
                  {scalar_time:.4}s over {ROUNDS} rounds",
                 kernel.name()
             ));
         }
         if !args.quick && kernel == detected && detected != JoinKernel::Portable && speedup < 1.3 {
             failures.push(format!(
-                "vectorized join kernel {} only {speedup:.2}x over scalar (< 1.3x) \
+                "{name}: vectorized join kernel {} only {speedup:.2}x over scalar (< 1.3x) \
                  over {ROUNDS} rounds",
                 kernel.name()
             ));
         }
     }
+}
+
+fn main() {
+    let args = ExperimentArgs::from_env();
+    let mut failures: Vec<String> = Vec::new();
+    // 1-d: no kernel runs once dimension 0 is settled, so bit-identity only.
+    check_workload(&args, 1, false, &mut failures);
+    check_workload(&args, 3, true, &mut failures);
 
     if failures.is_empty() {
         println!("join smoke: OK");

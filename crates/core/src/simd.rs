@@ -61,7 +61,10 @@
 //! [`band_window_collect`]): scalar oracle, branchless portable, and AVX2
 //! masked compares with AND-accumulated per-dimension accept masks, popcount
 //! for output counting, and the same `pshufb` compress-store for pair
-//! materialization.
+//! materialization. The `*_dims` forms take the probe-key, column and ε slices
+//! of the dimensions to test rather than a whole [`BandCondition`]: the local
+//! join settles dimension 0 on the sorted column itself and hands the kernels
+//! dimensions `1..` only.
 //!
 //! NaN semantics deliberately mirror [`BandCondition::matches`]: a pair is
 //! *rejected* iff `d < -ε_low || d > ε_high` for some dimension (`d = s − t`),
@@ -173,6 +176,9 @@ impl Kernel {
 /// including its NaN semantics (a NaN difference matches). Every kernel
 /// returns the same count; `Scalar` runs the literal per-candidate loop and is
 /// the oracle the vector kernels are held to.
+///
+/// # Panics
+/// As [`band_window_count_dims`], the band's dimensions being the ε slices.
 pub fn band_window_count(
     kernel: JoinKernel,
     sk: &[f64],
@@ -180,23 +186,17 @@ pub fn band_window_count(
     window: Range<usize>,
     band: &BandCondition,
 ) -> u64 {
-    debug_assert_eq!(sk.len(), cols.len());
-    debug_assert_eq!(sk.len(), band.dims());
-    debug_assert!(cols.iter().all(|c| window.end <= c.len()));
-    match kernel {
-        JoinKernel::Scalar | JoinKernel::Portable => {
-            portable::band_window_count(kernel, sk, cols, window, band)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
-        JoinKernel::Avx2 => unsafe { avx2::band_window_count(sk, cols, window, band) },
-    }
+    let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
+    band_window_count_dims(kernel, sk, cols, lo, hi, window)
 }
 
 /// [`band_window_count`] that additionally **appends** the matching positions
 /// (absolute indices into the columns, as `u32`, in window order) to `out`.
 /// Returns the number of matches appended. Every kernel appends the same
 /// positions in the same order.
+///
+/// # Panics
+/// As [`band_window_collect_dims`], the band's dimensions being the ε slices.
 pub fn band_window_collect(
     kernel: JoinKernel,
     sk: &[f64],
@@ -205,17 +205,94 @@ pub fn band_window_collect(
     band: &BandCondition,
     out: &mut Vec<u32>,
 ) -> u64 {
-    debug_assert_eq!(sk.len(), cols.len());
-    debug_assert_eq!(sk.len(), band.dims());
-    debug_assert!(cols.iter().all(|c| window.end <= c.len()));
-    debug_assert!(window.end <= u32::MAX as usize);
+    let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
+    band_window_collect_dims(kernel, sk, cols, lo, hi, window, out)
+}
+
+/// The vector kernels load with `get_unchecked`: these checks are what makes the
+/// safe entry points sound, so they hold in release builds too.
+fn assert_window_in_columns(
+    sk: &[f64],
+    cols: &[Vec<f64>],
+    eps_low: &[f64],
+    eps_high: &[f64],
+    window: &Range<usize>,
+) {
+    assert_eq!(sk.len(), cols.len(), "probe key vs candidate columns");
+    assert_eq!(sk.len(), eps_low.len(), "probe key vs ε_low");
+    assert_eq!(sk.len(), eps_high.len(), "probe key vs ε_high");
+    assert!(
+        cols.iter().all(|c| window.end <= c.len()),
+        "window {window:?} runs past a candidate column"
+    );
+}
+
+/// [`band_window_count`] over a caller-chosen run of dimensions: candidate `pos` is
+/// counted unless `d = sk[i] − cols[i][pos]` has `d < −eps_low[i] || d > eps_high[i]`
+/// for some `i`. The local join passes the slices of dimensions `1..` once it has
+/// settled dimension 0 on the sorted column itself; with no dimensions left every
+/// candidate of the window counts, and no kernel runs to say so.
+///
+/// # Panics
+/// Panics unless `sk`, `cols`, `eps_low` and `eps_high` have one length and
+/// `window.end` is within every column.
+pub fn band_window_count_dims(
+    kernel: JoinKernel,
+    sk: &[f64],
+    cols: &[Vec<f64>],
+    eps_low: &[f64],
+    eps_high: &[f64],
+    window: Range<usize>,
+) -> u64 {
+    assert_window_in_columns(sk, cols, eps_low, eps_high, &window);
+    if sk.is_empty() {
+        return window.len() as u64;
+    }
     match kernel {
         JoinKernel::Scalar | JoinKernel::Portable => {
-            portable::band_window_collect(kernel, sk, cols, window, band, out)
+            portable::band_window_count(kernel, sk, cols, eps_low, eps_high, window)
         }
         #[cfg(target_arch = "x86_64")]
-        // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
-        JoinKernel::Avx2 => unsafe { avx2::band_window_collect(sk, cols, window, band, out) },
+        // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`;
+        // the asserts above are the kernel's length and bounds contract.
+        JoinKernel::Avx2 => unsafe { avx2::band_window_count(sk, cols, eps_low, eps_high, window) },
+    }
+}
+
+/// [`band_window_collect`] over a caller-chosen run of dimensions (see
+/// [`band_window_count_dims`]).
+///
+/// # Panics
+/// As [`band_window_count_dims`], and if `window.end` exceeds `u32::MAX` (positions
+/// are appended as `u32`).
+pub fn band_window_collect_dims(
+    kernel: JoinKernel,
+    sk: &[f64],
+    cols: &[Vec<f64>],
+    eps_low: &[f64],
+    eps_high: &[f64],
+    window: Range<usize>,
+    out: &mut Vec<u32>,
+) -> u64 {
+    assert_window_in_columns(sk, cols, eps_low, eps_high, &window);
+    assert!(
+        window.end <= u32::MAX as usize,
+        "window {window:?} does not fit u32 positions"
+    );
+    if sk.is_empty() {
+        out.extend(window.start as u32..window.end as u32);
+        return window.len() as u64;
+    }
+    match kernel {
+        JoinKernel::Scalar | JoinKernel::Portable => {
+            portable::band_window_collect(kernel, sk, cols, eps_low, eps_high, window, out)
+        }
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`;
+        // the asserts above are the kernel's length and bounds contract.
+        JoinKernel::Avx2 => unsafe {
+            avx2::band_window_collect(sk, cols, eps_low, eps_high, window, out)
+        },
     }
 }
 
@@ -395,12 +472,12 @@ mod portable {
     }
 
     use super::JoinKernel;
-    use crate::band::BandCondition;
     use std::ops::Range;
 
     /// Does candidate `pos` match the probe key under the band condition? The
-    /// literal [`BandCondition::matches`] reject test (NaN difference matches)
-    /// — this expression is the oracle every join kernel is held to.
+    /// literal [`BandCondition::matches`](crate::BandCondition::matches) reject
+    /// test (NaN difference matches) — this expression is the oracle every join
+    /// kernel is held to.
     #[inline(always)]
     fn scalar_matches(sk: &[f64], cols: &[Vec<f64>], pos: usize, lo: &[f64], hi: &[f64]) -> bool {
         for d in 0..sk.len() {
@@ -435,10 +512,10 @@ mod portable {
         kernel: JoinKernel,
         sk: &[f64],
         cols: &[Vec<f64>],
+        lo: &[f64],
+        hi: &[f64],
         window: Range<usize>,
-        band: &BandCondition,
     ) -> u64 {
-        let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
         let mut n = 0u64;
         if kernel == JoinKernel::Scalar {
             for pos in window {
@@ -456,11 +533,11 @@ mod portable {
         kernel: JoinKernel,
         sk: &[f64],
         cols: &[Vec<f64>],
+        lo: &[f64],
+        hi: &[f64],
         window: Range<usize>,
-        band: &BandCondition,
         out: &mut Vec<u32>,
     ) -> u64 {
-        let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
         if kernel == JoinKernel::Scalar {
             let before = out.len();
             for pos in window {
@@ -668,7 +745,6 @@ mod avx2 {
         }
     }
 
-    use crate::band::BandCondition;
     use std::ops::Range;
 
     /// Reject mask of four candidates at positions `i..i+4`: for each
@@ -677,7 +753,7 @@ mod avx2 {
     /// across dimensions. The caller inverts (`^ 0xF`) to get the accept mask
     /// — equivalently, the AND-accumulation of the per-dimension accept masks
     /// — so a NaN difference matches, exactly like the scalar
-    /// [`BandCondition::matches`].
+    /// [`BandCondition::matches`](crate::BandCondition::matches).
     ///
     /// # Safety
     /// AVX2 must be available; `i + 4 <= cols[d].len()` and
@@ -721,15 +797,15 @@ mod avx2 {
 
     /// # Safety
     /// AVX2 must be available; `window.end <= cols[d].len()` for every
-    /// dimension and `sk.len() == cols.len() == band.dims()`.
+    /// dimension and `sk.len() == cols.len() == lo.len() == hi.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn band_window_count(
         sk: &[f64],
         cols: &[Vec<f64>],
+        lo: &[f64],
+        hi: &[f64],
         window: Range<usize>,
-        band: &BandCondition,
     ) -> u64 {
-        let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
         let mut n = 0u64;
         let mut i = window.start;
         while i + 4 <= window.end {
@@ -756,11 +832,11 @@ mod avx2 {
     pub(super) unsafe fn band_window_collect(
         sk: &[f64],
         cols: &[Vec<f64>],
+        lo: &[f64],
+        hi: &[f64],
         window: Range<usize>,
-        band: &BandCondition,
         out: &mut Vec<u32>,
     ) -> u64 {
-        let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
         out.reserve(window.len());
         let base = out.len();
         let first = out.as_mut_ptr().add(base);
@@ -1046,5 +1122,98 @@ mod tests {
                 assert_eq!(got, expected, "kernel {}", kernel.name());
             }
         }
+    }
+
+    /// The slice-taking entry points test exactly the dimensions they are handed —
+    /// the local join's `1..` — and, handed none, accept the whole window.
+    #[test]
+    fn dims_entry_points_test_only_the_dimensions_given() {
+        let (dims, n) = (4, 120);
+        let long = test_column(n + dims);
+        let cols: Vec<Vec<f64>> = (0..dims).map(|d| long[d..d + n].to_vec()).collect();
+        let (lo, hi) = ([0.4, 0.9, 0.0, 0.3], [0.7, 0.0, 1.3, 0.3]);
+        let sk = [0.5, -0.25, f64::NAN, 0.1];
+        for kernel in JoinKernel::all_supported() {
+            for from in 0..=dims {
+                let band = (from < dims)
+                    .then(|| BandCondition::try_asymmetric(&lo[from..], &hi[from..]).unwrap());
+                for window in [0..0, 3..4, 5..72, 0..n] {
+                    let expected = match &band {
+                        Some(band) => {
+                            reference_window(&sk[from..], &cols[from..], window.clone(), band)
+                        }
+                        None => window.clone().map(|pos| pos as u32).collect(),
+                    };
+                    let label = format!("kernel {} dims {from}.. {window:?}", kernel.name());
+                    let (sk, cols) = (&sk[from..], &cols[from..]);
+                    let (lo, hi) = (&lo[from..], &hi[from..]);
+                    let count = band_window_count_dims(kernel, sk, cols, lo, hi, window.clone());
+                    assert_eq!(count, expected.len() as u64, "{label}");
+                    let mut got = vec![7];
+                    let appended =
+                        band_window_collect_dims(kernel, sk, cols, lo, hi, window, &mut got);
+                    assert_eq!(appended, expected.len() as u64, "{label}");
+                    assert_eq!(got[0], 7, "{label}: clobbered the prefix");
+                    assert_eq!(&got[1..], expected.as_slice(), "{label}");
+                }
+            }
+        }
+    }
+
+    // The vector kernels load unchecked, so a malformed call from safe code must
+    // panic in the profile that ships: CI runs these with `--release` too.
+
+    #[test]
+    #[should_panic(expected = "probe key vs ε_low")]
+    fn count_panics_on_a_band_of_another_dimensionality() {
+        let cols = vec![vec![0.0; 8], vec![0.0; 8]];
+        let band = BandCondition::symmetric(&[1.0]);
+        band_window_count(JoinKernel::detect(), &[0.0, 0.0], &cols, 0..8, &band);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past a candidate column")]
+    fn collect_panics_on_a_window_past_a_short_column() {
+        let cols = vec![vec![0.0; 8], vec![0.0; 3]];
+        let band = BandCondition::symmetric(&[1.0, 1.0]);
+        band_window_collect(
+            JoinKernel::detect(),
+            &[0.0, 0.0],
+            &cols,
+            0..8,
+            &band,
+            &mut Vec::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "probe key vs ε_high")]
+    fn count_dims_panics_on_a_short_epsilon_slice() {
+        let cols = vec![vec![0.0; 8], vec![0.0; 8]];
+        let eps = [1.0, 1.0];
+        band_window_count_dims(
+            JoinKernel::detect(),
+            &[0.0, 0.0],
+            &cols,
+            &eps,
+            &eps[..1],
+            0..8,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past a candidate column")]
+    fn collect_dims_panics_on_a_window_past_a_short_column() {
+        let cols = vec![vec![0.0; 3]];
+        let mut out = Vec::new();
+        band_window_collect_dims(
+            JoinKernel::detect(),
+            &[0.0],
+            &cols,
+            &[1.0],
+            &[1.0],
+            4..8,
+            &mut out,
+        );
     }
 }

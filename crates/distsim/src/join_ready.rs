@@ -274,13 +274,32 @@ mod tests {
         <Relation as Deserialize>::from_value(&blob).expect("valid relation blob")
     }
 
+    /// The coordinates ties are made of, and the band widths [`eps`] pools.
+    fn pooled_coord() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.5f64),
+            Just(-1.0f64),
+            Just(0.0f64),
+            Just(-0.0f64),
+            Just(0.3f64)
+        ]
+    }
+
+    fn pooled_eps() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.1f64), Just(0.9f64)]
+    }
+
     /// Heavy ties, both zeros, both infinities and both NaN signs: negative NaN
     /// sorts first under `total_cmp` (the non-partitioned-window fallback),
-    /// positive NaN last, and NaN differences match the band condition.
+    /// positive NaN last, and NaN differences match the band condition. And `x ± ε`
+    /// of a pooled coordinate and a pooled band width: the bounds of `x`'s window,
+    /// where `v ≥ x − ε` and `x − v ≤ ε` can round apart (`0.3 − (0.3 + 0.1) < −0.1`).
     fn coord() -> impl Strategy<Value = f64> {
         prop_oneof![
             6 => -25.0f64..25.0,
-            4 => prop_oneof![Just(0.5f64), Just(-1.0f64), Just(0.0f64), Just(-0.0f64)],
+            4 => pooled_coord(),
+            3 => (pooled_coord(), pooled_eps(), any::<bool>())
+                .prop_map(|(x, eps, up)| if up { x + eps } else { x - eps }),
             1 => prop_oneof![
                 Just(f64::NAN),
                 Just(-f64::NAN),
@@ -301,7 +320,7 @@ mod tests {
     }
 
     fn eps() -> impl Strategy<Value = f64> {
-        prop_oneof![2 => Just(0.0f64), 1 => Just(-0.0f64), 5 => 0.0f64..8.0]
+        prop_oneof![2 => Just(0.0f64), 1 => Just(-0.0f64), 5 => 0.0f64..8.0, 2 => pooled_eps()]
     }
 
     /// Routes by tuple id alone: tuple `i` to partition `i % k`, every `copy_every`-th

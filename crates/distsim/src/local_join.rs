@@ -17,7 +17,7 @@
 //! gathers **every** join dimension into per-dimension arrays in
 //! sorted-by-dimension-0 order at build time, so evaluating the band condition over a
 //! candidate window reads contiguous memory instead of gathering one cache-missing
-//! tuple at a time. The per-window evaluation dispatches through
+//! tuple at a time. The per-window evaluation of dimensions `1..` dispatches through
 //! [`JoinKernel`] (`scalar` oracle / branchless `portable` / `avx2` masked compares;
 //! override with `BAND_JOIN_KERNEL`, or pass one to a `*_with` entry point) — see
 //! [`recpart::simd`] for the kernel contract and NaN policy.
@@ -31,15 +31,34 @@
 //! sorted once, by [`crate::join_ready`] — runs it over a whole partition with no
 //! blocks at all; [`probe_sorted`] is the verifier's join.
 //!
+//! # The dimension-0 trim
+//!
+//! A dimension-0 window is cut from the sorted column by `v ≥ s₀ − ε_high` and
+//! `v ≤ s₀ + ε_low`; [`BandCondition::matches`] tests `s₀ − v` instead, and the two
+//! can round apart (`0.3 − 0.4 < −0.1` although `0.4 ≤ 0.3 + 0.1`), so a window member
+//! is not yet a dimension-0 match. [`sweep_in_key_order`] settles that on the column
+//! itself rather than per candidate: the rounded difference `s₀ − v` is monotone
+//! non-increasing in `v` (correctly-rounded subtraction is monotone, and `−0.0`
+//! subtracts like `0.0`), so the members that pass `matches`' own dimension-0 test
+//! are one contiguous sub-range of the sorted window, found by stepping in from both
+//! ends with that literal test — usually zero or one step. What is left needs only
+//! dimensions `1..`: the [`JoinKernel`]s evaluate those, and a 1-d probe is answered
+//! by the sub-range's length without a kernel, in time independent of its output.
+//! The two cases the monotone window itself excludes — a negative-NaN-led column and
+//! a probe with a non-finite dimension-0 key — keep the binary-searched window and
+//! the kernels' full-dimension test. (DESIGN.md §7.)
+//!
 //! # Comparisons accounting
 //!
-//! [`LocalJoinResult::comparisons`] counts *candidate pairs whose full band condition
-//! was evaluated* — the size of every dimension-0 window. Vector kernels evaluate the
-//! same windows (they only batch the evaluation), so the count is **exactly** the
-//! scalar count for every kernel, and [`crate::machine::MachineModel`]-derived compute
-//! times are unchanged by kernel choice.
+//! [`LocalJoinResult::comparisons`] is the **size of every dimension-0 window** —
+//! the candidates the index hands the probe, which is what the scalar per-candidate
+//! loop tests one by one and what [`crate::machine::MachineModel`] charges compute
+//! time for. It is *not* the number of per-candidate tests a vector path executed
+//! (the trimmed sweep executes far fewer, none at all in 1-d): the count is
+//! **exactly** the scalar count for every kernel, so model-derived compute times are
+//! unchanged by kernel choice.
 
-use recpart::simd::{band_window_collect, band_window_count};
+use recpart::simd::{band_window_collect_dims, band_window_count_dims};
 use recpart::{BandCondition, JoinKernel, Relation};
 use serde::{Deserialize, Serialize};
 
@@ -59,8 +78,10 @@ pub enum LocalJoinAlgorithm {
 pub struct LocalJoinResult {
     /// Number of output pairs produced.
     pub output: u64,
-    /// Number of candidate pairs whose full band condition was evaluated. Identical
-    /// for every [`JoinKernel`] (see the module docs).
+    /// Candidate pairs the index handed the probes: the summed size of every
+    /// dimension-0 window (of all pairs, for the nested loop) — not the number of
+    /// per-candidate tests executed. Identical for every [`JoinKernel`] (see the
+    /// module docs).
     pub comparisons: u64,
 }
 
@@ -217,7 +238,9 @@ pub(crate) type MatchSlot = (usize, usize);
 /// The inner loop of every vector probe path: probe S-tuples that arrive in
 /// dimension-0 (`total_cmp`) order against the gathered T columns `cols` (`cols[0]`
 /// sorted), advancing **one** monotone dimension-0 window over the column instead of
-/// binary-searching per probe, and evaluating each window with the vector kernel.
+/// binary-searching per probe, trimming each window to its dimension-0 matches on the
+/// column itself, and evaluating dimensions `1..` of what is left with the kernel
+/// (module docs, "The dimension-0 trim").
 ///
 /// `probes` yields `(slot, S id)`. With `collect`, the matching column positions of
 /// every probe are appended to the first buffer (window order) and its
@@ -246,6 +269,7 @@ pub(crate) fn sweep_in_key_order(
     let vals = cols[0].as_slice();
     let n = vals.len();
     let neg_nan_first = vals.first().is_some_and(|v| v.is_nan());
+    let (eps_lo, eps_hi) = (band.eps_low_all(), band.eps_high_all());
     // The probe key is rebuilt into one reused buffer from the hoisted columns.
     let s_cols: Vec<&[f64]> = (0..s.dims()).map(|d| s.column(d)).collect();
     let mut sk = vec![0.0f64; s_cols.len()];
@@ -255,11 +279,12 @@ pub(crate) fn sweep_in_key_order(
             *k = col[si as usize];
         }
         let (lo, hi) = band.range_around_s(0, sk[0]);
-        let (start, end) = if neg_nan_first || !sk[0].is_finite() {
-            (
-                vals.partition_point(|&v| v < lo),
-                vals.partition_point(|&v| v <= hi),
-            )
+        // The dimension-0 window (what `comparisons` charges), the candidates still
+        // to test, and the first dimension they are still to be tested on.
+        let (window_len, untested, from_dim) = if neg_nan_first || !sk[0].is_finite() {
+            let start = vals.partition_point(|&v| v < lo);
+            let end = vals.partition_point(|&v| v <= hi);
+            (end - start, start..end, 0)
         } else {
             let (mut w_start, mut w_end) = window.unwrap_or_else(|| {
                 let first = vals.partition_point(|&v| v < lo);
@@ -275,17 +300,36 @@ pub(crate) fn sweep_in_key_order(
                 w_end += 1;
             }
             window = Some((w_start, w_end));
-            (w_start, w_end)
+            // The exact trim: `BandCondition::matches`' own dimension-0 reject test,
+            // inward from both ends (module docs, "The dimension-0 trim").
+            let rejects = |v: f64| {
+                let d = sk[0] - v;
+                d < -eps_lo[0] || d > eps_hi[0]
+            };
+            let (mut a, mut b) = (w_start, w_end);
+            while a < b && rejects(vals[a]) {
+                a += 1;
+            }
+            while a < b && rejects(vals[b - 1]) {
+                b -= 1;
+            }
+            (w_end - w_start, a..b, 1)
         };
-        result.comparisons += (end - start) as u64;
+        result.comparisons += window_len as u64;
+        // With dimension 0 settled a 1-d probe has no dimension left: the entry
+        // points answer it by the range's length and no kernel runs.
+        let d = from_dim;
+        let (sk_d, cols_d) = (&sk[d..], &cols[d..]);
+        let (lo_d, hi_d) = (&eps_lo[d..], &eps_hi[d..]);
         result.output += match collect.as_mut() {
             Some((matched, slots)) => {
                 let offset = matched.len();
-                let count = band_window_collect(kernel, &sk, cols, start..end, band, matched);
+                let count =
+                    band_window_collect_dims(kernel, sk_d, cols_d, lo_d, hi_d, untested, matched);
                 slots[slot] = (offset, count as usize);
                 count
             }
-            None => band_window_count(kernel, &sk, cols, start..end, band),
+            None => band_window_count_dims(kernel, sk_d, cols_d, lo_d, hi_d, untested),
         };
     }
     result

@@ -29,7 +29,8 @@ pub struct WorkerWork {
     pub input: u64,
     /// Output tuples produced.
     pub output: u64,
-    /// Candidate comparisons evaluated by the local join algorithm.
+    /// Candidate pairs the local join's index handed its probes — the summed
+    /// dimension-0 window sizes, not the per-candidate tests a kernel executed.
     pub comparisons: u64,
     /// Number of partitions (reduce tasks) processed.
     pub partitions: u64,

@@ -8,6 +8,10 @@
 //! On finite inputs, all algorithms additionally agree with the quadratic
 //! `NestedLoop` oracle on the produced pair *set*.
 //!
+//! The deterministic cases at the end sit on the edge of the sweep's exact
+//! dimension-0 trim (`local_join` module docs): window members the band test rejects,
+//! tie runs on the window bounds, signed zeros, infinities, and the two fallbacks.
+//!
 //! Non-finite keys cannot enter a [`Relation`] through `push` (debug builds assert
 //! finiteness at the ingest boundary); the documented NaN ingress is
 //! deserialization, so the adversarial relations here are built from serde blobs.
@@ -196,5 +200,229 @@ fn empty_sides_and_empty_windows() {
             let res = algo.join_full_with(kernel, &far_s, &far_t, &band, None);
             assert_eq!(res.output, 0, "{} kernel {}", algo.name(), kernel.name());
         }
+    }
+}
+
+/// Ties long enough to outlast a 1,024-probe block and any short inward step.
+const TIE_RUN: usize = 1_100;
+
+/// Relations whose dimension 0 is `s0` / `t0` and whose dimensions `1..dims` are a
+/// fixed pattern that the band `(0.5, 1.0)` accepts for four T values in five — so
+/// the kernels, handed dimensions `1..`, still have something to reject.
+fn edge_inputs(s0: &[f64], t0: &[f64], dims: usize) -> (Relation, Relation) {
+    let s_rows: Vec<Vec<f64>> = s0
+        .iter()
+        .map(|&v| std::iter::once(v).chain((1..dims).map(|_| 1.0)).collect())
+        .collect();
+    let t_rows: Vec<Vec<f64>> = t0
+        .iter()
+        .enumerate()
+        .map(|(j, &v)| {
+            std::iter::once(v)
+                .chain((1..dims).map(|d| ((j * 7 + d * 3) % 5) as f64 * 0.5))
+                .collect()
+        })
+        .collect();
+    (relation(&s_rows, dims), relation(&t_rows, dims))
+}
+
+/// Hold every kernel's index-nested-loop join — materializing and count-only — to
+/// the scalar per-candidate probe bit for bit and, when no NaN is involved (a NaN
+/// difference matches, but no dimension-0 window ever holds one), to the quadratic
+/// oracle's pair set. Returns the scalar result.
+fn assert_edge_case(
+    label: &str,
+    s0: &[f64],
+    t0: &[f64],
+    eps0: (f64, f64),
+    nested_loop_agrees: bool,
+) -> LocalJoinResult {
+    let mut one_d = LocalJoinResult::default();
+    for dims in 1..=4usize {
+        let (s, t) = edge_inputs(s0, t0, dims);
+        let eps_lo: Vec<f64> = std::iter::once(eps0.0)
+            .chain((1..dims).map(|_| 0.5))
+            .collect();
+        let eps_hi: Vec<f64> = std::iter::once(eps0.1)
+            .chain((1..dims).map(|_| 1.0))
+            .collect();
+        let band = BandCondition::try_asymmetric(&eps_lo, &eps_hi).unwrap();
+        let inl = LocalJoinAlgorithm::IndexNestedLoop;
+        let mut scalar_pairs = Vec::new();
+        let scalar = inl.join_full_with(JoinKernel::Scalar, &s, &t, &band, Some(&mut scalar_pairs));
+        if dims == 1 {
+            one_d = scalar;
+        }
+        if nested_loop_agrees {
+            let mut oracle_pairs = Vec::new();
+            let oracle =
+                LocalJoinAlgorithm::NestedLoop.join_full(&s, &t, &band, Some(&mut oracle_pairs));
+            assert_eq!(
+                scalar.output, oracle.output,
+                "{label} dims {dims}: nested loop"
+            );
+            let mut sorted = scalar_pairs.clone();
+            sorted.sort_unstable();
+            oracle_pairs.sort_unstable();
+            assert_eq!(
+                sorted, oracle_pairs,
+                "{label} dims {dims}: nested-loop pair set"
+            );
+        }
+        for kernel in JoinKernel::all_supported() {
+            let label = format!("{label} dims {dims} kernel {}", kernel.name());
+            let mut pairs = Vec::new();
+            let got = inl.join_full_with(kernel, &s, &t, &band, Some(&mut pairs));
+            assert_eq!(got, scalar, "{label}");
+            assert!(pairs == scalar_pairs, "{label}: pairs and pair order");
+            let counted = inl.join_full_with(kernel, &s, &t, &band, None);
+            assert_eq!(counted, scalar, "{label} count-only");
+        }
+    }
+    one_d
+}
+
+fn run(v: f64) -> impl Iterator<Item = f64> {
+    std::iter::repeat_n(v, TIE_RUN)
+}
+
+/// The edge of the exact dimension-0 trim: the window is cut by `v ≥ s − ε_high` /
+/// `v ≤ s + ε_low`, the band test by `s − v`, and the two round differently — here
+/// once at a window's upper end and once at its lower end. Runs of ties sit on both
+/// bounds, their neighbours one ulp either side, and every one of the tied probes
+/// steps in over a whole run.
+#[test]
+fn window_members_the_band_test_rejects_are_trimmed_exactly() {
+    for (s, eps, t) in [(0.3f64, 0.1f64, 0.4f64), (0.3, 0.9, -0.6000000000000001)] {
+        let band = BandCondition::symmetric(&[eps]);
+        let (lo, hi) = band.range_around_s(0, s);
+        assert!(t == lo || t == hi, "{t} bounds the window of {s}");
+        assert!(!band.matches(&[s], &[t]), "and the band test rejects it");
+        let t0: Vec<f64> = [
+            lo.next_down(),
+            lo.next_up(),
+            s,
+            hi.next_down(),
+            hi.next_up(),
+        ]
+        .into_iter()
+        .chain(run(lo))
+        .chain(run(hi))
+        .collect();
+        let s0: Vec<f64> = [s - 0.05, s + 0.05].into_iter().chain([s; 40]).collect();
+        let label = format!("s {s} eps {eps}: window member {t} rejected");
+        let got = assert_edge_case(&label, &s0, &t0, (eps, eps), true);
+        let rejected = got.comparisons - got.output;
+        assert!(rejected >= 40 * TIE_RUN as u64, "{label}: {rejected}");
+    }
+}
+
+/// Tie runs exactly on both window bounds of asymmetric bands, where the bounds are
+/// exact and the runs match: the trim must stop at once, at both ends.
+///
+/// (No T value sits one ulp *outside* a window here: `1.0 − (0.5 − 2⁻⁵⁴)` rounds to
+/// `0.5` and passes the band test, yet `0.5 − 2⁻⁵⁴ < 1.0 − 0.5` keeps it out of the
+/// window — of the scalar probe's too. That is the window's rounding, not the
+/// trim's, and the quadratic oracle would count the pair.)
+#[test]
+fn tie_runs_on_the_window_bounds_of_asymmetric_bands() {
+    for (s, eps_lo, eps_hi) in [
+        (1.0f64, 0.25f64, 0.5f64),
+        (-3.5, 0.0, 2.0),
+        (7.25, 1.5, 0.0),
+    ] {
+        let band = BandCondition::try_asymmetric(&[eps_lo], &[eps_hi]).unwrap();
+        let (lo, hi) = band.range_around_s(0, s);
+        let t0: Vec<f64> = [lo.next_up(), hi.next_down(), s]
+            .into_iter()
+            .chain(run(lo))
+            .chain(run(hi))
+            .collect();
+        let s0 = [s, s.next_down(), s.next_up(), lo, hi];
+        let label = format!("ties at [{lo}, {hi}]");
+        let got = assert_edge_case(&label, &s0, &t0, (eps_lo, eps_hi), true);
+        assert!(
+            got.output >= 2 * TIE_RUN as u64,
+            "{label}: both runs match s"
+        );
+    }
+}
+
+/// Both zeros in both inputs under ε = 0.0 and ε = −0.0: `total_cmp` sorts −0.0
+/// before 0.0, the band test calls them equal.
+#[test]
+fn signed_zeros_and_zero_width_bands() {
+    let tiny = f64::from_bits(1);
+    let t0: Vec<f64> = [-1.0, -tiny, tiny, 1.0]
+        .into_iter()
+        .chain(run(-0.0))
+        .chain(run(0.0))
+        .collect();
+    let s0 = [0.0, -0.0, tiny, -tiny, 1.0, -1.0];
+    for eps in [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, tiny)] {
+        let got = assert_edge_case(&format!("zeros, eps {eps:?}"), &s0, &t0, eps, true);
+        assert!(
+            got.output >= 4 * TIE_RUN as u64,
+            "either zero probes both runs"
+        );
+    }
+}
+
+/// ±inf in T: out of every finite probe's reach, except that a window bound can
+/// overflow to ±inf and take the run in — which the band test then rejects whole.
+#[test]
+fn infinities_in_t() {
+    let t0: Vec<f64> = [f64::MIN, -1.0, 0.0, 1.0, f64::MAX]
+        .into_iter()
+        .chain(run(f64::NEG_INFINITY))
+        .chain(run(f64::INFINITY))
+        .collect();
+    let s0 = [f64::MAX, f64::MIN, 0.0, 1.5, -1.5];
+    for eps in [(1.0, 1.0), (1e300, 1e300), (0.0, 1e300)] {
+        let band = BandCondition::try_asymmetric(&[eps.0], &[eps.1]).unwrap();
+        let got = assert_edge_case(&format!("inf in T, eps {eps:?}"), &s0, &t0, eps, true);
+        assert!(got.output < 20, "no infinity joins a finite probe");
+        if band.range_around_s(0, f64::MAX).1 == f64::INFINITY {
+            assert!(
+                got.comparisons >= TIE_RUN as u64,
+                "the +inf run was in a window"
+            );
+        }
+    }
+}
+
+/// The fallback: a −NaN-led sort column (every probe binary-searches a column its
+/// predicates do not partition) and non-finite probes on a clean column. Only the
+/// scalar probe is the oracle here — the quadratic one matches NaN differences that
+/// no dimension-0 window holds.
+#[test]
+fn nan_led_columns_and_non_finite_probes_take_the_fallback() {
+    let finite = [-2.0, -0.5, 0.0, 0.25, 0.5, 0.75, 3.0];
+    let probes = [
+        0.3,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.5,
+        -0.5,
+    ];
+    let clean: Vec<f64> = finite
+        .into_iter()
+        .chain([f64::INFINITY, f64::NEG_INFINITY, f64::NAN])
+        .chain(run(0.5))
+        .collect();
+    let nan_led: Vec<f64> = clean
+        .iter()
+        .copied()
+        .chain([-f64::NAN, -f64::NAN])
+        .collect();
+    for eps in [(0.25, 0.5), (0.0, 0.0)] {
+        let on_clean = assert_edge_case("non-finite probes", &probes, &clean, eps, false);
+        assert!(
+            on_clean.output >= TIE_RUN as u64,
+            "the finite probes still join"
+        );
+        assert_edge_case("-NaN-led column", &probes, &nan_led, eps, false);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Implements the subset used by this workspace: the [`proptest!`] macro,
 //! [`Strategy`] with range / `any::<T>()` / tuple / `prop::collection::vec`
-//! strategies, `ProptestConfig::with_cases`, and the `prop_assert*` macros.
+//! strategies and `prop_map`, `ProptestConfig::with_cases`, and the `prop_assert*` macros.
 //!
 //! Differences from the real crate, by design:
 //!
@@ -25,6 +25,29 @@ pub trait Strategy {
 
     /// Draw one value.
     fn sample(&self, rng: &mut StdRng) -> Self::Value;
+
+    /// The strategy that draws from `self` and applies `f` (mirrors
+    /// `Strategy::prop_map`).
+    fn prop_map<O, F: Fn(Self::Value) -> O>(self, f: F) -> Map<Self, F>
+    where
+        Self: Sized,
+    {
+        Map { source: self, f }
+    }
+}
+
+/// A strategy mapped through a function (built by [`Strategy::prop_map`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Map<S, F> {
+    source: S,
+    f: F,
+}
+
+impl<S: Strategy, O, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
+    type Value = O;
+    fn sample(&self, rng: &mut StdRng) -> O {
+        (self.f)(self.source.sample(rng))
+    }
 }
 
 impl<S: Strategy + ?Sized> Strategy for &S {
