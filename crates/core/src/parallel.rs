@@ -18,6 +18,7 @@
 //! order, so the thread count is a pure wall-clock knob.
 
 use rayon::ThreadPool;
+use std::sync::Arc;
 
 /// How a phase should run its work.
 #[derive(Debug, Clone, Copy)]
@@ -52,6 +53,39 @@ impl Parallelism<'_> {
         match self {
             Parallelism::Pool(pool) => pool.install(op),
             _ => op(),
+        }
+    }
+}
+
+/// Owner of what a `threads` setting needs to exist between calls: the bounded pool
+/// for `threads > 1`, built once so repeated `optimize` / `execute` calls do not pay
+/// pool construction, and nothing otherwise. Cloning shares the pool.
+#[derive(Debug, Clone)]
+pub struct Threads {
+    threads: usize,
+    pool: Option<Arc<ThreadPool>>,
+}
+
+impl Threads {
+    /// Build the holder for a three-way `threads` setting (see the module docs).
+    pub fn new(threads: usize) -> Self {
+        let pool = (threads > 1).then(|| {
+            Arc::new(
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("building the bounded thread pool"),
+            )
+        });
+        Threads { threads, pool }
+    }
+
+    /// The parallelism context work under this setting runs in.
+    pub fn parallelism(&self) -> Parallelism<'_> {
+        match self.threads {
+            1 => Parallelism::Sequential,
+            0 => Parallelism::Ambient,
+            _ => Parallelism::Pool(self.pool.as_ref().expect("pool exists when threads > 1")),
         }
     }
 }
@@ -97,21 +131,25 @@ mod tests {
     fn sequential_reports_one_thread() {
         assert_eq!(Parallelism::Sequential.threads(), 1);
         assert!(!Parallelism::Sequential.is_parallel());
+        assert!(!Threads::new(1).parallelism().is_parallel());
     }
 
     #[test]
     fn ambient_reports_at_least_one_thread() {
         assert!(Parallelism::Ambient.threads() >= 1);
         assert!(Parallelism::Ambient.is_parallel());
+        assert!(matches!(
+            Threads::new(0).parallelism(),
+            Parallelism::Ambient
+        ));
     }
 
     #[test]
     fn pool_bounds_threads_inside_run() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        let par = Parallelism::Pool(&pool);
+        // A clone of the holder shares its pool.
+        let holder = Threads::new(2).clone();
+        let par = holder.parallelism();
+        assert!(matches!(par, Parallelism::Pool(_)));
         assert_eq!(par.threads(), 2);
         let inside = par.run(rayon::current_num_threads);
         assert_eq!(inside, 2);

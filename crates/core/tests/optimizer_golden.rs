@@ -1,0 +1,328 @@
+//! Pinned optimizer runs: `optimizer_determinism` proves the sweep-line scorer and the
+//! incremental evaluator equal their oracles *within* a commit — scorer and oracle
+//! could still drift together. This file pins the absolute result of a handful of
+//! runs that between them cover both split kinds, gridded leaves, both termination
+//! rules and an asymmetric band, and holds every `(scorer, evaluator)` combination to
+//! the same numbers.
+//!
+//! Baseline provenance: recorded at commit `694e425` (the parent of the split of
+//! `recpart.rs` into modules) on the shim `rand::StdRng`. Re-baseline with
+//! `cargo test -p recpart --test optimizer_golden -- --ignored --nocapture` only for a
+//! change that is *meant* to alter the plan.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use recpart::split_tree::{Node, SplitKind};
+use recpart::{
+    BandCondition, Evaluator, RecPart, RecPartConfig, RecPartResult, Relation, SampleConfig,
+    SplitScorer,
+};
+
+/// The pinned part of an optimization result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Golden {
+    plan_signature: u64,
+    iterations: usize,
+    winning_iteration: usize,
+    leaves: usize,
+    partitions: usize,
+    candidates_scored: u64,
+    evaluations: u64,
+    total_input_bits: u64,
+    predicted_time_bits: u64,
+}
+
+impl Golden {
+    fn of(r: &RecPartResult) -> Self {
+        Golden {
+            plan_signature: r.partitioner.plan_signature(),
+            iterations: r.report.iterations,
+            winning_iteration: r.report.winning_iteration,
+            leaves: r.report.leaves,
+            partitions: r.report.partitions,
+            candidates_scored: r.report.split_search.candidates_scored,
+            evaluations: r.report.evaluation.evaluations,
+            total_input_bits: r.report.estimated_total_input.to_bits(),
+            predicted_time_bits: r.report.predicted_time.to_bits(),
+        }
+    }
+}
+
+fn pareto_relation(n: usize, dims: usize, z: f64, seed: u64) -> Relation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut r = Relation::with_capacity(dims, n);
+    let mut key = vec![0.0; dims];
+    for _ in 0..n {
+        for k in key.iter_mut() {
+            let u: f64 = rng.gen_range(0.0..1.0f64);
+            *k = (1.0 - u).powf(-1.0 / z);
+        }
+        r.push(&key);
+    }
+    r
+}
+
+fn uniform_relation(n: usize, dims: usize, lo: f64, hi: f64, seed: u64) -> Relation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut r = Relation::with_capacity(dims, n);
+    let mut key = vec![0.0; dims];
+    for _ in 0..n {
+        for k in key.iter_mut() {
+            *k = rng.gen_range(lo..hi);
+        }
+        r.push(&key);
+    }
+    r
+}
+
+/// `pareto_relation` mirrored at `pivot` in every dimension: where S is dense T is
+/// sparse, which is what makes partitioning T (an S-split) the cheaper role.
+fn reverse_pareto_relation(n: usize, dims: usize, z: f64, pivot: f64, seed: u64) -> Relation {
+    let mut r = Relation::with_capacity(dims, n);
+    for key in pareto_relation(n, dims, z, seed).iter() {
+        let mirrored: Vec<f64> = key.iter().map(|v| pivot - v).collect();
+        r.push(&mirrored);
+    }
+    r
+}
+
+fn sample_config() -> SampleConfig {
+    SampleConfig {
+        input_sample_size: 1_000,
+        output_sample_size: 500,
+        output_probe_count: 400,
+    }
+}
+
+struct Case {
+    name: &'static str,
+    s: Relation,
+    t: Relation,
+    band: BandCondition,
+    cfg: RecPartConfig,
+    rng_seed: u64,
+    golden: Golden,
+}
+
+fn cases() -> Vec<Case> {
+    let pareto_3d = || {
+        (
+            pareto_relation(3_000, 3, 1.5, 101),
+            pareto_relation(3_000, 3, 1.5, 102),
+            BandCondition::symmetric(&[0.3, 0.3, 0.3]),
+        )
+    };
+    let base = |workers: usize| RecPartConfig::new(workers).with_sample(sample_config());
+    let mut out = Vec::new();
+    for (name, cfg, golden) in [
+        ("pareto-3d/recpart/cost-model", base(8), GOLDEN[0]),
+        (
+            "pareto-3d/recpart-s/cost-model",
+            base(8).without_symmetric(),
+            GOLDEN[1],
+        ),
+        (
+            "pareto-3d/recpart/theoretical",
+            base(8).with_theoretical_termination(),
+            GOLDEN[2],
+        ),
+        (
+            "pareto-3d/recpart-s/theoretical",
+            base(8).without_symmetric().with_theoretical_termination(),
+            GOLDEN[3],
+        ),
+    ] {
+        let (s, t, band) = pareto_3d();
+        out.push(Case {
+            name,
+            s,
+            t,
+            band,
+            cfg,
+            rng_seed: 103,
+            golden,
+        });
+    }
+    out.push(Case {
+        name: "pareto-2d/asymmetric-band",
+        s: pareto_relation(3_000, 2, 1.3, 111),
+        t: pareto_relation(3_000, 2, 1.3, 112),
+        band: BandCondition::try_asymmetric(&[0.1, 0.4], &[0.5, 0.05]).unwrap(),
+        cfg: base(8),
+        rng_seed: 113,
+        golden: GOLDEN[4],
+    });
+    // The shape of `wide_band_triggers_small_partitions_and_grid_mode`.
+    out.push(Case {
+        name: "uniform-1d/wide-band",
+        s: uniform_relation(2_000, 1, 0.0, 10.0, 24),
+        t: uniform_relation(2_000, 1, 0.0, 10.0, 25),
+        band: BandCondition::symmetric(&[8.0]),
+        cfg: base(6),
+        rng_seed: 26,
+        golden: GOLDEN[5],
+    });
+    // Reverse skew: the shape of `exactly_once_with_symmetric_splits_on_skewed_data`.
+    out.push(Case {
+        name: "reverse-pareto-1d/s-splits",
+        s: pareto_relation(3_000, 1, 1.5, 121),
+        t: reverse_pareto_relation(3_000, 1, 1.5, 1_000.0, 122),
+        band: BandCondition::symmetric(&[5.0]),
+        cfg: base(4),
+        rng_seed: 123,
+        golden: GOLDEN[6],
+    });
+    out
+}
+
+fn run(case: &Case, scorer: SplitScorer, evaluator: Evaluator) -> RecPartResult {
+    let mut rng = StdRng::seed_from_u64(case.rng_seed);
+    let cfg = case
+        .cfg
+        .clone()
+        .with_threads(1)
+        .with_scorer(scorer)
+        .with_evaluator(evaluator);
+    RecPart::new(cfg).optimize(&case.s, &case.t, &case.band, &mut rng)
+}
+
+/// `(has an S-split, has a gridded leaf)` of the winning tree.
+fn tree_features(r: &RecPartResult) -> (bool, bool) {
+    let tree = r.partitioner.tree();
+    let (mut s_split, mut gridded) = (false, false);
+    for id in 0..tree.num_nodes() {
+        match tree.node(id as u32) {
+            Node::Inner(inner) => s_split |= inner.kind == SplitKind::SSplit,
+            Node::Leaf(leaf) => gridded |= leaf.grid.cells() > 1,
+        }
+    }
+    (s_split, gridded)
+}
+
+#[test]
+fn optimizer_results_are_pinned_for_every_scorer_and_evaluator() {
+    let (mut any_s_split, mut any_gridded) = (false, false);
+    for case in cases() {
+        for scorer in [SplitScorer::SweepLine, SplitScorer::BinarySearch] {
+            for evaluator in [Evaluator::Incremental, Evaluator::FullRecompute] {
+                let result = run(&case, scorer, evaluator);
+                assert_eq!(
+                    Golden::of(&result),
+                    case.golden,
+                    "{} under {scorer:?} / {evaluator:?}",
+                    case.name
+                );
+                let (s_split, gridded) = tree_features(&result);
+                any_s_split |= s_split;
+                any_gridded |= gridded;
+            }
+        }
+    }
+    assert!(any_s_split, "no pinned plan contains an S-split");
+    assert!(any_gridded, "no pinned plan contains a gridded leaf");
+}
+
+/// Run with `cargo test -p recpart --test optimizer_golden -- --ignored --nocapture`
+/// to print the current values when re-baselining after an intentional plan change.
+#[test]
+#[ignore = "baseline printer, not a check"]
+fn print_current_baseline() {
+    println!("const GOLDEN: [Golden; {}] = [", cases().len());
+    for case in cases() {
+        let result = run(&case, SplitScorer::SweepLine, Evaluator::Incremental);
+        let (s_split, gridded) = tree_features(&result);
+        println!(
+            "    // {} (S-split: {s_split}, gridded leaf: {gridded})",
+            case.name
+        );
+        println!("    {:#?},", Golden::of(&result));
+    }
+    println!("];");
+}
+
+const GOLDEN: [Golden; 7] = [
+    // pareto-3d/recpart/cost-model (S-split: true, gridded leaf: false)
+    Golden {
+        plan_signature: 13728948892840938574,
+        iterations: 40,
+        winning_iteration: 31,
+        leaves: 32,
+        partitions: 32,
+        candidates_scored: 35754,
+        evaluations: 41,
+        total_input_bits: 4666265775630188544,
+        predicted_time_bits: 4674976704604877619,
+    },
+    // pareto-3d/recpart-s/cost-model (S-split: false, gridded leaf: true)
+    Golden {
+        plan_signature: 9287882297538579105,
+        iterations: 39,
+        winning_iteration: 30,
+        leaves: 23,
+        partitions: 31,
+        candidates_scored: 28402,
+        evaluations: 40,
+        total_input_bits: 4667252037560303616,
+        predicted_time_bits: 4675356349477274256,
+    },
+    // pareto-3d/recpart/theoretical (S-split: true, gridded leaf: false)
+    Golden {
+        plan_signature: 6398579112287368337,
+        iterations: 19,
+        winning_iteration: 19,
+        leaves: 20,
+        partitions: 20,
+        candidates_scored: 31043,
+        evaluations: 20,
+        total_input_bits: 4665929325072089088,
+        predicted_time_bits: 4675347327984368354,
+    },
+    // pareto-3d/recpart-s/theoretical (S-split: false, gridded leaf: true)
+    Golden {
+        plan_signature: 4384136502374932661,
+        iterations: 14,
+        winning_iteration: 14,
+        leaves: 14,
+        partitions: 15,
+        candidates_scored: 24333,
+        evaluations: 15,
+        total_input_bits: 4666298760979021824,
+        predicted_time_bits: 4676134824325582684,
+    },
+    // pareto-2d/asymmetric-band (S-split: true, gridded leaf: true)
+    Golden {
+        plan_signature: 9945210626375404817,
+        iterations: 35,
+        winning_iteration: 23,
+        leaves: 18,
+        partitions: 27,
+        candidates_scored: 15280,
+        evaluations: 36,
+        total_input_bits: 4666948572351037440,
+        predicted_time_bits: 4676930118265822249,
+    },
+    // uniform-1d/wide-band (S-split: false, gridded leaf: true)
+    Golden {
+        plan_signature: 6003599413503962838,
+        iterations: 9,
+        winning_iteration: 3,
+        leaves: 1,
+        partitions: 6,
+        candidates_scored: 0,
+        evaluations: 10,
+        total_input_bits: 4666723172467343359,
+        predicted_time_bits: 4693850440743605589,
+    },
+    // reverse-pareto-1d/s-splits (S-split: true, gridded leaf: false)
+    Golden {
+        plan_signature: 13651898111956110070,
+        iterations: 512,
+        winning_iteration: 3,
+        leaves: 4,
+        partitions: 4,
+        candidates_scored: 2981,
+        evaluations: 513,
+        total_input_bits: 4663319084467748864,
+        predicted_time_bits: 4667822684095119360,
+    },
+];

@@ -34,7 +34,7 @@
 use crate::join_ready::{partition_tasks, JoinReadyInputs, ReadyPartition};
 use crate::machine::{MachineModel, WorkerWork};
 use crate::metrics::ShardStats;
-use crate::parallel::{chunk_ranges, Parallelism};
+use crate::parallel::{chunk_ranges, Parallelism, Threads};
 use crate::shuffle::{shuffle, try_shuffle, PartitionedIndex, ShuffleConfig, ShuffledInputs};
 use crate::supervise::{ShardError, SuperviseError, Supervision};
 use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
@@ -427,27 +427,17 @@ pub struct Executor {
     /// so that stays `Copy` ([`crate::shuffle::ShuffleConfig`] holds a spill-dir
     /// handle).
     shuffle_config: ShuffleConfig,
-    /// Thread pool for an explicit `threads > 1` bound, built once per executor so
-    /// repeated `execute` calls do not pay pool construction. `threads == 0` uses the
-    /// ambient rayon context; `threads == 1` bypasses rayon entirely.
-    pool: Option<std::sync::Arc<rayon::ThreadPool>>,
+    /// Holder of `config.threads`' pool, built once per executor.
+    threads: Threads,
 }
 
 impl Executor {
     /// Create an executor.
     pub fn new(config: ExecutorConfig) -> Self {
-        let pool = (config.threads > 1).then(|| {
-            std::sync::Arc::new(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(config.threads)
-                    .build()
-                    .expect("building the local-join thread pool"),
-            )
-        });
         Executor {
             config,
             shuffle_config: ShuffleConfig::default(),
-            pool,
+            threads: Threads::new(config.threads),
         }
     }
 
@@ -469,15 +459,6 @@ impl Executor {
         &self.config
     }
 
-    /// The parallelism context every phase runs under.
-    fn parallelism(&self) -> Parallelism<'_> {
-        match self.config.threads {
-            1 => Parallelism::Sequential,
-            0 => Parallelism::Ambient,
-            _ => Parallelism::Pool(self.pool.as_ref().expect("pool exists when threads > 1")),
-        }
-    }
-
     /// Run the map/shuffle phase alone: route every tuple of `s` and `t` through the
     /// partitioner and materialize per-partition input index lists, under this
     /// executor's `threads` setting. The index lists are bit-identical for every
@@ -489,7 +470,7 @@ impl Executor {
         t: &Relation,
     ) -> ShuffledInputs {
         let num_partitions = partitioner.num_partitions().max(1);
-        let (par, config) = (self.parallelism(), &self.shuffle_config);
+        let (par, config) = (self.threads.parallelism(), &self.shuffle_config);
         shuffle(partitioner, s, t, num_partitions, &par, config)
     }
 
@@ -507,7 +488,7 @@ impl Executor {
             return Ok(self.map_shuffle(partitioner, s, t));
         };
         let num_partitions = partitioner.num_partitions().max(1);
-        let (par, config) = (self.parallelism(), &self.shuffle_config);
+        let (par, config) = (self.threads.parallelism(), &self.shuffle_config);
         supervision.shuffle(|faults| {
             let faults = Some(faults);
             try_shuffle(partitioner, s, t, num_partitions, &par, config, faults)
@@ -676,7 +657,7 @@ impl Executor {
         policy: &mut ReducePolicy<'_>,
     ) -> Result<Reduced, SuperviseError> {
         let phase_start = Instant::now();
-        let par = self.parallelism();
+        let par = self.threads.parallelism();
         let (s, t) = (query.s, query.t);
         let mut prepared = None;
         let arenas = match arenas {
@@ -831,7 +812,7 @@ impl Executor {
             .join_seconds(total_input, &per_worker_work);
 
         // --- Verification (exact join chunked on the same rayon context). ---
-        let par = self.parallelism();
+        let par = self.threads.parallelism();
         // Over-decompose so the dynamic scheduler can balance probe chunks with
         // skewed per-tuple candidate counts (a dense head would otherwise gate the
         // whole phase as one static chunk per thread).

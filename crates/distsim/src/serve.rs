@@ -63,15 +63,11 @@ pub struct ServiceConfig {
     /// are what dominates a cached plan's footprint). The most recently
     /// inserted plan is always retained even if it alone exceeds the cap.
     pub cache_capacity_bytes: u64,
-    /// Run the reduce phase of every query (warm and cold) under the
-    /// supervision layer: shard isolation, retry/backoff, graceful
-    /// degradation.
-    pub supervised: bool,
-    /// Shard count of the supervised reduce (ignored when `supervised` is
-    /// off).
-    pub shards: usize,
-    /// Retry/backoff/degradation policy of the supervised reduce.
-    pub supervisor: SupervisorConfig,
+    /// `Some((shards, policy))` runs the reduce phase of every query (warm and
+    /// cold) under the supervision layer — shard isolation over `shards` shard
+    /// workers, and `policy`'s retry/backoff and graceful degradation; `None`
+    /// runs it on the plain pool.
+    pub supervised: Option<(usize, SupervisorConfig)>,
     /// Verification level of every response's report. Defaults to
     /// [`VerificationLevel::None`]: `Count` and `FullPairs` run a full
     /// unpartitioned exact join per response — an audit mode, opted into with
@@ -97,9 +93,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             cache_capacity_bytes: 256 << 20,
-            supervised: false,
-            shards: 4,
-            supervisor: SupervisorConfig::default(),
+            supervised: None,
             verification: VerificationLevel::None,
             threads: 0,
             seed: 0x5EED_0001,
@@ -126,9 +120,7 @@ impl ServiceConfig {
 
     /// Run every reduce under supervision with `shards` shard workers.
     pub fn with_supervised(mut self, shards: usize, supervisor: SupervisorConfig) -> Self {
-        self.supervised = true;
-        self.shards = shards;
-        self.supervisor = supervisor;
+        self.supervised = Some((shards, supervisor));
         self
     }
 
@@ -450,10 +442,9 @@ impl BandJoinService {
         let exec = &self.executors[exec_idx].1;
         // The policy this service's configuration implies; `shards == 0` is caught
         // here, before the lookup counts anything.
-        let mut policy = if self.config.supervised {
-            ReducePolicy::supervised(self.config.shards, &self.config.supervisor, faults)?
-        } else {
-            ReducePolicy::Pool
+        let mut policy = match &self.config.supervised {
+            Some((shards, supervisor)) => ReducePolicy::supervised(*shards, supervisor, faults)?,
+            None => ReducePolicy::Pool,
         };
         let key = PlanKey::new(
             self.s.generation(),
