@@ -38,8 +38,9 @@ impl Default for Termination {
 ///
 /// Both scorers evaluate the identical candidate set with identical arithmetic and
 /// pick **bit-identical** best splits; they differ only in asymptotic cost. The
-/// binary-search variant is kept as the measured baseline for `benches/optimize.rs`
-/// and as the oracle of the sweep-line property tests.
+/// binary-search variant is kept as the oracle of the sweep-line property tests,
+/// `optimizer_determinism` and `optimizer_golden`, and as the baseline the optimizer
+/// gate of `exp_parallel_smoke` times the sweep against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SplitScorer {
     /// One merged sweep over cached, incrementally maintained sorted projections:
@@ -58,9 +59,10 @@ pub enum SplitScorer {
 ///
 /// Both evaluators compute **bit-identical** evaluations from the same per-leaf
 /// cost ledger; they differ only in how the ledger reaches its next state. The
-/// full-recompute variant is kept as the measured baseline of `benches/optimize.rs`
-/// and as the oracle of the incremental-evaluation property tests, mirroring
-/// [`SplitScorer::BinarySearch`].
+/// full-recompute variant is kept as the oracle of the incremental-evaluation
+/// property tests, `optimizer_determinism` and `optimizer_golden`, and as the
+/// baseline the evaluator gate of `exp_parallel_smoke` times the ledger against,
+/// mirroring [`SplitScorer::BinarySearch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Evaluator {
     /// Delta evaluation: applying a split removes only the split leaf's cells and

@@ -327,8 +327,8 @@ impl RecPart {
         state.finalize(state.grow(), start)
     }
 
-    /// Benchmark / CI-gate support, **not a public API**: grow the split tree to
-    /// termination once, then hand back a harness that re-runs the post-split
+    /// CI-gate support (`exp_parallel_smoke`), **not a public API**: grow the split
+    /// tree to termination once, then hand back a harness that re-runs the post-split
     /// evaluation of the final optimizer state on demand — under
     /// [`Evaluator::Incremental`](crate::config::Evaluator::Incremental) each call
     /// replays only the ledger's LPT mapping and sums, under
@@ -361,7 +361,7 @@ impl RecPart {
 }
 
 /// Repeated-evaluation harness returned by [`RecPart::evaluation_bench`]
-/// (benchmark / CI-gate support, not a public API).
+/// (CI-gate support, not a public API).
 #[doc(hidden)]
 pub struct EvaluationBench<'a> {
     state: OptimizerState<'a>,
@@ -369,7 +369,8 @@ pub struct EvaluationBench<'a> {
 }
 
 impl EvaluationBench<'_> {
-    /// Number of leaves of the fully grown tree (benches gate on tree depth).
+    /// Number of leaves of the fully grown tree (`exp_parallel_smoke`'s evaluator
+    /// gate asks for a deep tree before it demands a speedup).
     pub fn leaves(&self) -> usize {
         self.grown.tree.num_leaves()
     }

@@ -152,8 +152,8 @@ impl OptimizerState<'_> {
     /// Best hyperplane split of a regular leaf under `scorer`: the first maximum, in
     /// (dimension, candidate, T-split before S-split) order, of every candidate's
     /// score. Both scorers return the same [`BestSplit`] and the same counters bit
-    /// for bit — the reference is the measured baseline of `benches/optimize.rs` and
-    /// the oracle of the property tests.
+    /// for bit — the reference is the oracle of the property tests and
+    /// `optimizer_golden`, and the baseline of `exp_parallel_smoke`'s optimizer gate.
     pub(super) fn best_plane_split(
         &self,
         tree: &SplitTree,

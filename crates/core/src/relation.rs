@@ -26,7 +26,6 @@
 //! deterministically (NaN last) instead of panicking or producing
 //! implementation-defined order.
 
-use crate::storage::{Storage, StorageMode};
 use serde::{Deserialize, Serialize, Value};
 use std::ops::Deref;
 
@@ -34,12 +33,6 @@ use std::ops::Deref;
 ///
 /// Tuples are identified by their index in insertion order (`0..len`). See the
 /// module docs for the storage layout and the non-finite-key policy.
-///
-/// Columns are heap `Vec<f64>`s by default; [`Relation::with_capacity_in`]
-/// backs them by memory-mapped spill files instead (fixed capacity, see
-/// [`crate::storage`]) so out-of-core inputs never occupy the heap. Either way
-/// [`Relation::column`] hands out the same `&[f64]` view, so no call site can
-/// tell the difference.
 #[derive(Debug, Clone)]
 pub struct Relation {
     len: usize,
@@ -48,7 +41,7 @@ pub struct Relation {
     /// it so a mutated dataset can never serve a stale cached arena.
     generation: u64,
     /// One contiguous value buffer per join dimension; all of length `len`.
-    columns: Vec<Storage<f64>>,
+    columns: Vec<Vec<f64>>,
 }
 
 /// Equality is over the *contents* (dimensionality and column values), not the
@@ -125,28 +118,18 @@ impl Relation {
         Relation {
             len: 0,
             generation: 0,
-            columns: vec![Storage::new(); dims],
+            columns: vec![Vec::new(); dims],
         }
     }
 
     /// Create an empty relation with pre-allocated space for `capacity` tuples.
     pub fn with_capacity(dims: usize, capacity: usize) -> Self {
-        Relation::with_capacity_in(dims, capacity, &StorageMode::Heap)
-    }
-
-    /// Create an empty relation with room for `capacity` tuples whose columns
-    /// live in the given [`StorageMode`] — [`StorageMode::Spill`] backs every
-    /// column by a memory-mapped spill file instead of the heap, in which case
-    /// the capacity is a hard bound (spill storage is fixed-size; see
-    /// [`crate::storage::MappedVec`]).
-    pub fn with_capacity_in(dims: usize, capacity: usize, mode: &StorageMode) -> Self {
         assert!(dims > 0, "a relation needs at least one join attribute");
         Relation {
             len: 0,
             generation: 0,
-            columns: (0..dims)
-                .map(|_| Storage::with_capacity_in(capacity, mode))
-                .collect(),
+            // Not `vec![..; dims]`: cloning an empty `Vec` drops its capacity.
+            columns: (0..dims).map(|_| Vec::with_capacity(capacity)).collect(),
         }
     }
 
@@ -170,14 +153,7 @@ impl Relation {
         );
         let len = data.len() / dims;
         let columns = (0..dims)
-            .map(|d| {
-                data.iter()
-                    .skip(d)
-                    .step_by(dims)
-                    .copied()
-                    .collect::<Vec<f64>>()
-                    .into()
-            })
+            .map(|d| data.iter().skip(d).step_by(dims).copied().collect())
             .collect();
         Relation {
             len,
@@ -195,7 +171,7 @@ impl Relation {
         Relation {
             len: values.len(),
             generation: values.len() as u64,
-            columns: vec![values.to_vec().into()],
+            columns: vec![values.to_vec()],
         }
     }
 
@@ -284,17 +260,7 @@ impl Relation {
     /// The contiguous value column of dimension `dim` (length [`Relation::len`]).
     #[inline]
     pub fn column(&self, dim: usize) -> &[f64] {
-        self.columns[dim].as_slice()
-    }
-
-    /// Whether the columns are backed by memory-mapped spill files.
-    pub fn is_spilled(&self) -> bool {
-        self.columns.iter().any(Storage::is_mapped)
-    }
-
-    /// Bytes of column data held by this relation (heap or spill-backed).
-    pub fn column_bytes(&self) -> u64 {
-        self.columns.iter().map(Storage::bytes).sum()
+        &self.columns[dim]
     }
 
     /// Iterate over all tuple keys in insertion order (each an owned [`Key`]).
@@ -336,8 +302,7 @@ impl Relation {
         )
     }
 
-    /// Create a new relation containing the tuples at the given indices, in order
-    /// (always heap-backed: projections are small working sets, e.g. samples).
+    /// Create a new relation containing the tuples at the given indices, in order.
     pub fn project(&self, indices: &[usize]) -> Relation {
         Relation {
             len: indices.len(),
@@ -345,7 +310,7 @@ impl Relation {
             columns: self
                 .columns
                 .iter()
-                .map(|col| indices.iter().map(|&i| col[i]).collect::<Vec<f64>>().into())
+                .map(|col| indices.iter().map(|&i| col[i]).collect())
                 .collect(),
         }
     }
@@ -430,14 +395,7 @@ impl Deserialize for Relation {
         }
         let len = data.len() / dims;
         let columns = (0..dims)
-            .map(|d| {
-                data.iter()
-                    .skip(d)
-                    .step_by(dims)
-                    .copied()
-                    .collect::<Vec<f64>>()
-                    .into()
-            })
+            .map(|d| data.iter().skip(d).step_by(dims).copied().collect())
             .collect();
         Ok(Relation {
             len,
@@ -625,7 +583,6 @@ mod tests {
         let r = Relation::with_capacity(4, 100);
         assert!(r.is_empty());
         assert_eq!(r.dims(), 4);
-        assert!(!r.is_spilled());
     }
 
     /// Every mutation strictly increases the generation, bulk constructors seed
@@ -658,31 +615,5 @@ mod tests {
         assert_eq!(back, r);
         assert_eq!(back.generation(), back.len() as u64);
         assert_eq!(r.clone().generation(), r.generation());
-    }
-
-    /// A spill-backed relation must be observationally identical to a heap one:
-    /// same keys, columns, argsorts, flattening — the whole `Storage` point.
-    #[test]
-    fn spilled_relation_matches_heap_relation() {
-        use crate::storage::{SpillDir, StorageMode};
-        let dir = SpillDir::in_temp("relation-tests").expect("spill dir");
-        let mode = StorageMode::Spill(dir);
-        let n = 500;
-        let mut heap = Relation::with_capacity(2, n);
-        let mut spilled = Relation::with_capacity_in(2, n, &mode);
-        for i in 0..n {
-            let key = [i as f64 * 0.5, (n - i) as f64];
-            heap.push(&key);
-            spilled.push(&key);
-        }
-        assert!(spilled.is_spilled());
-        assert_eq!(spilled.column_bytes(), 2 * n as u64 * 8);
-        assert_eq!(heap, spilled);
-        assert_eq!(heap.column(0), spilled.column(0));
-        assert_eq!(heap.to_flat(), spilled.to_flat());
-        assert_eq!(heap.argsort_by_dim(1), spilled.argsort_by_dim(1));
-        assert_eq!(spilled.key(17), heap.key(17));
-        let clone = spilled.clone();
-        assert_eq!(clone, heap);
     }
 }

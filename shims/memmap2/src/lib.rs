@@ -13,7 +13,7 @@
 //!   backing of `recpart::storage`);
 //! * [`MmapOptions::map_anon`] — writable anonymous mapping;
 //! * [`MmapMut`] — derefs to `[u8]` / `[u8]` mut, [`MmapMut::flush`] (msync),
-//!   [`MmapMut::advise`] (madvise — sequential/dontneed residency hints).
+//!   [`MmapMut::advise`] (madvise — the sequential access-pattern hint).
 //!
 //! On non-Unix targets the shim degrades to a heap buffer that reads the file on
 //! map and writes it back on flush — semantically a private copy, which is enough
@@ -118,12 +118,6 @@ pub enum Advice {
     /// read ahead aggressively and drop pages soon after they are touched —
     /// the access pattern of the spill-arena writer.
     Sequential,
-    /// Expect references in random order (`MADV_RANDOM`): read-ahead is wasted.
-    Random,
-    /// The range is not needed soon (`MADV_DONTNEED`): drop this mapping's
-    /// resident pages now. For a shared file mapping the data survives in the
-    /// page cache / backing file and faults back in on the next access.
-    DontNeed,
 }
 
 impl std::ops::Deref for MmapMut {
@@ -193,9 +187,7 @@ mod imp {
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
     const MAP_ANONYMOUS: c_int = 0x1000; // BSD / macOS MAP_ANON
     const MS_SYNC: c_int = 0x4;
-    const MADV_RANDOM: c_int = 1;
     const MADV_SEQUENTIAL: c_int = 2;
-    const MADV_DONTNEED: c_int = 4;
 
     /// An owned `mmap(2)` region. `len == 0` maps nothing (dangling, never freed).
     pub(super) struct Map {
@@ -290,12 +282,9 @@ mod imp {
             }
             let flag = match advice {
                 super::Advice::Sequential => MADV_SEQUENTIAL,
-                super::Advice::Random => MADV_RANDOM,
-                super::Advice::DontNeed => MADV_DONTNEED,
             };
-            // SAFETY: advising a live mapping; madvise never invalidates the
-            // mapping itself (DONTNEED on a shared file mapping only drops this
-            // process's resident pages — the backing store keeps the data).
+            // SAFETY: advising a live mapping; MADV_SEQUENTIAL is a read-ahead hint
+            // and never invalidates the mapping or its contents.
             let rc = unsafe { madvise(self.ptr as *mut c_void, self.len, flag) };
             if rc == 0 {
                 Ok(())
@@ -437,16 +426,12 @@ mod tests {
         let (path, file) = temp_file("advise", &[5u8; 8192]);
         let map = unsafe { MmapOptions::new().map_mut(&file) }.unwrap();
         map.advise(Advice::Sequential).unwrap();
-        map.advise(Advice::Random).unwrap();
-        // DONTNEED on a shared file mapping must not lose data: pages fault
-        // back in from the backing file.
-        map.advise(Advice::DontNeed).unwrap();
         assert!(map.iter().all(|&b| b == 5));
         drop(map);
         let _ = std::fs::remove_file(&path);
         // Advising an empty mapping is a no-op, not an error.
         let anon = MmapOptions::new().len(0).map_anon().unwrap();
-        anon.advise(Advice::DontNeed).unwrap();
+        anon.advise(Advice::Sequential).unwrap();
     }
 
     #[test]

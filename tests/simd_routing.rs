@@ -116,8 +116,9 @@ proptest! {
 
 /// Every partitioner in the repository: block routing must equal per-tuple
 /// routing with the SIMD batch path live (the router-backed RecPart
-/// partitioner goes through the auto-detected kernel here; the closed-form
-/// baselines must stay oblivious).
+/// partitioners go through the auto-detected kernel here; the closed-form
+/// baselines must stay oblivious). One RecPart tree is deep: 64 workers over
+/// skewed 1-d keys, routed in small blocks and in one block per side.
 #[test]
 fn every_partitioner_blocks_match_per_tuple_with_simd_live() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -132,6 +133,16 @@ fn every_partitioner_blocks_match_per_tuple_with_simd_live() {
     let s1 = Relation::from_values_1d(&(0..400).map(|i| i as f64 * 0.11).collect::<Vec<_>>());
     let t1 = Relation::from_values_1d(&(0..400).map(|i| i as f64 * 0.13).collect::<Vec<_>>());
     let band1 = BandCondition::symmetric(&[0.5]);
+
+    let mut prng = StdRng::seed_from_u64(0xA551_6E00);
+    let sp = datagen::pareto_relation(20_000, 1, 1.5, &mut prng);
+    let tp = datagen::pareto_relation(20_000, 1, 1.5, &mut prng);
+    let deep: Box<dyn Partitioner> = Box::new(
+        RecPart::new(RecPartConfig::new(64).with_seed(9))
+            .optimize(&sp, &tp, &BandCondition::symmetric(&[0.001]), &mut prng)
+            .partitioner,
+    );
+    assert!(deep.num_partitions() >= 64, "the tree must be deep");
 
     let recpart: Box<dyn Partitioner> = Box::new(recpart_partitioner(&s, &t, &band, 6, 7));
     let grid: Box<dyn Partitioner> = Box::new(GridPartitioner::build(&s, &t, &band, 2.0));
@@ -148,6 +159,7 @@ fn every_partitioner_blocks_match_per_tuple_with_simd_live() {
 
     for (p, s, t) in [
         (&recpart, &s, &t),
+        (&deep, &sp, &tp),
         (&grid, &s, &t),
         (&one_bucket, &s, &t),
         (&iejoin, &s1, &t1),
@@ -166,23 +178,25 @@ fn every_partitioner_blocks_match_per_tuple_with_simd_live() {
                 }
                 expected.extend(buf.iter().map(|&part| (part, i as u32)));
             }
-            let mut sink = AssignmentSink::new(p.num_partitions());
-            let mut lo = 0;
-            while lo < rel.len() {
-                let hi = (lo + 61).min(rel.len());
-                if t_side {
-                    p.assign_t_block(rel, lo..hi, &mut sink);
-                } else {
-                    p.assign_s_block(rel, lo..hi, &mut sink);
+            for chunk in [61, rel.len()] {
+                let mut sink = AssignmentSink::new(p.num_partitions());
+                let mut lo = 0;
+                while lo < rel.len() {
+                    let hi = (lo + chunk).min(rel.len());
+                    if t_side {
+                        p.assign_t_block(rel, lo..hi, &mut sink);
+                    } else {
+                        p.assign_s_block(rel, lo..hi, &mut sink);
+                    }
+                    lo = hi;
                 }
-                lo = hi;
+                assert_eq!(
+                    sink.pairs(),
+                    &expected[..],
+                    "{}: block routing diverged from per-tuple (t_side={t_side}, chunk={chunk})",
+                    p.name()
+                );
             }
-            assert_eq!(
-                sink.pairs(),
-                &expected[..],
-                "{}: block routing diverged from per-tuple (t_side={t_side})",
-                p.name()
-            );
         }
     }
 }
