@@ -2,25 +2,30 @@
 //! fault schedule bit-identically and without re-executing healthy work
 //! (CI-guarding, not a paper table).
 //!
-//! Runs one uniform-1d band join at 4 shards through three shapes:
+//! Runs one uniform-1d band join at 4 shards, once through each of three shapes:
 //!
-//! * **unsupervised `execute_sharded`** — the baseline (min-of-3 map+join);
+//! * **unsupervised `execute_sharded`** — the baseline;
 //! * **zero-fault `execute_supervised`** — the supervision layer with an empty
-//!   [`FaultPlan`]: must be bit-identical with every recovery counter at zero,
-//!   and (min-of-3) within **1.10×** of the unsupervised baseline — isolation
-//!   threads and `catch_unwind` are allowed, a slow supervisor is not;
+//!   [`FaultPlan`]: bit-identical, every recovery counter at zero, every shard
+//!   run exactly once;
 //! * **faulted `execute_supervised`** — a fixed schedule of one injected
 //!   panic, one injected I/O error, and one straggler delay on three different
-//!   shards: must recover to the bit-identical report with deterministic
-//!   attempt accounting (only the faulted shards retry; the healthy shard runs
-//!   exactly once) and recovery overhead bounded by the retried shards' own
-//!   work — a fault must never trigger a full-join re-execution.
+//!   shards: must recover to the bit-identical report.
 //!
-//! **Fails** (non-zero exit) if any deterministic field differs between the
-//! shapes, the attempt/counter accounting deviates from the schedule, the
-//! recovery overhead exceeds its budget, or the zero-fault supervised path
-//! regresses past the 1.10× throughput gate (`--quick` skips only the timing
-//! threshold: timing gates need the full-size run).
+//! Every check is a count, so the gate cannot fail on a slow machine. That
+//! recovery re-runs only the faulted shards — never the full join — is asserted
+//! by what it stands for:
+//!
+//! * attempts per shard exactly `[1, 2, 2, 2]` (the healthy shard runs once;
+//!   one retry each for the panic and the I/O error, one speculative duplicate
+//!   for the straggler);
+//! * the exact [`RecoveryCounters`] of the schedule, `shuffle_retries: 0` and
+//!   `merge_retries: 0` included;
+//! * no failed shard;
+//! * zero recovery time charged to the healthy shard.
+//!
+//! The `STRAGGLER_MS` / `DEADLINE_MS` schedule stays: speculation needs a
+//! deadline the straggler overruns. Speed is measured by `perf/`, not here.
 //!
 //! ```text
 //! cargo run -p bench --release --bin exp_chaos_smoke [-- --quick]
@@ -36,8 +41,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recpart::{BandCondition, Partitioner, RecPart, RecPartConfig, StorageMode};
 
-/// Measurement rounds per executor shape (the minimum of the rounds is compared).
-const ROUNDS: usize = 3;
 /// Shard count: one healthy shard plus one per fault kind.
 const SHARDS: usize = 4;
 /// The straggler's injected sleep. Must dominate the deadline + a clean
@@ -74,7 +77,6 @@ fn main() {
     let exec =
         Executor::new(ExecutorConfig::new(workers).with_verification(VerificationLevel::None))
             .with_shuffle_config(ShuffleConfig::streaming(65_536, StorageMode::Heap));
-    let phases = |r: &ExecutionReport| r.map_shuffle_wall_seconds + r.local_join_wall_seconds;
     let identical = |got: &ExecutionReport, want: &ExecutionReport| {
         got.stats == want.stats
             && got.per_partition == want.per_partition
@@ -84,55 +86,36 @@ fn main() {
             && !want.degraded
     };
 
-    // --- Baseline: unsupervised sharded execution, min-of-ROUNDS. ---
-    let mut baseline_best = f64::INFINITY;
-    let mut baseline: Option<ExecutionReport> = None;
-    for round in 1..=ROUNDS {
-        let sharded = exec.execute_sharded(&partitioner, &s, &t, &band, SHARDS);
-        let seconds = phases(&sharded.report);
-        println!("execute_sharded round {round}: map+join {seconds:.4}s");
-        baseline_best = baseline_best.min(seconds);
-        baseline.get_or_insert(sharded.report);
-    }
-    let baseline = baseline.expect("at least one baseline round ran");
+    // --- Baseline: unsupervised sharded execution. ---
+    let baseline = exec
+        .execute_sharded(&partitioner, &s, &t, &band, SHARDS)
+        .report;
 
-    // --- Zero-fault supervised runs: bit-identical, clean accounting, and no
-    // throughput regression (the supervisor's overhead budget is 10%). ---
-    let sup_config = SupervisorConfig::default();
-    let mut supervised_best = f64::INFINITY;
-    for round in 1..=ROUNDS {
-        match exec.execute_supervised(
-            &partitioner,
-            &s,
-            &t,
-            &band,
-            SHARDS,
-            &FaultPlan::none(),
-            &sup_config,
-        ) {
-            Ok(sup) => {
-                let seconds = phases(&sup.report);
-                println!("zero-fault supervised round {round}: map+join {seconds:.4}s");
-                supervised_best = supervised_best.min(seconds);
-                if !identical(&sup.report, &baseline) {
-                    failures.push(format!(
-                        "zero-fault supervised run differs from execute_sharded (round {round})"
-                    ));
-                }
-                if sup.recovery != RecoveryCounters::default() {
-                    failures.push(format!(
-                        "zero-fault supervised run did recovery work (round {round}): {:?}",
-                        sup.recovery
-                    ));
-                }
-                if sup.shard_stats.iter().any(|st| st.attempts != 1) {
-                    failures.push(format!(
-                        "zero-fault supervised run retried a shard (round {round})"
-                    ));
-                }
+    // --- Zero-fault supervised run: bit-identical, clean accounting. ---
+    match exec.execute_supervised(
+        &partitioner,
+        &s,
+        &t,
+        &band,
+        SHARDS,
+        &FaultPlan::none(),
+        &SupervisorConfig::default(),
+    ) {
+        Ok(sup) => {
+            if !identical(&sup.report, &baseline) {
+                failures.push("zero-fault supervised run differs from execute_sharded".into());
             }
-            Err(e) => failures.push(format!("zero-fault supervised run failed: {e}")),
+            if sup.recovery != RecoveryCounters::default() {
+                failures.push(format!(
+                    "zero-fault supervised run did recovery work: {:?}",
+                    sup.recovery
+                ));
+            }
+            if sup.shard_stats.iter().any(|st| st.attempts != 1) {
+                failures.push("zero-fault supervised run retried a shard".into());
+            }
         }
+        Err(e) => failures.push(format!("zero-fault supervised run failed: {e}")),
     }
 
     // --- The fixed chaos schedule: one panic, one I/O error, one straggler,
@@ -199,44 +182,9 @@ fn main() {
             if sup.shard_stats[0].recovery_wall_seconds != 0.0 {
                 failures.push("the healthy shard was charged recovery time".into());
             }
-            // Recovery overhead ≤ retried-shard work: the wall burnt on losing
-            // attempts is bounded by the straggler's sleep plus re-doing the
-            // faulted shards' own joins (plus backoff and scheduling slack) —
-            // nothing proportional to the full join.
-            let recovery_overhead: f64 = sup
-                .shard_stats
-                .iter()
-                .map(|st| st.recovery_wall_seconds)
-                .sum();
-            let retried_work: f64 = sup.shard_stats[1..].iter().map(|st| st.wall_seconds).sum();
-            let budget = STRAGGLER_MS as f64 / 1000.0 + retried_work + 0.016 + 0.300;
-            println!(
-                "chaos recovery: overhead {recovery_overhead:.4}s (budget {budget:.4}s), \
-                 attempts {attempts:?}"
-            );
-            if recovery_overhead > budget {
-                failures.push(format!(
-                    "recovery overhead {recovery_overhead:.4}s exceeds the retried-shard \
-                     budget {budget:.4}s"
-                ));
-            }
+            println!("chaos recovery: attempts {attempts:?}, {:?}", sup.recovery);
         }
         Err(e) => failures.push(format!("faulted supervised run failed outright: {e}")),
-    }
-
-    // --- Throughput: supervision must be (near-)free when nothing fails. ---
-    let ratio = supervised_best / baseline_best;
-    println!(
-        "best-of-{ROUNDS} map+join: execute_sharded {baseline_best:.4}s vs zero-fault \
-         supervised {supervised_best:.4}s (ratio {ratio:.2}, allowed 1.10)"
-    );
-    // Quick mode skips the threshold (at smoke sizes the fixed per-run costs
-    // dominate the work being supervised).
-    if !args.quick && supervised_best > baseline_best * 1.10 {
-        failures.push(format!(
-            "zero-fault supervision regressed throughput: {supervised_best:.4}s > 1.10 x \
-             {baseline_best:.4}s over {ROUNDS} rounds"
-        ));
     }
 
     if failures.is_empty() {

@@ -24,4 +24,4 @@ pub mod report;
 pub use args::ExperimentArgs;
 pub use experiments::{run_row, run_rows, RowSpec};
 pub use harness::{Strategy, StrategyOutcome};
-pub use report::{print_figure_points, print_phase_breakdown, print_table, FigurePoint, TableRow};
+pub use report::{print_figure_points, print_table, FigurePoint, TableRow};

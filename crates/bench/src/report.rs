@@ -56,42 +56,6 @@ pub fn print_table(title: &str, rows: &[TableRow]) {
     println!();
 }
 
-/// Print the measured per-phase wall-clock breakdown of every outcome: map/shuffle,
-/// local joins, verification, and the whole `execute` call, plus the thread count the
-/// parallel phases ran on. This is real time on this machine (not the simulated
-/// cluster model), so it is what the parallel executor actually speeds up.
-pub fn print_phase_breakdown(title: &str, rows: &[TableRow]) {
-    println!();
-    println!("=== {title} — measured phase wall-clock ===");
-    println!(
-        "{:<28} {:<12} {:>7} {:>12} {:>14} {:>14} {:>12} {:>12}",
-        "config",
-        "strategy",
-        "threads",
-        "optimize[s]",
-        "map+shuffle[s]",
-        "local-join[s]",
-        "verify[s]",
-        "execute[s]"
-    );
-    for row in rows {
-        for (i, o) in row.outcomes.iter().enumerate() {
-            println!(
-                "{:<28} {:<12} {:>7} {:>12.4} {:>14.4} {:>14.4} {:>12.4} {:>12.4}",
-                if i == 0 { row.config.as_str() } else { "" },
-                o.label,
-                o.report.threads_used,
-                o.optimization_seconds,
-                o.map_shuffle_seconds(),
-                o.local_join_seconds(),
-                o.verify_seconds(),
-                o.execute_seconds,
-            );
-        }
-    }
-    println!();
-}
-
 /// One point of the Figure 4 / Figure 10 scatter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FigurePoint {
@@ -212,7 +176,6 @@ mod tests {
             outcomes: vec![o.clone()],
         }];
         print_table("smoke", &rows);
-        print_phase_breakdown("smoke", &rows);
         print_figure_points("smoke", &[FigurePoint::from_outcome("cfg", &o)]);
         assert!(rows[0].baseline_total_seconds().unwrap() > 0.0);
     }

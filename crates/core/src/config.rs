@@ -34,49 +34,6 @@ impl Default for Termination {
     }
 }
 
-/// Which implementation scores the candidate hyperplane splits of a regular leaf.
-///
-/// Both scorers evaluate the identical candidate set with identical arithmetic and
-/// pick **bit-identical** best splits; they differ only in asymptotic cost. The
-/// binary-search variant is kept as the oracle of the sweep-line property tests,
-/// `optimizer_determinism` and `optimizer_golden`, and as the baseline the optimizer
-/// gate of `exp_parallel_smoke` times the sweep against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SplitScorer {
-    /// One merged sweep over cached, incrementally maintained sorted projections:
-    /// scoring every candidate boundary of a dimension is a single `O(n)` pass with
-    /// zero per-candidate binary searches. The default.
-    #[default]
-    SweepLine,
-    /// The original implementation: re-collect and re-sort the leaf's projections on
-    /// every visit and answer each candidate boundary with 4–6 `partition_point`
-    /// binary searches (`O(n log n)` per leaf·dimension).
-    BinarySearch,
-}
-
-/// Which implementation computes the post-split evaluation (estimated total input,
-/// duplication/load overheads, predicted join time) after every applied split.
-///
-/// Both evaluators compute **bit-identical** evaluations from the same per-leaf
-/// cost ledger; they differ only in how the ledger reaches its next state. The
-/// full-recompute variant is kept as the oracle of the incremental-evaluation
-/// property tests, `optimizer_determinism` and `optimizer_golden`, and as the
-/// baseline the evaluator gate of `exp_parallel_smoke` times the ledger against,
-/// mirroring [`SplitScorer::BinarySearch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Evaluator {
-    /// Delta evaluation: applying a split removes only the split leaf's cells and
-    /// loads from the persistent cost ledger and inserts the two children (the
-    /// LPT processing order is maintained by two binary-searched run edits), so no
-    /// evaluation ever walks the split tree or re-sorts all cells. The default.
-    #[default]
-    Incremental,
-    /// The original implementation: rebuild the whole ledger from the tree — one
-    /// leaf visit per leaf plus a full re-sort of all cells by load — before every
-    /// evaluation.
-    FullRecompute,
-}
-
 /// Configuration of a RecPart optimization run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecPartConfig {
@@ -110,12 +67,6 @@ pub struct RecPartConfig {
     /// [`crate::RecPart`]. The drawn sample, and with it the optimization result, is
     /// bit-identical across all settings; only wall-clock timing changes.
     pub threads: usize,
-    /// Split-search implementation (see [`SplitScorer`]); both variants choose
-    /// bit-identical splits.
-    pub scorer: SplitScorer,
-    /// Post-split evaluation implementation (see [`Evaluator`]); both variants
-    /// compute bit-identical evaluations.
-    pub evaluator: Evaluator,
 }
 
 impl RecPartConfig {
@@ -133,8 +84,6 @@ impl RecPartConfig {
             max_iterations: (workers * 64).max(512),
             seed: 0x5EED_0001,
             threads: 0,
-            scorer: SplitScorer::default(),
-            evaluator: Evaluator::default(),
         }
     }
 
@@ -198,20 +147,6 @@ impl RecPartConfig {
         self
     }
 
-    /// Override the split-search implementation (the binary-search variant is the
-    /// measured baseline; both choose bit-identical splits).
-    pub fn with_scorer(mut self, scorer: SplitScorer) -> Self {
-        self.scorer = scorer;
-        self
-    }
-
-    /// Override the post-split evaluation implementation (the full-recompute
-    /// variant is the measured baseline; both compute bit-identical evaluations).
-    pub fn with_evaluator(mut self, evaluator: Evaluator) -> Self {
-        self.evaluator = evaluator;
-        self
-    }
-
     /// The name the resulting partitioner reports: `"RecPart"` or `"RecPart-S"`.
     pub fn strategy_name(&self) -> &'static str {
         if self.symmetric {
@@ -241,8 +176,6 @@ mod tests {
         assert_eq!(c.workers, 30);
         assert!(c.symmetric);
         assert_eq!(c.threads, 0, "all cores by default");
-        assert_eq!(c.scorer, SplitScorer::SweepLine);
-        assert_eq!(c.evaluator, Evaluator::Incremental);
         assert_eq!(c.strategy_name(), "RecPart");
         assert!(c.max_iterations >= 30);
         assert_eq!(
@@ -262,13 +195,9 @@ mod tests {
             .with_max_iterations(10)
             .with_shuffle_weights(5.0, 2.0)
             .with_load_model(LoadModel::new(3.0, 1.0))
-            .with_threads(3)
-            .with_scorer(SplitScorer::BinarySearch)
-            .with_evaluator(Evaluator::FullRecompute);
+            .with_threads(3);
         assert!(!c.symmetric);
         assert_eq!(c.threads, 3);
-        assert_eq!(c.scorer, SplitScorer::BinarySearch);
-        assert_eq!(c.evaluator, Evaluator::FullRecompute);
         assert_eq!(c.strategy_name(), "RecPart-S");
         assert_eq!(c.termination, Termination::Theoretical);
         assert_eq!(c.seed, 99);

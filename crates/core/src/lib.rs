@@ -83,7 +83,7 @@ pub mod split_tree;
 pub mod storage;
 
 pub use band::BandCondition;
-pub use config::{Evaluator, RecPartConfig, SplitScorer, Termination};
+pub use config::{RecPartConfig, Termination};
 pub use error::RecPartError;
 pub use geometry::Rect;
 pub use load::{LoadModel, LptHeap};
@@ -104,7 +104,7 @@ pub use storage::{spill_fallback_count, MappedVec, SpillDir, Storage, StorageMod
 /// Convenience re-exports for downstream users.
 pub mod prelude {
     pub use crate::band::BandCondition;
-    pub use crate::config::{Evaluator, RecPartConfig, SplitScorer, Termination};
+    pub use crate::config::{RecPartConfig, Termination};
     pub use crate::geometry::Rect;
     pub use crate::load::LoadModel;
     pub use crate::metrics::PartitioningStats;

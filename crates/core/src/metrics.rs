@@ -16,9 +16,8 @@ use serde::{Deserialize, Serialize};
 /// scoring work the optimizer actually did.
 ///
 /// Every counter is a deterministic function of the samples and the configuration —
-/// **not** of the thread count or the [`crate::config::SplitScorer`] implementation —
-/// so equal counters across `threads = 1 / 0 / n` runs are part of the optimizer's
-/// bit-identity contract.
+/// **not** of the thread count — so equal counters across `threads = 1 / 0 / n` runs
+/// are part of the optimizer's bit-identity contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SplitSearchCounters {
     /// Number of leaf best-split refreshes (root + two per applied plane split + one
@@ -43,24 +42,20 @@ impl SplitSearchCounters {
 /// split-search counters so "evaluate() is no longer O(all leaves) per split" is an
 /// auditable claim rather than a code-reading exercise.
 ///
-/// Every counter is a deterministic function of the samples, the configuration, and
-/// the chosen [`crate::config::Evaluator`] — **not** of the thread count or the
-/// [`crate::config::SplitScorer`] — so equal counters across `threads = 1 / 0 / n`
-/// runs are part of the optimizer's bit-identity contract. `ledger_leaf_visits` is
-/// the counter that separates the evaluators: the incremental evaluator touches only
-/// the leaves a split changed (two per plane split, one per grid increment or
-/// rebuild), while the full-recompute baseline revisits every leaf on every
-/// evaluation.
+/// Every counter is a deterministic function of the samples and the configuration —
+/// **not** of the thread count — so equal counters across `threads = 1 / 0 / n` runs
+/// are part of the optimizer's bit-identity contract. `ledger_leaf_visits` shows the
+/// ledger doing delta-sized work: it touches only the leaves a split changed (two per
+/// plane split, one per grid increment), never every leaf per evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EvalCounters {
     /// Number of evaluations run (one per applied split, plus the initial state).
     pub evaluations: u64,
-    /// Number of leaves whose ledger entry was (re)built. Incremental: one for the
-    /// root plus the split deltas. Full recompute: the number of leaves of the tree,
-    /// once per evaluation.
+    /// Number of leaves whose ledger entry was (re)built: one for the root plus the
+    /// split deltas.
     pub ledger_leaf_visits: u64,
     /// Number of partition cells the LPT worker mapping assigned across all
-    /// evaluations (identical for both evaluators — the mapping itself is exact).
+    /// evaluations.
     pub lpt_cells: u64,
     /// Number of times the optimizer recorded a new best partitioning (the winner
     /// criterion improved). Deterministic for a given input and configuration.

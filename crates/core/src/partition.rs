@@ -425,9 +425,8 @@ pub trait Partitioner: Send + Sync {
 
 /// Adapter that hides a partitioner's block-routing overrides: every block call goes
 /// through the trait's default per-tuple loop (`assign_s`/`assign_t` with one reused
-/// buffer). This is the **per-tuple reference** of `tests/block_routing.rs` and the
-/// baseline of the `exp_parallel_smoke` block-routing gate — routing through it
-/// reproduces the pre-block-API map phase exactly.
+/// buffer). This is the **per-tuple reference** of `tests/block_routing.rs` — routing
+/// through it reproduces the pre-block-API map phase exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct PerTupleFallback<'a, P: ?Sized>(pub &'a P);
 

@@ -1,22 +1,25 @@
-//! Pinned optimizer runs: `optimizer_determinism` proves the sweep-line scorer and the
-//! incremental evaluator equal their oracles *within* a commit — scorer and oracle
-//! could still drift together. This file pins the absolute result of a handful of
-//! runs that between them cover both split kinds, gridded leaves, both termination
-//! rules and an asymmetric band, and holds every `(scorer, evaluator)` combination to
-//! the same numbers.
+//! Pinned optimizer runs (`optimizer_golden`): the end-to-end oracle tests in
+//! `tests.rs` prove the sweep-line scorer and the incremental evaluator equal their
+//! oracles *within* a commit — scorer and oracle could still drift together. This
+//! module pins the absolute result of a handful of runs that between them cover both
+//! split kinds, gridded leaves, both termination rules and an asymmetric band, and
+//! holds every `(scorer, evaluator)` combination — production and the two `Oracles`
+//! — to the same numbers.
 //!
 //! Baseline provenance: recorded at commit `694e425` (the parent of the split of
 //! `recpart.rs` into modules) on the shim `rand::StdRng`. Re-baseline with
-//! `cargo test -p recpart --test optimizer_golden -- --ignored --nocapture` only for a
+//! `cargo test -p recpart --lib recpart::golden -- --ignored --nocapture` only for a
 //! change that is *meant* to alter the plan.
 
+use super::tests::{pareto_relation, uniform_relation};
+use super::{Oracles, RecPart, RecPartResult};
+use crate::band::BandCondition;
+use crate::config::RecPartConfig;
+use crate::relation::Relation;
+use crate::sample::SampleConfig;
+use crate::split_tree::{Node, SplitKind};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use recpart::split_tree::{Node, SplitKind};
-use recpart::{
-    BandCondition, Evaluator, RecPart, RecPartConfig, RecPartResult, Relation, SampleConfig,
-    SplitScorer,
-};
+use rand::SeedableRng;
 
 /// The pinned part of an optimization result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,33 +49,6 @@ impl Golden {
             predicted_time_bits: r.report.predicted_time.to_bits(),
         }
     }
-}
-
-fn pareto_relation(n: usize, dims: usize, z: f64, seed: u64) -> Relation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut r = Relation::with_capacity(dims, n);
-    let mut key = vec![0.0; dims];
-    for _ in 0..n {
-        for k in key.iter_mut() {
-            let u: f64 = rng.gen_range(0.0..1.0f64);
-            *k = (1.0 - u).powf(-1.0 / z);
-        }
-        r.push(&key);
-    }
-    r
-}
-
-fn uniform_relation(n: usize, dims: usize, lo: f64, hi: f64, seed: u64) -> Relation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut r = Relation::with_capacity(dims, n);
-    let mut key = vec![0.0; dims];
-    for _ in 0..n {
-        for k in key.iter_mut() {
-            *k = rng.gen_range(lo..hi);
-        }
-        r.push(&key);
-    }
-    r
 }
 
 /// `pareto_relation` mirrored at `pivot` in every dimension: where S is dense T is
@@ -175,15 +151,11 @@ fn cases() -> Vec<Case> {
     out
 }
 
-fn run(case: &Case, scorer: SplitScorer, evaluator: Evaluator) -> RecPartResult {
+fn run(case: &Case, oracles: Oracles) -> RecPartResult {
     let mut rng = StdRng::seed_from_u64(case.rng_seed);
-    let cfg = case
-        .cfg
-        .clone()
-        .with_threads(1)
-        .with_scorer(scorer)
-        .with_evaluator(evaluator);
-    RecPart::new(cfg).optimize(&case.s, &case.t, &case.band, &mut rng)
+    RecPart::new(case.cfg.clone().with_threads(1))
+        .with_oracles(oracles)
+        .optimize(&case.s, &case.t, &case.band, &mut rng)
 }
 
 /// `(has an S-split, has a gridded leaf)` of the winning tree.
@@ -203,13 +175,17 @@ fn tree_features(r: &RecPartResult) -> (bool, bool) {
 fn optimizer_results_are_pinned_for_every_scorer_and_evaluator() {
     let (mut any_s_split, mut any_gridded) = (false, false);
     for case in cases() {
-        for scorer in [SplitScorer::SweepLine, SplitScorer::BinarySearch] {
-            for evaluator in [Evaluator::Incremental, Evaluator::FullRecompute] {
-                let result = run(&case, scorer, evaluator);
+        for binary_search in [false, true] {
+            for full_recompute in [false, true] {
+                let oracles = Oracles {
+                    binary_search,
+                    full_recompute,
+                };
+                let result = run(&case, oracles);
                 assert_eq!(
                     Golden::of(&result),
                     case.golden,
-                    "{} under {scorer:?} / {evaluator:?}",
+                    "{} under {oracles:?}",
                     case.name
                 );
                 let (s_split, gridded) = tree_features(&result);
@@ -222,14 +198,14 @@ fn optimizer_results_are_pinned_for_every_scorer_and_evaluator() {
     assert!(any_gridded, "no pinned plan contains a gridded leaf");
 }
 
-/// Run with `cargo test -p recpart --test optimizer_golden -- --ignored --nocapture`
+/// Run with `cargo test -p recpart --lib recpart::golden -- --ignored --nocapture`
 /// to print the current values when re-baselining after an intentional plan change.
 #[test]
 #[ignore = "baseline printer, not a check"]
 fn print_current_baseline() {
     println!("const GOLDEN: [Golden; {}] = [", cases().len());
     for case in cases() {
-        let result = run(&case, SplitScorer::SweepLine, Evaluator::Incremental);
+        let result = run(&case, Oracles::default());
         let (s_split, gridded) = tree_features(&result);
         println!(
             "    // {} (S-split: {s_split}, gridded leaf: {gridded})",

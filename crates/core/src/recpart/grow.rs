@@ -4,7 +4,7 @@
 //! write the report.
 //!
 //! The loop asks `search` for best splits and `ledger` for evaluations; it does not
-//! know which scorer or evaluator is configured.
+//! know how either is computed.
 
 use super::ledger::{EvalLedger, Evaluation};
 use super::search::SplitAction;
@@ -105,8 +105,7 @@ fn store_work(works: &mut Vec<Option<LeafWork>>, work: LeafWork) {
 }
 
 /// The state of the tree-growth loop, from its single-leaf start to termination:
-/// handed to `finalize` by `optimize_with_samples`, and kept alive by
-/// [`EvaluationBench`](super::EvaluationBench) for repeated-evaluation measurements.
+/// handed to `finalize` by `optimize_with_samples`.
 pub(super) struct GrownState {
     pub(super) tree: SplitTree,
     /// Leaf working state, indexed by node id.
@@ -303,8 +302,13 @@ impl GrownState {
     /// and tests assert it.
     fn evaluate(&mut self, state: &OptimizerState<'_>, paid_duplication: bool) -> Evaluation {
         let eval = timed(&mut self.evaluation_seconds, || {
-            self.ledger
-                .evaluate(state, &self.tree, &self.works, &mut self.eval_counters)
+            #[cfg(test)]
+            if state.oracles.full_recompute {
+                // The oracle forgets every delta the ledger was handed.
+                self.ledger
+                    .rebuild(state, &self.tree, &self.works, &mut self.eval_counters);
+            }
+            self.ledger.evaluate(state, &mut self.eval_counters)
         });
         self.best_load_overhead = self.best_load_overhead.min(eval.load_overhead);
         if paid_duplication {

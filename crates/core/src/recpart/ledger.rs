@@ -1,12 +1,10 @@
 //! The per-leaf cost ledger and the evaluation of a partitioning against the lower
-//! bounds — and the only module that knows which
-//! [`Evaluator`](crate::config::Evaluator) is configured: the growth loop reports
-//! every split to the ledger and asks it for an [`Evaluation`]; whether the ledger
-//! applies the delta or rebuilds itself from the tree before answering is decided
-//! here.
+//! bounds: the growth loop reports every split to the ledger, which applies the
+//! delta, and asks it for an [`Evaluation`]. The test-only `full_recompute` oracle
+//! instead has the loop [`EvalLedger::rebuild`] the ledger from the tree before every
+//! evaluation.
 
 use super::{LeafWork, OptimizerState};
-use crate::config::Evaluator;
 use crate::load::LptHeap;
 use crate::metrics::EvalCounters;
 use crate::split_tree::{NodeId, SplitTree};
@@ -60,8 +58,8 @@ const NO_ENTRY: u32 = u32::MAX;
 /// LPT processing order of two ledger entries: descending per-cell load, ascending
 /// node id among exact load ties. A **total** order, so the incrementally maintained
 /// sequence and a from-scratch sort agree element for element — which is what makes
-/// [`Evaluator::Incremental`] and [`Evaluator::FullRecompute`] bit-identical by
-/// construction rather than by luck.
+/// the delta-maintained ledger and a rebuilt one bit-identical by construction rather
+/// than by luck.
 ///
 /// Relation to the pre-ledger `evaluate()`: that code unstable-sorted individual
 /// cells by load alone, leaving the permutation *within* an exact-load tie class
@@ -100,10 +98,10 @@ pub(super) struct Evaluation {
 ///   [`lpt_order`]). Applying a split performs two binary-searched run edits
 ///   (remove the parent, insert each child); nothing is ever re-sorted.
 ///
-/// Under [`Evaluator::FullRecompute`] the split notifications do nothing and
-/// [`EvalLedger::evaluate`] calls [`EvalLedger::rebuild`] first — the O(leaves) walk +
-/// O(n log n) sort the incremental path deletes — and both evaluators share
-/// [`EvalLedger::evaluate_entries`], so their results cannot diverge.
+/// [`EvalLedger::rebuild`] — the O(leaves) walk + O(n log n) sort the deltas avoid —
+/// builds the initial ledger; the test-only `full_recompute` oracle also runs it
+/// before every evaluation. Both read the ledger through the one
+/// [`EvalLedger::evaluate`], so their results cannot diverge.
 #[derive(Debug, Default)]
 pub(super) struct EvalLedger {
     /// Per-leaf cost entries in depth-first leaf order.
@@ -119,12 +117,6 @@ pub(super) struct EvalLedger {
     lpt: LptHeap,
 }
 
-/// Does the ledger follow the growth loop delta by delta (as opposed to rebuilding
-/// itself from the tree on every evaluation)?
-fn incremental(state: &OptimizerState<'_>) -> bool {
-    state.cfg.evaluator == Evaluator::Incremental
-}
-
 impl EvalLedger {
     /// The ledger of a tree no split has been reported for yet (the single-leaf
     /// start of the growth loop).
@@ -135,26 +127,8 @@ impl EvalLedger {
         counters: &mut EvalCounters,
     ) -> Self {
         let mut ledger = EvalLedger::default();
-        if incremental(state) {
-            ledger.rebuild(state, tree, works, counters);
-        }
+        ledger.rebuild(state, tree, works, counters);
         ledger
-    }
-
-    /// Evaluate the current tree: the incremental evaluator trusts the deltas it was
-    /// handed, the full-recompute baseline rebuilds the whole ledger first.
-    pub(super) fn evaluate(
-        &mut self,
-        state: &OptimizerState<'_>,
-        tree: &SplitTree,
-        works: &[Option<LeafWork>],
-        counters: &mut EvalCounters,
-    ) -> Evaluation {
-        if !incremental(state) {
-            self.rebuild(state, tree, works, counters);
-        }
-        counters.evaluations += 1;
-        self.evaluate_entries(state, counters)
     }
 
     /// The entry of `pos[node]`, which must exist.
@@ -196,9 +170,9 @@ impl EvalLedger {
     }
 
     /// Rebuild everything from the tree — one leaf visit per leaf plus a full sort
-    /// of the LPT order. The initial state of the incremental evaluator, and the
-    /// entire per-evaluation work of [`Evaluator::FullRecompute`].
-    fn rebuild(
+    /// of the LPT order. The initial state of the ledger, and the extra
+    /// per-evaluation work of the test-only `full_recompute` oracle.
+    pub(super) fn rebuild(
         &mut self,
         state: &OptimizerState<'_>,
         tree: &SplitTree,
@@ -233,8 +207,7 @@ impl EvalLedger {
     /// parent's entry, splice the two children into its depth-first position, and
     /// re-thread the LPT order with two binary-searched edits. O(leaves) only in the
     /// trivial memmove/position-shift sense — no tree walk, no estimate recomputation
-    /// for unaffected leaves, no re-sort. (Nothing to do for a ledger that rebuilds
-    /// itself on every evaluation.)
+    /// for unaffected leaves, no re-sort.
     pub(super) fn plane_split(
         &mut self,
         state: &OptimizerState<'_>,
@@ -243,9 +216,6 @@ impl EvalLedger {
         right: &LeafWork,
         counters: &mut EvalCounters,
     ) {
-        if !incremental(state) {
-            return;
-        }
         // Remove the parent from the order while its entry is still addressable.
         self.remove_from_order(parent);
         let i = self.pos[parent as usize] as usize;
@@ -271,9 +241,6 @@ impl EvalLedger {
         work: &LeafWork,
         counters: &mut EvalCounters,
     ) {
-        if !incremental(state) {
-            return;
-        }
         self.remove_from_order(work.node);
         let i = self.pos[work.node as usize] as usize;
         self.entries[i] = LedgerEntry::of(state, work);
@@ -283,12 +250,13 @@ impl EvalLedger {
 
     /// Compute the [`Evaluation`] of the current ledger state: total input in
     /// depth-first cell order, then the exact heap-LPT worker mapping over the
-    /// maintained order. Shared verbatim by both evaluators.
-    fn evaluate_entries(
+    /// maintained order.
+    pub(super) fn evaluate(
         &mut self,
         state: &OptimizerState<'_>,
         counters: &mut EvalCounters,
     ) -> Evaluation {
+        counters.evaluations += 1;
         let lm = &state.cfg.load_model;
         let w = state.cfg.workers;
 
@@ -370,7 +338,7 @@ mod tests {
     /// Drive a random sequence of best-splits through the growth state, whose
     /// ledger is maintained incrementally, and after **every** applied split
     /// compare its `Evaluation` bit for bit against a ledger rebuilt from
-    /// scratch (the [`Evaluator::FullRecompute`] oracle).
+    /// scratch (the `full_recompute` oracle).
     fn compare_evaluations(
         s: &Relation,
         t: &Relation,
@@ -403,10 +371,9 @@ mod tests {
 
         let compare = |grown: &mut GrownState, step: usize| {
             let mut ec = EvalCounters::default();
-            let a = grown.ledger.evaluate_entries(&state, &mut ec);
-            let mut oracle = EvalLedger::default();
-            oracle.rebuild(&state, &grown.tree, &grown.works, &mut ec);
-            let b = oracle.evaluate_entries(&state, &mut ec);
+            let a = grown.ledger.evaluate(&state, &mut ec);
+            let mut oracle = EvalLedger::new(&state, &grown.tree, &grown.works, &mut ec);
+            let b = oracle.evaluate(&state, &mut ec);
             for (x, y, what) in [
                 (a.total_input, b.total_input, "total_input"),
                 (a.dup_overhead, b.dup_overhead, "dup_overhead"),

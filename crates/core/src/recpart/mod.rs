@@ -20,10 +20,14 @@
 //! | module | owns | does not know |
 //! |---|---|---|
 //! | this one | the public API, the sample context (`OptimizerState`), the role formulation of a plane split (`Plane`) | how a split is found, costed or applied |
-//! | `projections` | a leaf's cached sorted columns and how a split distributes them; whether the scorer wants them | scores, the ledger |
-//! | `search` | the best split of one leaf: both scorers' counting, the one scoring routine, which scorer runs | the ledger, the growth loop |
-//! | `ledger` | the per-leaf cost ledger and the LPT evaluation; which evaluator runs | how splits are found |
-//! | `grow` | the repeat loop, winner and undo log, termination, the report | which evaluator or scorer is configured |
+//! | `projections` | a leaf's cached sorted columns and how a split distributes them | scores, the ledger |
+//! | `search` | the best split of one leaf: the sweep's counting and the one scoring routine | the ledger, the growth loop |
+//! | `ledger` | the per-leaf cost ledger and the LPT evaluation | how splits are found |
+//! | `grow` | the repeat loop, winner and undo log, termination, the report | how a split is scored or costed |
+//!
+//! A release build has one split search and one evaluator. Their oracles — the
+//! binary-search reference scorer and the ledger rebuilt before every evaluation —
+//! are test code, switched on through `Oracles` (DESIGN.md §8).
 
 mod grow;
 mod ledger;
@@ -42,7 +46,6 @@ use crate::router::CompiledRouter;
 use crate::sample::{InputSample, OutputSample};
 use crate::small::BucketGrid;
 use crate::split_tree::{NodeId, SplitKind, SplitTree};
-use grow::GrownState;
 use projections::LeafProjections;
 use rand::Rng;
 use search::BestSplit;
@@ -82,14 +85,11 @@ pub struct OptimizationReport {
     /// [`OptimizationReport::optimization_seconds`]).
     pub evaluation_seconds: f64,
     /// Split-search work counters. Deterministic functions of the samples and the
-    /// configuration — identical across every `threads` setting and both
-    /// [`crate::config::SplitScorer`] implementations.
+    /// configuration — identical across every `threads` setting.
     pub split_search: SplitSearchCounters,
-    /// Evaluation work counters. Deterministic functions of the samples, the
-    /// configuration, and the chosen [`crate::config::Evaluator`] — identical across
-    /// every `threads` setting; `ledger_leaf_visits` is what separates the
-    /// incremental evaluator (delta-sized) from the full-recompute baseline
-    /// (leaves × evaluations).
+    /// Evaluation work counters. Deterministic functions of the samples and the
+    /// configuration — identical across every `threads` setting; `ledger_leaf_visits`
+    /// shows the ledger's delta-sized work.
     pub evaluation: EvalCounters,
     /// Human-readable reason the loop stopped.
     pub termination_reason: String,
@@ -225,13 +225,40 @@ pub struct RecPart {
     /// Holder of `config.threads`' pool. Output-sample scan only: the split search
     /// and the evaluation are sequential by construction (DESIGN.md §6).
     threads: Threads,
+    #[cfg(test)]
+    oracles: Oracles,
+}
+
+/// Which production paths a test run replaces by their oracles. Each oracle
+/// computes bit-identical results the slow, independent way, so a test can hold the
+/// production path to it end to end.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct Oracles {
+    /// Score plane splits with the binary-search reference (`search_dim`) instead of
+    /// the sweep.
+    binary_search: bool,
+    /// Rebuild the cost ledger from the tree before every evaluation instead of
+    /// trusting its deltas.
+    full_recompute: bool,
 }
 
 impl RecPart {
     /// Create an optimizer with the given configuration.
     pub fn new(config: RecPartConfig) -> Self {
         let threads = Threads::new(config.threads);
-        RecPart { config, threads }
+        RecPart {
+            config,
+            threads,
+            #[cfg(test)]
+            oracles: Oracles::default(),
+        }
+    }
+
+    /// The same optimizer with `oracles` in place of the production paths.
+    #[cfg(test)]
+    fn with_oracles(self, oracles: Oracles) -> Self {
+        RecPart { oracles, ..self }
     }
 
     /// The configuration this optimizer runs with.
@@ -324,71 +351,12 @@ impl RecPart {
             t_sample,
             o_sample,
         );
+        #[cfg(test)]
+        let state = OptimizerState {
+            oracles: self.oracles,
+            ..state
+        };
         state.finalize(state.grow(), start)
-    }
-
-    /// CI-gate support (`exp_parallel_smoke`), **not a public API**: grow the split
-    /// tree to termination once, then hand back a harness that re-runs the post-split
-    /// evaluation of the final optimizer state on demand — under
-    /// [`Evaluator::Incremental`](crate::config::Evaluator::Incremental) each call
-    /// replays only the ledger's LPT mapping and sums, under
-    /// [`Evaluator::FullRecompute`](crate::config::Evaluator::FullRecompute) each call
-    /// additionally rebuilds the whole ledger from the tree, which is exactly the
-    /// per-split cost the incremental evaluator deletes.
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluation_bench<'a>(
-        &'a self,
-        s_len: usize,
-        t_len: usize,
-        band: &'a BandCondition,
-        s_sample: &'a InputSample,
-        t_sample: &'a InputSample,
-        o_sample: &'a OutputSample,
-    ) -> EvaluationBench<'a> {
-        let state = OptimizerState::new(
-            &self.config,
-            band,
-            s_len,
-            t_len,
-            s_sample,
-            t_sample,
-            o_sample,
-        );
-        let grown = state.grow();
-        EvaluationBench { state, grown }
-    }
-}
-
-/// Repeated-evaluation harness returned by [`RecPart::evaluation_bench`]
-/// (CI-gate support, not a public API).
-#[doc(hidden)]
-pub struct EvaluationBench<'a> {
-    state: OptimizerState<'a>,
-    grown: GrownState,
-}
-
-impl EvaluationBench<'_> {
-    /// Number of leaves of the fully grown tree (`exp_parallel_smoke`'s evaluator
-    /// gate asks for a deep tree before it demands a speedup).
-    pub fn leaves(&self) -> usize {
-        self.grown.tree.num_leaves()
-    }
-
-    /// Run one evaluation of the final optimizer state under the configured
-    /// evaluator, returning the predicted join time (so callers can black-box the
-    /// result).
-    pub fn evaluate_once(&mut self) -> f64 {
-        let grown = &mut self.grown;
-        grown
-            .ledger
-            .evaluate(
-                &self.state,
-                &grown.tree,
-                &grown.works,
-                &mut EvalCounters::default(),
-            )
-            .predicted_time
     }
 }
 
@@ -430,8 +398,7 @@ struct LeafWork {
     t_pts: Vec<u32>,
     /// Indices of output-sample pairs routed to this leaf.
     o_pts: Vec<u32>,
-    /// Cached sorted projections (`None` for small leaves, which never plane-split,
-    /// and when the configured scorer re-sorts per visit).
+    /// Cached sorted projections (`None` for small leaves, which never plane-split).
     proj: Option<LeafProjections>,
     grid: BucketGrid,
     is_small: bool,
@@ -474,6 +441,8 @@ struct OptimizerState<'a> {
     /// Bounding box of both input samples: what "small" and "still splittable in
     /// dimension `d`" clip an unbounded leaf region against.
     domain: Rect,
+    #[cfg(test)]
+    oracles: Oracles,
 }
 
 impl<'a> OptimizerState<'a> {
@@ -509,6 +478,8 @@ impl<'a> OptimizerState<'a> {
             t_sample,
             o_sample,
             domain,
+            #[cfg(test)]
+            oracles: Oracles::default(),
         }
     }
 
@@ -549,5 +520,7 @@ impl<'a> OptimizerState<'a> {
     }
 }
 
+#[cfg(test)]
+mod golden;
 #[cfg(test)]
 mod tests;

@@ -3,11 +3,10 @@
 //!
 //! Built exactly once per leaf: at the root by argsorting the samples, at every plane
 //! split by a stable linear partition of the parent's arrays — so no leaf visit ever
-//! re-sorts, and the work per split is proportional to the leaf's sample size. Only
-//! the sweep-line scorer reads them; this module is where that is known.
+//! re-sorts, and the work per split is proportional to the leaf's sample size. The
+//! sweep-line scorer reads them.
 
 use super::{OptimizerState, Plane};
-use crate::config::SplitScorer;
 use crate::scoring::merge_dedup;
 
 /// One sorted projection column: sample indices ordered ascending by the key value in
@@ -139,18 +138,12 @@ pub(super) struct LeafProjections {
 }
 
 impl OptimizerState<'_> {
-    /// Do leaves carry cached projections under the configured scorer? (The
-    /// binary-search reference re-collects and re-sorts on every visit.)
-    fn caches_projections(&self) -> bool {
-        self.cfg.scorer == SplitScorer::SweepLine
-    }
-
-    /// The root leaf's projections, if the scorer wants them and the root is not
-    /// small (small leaves never plane-split): the samples argsorted once per
-    /// dimension. The band-shifted copies and the candidate boundaries are computed
-    /// here too — like the value arrays, they are built exactly once per leaf.
+    /// The root leaf's projections, unless the root is small (small leaves never
+    /// plane-split): the samples argsorted once per dimension. The band-shifted
+    /// copies and the candidate boundaries are computed here too — like the value
+    /// arrays, they are built exactly once per leaf.
     pub(super) fn root_projections(&self, root_is_small: bool) -> Option<LeafProjections> {
-        if !self.caches_projections() || root_is_small {
+        if root_is_small {
             return None;
         }
         let build = |d: usize| {
@@ -189,19 +182,19 @@ impl OptimizerState<'_> {
         })
     }
 
-    /// Distribute a split leaf's cached projections (if it carries any) to its
-    /// non-small children — small leaves never plane-split, so their arrays would be
-    /// dead weight. Every column of every dimension goes through
-    /// [`BandProj::partition`] under the role `plane` gives its side, and each child's
-    /// candidate boundaries are re-derived from its freshly split value arrays — so
-    /// no later leaf visit materializes anything.
+    /// Distribute a split leaf's cached projections to its non-small children —
+    /// small leaves never plane-split, so their arrays would be dead weight. Every
+    /// column of every dimension goes through [`BandProj::partition`] under the role
+    /// `plane` gives its side, and each child's candidate boundaries are re-derived
+    /// from its freshly split value arrays — so no later leaf visit materializes
+    /// anything.
     pub(super) fn child_projections(
         &self,
         parent: Option<&LeafProjections>,
         plane: Plane,
         (left_is_small, right_is_small): (bool, bool),
     ) -> (Option<LeafProjections>, Option<LeafProjections>) {
-        if !self.caches_projections() || (left_is_small && right_is_small) {
+        if left_is_small && right_is_small {
             return (None, None);
         }
         let parent = parent.expect("regular leaf has cached projections");

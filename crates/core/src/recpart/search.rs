@@ -1,17 +1,15 @@
 //! The best split of one leaf (Algorithm 2 `best_split`): a 1-Bucket grid increment
 //! for a small leaf, the best hyperplane over all allowed dimensions otherwise.
 //!
-//! Two scorers find the best hyperplane and this module is where the configured one
-//! is picked. Each **counts** in its own way — the sweep advances monotone pointers
-//! over the leaf's cached projections, the binary-search reference re-sorts the
-//! leaf's points and answers every candidate with `partition_point`s, which is what
-//! makes it an independent oracle — and both hand their counts to the one
-//! **scoring** routine, [`OptimizerState::score_plane`], so the arithmetic and the
-//! strict-`>` tie-break cannot drift apart.
+//! The sweep finds the best hyperplane: it **counts** by advancing monotone pointers
+//! over the leaf's cached projections. Its test-only oracle, the binary-search
+//! reference, counts in its own way — it re-sorts the leaf's points and answers every
+//! candidate with `partition_point`s, which is what makes it independent — and both
+//! hand their counts to the one **scoring** routine, [`OptimizerState::score_plane`],
+//! so the arithmetic and the strict-`>` tie-break cannot drift apart.
 
 use super::projections::{BandProj, DimProjection};
 use super::{LeafWork, OptimizerState, Plane};
-use crate::config::SplitScorer;
 use crate::geometry::Rect;
 use crate::metrics::SplitSearchCounters;
 use crate::scoring::{advance, partition_load, variance_term, SplitScore};
@@ -109,8 +107,8 @@ impl<'a> RoleSweep<'a> {
 }
 
 impl OptimizerState<'_> {
-    /// Recompute and cache the best split of one leaf under the configured scorer,
-    /// returning the scoring-work counters.
+    /// Recompute and cache the best split of one leaf, returning the scoring-work
+    /// counters.
     pub(super) fn refresh_best(
         &self,
         tree: &SplitTree,
@@ -119,7 +117,7 @@ impl OptimizerState<'_> {
         let (best, counters) = if work.is_small {
             (self.best_grid_increment(work), LEAF_SCORED)
         } else {
-            self.best_plane_split(tree, work, self.cfg.scorer)
+            self.best_plane_split(tree, work)
         };
         work.best = best;
         counters
@@ -149,16 +147,35 @@ impl OptimizerState<'_> {
         }
     }
 
-    /// Best hyperplane split of a regular leaf under `scorer`: the first maximum, in
-    /// (dimension, candidate, T-split before S-split) order, of every candidate's
-    /// score. Both scorers return the same [`BestSplit`] and the same counters bit
-    /// for bit — the reference is the oracle of the property tests and
-    /// `optimizer_golden`, and the baseline of `exp_parallel_smoke`'s optimizer gate.
-    pub(super) fn best_plane_split(
+    /// Best hyperplane split of a regular leaf, swept over its cached projections
+    /// (under the test-only `binary_search` oracle, found by the reference instead).
+    fn best_plane_split(
         &self,
         tree: &SplitTree,
         work: &LeafWork,
-        scorer: SplitScorer,
+    ) -> (BestSplit, SplitSearchCounters) {
+        #[cfg(test)]
+        if self.oracles.binary_search {
+            return self.plane_split_by(tree, work, |dim, leaf| self.search_dim(work, dim, leaf));
+        }
+        let proj = work
+            .proj
+            .as_ref()
+            .expect("a regular leaf carries projections");
+        self.plane_split_by(tree, work, |dim, leaf| {
+            self.sweep_dim(&proj.dims[dim], dim, leaf)
+        })
+    }
+
+    /// The best plane of a regular leaf, given a scorer's `scan` of one dimension:
+    /// the first maximum, in (dimension, candidate, T-split before S-split) order, of
+    /// every candidate's score. The sweep and the reference return the same
+    /// [`BestSplit`] and the same counters bit for bit.
+    fn plane_split_by(
+        &self,
+        tree: &SplitTree,
+        work: &LeafWork,
+        mut scan: impl FnMut(usize, &LeafTerms<'_>) -> (usize, BestSplit),
     ) -> (BestSplit, SplitSearchCounters) {
         let lm = &self.cfg.load_model;
         let (s_in, t_in, out) = self.leaf_estimates(work);
@@ -181,14 +198,7 @@ impl OptimizerState<'_> {
                 continue;
             }
             counters.dims_scanned += 1;
-            let (windows, cand) = match scorer {
-                SplitScorer::SweepLine => {
-                    let proj = work.proj.as_ref();
-                    let proj = proj.expect("sweep scorer requires cached projections");
-                    self.sweep_dim(&proj.dims[dim], dim, &leaf)
-                }
-                SplitScorer::BinarySearch => self.search_dim(work, dim, &leaf),
-            };
+            let (windows, cand) = scan(dim, &leaf);
             counters.candidates_scored += windows as u64;
             if cand.score > best.score {
                 best = cand;
@@ -219,6 +229,8 @@ impl OptimizerState<'_> {
     /// The reference scorer's pass over one dimension: re-collect and sort the leaf's
     /// points, derive the candidate boundaries — the distinct values of the combined
     /// input sample — and answer every candidate with `partition_point` searches.
+    /// Touches no cached projection.
+    #[cfg(test)]
     fn search_dim(&self, work: &LeafWork, dim: usize, leaf: &LeafTerms<'_>) -> (usize, BestSplit) {
         let sorted = |mut vals: Vec<f64>| {
             vals.sort_unstable_by(f64::total_cmp);
@@ -398,11 +410,12 @@ mod tests {
             return;
         }
 
-        let (sweep, sweep_counters) =
-            state.best_plane_split(&grown.tree, work, SplitScorer::SweepLine);
-        let (reference, reference_counters) =
-            state.best_plane_split(&grown.tree, work, SplitScorer::BinarySearch);
-        prop_assert_eq!(sweep, reference, "root best split differs");
+        let reference = |tree: &SplitTree, work: &LeafWork| {
+            state.plane_split_by(tree, work, |dim, leaf| state.search_dim(work, dim, leaf))
+        };
+        let (sweep, sweep_counters) = state.best_plane_split(&grown.tree, work);
+        let (reference_best, reference_counters) = reference(&grown.tree, work);
+        prop_assert_eq!(sweep, reference_best, "root best split differs");
         prop_assert_eq!(sweep_counters, reference_counters, "root counters differ");
 
         // Apply the chosen split and compare the children, whose projections were
@@ -414,10 +427,12 @@ mod tests {
                 if work.is_small {
                     continue;
                 }
-                let (sweep, _) = state.best_plane_split(&grown.tree, work, SplitScorer::SweepLine);
-                let (reference, _) =
-                    state.best_plane_split(&grown.tree, work, SplitScorer::BinarySearch);
-                prop_assert_eq!(sweep, reference, "child best split differs");
+                let (sweep, _) = state.best_plane_split(&grown.tree, work);
+                prop_assert_eq!(
+                    sweep,
+                    reference(&grown.tree, work).0,
+                    "child best split differs"
+                );
             }
         }
     }

@@ -1,8 +1,8 @@
-//! End-to-end tests of the optimizer's public entry points, plus the relation
-//! generators the unit tests of the sibling modules share.
+//! End-to-end tests of the optimizer's public entry points — the production paths
+//! held to their `Oracles` included — plus the relation generators the unit tests of
+//! the sibling modules share.
 
 use super::*;
-use crate::config::{Evaluator, SplitScorer};
 use crate::load::LoadModel;
 use crate::sample::SampleConfig;
 use crate::split_tree::Node;
@@ -30,6 +30,23 @@ pub(super) fn pareto_relation(n: usize, dims: usize, z: f64, seed: u64) -> Relat
         for k in key.iter_mut() {
             let u: f64 = rng.gen_range(0.0..1.0f64);
             *k = (1.0 - u).powf(-1.0 / z);
+        }
+        r.push(&key);
+    }
+    r
+}
+
+/// A multi-dimensional "catalog-like" workload: one skewed magnitude dimension plus
+/// uniform spatial dimensions, mirroring the paper's real-data catalogs.
+fn catalog_relation(n: usize, dims: usize, seed: u64) -> Relation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut r = Relation::with_capacity(dims, n);
+    let mut key = vec![0.0; dims];
+    for _ in 0..n {
+        let u: f64 = rng.gen_range(0.0..1.0f64);
+        key[0] = (1.0 - u).powf(-1.0 / 1.2);
+        for k in key.iter_mut().skip(1) {
+            *k = rng.gen_range(0.0..360.0);
         }
         r.push(&key);
     }
@@ -316,48 +333,144 @@ fn assert_results_bit_identical_except_eval_counters(
         b.partitioner.num_partitions(),
         "{label}: partitions"
     );
-    assert_eq!(a.report.iterations, b.report.iterations, "{label}");
-    assert_eq!(
-        a.report.winning_iteration, b.report.winning_iteration,
-        "{label}"
-    );
-    assert_eq!(a.report.leaves, b.report.leaves, "{label}");
-    assert_eq!(a.report.split_search, b.report.split_search, "{label}");
-    assert_eq!(
-        a.report.estimated_total_input.to_bits(),
-        b.report.estimated_total_input.to_bits(),
-        "{label}: total input"
-    );
-    assert_eq!(
-        a.report.predicted_time.to_bits(),
-        b.report.predicted_time.to_bits(),
-        "{label}: predicted time"
-    );
-    assert_eq!(
-        a.report.termination_reason, b.report.termination_reason,
-        "{label}"
-    );
+    let (ra, rb) = (&a.report, &b.report);
+    assert_eq!(ra.strategy, rb.strategy, "{label}");
+    assert_eq!(ra.iterations, rb.iterations, "{label}");
+    assert_eq!(ra.winning_iteration, rb.winning_iteration, "{label}");
+    assert_eq!(ra.leaves, rb.leaves, "{label}");
+    assert_eq!(ra.partitions, rb.partitions, "{label}");
+    assert_eq!(ra.split_search, rb.split_search, "{label}");
+    let estimates = |r: &OptimizationReport| {
+        [
+            r.estimated_total_input,
+            r.estimated_dup_overhead,
+            r.estimated_load_overhead,
+            r.estimated_output,
+            r.predicted_time,
+        ]
+        .map(f64::to_bits)
+    };
+    assert_eq!(estimates(ra), estimates(rb), "{label}: estimate bits");
+    assert_eq!(ra.termination_reason, rb.termination_reason, "{label}");
+}
+
+/// One workload of the end-to-end oracle tests, optimized on one thread.
+struct Workload {
+    label: &'static str,
+    s: Relation,
+    t: Relation,
+    band: BandCondition,
+    cfg: RecPartConfig,
+    rng_seed: u64,
+}
+
+impl Workload {
+    fn run(&self, oracles: Oracles) -> RecPartResult {
+        let mut rng = StdRng::seed_from_u64(self.rng_seed);
+        RecPart::new(self.cfg.clone().with_threads(1))
+            .with_oracles(oracles)
+            .optimize(&self.s, &self.t, &self.band, &mut rng)
+    }
+}
+
+/// The small 2-d Pareto shape, once per role configuration.
+fn pareto_2d_workloads(seed: u64) -> Vec<Workload> {
+    [("pareto-2d/recpart", true), ("pareto-2d/recpart-s", false)]
+        .map(|(label, symmetric)| {
+            let mut cfg = RecPartConfig::new(8).with_sample(small_sample_config());
+            cfg.symmetric = symmetric;
+            Workload {
+                label,
+                s: pareto_relation(3000, 2, 1.3, seed),
+                t: pareto_relation(3000, 2, 1.3, seed + 1),
+                band: BandCondition::symmetric(&[0.3, 0.3]),
+                cfg,
+                rng_seed: seed + 2,
+            }
+        })
+        .into()
+}
+
+/// The input sample sizes of the larger oracle workloads.
+fn large_sample_config() -> SampleConfig {
+    SampleConfig {
+        input_sample_size: 4_096,
+        output_sample_size: 1_024,
+        output_probe_count: 512,
+    }
+}
+
+/// The larger shapes: hard 1-d skew with deep trees, a 3-d catalog with S-splits,
+/// and a wide band whose leaves go small and interleave grid increments with plane
+/// splits — `(tuples a side, S data seed)` each, T's data seed one higher.
+fn large_workloads([pareto, catalog, grid]: [(usize, u64); 3]) -> Vec<Workload> {
+    let workload = |label, (s, t), band, workers| Workload {
+        label,
+        s,
+        t,
+        band,
+        cfg: RecPartConfig::new(workers).with_sample(large_sample_config()),
+        rng_seed: 0x0D15_EA5E,
+    };
+    let pareto_1d = |(n, seed)| {
+        (
+            pareto_relation(n, 1, 1.5, seed),
+            pareto_relation(n, 1, 1.5, seed + 1),
+        )
+    };
+    vec![
+        workload(
+            "pareto-1d",
+            pareto_1d(pareto),
+            BandCondition::symmetric(&[0.01]),
+            32,
+        ),
+        workload(
+            "catalog-3d",
+            (
+                catalog_relation(catalog.0, 3, catalog.1),
+                catalog_relation(catalog.0, 3, catalog.1 + 1),
+            ),
+            BandCondition::symmetric(&[0.5, 2.0, 2.0]),
+            16,
+        ),
+        workload(
+            "grid-heavy",
+            pareto_1d(grid),
+            BandCondition::symmetric(&[3.0]),
+            12,
+        ),
+    ]
 }
 
 #[test]
 fn sweep_scorer_matches_binary_search_scorer_end_to_end() {
-    let s = pareto_relation(3000, 2, 1.3, 40);
-    let t = pareto_relation(3000, 2, 1.3, 41);
-    let band = BandCondition::symmetric(&[0.3, 0.3]);
-    for symmetric in [true, false] {
-        let mut cfg = RecPartConfig::new(8)
-            .with_sample(small_sample_config())
-            .with_threads(1);
-        cfg.symmetric = symmetric;
-        let run = |scorer: SplitScorer| {
-            let mut rng = StdRng::seed_from_u64(42);
-            RecPart::new(cfg.clone().with_scorer(scorer)).optimize(&s, &t, &band, &mut rng)
-        };
-        let sweep = run(SplitScorer::SweepLine);
-        let reference = run(SplitScorer::BinarySearch);
-        assert_results_bit_identical(&sweep, &reference, "sweep vs binary-search");
-        assert!(sweep.report.split_search.leaves_scored > 0);
-        assert!(sweep.report.split_search.candidates_scored > 0);
+    let mut workloads = pareto_2d_workloads(40);
+    workloads.extend(large_workloads([(30_000, 11), (20_000, 21), (10_000, 41)]));
+    workloads.push(Workload {
+        label: "pareto-2d/recpart-s/theoretical",
+        s: pareto_relation(15_000, 2, 1.3, 31),
+        t: pareto_relation(15_000, 2, 1.3, 32),
+        band: BandCondition::symmetric(&[0.2, 0.2]),
+        cfg: RecPartConfig::new(8)
+            .without_symmetric()
+            .with_theoretical_termination()
+            .with_sample(large_sample_config()),
+        rng_seed: 0x0D15_EA5E,
+    });
+    for w in &workloads {
+        let sweep = w.run(Oracles::default());
+        let reference = w.run(Oracles {
+            binary_search: true,
+            ..Oracles::default()
+        });
+        assert_results_bit_identical(&sweep, &reference, w.label);
+        assert!(sweep.report.split_search.leaves_scored > 0, "{}", w.label);
+        assert!(
+            sweep.report.split_search.candidates_scored > 0,
+            "{}",
+            w.label
+        );
     }
 }
 
@@ -380,47 +493,41 @@ fn thread_count_does_not_change_the_result() {
 
 /// The incremental evaluator must change nothing the optimizer computes — only
 /// how much work evaluation does, which the `ledger_leaf_visits` counter proves:
-/// the full-recompute baseline revisits every leaf on every evaluation, the
-/// incremental ledger touches two leaves per plane split.
+/// the incremental ledger touches two leaves per plane split, the full-recompute
+/// oracle revisits every leaf on every evaluation on top.
 #[test]
 fn incremental_evaluator_matches_full_recompute_end_to_end() {
-    let s = pareto_relation(3000, 2, 1.3, 60);
-    let t = pareto_relation(3000, 2, 1.3, 61);
-    let band = BandCondition::symmetric(&[0.3, 0.3]);
-    for symmetric in [true, false] {
-        let mut cfg = RecPartConfig::new(8)
-            .with_sample(small_sample_config())
-            .with_threads(1);
-        cfg.symmetric = symmetric;
-        let run = |evaluator: Evaluator| {
-            let mut rng = StdRng::seed_from_u64(62);
-            RecPart::new(cfg.clone().with_evaluator(evaluator)).optimize(&s, &t, &band, &mut rng)
-        };
-        let incremental = run(Evaluator::Incremental);
-        let full = run(Evaluator::FullRecompute);
-        assert_results_bit_identical_except_eval_counters(
-            &incremental,
-            &full,
-            "incremental vs full recompute",
-        );
+    let mut workloads = pareto_2d_workloads(60);
+    workloads.extend(large_workloads([(20_000, 71), (15_000, 73), (10_000, 75)]));
+    for w in &workloads {
+        let incremental = w.run(Oracles::default());
+        let full = w.run(Oracles {
+            full_recompute: true,
+            ..Oracles::default()
+        });
+        let label = format!("{}: incremental vs full recompute", w.label);
+        assert_results_bit_identical_except_eval_counters(&incremental, &full, &label);
 
         // Same evaluations, same LPT work — the mapping itself is exact.
         let (ie, fe) = (incremental.report.evaluation, full.report.evaluation);
-        assert_eq!(ie.evaluations, fe.evaluations);
-        assert_eq!(ie.lpt_cells, fe.lpt_cells);
-        assert!(ie.evaluations > 1, "the run must have applied splits");
-        // evaluate() no longer iterates all leaves per split: the incremental
+        assert_eq!(ie.evaluations, fe.evaluations, "{label}");
+        assert_eq!(ie.lpt_cells, fe.lpt_cells, "{label}");
+        assert!(
+            ie.evaluations > 1,
+            "{label}: the run must have applied splits"
+        );
+        // evaluate() does not iterate all leaves per split: the incremental
         // ledger's visits are bounded by the deltas (≤ 2 per evaluation after
-        // the initial build), while the full recompute pays leaves × evaluations.
+        // the initial build), while the oracle re-walks far more leaves.
         assert!(
             ie.ledger_leaf_visits <= 2 * ie.evaluations,
-            "incremental ledger visits {} exceed the delta bound for {} evaluations",
+            "{label}: incremental ledger visits {} exceed the delta bound for {} evaluations",
             ie.ledger_leaf_visits,
             ie.evaluations
         );
         assert!(
-            fe.ledger_leaf_visits > ie.ledger_leaf_visits,
-            "full recompute must visit strictly more leaves ({} vs {})",
+            fe.ledger_leaf_visits > 2 * ie.ledger_leaf_visits,
+            "{label}: the oracle must re-walk far more leaves ({} vs {})",
             fe.ledger_leaf_visits,
             ie.ledger_leaf_visits
         );

@@ -64,9 +64,9 @@ pub mod prelude {
     };
     pub use recpart::{
         spill_fallback_count, AssignmentSink, BandCondition, CompiledRouter, EvalCounters,
-        Evaluator, LoadModel, OptimizationReport, PartitionId, Partitioner, PartitioningStats,
+        LoadModel, OptimizationReport, PartitionId, Partitioner, PartitioningStats,
         PerTupleFallback, PlanCacheCounters, RecPart, RecPartConfig, RecPartError, RecPartResult,
-        Relation, RouteKernel, SampleConfig, ScatterPolicy, SpillDir, SplitScorer,
-        SplitSearchCounters, SplitTreePartitioner, StorageMode, Termination,
+        Relation, RouteKernel, SampleConfig, ScatterPolicy, SpillDir, SplitSearchCounters,
+        SplitTreePartitioner, StorageMode, Termination,
     };
 }

@@ -23,14 +23,14 @@ fn large_workload() -> (Relation, Relation, BandCondition) {
     (s, t, BandCondition::symmetric(&[0.005]))
 }
 
-fn recpart_partitioner(
+fn optimize(
+    cfg: RecPartConfig,
     s: &Relation,
     t: &Relation,
     band: &BandCondition,
-    workers: usize,
 ) -> SplitTreePartitioner {
     let mut rng = StdRng::seed_from_u64(7);
-    RecPart::new(RecPartConfig::new(workers).with_seed(7))
+    RecPart::new(cfg.with_seed(7))
         .optimize(s, t, band, &mut rng)
         .partitioner
 }
@@ -39,7 +39,7 @@ fn recpart_partitioner(
 fn parallel_executor_matches_sequential_bit_for_bit() {
     let workers = 8;
     let (s, t, band) = workload();
-    let partitioner = recpart_partitioner(&s, &t, &band, workers);
+    let partitioner = optimize(RecPartConfig::new(workers), &s, &t, &band);
 
     let sequential = Executor::new(
         ExecutorConfig::new(workers)
@@ -78,7 +78,7 @@ fn parallel_executor_matches_sequential_bit_for_bit() {
 fn executor_reports_wall_clock_per_worker() {
     let workers = 4;
     let (s, t, band) = workload();
-    let partitioner = recpart_partitioner(&s, &t, &band, workers);
+    let partitioner = optimize(RecPartConfig::new(workers), &s, &t, &band);
     let report = Executor::with_workers(workers).execute(&partitioner, &s, &t, &band);
 
     // One wall-clock measurement per partition and per worker.
@@ -121,7 +121,7 @@ fn executor_reports_wall_clock_per_worker() {
 fn explicit_thread_counts_agree() {
     let workers = 4;
     let (s, t, band) = workload();
-    let partitioner = recpart_partitioner(&s, &t, &band, workers);
+    let partitioner = optimize(RecPartConfig::new(workers), &s, &t, &band);
 
     let mut baseline: Option<band_join::distsim::ExecutionReport> = None;
     for threads in [1usize, 2, 3] {
@@ -151,7 +151,7 @@ fn explicit_thread_counts_agree() {
 fn map_shuffle_is_bit_identical_across_thread_counts() {
     let workers = 8;
     let (s, t, band) = large_workload();
-    let partitioner = recpart_partitioner(&s, &t, &band, workers);
+    let partitioner = optimize(RecPartConfig::new(workers), &s, &t, &band);
 
     let shuffled_seq =
         Executor::new(ExecutorConfig::new(workers).sequential()).map_shuffle(&partitioner, &s, &t);
@@ -175,37 +175,49 @@ fn map_shuffle_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Full determinism matrix on a RecPart partitioning (not just `SinglePartition`):
-/// sequential vs. `threads=0` vs. `threads=4` produce identical stats, per-partition
-/// loads, and pair-level verification under `FullPairs`.
+/// Full determinism matrix on RecPart partitionings (not just `SinglePartition`),
+/// symmetric and RecPart-S: sequential vs. `threads=0` vs. `threads=4` produce
+/// identical stats, per-partition loads, and pair-level verification under
+/// `FullPairs`.
 #[test]
 fn execute_reports_identical_across_thread_counts_with_full_pairs() {
     let workers = 8;
     let (s, t, band) = large_workload();
-    let partitioner = recpart_partitioner(&s, &t, &band, workers);
-
-    let base = Executor::new(
-        ExecutorConfig::new(workers)
-            .with_verification(VerificationLevel::FullPairs)
-            .sequential(),
-    )
-    .execute(&partitioner, &s, &t, &band);
-    assert_eq!(base.correct, Some(true));
-    assert_eq!(base.threads_used, 1);
-
-    for threads in [0usize, 4] {
-        let report = Executor::new(
+    let cfg = RecPartConfig::new(workers);
+    for partitioner in [
+        optimize(cfg.clone(), &s, &t, &band),
+        optimize(cfg.clone().without_symmetric(), &s, &t, &band),
+    ] {
+        let name = partitioner.name();
+        let base = Executor::new(
             ExecutorConfig::new(workers)
                 .with_verification(VerificationLevel::FullPairs)
-                .with_threads(threads),
+                .sequential(),
         )
         .execute(&partitioner, &s, &t, &band);
-        assert_eq!(base.stats, report.stats, "threads={threads} changed stats");
-        assert_eq!(base.per_partition, report.per_partition);
-        assert_eq!(base.partition_to_worker, report.partition_to_worker);
-        assert_eq!(base.exact_output, report.exact_output);
-        assert_eq!(base.pair_check, report.pair_check);
-        assert_eq!(report.correct, Some(true));
+        assert_eq!(base.correct, Some(true), "{name}");
+        assert_eq!(base.threads_used, 1);
+
+        for threads in [0usize, 4] {
+            let report = Executor::new(
+                ExecutorConfig::new(workers)
+                    .with_verification(VerificationLevel::FullPairs)
+                    .with_threads(threads),
+            )
+            .execute(&partitioner, &s, &t, &band);
+            assert_eq!(
+                base.stats, report.stats,
+                "{name}: threads={threads} changed stats"
+            );
+            assert_eq!(base.per_partition, report.per_partition, "{name}");
+            assert_eq!(
+                base.partition_to_worker, report.partition_to_worker,
+                "{name}"
+            );
+            assert_eq!(base.exact_output, report.exact_output, "{name}");
+            assert_eq!(base.pair_check, report.pair_check, "{name}");
+            assert_eq!(report.correct, Some(true), "{name}");
+        }
     }
 }
 
@@ -214,7 +226,7 @@ fn execute_reports_identical_across_thread_counts_with_full_pairs() {
 fn execute_reports_per_phase_wall_clock() {
     let workers = 4;
     let (s, t, band) = workload();
-    let partitioner = recpart_partitioner(&s, &t, &band, workers);
+    let partitioner = optimize(RecPartConfig::new(workers), &s, &t, &band);
     let report = Executor::with_workers(workers).execute(&partitioner, &s, &t, &band);
 
     assert!(report.map_shuffle_wall_seconds > 0.0);
@@ -243,8 +255,7 @@ fn execute_reports_per_phase_wall_clock() {
 /// partitions, with bit-identical results. Skipped on smaller machines (there is
 /// nothing to scale onto). Ignored by default because wall-clock assertions are
 /// meaningless while sibling tests compete for the same cores — CI runs it in an
-/// isolated release-mode step (`--ignored --test-threads=1`), and the
-/// `exp_parallel_smoke` binary guards the same property on every CI run.
+/// isolated release-mode step (`--ignored --test-threads=1`).
 #[test]
 #[ignore = "timing-sensitive: run isolated via --ignored --test-threads=1"]
 fn parallel_execute_beats_sequential_on_multicore() {
@@ -258,7 +269,7 @@ fn parallel_execute_beats_sequential_on_multicore() {
     let s = datagen::pareto_relation(100_000, 1, 1.5, &mut rng);
     let t = datagen::pareto_relation(100_000, 1, 1.5, &mut rng);
     let band = BandCondition::symmetric(&[0.001]);
-    let partitioner = recpart_partitioner(&s, &t, &band, workers);
+    let partitioner = optimize(RecPartConfig::new(workers), &s, &t, &band);
 
     let run = |threads: usize| {
         let exec = Executor::new(
