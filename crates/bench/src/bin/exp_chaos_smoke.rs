@@ -89,6 +89,7 @@ fn main() {
     // --- Baseline: unsupervised sharded execution. ---
     let baseline = exec
         .execute_sharded(&partitioner, &s, &t, &band, SHARDS)
+        .expect("SHARDS > 0")
         .report;
 
     // --- Zero-fault supervised run: bit-identical, clean accounting. ---

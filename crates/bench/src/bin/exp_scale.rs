@@ -121,7 +121,8 @@ fn main() {
     for shards in [2usize, 4] {
         let sharded = Executor::new(base_cfg)
             .with_shuffle_config(spill_config())
-            .execute_sharded(&partitioner, &s, &t, &band, shards);
+            .execute_sharded(&partitioner, &s, &t, &band, shards)
+            .expect("at least one shard");
         if sharded.report.stats != baseline.stats
             || sharded.report.per_partition != baseline.per_partition
             || sharded.report.partition_to_worker != baseline.partition_to_worker

@@ -92,13 +92,13 @@ pub use metrics::{
 };
 pub use parallel::Parallelism;
 pub use partition::{
-    AssignmentSink, PartitionId, Partitioner, PerTupleFallback, ScatterPolicy, DEFAULT_BLOCK_TUPLES,
+    AssignmentSink, PartitionId, Partitioner, ScatterPolicy, DEFAULT_BLOCK_TUPLES,
 };
 pub use recpart::{OptimizationReport, RecPart, RecPartResult, SplitTreePartitioner};
 pub use relation::{Key, Relation};
 pub use router::CompiledRouter;
 pub use sample::{InputSample, OutputSample, SampleConfig};
-pub use simd::{band_window_collect, band_window_count, JoinKernel, Kernel, RouteKernel};
+pub use simd::{JoinKernel, Kernel, RouteKernel};
 pub use storage::{spill_fallback_count, MappedVec, SpillDir, Storage, StorageMode};
 
 /// Convenience re-exports for downstream users.
@@ -108,9 +108,7 @@ pub mod prelude {
     pub use crate::geometry::Rect;
     pub use crate::load::LoadModel;
     pub use crate::metrics::PartitioningStats;
-    pub use crate::partition::{
-        AssignmentSink, PartitionId, Partitioner, PerTupleFallback, ScatterPolicy,
-    };
+    pub use crate::partition::{AssignmentSink, PartitionId, Partitioner, ScatterPolicy};
     pub use crate::recpart::{OptimizationReport, RecPart, RecPartResult, SplitTreePartitioner};
     pub use crate::relation::{Key, Relation};
     pub use crate::router::CompiledRouter;

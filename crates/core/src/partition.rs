@@ -423,31 +423,6 @@ pub trait Partitioner: Send + Sync {
     }
 }
 
-/// Adapter that hides a partitioner's block-routing overrides: every block call goes
-/// through the trait's default per-tuple loop (`assign_s`/`assign_t` with one reused
-/// buffer). This is the **per-tuple reference** of `tests/block_routing.rs` — routing
-/// through it reproduces the pre-block-API map phase exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct PerTupleFallback<'a, P: ?Sized>(pub &'a P);
-
-impl<P: Partitioner + ?Sized> Partitioner for PerTupleFallback<'_, P> {
-    fn num_partitions(&self) -> usize {
-        self.0.num_partitions()
-    }
-    fn assign_s(&self, key: &[f64], tuple_id: u64, out: &mut Vec<PartitionId>) {
-        self.0.assign_s(key, tuple_id, out)
-    }
-    fn assign_t(&self, key: &[f64], tuple_id: u64, out: &mut Vec<PartitionId>) {
-        self.0.assign_t(key, tuple_id, out)
-    }
-    // assign_s_block / assign_t_block / count_total_input / scatter_policy
-    // deliberately NOT forwarded: they must take the trait's per-tuple default path
-    // (and the pair-list scatter default that goes with per-tuple dispatch cost).
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-}
-
 /// Blanket implementation so boxed partitioners can be used wherever a partitioner is
 /// expected.
 impl<P: Partitioner + ?Sized> Partitioner for Box<P> {
@@ -722,26 +697,5 @@ mod tests {
         bad.track_coverage(0..r.len());
         Dropper.assign_s_block(&r, 0..r.len(), &mut bad);
         assert!(!bad.covered_every_tuple());
-    }
-
-    #[test]
-    fn per_tuple_fallback_routes_identically_via_defaults() {
-        let mut r = Relation::new(1);
-        for i in 0..8 {
-            r.push(&[i as f64]);
-        }
-        let p = FanOut;
-        let fallback = PerTupleFallback(&p);
-        assert_eq!(fallback.name(), "FanOut");
-        assert_eq!(fallback.num_partitions(), 3);
-        let mut a = AssignmentSink::new(3);
-        let mut b = AssignmentSink::new(3);
-        p.assign_t_block(&r, 0..r.len(), &mut a);
-        fallback.assign_t_block(&r, 0..r.len(), &mut b);
-        assert_eq!(a, b);
-        assert_eq!(
-            p.count_total_input(&r, &r),
-            fallback.count_total_input(&r, &r)
-        );
     }
 }

@@ -27,7 +27,7 @@
 //!   binary search per T row finds its run — for most rows of a selective join, the
 //!   empty one.
 //! * Every probe of that run is tested against the T-tuple in all dimensions with
-//!   the window kernel of the local join ([`band_window_collect`], the literal
+//!   the window kernel of the local join (`simd::band_window_collect`, the literal
 //!   [`BandCondition::matches`] predicate, vectorised over the contiguous probe
 //!   columns). The kernel computes `key − column`, here `t − s`, so it is handed the
 //!   band with its two widths exchanged: negation is exact in IEEE-754, hence

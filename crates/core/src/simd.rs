@@ -48,8 +48,8 @@
 //! layer at once (the router and the join window below): `scalar`, `portable`,
 //! `avx2`, or `auto` (the default). Forcing a kernel the CPU does not support
 //! panics at first use rather than silently downgrading, so CI gates measure
-//! what they claim to measure. To force one layer alone, pass a kernel to its
-//! explicit `*_with` entry point.
+//! what they claim to measure. To force the router alone, pass a kernel to
+//! `CompiledRouter::route_{s,t}_block_with`.
 //!
 //! # Join kernels
 //!
@@ -57,14 +57,14 @@
 //! probe side of an index-nested-loop join is narrowed to a dimension-0 window
 //! over the SoA-sorted candidate columns, evaluating the full band condition
 //! against every candidate in the window is a vertical operation too. The
-//! [`JoinKernel`] variants provide it ([`band_window_count`] /
-//! [`band_window_collect`]): scalar oracle, branchless portable, and AVX2
-//! masked compares with AND-accumulated per-dimension accept masks, popcount
-//! for output counting, and the same `pshufb` compress-store for pair
-//! materialization. The `*_dims` forms take the probe-key, column and ε slices
-//! of the dimensions to test rather than a whole [`BandCondition`]: the local
-//! join settles dimension 0 on the sorted column itself and hands the kernels
-//! dimensions `1..` only.
+//! [`JoinKernel`] variants provide it ([`band_window_count_dims`] /
+//! [`band_window_collect_dims`]): the literal per-candidate scalar loop,
+//! branchless portable, and AVX2 masked compares with AND-accumulated
+//! per-dimension accept masks, popcount for output counting, and the same
+//! `pshufb` compress-store for pair materialization. They take the probe-key,
+//! column and ε slices of the dimensions to test rather than a whole
+//! [`BandCondition`]: the local join settles dimension 0 on the sorted column
+//! itself and hands the kernels dimensions `1..` only.
 //!
 //! NaN semantics deliberately mirror [`BandCondition::matches`]: a pair is
 //! *rejected* iff `d < -ε_low || d > ε_high` for some dimension (`d = s − t`),
@@ -85,7 +85,8 @@ use std::sync::OnceLock;
 /// picks one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Per-tuple / per-candidate scalar code (the baseline and bit-identity oracle).
+    /// Per-tuple / per-candidate scalar code: the routing layer's bit-identity
+    /// oracle, and the join window's literal per-candidate `matches` loop.
     Scalar,
     /// Branchless portable kernels (any target).
     Portable,
@@ -170,34 +171,16 @@ impl Kernel {
     }
 }
 
-/// Count the candidates of `window` (positions into the SoA columns `cols`,
-/// one sorted column per join dimension) whose full band condition against the
-/// probe key `sk` holds — exactly [`BandCondition::matches`] per candidate,
-/// including its NaN semantics (a NaN difference matches). Every kernel
-/// returns the same count; `Scalar` runs the literal per-candidate loop and is
-/// the oracle the vector kernels are held to.
-///
-/// # Panics
-/// As [`band_window_count_dims`], the band's dimensions being the ε slices.
-pub fn band_window_count(
-    kernel: JoinKernel,
-    sk: &[f64],
-    cols: &[Vec<f64>],
-    window: Range<usize>,
-    band: &BandCondition,
-) -> u64 {
-    let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
-    band_window_count_dims(kernel, sk, cols, lo, hi, window)
-}
-
-/// [`band_window_count`] that additionally **appends** the matching positions
-/// (absolute indices into the columns, as `u32`, in window order) to `out`.
-/// Returns the number of matches appended. Every kernel appends the same
-/// positions in the same order.
+/// [`band_window_collect_dims`] over every dimension of `band`: **appends** the
+/// positions of `window` (absolute indices into the SoA columns `cols`, one per
+/// join dimension, as `u32`, in window order) whose full band condition against
+/// the probe key `sk` holds — exactly [`BandCondition::matches`] per candidate,
+/// NaN semantics included — to `out`, and returns how many it appended. Every
+/// kernel appends the same positions in the same order.
 ///
 /// # Panics
 /// As [`band_window_collect_dims`], the band's dimensions being the ε slices.
-pub fn band_window_collect(
+pub(crate) fn band_window_collect(
     kernel: JoinKernel,
     sk: &[f64],
     cols: &[Vec<f64>],
@@ -227,11 +210,15 @@ fn assert_window_in_columns(
     );
 }
 
-/// [`band_window_count`] over a caller-chosen run of dimensions: candidate `pos` is
-/// counted unless `d = sk[i] − cols[i][pos]` has `d < −eps_low[i] || d > eps_high[i]`
-/// for some `i`. The local join passes the slices of dimensions `1..` once it has
-/// settled dimension 0 on the sorted column itself; with no dimensions left every
-/// candidate of the window counts, and no kernel runs to say so.
+/// Count the candidates of `window` (positions into the SoA columns `cols`, one
+/// sorted column per dimension) that pass the band test over a caller-chosen run
+/// of dimensions: candidate `pos` is counted unless `d = sk[i] − cols[i][pos]` has
+/// `d < −eps_low[i] || d > eps_high[i]` for some `i` — [`BandCondition::matches`]'
+/// own test, so a NaN difference matches. Every kernel returns the same count;
+/// `Scalar` runs the literal per-candidate loop. The local join passes the slices
+/// of dimensions `1..` once it has settled dimension 0 on the sorted column
+/// itself; with no dimensions left every candidate of the window counts, and no
+/// kernel runs to say so.
 ///
 /// # Panics
 /// Panics unless `sk`, `cols`, `eps_low` and `eps_high` have one length and
@@ -250,17 +237,19 @@ pub fn band_window_count_dims(
     }
     match kernel {
         JoinKernel::Scalar | JoinKernel::Portable => {
-            portable::band_window_count(kernel, sk, cols, eps_low, eps_high, window)
+            portable::window_count(kernel, sk, cols, eps_low, eps_high, window)
         }
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`;
         // the asserts above are the kernel's length and bounds contract.
-        JoinKernel::Avx2 => unsafe { avx2::band_window_count(sk, cols, eps_low, eps_high, window) },
+        JoinKernel::Avx2 => unsafe { avx2::window_count(sk, cols, eps_low, eps_high, window) },
     }
 }
 
-/// [`band_window_collect`] over a caller-chosen run of dimensions (see
-/// [`band_window_count_dims`]).
+/// [`band_window_count_dims`] that additionally **appends** the matching positions
+/// (absolute indices into the columns, as `u32`, in window order) to `out`, and
+/// returns the number appended. Every kernel appends the same positions in the
+/// same order.
 ///
 /// # Panics
 /// As [`band_window_count_dims`], and if `window.end` exceeds `u32::MAX` (positions
@@ -285,13 +274,13 @@ pub fn band_window_collect_dims(
     }
     match kernel {
         JoinKernel::Scalar | JoinKernel::Portable => {
-            portable::band_window_collect(kernel, sk, cols, eps_low, eps_high, window, out)
+            portable::window_collect(kernel, sk, cols, eps_low, eps_high, window, out)
         }
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`;
         // the asserts above are the kernel's length and bounds contract.
         JoinKernel::Avx2 => unsafe {
-            avx2::band_window_collect(sk, cols, eps_low, eps_high, window, out)
+            avx2::window_collect(sk, cols, eps_low, eps_high, window, out)
         },
     }
 }
@@ -508,7 +497,7 @@ mod portable {
         reject
     }
 
-    pub(super) fn band_window_count(
+    pub(super) fn window_count(
         kernel: JoinKernel,
         sk: &[f64],
         cols: &[Vec<f64>],
@@ -529,7 +518,7 @@ mod portable {
         n
     }
 
-    pub(super) fn band_window_collect(
+    pub(super) fn window_collect(
         kernel: JoinKernel,
         sk: &[f64],
         cols: &[Vec<f64>],
@@ -799,7 +788,7 @@ mod avx2 {
     /// AVX2 must be available; `window.end <= cols[d].len()` for every
     /// dimension and `sk.len() == cols.len() == lo.len() == hi.len()`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn band_window_count(
+    pub(super) unsafe fn window_count(
         sk: &[f64],
         cols: &[Vec<f64>],
         lo: &[f64],
@@ -820,7 +809,7 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Same contract as [`band_window_count`].
+    /// Same contract as [`window_count`].
     ///
     /// Store-bounds proof: before the vector iteration starting at `i` the
     /// cursor is at offset `≤ i − window.start` past the old length, and
@@ -829,7 +818,7 @@ mod avx2 {
     /// slots reserved up front. The scalar tail writes single elements at
     /// offsets `≤ window.len() − 1`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn band_window_collect(
+    pub(super) unsafe fn window_collect(
         sk: &[f64],
         cols: &[Vec<f64>],
         lo: &[f64],
@@ -1084,7 +1073,8 @@ mod tests {
                 let window = start..start + len;
                 for sk in &probes {
                     let expected = reference_window(sk, &cols, window.clone(), &band);
-                    let count = band_window_count(kernel, sk, &cols, window.clone(), &band);
+                    let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
+                    let count = band_window_count_dims(kernel, sk, &cols, lo, hi, window.clone());
                     assert_eq!(
                         count,
                         expected.len() as u64,
@@ -1162,14 +1152,6 @@ mod tests {
 
     // The vector kernels load unchecked, so a malformed call from safe code must
     // panic in the profile that ships: CI runs these with `--release` too.
-
-    #[test]
-    #[should_panic(expected = "probe key vs ε_low")]
-    fn count_panics_on_a_band_of_another_dimensionality() {
-        let cols = vec![vec![0.0; 8], vec![0.0; 8]];
-        let band = BandCondition::symmetric(&[1.0]);
-        band_window_count(JoinKernel::detect(), &[0.0, 0.0], &cols, 0..8, &band);
-    }
 
     #[test]
     #[should_panic(expected = "runs past a candidate column")]

@@ -621,7 +621,8 @@ impl Executor {
     /// every per-partition computation and the merge order are identical to
     /// [`Executor::execute`], the resulting report — loads, stats, pair checks — is
     /// bit-identical to the unsharded run; sharding only changes where the work ran
-    /// and adds per-shard measurements.
+    /// and adds per-shard measurements. `shards == 0` is a
+    /// [`SuperviseError::InvalidConfig`], returned before anything runs.
     pub fn execute_sharded<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
@@ -629,14 +630,14 @@ impl Executor {
         t: &Relation,
         band: &BandCondition,
         shards: usize,
-    ) -> ShardedExecution {
-        let policy = ReducePolicy::Sharded(shards);
+    ) -> Result<ShardedExecution, SuperviseError> {
+        let policy = ReducePolicy::sharded(shards)?;
         let done = self.run_unsupervised(partitioner, (s, t, band), None, policy);
-        ShardedExecution {
+        Ok(ShardedExecution {
             simulated_sharded_seconds: self.simulated_sharded_seconds(&done),
             report: done.report,
             shard_stats: done.shard_stats,
-        }
+        })
     }
 
     /// **The** reduce: every partition's [`join_partition`] under `policy`'s

@@ -27,8 +27,8 @@
 //! [`ReadyPartition::join`] emits materialized pairs in **ascending S id**, each
 //! probe's matches in window (T dimension-0) order. Shuffle arenas are ascending, so
 //! that is the order probing the raw slice in arrival order produces — pair lists are
-//! those of `LocalJoinAlgorithm::IndexNestedLoop` on the unsorted arenas, element for
-//! element, at the price of one integer sort of positions on the materializing path.
+//! those of [`crate::probe_sorted`] on the unsorted arenas, element for element, at the
+//! price of one integer sort of positions on the materializing path.
 
 use crate::local_join::{
     gather_columns, sort_s_ids, sort_t_ids, sweep_in_key_order, LocalJoinResult,
@@ -76,7 +76,7 @@ impl ReadyPartition<'_> {
     /// The partition's band-join: gather T's columns (no sort), sweep the sorted S
     /// slice once with a single monotone dimension-0 window, evaluate every window
     /// with `kernel`. `output`, `comparisons`, the pairs and their order equal
-    /// `LocalJoinAlgorithm::IndexNestedLoop` on the ascending slices, for every kernel.
+    /// [`crate::probe_sorted`] on the ascending slices, for every kernel.
     pub(crate) fn join(
         &self,
         kernel: JoinKernel,
@@ -254,7 +254,7 @@ mod tests {
     //! index-nested-loop oracle on the shuffle's ascending slices.
 
     use super::*;
-    use crate::local_join::LocalJoinAlgorithm;
+    use crate::local_join::{probe_scalar, SortedProbeSide};
     use crate::shuffle::{shuffle, ShuffleConfig};
     use proptest::prelude::*;
     use recpart::{PartitionId, Partitioner, SpillDir, StorageMode};
@@ -376,20 +376,14 @@ mod tests {
             let spill = StorageMode::Spill(SpillDir::in_temp("join-ready-test").expect("spill dir"));
             let heap = ShuffleConfig::default();
 
-            // The oracle: the scalar index-nested-loop on the raw ascending slices.
+            // The oracle: the scalar per-probe loop on the raw ascending slices.
             let raw = shuffle(&partitioner, &s, &t, k, &Parallelism::Sequential, &heap);
             let oracle: Vec<(LocalJoinResult, Vec<(u32, u32)>)> = (0..k)
                 .map(|p| {
                     let mut pairs = Vec::new();
-                    let result = LocalJoinAlgorithm::IndexNestedLoop.join_with(
-                        JoinKernel::Scalar,
-                        &s,
-                        &t,
-                        raw.s_parts.part(p),
-                        raw.t_parts.part(p),
-                        &band,
-                        Some(&mut pairs),
-                    );
+                    let side = SortedProbeSide::build(&t, raw.t_parts.part(p));
+                    let s_idx = raw.s_parts.part(p).iter().copied();
+                    let result = probe_scalar(&s, &t, &side, &band, s_idx, Some(&mut pairs));
                     (result, pairs)
                 })
                 .collect();

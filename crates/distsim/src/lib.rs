@@ -4,9 +4,9 @@
 //! crate provides the equivalent substrate as a deterministic, in-process simulator so
 //! that every experiment of the paper can be re-run on a single machine:
 //!
-//! * [`local_join`] — the per-worker band-join algorithms (index-nested-loop over sorted
-//!   ε-ranges as used in the paper's reducers, and a nested-loop reference), both of
-//!   which also report the number of candidate comparisons they performed;
+//! * [`local_join`] — the per-worker band-join (the index-nested-loop over sorted
+//!   ε-ranges the paper's reducers use), which also reports the number of candidate
+//!   comparisons it performed;
 //! * [`executor`] — the map–shuffle–reduce pipeline: routes every tuple through a
 //!   [`recpart::Partitioner`], materializes per-partition inputs, maps partitions onto
 //!   workers (modelling the dynamic scheduler with a longest-processing-time heuristic),
@@ -65,9 +65,7 @@ pub use executor::{
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FiredCounts, InjectionPoint};
 pub use join_ready::JoinReadyInputs;
-pub use local_join::{
-    probe_sorted, probe_sorted_with, LocalJoinAlgorithm, LocalJoinResult, SortedProbeSide,
-};
+pub use local_join::{probe_sorted, LocalJoinResult, SortedProbeSide};
 pub use machine::MachineModel;
 pub use metrics::{process_peak_rss_bytes, RecoveryCounters, ShardStats};
 pub use plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};

@@ -1,14 +1,15 @@
-//! Per-worker ("local") band-join algorithms.
+//! The per-worker ("local") band-join.
 //!
 //! After the shuffle, every worker holds a subset `S_p`, `T_p` of the inputs and must
 //! compute the band-join of exactly those tuples. The paper uses an index-nested-loop
 //! scheme: range-partition `T_p` on the most selective dimension `A₁` into ranges of
 //! width `ε₁`, then probe each `s ∈ S_p` against its range and the two neighbouring
-//! ranges. Our [`LocalJoinAlgorithm::IndexNestedLoop`] implements the equivalent
-//! sorted-array formulation (binary search for `s.A₁ − ε₁`, scan to `s.A₁ + ε₁`), which
-//! is also what the paper's Grid-ε variant uses for its pre-sorted cells.
+//! ranges. This module implements the equivalent sorted-array formulation (binary
+//! search for `s.A₁ − ε₁`, scan to `s.A₁ + ε₁`), which is also what the paper's Grid-ε
+//! variant uses for its pre-sorted cells. It is the only local join the library ships;
+//! the scalar per-probe loop and the quadratic nested loop it is held to are test code.
 //!
-//! Every algorithm reports the number of **candidate comparisons** it performed; the
+//! The join reports the number of **candidate comparisons** it performed; the
 //! synthetic machine model uses this to derive realistic per-worker compute times.
 //!
 //! # Join kernels
@@ -18,18 +19,18 @@
 //! sorted-by-dimension-0 order at build time, so evaluating the band condition over a
 //! candidate window reads contiguous memory instead of gathering one cache-missing
 //! tuple at a time. The per-window evaluation of dimensions `1..` dispatches through
-//! [`JoinKernel`] (`scalar` oracle / branchless `portable` / `avx2` masked compares;
-//! override with `BAND_JOIN_KERNEL`, or pass one to a `*_with` entry point) — see
-//! [`recpart::simd`] for the kernel contract and NaN policy.
+//! [`JoinKernel`] (`scalar` per-candidate `matches` loop / branchless `portable` /
+//! `avx2` masked compares; override with `BAND_JOIN_KERNEL`) — see [`recpart::simd`]
+//! for the kernel contract and NaN policy.
 //!
-//! Vectorized probes are processed in blocks: each block is sorted on dimension 0
-//! once, swept with one amortized sliding window, and its pairs are emitted through a
-//! stable inverse permutation — so pair **order** stays bit-identical to the scalar
-//! per-probe binary-search loop, which remains in-tree verbatim as the measured
-//! baseline and proptest oracle. The sweep itself ([`sweep_in_key_order`]) only needs
-//! its probes in dimension-0 order, so the executor's reduce — whose partitions are
-//! sorted once, by [`crate::join_ready`] — runs it over a whole partition with no
-//! blocks at all; [`probe_sorted`] is the verifier's join.
+//! Probes in arbitrary order are processed in blocks: each block is sorted on
+//! dimension 0 once, swept with one amortized sliding window, and its pairs are
+//! emitted through a stable inverse permutation — so pair **order** stays
+//! bit-identical to the scalar per-probe binary-search loop, the proptest oracle. The
+//! sweep itself ([`sweep_in_key_order`]) only needs its probes in dimension-0 order,
+//! so the executor's reduce — whose partitions are sorted once, by
+//! [`crate::join_ready`] — runs it over a whole partition with no blocks at all;
+//! [`probe_sorted`], the one public probe entry point, is the verifier's join.
 //!
 //! # The dimension-0 trim
 //!
@@ -62,16 +63,8 @@ use recpart::simd::{band_window_collect_dims, band_window_count_dims};
 use recpart::{BandCondition, JoinKernel, Relation};
 use serde::{Deserialize, Serialize};
 
-/// The algorithm a worker uses for its local band-join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum LocalJoinAlgorithm {
-    /// Sort `T_p` on dimension 0 and probe each `s ∈ S_p` against the ε-range around its
-    /// `A₁` value (the paper's local algorithm).
-    #[default]
-    IndexNestedLoop,
-    /// Compare every pair (reference implementation, quadratic).
-    NestedLoop,
-}
+#[cfg(test)]
+mod kernel_tests;
 
 /// Result of one local join: output size and work performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,9 +72,8 @@ pub struct LocalJoinResult {
     /// Number of output pairs produced.
     pub output: u64,
     /// Candidate pairs the index handed the probes: the summed size of every
-    /// dimension-0 window (of all pairs, for the nested loop) — not the number of
-    /// per-candidate tests executed. Identical for every [`JoinKernel`] (see the
-    /// module docs).
+    /// dimension-0 window — not the number of per-candidate tests executed.
+    /// Identical for every [`JoinKernel`] (see the module docs).
     pub comparisons: u64,
 }
 
@@ -150,29 +142,14 @@ impl SortedProbeSide {
         let cols = gather_columns(t, &sorted);
         SortedProbeSide { sorted, cols }
     }
-
-    /// Number of selected T-tuples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the side holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// The sort-key column (dimension-0 values in sorted order).
-    fn key_col(&self) -> &[f64] {
-        &self.cols[0]
-    }
 }
 
 /// Probe every S-tuple of `s_idx` (in the given order) against a pre-sorted T side
-/// with the process-wide [`JoinKernel::active`] kernel: binary-search the ε-range on
-/// dimension 0, then evaluate the full band condition on each candidate. This is the
-/// inner loop of [`LocalJoinAlgorithm::IndexNestedLoop`]; pairs are emitted in probe
-/// order, so chunking `s_idx` and concatenating the chunk outputs in order reproduces
-/// the unchunked result exactly — for every kernel.
+/// with the process-wide [`JoinKernel::active`] kernel: find the ε-range on dimension
+/// 0, then evaluate the full band condition on each candidate — the paper's
+/// index-nested-loop, with `side` built from `t`. Pairs are emitted in probe order, so
+/// chunking `s_idx` and concatenating the chunk outputs in order reproduces the
+/// unchunked result exactly — for every kernel.
 pub fn probe_sorted(
     s: &Relation,
     t: &Relation,
@@ -181,61 +158,14 @@ pub fn probe_sorted(
     s_idx: impl IntoIterator<Item = u32>,
     pairs: Option<&mut Vec<(u32, u32)>>,
 ) -> LocalJoinResult {
-    probe_sorted_with(JoinKernel::active(), s, t, side, band, s_idx, pairs)
-}
-
-/// [`probe_sorted`] with an explicit kernel (the process-global kernel is resolved
-/// once, so benchmark gates sweep kernels through this entry point). Every kernel
-/// produces bit-identical pairs, pair order, `output`, and `comparisons`.
-pub fn probe_sorted_with(
-    kernel: JoinKernel,
-    s: &Relation,
-    t: &Relation,
-    side: &SortedProbeSide,
-    band: &BandCondition,
-    s_idx: impl IntoIterator<Item = u32>,
-    pairs: Option<&mut Vec<(u32, u32)>>,
-) -> LocalJoinResult {
-    match kernel {
-        JoinKernel::Scalar => probe_scalar(s, t, side, band, s_idx, pairs),
-        _ => probe_blocked(kernel, s, side, band, s_idx, pairs),
-    }
-}
-
-/// The scalar per-probe loop, kept verbatim as the measured baseline and the
-/// bit-identity oracle for the vectorized blocked path.
-fn probe_scalar(
-    s: &Relation,
-    t: &Relation,
-    side: &SortedProbeSide,
-    band: &BandCondition,
-    s_idx: impl IntoIterator<Item = u32>,
-    mut pairs: Option<&mut Vec<(u32, u32)>>,
-) -> LocalJoinResult {
-    let mut result = LocalJoinResult::default();
-    let vals = side.key_col();
-    for si in s_idx {
-        let sk = s.key(si as usize);
-        let (lo, hi) = band.range_around_s(0, sk[0]);
-        let start = vals.partition_point(|&v| v < lo);
-        let end = vals.partition_point(|&v| v <= hi);
-        for &ti in &side.sorted[start..end] {
-            result.comparisons += 1;
-            if band.matches(&sk, &t.key(ti as usize)) {
-                result.output += 1;
-                if let Some(p) = pairs.as_deref_mut() {
-                    p.push((si, ti));
-                }
-            }
-        }
-    }
-    result
+    debug_assert_eq!(side.cols.len(), t.dims(), "`side` not built from `t`");
+    probe_sorted_with(JoinKernel::active(), s, side, band, s_idx, pairs)
 }
 
 /// Where a probe's matches sit in the sweep's `matched` buffer: `(offset, len)`.
 pub(crate) type MatchSlot = (usize, usize);
 
-/// The inner loop of every vector probe path: probe S-tuples that arrive in
+/// The inner loop of every probe path: probe S-tuples that arrive in
 /// dimension-0 (`total_cmp`) order against the gathered T columns `cols` (`cols[0]`
 /// sorted), advancing **one** monotone dimension-0 window over the column instead of
 /// binary-searching per probe, trimming each window to its dimension-0 matches on the
@@ -335,12 +265,13 @@ pub(crate) fn sweep_in_key_order(
     result
 }
 
-/// The vectorized probe path for probes in **arbitrary** order: process them in
-/// blocks, sort each block on dimension 0 once (stable order: key `total_cmp`, then
-/// arrival position), sweep the block with [`sweep_in_key_order`], and emit pairs
-/// through the block's inverse permutation so the output order matches the scalar
-/// probe loop exactly.
-fn probe_blocked(
+/// [`probe_sorted`] with an explicit kernel, for probes in **arbitrary** order:
+/// process them in blocks, sort each block on dimension 0 once (stable order: key
+/// `total_cmp`, then arrival position), sweep the block with [`sweep_in_key_order`],
+/// and emit pairs through the block's inverse permutation so the output order matches
+/// the scalar per-probe loop exactly. Every kernel, `Scalar` included, takes this
+/// path and produces bit-identical pairs, pair order, `output`, and `comparisons`.
+pub(crate) fn probe_sorted_with(
     kernel: JoinKernel,
     s: &Relation,
     side: &SortedProbeSide,
@@ -400,8 +331,42 @@ fn probe_blocked(
     result
 }
 
+/// The scalar per-probe loop: binary-search each probe's dimension-0 window and test
+/// every candidate with [`BandCondition::matches`]. Test code — the bit-identity
+/// oracle [`probe_sorted_with`] is held to for every kernel.
+#[cfg(test)]
+pub(crate) fn probe_scalar(
+    s: &Relation,
+    t: &Relation,
+    side: &SortedProbeSide,
+    band: &BandCondition,
+    s_idx: impl IntoIterator<Item = u32>,
+    mut pairs: Option<&mut Vec<(u32, u32)>>,
+) -> LocalJoinResult {
+    let mut result = LocalJoinResult::default();
+    let vals = &side.cols[0];
+    for si in s_idx {
+        let sk = s.key(si as usize);
+        let (lo, hi) = band.range_around_s(0, sk[0]);
+        let start = vals.partition_point(|&v| v < lo);
+        let end = vals.partition_point(|&v| v <= hi);
+        for &ti in &side.sorted[start..end] {
+            result.comparisons += 1;
+            if band.matches(&sk, &t.key(ti as usize)) {
+                result.output += 1;
+                if let Some(p) = pairs.as_deref_mut() {
+                    p.push((si, ti));
+                }
+            }
+        }
+    }
+    result
+}
+
 /// The quadratic reference join over arbitrary index iterators (slices or ranges).
-fn nested_loop(
+/// Test code — the pair-set oracle of every index path.
+#[cfg(test)]
+pub(crate) fn nested_loop(
     s: &Relation,
     t: &Relation,
     s_iter: impl Iterator<Item = u32>,
@@ -425,141 +390,113 @@ fn nested_loop(
     result
 }
 
-impl LocalJoinAlgorithm {
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LocalJoinAlgorithm::IndexNestedLoop => "index-nested-loop",
-            LocalJoinAlgorithm::NestedLoop => "nested-loop",
-        }
-    }
-
-    /// Count the band-join output between the selected tuples of `s` and `t`, with
-    /// the process-wide [`JoinKernel::active`] kernel.
-    ///
-    /// `s_idx`/`t_idx` select the tuples (by index) that were shuffled to this worker's
-    /// partition. Pass `Some(&mut pairs)` to additionally materialize the matching
-    /// `(s index, t index)` pairs (used by verification and small examples).
-    pub fn join(
-        &self,
-        s: &Relation,
-        t: &Relation,
-        s_idx: &[u32],
-        t_idx: &[u32],
-        band: &BandCondition,
-        pairs: Option<&mut Vec<(u32, u32)>>,
-    ) -> LocalJoinResult {
-        self.join_with(JoinKernel::active(), s, t, s_idx, t_idx, band, pairs)
-    }
-
-    /// [`LocalJoinAlgorithm::join`] with an explicit kernel. [`NestedLoop`] is
-    /// kernel-independent (it is the pure scalar oracle); the other algorithms
-    /// produce bit-identical results — pairs, pair order, `output`, `comparisons` —
-    /// for every kernel.
-    ///
-    /// [`NestedLoop`]: LocalJoinAlgorithm::NestedLoop
-    #[allow(clippy::too_many_arguments)]
-    pub fn join_with(
-        &self,
-        kernel: JoinKernel,
-        s: &Relation,
-        t: &Relation,
-        s_idx: &[u32],
-        t_idx: &[u32],
-        band: &BandCondition,
-        pairs: Option<&mut Vec<(u32, u32)>>,
-    ) -> LocalJoinResult {
-        if s_idx.is_empty() || t_idx.is_empty() {
-            return LocalJoinResult::default();
-        }
-        match self {
-            LocalJoinAlgorithm::NestedLoop => nested_loop(
-                s,
-                t,
-                s_idx.iter().copied(),
-                t_idx.iter().copied(),
-                band,
-                pairs,
-            ),
-            LocalJoinAlgorithm::IndexNestedLoop => {
-                // Sort the T side of this partition on dimension 0, then probe.
-                let side = SortedProbeSide::build(t, t_idx);
-                probe_sorted_with(kernel, s, t, &side, band, s_idx.iter().copied(), pairs)
-            }
-        }
-    }
-
-    /// Join the *entire* relations with the process-wide kernel. Convenience for
-    /// exact joins and tests; unlike indexed [`LocalJoinAlgorithm::join`], no
-    /// identity index vectors are materialized — the probe side is driven by a
-    /// range and the T side is built with [`SortedProbeSide::build_full`].
-    pub fn join_full(
-        &self,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
-        pairs: Option<&mut Vec<(u32, u32)>>,
-    ) -> LocalJoinResult {
-        self.join_full_with(JoinKernel::active(), s, t, band, pairs)
-    }
-
-    /// [`LocalJoinAlgorithm::join_full`] with an explicit kernel.
-    pub fn join_full_with(
-        &self,
-        kernel: JoinKernel,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
-        pairs: Option<&mut Vec<(u32, u32)>>,
-    ) -> LocalJoinResult {
-        if s.is_empty() || t.is_empty() {
-            return LocalJoinResult::default();
-        }
-        match self {
-            LocalJoinAlgorithm::NestedLoop => {
-                nested_loop(s, t, 0..s.len() as u32, 0..t.len() as u32, band, pairs)
-            }
-            LocalJoinAlgorithm::IndexNestedLoop => {
-                let side = SortedProbeSide::build_full(t);
-                probe_sorted_with(kernel, s, t, &side, band, 0..s.len() as u32, pairs)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::chunk_ranges;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use rayon::prelude::*;
+    use rayon::ThreadPoolBuilder;
 
-    fn random_relation(n: usize, dims: usize, seed: u64) -> Relation {
+    type Pairs<'a> = Option<&'a mut Vec<(u32, u32)>>;
+
+    /// The production probe over whole relations with an explicit kernel.
+    pub(super) fn index_join(
+        kernel: JoinKernel,
+        s: &Relation,
+        t: &Relation,
+        band: &BandCondition,
+        pairs: Pairs<'_>,
+    ) -> LocalJoinResult {
+        let side = SortedProbeSide::build_full(t);
+        probe_sorted_with(kernel, s, &side, band, 0..s.len() as u32, pairs)
+    }
+
+    /// The scalar per-probe oracle over whole relations.
+    pub(super) fn scalar_join(
+        s: &Relation,
+        t: &Relation,
+        band: &BandCondition,
+        pairs: Pairs<'_>,
+    ) -> LocalJoinResult {
+        let side = SortedProbeSide::build_full(t);
+        probe_scalar(s, t, &side, band, 0..s.len() as u32, pairs)
+    }
+
+    /// The quadratic oracle over whole relations.
+    pub(super) fn quadratic_join(
+        s: &Relation,
+        t: &Relation,
+        band: &BandCondition,
+        pairs: Pairs<'_>,
+    ) -> LocalJoinResult {
+        nested_loop(s, t, 0..s.len() as u32, 0..t.len() as u32, band, pairs)
+    }
+
+    type Join = fn(&Relation, &Relation, &BandCondition, Pairs<'_>) -> LocalJoinResult;
+
+    /// The production probe with the process-wide kernel, and the quadratic oracle.
+    pub(super) const JOINS: [(&str, Join); 2] = [
+        ("index-nested-loop", |s, t, band, pairs| {
+            index_join(JoinKernel::active(), s, t, band, pairs)
+        }),
+        ("nested-loop", quadratic_join),
+    ];
+
+    /// Both joins' output counts over the whole relations.
+    fn output_counts(s: &Relation, t: &Relation, band: &BandCondition) -> [u64; 2] {
+        JOINS.map(|(_, join)| join(s, t, band, None).output)
+    }
+
+    /// Both joins over the selected tuples only.
+    fn subset_joins(
+        s: &Relation,
+        t: &Relation,
+        s_idx: &[u32],
+        t_idx: &[u32],
+        band: &BandCondition,
+    ) -> [LocalJoinResult; 2] {
+        let side = SortedProbeSide::build(t, t_idx);
+        let s_iter = s_idx.iter().copied();
+        [
+            probe_sorted(s, t, &side, band, s_iter.clone(), None),
+            nested_loop(s, t, s_iter, t_idx.iter().copied(), band, None),
+        ]
+    }
+
+    fn drawn_relation(
+        n: usize,
+        dims: usize,
+        seed: u64,
+        draw: impl Fn(&mut StdRng) -> f64,
+    ) -> Relation {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut r = Relation::with_capacity(dims, n);
-        let mut key = vec![0.0; dims];
         for _ in 0..n {
-            for k in key.iter_mut() {
-                *k = rng.gen_range(0.0..50.0);
-            }
+            let key: Vec<f64> = (0..dims).map(|_| draw(&mut rng)).collect();
             r.push(&key);
         }
         r
     }
 
-    const ALGOS: [LocalJoinAlgorithm; 2] = [
-        LocalJoinAlgorithm::IndexNestedLoop,
-        LocalJoinAlgorithm::NestedLoop,
-    ];
+    fn random_relation(n: usize, dims: usize, seed: u64) -> Relation {
+        drawn_relation(n, dims, seed, |rng| rng.gen_range(0.0..50.0))
+    }
+
+    /// Pareto(1.5) on `[1, ∞)` by inverse transform: dense near 1, a heavy tail.
+    fn pareto_relation(n: usize, dims: usize, seed: u64) -> Relation {
+        drawn_relation(n, dims, seed, |rng| {
+            (1.0 - rng.gen_range(0.0..1.0f64)).powf(-1.0 / 1.5)
+        })
+    }
 
     #[test]
     fn all_algorithms_agree_on_output_count_1d() {
         let s = random_relation(300, 1, 1);
         let t = random_relation(300, 1, 2);
         let band = BandCondition::symmetric(&[0.7]);
-        let counts: Vec<u64> = ALGOS
-            .iter()
-            .map(|a| a.join_full(&s, &t, &band, None).output)
-            .collect();
+        let counts = output_counts(&s, &t, &band);
         assert!(counts[0] > 0, "test needs non-empty output");
         assert_eq!(counts[0], counts[1]);
     }
@@ -569,10 +506,7 @@ mod tests {
         let s = random_relation(200, 3, 3);
         let t = random_relation(200, 3, 4);
         let band = BandCondition::symmetric(&[2.0, 3.0, 4.0]);
-        let counts: Vec<u64> = ALGOS
-            .iter()
-            .map(|a| a.join_full(&s, &t, &band, None).output)
-            .collect();
+        let counts = output_counts(&s, &t, &band);
         assert!(counts[0] > 0);
         assert_eq!(counts[0], counts[1]);
     }
@@ -582,10 +516,7 @@ mod tests {
         let s = random_relation(150, 2, 5);
         let t = random_relation(150, 2, 6);
         let band = BandCondition::try_asymmetric(&[0.5, 3.0], &[2.0, 0.0]).unwrap();
-        let counts: Vec<u64> = ALGOS
-            .iter()
-            .map(|a| a.join_full(&s, &t, &band, None).output)
-            .collect();
+        let counts = output_counts(&s, &t, &band);
         assert_eq!(counts[0], counts[1]);
     }
 
@@ -594,10 +525,10 @@ mod tests {
         let s = random_relation(100, 2, 7);
         let t = random_relation(100, 2, 8);
         let band = BandCondition::symmetric(&[1.5, 1.5]);
-        for algo in ALGOS {
+        for (name, join) in JOINS {
             let mut pairs = Vec::new();
-            let res = algo.join_full(&s, &t, &band, Some(&mut pairs));
-            assert_eq!(pairs.len() as u64, res.output, "{}", algo.name());
+            let res = join(&s, &t, &band, Some(&mut pairs));
+            assert_eq!(pairs.len() as u64, res.output, "{name}");
             for (si, ti) in pairs {
                 assert!(band.matches(&s.key(si as usize), &t.key(ti as usize)));
             }
@@ -609,8 +540,8 @@ mod tests {
         let s = random_relation(400, 1, 9);
         let t = random_relation(400, 1, 10);
         let band = BandCondition::symmetric(&[0.2]);
-        let nl = LocalJoinAlgorithm::NestedLoop.join_full(&s, &t, &band, None);
-        let inl = LocalJoinAlgorithm::IndexNestedLoop.join_full(&s, &t, &band, None);
+        let nl = quadratic_join(&s, &t, &band, None);
+        let inl = index_join(JoinKernel::active(), &s, &t, &band, None);
         assert_eq!(nl.comparisons, 400 * 400);
         assert!(inl.comparisons < nl.comparisons / 10);
     }
@@ -620,12 +551,9 @@ mod tests {
         let s = random_relation(10, 1, 11);
         let t = random_relation(10, 1, 12);
         let band = BandCondition::symmetric(&[1.0]);
-        for algo in ALGOS {
-            let res = algo.join(&s, &t, &[], &[0, 1, 2], &band, None);
-            assert_eq!(res, LocalJoinResult::default());
-            let res = algo.join(&s, &t, &[0], &[], &band, None);
-            assert_eq!(res, LocalJoinResult::default());
-        }
+        let empty = [LocalJoinResult::default(); 2];
+        assert_eq!(subset_joins(&s, &t, &[], &[0, 1, 2], &band), empty);
+        assert_eq!(subset_joins(&s, &t, &[0], &[], &band), empty);
     }
 
     #[test]
@@ -637,12 +565,12 @@ mod tests {
             t.push(&[v]);
         }
         let band = BandCondition::symmetric(&[0.1]);
-        for algo in ALGOS {
-            // Only S#0 and T#2 selected: values 1.0 vs 3.0 do not match.
-            let res = algo.join(&s, &t, &[0], &[2], &band, None);
+        // Only S#0 and T#2 selected: values 1.0 vs 3.0 do not match.
+        for res in subset_joins(&s, &t, &[0], &[2], &band) {
             assert_eq!(res.output, 0);
-            // S#1 and T#1 match exactly.
-            let res = algo.join(&s, &t, &[1], &[1], &band, None);
+        }
+        // S#1 and T#1 match exactly.
+        for res in subset_joins(&s, &t, &[1], &[1], &band) {
             assert_eq!(res.output, 1);
         }
     }
@@ -658,10 +586,38 @@ mod tests {
             t.push(&[v]);
         }
         let band = BandCondition::equi(1);
-        for algo in ALGOS {
-            let res = algo.join_full(&s, &t, &band, None);
-            assert_eq!(res.output, 3, "{}", algo.name()); // (2,2), (2,2), (5,5)
+        for (name, join) in JOINS {
+            let res = join(&s, &t, &band, None);
+            assert_eq!(res.output, 3, "{name}"); // (2,2), (2,2), (5,5)
         }
+    }
+
+    /// Probe S in `chunks` — concurrently on the current rayon context — and
+    /// concatenate the outputs in chunk order: the parallel verifier's shape.
+    fn chunked_probe(
+        kernel: JoinKernel,
+        s: &Relation,
+        side: &SortedProbeSide,
+        band: &BandCondition,
+        chunks: Vec<(usize, usize)>,
+    ) -> (LocalJoinResult, Vec<(u32, u32)>) {
+        let per_chunk: Vec<(LocalJoinResult, Vec<(u32, u32)>)> = chunks
+            .into_par_iter()
+            .map(|(lo, hi)| {
+                let mut pairs = Vec::new();
+                let chunk = lo as u32..hi as u32;
+                let r = probe_sorted_with(kernel, s, side, band, chunk, Some(&mut pairs));
+                (r, pairs)
+            })
+            .collect();
+        let mut total = LocalJoinResult::default();
+        let mut pairs = Vec::new();
+        for (r, chunk_pairs) in per_chunk {
+            total.output += r.output;
+            total.comparisons += r.comparisons;
+            pairs.extend(chunk_pairs);
+        }
+        (total, pairs)
     }
 
     #[test]
@@ -671,30 +627,11 @@ mod tests {
         let band = BandCondition::symmetric(&[0.4]);
         for kernel in JoinKernel::all_supported() {
             let mut full_pairs = Vec::new();
-            let full = LocalJoinAlgorithm::IndexNestedLoop.join_full_with(
-                kernel,
-                &s,
-                &t,
-                &band,
-                Some(&mut full_pairs),
-            );
+            let full = index_join(kernel, &s, &t, &band, Some(&mut full_pairs));
 
             let side = SortedProbeSide::build_full(&t);
-            let mut chunked = LocalJoinResult::default();
-            let mut chunked_pairs = Vec::new();
-            for chunk in [0u32..123, 123..124, 124..500] {
-                let r = probe_sorted_with(
-                    kernel,
-                    &s,
-                    &t,
-                    &side,
-                    &band,
-                    chunk,
-                    Some(&mut chunked_pairs),
-                );
-                chunked.output += r.output;
-                chunked.comparisons += r.comparisons;
-            }
+            let chunks = vec![(0, 123), (123, 124), (124, 500)];
+            let (chunked, chunked_pairs) = chunked_probe(kernel, &s, &side, &band, chunks);
             assert_eq!(chunked, full, "kernel {}", kernel.name());
             assert_eq!(
                 chunked_pairs,
@@ -705,28 +642,67 @@ mod tests {
         }
     }
 
+    /// Every kernel's pairs, pair order and counters equal the scalar probe's, which
+    /// this returns.
+    fn assert_every_kernel_matches_the_scalar_probe(
+        label: &str,
+        s: &Relation,
+        t: &Relation,
+        band: &BandCondition,
+    ) -> (LocalJoinResult, Vec<(u32, u32)>) {
+        let mut scalar_pairs = Vec::new();
+        let scalar = scalar_join(s, t, band, Some(&mut scalar_pairs));
+        assert!(scalar.output > 0, "{label}: test needs non-empty output");
+        for kernel in JoinKernel::all_supported() {
+            let mut pairs = Vec::new();
+            let res = index_join(kernel, s, t, band, Some(&mut pairs));
+            assert_eq!(res, scalar, "{label} kernel {}", kernel.name());
+            assert_eq!(
+                pairs,
+                scalar_pairs,
+                "{label} kernel {}: same pairs in the same order",
+                kernel.name()
+            );
+        }
+        (scalar, scalar_pairs)
+    }
+
     #[test]
     fn every_kernel_is_bit_identical_to_the_scalar_probe() {
         // Larger than PROBE_BLOCK so the blocked path crosses block boundaries.
         let s = random_relation(2_500, 2, 30);
         let t = random_relation(1_800, 2, 31);
         let band = BandCondition::symmetric(&[0.8, 5.0]);
-        let algo = LocalJoinAlgorithm::IndexNestedLoop;
-        let mut scalar_pairs = Vec::new();
-        let scalar =
-            algo.join_full_with(JoinKernel::Scalar, &s, &t, &band, Some(&mut scalar_pairs));
-        assert!(scalar.output > 0, "test needs non-empty output");
-        for kernel in JoinKernel::all_supported() {
-            let mut pairs = Vec::new();
-            let res = algo.join_full_with(kernel, &s, &t, &band, Some(&mut pairs));
-            assert_eq!(res, scalar, "{} kernel {}", algo.name(), kernel.name());
-            assert_eq!(
-                pairs,
-                scalar_pairs,
-                "{} kernel {}: same pairs in the same order",
-                algo.name(),
-                kernel.name()
+        assert_every_kernel_matches_the_scalar_probe("uniform 2-d", &s, &t, &band);
+
+        // Candidate-heavy Pareto joins, 1-d (no kernel runs once dimension 0 is
+        // settled) and 3-d (kernels test dimensions 1..), also probed in chunks on a
+        // 4-thread pool and concatenated in chunk order — the verifier's shape.
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        for dims in [1usize, 3] {
+            let label = format!("pareto {dims}-d");
+            let s = pareto_relation(2_500, dims, 40 + dims as u64);
+            let t = pareto_relation(2_000, dims, 50 + dims as u64);
+            let band = BandCondition::symmetric(&vec![0.05; dims]);
+            let (scalar, scalar_pairs) =
+                assert_every_kernel_matches_the_scalar_probe(&label, &s, &t, &band);
+            assert!(
+                scalar.comparisons >= 10 * s.len() as u64,
+                "{label}: not candidate-heavy ({} comparisons)",
+                scalar.comparisons
             );
+            let side = SortedProbeSide::build_full(&t);
+            for kernel in JoinKernel::all_supported() {
+                let chunks = chunk_ranges(s.len(), 16);
+                let (chunked, chunked_pairs) =
+                    pool.install(|| chunked_probe(kernel, &s, &side, &band, chunks));
+                let label = format!("{label} kernel {} chunked", kernel.name());
+                assert_eq!(chunked, scalar, "{label}");
+                assert!(
+                    chunked_pairs == scalar_pairs,
+                    "{label}: pairs and pair order"
+                );
+            }
         }
     }
 
@@ -737,32 +713,15 @@ mod tests {
         let band = BandCondition::symmetric(&[0.9, 3.0]);
         let s_idx: Vec<u32> = (0..s.len() as u32).collect();
         let t_idx: Vec<u32> = (0..t.len() as u32).collect();
-        for algo in ALGOS {
-            for kernel in JoinKernel::all_supported() {
-                let mut full_pairs = Vec::new();
-                let full = algo.join_full_with(kernel, &s, &t, &band, Some(&mut full_pairs));
-                let mut idx_pairs = Vec::new();
-                let idx =
-                    algo.join_with(kernel, &s, &t, &s_idx, &t_idx, &band, Some(&mut idx_pairs));
-                assert_eq!(full, idx, "{} kernel {}", algo.name(), kernel.name());
-                assert_eq!(
-                    full_pairs,
-                    idx_pairs,
-                    "{} kernel {}",
-                    algo.name(),
-                    kernel.name()
-                );
-            }
+        let side = SortedProbeSide::build(&t, &t_idx);
+        for kernel in JoinKernel::all_supported() {
+            let mut full_pairs = Vec::new();
+            let full = index_join(kernel, &s, &t, &band, Some(&mut full_pairs));
+            let mut idx_pairs = Vec::new();
+            let s_iter = s_idx.iter().copied();
+            let idx = probe_sorted_with(kernel, &s, &side, &band, s_iter, Some(&mut idx_pairs));
+            assert_eq!(full, idx, "kernel {}", kernel.name());
+            assert_eq!(full_pairs, idx_pairs, "kernel {}", kernel.name());
         }
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names: std::collections::HashSet<&str> = ALGOS.iter().map(|a| a.name()).collect();
-        assert_eq!(names.len(), 2);
-        assert_eq!(
-            LocalJoinAlgorithm::default(),
-            LocalJoinAlgorithm::IndexNestedLoop
-        );
     }
 }

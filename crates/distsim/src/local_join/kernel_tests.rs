@@ -1,12 +1,12 @@
 //! Property-based bit-identity tests for the join kernels.
 //!
-//! The contract under test: for every [`LocalJoinAlgorithm`], every supported
-//! [`JoinKernel`] produces **bit-identical** results to that algorithm's scalar
-//! oracle — the same pairs, in the same order, with the same `output` and
-//! `comparisons` — including on adversarial columns (NaN, ±inf, negative NaN
-//! leading the dimension-0 sort, heavy ties) and for arbitrary probe chunkings.
-//! On finite inputs, all algorithms additionally agree with the quadratic
-//! `NestedLoop` oracle on the produced pair *set*.
+//! The contract under test: every supported [`JoinKernel`] probes **bit-identically**
+//! to the scalar per-probe oracle (`probe_scalar`) — the same pairs, in the same
+//! order, with the same `output` and `comparisons` — including on adversarial columns
+//! (NaN, ±inf, negative NaN leading the dimension-0 sort, heavy ties) and for
+//! arbitrary probe chunkings. On finite inputs, every kernel and the scalar oracle
+//! additionally agree with the quadratic oracle (`nested_loop`) on the produced pair
+//! *set*.
 //!
 //! The deterministic cases at the end sit on the edge of the sweep's exact
 //! dimension-0 trim (`local_join` module docs): window members the band test rejects,
@@ -16,17 +16,11 @@
 //! finiteness at the ingest boundary); the documented NaN ingress is
 //! deserialization, so the adversarial relations here are built from serde blobs.
 
-use distsim::{
-    probe_sorted_with, JoinKernel, LocalJoinAlgorithm, LocalJoinResult, SortedProbeSide,
-};
+use super::tests::{index_join, quadratic_join, scalar_join, JOINS};
+use super::{probe_sorted_with, LocalJoinResult, SortedProbeSide};
 use proptest::prelude::*;
-use recpart::{BandCondition, Relation};
+use recpart::{BandCondition, JoinKernel, Relation};
 use serde::{Deserialize, Value};
-
-const ALGOS: [LocalJoinAlgorithm; 2] = [
-    LocalJoinAlgorithm::IndexNestedLoop,
-    LocalJoinAlgorithm::NestedLoop,
-];
 
 /// Build a relation from row-major values via the serde ingress, so non-finite
 /// coordinates are allowed even in debug builds.
@@ -73,12 +67,17 @@ fn finite_rows(dims: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     )
 }
 
+/// The rows `comparison_counts_are_sane` draws: finite, one to 80 tuples.
+fn keys(dims: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(prop::collection::vec(-25.0f64..25.0, dims), 1..80)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every supported kernel is bit-identical to the scalar oracle of the same
-    /// algorithm — pairs, pair order, `output`, `comparisons` — on adversarial
-    /// columns (NaN / ±inf / tied dimension-0 values).
+    /// Every supported kernel is bit-identical to the scalar oracle — pairs, pair
+    /// order, `output`, `comparisons` — on adversarial columns (NaN / ±inf / tied
+    /// dimension-0 values).
     #[test]
     fn kernels_are_bit_identical_to_scalar_on_adversarial_columns(
         s_rows in rows(2),
@@ -89,29 +88,26 @@ proptest! {
         let s = relation(&s_rows, 2);
         let t = relation(&t_rows, 2);
         let band = BandCondition::try_asymmetric(&eps_lo, &eps_hi).unwrap();
-        for algo in ALGOS {
-            let mut scalar_pairs = Vec::new();
-            let scalar =
-                algo.join_full_with(JoinKernel::Scalar, &s, &t, &band, Some(&mut scalar_pairs));
-            for kernel in JoinKernel::all_supported() {
-                let mut pairs = Vec::new();
-                let res = algo.join_full_with(kernel, &s, &t, &band, Some(&mut pairs));
-                prop_assert_eq!(res, scalar, "{} kernel {}", algo.name(), kernel.name());
-                prop_assert_eq!(
-                    &pairs, &scalar_pairs,
-                    "{} kernel {}: pair order must match the scalar oracle",
-                    algo.name(), kernel.name()
-                );
-                // The count-only path takes different kernel code; same counters.
-                let counted = algo.join_full_with(kernel, &s, &t, &band, None);
-                prop_assert_eq!(counted, scalar, "{} kernel {} count-only", algo.name(), kernel.name());
-            }
+        let mut scalar_pairs = Vec::new();
+        let scalar = scalar_join(&s, &t, &band, Some(&mut scalar_pairs));
+        for kernel in JoinKernel::all_supported() {
+            let mut pairs = Vec::new();
+            let res = index_join(kernel, &s, &t, &band, Some(&mut pairs));
+            prop_assert_eq!(res, scalar, "kernel {}", kernel.name());
+            prop_assert_eq!(
+                &pairs, &scalar_pairs,
+                "kernel {}: pair order must match the scalar oracle",
+                kernel.name()
+            );
+            // The count-only path takes different kernel code; same counters.
+            let counted = index_join(kernel, &s, &t, &band, None);
+            prop_assert_eq!(counted, scalar, "kernel {} count-only", kernel.name());
         }
     }
 
-    /// On finite inputs every algorithm × kernel produces exactly the nested-loop
-    /// oracle's pair set (as a set — algorithms emit in different orders), and the
-    /// index algorithms agree with each other bit for bit across kernels.
+    /// On finite inputs the scalar oracle and every kernel produce exactly the
+    /// nested-loop oracle's pair set (as a set — the nested loop emits in another
+    /// order).
     #[test]
     fn all_algorithms_match_the_nested_loop_oracle_on_finite_inputs(
         s_rows in finite_rows(2),
@@ -123,20 +119,42 @@ proptest! {
         let t = relation(&t_rows, 2);
         let band = BandCondition::try_asymmetric(&eps_lo, &eps_hi).unwrap();
         let mut oracle_pairs = Vec::new();
-        let oracle = LocalJoinAlgorithm::NestedLoop.join_full(&s, &t, &band, Some(&mut oracle_pairs));
+        let oracle = quadratic_join(&s, &t, &band, Some(&mut oracle_pairs));
         let oracle_set: std::collections::HashSet<(u32, u32)> =
             oracle_pairs.iter().copied().collect();
         prop_assert_eq!(oracle_set.len() as u64, oracle.output, "oracle pairs are unique");
-        for algo in ALGOS {
-            for kernel in JoinKernel::all_supported() {
-                let mut pairs = Vec::new();
-                let res = algo.join_full_with(kernel, &s, &t, &band, Some(&mut pairs));
-                prop_assert_eq!(res.output, oracle.output, "{} kernel {}", algo.name(), kernel.name());
-                let set: std::collections::HashSet<(u32, u32)> = pairs.iter().copied().collect();
-                prop_assert_eq!(set.len(), pairs.len(), "no duplicate pairs");
-                prop_assert_eq!(&set, &oracle_set, "{} kernel {}", algo.name(), kernel.name());
-            }
+        let kernels = JoinKernel::all_supported().into_iter().map(Some);
+        for kernel in std::iter::once(None).chain(kernels) {
+            let label = kernel.map_or("scalar probe", |k| k.name());
+            let mut pairs = Vec::new();
+            let res = match kernel {
+                None => scalar_join(&s, &t, &band, Some(&mut pairs)),
+                Some(kernel) => index_join(kernel, &s, &t, &band, Some(&mut pairs)),
+            };
+            prop_assert_eq!(res.output, oracle.output, "{}", label);
+            let set: std::collections::HashSet<(u32, u32)> = pairs.iter().copied().collect();
+            prop_assert_eq!(set.len(), pairs.len(), "no duplicate pairs");
+            prop_assert_eq!(&set, &oracle_set, "{}", label);
         }
+    }
+
+    /// Comparisons never undercount the output (every emitted pair was compared), and
+    /// the nested-loop reference performs exactly |S|·|T| comparisons.
+    #[test]
+    fn comparison_counts_are_sane(
+        s_vals in keys(1),
+        t_vals in keys(1),
+        eps in 0.0f64..5.0,
+    ) {
+        let s = relation(&s_vals, 1);
+        let t = relation(&t_vals, 1);
+        let band = BandCondition::symmetric(&[eps]);
+        for (name, join) in JOINS {
+            let res = join(&s, &t, &band, None);
+            prop_assert!(res.comparisons >= res.output, "{}", name);
+        }
+        let nl = quadratic_join(&s, &t, &band, None);
+        prop_assert_eq!(nl.comparisons, (s.len() * t.len()) as u64);
     }
 
     /// Chunking the probe side arbitrarily (including empty and single-probe
@@ -157,7 +175,7 @@ proptest! {
         for kernel in JoinKernel::all_supported() {
             let mut full_pairs = Vec::new();
             let full = probe_sorted_with(
-                kernel, &s, &t, &side, &band, 0..s.len() as u32, Some(&mut full_pairs),
+                kernel, &s, &side, &band, 0..s.len() as u32, Some(&mut full_pairs),
             );
             let mut acc = LocalJoinResult::default();
             let mut acc_pairs = Vec::new();
@@ -165,14 +183,14 @@ proptest! {
             while (lo as usize) < s.len() {
                 let hi = (lo as usize + chunk).min(s.len()) as u32;
                 let r = probe_sorted_with(
-                    kernel, &s, &t, &side, &band, lo..hi, Some(&mut acc_pairs),
+                    kernel, &s, &side, &band, lo..hi, Some(&mut acc_pairs),
                 );
                 acc.output += r.output;
                 acc.comparisons += r.comparisons;
                 lo = hi;
             }
             // An empty chunk contributes nothing.
-            let empty = probe_sorted_with(kernel, &s, &t, &side, &band, 0..0, Some(&mut acc_pairs));
+            let empty = probe_sorted_with(kernel, &s, &side, &band, 0..0, Some(&mut acc_pairs));
             prop_assert_eq!(empty, LocalJoinResult::default());
             prop_assert_eq!(acc, full, "kernel {}", kernel.name());
             prop_assert_eq!(&acc_pairs, &full_pairs, "kernel {}", kernel.name());
@@ -180,7 +198,7 @@ proptest! {
     }
 }
 
-/// Empty sides and windows produce empty results for every algorithm × kernel.
+/// Empty sides and windows produce empty results for both oracles and every kernel.
 #[test]
 fn empty_sides_and_empty_windows() {
     let empty = relation(&[], 1);
@@ -189,17 +207,22 @@ fn empty_sides_and_empty_windows() {
     let far_s = relation(&[vec![0.0], vec![100.0]], 1);
     let far_t = relation(&[vec![50.0], vec![-50.0]], 1);
     let band = BandCondition::symmetric(&[0.5]);
-    for algo in ALGOS {
+    let none = LocalJoinResult::default();
+    for (s, t) in [(&empty, &one), (&one, &empty), (&empty, &empty)] {
+        let mut pairs = Vec::new();
+        assert_eq!(scalar_join(s, t, &band, Some(&mut pairs)), none);
+        assert_eq!(quadratic_join(s, t, &band, Some(&mut pairs)), none);
         for kernel in JoinKernel::all_supported() {
-            for (s, t) in [(&empty, &one), (&one, &empty), (&empty, &empty)] {
-                let mut pairs = Vec::new();
-                let res = algo.join_full_with(kernel, s, t, &band, Some(&mut pairs));
-                assert_eq!(res, LocalJoinResult::default());
-                assert!(pairs.is_empty());
-            }
-            let res = algo.join_full_with(kernel, &far_s, &far_t, &band, None);
-            assert_eq!(res.output, 0, "{} kernel {}", algo.name(), kernel.name());
+            let res = index_join(kernel, s, t, &band, Some(&mut pairs));
+            assert_eq!(res, none, "kernel {}", kernel.name());
         }
+        assert!(pairs.is_empty());
+    }
+    assert_eq!(scalar_join(&far_s, &far_t, &band, None).output, 0);
+    assert_eq!(quadratic_join(&far_s, &far_t, &band, None).output, 0);
+    for kernel in JoinKernel::all_supported() {
+        let res = index_join(kernel, &far_s, &far_t, &band, None);
+        assert_eq!(res.output, 0, "kernel {}", kernel.name());
     }
 }
 
@@ -247,16 +270,14 @@ fn assert_edge_case(
             .chain((1..dims).map(|_| 1.0))
             .collect();
         let band = BandCondition::try_asymmetric(&eps_lo, &eps_hi).unwrap();
-        let inl = LocalJoinAlgorithm::IndexNestedLoop;
         let mut scalar_pairs = Vec::new();
-        let scalar = inl.join_full_with(JoinKernel::Scalar, &s, &t, &band, Some(&mut scalar_pairs));
+        let scalar = scalar_join(&s, &t, &band, Some(&mut scalar_pairs));
         if dims == 1 {
             one_d = scalar;
         }
         if nested_loop_agrees {
             let mut oracle_pairs = Vec::new();
-            let oracle =
-                LocalJoinAlgorithm::NestedLoop.join_full(&s, &t, &band, Some(&mut oracle_pairs));
+            let oracle = quadratic_join(&s, &t, &band, Some(&mut oracle_pairs));
             assert_eq!(
                 scalar.output, oracle.output,
                 "{label} dims {dims}: nested loop"
@@ -272,10 +293,10 @@ fn assert_edge_case(
         for kernel in JoinKernel::all_supported() {
             let label = format!("{label} dims {dims} kernel {}", kernel.name());
             let mut pairs = Vec::new();
-            let got = inl.join_full_with(kernel, &s, &t, &band, Some(&mut pairs));
+            let got = index_join(kernel, &s, &t, &band, Some(&mut pairs));
             assert_eq!(got, scalar, "{label}");
             assert!(pairs == scalar_pairs, "{label}: pairs and pair order");
-            let counted = inl.join_full_with(kernel, &s, &t, &band, None);
+            let counted = index_join(kernel, &s, &t, &band, None);
             assert_eq!(counted, scalar, "{label} count-only");
         }
     }

@@ -668,20 +668,15 @@ mod tests {
 
     #[test]
     fn block_override_matches_per_tuple_fallback_arena() {
-        use recpart::PerTupleFallback;
+        // `ForcePolicy` forwards no block method: it routes through the trait's
+        // per-tuple defaults, under the pair-list policy that goes with them.
+        let per_tuple_fallback = ForcePolicy(&SinglePartition, ScatterPolicy::PairList);
         let s = relation(9_000);
         let t = relation(5_000);
         let pool = four_thread_pool();
         for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
             let block = shuffle(&SinglePartition, &s, &t, 1, &par, &heap());
-            let per_tuple = shuffle(
-                &PerTupleFallback(&SinglePartition),
-                &s,
-                &t,
-                1,
-                &par,
-                &heap(),
-            );
+            let per_tuple = shuffle(&per_tuple_fallback, &s, &t, 1, &par, &heap());
             assert_eq!(block.s_parts, per_tuple.s_parts);
             assert_eq!(block.t_parts, per_tuple.t_parts);
         }

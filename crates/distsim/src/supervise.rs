@@ -177,7 +177,8 @@ impl std::fmt::Display for ShardError {
 /// A supervised execution failed outright (no report could be produced).
 #[derive(Debug)]
 pub enum SuperviseError {
-    /// The supervision request itself is unusable (zero shards); nothing ran.
+    /// The sharding or supervision request itself is unusable (zero shards);
+    /// nothing ran.
     InvalidConfig {
         /// Human-readable description of the problem.
         message: String,
@@ -335,21 +336,31 @@ pub(crate) struct Supervision<'a> {
     recovery: RecoveryCounters,
 }
 
+/// The one check of a shard count, made where a sharded or supervised policy is
+/// built — before anything runs or is counted.
+fn at_least_one_shard(shards: usize) -> Result<usize, SuperviseError> {
+    (shards > 0)
+        .then_some(shards)
+        .ok_or_else(|| SuperviseError::InvalidConfig {
+            message: "a sharded reduce needs at least one shard".into(),
+        })
+}
+
 impl<'a> ReducePolicy<'a> {
-    /// The supervised policy, its injector armed with `faults`. `shards == 0` is an
-    /// error here, where the policy is built — before anything runs or is counted.
+    /// The unsupervised sharded policy; `shards == 0` is an error.
+    pub(crate) fn sharded(shards: usize) -> Result<Self, SuperviseError> {
+        at_least_one_shard(shards).map(ReducePolicy::Sharded)
+    }
+
+    /// The supervised policy, its injector armed with `faults`; `shards == 0` is an
+    /// error.
     pub(crate) fn supervised(
         shards: usize,
         config: &'a SupervisorConfig,
         faults: &FaultPlan,
     ) -> Result<Self, SuperviseError> {
-        if shards == 0 {
-            return Err(SuperviseError::InvalidConfig {
-                message: "a supervised reduce needs at least one shard".into(),
-            });
-        }
         Ok(ReducePolicy::Supervised(Supervision {
-            shards,
+            shards: at_least_one_shard(shards)?,
             config,
             injector: FaultInjector::new(faults.clone()),
             recovery: RecoveryCounters::default(),

@@ -13,9 +13,7 @@
 //! this, [`crate::executor::VerificationLevel::Count`] is a hidden single-threaded
 //! exact join dominating the executor's wall-clock.
 
-use crate::local_join::{
-    probe_sorted, sort_s_ids, LocalJoinAlgorithm, SortedProbeSide, PROBE_BLOCK,
-};
+use crate::local_join::{probe_sorted, sort_s_ids, SortedProbeSide, PROBE_BLOCK};
 use crate::parallel::chunk_ranges;
 use rayon::prelude::*;
 use recpart::{BandCondition, Relation};
@@ -69,26 +67,26 @@ pub fn exact_join_pairs(s: &Relation, t: &Relation, band: &BandCondition) -> Has
 }
 
 /// [`exact_join_pairs`] with an explicit probe-side chunk count; `pieces <= 1` runs
-/// strictly sequentially. The resulting set is identical for every `pieces`.
+/// strictly sequentially, as one chunk. The resulting set is identical for every
+/// `pieces`.
 pub fn exact_join_pairs_on(
     s: &Relation,
     t: &Relation,
     band: &BandCondition,
     pieces: usize,
 ) -> HashSet<(u32, u32)> {
-    if pieces <= 1 || s.len() < MIN_PARALLEL_PROBE {
-        let mut pairs = Vec::new();
-        LocalJoinAlgorithm::IndexNestedLoop.join_full(s, t, band, Some(&mut pairs));
-        return pairs.into_iter().collect();
-    }
+    let pieces = if s.len() < MIN_PARALLEL_PROBE {
+        1
+    } else {
+        pieces
+    };
     // Sort the T side once (no identity index vector); every probe chunk shares it.
     let side = SortedProbeSide::build_full(t);
-    let side = &side;
     let per_chunk: Vec<Vec<(u32, u32)>> = chunk_ranges(s.len(), pieces)
         .into_par_iter()
         .map(|(lo, hi)| {
             let mut pairs = Vec::new();
-            probe_sorted(s, t, side, band, lo as u32..hi as u32, Some(&mut pairs));
+            probe_sorted(s, t, &side, band, lo as u32..hi as u32, Some(&mut pairs));
             pairs
         })
         .collect();

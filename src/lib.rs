@@ -9,7 +9,7 @@
 //!   the [`Partitioner`] trait, load models and partitioning statistics);
 //! * [`baselines`] — the competitor partitioners (1-Bucket, Grid-ε, Grid*, CSIO,
 //!   IEJoin-style blocks);
-//! * [`distsim`] — the simulated MapReduce-style cluster: local join algorithms, the
+//! * [`distsim`] — the simulated MapReduce-style cluster: the local join, the
 //!   executor that measures `I`, `I_m`, `O_m`, `L_m`, the linear running-time model, and
 //!   correctness verification;
 //! * [`datagen`] — workload generators and the experiment catalog of the paper.
@@ -56,17 +56,17 @@ pub mod prelude {
     pub use distsim::{
         exact_join_count, exact_join_count_on, process_peak_rss_bytes, BandJoinQuery,
         BandJoinService, CostModel, ExecutionReport, Executor, ExecutorConfig, FaultKind,
-        FaultPlan, FaultSpec, InjectionPoint, JoinReadyInputs, LocalJoinAlgorithm, MachineModel,
-        PartitionedIndex, PlanCache, PlanKey, PlanSource, QueryResponse, RecoveryCounters,
-        ServeError, ServiceConfig, ServiceHealth, ShardError, ShardFailureKind, ShardPlan,
-        ShardStats, ShardedExecution, ShuffleConfig, ShuffledInputs, SuperviseError,
-        SupervisedExecution, SupervisorConfig, VerificationLevel,
+        FaultPlan, FaultSpec, InjectionPoint, JoinReadyInputs, MachineModel, PartitionedIndex,
+        PlanCache, PlanKey, PlanSource, QueryResponse, RecoveryCounters, ServeError, ServiceConfig,
+        ServiceHealth, ShardError, ShardFailureKind, ShardPlan, ShardStats, ShardedExecution,
+        ShuffleConfig, ShuffledInputs, SuperviseError, SupervisedExecution, SupervisorConfig,
+        VerificationLevel,
     };
     pub use recpart::{
         spill_fallback_count, AssignmentSink, BandCondition, CompiledRouter, EvalCounters,
         LoadModel, OptimizationReport, PartitionId, Partitioner, PartitioningStats,
-        PerTupleFallback, PlanCacheCounters, RecPart, RecPartConfig, RecPartError, RecPartResult,
-        Relation, RouteKernel, SampleConfig, ScatterPolicy, SpillDir, SplitSearchCounters,
+        PlanCacheCounters, RecPart, RecPartConfig, RecPartError, RecPartResult, Relation,
+        RouteKernel, SampleConfig, ScatterPolicy, SpillDir, SplitSearchCounters,
         SplitTreePartitioner, StorageMode, Termination,
     };
 }

@@ -513,7 +513,7 @@ proptest! {
             let prepared =
                 exec.execute_prepared(partitioner, s, t, &band, &raw.s_parts, &raw.t_parts);
             assert_reports_identical(&prepared, &oracle, &format!("{label}: execute_prepared"));
-            let sharded = exec.execute_sharded(partitioner, s, t, &band, 3);
+            let sharded = exec.execute_sharded(partitioner, s, t, &band, 3).unwrap();
             assert_reports_identical(&sharded.report, &oracle, &format!("{label}: sharded"));
 
             // A warm-served response reports no shuffle and sorted no partition;

@@ -216,7 +216,7 @@ proptest! {
                             .with_threads(threads),
                     )
                     .with_shuffle_config(config);
-                    let sharded = exec.execute_sharded(&partitioner, &s, &t, &band, shards);
+                    let sharded = exec.execute_sharded(&partitioner, &s, &t, &band, shards).unwrap();
                     assert_reports_identical(&sharded.report, &oracle, &label);
 
                     // Shard accounting: disjoint contiguous coverage of the
@@ -336,6 +336,17 @@ proptest! {
     }
 }
 
+/// Zero shards is rejected as a configuration error before anything runs, exactly
+/// as `execute_supervised` rejects it.
+#[test]
+fn zero_shards_to_execute_sharded_is_an_error_not_a_panic() {
+    let (s, t, band, partitioner) = small_workload(13);
+    let err = Executor::with_workers(4)
+        .execute_sharded(&partitioner, &s, &t, &band, 0)
+        .expect_err("zero shards");
+    assert!(matches!(err, SuperviseError::InvalidConfig { .. }), "{err}");
+}
+
 /// A zero-fault supervised run is the production configuration: it must be
 /// bit-identical to both `execute_sharded` and the unsharded oracle, with
 /// every shard succeeding on its first attempt and every recovery counter at
@@ -344,7 +355,9 @@ proptest! {
 fn zero_fault_supervised_run_is_bit_identical_with_clean_accounting() {
     let (s, t, band, partitioner) = small_workload(11);
     let exec = supervised_executor(6);
-    let oracle = exec.execute_sharded(&partitioner, &s, &t, &band, 3);
+    let oracle = exec
+        .execute_sharded(&partitioner, &s, &t, &band, 3)
+        .unwrap();
 
     let sup = exec
         .execute_supervised(
@@ -382,7 +395,9 @@ fn zero_fault_supervised_run_is_bit_identical_with_clean_accounting() {
 fn transient_faults_on_every_stage_are_retried_to_the_identical_result() {
     let (s, t, band, partitioner) = small_workload(12);
     let exec = supervised_executor(6);
-    let oracle = exec.execute_sharded(&partitioner, &s, &t, &band, 3);
+    let oracle = exec
+        .execute_sharded(&partitioner, &s, &t, &band, 3)
+        .unwrap();
 
     let plan = FaultPlan::new(vec![
         FaultSpec {
@@ -496,7 +511,9 @@ fn exhausted_shard_degrades_into_structured_partial_report() {
 fn straggler_speculation_duplicates_the_slow_shard() {
     let (s, t, band, partitioner) = small_workload(14);
     let exec = supervised_executor(6);
-    let oracle = exec.execute_sharded(&partitioner, &s, &t, &band, 2);
+    let oracle = exec
+        .execute_sharded(&partitioner, &s, &t, &band, 2)
+        .unwrap();
 
     let plan = FaultPlan::new(vec![FaultSpec {
         point: InjectionPoint::ShardJoin,
@@ -538,7 +555,9 @@ fn spill_arena_fault_degrades_to_counted_heap_fallback() {
     let spill = SpillDir::in_temp("chaos-spill-fault").expect("creating the spill dir");
     let exec = supervised_executor(6)
         .with_shuffle_config(ShuffleConfig::streaming(257, StorageMode::Spill(spill)));
-    let oracle = exec.execute_sharded(&partitioner, &s, &t, &band, 2);
+    let oracle = exec
+        .execute_sharded(&partitioner, &s, &t, &band, 2)
+        .unwrap();
 
     let plan = FaultPlan::new(vec![FaultSpec {
         point: InjectionPoint::SpillArena,
