@@ -118,7 +118,7 @@ impl GridPartitioner {
     }
 
     /// Input tuples per cell, duplicates included, indexed by partition id: the
-    /// quantity Lemmas 2 and 3 bound (`exp_lemma_grid_properties` prints it).
+    /// quantity Lemmas 2 and 3 bound (`exp_paper --table lemma` asserts both).
     pub fn cell_inputs(&self) -> &[f64] {
         &self.cell_input
     }

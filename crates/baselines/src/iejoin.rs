@@ -11,7 +11,7 @@
 //! exactly-once property holds. The executor's LPT mapping then spreads the block pairs
 //! over the workers, mirroring how IEJoin schedules block-pair tasks.
 //!
-//! The paper's finding — reproduced by `exp_table07_iejoin` — is that direct
+//! The paper's finding — reproduced by `exp_paper --table 7` — is that direct
 //! quantile-based partitioning duplicates far more input than RecPart because block
 //! boundaries cut through dense regions and no covering step merges joinable pairs.
 

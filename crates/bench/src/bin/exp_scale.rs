@@ -1,7 +1,7 @@
 //! Scale-tier gate: out-of-core sharded execution at ~25× the largest
 //! table-4 input (CI-guarding, not a paper table).
 //!
-//! Runs one 4M-tuple uniform-1d band join (≥ 20× the biggest `exp_table04*`
+//! Runs one 4M-tuple uniform-1d band join (≥ 20× the biggest `exp_paper` Table 4
 //! workload at the same `--scale`), once through each of three executor shapes:
 //!
 //! * **unsharded / in-memory** — `Executor::execute` (heap arenas, single-pass

@@ -7,14 +7,15 @@ use distsim::{CostModel, ExecutionReport, Executor, ExecutorConfig, Verification
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recpart::{
-    BandCondition, LoadModel, Partitioner, RecPart, RecPartConfig, Relation, SampleConfig,
-    Termination,
+    BandCondition, LoadModel, Partitioner, RecPart, RecPartConfig, Relation, Termination,
 };
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
+/// Seed of every randomized decision a strategy makes (sampling, 1-Bucket's cover).
+const SEED: u64 = 0x00C0FFEE;
+
 /// The partitioning strategies the experiments compare.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// RecPart with symmetric partitioning.
     RecPart,
@@ -53,14 +54,12 @@ impl Strategy {
     }
 
     /// The four strategies of the paper's main comparison tables.
-    pub fn paper_main() -> Vec<Strategy> {
-        vec![
-            Strategy::RecPartS,
-            Strategy::Csio,
-            Strategy::OneBucket,
-            Strategy::GridEps,
-        ]
-    }
+    pub const PAPER_MAIN: &'static [Strategy] = &[
+        Strategy::RecPartS,
+        Strategy::Csio,
+        Strategy::OneBucket,
+        Strategy::GridEps,
+    ];
 
     /// Is the strategy applicable to a workload with the given band condition?
     /// (Grid variants are undefined for band width zero.)
@@ -75,7 +74,7 @@ impl Strategy {
 }
 
 /// Everything measured for one strategy on one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyOutcome {
     /// The strategy.
     pub strategy: Strategy,
@@ -98,7 +97,9 @@ impl StrategyOutcome {
     }
 }
 
-/// Options controlling how strategies are built and executed.
+/// Options controlling how strategies are built and executed. Everything else is
+/// fixed: the default sample, all cores, count verification (an incorrect result
+/// panics) and one seed.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// Number of workers.
@@ -107,17 +108,6 @@ pub struct HarnessConfig {
     pub load_model: LoadModel,
     /// The fitted linear cost model used for predictions (and by Grid\*).
     pub cost_model: CostModel,
-    /// Verification level of the executor.
-    pub verification: VerificationLevel,
-    /// Seed for all randomized decisions.
-    pub seed: u64,
-    /// Sample configuration for RecPart.
-    pub sample: SampleConfig,
-    /// Parallelism of the executor phases **and** RecPart's output-sample scan:
-    /// `0` = all cores, `1` = strictly sequential, `n` = a bounded pool (see
-    /// [`ExecutorConfig::threads`] and `RecPartConfig::threads`). Results are
-    /// bit-identical across all settings.
-    pub threads: usize,
 }
 
 impl HarnessConfig {
@@ -127,52 +117,25 @@ impl HarnessConfig {
             workers,
             load_model: LoadModel::default(),
             cost_model: CostModel::default(),
-            verification: VerificationLevel::Count,
-            seed: 0x00C0FFEE,
-            sample: SampleConfig::default(),
-            threads: 0,
         }
-    }
-
-    /// Override the executor parallelism.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Override the verification level.
-    pub fn with_verification(mut self, verification: VerificationLevel) -> Self {
-        self.verification = verification;
-        self
-    }
-
-    fn executor(&self) -> Executor {
-        Executor::new(
-            ExecutorConfig::new(self.workers)
-                .with_load_model(self.load_model)
-                .with_verification(self.verification)
-                .with_threads(self.threads),
-        )
     }
 }
 
 /// Build the requested strategy's partitioner, measuring the optimization time.
-pub fn build_partitioner(
+fn build_partitioner(
     strategy: Strategy,
     s: &Relation,
     t: &Relation,
     band: &BandCondition,
     cfg: &HarnessConfig,
 ) -> (Box<dyn Partitioner>, f64) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x51AE);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x51AE);
     let start = Instant::now();
     let partitioner: Box<dyn Partitioner> = match strategy {
         Strategy::RecPart | Strategy::RecPartS | Strategy::RecPartTheoretical => {
             let mut rp_cfg = RecPartConfig::new(cfg.workers)
                 .with_load_model(cfg.load_model)
-                .with_sample(cfg.sample)
-                .with_seed(cfg.seed)
-                .with_threads(cfg.threads);
+                .with_seed(SEED);
             if matches!(strategy, Strategy::RecPartS | Strategy::RecPartTheoretical) {
                 rp_cfg = rp_cfg.without_symmetric();
             }
@@ -190,7 +153,7 @@ pub fn build_partitioner(
             &CsioConfig::default(),
             &mut rng,
         )),
-        Strategy::OneBucket => Box::new(OneBucket::new(cfg.workers, s.len(), t.len(), cfg.seed)),
+        Strategy::OneBucket => Box::new(OneBucket::new(cfg.workers, s.len(), t.len(), SEED)),
         Strategy::GridEps => Box::new(GridPartitioner::build(s, t, band, 1.0)),
         Strategy::GridScaled(j) => Box::new(GridPartitioner::build(s, t, band, j as f64)),
         Strategy::GridStar => Box::new(GridStarPartitioner::build(
@@ -218,7 +181,8 @@ pub fn run_strategy(
     cfg: &HarnessConfig,
 ) -> StrategyOutcome {
     let (partitioner, optimization_seconds) = build_partitioner(strategy, s, t, band, cfg);
-    let report = cfg.executor().execute(partitioner.as_ref(), s, t, band);
+    let executor = Executor::new(ExecutorConfig::new(cfg.workers).with_load_model(cfg.load_model));
+    let report = executor.execute(partitioner.as_ref(), s, t, band);
     if let Some(false) = report.correct {
         panic!(
             "strategy {} produced an incorrect result ({} vs exact {:?})",
@@ -344,20 +308,20 @@ mod tests {
     #[test]
     fn thread_bound_executor_matches_default_and_reports_phases() {
         let (s, t, band) = workload();
-        let base = HarnessConfig::new(4);
-        let seq = run_strategy(
-            Strategy::OneBucket,
-            &s,
-            &t,
-            &band,
-            &base.clone().with_threads(1),
-        );
-        let par = run_strategy(Strategy::OneBucket, &s, &t, &band, &base.with_threads(0));
+        let cfg = HarnessConfig::new(4);
+        let default = run_strategy(Strategy::OneBucket, &s, &t, &band, &cfg);
+        let (partitioner, _) = build_partitioner(Strategy::OneBucket, &s, &t, &band, &cfg);
+        let seq = Executor::new(
+            ExecutorConfig::new(cfg.workers)
+                .with_load_model(cfg.load_model)
+                .with_threads(1),
+        )
+        .execute(partitioner.as_ref(), &s, &t, &band);
         // Thread count is a pure wall-clock knob.
-        assert_eq!(seq.report.stats, par.report.stats);
-        assert_eq!(seq.report.per_partition, par.report.per_partition);
+        assert_eq!(seq.stats, default.report.stats);
+        assert_eq!(seq.per_partition, default.report.per_partition);
         // Every phase wall-clock is measured.
-        for r in [&seq.report, &par.report] {
+        for r in [&seq, &default.report] {
             assert!(r.map_shuffle_wall_seconds > 0.0);
             assert!(r.local_join_wall_seconds > 0.0);
             assert!(r.verify_wall_seconds > 0.0, "Count verification is timed");

@@ -1,27 +1,24 @@
 //! # bench — the experiment harness
 //!
-//! Shared infrastructure for the experiment binaries in `src/bin/`, each of which
-//! regenerates one table or figure of the paper (the README lists them under
-//! "Reproducing the paper's experiments"; `DESIGN.md` records where the set-up departs
-//! from the paper's):
+//! Shared infrastructure for `exp_paper`, whose `--table <id>` views regenerate the
+//! paper's tables, figures and lemmas (the README lists them under "Reproducing the
+//! paper's experiments"; `DESIGN.md` records where the set-up departs from the
+//! paper's), and for the three CI gate binaries:
 //!
 //! * [`harness`] — builds every partitioning strategy on a workload, measures
 //!   optimization time, runs the simulated execution, and collects the paper's
 //!   success measures;
-//! * [`report`] — table formatting that mirrors the paper's row structure, plus the
-//!   Figure 4 "overhead vs. lower bounds" scatter collection;
-//! * [`args`] — minimal command-line parsing shared by all experiment binaries
-//!   (`--scale`, `--workers`, `--quick`).
+//! * [`report`] — table formatting that mirrors the paper's row structure;
+//! * [`args`] — minimal command-line parsing shared by all binaries
+//!   (`--scale`, `--workers`, `--seed`, `--quick`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod args;
-pub mod experiments;
 pub mod harness;
 pub mod report;
 
 pub use args::ExperimentArgs;
-pub use experiments::{run_row, run_rows, RowSpec};
 pub use harness::{Strategy, StrategyOutcome};
-pub use report::{print_figure_points, print_table, FigurePoint, TableRow};
+pub use report::{print_table, TableRow};

@@ -1,15 +1,11 @@
-//! Table and figure output shared by the experiment binaries.
-//!
-//! The experiment binaries print rows with the same structure as the paper's tables:
-//! running time (optimization + join), relative time over RecPart-S, and the I/O sizes
-//! `I`, `I_m`, `O_m`. [`FigurePoint`]s accumulate the Figure 4 / Figure 10 scatter
-//! (duplication overhead vs. max-load overhead relative to the lower bounds).
+//! Paper-style table output: running time (optimization + join), relative time over
+//! the row's first strategy, the I/O sizes `I`, `I_m`, `O_m`, and the Figure 4 axes —
+//! duplication and max-load overhead over the lower bounds.
 
 use crate::harness::StrategyOutcome;
-use serde::{Deserialize, Serialize};
 
 /// One row of a paper-style comparison table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableRow {
     /// Row label (e.g. the band width or dataset of this configuration).
     pub config: String,
@@ -37,6 +33,7 @@ pub fn print_table(title: &str, rows: &[TableRow]) {
         let base = row.baseline_total_seconds().unwrap_or(f64::NAN);
         for (i, o) in row.outcomes.iter().enumerate() {
             let stats = &o.report.stats;
+            let (dup, load) = figure_point(o);
             println!(
                 "{:<28} {:<12} {:>6.1}({:>4.1}+{:>6.1}) {:>8.2} {:>12} {:>10} {:>10} {:>8.1}% {:>8.1}%",
                 if i == 0 { row.config.as_str() } else { "" },
@@ -48,89 +45,17 @@ pub fn print_table(title: &str, rows: &[TableRow]) {
                 stats.total_input,
                 stats.max_worker_input,
                 stats.max_worker_output,
-                100.0 * stats.duplication_overhead(),
-                100.0 * stats.load_overhead(),
+                100.0 * dup,
+                100.0 * load,
             );
         }
     }
     println!();
 }
 
-/// One point of the Figure 4 / Figure 10 scatter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FigurePoint {
-    /// Strategy label.
-    pub strategy: String,
-    /// Experiment / configuration label.
-    pub config: String,
-    /// Duplication overhead `(I − (|S|+|T|)) / (|S|+|T|)` (x-axis).
-    pub duplication_overhead: f64,
-    /// Max-load overhead `(L_m − L₀) / L₀` (y-axis).
-    pub load_overhead: f64,
-}
-
-impl FigurePoint {
-    /// Build a point from a strategy outcome.
-    pub fn from_outcome(config: &str, outcome: &StrategyOutcome) -> FigurePoint {
-        FigurePoint {
-            strategy: outcome.label.clone(),
-            config: config.to_string(),
-            duplication_overhead: outcome.report.duplication_overhead(),
-            load_overhead: outcome.report.load_overhead(),
-        }
-    }
-}
-
-/// Print the Figure 4 point cloud grouped by strategy, plus the per-strategy maxima the
-/// paper's near-optimality claim is about ("RecPart is always within 10% of the lower
-/// bounds").
-pub fn print_figure_points(title: &str, points: &[FigurePoint]) {
-    println!();
-    println!("=== {title} ===");
-    println!(
-        "{:<12} {:<30} {:>16} {:>16}",
-        "strategy", "config", "dup overhead", "load overhead"
-    );
-    for p in points {
-        println!(
-            "{:<12} {:<30} {:>15.3}% {:>15.3}%",
-            p.strategy,
-            p.config,
-            100.0 * p.duplication_overhead,
-            100.0 * p.load_overhead
-        );
-    }
-    // Per-strategy worst case.
-    let mut strategies: Vec<String> = points.iter().map(|p| p.strategy.clone()).collect();
-    strategies.sort();
-    strategies.dedup();
-    println!();
-    println!("-- worst case per strategy --");
-    for s in strategies {
-        let max_dup = points
-            .iter()
-            .filter(|p| p.strategy == s)
-            .map(|p| p.duplication_overhead)
-            .fold(0.0, f64::max);
-        let max_load = points
-            .iter()
-            .filter(|p| p.strategy == s)
-            .map(|p| p.load_overhead)
-            .fold(0.0, f64::max);
-        println!(
-            "{:<12} max dup overhead {:>9.2}%   max load overhead {:>9.2}%",
-            s,
-            100.0 * max_dup,
-            100.0 * max_load
-        );
-    }
-    println!();
-}
-
-/// Serialize figure points to JSON (written next to the binary output so plots can be
-/// regenerated without re-running the experiments).
-pub fn figure_points_to_json(points: &[FigurePoint]) -> String {
-    serde_json::to_string_pretty(points).expect("figure points serialize")
+/// The outcome's Figure 4 coordinates: (duplication overhead, max-load overhead).
+fn figure_point(o: &StrategyOutcome) -> (f64, f64) {
+    (o.report.duplication_overhead(), o.report.load_overhead())
 }
 
 #[cfg(test)]
@@ -152,20 +77,10 @@ mod tests {
     #[test]
     fn figure_point_reflects_report() {
         let o = outcome();
-        let p = FigurePoint::from_outcome("test-config", &o);
-        assert_eq!(p.strategy, "1-Bucket");
-        assert_eq!(p.config, "test-config");
-        assert!((p.duplication_overhead - o.report.duplication_overhead()).abs() < 1e-12);
-        assert!(p.duplication_overhead > 0.5, "1-Bucket duplicates heavily");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let o = outcome();
-        let points = vec![FigurePoint::from_outcome("cfg", &o)];
-        let json = figure_points_to_json(&points);
-        let back: Vec<FigurePoint> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, points);
+        let (dup, load) = figure_point(&o);
+        assert!((dup - o.report.stats.duplication_overhead()).abs() < 1e-12);
+        assert!((load - o.report.stats.load_overhead()).abs() < 1e-12);
+        assert!(dup > 0.5, "1-Bucket duplicates heavily");
     }
 
     #[test]
@@ -173,10 +88,9 @@ mod tests {
         let o = outcome();
         let rows = vec![TableRow {
             config: "cfg".into(),
-            outcomes: vec![o.clone()],
+            outcomes: vec![o],
         }];
         print_table("smoke", &rows);
-        print_figure_points("smoke", &[FigurePoint::from_outcome("cfg", &o)]);
         assert!(rows[0].baseline_total_seconds().unwrap() > 0.0);
     }
 }
