@@ -480,7 +480,6 @@ struct CandidateMatrix {
 }
 
 impl CandidateMatrix {
-    #[allow(clippy::too_many_arguments)]
     fn build(
         band: &BandCondition,
         s_stats: &RangeStats,

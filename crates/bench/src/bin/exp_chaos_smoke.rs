@@ -35,11 +35,11 @@ use bench::ExperimentArgs;
 use datagen::uniform_relation;
 use distsim::{
     ExecutionReport, Executor, ExecutorConfig, FaultKind, FaultPlan, FaultSpec, InjectionPoint,
-    RecoveryCounters, ShuffleConfig, SupervisorConfig, VerificationLevel,
+    RecoveryCounters, SupervisorConfig, VerificationLevel,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use recpart::{BandCondition, Partitioner, RecPart, RecPartConfig, StorageMode};
+use recpart::{BandCondition, Partitioner, RecPart, RecPartConfig};
 
 /// Shard count: one healthy shard plus one per fault kind.
 const SHARDS: usize = 4;
@@ -74,9 +74,11 @@ fn main() {
         partitioner.num_partitions()
     );
 
-    let exec =
-        Executor::new(ExecutorConfig::new(workers).with_verification(VerificationLevel::None))
-            .with_shuffle_config(ShuffleConfig::streaming(65_536, StorageMode::Heap));
+    let exec = Executor::new(
+        ExecutorConfig::new(workers)
+            .with_verification(VerificationLevel::None)
+            .with_shuffle_chunk_tuples(65_536),
+    );
     let identical = |got: &ExecutionReport, want: &ExecutionReport| {
         got.stats == want.stats
             && got.per_partition == want.per_partition

@@ -1,4 +1,4 @@
-//! Scale-tier gate: out-of-core sharded execution at ~25× the largest
+//! Scale-tier gate: streaming sharded execution at ~25× the largest
 //! table-4 input (CI-guarding, not a paper table).
 //!
 //! Runs one 4M-tuple uniform-1d band join (≥ 20× the biggest `exp_paper` Table 4
@@ -7,21 +7,21 @@
 //! * **unsharded / in-memory** — `Executor::execute` (heap arenas, single-pass
 //!   shuffle), the baseline everything is held to;
 //! * **2 shards** and **4 shards** — `Executor::execute_sharded` over the
-//!   streaming counting shuffle with **mmap-backed spill arenas**
-//!   (`ShuffleConfig::streaming` + `StorageMode::Spill`): bounded chunks in
-//!   pass 1, offset-aware cursors scattering into the file-backed arena in
-//!   pass 2, shared-nothing shard workers owning contiguous partition ranges.
+//!   streaming counting shuffle (`ExecutorConfig::with_shuffle_chunk_tuples`):
+//!   bounded chunks in pass 1, offset-aware cursors scattering into the heap
+//!   arena in pass 2, shared-nothing shard workers owning contiguous partition
+//!   ranges.
 //!
 //! Every check is a count, so the gate cannot fail on a slow machine. It
 //! **fails** (non-zero exit) if
 //!
 //! * the verified unsharded run's distributed output differs from the exact
 //!   count;
-//! * a sharded spill run differs from the unsharded run in any deterministic
-//!   field (`stats`, `per_partition`, `partition_to_worker`,
+//! * a sharded streaming run differs from the unsharded run in any
+//!   deterministic field (`stats`, `per_partition`, `partition_to_worker`,
 //!   `total_comparisons`);
-//! * the spill arenas are not actually mmap-backed, or the workload is smaller
-//!   than 20× the largest table-4 input at this `--scale`;
+//! * the workload is smaller than 20× the largest table-4 input at this
+//!   `--scale`;
 //! * per-shard memory is not flat: the largest shard arena at 4 shards must be
 //!   ≤ 0.65× the largest at 2 shards (each shard only touches its own
 //!   partition range, so doubling the shard count must shrink what any single
@@ -36,10 +36,10 @@
 
 use bench::ExperimentArgs;
 use datagen::uniform_relation;
-use distsim::{Executor, ExecutorConfig, ShardStats, ShuffleConfig, VerificationLevel};
+use distsim::{Executor, ExecutorConfig, ShardStats, VerificationLevel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use recpart::{BandCondition, Partitioner, RecPart, RecPartConfig, SpillDir, StorageMode};
+use recpart::{BandCondition, Partitioner, RecPart, RecPartConfig};
 
 /// Streaming shuffle chunk: bounds pass-1/pass-2 working memory per chunk.
 const STREAM_CHUNK: usize = 65_536;
@@ -79,10 +79,7 @@ fn main() {
     );
 
     let base_cfg = ExecutorConfig::new(workers).with_verification(VerificationLevel::None);
-    let spill_config = || {
-        let dir = SpillDir::in_temp("exp-scale").expect("creating the spill dir");
-        ShuffleConfig::streaming(STREAM_CHUNK, StorageMode::Spill(dir))
-    };
+    let streaming_cfg = base_cfg.with_shuffle_chunk_tuples(STREAM_CHUNK);
 
     // --- The verified unsharded run: the exact-count check anchors everything
     // downstream, since the sharded runs are held to this report's deterministic
@@ -100,27 +97,10 @@ fn main() {
         ));
     }
 
-    // --- The spill arena must actually be mmap-backed at this scale. ---
-    let spilled = Executor::new(base_cfg)
-        .with_shuffle_config(spill_config())
-        .map_shuffle(&partitioner, &s, &t);
-    if !spilled.s_parts.is_spilled() || !spilled.t_parts.is_spilled() {
-        failures.push("streaming shuffle did not produce mmap-backed arenas".into());
-    }
-    let total_arena_bytes = spilled.arena_bytes();
-    println!(
-        "spill arenas: {:.1} MiB total ({} S + {} T assignments)",
-        total_arena_bytes as f64 / (1024.0 * 1024.0),
-        spilled.s_parts.len(),
-        spilled.t_parts.len(),
-    );
-    drop(spilled);
-
-    // --- Sharded spill runs, bit-identical to the unsharded run. ---
+    // --- Sharded streaming runs, bit-identical to the unsharded run. ---
     let mut shard_stats: Vec<Vec<ShardStats>> = Vec::new();
     for shards in [2usize, 4] {
-        let sharded = Executor::new(base_cfg)
-            .with_shuffle_config(spill_config())
+        let sharded = Executor::new(streaming_cfg)
             .execute_sharded(&partitioner, &s, &t, &band, shards)
             .expect("at least one shard");
         if sharded.report.stats != baseline.stats
@@ -129,7 +109,7 @@ fn main() {
             || sharded.report.total_comparisons != baseline.total_comparisons
         {
             failures.push(format!(
-                "{shards}-shard spill run differs from the unsharded in-memory run"
+                "{shards}-shard streaming run differs from the unsharded in-memory run"
             ));
         }
         for st in &sharded.shard_stats {

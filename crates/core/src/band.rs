@@ -130,6 +130,11 @@ impl BandCondition {
     }
 
     /// Does the pair `(s, t)` satisfy the band condition?
+    ///
+    /// The test is written as its *reject* conditions, `s_i − t_i < −ε_low` or
+    /// `s_i − t_i > ε_high`, and every comparison with NaN is false — so a
+    /// dimension whose difference is NaN (a NaN coordinate, or `inf − inf`)
+    /// **matches**; only the other dimensions can reject the pair.
     #[inline]
     pub fn matches(&self, s: &[f64], t: &[f64]) -> bool {
         debug_assert_eq!(s.len(), self.dims());
@@ -141,13 +146,6 @@ impl BandCondition {
             }
         }
         true
-    }
-
-    /// Does the pair match when only dimension `dim` is considered?
-    #[inline]
-    pub fn matches_dim(&self, dim: usize, s_val: f64, t_val: f64) -> bool {
-        let d = s_val - t_val;
-        d >= -self.eps_low[dim] && d <= self.eps_high[dim]
     }
 
     /// The ε-range around a **T**-tuple `t` in dimension `dim`: the interval of S-values
@@ -203,6 +201,16 @@ mod tests {
         assert!(b.matches(&[2.0, 1.5], &[1.0, 1.0]));
         assert!(!b.matches(&[1.0, 1.0], &[2.1, 1.0]));
         assert!(!b.matches(&[1.0, 1.0], &[1.5, 1.6]));
+        // A NaN difference matches its dimension; the others still decide.
+        assert!(b.matches(&[f64::NAN, 1.0], &[2.0, 1.5]));
+        assert!(b.matches(&[1.0, 1.0], &[f64::NAN, f64::NAN]));
+        assert!(!b.matches(&[f64::NAN, 1.0], &[2.0, 3.0]));
+        // An infinite difference is outside every finite band; inf − inf is NaN.
+        assert!(!b.matches(&[f64::INFINITY, 1.0], &[2.0, 1.0]));
+        assert!(!b.matches(&[f64::NEG_INFINITY, 1.0], &[2.0, 1.0]));
+        assert!(!b.matches(&[1.0, 1.0], &[f64::INFINITY, 1.0]));
+        assert!(b.matches(&[f64::INFINITY, 1.0], &[f64::INFINITY, 1.0]));
+        assert!(b.matches(&[f64::NEG_INFINITY, 1.0], &[f64::NEG_INFINITY, 1.0]));
     }
 
     #[test]
@@ -287,18 +295,5 @@ mod tests {
         let b = BandCondition::uniform(2, 1.0);
         assert!(b.check_dims(2).is_ok());
         assert!(b.check_dims(3).is_err());
-    }
-
-    #[test]
-    fn matches_dim_agrees_with_matches() {
-        let b = BandCondition::symmetric(&[1.0, 2.0]);
-        let s = [0.0, 0.0];
-        let t = [0.5, 1.5];
-        assert!(b.matches_dim(0, s[0], t[0]));
-        assert!(b.matches_dim(1, s[1], t[1]));
-        assert_eq!(
-            b.matches(&s, &t),
-            b.matches_dim(0, s[0], t[0]) && b.matches_dim(1, s[1], t[1])
-        );
     }
 }

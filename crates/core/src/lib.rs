@@ -27,7 +27,6 @@
 //! | [`split_tree`] | the recursive split tree grown by RecPart |
 //! | [`router`] | the split tree compiled into flat per-side routing tables for block routing |
 //! | [`simd`] | runtime-dispatched batch routing kernels ([`RouteKernel`]) |
-//! | [`storage`] | heap-or-mmap [`Storage`] backing for relation columns and CSR arenas (the out-of-core scale tier) |
 //! | [`scoring`] | split scoring: load-variance reduction / duplication increase |
 //! | [`small`] | 1-Bucket style internal sub-partitioning of "small" leaves |
 //! | [`recpart`] | the optimizer driver (Algorithm 1 of the paper) |
@@ -80,7 +79,6 @@ pub mod scoring;
 pub mod simd;
 pub mod small;
 pub mod split_tree;
-pub mod storage;
 
 pub use band::BandCondition;
 pub use config::{RecPartConfig, Termination};
@@ -99,7 +97,6 @@ pub use relation::{Key, Relation};
 pub use router::CompiledRouter;
 pub use sample::{InputSample, OutputSample, SampleConfig};
 pub use simd::{JoinKernel, Kernel, RouteKernel};
-pub use storage::{spill_fallback_count, MappedVec, SpillDir, Storage, StorageMode};
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {

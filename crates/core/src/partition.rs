@@ -267,7 +267,7 @@ impl AssignmentSink {
 
     /// Per-partition assignment counts (`counts()[p]` = number of assignments
     /// recorded for partition `p`). Counts are `u64` on every platform: the
-    /// out-of-core tier merges per-chunk counts across inputs larger than
+    /// streaming shuffle merges per-chunk counts across inputs larger than
     /// `u32::MAX` assignments, and a narrower accumulator would silently wrap.
     ///
     /// # Panics

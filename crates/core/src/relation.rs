@@ -16,15 +16,15 @@
 //!
 //! # Non-finite keys
 //!
-//! Join-attribute values are expected to be finite: a NaN satisfies no band
-//! predicate (every comparison is false) and an infinity breaks the band-shift
-//! arithmetic, so both indicate corrupt input. The constructors reject them with
-//! a `debug_assert` — cheap builds catch bad generators and tests early, release
-//! ingestion stays branch-free. Values arriving through deserialization are *not*
-//! re-checked (blobs were validated when first built); every ordering in this
-//! crate uses `f64::total_cmp`, so a non-finite key that does get in sorts
-//! deterministically (NaN last) instead of panicking or producing
-//! implementation-defined order.
+//! Join-attribute values are expected to be finite: a NaN difference *matches*
+//! its dimension's band (see [`BandCondition::matches`](crate::BandCondition::matches))
+//! and an infinity breaks the band-shift arithmetic, so both indicate corrupt
+//! input. The constructors reject them with a `debug_assert` — cheap builds catch
+//! bad generators and tests early, release ingestion stays branch-free. Values
+//! arriving through deserialization are *not* re-checked (blobs were validated when
+//! first built); every ordering in this crate uses `f64::total_cmp`, so a non-finite
+//! key that does get in sorts deterministically (NaN last) instead of panicking or
+//! producing implementation-defined order.
 
 use serde::{Deserialize, Serialize, Value};
 use std::ops::Deref;

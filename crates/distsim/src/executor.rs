@@ -35,7 +35,7 @@ use crate::join_ready::{partition_tasks, JoinReadyInputs, ReadyPartition};
 use crate::machine::{MachineModel, WorkerWork};
 use crate::metrics::ShardStats;
 use crate::parallel::{chunk_ranges, Parallelism, Threads};
-use crate::shuffle::{shuffle, try_shuffle, PartitionedIndex, ShuffleConfig, ShuffledInputs};
+use crate::shuffle::{shuffle, try_shuffle, PartitionedIndex, ShuffledInputs};
 use crate::supervise::{ShardError, SuperviseError, Supervision};
 use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
 use rayon::prelude::*;
@@ -79,6 +79,12 @@ pub struct ExecutorConfig {
     /// (no thread pool at all), `n > 1` uses a rayon pool of `n` threads. Results are
     /// bit-identical across all settings; only wall-clock timing changes.
     pub threads: usize,
+    /// Upper bound on tuples the map/shuffle phase routes per chunk. `0` (the
+    /// default) chunks by thread count; any positive value enables **streaming
+    /// mode**: fixed-size chunks, count-only pass 1, offset-aware re-route pass 2,
+    /// so per-chunk transient memory is `O(num_partitions)` regardless of input
+    /// size (see [`crate::shuffle`]). Results are bit-identical either way.
+    pub shuffle_chunk_tuples: usize,
 }
 
 impl ExecutorConfig {
@@ -91,6 +97,7 @@ impl ExecutorConfig {
             machine: MachineModel::default(),
             verification: VerificationLevel::Count,
             threads: 0,
+            shuffle_chunk_tuples: 0,
         }
     }
 
@@ -122,6 +129,13 @@ impl ExecutorConfig {
     /// useful as a baseline for the parallel backend.
     pub fn sequential(self) -> Self {
         self.with_threads(1)
+    }
+
+    /// Route at most `chunk_tuples` tuples per shuffle chunk (0 = chunk by thread
+    /// count) — see [`ExecutorConfig::shuffle_chunk_tuples`].
+    pub fn with_shuffle_chunk_tuples(mut self, chunk_tuples: usize) -> Self {
+        self.shuffle_chunk_tuples = chunk_tuples;
+        self
     }
 }
 
@@ -422,11 +436,6 @@ pub struct ShardedExecution {
 #[derive(Debug, Clone)]
 pub struct Executor {
     config: ExecutorConfig,
-    /// Chunking and arena-backing of the map/shuffle phase (out-of-core knobs);
-    /// defaults to the legacy in-memory behaviour. Kept outside [`ExecutorConfig`]
-    /// so that stays `Copy` ([`crate::shuffle::ShuffleConfig`] holds a spill-dir
-    /// handle).
-    shuffle_config: ShuffleConfig,
     /// Holder of `config.threads`' pool, built once per executor.
     threads: Threads,
 }
@@ -436,17 +445,8 @@ impl Executor {
     pub fn new(config: ExecutorConfig) -> Self {
         Executor {
             config,
-            shuffle_config: ShuffleConfig::default(),
             threads: Threads::new(config.threads),
         }
-    }
-
-    /// Override the map/shuffle chunking and arena backing (streaming chunks,
-    /// mmap-backed spill arenas — see [`ShuffleConfig`]). Results are bit-identical
-    /// for every setting; only memory residency and wall-clock change.
-    pub fn with_shuffle_config(mut self, shuffle_config: ShuffleConfig) -> Self {
-        self.shuffle_config = shuffle_config;
-        self
     }
 
     /// Convenience constructor with default configuration for `workers` machines.
@@ -470,8 +470,8 @@ impl Executor {
         t: &Relation,
     ) -> ShuffledInputs {
         let num_partitions = partitioner.num_partitions().max(1);
-        let (par, config) = (self.threads.parallelism(), &self.shuffle_config);
-        shuffle(partitioner, s, t, num_partitions, &par, config)
+        let (par, chunk) = (self.threads.parallelism(), self.config.shuffle_chunk_tuples);
+        shuffle(partitioner, s, t, num_partitions, &par, chunk)
     }
 
     /// [`Executor::map_shuffle`] as a stage of `policy`: supervision retries the
@@ -488,10 +488,10 @@ impl Executor {
             return Ok(self.map_shuffle(partitioner, s, t));
         };
         let num_partitions = partitioner.num_partitions().max(1);
-        let (par, config) = (self.threads.parallelism(), &self.shuffle_config);
+        let (par, chunk) = (self.threads.parallelism(), self.config.shuffle_chunk_tuples);
         supervision.shuffle(|faults| {
             let faults = Some(faults);
-            try_shuffle(partitioner, s, t, num_partitions, &par, config, faults)
+            try_shuffle(partitioner, s, t, num_partitions, &par, chunk, faults)
         })
     }
 
@@ -573,8 +573,8 @@ impl Executor {
     /// Execute only the reduce phase — per-partition local joins, worker mapping,
     /// stats, verification — against **pre-shuffled** arenas, as [`Executor::map_shuffle`]
     /// returns them: the back half of [`Executor::execute`] on its own. The arenas
-    /// are only borrowed, so they are copied (heap or spill, like the originals) and
-    /// the copy enters the pipeline where `execute`'s own shuffle output does; the
+    /// are only borrowed, so they are copied and the copy enters the pipeline where
+    /// `execute`'s own shuffle output does; the
     /// plan-cached service ([`crate::serve`]) keeps [`JoinReadyInputs`] instead and
     /// skips both the copy and the sorts. The result is bit-identical by
     /// construction to a fresh [`Executor::execute`] with the same partitioner

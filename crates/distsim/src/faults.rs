@@ -15,12 +15,12 @@
 //! * [`FaultKind::Panic`] — `panic_any` with an [`InjectedPanic`] payload, so a
 //!   supervising `catch_unwind` can tell injected crashes from real bugs;
 //! * [`FaultKind::IoError`] — returns a synthetic `io::Error`, modelling a failed
-//!   syscall (spill-file creation, a lost worker connection);
+//!   syscall (a lost worker connection);
 //! * [`FaultKind::Delay`] — sleeps, modelling a straggler; the work still
 //!   completes, only late.
 //!
 //! Injection points cover the supervised pipeline end to end: both shuffle
-//! passes, spill-arena creation, the per-shard join, and the merge. The
+//! passes, the per-shard join, and the merge. The
 //! supervisor in [`crate::supervise`] drives every point through retry, backoff,
 //! speculation, and degradation; production runs pass [`FaultPlan::none`], which
 //! makes every `trip` a no-op.
@@ -37,10 +37,6 @@ pub enum InjectionPoint {
     ShufflePass1,
     /// Before the scatter pass of the shuffle (unit = side: 0 for S, 1 for T).
     ShufflePass2,
-    /// At spill-arena creation (unit = side). An injected I/O error here does
-    /// not fail the shuffle: it exercises the counter-tracked heap fallback of
-    /// the fallible storage API, the same degradation a full temp dir causes.
-    SpillArena,
     /// At the start of one shard's reduce pass (unit = shard index).
     ShardJoin,
     /// Before the order-preserving merge of shard results (unit = 0).
@@ -93,21 +89,20 @@ impl FaultPlan {
     }
 
     /// A random plan derived deterministically from `seed` — the chaos-test
-    /// generator. Faults on the shuffle, spill, and merge points fire for at
-    /// most 2 attempts (recoverable under the default 3-attempt supervisor),
-    /// while shard-join faults may fire up to `max_shard_fire` attempts, so
-    /// exhaustion and graceful degradation are exercised too. Delays stay small
-    /// (≤ 20 ms) to keep chaos sweeps fast.
+    /// generator. Faults on the shuffle and merge points fire for at most 2
+    /// attempts (recoverable under the default 3-attempt supervisor), while
+    /// shard-join faults may fire up to `max_shard_fire` attempts, so exhaustion
+    /// and graceful degradation are exercised too. Delays stay small (≤ 20 ms) to
+    /// keep chaos sweeps fast.
     pub fn random(seed: u64, shards: usize, max_shard_fire: u32) -> Self {
         let mut rng = SplitMix64(seed);
         let num_faults = (rng.next() % 4) as usize; // 0..=3 faults
         let mut specs = Vec::with_capacity(num_faults);
         for _ in 0..num_faults {
-            let point = match rng.next() % 5 {
+            let point = match rng.next() % 4 {
                 0 => InjectionPoint::ShufflePass1,
                 1 => InjectionPoint::ShufflePass2,
-                2 => InjectionPoint::SpillArena,
-                3 => InjectionPoint::ShardJoin,
+                2 => InjectionPoint::ShardJoin,
                 _ => InjectionPoint::Merge,
             };
             let unit = match point {
@@ -310,7 +305,6 @@ mod tests {
         for point in [
             InjectionPoint::ShufflePass1,
             InjectionPoint::ShufflePass2,
-            InjectionPoint::SpillArena,
             InjectionPoint::ShardJoin,
             InjectionPoint::Merge,
         ] {
@@ -387,8 +381,23 @@ mod tests {
                 }
             }
         }
-        // The generator must actually produce non-empty plans somewhere.
+        // The generator must actually produce non-empty plans somewhere, and
+        // reach every injection point.
         assert!((0..200u64).any(|s| !FaultPlan::random(s, 7, 4).is_empty()));
+        for point in [
+            InjectionPoint::ShufflePass1,
+            InjectionPoint::ShufflePass2,
+            InjectionPoint::ShardJoin,
+            InjectionPoint::Merge,
+        ] {
+            assert!(
+                (0..200u64).any(|s| FaultPlan::random(s, 7, 4)
+                    .specs()
+                    .iter()
+                    .any(|spec| spec.point == point)),
+                "{point:?} is never generated"
+            );
+        }
     }
 
     #[test]

@@ -255,9 +255,9 @@ mod tests {
 
     use super::*;
     use crate::local_join::{probe_scalar, SortedProbeSide};
-    use crate::shuffle::{shuffle, ShuffleConfig};
+    use crate::shuffle::shuffle;
     use proptest::prelude::*;
-    use recpart::{PartitionId, Partitioner, SpillDir, StorageMode};
+    use recpart::{PartitionId, Partitioner};
     use serde::{Deserialize, Value};
 
     /// Build a relation through the serde ingress, the documented way non-finite
@@ -373,11 +373,8 @@ mod tests {
             let partitioner = ByTupleId { k, copy_every };
             let pool2 = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
             let pool4 = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-            let spill = StorageMode::Spill(SpillDir::in_temp("join-ready-test").expect("spill dir"));
-            let heap = ShuffleConfig::default();
-
             // The oracle: the scalar per-probe loop on the raw ascending slices.
-            let raw = shuffle(&partitioner, &s, &t, k, &Parallelism::Sequential, &heap);
+            let raw = shuffle(&partitioner, &s, &t, k, &Parallelism::Sequential, 0);
             let oracle: Vec<(LocalJoinResult, Vec<(u32, u32)>)> = (0..k)
                 .map(|p| {
                     let mut pairs = Vec::new();
@@ -388,13 +385,13 @@ mod tests {
                 })
                 .collect();
 
-            for (par, config) in [
-                (Parallelism::Sequential, heap.clone()),
-                (Parallelism::Pool(&pool2), ShuffleConfig::streaming(97, spill.clone())),
-                (Parallelism::Pool(&pool4), ShuffleConfig::streaming(1, spill)),
+            // Chunk by thread count, then streaming chunks of 97 and of 1.
+            for (par, chunk_tuples) in [
+                (Parallelism::Sequential, 0),
+                (Parallelism::Pool(&pool2), 97),
+                (Parallelism::Pool(&pool4), 1),
             ] {
-                let shuffled = shuffle(&partitioner, &s, &t, k, &par, &config);
-                prop_assert_eq!(shuffled.s_parts.is_spilled(), config.storage.is_spill());
+                let shuffled = shuffle(&partitioner, &s, &t, k, &par, chunk_tuples);
                 let (ready, _) = JoinReadyInputs::prepare(shuffled, &s, &t, &par);
 
                 // Same bytes, same ids per partition: a permutation, nothing beside it.

@@ -17,11 +17,11 @@
 //!   `execute`, `execute_prepared`, `execute_sharded`, `execute_supervised` and a
 //!   served query differ only in the arenas they bring and the schedule they ask for;
 //! * [`shuffle`] — the chunked parallel tuple-routing fan-out whose merged
-//!   per-partition index lists are bit-identical to sequential routing; its
-//!   [`ShuffleConfig`] adds the out-of-core scale tier (bounded streaming chunks,
-//!   mmap-backed spill arenas), and `Executor::execute_sharded` runs the reduce
-//!   phase as shared-nothing shards over contiguous partition ranges (per-shard
-//!   accounting in [`metrics`]) — both bit-identical to the in-memory path;
+//!   per-partition index lists are bit-identical to sequential routing;
+//!   [`ExecutorConfig::shuffle_chunk_tuples`] bounds the chunks it streams, and
+//!   `Executor::execute_sharded` runs the reduce phase as shared-nothing shards
+//!   over contiguous partition ranges (per-shard accounting in [`metrics`]) — both
+//!   bit-identical to the in-memory path;
 //! * [`cost_model`] — the running-time model `M(I, I_m, O_m) = β₀ + β₁I + β₂I_m + β₃O_m`
 //!   of Li et al. [24], with least-squares fitting over a calibration benchmark;
 //! * [`machine`] — the synthetic "ground truth" cluster timing model used in place of
@@ -74,7 +74,7 @@ pub use serve::{
     BandJoinQuery, BandJoinService, PlanSource, QueryResponse, ServeError, ServiceConfig,
     ServiceHealth,
 };
-pub use shuffle::{PartitionedIndex, ShuffleConfig, ShuffleError, ShuffledInputs};
+pub use shuffle::{PartitionedIndex, ShuffleError, ShuffledInputs};
 pub use supervise::{
     ShardError, ShardFailureKind, SuperviseError, SupervisedExecution, SupervisorConfig,
 };

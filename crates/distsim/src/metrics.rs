@@ -1,5 +1,5 @@
 //! Scale-tier measurements: per-shard ownership/footprint stats and the process
-//! peak-RSS probe the out-of-core memory gates are built on.
+//! peak-RSS probe the scale-tier memory checks are built on.
 //!
 //! Two kinds of numbers live here, deliberately separated:
 //!
@@ -7,9 +7,9 @@
 //!   offsets, identical on every run and every machine; this is what gates compare
 //!   against budgets, because a flaky gate is worse than no gate;
 //! * **observed residency** ([`process_peak_rss_bytes`]) — the kernel's high-water
-//!   mark for this process, reported alongside the accounting as evidence that the
-//!   mmap-backed path actually keeps pages out of RAM, but never gated on directly
-//!   (it is shared across the whole process and monotone over its lifetime).
+//!   mark for this process, reported alongside the accounting as evidence of what
+//!   the streaming shuffle keeps resident, but never gated on directly (it is
+//!   shared across the whole process and monotone over its lifetime).
 
 use serde::{Deserialize, Serialize};
 

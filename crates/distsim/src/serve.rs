@@ -46,7 +46,6 @@ use crate::faults::FaultPlan;
 use crate::machine::MachineModel;
 use crate::metrics::RecoveryCounters;
 use crate::plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
-use crate::shuffle::ShuffleConfig;
 use crate::supervise::{SuperviseError, SupervisorConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use recpart::{
@@ -84,9 +83,9 @@ pub struct ServiceConfig {
     pub load_model: LoadModel,
     /// Timing model of the simulated cluster.
     pub machine: MachineModel,
-    /// Shuffle chunking/storage of the cold path (heap or mmap spill arenas —
-    /// cached plans keep whatever backing the shuffle produced).
-    pub shuffle: ShuffleConfig,
+    /// Shuffle chunk bound of the cold path (0 = chunk by thread count; see
+    /// [`ExecutorConfig::shuffle_chunk_tuples`]).
+    pub shuffle_chunk_tuples: usize,
 }
 
 impl Default for ServiceConfig {
@@ -100,7 +99,7 @@ impl Default for ServiceConfig {
             sample: SampleConfig::default(),
             load_model: LoadModel::default(),
             machine: MachineModel::default(),
-            shuffle: ShuffleConfig::default(),
+            shuffle_chunk_tuples: 0,
         }
     }
 }
@@ -161,9 +160,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the cold path's shuffle chunking/storage.
-    pub fn with_shuffle_config(mut self, shuffle: ShuffleConfig) -> Self {
-        self.shuffle = shuffle;
+    /// Override the cold path's shuffle chunk bound.
+    pub fn with_shuffle_chunk_tuples(mut self, chunk_tuples: usize) -> Self {
+        self.shuffle_chunk_tuples = chunk_tuples;
         self
     }
 
@@ -175,6 +174,7 @@ impl ServiceConfig {
             .with_load_model(self.load_model)
             .with_machine(self.machine)
             .with_threads(self.threads)
+            .with_shuffle_chunk_tuples(self.shuffle_chunk_tuples)
     }
 
     /// The [`RecPartConfig`] the cold path optimizes under for a query's worker
@@ -527,8 +527,7 @@ impl BandJoinService {
         if let Some(i) = self.executors.iter().position(|(w, _)| *w == workers) {
             return i;
         }
-        let exec = Executor::new(self.config.executor_config(workers))
-            .with_shuffle_config(self.config.shuffle.clone());
+        let exec = Executor::new(self.config.executor_config(workers));
         self.executors.push((workers, exec));
         self.executors.len() - 1
     }

@@ -28,28 +28,22 @@
 //! local joins and verification therefore see exactly the same inputs for every
 //! `threads` setting.
 //!
-//! ## Out-of-core / streaming mode
+//! ## Streaming mode
 //!
-//! [`ShuffleConfig`] extends the same two-pass layout to inputs that dwarf RAM:
-//!
-//! * `chunk_tuples > 0` bounds the tuples routed per chunk, decoupling chunking
-//!   from the thread count. Streaming mode always counts in pass 1 and re-routes in
-//!   pass 2 (the [`ScatterPolicy::PairList`] pair buffers would otherwise grow with
-//!   the chunk's assignment count, defeating the memory bound); the pass-1 state
-//!   kept across the whole input is just `num_chunks × num_partitions` integer
-//!   counts — associative, merged by the prefix sum exactly like the parallel path.
-//! * `storage` selects the arena backing: heap `Vec<u32>` or an mmap-backed spill
-//!   file ([`StorageMode::Spill`]) that the OS pages in and out on demand, so the
-//!   resident set stays bounded no matter how large the arena is.
-//!
-//! Both knobs change *where bytes live*, never *which bytes*: the streamed,
-//! spill-backed arena is bit-identical to the in-memory one.
+//! [`ExecutorConfig::shuffle_chunk_tuples`](crate::ExecutorConfig::shuffle_chunk_tuples)
+//! `> 0` bounds the tuples routed per chunk, decoupling chunking from the thread
+//! count. Streaming mode always counts in pass 1 and re-routes in pass 2 (the
+//! [`ScatterPolicy::PairList`] pair buffers would otherwise grow with the chunk's
+//! assignment count, defeating the memory bound); the pass-1 state kept across the
+//! whole input is just `num_chunks × num_partitions` integer counts — associative,
+//! merged by the prefix sum exactly like the parallel path. The knob changes how
+//! much transient memory a pass holds, never *which bytes* land in the arena: the
+//! streamed arena is bit-identical to the in-memory one.
 
 use crate::faults::{FaultContext, InjectionPoint};
 use crate::parallel::{chunk_ranges, Parallelism};
 use rayon::prelude::*;
-use recpart::storage::record_spill_fallback;
-use recpart::{AssignmentSink, Partitioner, Relation, ScatterPolicy, Storage, StorageMode};
+use recpart::{AssignmentSink, Partitioner, Relation, ScatterPolicy};
 use std::time::Instant;
 
 /// Below this many tuples a side is routed as a single chunk even in parallel mode:
@@ -61,52 +55,14 @@ const MIN_PARALLEL_TUPLES: usize = 4_096;
 /// split-tree paths in dense regions).
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// How the shuffle chunks its input and where it puts the per-partition arenas —
-/// the out-of-core knobs of the scale tier (see the module docs).
-#[derive(Debug, Clone, Default)]
-pub struct ShuffleConfig {
-    /// Upper bound on tuples routed per chunk. `0` (the default) chunks by thread
-    /// count as before; any positive value enables **streaming mode**: fixed-size
-    /// chunks, count-only pass 1, offset-aware re-route pass 2 — per-chunk transient
-    /// memory is `O(num_partitions)` regardless of input size or declared
-    /// [`ScatterPolicy`]. Results are bit-identical either way.
-    pub chunk_tuples: usize,
-    /// Backing of the per-partition index arenas: heap vectors (default) or
-    /// mmap-backed spill files whose resident pages the OS manages.
-    pub storage: StorageMode,
-}
-
-impl ShuffleConfig {
-    /// Streaming out-of-core configuration: route in chunks of at most
-    /// `chunk_tuples` tuples and back the arenas with `storage`.
-    pub fn streaming(chunk_tuples: usize, storage: StorageMode) -> Self {
-        assert!(
-            chunk_tuples > 0,
-            "streaming mode needs a positive chunk size"
-        );
-        ShuffleConfig {
-            chunk_tuples,
-            storage,
-        }
-    }
-
-    /// Whether fixed-size chunking (and with it the bounded-memory pass-1 path)
-    /// is enabled.
-    pub fn is_streaming(&self) -> bool {
-        self.chunk_tuples > 0
-    }
-}
-
 /// Per-partition tuple-index lists stored as one flat arena plus partition offsets
 /// (CSR layout): partition `p` owns `data[offsets[p]..offsets[p + 1]]`. As the shuffle
 /// returns it, every partition is in routing (ascending tuple-index) order; once
 /// [`crate::JoinReadyInputs`] owns the index, every partition is in dimension-0 order
-/// instead (same ids, same offsets, same bytes). The arena is a [`Storage<u32>`] so it
-/// can live on the heap or in an mmap-backed spill file; every accessor below goes
-/// through the same slice view either way.
+/// instead (same ids, same offsets, same bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionedIndex {
-    data: Storage<u32>,
+    data: Vec<u32>,
     offsets: Vec<usize>,
 }
 
@@ -114,7 +70,7 @@ impl PartitionedIndex {
     /// An index with `num_partitions` empty partitions.
     pub fn empty(num_partitions: usize) -> Self {
         PartitionedIndex {
-            data: Storage::new(),
+            data: Vec::new(),
             offsets: vec![0; num_partitions + 1],
         }
     }
@@ -122,13 +78,11 @@ impl PartitionedIndex {
     /// Build an index directly from per-partition index lists (tests and tools;
     /// the executor builds arenas through the two-pass shuffle instead).
     pub fn from_parts(parts: &[Vec<u32>]) -> Self {
-        let mut data = Storage::new();
+        let mut data = Vec::new();
         let mut offsets = Vec::with_capacity(parts.len() + 1);
         offsets.push(0);
         for part in parts {
-            for &idx in part {
-                data.push(idx);
-            }
+            data.extend_from_slice(part);
             offsets.push(data.len());
         }
         PartitionedIndex { data, offsets }
@@ -148,7 +102,7 @@ impl PartitionedIndex {
     /// Every partition's slice at once, mutably and disjointly, in partition order —
     /// what lets the prepare step sort partitions in place on several threads.
     pub(crate) fn parts_mut(&mut self) -> Vec<&mut [u32]> {
-        let mut rest = self.data.as_mut_slice();
+        let mut rest = &mut self.data[..];
         self.offsets
             .windows(2)
             .map(|w| {
@@ -173,12 +127,8 @@ impl PartitionedIndex {
     /// memory gates account against. Deterministic (derived from lengths, not
     /// allocator state).
     pub fn arena_bytes(&self) -> u64 {
-        self.data.bytes() + (self.offsets.len() * std::mem::size_of::<usize>()) as u64
-    }
-
-    /// Whether the arena is backed by an mmap-backed spill file.
-    pub fn is_spilled(&self) -> bool {
-        self.data.is_mapped()
+        (self.data.len() * std::mem::size_of::<u32>()
+            + self.offsets.len() * std::mem::size_of::<usize>()) as u64
     }
 
     /// Iterate over the per-partition index slices in partition order.
@@ -262,29 +212,27 @@ pub(crate) fn shuffle<P: Partitioner + ?Sized>(
     t: &Relation,
     num_partitions: usize,
     par: &Parallelism<'_>,
-    config: &ShuffleConfig,
+    chunk_tuples: usize,
 ) -> ShuffledInputs {
-    try_shuffle(partitioner, s, t, num_partitions, par, config, None)
+    try_shuffle(partitioner, s, t, num_partitions, par, chunk_tuples, None)
         .unwrap_or_else(|e| unreachable!("shuffle without fault injection cannot fail: {e}"))
 }
 
 /// Fault-aware [`shuffle`]: trips the [`InjectionPoint::ShufflePass1`] /
-/// [`InjectionPoint::ShufflePass2`] / [`InjectionPoint::SpillArena`] points of
-/// `faults` on the way. Without a fault context this is infallible (a failed
-/// spill-arena creation degrades to heap, it does not error — see
-/// [`Storage::zeroed_in_or_heap`]).
+/// [`InjectionPoint::ShufflePass2`] points of `faults` on the way. Without a fault
+/// context this is infallible.
 pub(crate) fn try_shuffle<P: Partitioner + ?Sized>(
     partitioner: &P,
     s: &Relation,
     t: &Relation,
     num_partitions: usize,
     par: &Parallelism<'_>,
-    config: &ShuffleConfig,
+    chunk: usize,
     faults: Option<&FaultContext<'_>>,
 ) -> Result<ShuffledInputs, ShuffleError> {
     let start = Instant::now();
-    let s_parts = route_side(partitioner, s, num_partitions, par, Side::S, config, faults)?;
-    let t_parts = route_side(partitioner, t, num_partitions, par, Side::T, config, faults)?;
+    let s_parts = route_side(partitioner, s, num_partitions, par, Side::S, chunk, faults)?;
+    let t_parts = route_side(partitioner, t, num_partitions, par, Side::T, chunk, faults)?;
     Ok(ShuffledInputs {
         s_parts,
         t_parts,
@@ -330,9 +278,9 @@ struct ArenaLayout {
 /// Prefix-sum the per-chunk, per-partition pass-1 counts into the arena layout.
 ///
 /// All accumulation happens in `u64` with checked adds before a single checked
-/// narrowing to `usize` per emitted offset: at out-of-core scale (≥ 2^32 total
-/// assignments) the old `usize`-accumulating sum would wrap silently on 32-bit
-/// targets, and an unchecked `as usize` would truncate rather than fail. Overflow
+/// narrowing to `usize` per emitted offset: at ≥ 2^32 total assignments the old
+/// `usize`-accumulating sum would wrap silently on 32-bit targets, and an
+/// unchecked `as usize` would truncate rather than fail. Overflow
 /// here means the requested arena cannot exist — panicking with a sized message
 /// beats scattering through a wrapped cursor.
 fn arena_layout(per_chunk_counts: &[&[u64]], num_partitions: usize) -> ArenaLayout {
@@ -400,7 +348,7 @@ fn route_side<P: Partitioner + ?Sized>(
     num_partitions: usize,
     par: &Parallelism<'_>,
     side: Side,
-    config: &ShuffleConfig,
+    chunk_tuples: usize,
     faults: Option<&FaultContext<'_>>,
 ) -> Result<PartitionedIndex, ShuffleError> {
     let n = rel.len();
@@ -412,8 +360,9 @@ fn route_side<P: Partitioner + ?Sized>(
     );
     let threads = par.threads().min(n.max(1));
     let parallel = threads > 1 && n >= MIN_PARALLEL_TUPLES;
-    let ranges = if config.is_streaming() {
-        bounded_ranges(n, config.chunk_tuples)
+    let streaming = chunk_tuples > 0;
+    let ranges = if streaming {
+        bounded_ranges(n, chunk_tuples)
     } else if parallel {
         chunk_ranges(n, threads * CHUNKS_PER_THREAD)
     } else {
@@ -428,7 +377,7 @@ fn route_side<P: Partitioner + ?Sized>(
     // grows with the chunk's assignment count and would break the memory bound the
     // fixed-size chunks exist to provide. Identical arenas either way (the policy
     // bit-identity is proven by `scatter_policies_produce_identical_arenas`).
-    let policy = if config.is_streaming() {
+    let policy = if streaming {
         ScatterPolicy::Reroute
     } else {
         partitioner.scatter_policy()
@@ -486,16 +435,7 @@ fn route_side<P: Partitioner + ?Sized>(
     // policies write the identical arena: same per-(chunk, partition) slices, same
     // routing order within each slice.
     trip(faults, InjectionPoint::ShufflePass2, side)?;
-    // Arena creation degrades to heap on a failed spill (real — a full temp
-    // dir — or injected at [`InjectionPoint::SpillArena`]); either way the
-    // fallback is counted, never silent, and the arena contents are identical.
-    let mut data = match trip(faults, InjectionPoint::SpillArena, side) {
-        Ok(()) => Storage::<u32>::zeroed_in_or_heap(total, &config.storage),
-        Err(_) => {
-            record_spill_fallback();
-            Storage::<u32>::zeroed_in(total, &StorageMode::Heap)
-        }
-    };
+    let mut data = vec![0u32; total];
     let arena = ArenaPtr(data.as_mut_ptr());
     // Borrow the wrapper (not the raw pointer field) so the scatter closure stays
     // `Sync` under edition-2021 disjoint capture.
@@ -545,7 +485,7 @@ fn route_side<P: Partitioner + ?Sized>(
 mod tests {
     use super::*;
     use recpart::partition::SinglePartition;
-    use recpart::{PartitionId, SpillDir};
+    use recpart::PartitionId;
 
     fn relation(n: usize) -> Relation {
         let mut r = Relation::with_capacity(1, n);
@@ -555,9 +495,8 @@ mod tests {
         r
     }
 
-    fn heap() -> ShuffleConfig {
-        ShuffleConfig::default()
-    }
+    /// Chunk by thread count (the default, non-streaming shuffle).
+    const BY_THREADS: usize = 0;
 
     /// Routes tuple `i` to partition `i % m`, plus partition `0` for multiples of 7 —
     /// exercises multi-partition assignments.
@@ -596,8 +535,8 @@ mod tests {
         let t = relation(9_000);
         let p = ModPartitioner(13);
         let pool = four_thread_pool();
-        let seq = shuffle(&p, &s, &t, 13, &Parallelism::Sequential, &heap());
-        let par = shuffle(&p, &s, &t, 13, &Parallelism::Pool(&pool), &heap());
+        let seq = shuffle(&p, &s, &t, 13, &Parallelism::Sequential, BY_THREADS);
+        let par = shuffle(&p, &s, &t, 13, &Parallelism::Pool(&pool), BY_THREADS);
         assert_eq!(seq.s_parts, par.s_parts);
         assert_eq!(seq.t_parts, par.t_parts);
     }
@@ -613,7 +552,7 @@ mod tests {
             &t,
             5,
             &Parallelism::Pool(&pool),
-            &heap(),
+            BY_THREADS,
         );
         for parts in [&shuffled.s_parts, &shuffled.t_parts] {
             for list in parts.iter_parts() {
@@ -633,7 +572,7 @@ mod tests {
             &t,
             1,
             &Parallelism::Pool(&pool),
-            &heap(),
+            BY_THREADS,
         );
         assert_eq!(shuffled.s_parts.part(0).len(), 5_000);
         assert_eq!(shuffled.t_parts.part(0).len(), 5_000);
@@ -652,7 +591,7 @@ mod tests {
             &t,
             3,
             &Parallelism::Ambient,
-            &heap(),
+            BY_THREADS,
         );
         let seq = shuffle(
             &ModPartitioner(3),
@@ -660,7 +599,7 @@ mod tests {
             &t,
             3,
             &Parallelism::Sequential,
-            &heap(),
+            BY_THREADS,
         );
         assert_eq!(shuffled.s_parts, seq.s_parts);
         assert_eq!(shuffled.t_parts, seq.t_parts);
@@ -675,8 +614,8 @@ mod tests {
         let t = relation(5_000);
         let pool = four_thread_pool();
         for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-            let block = shuffle(&SinglePartition, &s, &t, 1, &par, &heap());
-            let per_tuple = shuffle(&per_tuple_fallback, &s, &t, 1, &par, &heap());
+            let block = shuffle(&SinglePartition, &s, &t, 1, &par, BY_THREADS);
+            let per_tuple = shuffle(&per_tuple_fallback, &s, &t, 1, &par, BY_THREADS);
             assert_eq!(block.s_parts, per_tuple.s_parts);
             assert_eq!(block.t_parts, per_tuple.t_parts);
         }
@@ -715,7 +654,7 @@ mod tests {
         let reroute = ForcePolicy(&p, ScatterPolicy::Reroute);
         let pair_list = ForcePolicy(&p, ScatterPolicy::PairList);
         let route = |p: &dyn Partitioner, rel, par: &Parallelism<'_>, side| {
-            route_side(p, rel, 11, par, side, &heap(), None).expect("no faults injected")
+            route_side(p, rel, 11, par, side, BY_THREADS, None).expect("no faults injected")
         };
         for (rel, side) in [(&s, Side::S), (&t, Side::T)] {
             let oracle = route(&pair_list, rel, &Parallelism::Sequential, side);
@@ -726,29 +665,24 @@ mod tests {
         }
     }
 
-    /// Streaming mode (bounded chunks, forced count+re-route) and spill-backed
-    /// arenas must reproduce the legacy in-memory arena bit for bit, for both
-    /// declared policies and any chunk size — including chunk sizes that do not
-    /// divide the input and a chunk size of one.
+    /// Streaming mode (bounded chunks, forced count+re-route) must reproduce the
+    /// legacy in-memory arena bit for bit, for both declared policies and any chunk
+    /// size — including chunk sizes that do not divide the input and a chunk size
+    /// of one.
     #[test]
-    fn streaming_and_spill_arenas_are_bit_identical_to_legacy() {
+    fn streaming_arenas_are_bit_identical_to_legacy() {
         let s = relation(10_000);
         let t = relation(4_321);
         let p = ModPartitioner(11);
         let pool = four_thread_pool();
-        let dir = SpillDir::in_temp("shuffle-test").expect("creating the spill dir");
-        let oracle = shuffle(&p, &s, &t, 11, &Parallelism::Sequential, &heap());
+        let oracle = shuffle(&p, &s, &t, 11, &Parallelism::Sequential, BY_THREADS);
         for chunk_tuples in [1usize, 777, 4_096, 100_000] {
-            for storage in [StorageMode::Heap, StorageMode::Spill(dir.clone())] {
-                let config = ShuffleConfig::streaming(chunk_tuples, storage);
-                for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-                    for policy in [ScatterPolicy::Reroute, ScatterPolicy::PairList] {
-                        let forced = ForcePolicy(&p, policy);
-                        let got = shuffle(&forced, &s, &t, 11, &par, &config);
-                        assert_eq!(got.s_parts, oracle.s_parts, "chunk={chunk_tuples}");
-                        assert_eq!(got.t_parts, oracle.t_parts, "chunk={chunk_tuples}");
-                        assert_eq!(got.s_parts.is_spilled(), config.storage.is_spill());
-                    }
+            for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
+                for policy in [ScatterPolicy::Reroute, ScatterPolicy::PairList] {
+                    let forced = ForcePolicy(&p, policy);
+                    let got = shuffle(&forced, &s, &t, 11, &par, chunk_tuples);
+                    assert_eq!(got.s_parts, oracle.s_parts, "chunk={chunk_tuples}");
+                    assert_eq!(got.t_parts, oracle.t_parts, "chunk={chunk_tuples}");
                 }
             }
         }
@@ -801,7 +735,7 @@ mod tests {
             &t,
             7,
             &Parallelism::Sequential,
-            &heap(),
+            BY_THREADS,
         );
         for parts in [&shuffled.s_parts, &shuffled.t_parts] {
             assert_eq!(parts.num_partitions(), 7);

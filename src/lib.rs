@@ -59,14 +59,12 @@ pub mod prelude {
         FaultPlan, FaultSpec, InjectionPoint, JoinReadyInputs, MachineModel, PartitionedIndex,
         PlanCache, PlanKey, PlanSource, QueryResponse, RecoveryCounters, ServeError, ServiceConfig,
         ServiceHealth, ShardError, ShardFailureKind, ShardPlan, ShardStats, ShardedExecution,
-        ShuffleConfig, ShuffledInputs, SuperviseError, SupervisedExecution, SupervisorConfig,
-        VerificationLevel,
+        ShuffledInputs, SuperviseError, SupervisedExecution, SupervisorConfig, VerificationLevel,
     };
     pub use recpart::{
-        spill_fallback_count, AssignmentSink, BandCondition, CompiledRouter, EvalCounters,
-        LoadModel, OptimizationReport, PartitionId, Partitioner, PartitioningStats,
-        PlanCacheCounters, RecPart, RecPartConfig, RecPartError, RecPartResult, Relation,
-        RouteKernel, SampleConfig, ScatterPolicy, SpillDir, SplitSearchCounters,
-        SplitTreePartitioner, StorageMode, Termination,
+        AssignmentSink, BandCondition, CompiledRouter, EvalCounters, LoadModel, OptimizationReport,
+        PartitionId, Partitioner, PartitioningStats, PlanCacheCounters, RecPart, RecPartConfig,
+        RecPartError, RecPartResult, Relation, RouteKernel, SampleConfig, ScatterPolicy,
+        SplitSearchCounters, SplitTreePartitioner, Termination,
     };
 }

@@ -98,9 +98,12 @@ fn oracle_for(
     let partitioner = service
         .cached_partitioner(response.plan_signature)
         .expect("the serving plan is cached");
-    Executor::new(service.config().executor_config(workers))
-        .with_shuffle_config(service.config().shuffle.clone())
-        .execute(partitioner, service.s(), service.t(), band)
+    Executor::new(service.config().executor_config(workers)).execute(
+        partitioner,
+        service.s(),
+        service.t(),
+        band,
+    )
 }
 
 /// Health invariants that must hold after any query stream.
@@ -440,25 +443,13 @@ fn supervised_crash_degrades_one_response_and_service_keeps_serving() {
     assert_health_invariants(&service, 3);
 }
 
-/// The shuffle configurations a deployment moves between.
-fn shuffle_config(idx: usize) -> ShuffleConfig {
-    match idx {
-        0 => ShuffleConfig::default(),
-        1 => ShuffleConfig::streaming(257, StorageMode::Heap),
-        _ => ShuffleConfig::streaming(
-            511,
-            StorageMode::Spill(SpillDir::in_temp("serve-proptest").expect("spill dir")),
-        ),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random query streams: per-dimension ε below / equal to / above the
-    /// cached plans, both materialize modes, every thread setting, heap and
-    /// spill arenas. Every response must be bit-identical to its one-shot
-    /// oracle — and so must every other way of running the same plan
+    /// cached plans, both materialize modes, every thread setting, by-thread
+    /// and streaming shuffle chunks. Every response must be bit-identical to
+    /// its one-shot oracle — and so must every other way of running the same plan
     /// (`execute_prepared` on a raw shuffle, `execute_sharded`) — the pair list
     /// of a (plan, band) must come out in the same order however it is served,
     /// and the counters must account for the stream exactly.
@@ -470,13 +461,15 @@ proptest! {
         stream in proptest::collection::vec((0usize..3, any::<bool>()), 1..6),
     ) {
         let threads = [1usize, 0, 4][threads_idx];
+        // Chunk by thread count, then two bounded streaming chunk sizes.
+        let chunk_tuples = [0usize, 257, 511][shuffle_idx];
         let dims = 1 + (seed % 2) as usize;
         let (s, t) = workload(seed, 350, dims);
         let config = ServiceConfig::new()
             .with_seed(seed ^ 0xBAD5EED)
             .with_sample(small_sample())
             .with_threads(threads)
-            .with_shuffle_config(shuffle_config(shuffle_idx))
+            .with_shuffle_chunk_tuples(chunk_tuples)
             .with_verification(VerificationLevel::FullPairs);
         let mut service = BandJoinService::new(s, t, config);
 
@@ -493,7 +486,7 @@ proptest! {
             let prepared_before = service.health().partitions_prepared;
             let response = service.serve(&query).expect("query");
             let label = format!(
-                "seed {seed} threads {threads} shuffle {shuffle_idx} query {i} \
+                "seed {seed} threads {threads} chunk {chunk_tuples} query {i} \
                  (eps {eps:?}, materialize {materialize}, source {:?})",
                 response.source
             );
@@ -506,8 +499,7 @@ proptest! {
             // The other reduce paths over the same plan: the raw shuffle's arenas
             // borrowed (scratch copies), and shard workers owning their ranges.
             let partitioner = service.cached_partitioner(response.plan_signature).unwrap();
-            let exec = Executor::new(service.config().executor_config(workers))
-                .with_shuffle_config(service.config().shuffle.clone());
+            let exec = Executor::new(service.config().executor_config(workers));
             let (s, t) = (service.s(), service.t());
             let raw = exec.map_shuffle(partitioner, s, t);
             let prepared =

@@ -7,8 +7,8 @@
 //! order. Every per-partition computation is the same code the unsharded path
 //! runs, so the merged report must be **bit-identical** to `execute` — same
 //! per-partition loads, same worker mapping, same stats, same materialized
-//! pairs — for every shard count, thread count, and arena backing (heap or
-//! mmap-backed spill, streaming or legacy chunking).
+//! pairs — for every shard count, thread count, and shuffle chunking
+//! (streaming or by thread count).
 //!
 //! `Executor::execute_supervised` adds fault injection, retry/backoff,
 //! speculation, and graceful degradation on top, with the matching invariant:
@@ -49,23 +49,14 @@ fn recpart_partitioner(
     RecPart::new(cfg).optimize(s, t, band, &mut rng).partitioner
 }
 
-/// The shuffle configurations a scale-tier deployment moves between: the
-/// legacy in-memory path, bounded streaming chunks over heap arenas, and
-/// bounded streaming chunks over mmap-backed spill arenas.
-fn shuffle_configs() -> Vec<(&'static str, ShuffleConfig)> {
-    let spill = SpillDir::in_temp("sharded-proptest").expect("creating the spill dir");
-    vec![
-        ("legacy-heap", ShuffleConfig::default()),
-        (
-            "streaming-heap",
-            ShuffleConfig::streaming(257, StorageMode::Heap),
-        ),
-        (
-            "streaming-spill",
-            ShuffleConfig::streaming(511, StorageMode::Spill(spill)),
-        ),
-    ]
-}
+/// The shuffle chunkings a scale-tier deployment moves between
+/// ([`ExecutorConfig::shuffle_chunk_tuples`]): chunks by thread count, and two
+/// bounded streaming chunk sizes.
+const SHUFFLE_CHUNKINGS: [(&str, usize); 3] = [
+    ("by-threads", 0),
+    ("streaming-257", 257),
+    ("streaming-511", 511),
+];
 
 /// Field-by-field bit-identity of everything deterministic in a report (the
 /// wall-clock fields are measurements and necessarily differ).
@@ -179,10 +170,10 @@ fn assert_attempt_accounting(sup: &SupervisedExecution, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// shards {1, 2, 7} × threads {1, 0, 4} × {legacy-heap, streaming-heap,
-    /// streaming-spill}: every combination must reproduce the sequential
-    /// in-memory unsharded run bit for bit, down to the materialized pair
-    /// check, and the per-shard stats must add up to the global totals.
+    /// shards {1, 2, 7} × threads {1, 0, 4} × chunking {by-threads,
+    /// streaming-257, streaming-511}: every combination must reproduce the
+    /// sequential in-memory unsharded run bit for bit, down to the materialized
+    /// pair check, and the per-shard stats must add up to the global totals.
     #[test]
     fn sharded_execution_is_bit_identical_to_unsharded(
         s_vals in prop::collection::vec(prop::collection::vec(-30.0f64..30.0, 2), 60..200),
@@ -208,14 +199,14 @@ proptest! {
 
         for shards in [1usize, 2, 7] {
             for threads in [1usize, 0, 4] {
-                for (config_name, config) in shuffle_configs() {
-                    let label = format!("shards={shards} threads={threads} {config_name}");
+                for (chunking, chunk_tuples) in SHUFFLE_CHUNKINGS {
+                    let label = format!("shards={shards} threads={threads} {chunking}");
                     let exec = Executor::new(
                         ExecutorConfig::new(workers)
                             .with_verification(VerificationLevel::FullPairs)
-                            .with_threads(threads),
-                    )
-                    .with_shuffle_config(config);
+                            .with_threads(threads)
+                            .with_shuffle_chunk_tuples(chunk_tuples),
+                    );
                     let sharded = exec.execute_sharded(&partitioner, &s, &t, &band, shards).unwrap();
                     assert_reports_identical(&sharded.report, &oracle, &label);
 
@@ -250,7 +241,7 @@ proptest! {
 
     /// Chaos sweep: random seeded [`FaultPlan`]s (panics, I/O errors,
     /// stragglers; recoverable and permanent) × shards {1, 2, 7} × threads
-    /// {1, 0, 4} × {heap, spill} arenas, half the combinations with a
+    /// {1, 0, 4} × streaming chunks {257, 511}, half the combinations with a
     /// speculation deadline. Every run must end in either a bit-identical
     /// report (all faults recovered) or a structurally degraded one whose
     /// failed shard ranges exactly cover the missing partitions, with
@@ -278,15 +269,10 @@ proptest! {
         .execute(&partitioner, &s, &t, &band);
         prop_assert_eq!(oracle.correct, Some(true));
 
-        let spill = SpillDir::in_temp("chaos-proptest").expect("creating the spill dir");
-        let configs = [
-            ("heap", ShuffleConfig::streaming(257, StorageMode::Heap)),
-            ("spill", ShuffleConfig::streaming(511, StorageMode::Spill(spill))),
-        ];
         let mut combo = 0u64;
         for shards in [1usize, 2, 7] {
             for threads in [1usize, 0, 4] {
-                for (config_name, config) in &configs {
+                for chunk_tuples in [257usize, 511] {
                     combo += 1;
                     // Random plan per combination; shard faults may outlive the
                     // 3-attempt budget (max_shard_fire = 4), so this sweep hits
@@ -303,15 +289,15 @@ proptest! {
                         sup_config = sup_config.with_shard_deadline_ms(15);
                     }
                     let label = format!(
-                        "shards={shards} threads={threads} {config_name} plan={:?}",
+                        "shards={shards} threads={threads} chunk={chunk_tuples} plan={:?}",
                         plan.specs()
                     );
                     let exec = Executor::new(
                         ExecutorConfig::new(workers)
                             .with_verification(VerificationLevel::FullPairs)
-                            .with_threads(threads),
-                    )
-                    .with_shuffle_config(config.clone());
+                            .with_threads(threads)
+                            .with_shuffle_chunk_tuples(chunk_tuples),
+                    );
                     // Random plans keep shuffle/merge faults within the retry
                     // budget, and shard exhaustion degrades rather than
                     // failing: the supervised run must always produce a result.
@@ -546,51 +532,6 @@ fn straggler_speculation_duplicates_the_slow_shard() {
     assert!(sup.shard_stats[0].recovery_wall_seconds > 0.0);
 }
 
-/// An injected I/O error at spill-arena creation must not fail the shuffle:
-/// the arena degrades to counted heap backing and the results are unchanged —
-/// the same contract as a full spill volume.
-#[test]
-fn spill_arena_fault_degrades_to_counted_heap_fallback() {
-    let (s, t, band, partitioner) = small_workload(15);
-    let spill = SpillDir::in_temp("chaos-spill-fault").expect("creating the spill dir");
-    let exec = supervised_executor(6)
-        .with_shuffle_config(ShuffleConfig::streaming(257, StorageMode::Spill(spill)));
-    let oracle = exec
-        .execute_sharded(&partitioner, &s, &t, &band, 2)
-        .unwrap();
-
-    let plan = FaultPlan::new(vec![FaultSpec {
-        point: InjectionPoint::SpillArena,
-        unit: 0,
-        fire_attempts: 1,
-        kind: FaultKind::IoError,
-    }]);
-    let before = spill_fallback_count();
-    let sup = exec
-        .execute_supervised(
-            &partitioner,
-            &s,
-            &t,
-            &band,
-            2,
-            &plan,
-            &SupervisorConfig::default(),
-        )
-        .expect("a spill fallback is not a failure");
-
-    assert_reports_identical(&sup.report, &oracle.report, "spill fallback");
-    assert!(sup.failed.is_empty());
-    assert_eq!(
-        sup.recovery.shuffle_retries, 0,
-        "the shuffle must not retry"
-    );
-    assert_eq!(sup.recovery.injected_io_errors, 1);
-    assert!(
-        spill_fallback_count() > before,
-        "the heap fallback must be counted"
-    );
-}
-
 /// Shared tiny workload for the fixed-schedule supervision tests.
 fn small_workload(seed: u64) -> (Relation, Relation, BandCondition, SplitTreePartitioner) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -615,10 +556,11 @@ fn supervised_executor(workers: usize) -> Executor {
     )
 }
 
-/// The global spill arena is written through per-shard cursors; the resulting
-/// CSR index must be bit-identical to the in-memory shuffle for every chunking.
+/// The streaming shuffle writes the global arena through per-chunk cursors; the
+/// resulting CSR index must be bit-identical to the by-thread shuffle for every
+/// chunk size.
 #[test]
-fn spill_backed_shuffle_feeds_shards_identically() {
+fn streaming_shuffle_feeds_shards_identically() {
     let mut rng = StdRng::seed_from_u64(99);
     let mut s = Relation::new(2);
     let mut t = Relation::new(2);
@@ -630,22 +572,19 @@ fn spill_backed_shuffle_feeds_shards_identically() {
     let band = BandCondition::symmetric(&[0.7, 0.7]);
     let partitioner = recpart_partitioner(&s, &t, &band, 9, 3);
 
-    let heap = Executor::with_workers(9).map_shuffle(&partitioner, &s, &t);
+    let by_threads = Executor::with_workers(9).map_shuffle(&partitioner, &s, &t);
     for chunk in [64usize, 1000, 100_000] {
-        let spill = SpillDir::in_temp("sharded-shuffle-test").expect("creating the spill dir");
-        let exec = Executor::with_workers(9)
-            .with_shuffle_config(ShuffleConfig::streaming(chunk, StorageMode::Spill(spill)));
-        let spilled = exec.map_shuffle(&partitioner, &s, &t);
-        assert!(spilled.s_parts.is_spilled() && spilled.t_parts.is_spilled());
+        let exec = Executor::new(ExecutorConfig::new(9).with_shuffle_chunk_tuples(chunk));
+        let streamed = exec.map_shuffle(&partitioner, &s, &t);
         for p in 0..partitioner.num_partitions() {
             assert_eq!(
-                heap.s_parts.part(p),
-                spilled.s_parts.part(p),
+                by_threads.s_parts.part(p),
+                streamed.s_parts.part(p),
                 "chunk {chunk} S {p}"
             );
             assert_eq!(
-                heap.t_parts.part(p),
-                spilled.t_parts.part(p),
+                by_threads.t_parts.part(p),
+                streamed.t_parts.part(p),
                 "chunk {chunk} T {p}"
             );
         }
