@@ -4,7 +4,7 @@
 //!
 //! Runs one uniform-1d band join at 4 shards, once through each of three shapes:
 //!
-//! * **unsupervised `execute_sharded`** — the baseline;
+//! * **unsharded `execute`** — the baseline;
 //! * **zero-fault `execute_supervised`** — the supervision layer with an empty
 //!   [`FaultPlan`]: bit-identical, every recovery counter at zero, every shard
 //!   run exactly once;
@@ -88,11 +88,8 @@ fn main() {
             && !want.degraded
     };
 
-    // --- Baseline: unsupervised sharded execution. ---
-    let baseline = exec
-        .execute_sharded(&partitioner, &s, &t, &band, SHARDS)
-        .expect("SHARDS > 0")
-        .report;
+    // --- Baseline: unsharded execution. ---
+    let baseline = exec.execute(&partitioner, &s, &t, &band);
 
     // --- Zero-fault supervised run: bit-identical, clean accounting. ---
     match exec.execute_supervised(
@@ -100,13 +97,12 @@ fn main() {
         &s,
         &t,
         &band,
-        SHARDS,
+        &SupervisorConfig::new(SHARDS),
         &FaultPlan::none(),
-        &SupervisorConfig::default(),
     ) {
         Ok(sup) => {
             if !identical(&sup.report, &baseline) {
-                failures.push("zero-fault supervised run differs from execute_sharded".into());
+                failures.push("zero-fault supervised run differs from unsharded execute".into());
             }
             if sup.recovery != RecoveryCounters::default() {
                 failures.push(format!(
@@ -143,10 +139,10 @@ fn main() {
             kind: FaultKind::Delay(STRAGGLER_MS),
         },
     ]);
-    let chaos_config = SupervisorConfig::default()
+    let chaos_config = SupervisorConfig::new(SHARDS)
         .with_backoff_ms(2, 8)
         .with_shard_deadline_ms(DEADLINE_MS);
-    match exec.execute_supervised(&partitioner, &s, &t, &band, SHARDS, &plan, &chaos_config) {
+    match exec.execute_supervised(&partitioner, &s, &t, &band, &chaos_config, &plan) {
         Ok(sup) => {
             if !identical(&sup.report, &baseline) {
                 failures.push("faulted supervised run is not bit-identical after recovery".into());

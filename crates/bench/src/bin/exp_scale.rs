@@ -6,11 +6,11 @@
 //!
 //! * **unsharded / in-memory** — `Executor::execute` (heap arenas, single-pass
 //!   shuffle), the baseline everything is held to;
-//! * **2 shards** and **4 shards** — `Executor::execute_sharded` over the
-//!   streaming counting shuffle (`ExecutorConfig::with_shuffle_chunk_tuples`):
-//!   bounded chunks in pass 1, offset-aware cursors scattering into the heap
-//!   arena in pass 2, shared-nothing shard workers owning contiguous partition
-//!   ranges.
+//! * **2 shards** and **4 shards** — `Executor::execute_supervised` with no
+//!   faults over the streaming counting shuffle
+//!   (`ExecutorConfig::with_shuffle_chunk_tuples`): bounded chunks in pass 1,
+//!   offset-aware cursors scattering into the heap arena in pass 2,
+//!   shared-nothing shard workers owning contiguous partition ranges.
 //!
 //! Every check is a count, so the gate cannot fail on a slow machine. It
 //! **fails** (non-zero exit) if
@@ -36,7 +36,9 @@
 
 use bench::ExperimentArgs;
 use datagen::uniform_relation;
-use distsim::{Executor, ExecutorConfig, ShardStats, VerificationLevel};
+use distsim::{
+    Executor, ExecutorConfig, FaultPlan, ShardStats, SupervisorConfig, VerificationLevel,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recpart::{BandCondition, Partitioner, RecPart, RecPartConfig};
@@ -101,8 +103,15 @@ fn main() {
     let mut shard_stats: Vec<Vec<ShardStats>> = Vec::new();
     for shards in [2usize, 4] {
         let sharded = Executor::new(streaming_cfg)
-            .execute_sharded(&partitioner, &s, &t, &band, shards)
-            .expect("at least one shard");
+            .execute_supervised(
+                &partitioner,
+                &s,
+                &t,
+                &band,
+                &SupervisorConfig::new(shards),
+                &FaultPlan::none(),
+            )
+            .expect("a fault-free supervised run cannot fail");
         if sharded.report.stats != baseline.stats
             || sharded.report.per_partition != baseline.per_partition
             || sharded.report.partition_to_worker != baseline.partition_to_worker

@@ -30,6 +30,12 @@
 //! ([`ExecutionReport::map_shuffle_wall_seconds`],
 //! [`ExecutionReport::local_join_wall_seconds`],
 //! [`ExecutionReport::verify_wall_seconds`]).
+//!
+//! The reduce runs on that pool for [`Executor::execute`] and
+//! [`Executor::execute_prepared`]; the one sharded path,
+//! [`Executor::execute_supervised`] ([`crate::supervise`]), splits it into
+//! shared-nothing [`ShardPlan`] ranges under supervision, bit-identical to the
+//! pool whenever no shard is lost.
 
 use crate::join_ready::{partition_tasks, JoinReadyInputs, ReadyPartition};
 use crate::machine::{MachineModel, WorkerWork};
@@ -123,12 +129,6 @@ impl ExecutorConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// Run every phase strictly sequentially (equivalent to `with_threads(1)`);
-    /// useful as a baseline for the parallel backend.
-    pub fn sequential(self) -> Self {
-        self.with_threads(1)
     }
 
     /// Route at most `chunk_tuples` tuples per shuffle chunk (0 = chunk by thread
@@ -269,14 +269,12 @@ pub(crate) enum Arenas<'a> {
 }
 
 /// How a reduce schedules its partitions — the only thing that differs between
-/// `execute`, `execute_sharded`, `execute_supervised` and a served query.
+/// `execute`, `execute_supervised` and a served query.
 pub(crate) enum ReducePolicy<'a> {
     /// Dynamically scheduled on the executor's rayon context.
     Pool,
-    /// This many shared-nothing shards ([`ShardPlan::contiguous`]), each joining
-    /// its partitions sequentially, shards concurrent on the rayon context.
-    Sharded(usize),
-    /// Shards as above, every attempt on an OS thread of its own under
+    /// Shared-nothing shards ([`ShardPlan::contiguous`]), each joining its
+    /// partitions sequentially, every attempt on an OS thread of its own under
     /// [`crate::supervise`]; the shuffle is retried too.
     Supervised(Supervision<'a>),
 }
@@ -333,8 +331,8 @@ fn join_partition(
     (load, pairs, started.elapsed().as_secs_f64())
 }
 
-/// Join partitions `lo..hi` of shared arenas sequentially — one shard of an
-/// unsupervised reduce, or one supervised shard attempt — and time the range.
+/// Join partitions `lo..hi` of shared arenas sequentially — one supervised shard
+/// attempt — and time the range.
 pub(crate) fn join_range(
     query: &JoinQuery<'_>,
     ready: &JoinReadyInputs,
@@ -347,20 +345,6 @@ pub(crate) fn join_range(
     (outcomes, start.elapsed().as_secs_f64())
 }
 
-/// `units` independent pieces of a reduce, concurrent under `par`, results in
-/// unit order.
-fn scheduled<R: Send>(
-    par: &Parallelism<'_>,
-    units: usize,
-    unit: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    if par.is_parallel() && units > 1 {
-        par.run(|| (0..units).into_par_iter().map(&unit).collect())
-    } else {
-        (0..units).map(unit).collect()
-    }
-}
-
 /// One shard's contribution to the merge: its per-partition outcomes (`None`
 /// when the shard exhausted its retry budget), the wall-clock of the kept
 /// attempt, and the supervision accounting ([`ShardStats::attempts`],
@@ -370,18 +354,6 @@ pub(crate) struct ShardOutcome {
     pub(crate) wall_seconds: f64,
     pub(crate) attempts: u32,
     pub(crate) recovery_wall_seconds: f64,
-}
-
-impl ShardOutcome {
-    /// A shard that ran once and succeeded — every unsupervised one.
-    fn first_try((outcomes, wall_seconds): (Vec<PartitionJoinOutcome>, f64)) -> Self {
-        ShardOutcome {
-            outcomes: Some(outcomes),
-            wall_seconds,
-            attempts: 1,
-            recovery_wall_seconds: 0.0,
-        }
-    }
 }
 
 /// A shared-nothing shard layout over the partition space: shard `i` exclusively
@@ -415,21 +387,6 @@ impl ShardPlan {
     pub fn partition_range(&self, shard: usize) -> (usize, usize) {
         self.ranges[shard]
     }
-}
-
-/// The result of a sharded execution: the merged [`ExecutionReport`] (bit-identical
-/// to the unsharded `execute` — same per-partition loads, stats, and pair checks)
-/// plus the per-shard measurements the unsharded path has no notion of.
-#[derive(Debug, Clone)]
-pub struct ShardedExecution {
-    /// The merged report, indistinguishable from an unsharded run.
-    pub report: ExecutionReport,
-    /// Per-shard ownership and measurements, in shard (= partition) order.
-    pub shard_stats: Vec<ShardStats>,
-    /// Simulated join time when each shard pays its own per-process job overhead
-    /// (see [`MachineModel::sharded_join_seconds`]); the report's
-    /// `simulated_join_seconds` keeps the single-job model for comparability.
-    pub simulated_sharded_seconds: f64,
 }
 
 /// The simulated-cluster executor.
@@ -476,7 +433,7 @@ impl Executor {
 
     /// [`Executor::map_shuffle`] as a stage of `policy`: supervision retries the
     /// whole (pure, idempotent) shuffle on failure and trips its fault injector on
-    /// the way; under the other policies the shuffle cannot fail.
+    /// the way; under the pool the shuffle cannot fail.
     pub(crate) fn shuffle_stage<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
@@ -511,10 +468,10 @@ impl Executor {
         }
     }
 
-    /// The pipeline every entry point — the four `execute*` methods and a served
-    /// query — is a wrapper of: shuffle (unless the caller brings arenas) →
-    /// [`reduce`](Self::reduce) under `policy` → report. Fails only under a
-    /// supervised policy.
+    /// The pipeline every entry point — `execute`, `execute_prepared`,
+    /// `execute_supervised` and a served query — is a wrapper of: shuffle (unless
+    /// the caller brings arenas) → [`reduce`](Self::reduce) under `policy` →
+    /// report. Fails only under a supervised policy.
     pub(crate) fn run<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
@@ -536,7 +493,7 @@ impl Executor {
         Ok(self.assemble_report(partitioner, query, reduced, shuffle_seconds))
     }
 
-    /// [`Executor::run`] for the three entry points without supervision.
+    /// [`Executor::run`] for the two entry points without supervision.
     fn run_unsupervised<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
@@ -546,16 +503,6 @@ impl Executor {
     ) -> Executed {
         self.run(partitioner, &self.query(s, t, band), arenas, &mut policy)
             .unwrap_or_else(|e| unreachable!("only a supervised policy can fail: {e}"))
-    }
-
-    /// Simulated join time of `done` when each of its shards pays its own
-    /// per-process job overhead (see [`MachineModel::sharded_join_seconds`]).
-    pub(crate) fn simulated_sharded_seconds(&self, done: &Executed) -> f64 {
-        self.config.machine.sharded_join_seconds(
-            done.report.stats.total_input,
-            &done.report.per_worker_work,
-            done.shard_stats.len(),
-        )
     }
 
     /// Execute the band-join of `s` and `t` under `partitioner` and measure everything.
@@ -614,41 +561,15 @@ impl Executor {
             .report
     }
 
-    /// Execute the band-join with shared-nothing shard workers: the partition space
-    /// is split into `shards` contiguous disjoint ranges ([`ShardPlan`]), each shard
-    /// joins its own partitions **sequentially** while shards run concurrently, and
-    /// the per-shard results are merged back in shard (= partition) order. Because
-    /// every per-partition computation and the merge order are identical to
-    /// [`Executor::execute`], the resulting report — loads, stats, pair checks — is
-    /// bit-identical to the unsharded run; sharding only changes where the work ran
-    /// and adds per-shard measurements. `shards == 0` is a
-    /// [`SuperviseError::InvalidConfig`], returned before anything runs.
-    pub fn execute_sharded<P: Partitioner + ?Sized>(
-        &self,
-        partitioner: &P,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
-        shards: usize,
-    ) -> Result<ShardedExecution, SuperviseError> {
-        let policy = ReducePolicy::sharded(shards)?;
-        let done = self.run_unsupervised(partitioner, (s, t, band), None, policy);
-        Ok(ShardedExecution {
-            simulated_sharded_seconds: self.simulated_sharded_seconds(&done),
-            report: done.report,
-            shard_stats: done.shard_stats,
-        })
-    }
-
     /// **The** reduce: every partition's [`join_partition`] under `policy`'s
     /// schedule, merged in partition order by [`merge_shard_outcomes`] — so loads
     /// and pairs are identical across policies, arenas and thread counts, and only
     /// the wall-clock measurements differ.
     ///
-    /// Over [`Arenas::Owned`] each partition is sorted and joined in the same visit,
-    /// in **one** parallel pass (a separate prepare pass costs a second barrier and
-    /// a second trip through the arenas) — except under supervision, where attempts
-    /// of one shard overlap (speculation) and repeat (retry) and so must share the
+    /// Over [`Arenas::Owned`] the pool sorts and joins each partition in the same
+    /// visit, in **one** parallel pass (a separate prepare pass costs a second
+    /// barrier and a second trip through the arenas). Under supervision attempts of
+    /// one shard overlap (speculation) and repeat (retry) and so must share the
     /// arenas: there the prepare is a pass of its own. Fails only under a supervised
     /// policy (merge budget exhausted, or a shard lost with degradation disabled).
     fn reduce(
@@ -671,54 +592,48 @@ impl Executor {
             Arenas::Owned(shuffled) => shuffled.s_parts.num_partitions(),
             Arenas::Shared(ready) => ready.num_partitions(),
         };
-        let shards = match policy {
-            ReducePolicy::Pool => None,
-            ReducePolicy::Sharded(shards) => Some(*shards),
-            ReducePolicy::Supervised(supervision) => Some(supervision.shards),
-        };
         // The pool merges as one shard spanning every partition: its tasks are
         // scheduling units, nothing reports them.
-        let plan = ShardPlan::contiguous(n, shards.unwrap_or(1));
-        // What runs concurrently: the pool's partitions, or the shards — on the rayon
-        // context, except that a supervised attempt has an OS thread of its own.
-        let units = shards.map_or(n, |_| plan.num_shards());
-        let threads_used = match policy {
-            ReducePolicy::Supervised(_) => units,
-            _ => par.threads().clamp(1, units.max(1)),
+        let (plan, threads_used) = match policy {
+            ReducePolicy::Pool => (
+                ShardPlan::contiguous(n, 1),
+                par.threads().clamp(1, n.max(1)),
+            ),
+            // Every supervised attempt has an OS thread of its own.
+            ReducePolicy::Supervised(supervision) => {
+                let plan = ShardPlan::contiguous(n, supervision.shards());
+                let shards = plan.num_shards();
+                (plan, shards)
+            }
         };
         let whole = |outcomes| {
-            let seconds = phase_start.elapsed().as_secs_f64();
-            vec![ShardOutcome::first_try((outcomes, seconds))]
+            vec![ShardOutcome {
+                outcomes: Some(outcomes),
+                wall_seconds: phase_start.elapsed().as_secs_f64(),
+                attempts: 1,
+                recovery_wall_seconds: 0.0,
+            }]
         };
         let (ready, per_shard, failed) = match (arenas, &mut *policy) {
+            // Only the pool gets here with owned arenas (supervision prepared them
+            // above). Every visit also sorts, so it fuses a few partitions per task.
             (Arenas::Owned(shuffled), _) => {
-                // Every visit also sorts, so the pool fuses a few partitions per task.
-                let pool_tasks = shards.is_none().then(|| partition_tasks(n, &par));
-                let (ready, per_task) = JoinReadyInputs::prepare_with(
-                    shuffled,
-                    s,
-                    t,
-                    &par,
-                    pool_tasks.as_ref().unwrap_or(&plan.ranges),
-                    |started, part| join_partition(query, part, started),
-                );
-                let per_shard = if shards.is_none() {
-                    whole(per_task.into_iter().flat_map(|task| task.0).collect())
-                } else {
-                    per_task.into_iter().map(ShardOutcome::first_try).collect()
-                };
-                (&*prepared.insert(ready), per_shard, Vec::new())
+                let tasks = partition_tasks(n, &par);
+                let (ready, per_task) =
+                    JoinReadyInputs::prepare_with(shuffled, s, t, &par, &tasks, |started, part| {
+                        join_partition(query, part, started)
+                    });
+                let outcomes = per_task.into_iter().flat_map(|task| task.0).collect();
+                (&*prepared.insert(ready), whole(outcomes), Vec::new())
             }
             (Arenas::Shared(ready), ReducePolicy::Pool) => {
                 let join_one = |p| join_partition(query, ready.part(p), Instant::now());
-                (ready, whole(scheduled(&par, n, join_one)), Vec::new())
-            }
-            (Arenas::Shared(ready), ReducePolicy::Sharded(_)) => {
-                let join_shard = |shard| {
-                    ShardOutcome::first_try(join_range(query, ready, plan.partition_range(shard)))
+                let outcomes = if par.is_parallel() && n > 1 {
+                    par.run(|| (0..n).into_par_iter().map(join_one).collect())
+                } else {
+                    (0..n).map(join_one).collect()
                 };
-                let per_shard = scheduled(&par, plan.num_shards(), join_shard);
-                (ready, per_shard, Vec::new())
+                (ready, whole(outcomes), Vec::new())
             }
             (Arenas::Shared(ready), ReducePolicy::Supervised(supervision)) => {
                 let (per_shard, failed) = supervision.run_shards(query, ready, &plan)?;
@@ -1064,10 +979,9 @@ mod tests {
         }
     }
 
-    /// Every way into the one reduce — owned or shared arenas, under the pool, 1 / 3 /
-    /// more-than-partitions shards, or fault-free supervision — merges the same
-    /// phase: loads, pairs, pair order. (Shared × sharded is a cell no public entry
-    /// point reaches.)
+    /// Every way into the one reduce — owned or shared arenas, under the pool or
+    /// fault-free supervision with 1 / 3 / more-than-partitions shards — merges the
+    /// same phase: loads, pairs, pair order.
     #[test]
     fn every_arena_and_policy_reduces_to_the_same_phase() {
         let s = random_relation(600, 1, 21);
@@ -1091,13 +1005,13 @@ mod tests {
         assert_eq!(want.local.per_partition.len(), 4);
         assert!(!want.local.all_pairs.as_ref().unwrap().is_empty());
 
-        let sup = crate::SupervisorConfig::default();
+        let sups = [1, 3, 4 + 5].map(crate::SupervisorConfig::new);
+        let supervised = |sup| ReducePolicy::supervised(sup, &crate::FaultPlan::none()).unwrap();
         let policies = [
             ReducePolicy::Pool,
-            ReducePolicy::Sharded(1),
-            ReducePolicy::Sharded(3),
-            ReducePolicy::Sharded(4 + 5),
-            ReducePolicy::supervised(3, &sup, &crate::FaultPlan::none()).unwrap(),
+            supervised(&sups[0]),
+            supervised(&sups[1]),
+            supervised(&sups[2]),
         ];
         for (i, mut policy) in policies.into_iter().enumerate() {
             for shared in [false, true] {

@@ -14,13 +14,11 @@
 //!   `L_m`, overheads vs. lower bounds). Every phase — map/shuffle ([`shuffle`]),
 //!   local joins, verification — is rayon-parallel under one `threads` knob and
 //!   reports its own measured wall-clock. There is **one** reduce (DESIGN.md §5):
-//!   `execute`, `execute_prepared`, `execute_sharded`, `execute_supervised` and a
-//!   served query differ only in the arenas they bring and the schedule they ask for;
+//!   `execute`, `execute_prepared`, `execute_supervised` and a served query differ
+//!   only in the arenas they bring and the schedule they ask for;
 //! * [`shuffle`] — the chunked parallel tuple-routing fan-out whose merged
 //!   per-partition index lists are bit-identical to sequential routing;
-//!   [`ExecutorConfig::shuffle_chunk_tuples`] bounds the chunks it streams, and
-//!   `Executor::execute_sharded` runs the reduce phase as shared-nothing shards
-//!   over contiguous partition ranges (per-shard accounting in [`metrics`]) — both
+//!   [`ExecutorConfig::shuffle_chunk_tuples`] bounds the chunks it streams —
 //!   bit-identical to the in-memory path;
 //! * [`cost_model`] — the running-time model `M(I, I_m, O_m) = β₀ + β₁I + β₂I_m + β₃O_m`
 //!   of Li et al. [24], with least-squares fitting over a calibration benchmark;
@@ -30,10 +28,13 @@
 //! * [`verify`] — exact single-node joins and duplicate/missing-pair checks used to
 //!   validate the exactly-once property of every partitioner;
 //! * [`faults`] / [`supervise`] — deterministic seeded fault injection (panics,
-//!   I/O errors, stragglers at every pipeline stage) and the supervision layer
-//!   around sharded execution: `catch_unwind` worker isolation, retry with capped
-//!   exponential backoff, deadline-triggered speculation, and graceful
-//!   degradation into partial reports with structured per-shard errors;
+//!   I/O errors, stragglers at every pipeline stage) and the one sharded path,
+//!   `Executor::execute_supervised`: the reduce phase as shared-nothing shards
+//!   over contiguous partition ranges (per-shard accounting in [`metrics`]) under
+//!   `catch_unwind` worker isolation, retry with capped exponential backoff,
+//!   deadline-triggered speculation, and graceful degradation into partial
+//!   reports with structured per-shard errors — bit-identical to the unsharded
+//!   path whenever no shard is lost;
 //! * [`plan_cache`] / [`serve`] — the query-serving tier: a long-running
 //!   [`BandJoinService`](serve::BandJoinService) loads the dataset once and
 //!   answers a stream of band-join queries from a [`PlanCache`](plan_cache::PlanCache)
@@ -60,9 +61,7 @@ pub mod supervise;
 pub mod verify;
 
 pub use cost_model::{CalibrationPoint, CostModel};
-pub use executor::{
-    ExecutionReport, Executor, ExecutorConfig, ShardPlan, ShardedExecution, VerificationLevel,
-};
+pub use executor::{ExecutionReport, Executor, ExecutorConfig, ShardPlan, VerificationLevel};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FiredCounts, InjectionPoint};
 pub use join_ready::JoinReadyInputs;
 pub use local_join::{probe_sorted, LocalJoinResult, SortedProbeSide};

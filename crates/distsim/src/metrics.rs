@@ -14,9 +14,10 @@
 use serde::{Deserialize, Serialize};
 
 /// What one shared-nothing shard owned and measured during a sharded execution
-/// (see `Executor::execute_sharded`): its contiguous partition range of the global
-/// CSR arena, the assignment counts routed into that range, the arena bytes the
-/// range occupies, and the shard's measured wall-clock.
+/// (see `Executor::execute_supervised`, the one sharded path): its contiguous
+/// partition range of the global CSR arena, the assignment counts routed into
+/// that range, the arena bytes the range occupies, and the shard's measured
+/// wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Shard index (shards are laid out in partition order).
@@ -33,16 +34,16 @@ pub struct ShardStats {
     /// the per-shard working set of the reduce phase, computed from lengths
     /// (deterministic), not from allocator or kernel state.
     pub arena_bytes: u64,
-    /// Measured wall-clock seconds of the shard's sequential reduce pass (the
-    /// attempt whose result was kept, when the shard ran supervised).
+    /// Measured wall-clock seconds of the shard's sequential reduce pass (of the
+    /// attempt whose result was kept).
     pub wall_seconds: f64,
     /// Attempts this shard's work was started (1 = first try succeeded; higher
-    /// counts retries and speculative duplicates under supervised execution;
+    /// counts retries and speculative duplicates;
     /// 0 only for a shard that never produced a result).
     pub attempts: u32,
     /// Wall-clock seconds burnt on attempts that did *not* produce the kept
     /// result — failed tries, backoff sleeps, and losing speculative
-    /// duplicates. 0 on the unsupervised path and for fault-free shards.
+    /// duplicates. 0 for fault-free shards.
     pub recovery_wall_seconds: f64,
 }
 

@@ -62,11 +62,11 @@ pub struct ServiceConfig {
     /// are what dominates a cached plan's footprint). The most recently
     /// inserted plan is always retained even if it alone exceeds the cap.
     pub cache_capacity_bytes: u64,
-    /// `Some((shards, policy))` runs the reduce phase of every query (warm and
-    /// cold) under the supervision layer — shard isolation over `shards` shard
-    /// workers, and `policy`'s retry/backoff and graceful degradation; `None`
+    /// `Some(supervisor)` runs the reduce phase of every query (warm and cold)
+    /// under the supervision layer — shard isolation over `supervisor.shards`
+    /// shard workers, and its retry/backoff and graceful degradation; `None`
     /// runs it on the plain pool.
-    pub supervised: Option<(usize, SupervisorConfig)>,
+    pub supervised: Option<SupervisorConfig>,
     /// Verification level of every response's report. Defaults to
     /// [`VerificationLevel::None`]: `Count` and `FullPairs` run a full
     /// unpartitioned exact join per response — an audit mode, opted into with
@@ -117,9 +117,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Run every reduce under supervision with `shards` shard workers.
-    pub fn with_supervised(mut self, shards: usize, supervisor: SupervisorConfig) -> Self {
-        self.supervised = Some((shards, supervisor));
+    /// Run every reduce under supervision with `supervisor.shards` shard workers.
+    pub fn with_supervised(mut self, supervisor: SupervisorConfig) -> Self {
+        self.supervised = Some(supervisor);
         self
     }
 
@@ -298,8 +298,8 @@ pub struct BandJoinService {
 #[derive(Debug)]
 pub enum ServeError {
     /// The query cannot be run — a band of another dimensionality, zero workers, or
-    /// a service configured with zero supervised shards. Rejected before anything
-    /// ran or was counted.
+    /// a service supervised with zero shards or zero attempts. Rejected before
+    /// anything ran or was counted.
     Query(RecPartError),
     /// Supervision is enabled and a whole phase exhausted its retry budget
     /// (shuffle, merge, or — under [`SupervisorConfig::fail_fast`] — any shard).
@@ -419,8 +419,8 @@ impl BandJoinService {
     /// supervision enabled a shard that exhausts its retries degrades only
     /// this response.
     ///
-    /// A malformed query (band dimensionality, zero workers, zero supervised shards)
-    /// is rejected before anything runs or is counted. [`ServeError::Supervise`]
+    /// A malformed query (band dimensionality, zero workers, zero supervised shards
+    /// or attempts) is rejected before anything runs or is counted. [`ServeError::Supervise`]
     /// only surfaces when supervision is enabled and a whole phase exhausts its
     /// budget (shuffle, merge, or — under [`SupervisorConfig::fail_fast`] — any
     /// shard). Either way the service stays usable afterwards.
@@ -440,10 +440,10 @@ impl BandJoinService {
         }
         let exec_idx = self.ensure_executor(query.workers);
         let exec = &self.executors[exec_idx].1;
-        // The policy this service's configuration implies; `shards == 0` is caught
-        // here, before the lookup counts anything.
+        // The policy this service's configuration implies; an unusable supervisor
+        // configuration is caught here, before the lookup counts anything.
         let mut policy = match &self.config.supervised {
-            Some((shards, supervisor)) => ReducePolicy::supervised(*shards, supervisor, faults)?,
+            Some(supervisor) => ReducePolicy::supervised(supervisor, faults)?,
             None => ReducePolicy::Pool,
         };
         let key = PlanKey::new(

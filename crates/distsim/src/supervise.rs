@@ -1,9 +1,10 @@
 //! Supervised sharded execution: `catch_unwind` worker isolation, capped
 //! exponential backoff, straggler speculation, and graceful degradation.
 //!
-//! [`Executor::execute_supervised`] wraps the shared-nothing sharded reduce
-//! phase of [`Executor::execute_sharded`] in a supervision layer modelled on a
-//! real cluster scheduler:
+//! [`Executor::execute_supervised`] runs the reduce phase as shared-nothing
+//! shards — [`SupervisorConfig::shards`] contiguous, disjoint partition ranges
+//! ([`ShardPlan`]), each joined sequentially, merged back in partition order —
+//! under a supervision layer modelled on a real cluster scheduler:
 //!
 //! * **Isolation** — every shard attempt runs on its own OS thread behind
 //!   `catch_unwind`, so a panicking worker (injected or real) takes down its
@@ -31,15 +32,18 @@
 //! bit-identical to the fault-free path.** This holds by construction, not by
 //! checking — every attempt invokes the same `join_partition`, the merge is the
 //! same `merge_shard_outcomes`, and the report assembly is the same
-//! `assemble_report` the unsupervised paths use. The chaos proptest in
-//! `tests/sharded_execution.rs` sweeps random [`FaultPlan`]s to enforce it.
+//! `assemble_report` the pool path uses. With [`FaultPlan::none`] a supervised run
+//! is therefore bit-identical to the unsharded [`Executor::execute`]; the chaos
+//! proptest in `tests/sharded_execution.rs` sweeps random [`FaultPlan`]s to
+//! enforce the rest.
 //!
-//! Supervision is one of the three `ReducePolicy` cases of the executor's single
-//! reduce: [`Supervision`] holds the policy, the armed injector and the recovery
-//! tally, and contributes the retried shuffle, the shard schedule and the merge
-//! gate. Attempts of one shard may overlap (speculation) and repeat (retry), so
-//! they **share** the arenas, prepared once as a pass of its own, where the
-//! unsupervised cold paths fuse the sort into the join pass over arenas they own.
+//! Supervision is one of the two `ReducePolicy` cases of the executor's single
+//! reduce, the other being the pool: [`Supervision`] holds the policy, the armed
+//! injector and the recovery tally, and contributes the retried shuffle, the
+//! shard schedule and the merge gate. Attempts of one shard may overlap
+//! (speculation) and repeat (retry), so they **share** the arenas, prepared once
+//! as a pass of its own, where the pool's cold path fuses the sort into the join
+//! pass over arenas it owns.
 
 use crate::executor::{
     join_range, ExecutionReport, Executor, JoinQuery, PartitionJoinOutcome, ReducePolicy,
@@ -55,9 +59,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Retry, backoff, deadline, and degradation policy of the supervisor.
+/// Shard count and the retry, backoff, deadline, and degradation policy of the
+/// supervisor. Zero shards or zero attempts is a
+/// [`SuperviseError::InvalidConfig`] of the run that uses the configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
+    /// Shared-nothing shards the reduce is split into ([`ShardPlan::contiguous`]:
+    /// shards beyond the partition count are dropped). At least 1.
+    pub shards: usize,
     /// Maximum attempts per shard (and per shuffle / merge phase). At least 1.
     pub max_attempts: u32,
     /// Backoff before retry attempt `k ≥ 2`: `min(cap, base · 2^(k−2))` ms,
@@ -75,9 +84,12 @@ pub struct SupervisorConfig {
     pub degrade: bool,
 }
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
+impl SupervisorConfig {
+    /// `shards` shards under the default policy: 3 attempts, 2–20 ms backoff, no
+    /// speculation, degradation on.
+    pub fn new(shards: usize) -> Self {
         SupervisorConfig {
+            shards,
             max_attempts: 3,
             backoff_base_ms: 2,
             backoff_cap_ms: 20,
@@ -85,12 +97,9 @@ impl Default for SupervisorConfig {
             degrade: true,
         }
     }
-}
 
-impl SupervisorConfig {
     /// Override the per-shard / per-phase attempt budget (≥ 1).
     pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
-        assert!(max_attempts >= 1, "need at least one attempt");
         self.max_attempts = max_attempts;
         self
     }
@@ -177,7 +186,7 @@ impl std::fmt::Display for ShardError {
 /// A supervised execution failed outright (no report could be produced).
 #[derive(Debug)]
 pub enum SuperviseError {
-    /// The sharding or supervision request itself is unusable (zero shards);
+    /// The supervisor configuration is unusable (zero shards or zero attempts);
     /// nothing ran.
     InvalidConfig {
         /// Human-readable description of the problem.
@@ -232,15 +241,15 @@ impl std::error::Error for SuperviseError {}
 #[derive(Debug, Clone)]
 pub struct SupervisedExecution {
     /// The merged report. With no failed shards it is bit-identical to
-    /// [`Executor::execute_sharded`] (and hence to [`Executor::execute`]);
-    /// with failed shards it is partial and flagged
+    /// [`Executor::execute`]; with failed shards it is partial and flagged
     /// [`degraded`](ExecutionReport::degraded).
     pub report: ExecutionReport,
     /// Per-shard ownership, measurements, and supervision accounting
     /// ([`ShardStats::attempts`], [`ShardStats::recovery_wall_seconds`]).
     pub shard_stats: Vec<ShardStats>,
-    /// Simulated join time under per-shard job overhead (as in
-    /// [`crate::ShardedExecution::simulated_sharded_seconds`]).
+    /// Simulated join time when each shard pays its own per-process job overhead
+    /// (see [`crate::MachineModel::sharded_join_seconds`]); the report's
+    /// `simulated_join_seconds` keeps the single-job model for comparability.
     pub simulated_sharded_seconds: f64,
     /// The shards that exhausted their retry budget — empty for a fully
     /// successful run; their ranges exactly cover the partitions the degraded
@@ -293,29 +302,32 @@ struct ShardSlot {
 }
 
 impl Executor {
-    /// [`Executor::execute_sharded`] under supervision: fault injection per
-    /// `plan` (pass [`FaultPlan::none`] for production), worker isolation,
-    /// retry/backoff, straggler speculation, and graceful degradation per
-    /// `sup` — see the module docs. Shard attempts always run on their own OS
-    /// threads (the unit of isolation); the executor's `threads` knob still
-    /// governs the shuffle and verification phases. `shards == 0` is a
-    /// [`SuperviseError::InvalidConfig`].
-    #[allow(clippy::too_many_arguments)]
+    /// Execute the band-join with `sup.shards` shared-nothing shard workers under
+    /// supervision: fault injection per `faults` (pass [`FaultPlan::none`] for
+    /// production), worker isolation, retry/backoff, straggler speculation, and
+    /// graceful degradation per `sup` — see the module docs. Each shard joins its
+    /// partition range sequentially on an OS thread of its own (the unit of
+    /// isolation); the executor's `threads` knob still governs the shuffle,
+    /// prepare and verification phases. Zero shards or zero attempts is a
+    /// [`SuperviseError::InvalidConfig`], returned before anything runs.
     pub fn execute_supervised<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
         s: &Relation,
         t: &Relation,
         band: &BandCondition,
-        shards: usize,
-        plan: &FaultPlan,
         sup: &SupervisorConfig,
+        faults: &FaultPlan,
     ) -> Result<SupervisedExecution, SuperviseError> {
-        let mut policy = ReducePolicy::supervised(shards, sup, plan)?;
+        let mut policy = ReducePolicy::supervised(sup, faults)?;
         let query = self.query(s, t, band);
         let done = self.run(partitioner, &query, None, &mut policy)?;
         Ok(SupervisedExecution {
-            simulated_sharded_seconds: self.simulated_sharded_seconds(&done),
+            simulated_sharded_seconds: self.config().machine.sharded_join_seconds(
+                done.report.stats.total_input,
+                &done.report.per_worker_work,
+                done.shard_stats.len(),
+            ),
             report: done.report,
             shard_stats: done.shard_stats,
             failed: done.failed,
@@ -324,43 +336,36 @@ impl Executor {
     }
 }
 
-/// The supervised [`ReducePolicy`]: the shard count, the retry / backoff /
+/// The supervised [`ReducePolicy`]: the shard count and the retry / backoff /
 /// deadline / degradation policy, the armed fault injector, and the tally of what
 /// supervision had to do. One per query; the shuffle and the reduce of that query
 /// both run under it.
 pub(crate) struct Supervision<'a> {
-    /// Shard count of the supervised reduce (at least 1).
-    pub(crate) shards: usize,
     config: &'a SupervisorConfig,
     injector: FaultInjector,
     recovery: RecoveryCounters,
 }
 
-/// The one check of a shard count, made where a sharded or supervised policy is
-/// built — before anything runs or is counted.
-fn at_least_one_shard(shards: usize) -> Result<usize, SuperviseError> {
-    (shards > 0)
-        .then_some(shards)
-        .ok_or_else(|| SuperviseError::InvalidConfig {
-            message: "a sharded reduce needs at least one shard".into(),
-        })
-}
-
 impl<'a> ReducePolicy<'a> {
-    /// The unsupervised sharded policy; `shards == 0` is an error.
-    pub(crate) fn sharded(shards: usize) -> Result<Self, SuperviseError> {
-        at_least_one_shard(shards).map(ReducePolicy::Sharded)
-    }
-
-    /// The supervised policy, its injector armed with `faults`; `shards == 0` is an
-    /// error.
+    /// The supervised policy, its injector armed with `faults`. This is the one
+    /// check of a [`SupervisorConfig`], made before anything runs or is counted:
+    /// zero shards or zero attempts is an error.
     pub(crate) fn supervised(
-        shards: usize,
         config: &'a SupervisorConfig,
         faults: &FaultPlan,
     ) -> Result<Self, SuperviseError> {
+        let invalid = |message: &str| {
+            Err(SuperviseError::InvalidConfig {
+                message: message.into(),
+            })
+        };
+        if config.shards == 0 {
+            return invalid("a supervised reduce needs at least one shard");
+        }
+        if config.max_attempts == 0 {
+            return invalid("a supervised phase needs at least one attempt");
+        }
         Ok(ReducePolicy::Supervised(Supervision {
-            shards: at_least_one_shard(shards)?,
             config,
             injector: FaultInjector::new(faults.clone()),
             recovery: RecoveryCounters::default(),
@@ -368,7 +373,7 @@ impl<'a> ReducePolicy<'a> {
     }
 
     /// What supervision did so far — the retry and speculation tally plus the
-    /// faults that actually fired; all zeros under the unsupervised policies.
+    /// faults that actually fired; all zeros under the pool.
     pub(crate) fn recovery(&self) -> RecoveryCounters {
         let ReducePolicy::Supervised(supervision) = self else {
             return RecoveryCounters::default();
@@ -384,6 +389,11 @@ impl<'a> ReducePolicy<'a> {
 }
 
 impl Supervision<'_> {
+    /// Shard count of the supervised reduce (at least 1).
+    pub(crate) fn shards(&self) -> usize {
+        self.config.shards
+    }
+
     /// One retried phase: run `attempt` (1-based attempt number) behind
     /// `catch_unwind` until it succeeds or the budget is gone, sleeping the
     /// backoff between tries. Returns the value and the retries it took.

@@ -58,8 +58,8 @@ pub mod prelude {
         BandJoinService, CostModel, ExecutionReport, Executor, ExecutorConfig, FaultKind,
         FaultPlan, FaultSpec, InjectionPoint, JoinReadyInputs, MachineModel, PartitionedIndex,
         PlanCache, PlanKey, PlanSource, QueryResponse, RecoveryCounters, ServeError, ServiceConfig,
-        ServiceHealth, ShardError, ShardFailureKind, ShardPlan, ShardStats, ShardedExecution,
-        ShuffledInputs, SuperviseError, SupervisedExecution, SupervisorConfig, VerificationLevel,
+        ServiceHealth, ShardError, ShardFailureKind, ShardPlan, ShardStats, ShuffledInputs,
+        SuperviseError, SupervisedExecution, SupervisorConfig, VerificationLevel,
     };
     pub use recpart::{
         AssignmentSink, BandCondition, CompiledRouter, EvalCounters, LoadModel, OptimizationReport,

@@ -44,7 +44,7 @@ fn parallel_executor_matches_sequential_bit_for_bit() {
     let sequential = Executor::new(
         ExecutorConfig::new(workers)
             .with_verification(VerificationLevel::FullPairs)
-            .sequential(),
+            .with_threads(1),
     )
     .execute(&partitioner, &s, &t, &band);
     let parallel =
@@ -153,8 +153,11 @@ fn map_shuffle_is_bit_identical_across_thread_counts() {
     let (s, t, band) = large_workload();
     let partitioner = optimize(RecPartConfig::new(workers), &s, &t, &band);
 
-    let shuffled_seq =
-        Executor::new(ExecutorConfig::new(workers).sequential()).map_shuffle(&partitioner, &s, &t);
+    let shuffled_seq = Executor::new(ExecutorConfig::new(workers).with_threads(1)).map_shuffle(
+        &partitioner,
+        &s,
+        &t,
+    );
     assert!(
         shuffled_seq.s_parts.num_partitions() > 1,
         "need a non-trivial partitioning"
@@ -192,7 +195,7 @@ fn execute_reports_identical_across_thread_counts_with_full_pairs() {
         let base = Executor::new(
             ExecutorConfig::new(workers)
                 .with_verification(VerificationLevel::FullPairs)
-                .sequential(),
+                .with_threads(1),
         )
         .execute(&partitioner, &s, &t, &band);
         assert_eq!(base.correct, Some(true), "{name}");

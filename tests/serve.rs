@@ -20,7 +20,8 @@
 //! * **generation staleness** — mutating the dataset purges every cached plan
 //!   and the next identical query cold-builds against the new data;
 //! * **bad queries are errors** — a band of the wrong dimensionality, zero
-//!   workers or zero supervised shards is an `Err`, and the service keeps serving;
+//!   workers, or zero supervised shards or attempts is an `Err`, and the service
+//!   keeps serving;
 //! * **supervised degradation** — a permanently crashing shard degrades
 //!   exactly one response while the service keeps serving.
 
@@ -361,41 +362,55 @@ fn zero_workers_is_an_error_not_a_panic() {
     assert_still_serving(&mut service, &good);
 }
 
+/// The two unusable supervisor configurations: zero shards, and zero attempts.
+fn unusable_supervisor_configs() -> [SupervisorConfig; 2] {
+    [
+        SupervisorConfig::new(0),
+        SupervisorConfig::new(4).with_max_attempts(0),
+    ]
+}
+
 #[test]
 fn zero_supervised_shards_is_an_error_not_a_panic() {
-    let (s, t) = workload(23, 300, 2);
-    let config = ServiceConfig::new()
-        .with_sample(small_sample())
-        .with_supervised(0, SupervisorConfig::default());
-    let mut service = BandJoinService::new(s, t, config);
-    let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05, 0.05]), 4);
-    // Every query of the misconfigured service is refused, none is counted, and
-    // refusing one does not break the service for the next.
-    for _ in 0..2 {
-        let err = service.serve(&query).expect_err("zero shards");
-        assert!(
-            matches!(err, ServeError::Query(RecPartError::InvalidConfig { .. })),
-            "{err}"
-        );
-        assert_health_invariants(&service, 0);
+    for supervisor in unusable_supervisor_configs() {
+        let (s, t) = workload(23, 300, 2);
+        let config = ServiceConfig::new()
+            .with_sample(small_sample())
+            .with_supervised(supervisor);
+        let mut service = BandJoinService::new(s, t, config);
+        let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05, 0.05]), 4);
+        // Every query of the misconfigured service is refused, none is counted, and
+        // refusing one does not break the service for the next.
+        for _ in 0..2 {
+            let err = service.serve(&query).expect_err("unusable supervisor");
+            assert!(
+                matches!(err, ServeError::Query(RecPartError::InvalidConfig { .. })),
+                "{supervisor:?}: {err}"
+            );
+            assert_health_invariants(&service, 0);
+        }
     }
 }
 
 #[test]
 fn zero_shards_to_execute_supervised_is_an_error_not_a_panic() {
     let (service, good) = fresh_2d_service();
-    let err = Executor::with_workers(good.workers)
-        .execute_supervised(
-            &recpart::partition::SinglePartition,
-            service.s(),
-            service.t(),
-            &good.band,
-            0,
-            &FaultPlan::none(),
-            &SupervisorConfig::default(),
-        )
-        .expect_err("zero shards");
-    assert!(matches!(err, SuperviseError::InvalidConfig { .. }), "{err}");
+    for supervisor in unusable_supervisor_configs() {
+        let err = Executor::with_workers(good.workers)
+            .execute_supervised(
+                &recpart::partition::SinglePartition,
+                service.s(),
+                service.t(),
+                &good.band,
+                &supervisor,
+                &FaultPlan::none(),
+            )
+            .expect_err("unusable supervisor");
+        assert!(
+            matches!(err, SuperviseError::InvalidConfig { .. }),
+            "{supervisor:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -405,7 +420,7 @@ fn supervised_crash_degrades_one_response_and_service_keeps_serving() {
         .with_seed(53)
         .with_sample(small_sample())
         .with_threads(1)
-        .with_supervised(4, SupervisorConfig::default().with_max_attempts(2));
+        .with_supervised(SupervisorConfig::new(4).with_max_attempts(2));
     let mut service = BandJoinService::new(s, t, config);
     let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05]), 4);
 
@@ -450,9 +465,9 @@ proptest! {
     /// cached plans, both materialize modes, every thread setting, by-thread
     /// and streaming shuffle chunks. Every response must be bit-identical to
     /// its one-shot oracle — and so must every other way of running the same plan
-    /// (`execute_prepared` on a raw shuffle, `execute_sharded`) — the pair list
-    /// of a (plan, band) must come out in the same order however it is served,
-    /// and the counters must account for the stream exactly.
+    /// (`execute_prepared` on a raw shuffle, fault-free `execute_supervised`) —
+    /// the pair list of a (plan, band) must come out in the same order however it
+    /// is served, and the counters must account for the stream exactly.
     #[test]
     fn random_query_streams_match_one_shot_oracles(
         seed in 0u64..500,
@@ -505,7 +520,16 @@ proptest! {
             let prepared =
                 exec.execute_prepared(partitioner, s, t, &band, &raw.s_parts, &raw.t_parts);
             assert_reports_identical(&prepared, &oracle, &format!("{label}: execute_prepared"));
-            let sharded = exec.execute_sharded(partitioner, s, t, &band, 3).unwrap();
+            let sharded = exec
+                .execute_supervised(
+                    partitioner,
+                    s,
+                    t,
+                    &band,
+                    &SupervisorConfig::new(3),
+                    &FaultPlan::none(),
+                )
+                .unwrap();
             assert_reports_identical(&sharded.report, &oracle, &format!("{label}: sharded"));
 
             // A warm-served response reports no shuffle and sorted no partition;

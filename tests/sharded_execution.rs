@@ -1,21 +1,21 @@
 //! Property tests pinning the shared-nothing sharded execution path to the
 //! unsharded executor.
 //!
-//! `Executor::execute_sharded` splits the partition space into contiguous
+//! `Executor::execute_supervised` splits the partition space into contiguous
 //! disjoint shard ranges, joins each shard's partitions sequentially while
 //! shards run concurrently, and merges the results back in shard (= partition)
 //! order. Every per-partition computation is the same code the unsharded path
-//! runs, so the merged report must be **bit-identical** to `execute` — same
-//! per-partition loads, same worker mapping, same stats, same materialized
-//! pairs — for every shard count, thread count, and shuffle chunking
-//! (streaming or by thread count).
+//! runs, so with no faults the merged report must be **bit-identical** to
+//! `execute` — same per-partition loads, same worker mapping, same stats, same
+//! materialized pairs — for every shard count, thread count, and shuffle
+//! chunking (streaming or by thread count).
 //!
-//! `Executor::execute_supervised` adds fault injection, retry/backoff,
-//! speculation, and graceful degradation on top, with the matching invariant:
-//! any supervised run that ends with no failed shards must reproduce the
-//! fault-free report bit for bit, and a degraded run's failed shard ranges
-//! must exactly cover the partitions whose loads are missing — the chaos
-//! proptest sweeps random seeded [`FaultPlan`]s to enforce both.
+//! Under injected faults the supervisor retries, speculates, and degrades, with
+//! the matching invariant: any supervised run that ends with no failed shards
+//! must reproduce the fault-free report bit for bit, and a degraded run's
+//! failed shard ranges must exactly cover the partitions whose loads are
+//! missing — the chaos proptest sweeps random seeded [`FaultPlan`]s to enforce
+//! both.
 
 use band_join::distsim::executor::PartitionLoad;
 use band_join::prelude::*;
@@ -192,7 +192,7 @@ proptest! {
         let oracle = Executor::new(
             ExecutorConfig::new(workers)
                 .with_verification(VerificationLevel::FullPairs)
-                .sequential(),
+                .with_threads(1),
         )
         .execute(&partitioner, &s, &t, &band);
         prop_assert_eq!(oracle.correct, Some(true));
@@ -207,7 +207,16 @@ proptest! {
                             .with_threads(threads)
                             .with_shuffle_chunk_tuples(chunk_tuples),
                     );
-                    let sharded = exec.execute_sharded(&partitioner, &s, &t, &band, shards).unwrap();
+                    let sharded = exec
+                        .execute_supervised(
+                            &partitioner,
+                            &s,
+                            &t,
+                            &band,
+                            &SupervisorConfig::new(shards),
+                            &FaultPlan::none(),
+                        )
+                        .unwrap();
                     assert_reports_identical(&sharded.report, &oracle, &label);
 
                     // Shard accounting: disjoint contiguous coverage of the
@@ -264,7 +273,7 @@ proptest! {
         let oracle = Executor::new(
             ExecutorConfig::new(workers)
                 .with_verification(VerificationLevel::FullPairs)
-                .sequential(),
+                .with_threads(1),
         )
         .execute(&partitioner, &s, &t, &band);
         prop_assert_eq!(oracle.correct, Some(true));
@@ -284,7 +293,7 @@ proptest! {
                     );
                     // Tiny backoff keeps the sweep fast; a deadline on every
                     // other combination exercises the speculation path too.
-                    let mut sup_config = SupervisorConfig::default().with_backoff_ms(1, 4);
+                    let mut sup_config = SupervisorConfig::new(shards).with_backoff_ms(1, 4);
                     if combo.is_multiple_of(2) {
                         sup_config = sup_config.with_shard_deadline_ms(15);
                     }
@@ -302,9 +311,7 @@ proptest! {
                     // budget, and shard exhaustion degrades rather than
                     // failing: the supervised run must always produce a result.
                     let sup = exec
-                        .execute_supervised(
-                            &partitioner, &s, &t, &band, shards, &plan, &sup_config,
-                        )
+                        .execute_supervised(&partitioner, &s, &t, &band, &sup_config, &plan)
                         .unwrap_or_else(|e| panic!("{label}: supervised run failed: {e}"));
 
                     assert_attempt_accounting(&sup, &label);
@@ -322,28 +329,15 @@ proptest! {
     }
 }
 
-/// Zero shards is rejected as a configuration error before anything runs, exactly
-/// as `execute_supervised` rejects it.
-#[test]
-fn zero_shards_to_execute_sharded_is_an_error_not_a_panic() {
-    let (s, t, band, partitioner) = small_workload(13);
-    let err = Executor::with_workers(4)
-        .execute_sharded(&partitioner, &s, &t, &band, 0)
-        .expect_err("zero shards");
-    assert!(matches!(err, SuperviseError::InvalidConfig { .. }), "{err}");
-}
-
 /// A zero-fault supervised run is the production configuration: it must be
-/// bit-identical to both `execute_sharded` and the unsharded oracle, with
-/// every shard succeeding on its first attempt and every recovery counter at
-/// zero.
+/// bit-identical to the unsharded oracle, with every shard succeeding on its
+/// first attempt, every recovery counter at zero, and each shard owning its
+/// [`ShardPlan::contiguous`] range and exactly the oracle's assignments there.
 #[test]
 fn zero_fault_supervised_run_is_bit_identical_with_clean_accounting() {
     let (s, t, band, partitioner) = small_workload(11);
     let exec = supervised_executor(6);
-    let oracle = exec
-        .execute_sharded(&partitioner, &s, &t, &band, 3)
-        .unwrap();
+    let oracle = exec.execute(&partitioner, &s, &t, &band);
 
     let sup = exec
         .execute_supervised(
@@ -351,26 +345,32 @@ fn zero_fault_supervised_run_is_bit_identical_with_clean_accounting() {
             &s,
             &t,
             &band,
-            3,
+            &SupervisorConfig::new(3),
             &FaultPlan::none(),
-            &SupervisorConfig::default(),
         )
         .expect("a fault-free supervised run cannot fail");
 
-    assert_reports_identical(&sup.report, &oracle.report, "zero-fault");
+    assert_reports_identical(&sup.report, &oracle, "zero-fault");
     assert!(sup.failed.is_empty());
     assert_eq!(sup.recovery, RecoveryCounters::default());
-    assert_eq!(sup.shard_stats.len(), oracle.shard_stats.len());
-    for (got, want) in sup.shard_stats.iter().zip(&oracle.shard_stats) {
+    let plan = ShardPlan::contiguous(oracle.partitions, 3);
+    assert_eq!(sup.shard_stats.len(), plan.num_shards());
+    for got in &sup.shard_stats {
         assert_eq!(got.attempts, 1, "shard {}: first attempt wins", got.shard);
         assert_eq!(got.recovery_wall_seconds, 0.0, "shard {}", got.shard);
+        let (lo, hi) = plan.partition_range(got.shard);
+        assert_eq!((got.partition_lo, got.partition_hi), (lo, hi));
+        let loads = &oracle.per_partition[lo..hi];
+        let s_assignments: u64 = loads.iter().map(|l| l.s_input).sum();
+        let t_assignments: u64 = loads.iter().map(|l| l.t_input).sum();
+        assert_eq!(got.s_assignments, s_assignments, "shard {}", got.shard);
+        assert_eq!(got.t_assignments, t_assignments, "shard {}", got.shard);
         assert_eq!(
-            (got.shard, got.partition_lo, got.partition_hi),
-            (want.shard, want.partition_lo, want.partition_hi)
+            got.arena_bytes,
+            (s_assignments + t_assignments) * 4,
+            "shard {}",
+            got.shard
         );
-        assert_eq!(got.s_assignments, want.s_assignments, "shard {}", got.shard);
-        assert_eq!(got.t_assignments, want.t_assignments, "shard {}", got.shard);
-        assert_eq!(got.arena_bytes, want.arena_bytes, "shard {}", got.shard);
     }
 }
 
@@ -381,9 +381,7 @@ fn zero_fault_supervised_run_is_bit_identical_with_clean_accounting() {
 fn transient_faults_on_every_stage_are_retried_to_the_identical_result() {
     let (s, t, band, partitioner) = small_workload(12);
     let exec = supervised_executor(6);
-    let oracle = exec
-        .execute_sharded(&partitioner, &s, &t, &band, 3)
-        .unwrap();
+    let oracle = exec.execute(&partitioner, &s, &t, &band);
 
     let plan = FaultPlan::new(vec![
         FaultSpec {
@@ -411,13 +409,12 @@ fn transient_faults_on_every_stage_are_retried_to_the_identical_result() {
             &s,
             &t,
             &band,
-            3,
+            &SupervisorConfig::new(3).with_backoff_ms(1, 4),
             &plan,
-            &SupervisorConfig::default().with_backoff_ms(1, 4),
         )
         .expect("all faults are within the 3-attempt budget");
 
-    assert_reports_identical(&sup.report, &oracle.report, "transient faults");
+    assert_reports_identical(&sup.report, &oracle, "transient faults");
     assert!(sup.failed.is_empty());
     assert_eq!(sup.recovery.shuffle_retries, 1);
     assert_eq!(sup.recovery.shard_retries, 2);
@@ -439,7 +436,7 @@ fn exhausted_shard_degrades_into_structured_partial_report() {
     let oracle = Executor::new(
         ExecutorConfig::new(6)
             .with_verification(VerificationLevel::FullPairs)
-            .sequential(),
+            .with_threads(1),
     )
     .execute(&partitioner, &s, &t, &band);
 
@@ -449,9 +446,9 @@ fn exhausted_shard_degrades_into_structured_partial_report() {
         fire_attempts: u32::MAX,
         kind: FaultKind::Panic,
     }]);
-    let sup_config = SupervisorConfig::default().with_backoff_ms(1, 2);
+    let sup_config = SupervisorConfig::new(3).with_backoff_ms(1, 2);
     let sup = exec
-        .execute_supervised(&partitioner, &s, &t, &band, 3, &plan, &sup_config)
+        .execute_supervised(&partitioner, &s, &t, &band, &sup_config, &plan)
         .expect("degradation still yields a result");
 
     assert_eq!(sup.failed.len(), 1);
@@ -471,15 +468,7 @@ fn exhausted_shard_degrades_into_structured_partial_report() {
 
     // With degradation off the same schedule fails the whole run instead.
     let err = exec
-        .execute_supervised(
-            &partitioner,
-            &s,
-            &t,
-            &band,
-            3,
-            &plan,
-            &sup_config.fail_fast(),
-        )
+        .execute_supervised(&partitioner, &s, &t, &band, &sup_config.fail_fast(), &plan)
         .expect_err("fail-fast must surface the exhausted shard");
     match err {
         SuperviseError::ShardsFailed(failed) => {
@@ -497,9 +486,7 @@ fn exhausted_shard_degrades_into_structured_partial_report() {
 fn straggler_speculation_duplicates_the_slow_shard() {
     let (s, t, band, partitioner) = small_workload(14);
     let exec = supervised_executor(6);
-    let oracle = exec
-        .execute_sharded(&partitioner, &s, &t, &band, 2)
-        .unwrap();
+    let oracle = exec.execute(&partitioner, &s, &t, &band);
 
     let plan = FaultPlan::new(vec![FaultSpec {
         point: InjectionPoint::ShardJoin,
@@ -514,13 +501,12 @@ fn straggler_speculation_duplicates_the_slow_shard() {
             &s,
             &t,
             &band,
-            2,
+            &SupervisorConfig::new(2).with_shard_deadline_ms(10),
             &plan,
-            &SupervisorConfig::default().with_shard_deadline_ms(10),
         )
         .expect("a straggler is not a failure");
 
-    assert_reports_identical(&sup.report, &oracle.report, "straggler");
+    assert_reports_identical(&sup.report, &oracle, "straggler");
     assert!(sup.failed.is_empty());
     assert_eq!(sup.recovery.injected_delays, 1);
     assert_eq!(sup.recovery.speculative_launches, 1);
@@ -552,7 +538,7 @@ fn supervised_executor(workers: usize) -> Executor {
     Executor::new(
         ExecutorConfig::new(workers)
             .with_verification(VerificationLevel::FullPairs)
-            .sequential(),
+            .with_threads(1),
     )
 }
 
