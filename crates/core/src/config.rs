@@ -56,6 +56,10 @@ pub struct RecPartConfig {
     pub termination: Termination,
     /// Hard cap on the number of repeat-loop iterations (a safety net; the paper's
     /// analysis expects termination after a small multiple of `w` iterations).
+    ///
+    /// For narrow 1-d bands the cap is the de facto termination: almost no split
+    /// pays estimated duplication, so the cost-model rule's window of `w`
+    /// duplication-incurring iterations never fills and the loop runs to the cap.
     pub max_iterations: usize,
     /// Seed for all randomized choices (sampling, 1-Bucket row/column assignment).
     pub seed: u64,

@@ -84,7 +84,7 @@ pub use band::BandCondition;
 pub use config::{RecPartConfig, Termination};
 pub use error::RecPartError;
 pub use geometry::Rect;
-pub use load::{LoadModel, LptHeap};
+pub use load::{LeastLoaded, LoadModel};
 pub use metrics::{
     EvalCounters, PartitioningStats, PlanCacheCounters, SplitSearchCounters, WorkerLoad,
 };

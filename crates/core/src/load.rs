@@ -8,8 +8,6 @@
 //! optimizer needs).
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Weights describing how input and output tuples contribute to a worker's load.
 ///
@@ -82,87 +80,94 @@ impl LoadModel {
     }
 }
 
-/// One worker's entry in the [`LptHeap`]: ordered by load, then worker index, with
-/// the NaN-tolerant comparison (`partial_cmp().unwrap_or(Equal)`) the linear scans it
-/// replaces used.
-#[derive(Debug, Clone, Copy)]
-struct LptEntry {
-    load: f64,
-    worker: usize,
-}
-
-impl PartialEq for LptEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for LptEntry {}
-impl PartialOrd for LptEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LptEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.load
-            .partial_cmp(&other.load)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.worker.cmp(&other.worker))
-    }
-}
-
-/// Min-heap over `(load, worker index)` pairs for longest-processing-time-first
-/// mappings: [`LptHeap::pop_least`] yields the lowest-loaded worker, lowest index
-/// among equal loads — exactly the worker a first-minimum linear scan
-/// (`Iterator::min_by` over worker indices) selects — at `O(log w)` per item instead
-/// of `O(w)`.
+/// Tournament tree over worker loads for longest-processing-time-first mappings:
+/// [`LeastLoaded::least`] is the lowest-loaded worker, lowest index among equal
+/// loads — exactly the worker a first-minimum linear scan (`Iterator::min_by` over
+/// worker indices) selects — and [`LeastLoaded::set`] replays one worker's
+/// `⌈log₂ w⌉` ancestors instead of a scan's `w` comparisons.
+///
+/// The tree has `next_power_of_two(w)` leaves, the padding ones at `+inf`, in heap
+/// layout (root at node 1, leaf `i` at node `leaves + i`). Every node stores the
+/// first-minimum worker of its subtree and that worker's load: the left
+/// (lower-index) child wins ties, so by induction the root is the first minimum of
+/// the whole array.
+///
+/// Loads are compared by their bit patterns, which order non-negative `f64`s
+/// (`+inf` included) exactly as their values do, so each level is an integer
+/// compare and two conditional moves.
 ///
 /// Shared by the optimizer's post-split evaluation (estimated cell loads) and the
 /// executor's partition→worker mapping (measured loads). Both callers accumulate
-/// their own worker state and push the updated load back, so the heap never decides
-/// arithmetic — it only replicates the scan's selection order bit for bit.
+/// their own worker state and set the updated load, so the tree never decides
+/// arithmetic — it only replicates the scan's selection bit for bit.
 #[derive(Debug, Clone, Default)]
-pub struct LptHeap {
-    heap: BinaryHeap<std::cmp::Reverse<LptEntry>>,
+pub struct LeastLoaded {
+    /// `nodes[n] = (load bits, worker)` of the first minimum under node `n`;
+    /// `nodes[0]` is unused.
+    nodes: Vec<(u64, u32)>,
 }
 
-impl LptHeap {
-    /// A heap over `workers` workers, each starting at `initial_load`.
+impl LeastLoaded {
+    /// A tree over `workers` workers, each starting at `initial_load`.
     pub fn new(workers: usize, initial_load: f64) -> Self {
-        let mut heap = LptHeap::default();
-        heap.reset(workers, initial_load);
-        heap
+        let mut tree = LeastLoaded::default();
+        tree.reset(workers, initial_load);
+        tree
     }
 
-    /// Clear and refill with `workers` workers at `initial_load`, reusing the
-    /// allocation (the optimizer evaluates after every split).
+    /// Refill with `workers` workers at `initial_load`, reusing the allocation (the
+    /// optimizer evaluates after every split).
+    ///
+    /// # Panics
+    /// Panics if `workers == 0`.
     pub fn reset(&mut self, workers: usize, initial_load: f64) {
-        self.heap.clear();
-        for worker in 0..workers {
-            self.heap.push(std::cmp::Reverse(LptEntry {
-                load: initial_load,
-                worker,
-            }));
+        assert!(workers > 0, "need at least one worker");
+        let leaves = workers.next_power_of_two();
+        let (key, padding) = (load_key(initial_load), f64::INFINITY.to_bits());
+        self.nodes.clear();
+        self.nodes.resize(leaves, (0, 0));
+        self.nodes.extend(
+            (0..leaves).map(|leaf| (if leaf < workers { key } else { padding }, leaf as u32)),
+        );
+        for node in (1..leaves).rev() {
+            let (left, right) = (self.nodes[2 * node], self.nodes[2 * node + 1]);
+            self.nodes[node] = if right.0 < left.0 { right } else { left };
         }
     }
 
-    /// Remove and return the least-loaded worker (lowest index among equal loads).
-    /// The caller must [`push`](LptHeap::push) the worker back with its new load.
-    ///
-    /// # Panics
-    /// Panics if every worker is currently popped.
-    pub fn pop_least(&mut self) -> usize {
-        self.heap
-            .pop()
-            .expect("at least one worker in the heap")
-            .0
-            .worker
+    /// The least-loaded worker (lowest index among equal loads).
+    #[inline]
+    pub fn least(&self) -> usize {
+        self.nodes[1].1 as usize
     }
 
-    /// Re-insert `worker` with its updated `load`.
-    pub fn push(&mut self, worker: usize, load: f64) {
-        self.heap.push(std::cmp::Reverse(LptEntry { load, worker }));
+    /// Set `worker`'s load and replay its ancestors, each a branch-free select
+    /// against the sibling's winner; the path's winner and its load stay in
+    /// registers.
+    #[inline]
+    pub fn set(&mut self, worker: usize, load: f64) {
+        let mut node = self.nodes.len() / 2 + worker;
+        let mut best = (load_key(load), worker as u32);
+        self.nodes[node] = best;
+        while node > 1 {
+            let other = self.nodes[node ^ 1];
+            // The left child wins ties: at a right child (odd node) the left
+            // sibling takes over on `other ≤ best`, i.e. `other < best + 1`.
+            let take_other = other.0 < best.0 + (node & 1) as u64;
+            best = std::hint::select_unpredictable(take_other, other, best);
+            node >>= 1;
+            self.nodes[node] = best;
+        }
     }
+}
+
+/// The tree's comparison key of a load. Loads are finite and non-negative —
+/// `LoadModel::new` rejects non-finite weights — and on those the bit patterns sort
+/// like the values once `-0.0` is mapped to `+0.0`, which `abs` does.
+#[inline]
+fn load_key(load: f64) -> u64 {
+    debug_assert!(load.is_finite() && load >= 0.0, "load {load}");
+    load.abs().to_bits()
 }
 
 /// Lower bound on the total input `I` of any correct partitioning: every input tuple must
@@ -236,50 +241,65 @@ mod tests {
         let _ = m.max_load_lower_bound(1, 1, 0, 0);
     }
 
-    /// The heap must replicate a first-minimum linear scan for any load sequence:
-    /// run a greedy LPT over pseudo-random item loads with both and compare every
-    /// selection.
+    /// The tree must replicate a first-minimum linear scan for any load sequence:
+    /// run a greedy LPT over item loads with both and compare every selection, at
+    /// power-of-two sizes and at the sizes where the `+inf` padding matters. The
+    /// items repeat a few small integers and zeros, so exact ties are the rule.
     #[test]
-    fn lpt_heap_matches_first_minimum_scan() {
-        let workers = 7;
-        // Deterministic loads with deliberate repeats so ties are exercised.
-        let items: Vec<f64> = (0..200).map(|i| f64::from((i * 37 % 11) as u32)).collect();
-        let mut heap = LptHeap::new(workers, 0.0);
-        let mut heap_loads = vec![0.0f64; workers];
-        let mut scan_loads = vec![0.0f64; workers];
-        for &load in &items {
-            let by_heap = heap.pop_least();
-            let by_scan = (0..workers)
-                .min_by(|&a, &b| {
-                    scan_loads[a]
-                        .partial_cmp(&scan_loads[b])
-                        .unwrap_or(Ordering::Equal)
-                })
-                .unwrap();
-            assert_eq!(by_heap, by_scan, "heap diverged from the scan");
-            heap_loads[by_heap] += load;
-            scan_loads[by_scan] += load;
-            heap.push(by_heap, heap_loads[by_heap]);
+    fn least_loaded_matches_first_minimum_scan() {
+        for workers in [1usize, 2, 7, 30, 32, 33, 90] {
+            for (shape, items) in [
+                (0..600)
+                    .map(|i| f64::from((i * 37 % 11) as u32))
+                    .collect::<Vec<_>>(),
+                (0..600).map(|i| f64::from((i % 3 == 0) as u32)).collect(),
+                (0..600)
+                    .map(|i| f64::from((i * 7919 % 5) as u32) * 0.25)
+                    .collect(),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let mut tree = LeastLoaded::new(workers, 0.0);
+                let mut tree_loads = vec![0.0f64; workers];
+                let mut scan_loads = vec![0.0f64; workers];
+                for (i, &load) in items.iter().enumerate() {
+                    let by_tree = tree.least();
+                    let by_scan = (0..workers)
+                        .min_by(|&a, &b| scan_loads[a].partial_cmp(&scan_loads[b]).unwrap())
+                        .unwrap();
+                    assert_eq!(
+                        by_tree, by_scan,
+                        "w={workers} shape={shape} item={i}: tree diverged from the scan"
+                    );
+                    tree_loads[by_tree] += load;
+                    scan_loads[by_scan] += load;
+                    tree.set(by_tree, tree_loads[by_tree]);
+                }
+                assert_eq!(tree_loads, scan_loads);
+            }
         }
-        assert_eq!(heap_loads, scan_loads);
     }
 
     #[test]
-    fn lpt_heap_ties_pick_the_lowest_worker() {
-        let mut heap = LptHeap::new(4, 1.5);
-        assert_eq!(heap.pop_least(), 0);
-        heap.push(0, 1.5);
-        // Worker 0 re-inserted at the same load: still the first minimum.
-        assert_eq!(heap.pop_least(), 0);
-        heap.push(0, 9.0);
-        assert_eq!(heap.pop_least(), 1);
+    fn least_loaded_ties_pick_the_lowest_worker() {
+        let mut tree = LeastLoaded::new(4, 1.5);
+        assert_eq!(tree.least(), 0);
+        tree.set(0, 1.5);
+        // Worker 0 set to the same load: still the first minimum.
+        assert_eq!(tree.least(), 0);
+        tree.set(0, 9.0);
+        assert_eq!(tree.least(), 1);
+        // Lowering a later worker to tie the minimum does not take the lead.
+        tree.set(3, 1.5);
+        assert_eq!(tree.least(), 1);
+        tree.set(3, 0.0);
+        assert_eq!(tree.least(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker in the heap")]
-    fn lpt_heap_empty_pop_panics() {
-        let mut heap = LptHeap::new(1, 0.0);
-        let _ = heap.pop_least();
-        let _ = heap.pop_least();
+    #[should_panic(expected = "at least one worker")]
+    fn least_loaded_needs_a_worker() {
+        let _ = LeastLoaded::new(0, 0.0);
     }
 }

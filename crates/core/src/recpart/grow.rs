@@ -344,7 +344,11 @@ impl OptimizerState<'_> {
     pub(super) fn grow(&self) -> GrownState {
         let cfg = self.cfg;
         let mut g = GrownState::new(self);
-        while g.iterations < cfg.max_iterations {
+        loop {
+            if g.iterations >= cfg.max_iterations {
+                g.termination_reason = "reached the iteration cap".into();
+                break;
+            }
             let Some(leaf_id) = g.pop_splittable_leaf() else {
                 g.termination_reason = "no leaf with a useful split remains".into();
                 break;
@@ -392,9 +396,6 @@ impl OptimizerState<'_> {
                     }
                 }
             }
-        }
-        if g.iterations >= cfg.max_iterations {
-            g.termination_reason = "reached the iteration cap".into();
         }
         g
     }

@@ -5,7 +5,7 @@
 //! evaluation.
 
 use super::{LeafWork, OptimizerState};
-use crate::load::LptHeap;
+use crate::load::LeastLoaded;
 use crate::metrics::EvalCounters;
 use crate::split_tree::{NodeId, SplitTree};
 use std::cmp::Ordering;
@@ -94,9 +94,10 @@ pub(super) struct Evaluation {
 ///   order (exactly how [`SplitTree::for_each_leaf`] visits them), so the
 ///   total-input summation runs over the same cell sequence a fresh tree walk would
 ///   produce — bit-identically, without walking the tree.
-/// * [`EvalLedger::order`] holds the leaf ids in LPT processing order (see
-///   [`lpt_order`]). Applying a split performs two binary-searched run edits
-///   (remove the parent, insert each child); nothing is ever re-sorted.
+/// * [`EvalLedger::order`] holds copies of the same entries in LPT processing order
+///   (see [`lpt_order`]), so the LPT streams its cells instead of chasing each
+///   leaf's entry. Applying a split performs binary-searched edits (remove the
+///   parent, insert each child); nothing is ever re-sorted.
 ///
 /// [`EvalLedger::rebuild`] — the O(leaves) walk + O(n log n) sort the deltas avoid —
 /// builds the initial ledger; the test-only `full_recompute` oracle also runs it
@@ -108,13 +109,13 @@ pub(super) struct EvalLedger {
     entries: Vec<LedgerEntry>,
     /// `pos[node] = index` of the node's entry in `entries` ([`NO_ENTRY`] if none).
     pos: Vec<u32>,
-    /// Leaf ids in LPT processing order.
-    order: Vec<NodeId>,
+    /// Copies of `entries` in LPT processing order.
+    order: Vec<LedgerEntry>,
     /// Scratch: per-worker accumulated input/output, reused across evaluations.
     worker_in: Vec<f64>,
     worker_out: Vec<f64>,
-    /// Scratch: the LPT worker min-heap, reused across evaluations.
-    lpt: LptHeap,
+    /// Scratch: the LPT worker tournament tree, reused across evaluations.
+    lpt: LeastLoaded,
 }
 
 impl EvalLedger {
@@ -137,28 +138,25 @@ impl EvalLedger {
         &self.entries[self.pos[node as usize] as usize]
     }
 
-    /// Position of `node` in the LPT order (binary search on the total order).
-    fn order_position(&self, load: f64, node: NodeId) -> Result<usize, usize> {
-        self.order.binary_search_by(|&n| {
-            let e = self.entry(n);
-            lpt_order(e.load, n, load, node)
-        })
+    /// Position of `entry` in the LPT order (binary search on the total order).
+    fn order_position(&self, entry: &LedgerEntry) -> Result<usize, usize> {
+        self.order
+            .binary_search_by(|e| lpt_order(e.load, e.node, entry.load, entry.node))
     }
 
     fn remove_from_order(&mut self, node: NodeId) {
-        let load = self.entry(node).load;
         let idx = self
-            .order_position(load, node)
+            .order_position(self.entry(node))
             .expect("split leaf must be present in the LPT order");
         self.order.remove(idx);
     }
 
     fn insert_into_order(&mut self, node: NodeId) {
-        let load = self.entry(node).load;
-        let idx = match self.order_position(load, node) {
+        let entry = *self.entry(node);
+        let idx = match self.order_position(&entry) {
             Ok(i) | Err(i) => i,
         };
-        self.order.insert(idx, node);
+        self.order.insert(idx, entry);
     }
 
     /// Grow the node→entry map to cover `node`.
@@ -192,15 +190,9 @@ impl EvalLedger {
         for (i, e) in self.entries.iter().enumerate() {
             self.pos[e.node as usize] = i as u32;
         }
-        self.order.clear();
-        self.order.extend(self.entries.iter().map(|e| e.node));
-        let entries = &self.entries;
-        let pos = &self.pos;
-        self.order.sort_unstable_by(|&a, &b| {
-            let ea = &entries[pos[a as usize] as usize];
-            let eb = &entries[pos[b as usize] as usize];
-            lpt_order(ea.load, a, eb.load, b)
-        });
+        self.order.clone_from(&self.entries);
+        self.order
+            .sort_unstable_by(|a, b| lpt_order(a.load, a.node, b.load, b.node));
     }
 
     /// The growth loop split `parent` by a plane into `left` and `right`: drop the
@@ -249,7 +241,7 @@ impl EvalLedger {
     }
 
     /// Compute the [`Evaluation`] of the current ledger state: total input in
-    /// depth-first cell order, then the exact heap-LPT worker mapping over the
+    /// depth-first cell order, then the exact LPT worker mapping over the
     /// maintained order.
     pub(super) fn evaluate(
         &mut self,
@@ -269,25 +261,23 @@ impl EvalLedger {
             }
         }
 
-        // LPT mapping of cells onto workers via the shared (load, worker) min-heap:
+        // LPT mapping of cells onto workers via the shared tournament tree:
         // lowest-loaded worker first, lowest index among equal loads — exactly the
-        // worker a first-minimum scan selects — at O(log w) per cell.
+        // worker a first-minimum scan selects — at ⌈log₂ w⌉ selects per cell.
         self.worker_in.clear();
         self.worker_in.resize(w, 0.0);
         self.worker_out.clear();
         self.worker_out.resize(w, 0.0);
         self.lpt.reset(w, lm.load(0.0, 0.0));
         let mut cells = 0u64;
-        for &node in &self.order {
-            let e = &self.entries[self.pos[node as usize] as usize];
+        for e in &self.order {
             for _ in 0..e.count {
-                let target = self.lpt.pop_least();
-                self.worker_in[target] += e.input;
-                self.worker_out[target] += e.output;
-                self.lpt.push(
-                    target,
-                    lm.load(self.worker_in[target], self.worker_out[target]),
-                );
+                let target = self.lpt.least();
+                let input = self.worker_in[target] + e.input;
+                let output = self.worker_out[target] + e.output;
+                self.worker_in[target] = input;
+                self.worker_out[target] = output;
+                self.lpt.set(target, lm.load(input, output));
             }
             cells += u64::from(e.count);
         }

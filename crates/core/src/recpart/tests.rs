@@ -200,6 +200,39 @@ fn theoretical_termination_produces_low_duplication() {
     );
 }
 
+/// A rule that fires on the cap's own iteration names the rule, not the cap: run a
+/// workload to its rule's stop at iteration `N` under the default cap, then again
+/// with the cap at exactly `N`.
+#[test]
+fn rule_firing_on_the_last_allowed_iteration_keeps_its_reason() {
+    let s = uniform_relation(3000, 1, 0.0, 1000.0, 13);
+    let t = uniform_relation(3000, 1, 0.0, 1000.0, 14);
+    let band = BandCondition::symmetric(&[0.5]);
+    for cfg in [
+        RecPartConfig::new(10).with_theoretical_termination(),
+        RecPartConfig::new(4),
+    ] {
+        let cfg = cfg.with_sample(small_sample_config());
+        let run = |cfg: RecPartConfig| {
+            let mut rng = StdRng::seed_from_u64(15);
+            RecPart::new(cfg).optimize(&s, &t, &band, &mut rng).report
+        };
+        let free = run(cfg.clone());
+        let by_rule = free.termination_reason.contains("theoretical rule")
+            || free
+                .termination_reason
+                .starts_with("predicted join time improved");
+        assert!(
+            by_rule && free.iterations < cfg.max_iterations,
+            "the workload must stop by its rule: {}",
+            free.termination_reason
+        );
+        let capped = run(cfg.with_max_iterations(free.iterations));
+        assert_eq!(capped.iterations, free.iterations);
+        assert_eq!(capped.termination_reason, free.termination_reason);
+    }
+}
+
 #[test]
 fn empty_inputs_are_rejected() {
     let empty = Relation::new(1);

@@ -46,7 +46,7 @@ use crate::supervise::{ShardError, SuperviseError, Supervision};
 use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
 use rayon::prelude::*;
 use recpart::{
-    BandCondition, JoinKernel, LoadModel, LptHeap, Partitioner, PartitioningStats, Relation,
+    BandCondition, JoinKernel, LeastLoaded, LoadModel, Partitioner, PartitioningStats, Relation,
     WorkerLoad,
 };
 use serde::{Deserialize, Serialize};
@@ -798,13 +798,14 @@ impl Executor {
     /// Map partitions onto workers: identity when there are at most `w` partitions,
     /// otherwise longest-processing-time-first on the measured per-partition load.
     ///
-    /// The least-loaded worker is selected with the shared [`LptHeap`] — lowest
-    /// load, lowest index among equal loads, which is exactly the worker the
-    /// `O(n·w)` first-minimum scan this replaced selected (`Iterator::min_by`
-    /// returns the first minimum; measured integer-derived loads tie *often*, so
-    /// the tie rule is load-bearing). The accumulation arithmetic is unchanged, so
-    /// the mapping is bit-identical to the scan — verified against recorded scan
-    /// mappings in the tests below — at `O(log w)` per partition.
+    /// The least-loaded worker is selected with the shared [`LeastLoaded`]
+    /// tournament tree — lowest load, lowest index among equal loads, which is
+    /// exactly the worker the `O(n·w)` first-minimum scan it replaces selects
+    /// (`Iterator::min_by` returns the first minimum; measured integer-derived loads
+    /// tie *often*, so the tie rule is load-bearing). The accumulation arithmetic
+    /// is the scan's, so the mapping is bit-identical to it — verified against
+    /// recorded scan mappings in the tests below — at `⌈log₂ w⌉` selects per
+    /// partition.
     fn map_partitions_to_workers(&self, per_partition: &[PartitionLoad]) -> Vec<u32> {
         let workers = self.config.workers;
         let lm = &self.config.load_model;
@@ -829,18 +830,18 @@ impl Executor {
                 .then_with(|| a.cmp(&b))
         });
         let mut worker_load = vec![0.0f64; workers];
-        let mut heap = LptHeap::new(workers, 0.0);
+        let mut least_loaded = LeastLoaded::new(workers, 0.0);
         for p in order {
-            let target = heap.pop_least();
+            let target = least_loaded.least();
             assignment[p] = target as u32;
             worker_load[target] += load_of(&per_partition[p]);
-            heap.push(target, worker_load[target]);
+            least_loaded.set(target, worker_load[target]);
         }
         assignment
     }
 
     /// The original `O(n·w)` first-minimum scan, kept verbatim as the reference the
-    /// heap-based [`Executor::map_partitions_to_workers`] is verified against.
+    /// tree-based [`Executor::map_partitions_to_workers`] is verified against.
     #[cfg(test)]
     fn map_partitions_to_workers_scan(&self, per_partition: &[PartitionLoad]) -> Vec<u32> {
         let workers = self.config.workers;
@@ -1154,8 +1155,8 @@ mod tests {
     }
 
     /// Mappings recorded from the pre-heap first-minimum scan (the exact code now
-    /// preserved as `map_partitions_to_workers_scan`): the heap swap must reproduce
-    /// them bit for bit. Loads: `input = (p·2654435761) % 1000`,
+    /// preserved as `map_partitions_to_workers_scan`): whatever replaces the scan
+    /// must reproduce them bit for bit. Loads: `input = (p·2654435761) % 1000`,
     /// `output = (p·40503) % 400`, 40 partitions on 7 workers; plus 12 identical
     /// partitions on 3 workers (the all-ties case, where the tie rule alone decides).
     #[test]
@@ -1229,12 +1230,14 @@ mod tests {
         );
     }
 
-    /// The heap mapping equals the preserved scan on a sweep of load shapes: unique
-    /// loads, frequent exact ties (integer-derived), zeros, and a zero-output model.
+    /// The tree mapping equals the preserved scan on a sweep of load shapes: unique
+    /// loads, frequent exact ties (integer-derived), zeros, and a zero-output model
+    /// — at one worker (the root is the leaf) and at non-power-of-two sizes, where
+    /// the `+inf` padding matters.
     #[test]
     fn heap_lpt_matches_the_preserved_scan() {
         let mut rng = StdRng::seed_from_u64(0x10AD);
-        for workers in [2usize, 3, 5, 16] {
+        for workers in [1usize, 2, 3, 5, 16, 30, 33] {
             for case in 0..20 {
                 let n = workers + 1 + (case * 7) % 60;
                 let per_partition: Vec<PartitionLoad> = (0..n)
