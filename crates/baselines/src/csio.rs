@@ -29,12 +29,11 @@ use recpart::{
     AssignmentSink, BandCondition, InputSample, OutputSample, PartitionId, Partitioner, Relation,
     SampleConfig, ScatterPolicy,
 };
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::time::Instant;
 
 /// How the multidimensional attribute space is mapped to a total order (Section 5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinearizationOrder {
     /// Row-major / lexicographic order with dimension 0 most significant. Ranges are
     /// thin stripes along dimension 0, which minimizes candidate cells when the stripe
@@ -47,7 +46,7 @@ pub enum LinearizationOrder {
 }
 
 /// Tuning knobs of the CSIO optimization pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CsioConfig {
     /// Number of quantile ranges per input before coarsening.
     pub quantiles: usize,
@@ -80,7 +79,7 @@ impl Default for CsioConfig {
 
 /// One cover rectangle `[row_lo, row_hi] × [col_lo, col_hi]` (inclusive, in coarsened
 /// matrix coordinates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CoverRect {
     row_lo: u32,
     row_hi: u32,
@@ -89,7 +88,7 @@ struct CoverRect {
 }
 
 /// Report of the CSIO optimization phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsioReport {
     /// Number of matrix rows / columns after coarsening.
     pub matrix_rows: usize,
@@ -104,7 +103,7 @@ pub struct CsioReport {
 }
 
 /// The CSIO partitioner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CsioPartitioner {
     lin: Linearizer,
     /// Exclusive upper key boundaries of the S ranges (last is `u128::MAX`).
@@ -307,7 +306,7 @@ impl Partitioner for CsioPartitioner {
 
 /// Maps d-dimensional keys to a 128-bit linear key via per-dimension equi-depth bucket
 /// boundaries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Linearizer {
     dims: usize,
     order: LinearizationOrder,

@@ -16,12 +16,11 @@ use recpart::simd::cell_indices;
 use recpart::{
     AssignmentSink, BandCondition, PartitionId, Partitioner, Relation, RouteKernel, ScatterPolicy,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
 
 /// The Grid-ε / Grid-(j·ε) partitioner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridPartitioner {
     band: BandCondition,
     /// Cell side length per dimension.

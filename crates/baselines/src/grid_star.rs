@@ -10,10 +10,9 @@ use crate::grid::GridPartitioner;
 use distsim::CostModel;
 use rand::Rng;
 use recpart::{BandCondition, OutputSample, Partitioner, Relation, SampleConfig, ScatterPolicy};
-use serde::{Deserialize, Serialize};
 
 /// Report of the Grid\* search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridStarReport {
     /// The chosen cell-size multiplier `j`.
     pub chosen_scale: f64,

@@ -16,11 +16,10 @@
 //! boundaries cut through dense regions and no covering step merges joinable pairs.
 
 use recpart::{AssignmentSink, BandCondition, PartitionId, Partitioner, Relation, ScatterPolicy};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// The distributed-IEJoin style block partitioner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IEJoinPartitioner {
     /// Upper boundaries of the S blocks on dimension 0 (last boundary is +∞).
     s_bounds: Vec<f64>,

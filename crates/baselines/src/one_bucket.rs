@@ -11,11 +11,10 @@
 
 use recpart::small::stable_hash;
 use recpart::{AssignmentSink, PartitionId, Partitioner, Relation, ScatterPolicy};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// The 1-Bucket random matrix-cover partitioner.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OneBucket {
     rows: u32,
     cols: u32,

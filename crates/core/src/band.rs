@@ -6,7 +6,6 @@
 //! `t.A_i − ε_i^L ≤ s.A_i ≤ t.A_i + ε_i^R`; [`BandCondition`] supports both forms.
 
 use crate::error::RecPartError;
-use serde::{Deserialize, Serialize};
 
 /// A (possibly asymmetric) band condition over `d` join attributes.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// ```text
 /// t.A_i − eps_low[i] ≤ s.A_i ≤ t.A_i + eps_high[i]
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandCondition {
     eps_low: Vec<f64>,
     eps_high: Vec<f64>,

@@ -2,13 +2,12 @@
 
 use crate::load::LoadModel;
 use crate::sample::SampleConfig;
-use serde::{Deserialize, Serialize};
 
 /// When does the optimizer stop growing the split tree, and which of the partitionings
 /// seen along the way is returned?
 ///
 /// Section 4.2 "Termination condition and winning partitioning" describes both variants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Termination {
     /// **Theoretical** condition: stop as soon as the (monotonically increasing)
     /// duplication overhead exceeds the smallest max-load overhead seen so far; return
@@ -35,7 +34,7 @@ impl Default for Termination {
 }
 
 /// Configuration of a RecPart optimization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecPartConfig {
     /// Number of worker machines `w`.
     pub workers: usize,

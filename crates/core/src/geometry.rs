@@ -7,12 +7,11 @@
 //! the space belongs to exactly one leaf of the split tree.
 
 use crate::band::BandCondition;
-use serde::{Deserialize, Serialize};
 
 /// A half-open axis-aligned box `[lo_1, hi_1) × … × [lo_d, hi_d)`.
 ///
 /// Unbounded sides are represented by `-∞` / `+∞`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rect {
     lo: Vec<f64>,
     hi: Vec<f64>,

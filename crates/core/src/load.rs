@@ -7,13 +7,11 @@
 //! lives in the `distsim` crate; this module only carries the load weights that the
 //! optimizer needs).
 
-use serde::{Deserialize, Serialize};
-
 /// Weights describing how input and output tuples contribute to a worker's load.
 ///
 /// In the paper's Amazon EC2 profiling, `β₂/β₃ ≈ 4`, i.e. each input tuple costs about
 /// four times as much as an output tuple; those are the defaults here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadModel {
     /// Weight of one input tuple on a worker (`β₂`).
     pub beta_input: f64,

@@ -9,7 +9,6 @@
 //! (Figure 4 / Figure 10 plot exactly these two axes).
 
 use crate::load::{relative_overhead, total_input_lower_bound, LoadModel};
-use serde::{Deserialize, Serialize};
 
 /// Work counters of the RecPart split search, reported alongside the optimization
 /// wall-clock so "optimizes in under a second" claims can be decomposed into how much
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// Every counter is a deterministic function of the samples and the configuration —
 /// **not** of the thread count — so equal counters across `threads = 1 / 0 / n` runs
 /// are part of the optimizer's bit-identity contract.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SplitSearchCounters {
     /// Number of leaf best-split refreshes (root + two per applied plane split + one
     /// per grid increment).
@@ -47,7 +46,7 @@ impl SplitSearchCounters {
 /// are part of the optimizer's bit-identity contract. `ledger_leaf_visits` shows the
 /// ledger doing delta-sized work: it touches only the leaves a split changed (two per
 /// plane split, one per grid increment), never every leaf per evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounters {
     /// Number of evaluations run (one per applied split, plus the initial state).
     pub evaluations: u64,
@@ -86,7 +85,7 @@ impl EvalCounters {
 /// The accounting invariant `hits + subsumed_hits + misses == queries served`
 /// holds by construction and is asserted in the serving tests; every counter is
 /// deterministic for a given query stream (no wall-clock input).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheCounters {
     /// Queries answered by a cached plan whose signature matched exactly.
     pub hits: u64,
@@ -121,7 +120,7 @@ impl PlanCacheCounters {
 }
 
 /// Input and output volume assigned to one worker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerLoad {
     /// Number of input tuples (including duplicates) received by the worker.
     pub input: u64,
@@ -137,7 +136,7 @@ impl WorkerLoad {
 }
 
 /// Quality statistics of a concrete partitioning, measured after (simulated) execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitioningStats {
     /// Name of the partitioning strategy that produced this result.
     pub strategy: String,

@@ -49,11 +49,10 @@ use crate::split_tree::{NodeId, SplitKind, SplitTree};
 use projections::LeafProjections;
 use rand::Rng;
 use search::BestSplit;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Summary of an optimization run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OptimizationReport {
     /// `"RecPart"` or `"RecPart-S"`.
     pub strategy: String,
@@ -104,7 +103,7 @@ pub struct OptimizationReport {
 /// tree directly (the reference path); the block methods descend the
 /// [`CompiledRouter`] — the same assignment flattened into per-side SoA node tables —
 /// which is what the executor's map phase drives.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SplitTreePartitioner {
     tree: SplitTree,
     band: BandCondition,

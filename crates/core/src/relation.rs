@@ -16,17 +16,18 @@
 //!
 //! # Non-finite keys
 //!
-//! Join-attribute values are expected to be finite: a NaN difference *matches*
-//! its dimension's band (see [`BandCondition::matches`](crate::BandCondition::matches))
-//! and an infinity breaks the band-shift arithmetic, so both indicate corrupt
-//! input. The constructors reject them with a `debug_assert` — cheap builds catch
-//! bad generators and tests early, release ingestion stays branch-free. Values
-//! arriving through deserialization are *not* re-checked (blobs were validated when
-//! first built); every ordering in this crate uses `f64::total_cmp`, so a non-finite
-//! key that does get in sorts deterministically (NaN last) instead of panicking or
-//! producing implementation-defined order.
+//! NaN is rejected in every build: each constructor ([`Relation::from_flat`],
+//! [`Relation::from_values_1d`], [`Relation::push`]) `assert!`s that no value is
+//! NaN. A NaN key has no place on the band's number line — its every difference is
+//! NaN, which *matches* its dimension (see
+//! [`BandCondition::matches`](crate::BandCondition::matches)) — so a partitioner
+//! that routes by comparisons cannot deliver its pairs exactly once, and the
+//! output would be silently wrong. `±∞` is accepted: it orders below or above
+//! every finite value, an infinite difference lies outside every finite band, and
+//! `∞ − ∞` is NaN, so two equal infinities match like any two equal values. Every
+//! ordering in this crate uses `f64::total_cmp`, which places `−∞` first and `+∞`
+//! last.
 
-use serde::{Deserialize, Serialize, Value};
 use std::ops::Deref;
 
 /// A relation restricted to its join attributes, stored one column per dimension.
@@ -133,12 +134,12 @@ impl Relation {
         }
     }
 
-    /// Build a relation from a flat **row-major** buffer (the interchange and
-    /// serialization format; the constructor transposes into columns).
+    /// Build a relation from a flat **row-major** buffer (the interchange format;
+    /// the constructor transposes into columns).
     ///
     /// # Panics
-    /// Panics if the buffer length is not a multiple of `dims`, or (debug builds
-    /// only) if a value is non-finite — see the module docs for the policy.
+    /// Panics if `dims == 0`, if the buffer length is not a multiple of `dims`, or
+    /// if a value is NaN — see the module docs for the policy.
     pub fn from_flat(dims: usize, data: Vec<f64>) -> Self {
         assert!(dims > 0, "a relation needs at least one join attribute");
         assert!(
@@ -147,10 +148,7 @@ impl Relation {
             data.len(),
             dims
         );
-        debug_assert!(
-            data.iter().all(|v| v.is_finite()),
-            "join-attribute values must be finite"
-        );
+        assert_no_nan(&data);
         let len = data.len() / dims;
         let columns = (0..dims)
             .map(|d| data.iter().skip(d).step_by(dims).copied().collect())
@@ -163,11 +161,11 @@ impl Relation {
     }
 
     /// Build a 1-dimensional relation from a slice of values.
+    ///
+    /// # Panics
+    /// Panics if a value is NaN — see the module docs for the policy.
     pub fn from_values_1d(values: &[f64]) -> Self {
-        debug_assert!(
-            values.iter().all(|v| v.is_finite()),
-            "join-attribute values must be finite"
-        );
+        assert_no_nan(values);
         Relation {
             len: values.len(),
             generation: values.len() as u64,
@@ -206,8 +204,8 @@ impl Relation {
     /// Append one tuple.
     ///
     /// # Panics
-    /// Panics if `key.len() != self.dims()`, or (debug builds only) if a value is
-    /// non-finite — see the module docs for the policy.
+    /// Panics if `key.len() != self.dims()`, or if a value is NaN — see the module
+    /// docs for the policy.
     #[inline]
     pub fn push(&mut self, key: &[f64]) {
         assert_eq!(
@@ -217,10 +215,7 @@ impl Relation {
             key.len(),
             self.dims()
         );
-        debug_assert!(
-            key.iter().all(|v| v.is_finite()),
-            "join-attribute values must be finite"
-        );
+        assert_no_nan(key);
         for (col, &v) in self.columns.iter_mut().zip(key) {
             col.push(v);
         }
@@ -316,10 +311,8 @@ impl Relation {
     }
 
     /// Sort indices `0..len` by the value of `dim`, ascending in the IEEE 754
-    /// `totalOrder` sense (`f64::total_cmp`, NaN sorting last) — the same total
-    /// order the local-join sorts use, so a non-finite key that slipped past the
-    /// ingestion check degrades identically everywhere instead of panicking here
-    /// and silently joining there.
+    /// `totalOrder` sense (`f64::total_cmp`, so `−∞` first, `+∞` last and `−0.0`
+    /// before `0.0`) — the same total order the local-join sorts use.
     pub fn argsort_by_dim(&self, dim: usize) -> Vec<usize> {
         let col = &self.columns[dim];
         let mut idx: Vec<usize> = (0..self.len).collect();
@@ -365,44 +358,13 @@ impl<'a> IntoIterator for &'a Relation {
     }
 }
 
-/// Serialization keeps the pre-columnar wire format — `{dims, data}` with a
-/// row-major `data` — so blobs written before the layout change load unchanged
-/// (and new blobs load into old readers).
-impl Serialize for Relation {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("dims".to_string(), Value::U64(self.dims() as u64)),
-            ("data".to_string(), self.to_flat().to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Relation {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for Relation"))?;
-        let dims: usize = Deserialize::from_value(serde::__get(map, "dims")?)?;
-        let data: Vec<f64> = Deserialize::from_value(serde::__get(map, "data")?)?;
-        if dims == 0 {
-            return Err(serde::Error::custom("Relation blob has dims == 0"));
-        }
-        if !data.len().is_multiple_of(dims) {
-            return Err(serde::Error::custom(format!(
-                "Relation blob length {} is not a multiple of dims {dims}",
-                data.len()
-            )));
-        }
-        let len = data.len() / dims;
-        let columns = (0..dims)
-            .map(|d| data.iter().skip(d).step_by(dims).copied().collect())
-            .collect();
-        Ok(Relation {
-            len,
-            generation: len as u64,
-            columns,
-        })
-    }
+/// The constructors' one value check (module docs, "Non-finite keys").
+#[inline]
+fn assert_no_nan(values: &[f64]) {
+    assert!(
+        !values.iter().any(|v| v.is_nan()),
+        "join-attribute values must not be NaN"
+    );
 }
 
 #[cfg(test)]
@@ -502,67 +464,38 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
     }
 
+    /// The ingress policy, identical in debug and release: NaN of either sign is
+    /// rejected by every constructor, `±∞` is accepted and argsorts by `total_cmp`.
     #[test]
-    fn serde_wire_format_stays_row_major() {
-        // The serialized form must be `{dims, data}` with row-major `data`, so
-        // blobs written by the row-major layout deserialize unchanged.
-        let r = sample_relation();
-        let v = r.to_value();
-        let map = v.as_map().unwrap();
-        assert_eq!(serde::__get(map, "dims").unwrap(), &Value::U64(3));
-        let data: Vec<f64> = Deserialize::from_value(serde::__get(map, "data").unwrap()).unwrap();
-        assert_eq!(data, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -1.0, 0.5, 9.0]);
-        let back: Relation = Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, r);
-    }
+    fn constructors_reject_nan_and_accept_infinities() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let rejects = |build: &dyn Fn()| {
+            let err = catch_unwind(AssertUnwindSafe(build)).expect_err("NaN must be rejected");
+            let msg = err
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("NaN"), "unexpected panic message {msg:?}");
+        };
+        for nan in [f64::NAN, -f64::NAN] {
+            rejects(&|| drop(Relation::from_flat(2, vec![1.0, 2.0, nan, 3.0])));
+            rejects(&|| drop(Relation::from_values_1d(&[0.0, nan])));
+            rejects(&|| Relation::new(2).push(&[4.0, nan]));
+        }
 
-    #[test]
-    fn deserialize_rejects_malformed_blobs() {
-        let zero_dims = Value::Map(vec![
-            ("dims".to_string(), Value::U64(0)),
-            ("data".to_string(), Value::Seq(vec![])),
-        ]);
-        assert!(<Relation as Deserialize>::from_value(&zero_dims).is_err());
-        let ragged = Value::Map(vec![
-            ("dims".to_string(), Value::U64(2)),
-            (
-                "data".to_string(),
-                Value::Seq(vec![Value::F64(1.0), Value::F64(2.0), Value::F64(3.0)]),
-            ),
-        ]);
-        assert!(<Relation as Deserialize>::from_value(&ragged).is_err());
-    }
-
-    /// Regression test: a NaN that arrives through deserialization (the one path
-    /// that does not re-check finiteness) must argsort deterministically under
-    /// `total_cmp` — NaN last — exactly like the local-join sorts order the same
-    /// values. Pre-fix, `argsort_by_dim` panicked on the `partial_cmp().expect()`
-    /// while the local path silently accepted the tuple.
-    #[test]
-    fn argsort_orders_nan_last_instead_of_panicking() {
-        let blob = Value::Map(vec![
-            ("dims".to_string(), Value::U64(1)),
-            (
-                "data".to_string(),
-                Value::Seq(vec![
-                    Value::F64(f64::NAN),
-                    Value::F64(1.0),
-                    Value::F64(5.0),
-                    Value::F64(-3.0),
-                ]),
-            ),
-        ]);
-        let r = <Relation as Deserialize>::from_value(&blob).expect("deserialize");
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.argsort_by_dim(0), vec![3, 1, 2, 0], "NaN must sort last");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    #[cfg(debug_assertions)]
-    fn push_rejects_non_finite_keys_in_debug() {
-        let mut r = Relation::new(1);
-        r.push(&[f64::NAN]);
+        let inf = f64::INFINITY;
+        let flat = Relation::from_flat(2, vec![inf, 1.0, -inf, inf, 0.0, -inf]);
+        assert_eq!(flat.len(), 3);
+        assert_eq!(flat.argsort_by_dim(0), vec![1, 2, 0]);
+        assert_eq!(flat.argsort_by_dim(1), vec![2, 0, 1]);
+        let one_d = Relation::from_values_1d(&[inf, 1.0, -inf, -3.0]);
+        assert_eq!(one_d.argsort_by_dim(0), vec![2, 3, 1, 0]);
+        let mut pushed = Relation::new(2);
+        for key in flat.iter() {
+            pushed.push(&key);
+        }
+        assert_eq!(pushed, flat);
     }
 
     #[test]
@@ -610,10 +543,7 @@ mod tests {
         assert!(r.generation() > before, "push must advance the generation");
         assert_ne!(r, flat);
 
-        // Serde round-trips and clones carry a deterministic generation.
-        let back: Relation = Deserialize::from_value(&r.to_value()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.generation(), back.len() as u64);
+        // Clones carry the generation.
         assert_eq!(r.clone().generation(), r.generation());
     }
 }

@@ -28,7 +28,6 @@ use crate::relation::Relation;
 use crate::simd::{self, RouteKernel};
 use crate::small::stable_hash;
 use crate::split_tree::{Node, SplitKind, SplitTree, T_SIDE_SALT};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Node flag: the node is a leaf (the `leaf_*` arrays are meaningful).
@@ -39,7 +38,7 @@ const FLAG_DUP: u8 = 2;
 
 /// One routing side's flattened node table (S and T descend the same tree shape but
 /// with different duplication roles, shifts, and leaf hash seeds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct SideTable {
     /// Per-node flags ([`FLAG_LEAF`], [`FLAG_DUP`]).
     flags: Vec<u8>,
@@ -146,9 +145,9 @@ impl SideTable {
     ///
     /// # Safety (internal)
     /// The unchecked node-array accesses are sound because
-    /// [`CompiledRouter::validate`] — run both at compile time and when a router
-    /// is deserialized — guarantees that all per-node arrays share one length and
-    /// that the root and every inner node's child ids index into them. The stack
+    /// [`CompiledRouter::validate`] — run when a router is compiled — guarantees
+    /// that all per-node arrays share one length and that the root and every
+    /// inner node's child ids index into them. The stack
     /// is a plain `Vec` (pre-reserved to the tree depth + 1, the DFS maximum, so
     /// pushes do not reallocate on the hot path — but a reallocation would still
     /// be safe).
@@ -375,11 +374,9 @@ fn with_block_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
 /// Compile once after the tree is frozen ([`SplitTree::assign_partition_ids`] must
 /// have run); route blocks forever. The router is immutable and `Send + Sync`, so
 /// the executor's parallel map phase shares one instance across all threads.
-///
-/// `Deserialize` is implemented manually (not derived) so that every router that
-/// enters the program — whether compiled from a tree or read back from JSON — has
-/// passed [`CompiledRouter::validate`] before the unchecked descent can run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Every router has passed [`CompiledRouter::validate`] before the unchecked
+/// descent can run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRouter {
     s_side: SideTable,
     t_side: SideTable,
@@ -462,9 +459,8 @@ impl CompiledRouter {
             depth: tree.depth() as u32,
             num_partitions: tree.num_partitions() as u32,
         };
-        // The tree's own accessors bounds-check, but a *deserialized* tree may carry
-        // arbitrary child ids — and the descent indexes unchecked, so every router
-        // must prove the invariants before it is allowed to exist.
+        // The tree's own accessors bounds-check, but the descent indexes unchecked,
+        // so every router must prove the invariants before it is allowed to exist.
         router
             .validate()
             .expect("split tree carries out-of-range node references");
@@ -473,8 +469,8 @@ impl CompiledRouter {
 
     /// Check the structural invariants the unchecked descent relies on: all
     /// per-node arrays of both sides share one length, and the root and every
-    /// inner node's child ids index into them. Runs once per compile/deserialize —
-    /// never on the routing path.
+    /// inner node's child ids index into them. Runs once per compile — never on
+    /// the routing path.
     fn validate(&self) -> Result<(), String> {
         for (label, side) in [("S", &self.s_side), ("T", &self.t_side)] {
             let n = side.flags.len();
@@ -651,26 +647,6 @@ impl CompiledRouter {
     }
 }
 
-/// Manual `Deserialize`: field-by-field like the derive would generate, plus the
-/// [`CompiledRouter::validate`] gate — a corrupted or hand-crafted serialized router
-/// must be rejected here, not discovered by the unchecked descent.
-impl serde::Deserialize for CompiledRouter {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for CompiledRouter"))?;
-        let router = CompiledRouter {
-            s_side: serde::Deserialize::from_value(serde::__get(map, "s_side")?)?,
-            t_side: serde::Deserialize::from_value(serde::__get(map, "t_side")?)?,
-            root: serde::Deserialize::from_value(serde::__get(map, "root")?)?,
-            depth: serde::Deserialize::from_value(serde::__get(map, "depth")?)?,
-            num_partitions: serde::Deserialize::from_value(serde::__get(map, "num_partitions")?)?,
-        };
-        router.validate().map_err(serde::Error::custom)?;
-        Ok(router)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,7 +816,7 @@ mod tests {
 
     /// Regression test: leaf payloads are read with `get_unchecked` arithmetic, so
     /// `validate` must reject them too — pre-fix it only checked child pointers,
-    /// letting a corrupted blob reach a `% 0` (choices) or emit partition ids
+    /// letting a corrupted router reach a `% 0` (choices) or emit partition ids
     /// `>= num_partitions` (oversized base/stride/copies) from safe code.
     #[test]
     fn validate_rejects_corrupt_leaf_payloads() {
@@ -874,36 +850,6 @@ mod tests {
         let mut big_stride = good.clone();
         big_stride.t_side.leaf_stride[gridded] = u32::MAX;
         assert!(big_stride.validate().is_err());
-
-        // Corrupted-blob round trip: serialization happily writes the corrupt
-        // router, but the deserialization gate must refuse to rebuild it.
-        for bad in [&zero_choices, &zero_copies, &big_base, &big_stride] {
-            let json = serde_json::to_string(bad).expect("serialize");
-            assert!(
-                serde_json::from_str::<CompiledRouter>(&json).is_err(),
-                "corrupt leaf payload must be rejected at deserialization"
-            );
-        }
-    }
-
-    #[test]
-    fn deserialize_gate_rejects_corrupt_routers() {
-        // The manual Deserialize impl must run validate(): round-trip a healthy
-        // router, then corrupt a child pointer in the serialized form and check
-        // that deserialization fails instead of producing an unsafe router.
-        let (tree, band) = mixed_tree();
-        let router = CompiledRouter::compile(&tree, &band, 2);
-        let json = serde_json::to_string(&router).expect("serialize");
-        let back: CompiledRouter = serde_json::from_str(&json).expect("round-trip");
-        assert_eq!(router, back);
-
-        // Corrupt every child array entry to an impossible id; at least the first
-        // inner node will then fail validation.
-        let corrupt = json.replace("\"lefts\":[", "\"lefts\":[4000000000,");
-        assert!(
-            serde_json::from_str::<CompiledRouter>(&corrupt).is_err(),
-            "corrupt router must be rejected at deserialization"
-        );
     }
 
     #[test]

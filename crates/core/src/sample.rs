@@ -66,12 +66,11 @@ use crate::relation::Relation;
 use crate::simd::{band_window_collect, JoinKernel};
 use rand::Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
 
 /// Configuration of the sampling phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleConfig {
     /// Total number of input-sample tuples drawn from `S ∪ T` (split proportionally to
     /// the relation sizes). The paper uses 100 000 for inputs of hundreds of millions;
@@ -134,7 +133,7 @@ pub(crate) fn sample_indices<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -
 
 /// A uniform random sample of an input relation, together with the scale-up weight
 /// that converts sample counts into full-relation estimates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InputSample {
     dims: usize,
     /// Row-major sample points.
@@ -217,7 +216,7 @@ impl InputSample {
 
 /// A sample of band-join output pairs `(s_key, t_key)` plus an estimate of the total
 /// output size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutputSample {
     dims: usize,
     /// Row-major: for pair `i`, the S-key occupies `[2*i*d, (2*i+1)*d)` and the T-key

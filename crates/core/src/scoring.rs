@@ -15,14 +15,13 @@
 //! variance reduction, and any split of a heavy partition still wins as soon as its
 //! per-duplicate variance reduction is larger.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// The smallest duplication increase used as a ratio denominator (one input tuple).
 pub const MIN_DUPLICATION_DENOMINATOR: f64 = 1.0;
 
 /// Score of a candidate split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SplitScore {
     /// A useful split (positive variance reduction).
     Useful {

@@ -38,9 +38,9 @@
 //!   `_CMP_LT_OQ` / `_CMP_GE_OQ`, both false for NaN — a NaN key is dropped at
 //!   a duplicating node, exactly like the scalar walk.
 //!
-//! (Relations reject non-finite keys at the API boundary — see the
-//! [`relation`](crate::relation) module docs — but deserialized data can still
-//! carry them, and the kernels must not diverge when it does.)
+//! (A [`Relation`](crate::Relation) rejects NaN keys and accepts `±∞` — see the
+//! [`relation`](crate::relation) module docs — but the kernels take raw slices,
+//! so they match the scalar code on every value, NaN included.)
 //!
 //! # Forcing a kernel
 //!

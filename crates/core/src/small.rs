@@ -11,10 +11,9 @@
 //! duplication increase.
 
 use crate::scoring::{partition_load, variance_term, SplitScore};
-use serde::{Deserialize, Serialize};
 
 /// The internal 1-Bucket grid of a small leaf: `rows × cols` sub-partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketGrid {
     /// Number of row sub-partitions (S-tuples pick a row).
     pub rows: u32,

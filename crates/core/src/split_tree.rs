@@ -15,13 +15,12 @@ use crate::band::BandCondition;
 use crate::geometry::Rect;
 use crate::partition::PartitionId;
 use crate::small::{stable_hash, BucketGrid};
-use serde::{Deserialize, Serialize};
 
 /// Index of a node in the split tree's arena.
 pub type NodeId = u32;
 
 /// Which input is partitioned (and which is duplicated) at an inner node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitKind {
     /// S is partitioned without duplication; T-tuples within band width of the split
     /// boundary are copied to both children. This is the default split type.
@@ -31,7 +30,7 @@ pub enum SplitKind {
 }
 
 /// An inner node of the split tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InnerNode {
     /// The dimension the split predicate applies to.
     pub dim: usize,
@@ -48,7 +47,7 @@ pub struct InnerNode {
 
 /// A leaf of the split tree: one partition of the attribute space, possibly subdivided
 /// into 1-Bucket cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafNode {
     /// The rectangular region of attribute space covered by this leaf.
     pub region: Rect,
@@ -60,7 +59,7 @@ pub struct LeafNode {
 }
 
 /// A node of the split tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// An inner (split) node.
     Inner(InnerNode),
@@ -69,41 +68,15 @@ pub enum Node {
 }
 
 /// The recursive partitioning of the join-attribute space.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitTree {
     nodes: Vec<Node>,
     root: NodeId,
     dims: usize,
     num_partitions: usize,
     /// Leaf count, maintained on every split so the optimizer's per-iteration
-    /// bookkeeping never has to walk the tree to know it. Not part of the
-    /// serialized contract: deserialization recomputes it from the node arena
-    /// (see the manual `Deserialize` below), so pre-existing serialized trees
-    /// still load and a hand-edited count cannot go stale.
+    /// bookkeeping never has to walk the tree to know it.
     num_leaves: usize,
-}
-
-/// Manual `Deserialize`: read the serialized fields the pre-PR 5 format carried and
-/// **recompute** the maintained leaf count from the node arena instead of trusting
-/// (or requiring) a serialized value. Counting arena leaves equals counting reachable
-/// leaves for every tree this crate builds (the arena only ever grows by splitting a
-/// reachable leaf) and stays robust for corrupt inputs, which a reachability walk
-/// would not be.
-impl serde::Deserialize for SplitTree {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for SplitTree"))?;
-        let nodes: Vec<Node> = serde::Deserialize::from_value(serde::__get(map, "nodes")?)?;
-        let num_leaves = nodes.iter().filter(|n| matches!(n, Node::Leaf(_))).count();
-        Ok(SplitTree {
-            num_leaves,
-            root: serde::Deserialize::from_value(serde::__get(map, "root")?)?,
-            dims: serde::Deserialize::from_value(serde::__get(map, "dims")?)?,
-            num_partitions: serde::Deserialize::from_value(serde::__get(map, "num_partitions")?)?,
-            nodes,
-        })
-    }
 }
 
 impl SplitTree {
@@ -604,34 +577,6 @@ mod tests {
         tree.split_leaf(r, 0, 8.0, SplitKind::TSplit);
         assert_eq!(tree.num_leaves(), 4);
         assert_eq!(tree.num_leaves(), tree.leaf_ids().len());
-    }
-
-    /// Deserialization recomputes the leaf count — round-trips are exact, and the
-    /// pre-PR 5 serialized format (no `num_leaves` entry) still loads. Exercised at
-    /// the serde `Value` layer because the unbounded root region's ±∞ bounds are
-    /// not representable in the JSON text format.
-    #[test]
-    fn deserialize_recomputes_leaf_count_and_accepts_legacy_blobs() {
-        let mut tree = SplitTree::new(1);
-        let (l, _) = tree.split_leaf(tree.root(), 0, 5.0, SplitKind::TSplit);
-        tree.split_leaf(l, 0, 2.0, SplitKind::SSplit);
-        tree.assign_partition_ids();
-        let value = serde::Serialize::to_value(&tree);
-        let back: SplitTree = serde::Deserialize::from_value(&value).expect("round-trip");
-        assert_eq!(back, tree);
-        assert_eq!(back.num_leaves(), 3);
-        // Strip the maintained field to emulate a blob written before it existed.
-        let serde::Value::Map(entries) = value else {
-            panic!("tree must serialize to a map");
-        };
-        let legacy: Vec<(String, serde::Value)> = entries
-            .into_iter()
-            .filter(|(name, _)| name != "num_leaves")
-            .collect();
-        assert_eq!(legacy.len(), 4, "legacy blob carries the pre-PR 5 fields");
-        let from_legacy: SplitTree =
-            serde::Deserialize::from_value(&serde::Value::Map(legacy)).expect("legacy blob");
-        assert_eq!(from_legacy, tree);
     }
 
     #[test]

@@ -21,10 +21,9 @@ use crate::spatial::{BirdObservationGenerator, SpatialConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recpart::{BandCondition, OutputSample, Relation, SampleConfig};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an experiment configuration (table row), e.g. `"pareto-1.5/d3/eps2"`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExperimentId(pub String);
 
 impl std::fmt::Display for ExperimentId {
@@ -34,7 +33,7 @@ impl std::fmt::Display for ExperimentId {
 }
 
 /// Which data family an experiment draws from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DatasetSpec {
     /// `pareto-z`: both relations Pareto(z), correlated hot regions.
     Pareto {
@@ -111,7 +110,7 @@ impl DatasetSpec {
 }
 
 /// One row of the experiment catalog (Table 1 / Table 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Identifier, e.g. `"pareto-1.5/d3/eps(2,2,2)"`.
     pub id: ExperimentId,

@@ -6,10 +6,8 @@
 //! are obtained by linear regression over a calibration benchmark run offline once per
 //! cluster; on the paper's cluster `β₂/β₃ ≈ 4`.
 
-use serde::{Deserialize, Serialize};
-
 /// One calibration observation: features `(I, I_m, O_m)` plus the measured join time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationPoint {
     /// Total input including duplicates.
     pub total_input: f64,
@@ -22,7 +20,7 @@ pub struct CalibrationPoint {
 }
 
 /// The fitted linear running-time model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Fixed per-job overhead (seconds).
     pub beta0: f64,

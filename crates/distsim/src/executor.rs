@@ -49,13 +49,12 @@ use recpart::{
     BandCondition, JoinKernel, LeastLoaded, LoadModel, Partitioner, PartitioningStats, Relation,
     WorkerLoad,
 };
-use serde::{Deserialize, Serialize};
 #[cfg(test)]
 use std::cmp::Ordering;
 use std::time::Instant;
 
 /// How thoroughly the executor validates the result of the distributed execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerificationLevel {
     /// No verification (fastest; used by benchmarks).
     None,
@@ -140,7 +139,7 @@ impl ExecutorConfig {
 }
 
 /// Work and result sizes of one partition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionLoad {
     /// S-tuples received (including duplicates).
     pub s_input: u64,
@@ -160,7 +159,7 @@ impl PartitionLoad {
 }
 
 /// Everything measured about one distributed execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionReport {
     /// Name of the partitioning strategy.
     pub strategy: String,

@@ -25,13 +25,12 @@
 //! speculation, and degradation; production runs pass [`FaultPlan::none`], which
 //! makes every `trip` a no-op.
 
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Where in the supervised pipeline a fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionPoint {
     /// Before the count pass of the shuffle (unit = side: 0 for S, 1 for T).
     ShufflePass1,
@@ -44,7 +43,7 @@ pub enum InjectionPoint {
 }
 
 /// What an injection point does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Unwind with an [`InjectedPanic`] payload (a crashed worker).
     Panic,
@@ -55,7 +54,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault: fires at `point` for `unit` while `attempt <= fire_attempts`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Where the fault fires.
     pub point: InjectionPoint,
@@ -71,7 +70,7 @@ pub struct FaultSpec {
 }
 
 /// A deterministic, seeded schedule of faults (see the module docs).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
 }
@@ -181,7 +180,7 @@ pub struct InjectedPanic {
 }
 
 /// Live fire counters of a [`FaultInjector`], one per [`FaultKind`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FiredCounts {
     /// Injected panics fired.
     pub panics: u64,

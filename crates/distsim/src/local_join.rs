@@ -45,9 +45,10 @@
 //! ends with that literal test — usually zero or one step. What is left needs only
 //! dimensions `1..`: the [`JoinKernel`]s evaluate those, and a 1-d probe is answered
 //! by the sub-range's length without a kernel, in time independent of its output.
-//! The two cases the monotone window itself excludes — a negative-NaN-led column and
-//! a probe with a non-finite dimension-0 key — keep the binary-searched window and
-//! the kernels' full-dimension test. (DESIGN.md §7.)
+//! The one case the monotone window excludes — a probe with an infinite
+//! dimension-0 key — keeps the binary-searched window and the kernels'
+//! full-dimension test. No column holds NaN: [`Relation`] rejects it at ingress.
+//! (DESIGN.md §7.)
 //!
 //! # Comparisons accounting
 //!
@@ -61,13 +62,12 @@
 
 use recpart::simd::{band_window_collect_dims, band_window_count_dims};
 use recpart::{BandCondition, JoinKernel, Relation};
-use serde::{Deserialize, Serialize};
 
 #[cfg(test)]
 mod kernel_tests;
 
 /// Result of one local join: output size and work performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalJoinResult {
     /// Number of output pairs produced.
     pub output: u64,
@@ -178,15 +178,13 @@ pub(crate) type MatchSlot = (usize, usize);
 /// whatever probe order it owes its own caller.
 ///
 /// Window equivalence with the scalar `partition_point`s: for finite probe keys the
-/// window bounds `lo`/`hi` are non-decreasing in key order, and — absent a leading
-/// negative NaN in the sort column (`total_cmp` orders it before `-inf`, which makes
-/// `v < lo` / `v <= hi` non-partitioned) — the predicates are partitioned over the
-/// column, so a forward scan from the previous boundary stops exactly at the
-/// `partition_point`. The window *starts* at the first finite probe's own
-/// `partition_point` rather than at 0, so a run of probes far into the column does
-/// not pay a scan from the front. Probes with non-finite keys (NaN bounds are never
-/// monotone) and every probe of a negative-NaN-led column take the literal binary
-/// search without touching the shared window.
+/// window bounds `lo`/`hi` are non-decreasing in key order, and the predicates
+/// `v < lo` / `v <= hi` are partitioned over the NaN-free sorted column, so a
+/// forward scan from the previous boundary stops exactly at the `partition_point`.
+/// The window *starts* at the first finite probe's own `partition_point` rather
+/// than at 0, so a run of probes far into the column does not pay a scan from the
+/// front. Probes with infinite keys take the literal binary search without
+/// touching the shared window.
 pub(crate) fn sweep_in_key_order(
     kernel: JoinKernel,
     s: &Relation,
@@ -198,7 +196,6 @@ pub(crate) fn sweep_in_key_order(
     let mut result = LocalJoinResult::default();
     let vals = cols[0].as_slice();
     let n = vals.len();
-    let neg_nan_first = vals.first().is_some_and(|v| v.is_nan());
     let (eps_lo, eps_hi) = (band.eps_low_all(), band.eps_high_all());
     // The probe key is rebuilt into one reused buffer from the hoisted columns.
     let s_cols: Vec<&[f64]> = (0..s.dims()).map(|d| s.column(d)).collect();
@@ -211,7 +208,7 @@ pub(crate) fn sweep_in_key_order(
         let (lo, hi) = band.range_around_s(0, sk[0]);
         // The dimension-0 window (what `comparisons` charges), the candidates still
         // to test, and the first dimension they are still to be tested on.
-        let (window_len, untested, from_dim) = if neg_nan_first || !sk[0].is_finite() {
+        let (window_len, untested, from_dim) = if !sk[0].is_finite() {
             let start = vals.partition_point(|&v| v < lo);
             let end = vals.partition_point(|&v| v <= hi);
             (end - start, start..end, 0)

@@ -20,10 +20,8 @@
 //! roughly 4:1 per tuple (the paper's β₂/β₃) and (b) a 400 k-tuple workload on 30
 //! simulated workers lands in the "hundreds of seconds" range of the paper's tables.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-worker work measured during a simulated execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerWork {
     /// Input tuples received (including duplicates).
     pub input: u64,
@@ -37,7 +35,7 @@ pub struct WorkerWork {
 }
 
 /// Deterministic timing model of the simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineModel {
     /// Seconds per shuffled input tuple (network + serialization).
     pub shuffle_per_tuple: f64,

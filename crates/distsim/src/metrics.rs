@@ -11,14 +11,12 @@
 //!   the streaming shuffle keeps resident, but never gated on directly (it is
 //!   shared across the whole process and monotone over its lifetime).
 
-use serde::{Deserialize, Serialize};
-
 /// What one shared-nothing shard owned and measured during a sharded execution
 /// (see `Executor::execute_supervised`, the one sharded path): its contiguous
 /// partition range of the global CSR arena, the assignment counts routed into
 /// that range, the arena bytes the range occupies, and the shard's measured
 /// wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardStats {
     /// Shard index (shards are laid out in partition order).
     pub shard: usize,
@@ -66,7 +64,7 @@ impl ShardStats {
 /// except `speculative_*`, which depend on real wall-clock deadlines.
 ///
 /// [`FaultPlan`]: crate::faults::FaultPlan
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryCounters {
     /// Injected panics that fired.
     pub injected_panics: u64,

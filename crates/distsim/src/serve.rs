@@ -52,7 +52,6 @@ use recpart::{
     BandCondition, LoadModel, RecPart, RecPartConfig, Relation, SampleConfig, SplitTreePartitioner,
 };
 use recpart::{PlanCacheCounters, RecPartError};
-use serde::{Deserialize, Serialize};
 
 /// Everything the service fixes at load time; per-query knobs (band, workers,
 /// materialization) live on [`BandJoinQuery`].
@@ -219,7 +218,7 @@ impl BandJoinQuery {
 }
 
 /// How a response's plan was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
     /// Cache miss: optimize + compile + shuffle ran, plan inserted.
     ColdBuild,
@@ -252,7 +251,7 @@ pub struct QueryResponse {
 }
 
 /// Aggregated service introspection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceHealth {
     /// Plan-cache accounting: hits, subsumed hits, misses, evictions, arena
     /// bytes currently cached. `cache.queries()` equals `queries_served`.

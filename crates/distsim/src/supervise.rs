@@ -54,7 +54,6 @@ use crate::join_ready::JoinReadyInputs;
 use crate::metrics::{RecoveryCounters, ShardStats};
 use crate::shuffle::{ShuffleError, ShuffledInputs};
 use recpart::{BandCondition, Partitioner, Relation};
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -62,7 +61,7 @@ use std::time::{Duration, Instant};
 /// Shard count and the retry, backoff, deadline, and degradation policy of the
 /// supervisor. Zero shards or zero attempts is a
 /// [`SuperviseError::InvalidConfig`] of the run that uses the configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
     /// Shared-nothing shards the reduce is split into ([`ShardPlan::contiguous`]:
     /// shards beyond the partition count are dropped). At least 1.
@@ -135,7 +134,7 @@ impl SupervisorConfig {
 }
 
 /// Why a shard attempt (or the shard as a whole) failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardFailureKind {
     /// The worker panicked; the payload is described best-effort.
     Panic(String),
@@ -159,7 +158,7 @@ impl std::fmt::Display for ShardFailureKind {
 
 /// A shard that exhausted its retry budget: exactly which partitions are
 /// missing from the degraded report, and why the last attempt failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardError {
     /// The failed shard's index.
     pub shard: usize,

@@ -100,7 +100,7 @@ pub fn exact_join_pairs_on(
 
 /// Outcome of comparing a distributed execution's materialized pairs against the exact
 /// result.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PairCheck {
     /// Pairs produced by the distributed execution but not part of the exact result
     /// (spurious results — should be impossible for a correct local join).

@@ -17,8 +17,15 @@ fn relation_from(values: &[Vec<f64>], dims: usize) -> Relation {
     r
 }
 
+/// Finite coordinates with `±∞` at about 1/20 each: infinities are admitted keys
+/// (only NaN is rejected), so they must be partitioned exactly once too.
 fn key_strategy(dims: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(-50.0f64..50.0, dims)
+    let coord = prop_oneof![
+        18 => -50.0f64..50.0,
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+    ];
+    prop::collection::vec(coord, dims)
 }
 
 /// Check the exactly-once property by brute force.
