@@ -464,6 +464,29 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
     }
 
+    /// The constructors keep NaN out, but `argsort_by_dim` must not depend on that
+    /// for its own soundness: it orders by `total_cmp` — NaN last, like the
+    /// local-join sorts — instead of panicking on a `partial_cmp().expect()`. The
+    /// relation is built field by field to get a NaN past the ingress check.
+    #[test]
+    fn argsort_orders_nan_last_instead_of_panicking() {
+        let r = Relation {
+            len: 4,
+            generation: 4,
+            columns: vec![vec![f64::NAN, 1.0, 5.0, -3.0]],
+        };
+        assert_eq!(r.argsort_by_dim(0), vec![3, 1, 2, 0], "NaN must sort last");
+    }
+
+    /// A NaN key is rejected by `push` — in every build since the ingress check
+    /// became an `assert!`, not only in debug builds.
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn push_rejects_non_finite_keys_in_debug() {
+        let mut r = Relation::new(1);
+        r.push(&[f64::NAN]);
+    }
+
     /// The ingress policy, identical in debug and release: NaN of either sign is
     /// rejected by every constructor, `±∞` is accepted and argsorts by `total_cmp`.
     #[test]
