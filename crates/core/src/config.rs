@@ -53,12 +53,18 @@ pub struct RecPartConfig {
     pub symmetric: bool,
     /// Termination rule.
     pub termination: Termination,
-    /// Hard cap on the number of repeat-loop iterations (a safety net; the paper's
-    /// analysis expects termination after a small multiple of `w` iterations).
+    /// Hard cap on the number of repeat-loop iterations: a safety bound, not a
+    /// termination rule (the paper's analysis expects termination after a small
+    /// multiple of `w` iterations).
     ///
-    /// For narrow 1-d bands the cap is the de facto termination: almost no split
-    /// pays estimated duplication, so the cost-model rule's window of `w`
-    /// duplication-incurring iterations never fills and the loop runs to the cap.
+    /// Narrow 1-d bands no longer end here. Almost no split there pays estimated
+    /// duplication, so the cost-model rule's window of `w` duplication-incurring
+    /// iterations never fills; growth instead ends when every regular leaf is below
+    /// the split search's minimum sample support and no split is left. The cap
+    /// still binds where grid increments stay free on the sample (a small leaf that
+    /// holds only one input's tuples), and on narrow bands for `w ≤ 11`, where the
+    /// cap (at most 704) comes before the support rule (≈ 750–850 iterations at the
+    /// default sample). DESIGN.md §11 has the measurements.
     pub max_iterations: usize,
     /// Seed for all randomized choices (sampling, 1-Bucket row/column assignment).
     pub seed: u64,

@@ -145,7 +145,7 @@ impl GrownState {
         root_work.t_pts = (0..state.t_sample.len() as u32).collect();
         root_work.o_pts = (0..state.o_sample.len() as u32).collect();
         root_work.is_small = state.is_small(&tree, root);
-        root_work.proj = state.root_projections(root_work.is_small);
+        root_work.proj = state.root_projections(root_work.plane_candidate());
         let mut works = Vec::new();
         store_work(&mut works, root_work);
 
@@ -245,8 +245,11 @@ impl GrownState {
         (left.o_pts, right.o_pts) = split_points(&parent.o_pts, |i| state.o_children(plane, i));
         left.is_small = state.is_small(&self.tree, left_id);
         right.is_small = state.is_small(&self.tree, right_id);
-        (left.proj, right.proj) =
-            state.child_projections(parent.proj.as_ref(), plane, (left.is_small, right.is_small));
+        (left.proj, right.proj) = state.child_projections(
+            parent.proj.as_ref(),
+            plane,
+            (left.plane_candidate(), right.plane_candidate()),
+        );
         store_work(&mut self.works, left);
         store_work(&mut self.works, right);
 
@@ -345,14 +348,16 @@ impl OptimizerState<'_> {
         let cfg = self.cfg;
         let mut g = GrownState::new(self);
         loop {
-            if g.iterations >= cfg.max_iterations {
-                g.termination_reason = "reached the iteration cap".into();
-                break;
-            }
+            // The frontier first: a run whose splits run out on the cap's own
+            // iteration stopped because they ran out, not because of the cap.
             let Some(leaf_id) = g.pop_splittable_leaf() else {
                 g.termination_reason = "no leaf with a useful split remains".into();
                 break;
             };
+            if g.iterations >= cfg.max_iterations {
+                g.termination_reason = "reached the iteration cap".into();
+                break;
+            }
             g.iterations += 1;
             let best = work_of(&g.works, leaf_id).best;
             match best.action {

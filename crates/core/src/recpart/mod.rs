@@ -48,7 +48,7 @@ use crate::small::BucketGrid;
 use crate::split_tree::{NodeId, SplitKind, SplitTree};
 use projections::LeafProjections;
 use rand::Rng;
-use search::BestSplit;
+use search::{BestSplit, MIN_PLANE_SUPPORT};
 use std::time::Instant;
 
 /// Summary of an optimization run.
@@ -397,7 +397,8 @@ struct LeafWork {
     t_pts: Vec<u32>,
     /// Indices of output-sample pairs routed to this leaf.
     o_pts: Vec<u32>,
-    /// Cached sorted projections (`None` for small leaves, which never plane-split).
+    /// Cached sorted projections (`None` unless the leaf is a
+    /// [`plane_candidate`](LeafWork::plane_candidate): no other leaf ever plane-splits).
     proj: Option<LeafProjections>,
     grid: BucketGrid,
     is_small: bool,
@@ -419,6 +420,13 @@ impl LeafWork {
             best: BestSplit::none(),
             version: 0,
         }
+    }
+
+    /// May the leaf be split by a hyperplane: regular (not small), and holding at
+    /// least [`MIN_PLANE_SUPPORT`] input-sample tuples? A leaf's sample only shrinks
+    /// as it splits, so a leaf that is no candidate never becomes one.
+    fn plane_candidate(&self) -> bool {
+        !self.is_small && self.s_pts.len() + self.t_pts.len() >= MIN_PLANE_SUPPORT
     }
 }
 

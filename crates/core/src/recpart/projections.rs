@@ -138,12 +138,12 @@ pub(super) struct LeafProjections {
 }
 
 impl OptimizerState<'_> {
-    /// The root leaf's projections, unless the root is small (small leaves never
-    /// plane-split): the samples argsorted once per dimension. The band-shifted
+    /// The root leaf's projections, if the root is a plane candidate (no other leaf
+    /// ever plane-splits): the samples argsorted once per dimension. The band-shifted
     /// copies and the candidate boundaries are computed here too — like the value
     /// arrays, they are built exactly once per leaf.
-    pub(super) fn root_projections(&self, root_is_small: bool) -> Option<LeafProjections> {
-        if root_is_small {
+    pub(super) fn root_projections(&self, root_wanted: bool) -> Option<LeafProjections> {
+        if !root_wanted {
             return None;
         }
         let build = |d: usize| {
@@ -182,19 +182,19 @@ impl OptimizerState<'_> {
         })
     }
 
-    /// Distribute a split leaf's cached projections to its non-small children —
-    /// small leaves never plane-split, so their arrays would be dead weight. Every
-    /// column of every dimension goes through [`BandProj::partition`] under the role
-    /// `plane` gives its side, and each child's candidate boundaries are re-derived
-    /// from its freshly split value arrays — so no later leaf visit materializes
-    /// anything.
+    /// Distribute a split leaf's cached projections to the children that are plane
+    /// candidates — no other leaf ever plane-splits, so their arrays would be dead
+    /// weight. Every column of every dimension goes through [`BandProj::partition`]
+    /// under the role `plane` gives its side, and each child's candidate boundaries
+    /// are re-derived from its freshly split value arrays — so no later leaf visit
+    /// materializes anything.
     pub(super) fn child_projections(
         &self,
         parent: Option<&LeafProjections>,
         plane: Plane,
-        (left_is_small, right_is_small): (bool, bool),
+        (left_wanted, right_wanted): (bool, bool),
     ) -> (Option<LeafProjections>, Option<LeafProjections>) {
-        if left_is_small && right_is_small {
+        if !left_wanted && !right_wanted {
             return (None, None);
         }
         let parent = parent.expect("regular leaf has cached projections");
@@ -210,8 +210,8 @@ impl OptimizerState<'_> {
         };
         let (left, right) = parent.dims.iter().map(split_dim).unzip();
         (
-            (!left_is_small).then_some(LeafProjections { dims: left }),
-            (!right_is_small).then_some(LeafProjections { dims: right }),
+            left_wanted.then_some(LeafProjections { dims: left }),
+            right_wanted.then_some(LeafProjections { dims: right }),
         )
     }
 }

@@ -1,5 +1,6 @@
 //! The best split of one leaf (Algorithm 2 `best_split`): a 1-Bucket grid increment
-//! for a small leaf, the best hyperplane over all allowed dimensions otherwise.
+//! for a small leaf, the best hyperplane over all allowed dimensions for a regular
+//! leaf with enough sample support, nothing for one without.
 //!
 //! The sweep finds the best hyperplane: it **counts** by advancing monotone pointers
 //! over the leaf's cached projections. Its test-only oracle, the binary-search
@@ -43,6 +44,14 @@ impl BestSplit {
         }
     }
 }
+
+/// The fewest input-sample tuples (S and T together, duplicates included) a regular
+/// leaf must hold to be scored for a plane split. Below it the sample no longer says
+/// where a plane belongs: a split that looks free on a handful of points adds real
+/// partitions and duplication on the full data. The rule is what ends growth on
+/// narrow bands, where almost no split pays duplication and the cost-model window
+/// never fills (DESIGN.md §11).
+pub(super) const MIN_PLANE_SUPPORT: usize = 16;
 
 /// The counters of a leaf visit before any of its dimensions is scanned.
 const LEAF_SCORED: SplitSearchCounters = SplitSearchCounters {
@@ -108,7 +117,7 @@ impl<'a> RoleSweep<'a> {
 
 impl OptimizerState<'_> {
     /// Recompute and cache the best split of one leaf, returning the scoring-work
-    /// counters.
+    /// counters. A regular leaf below [`MIN_PLANE_SUPPORT`] is not scored at all.
     pub(super) fn refresh_best(
         &self,
         tree: &SplitTree,
@@ -116,8 +125,10 @@ impl OptimizerState<'_> {
     ) -> SplitSearchCounters {
         let (best, counters) = if work.is_small {
             (self.best_grid_increment(work), LEAF_SCORED)
-        } else {
+        } else if work.plane_candidate() {
             self.best_plane_split(tree, work)
+        } else {
+            (BestSplit::none(), SplitSearchCounters::default())
         };
         work.best = best;
         counters
@@ -406,7 +417,7 @@ mod tests {
         let mut grown = GrownState::new(&state);
         let root = grown.tree.root();
         let work = grown.works[root as usize].as_ref().unwrap();
-        if work.is_small {
+        if !work.plane_candidate() {
             return;
         }
 
@@ -424,7 +435,7 @@ mod tests {
             let (l, r) = grown.split_plane(&state, root, plane);
             for child in [l, r] {
                 let work = grown.works[child as usize].as_ref().unwrap();
-                if work.is_small {
+                if !work.plane_candidate() {
                     continue;
                 }
                 let (sweep, _) = state.best_plane_split(&grown.tree, work);

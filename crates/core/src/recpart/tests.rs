@@ -8,6 +8,7 @@ use crate::sample::SampleConfig;
 use crate::split_tree::Node;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use search::MIN_PLANE_SUPPORT;
 
 pub(super) fn uniform_relation(n: usize, dims: usize, lo: f64, hi: f64, seed: u64) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -200,37 +201,108 @@ fn theoretical_termination_produces_low_duplication() {
     );
 }
 
-/// A rule that fires on the cap's own iteration names the rule, not the cap: run a
-/// workload to its rule's stop at iteration `N` under the default cap, then again
-/// with the cap at exactly `N`.
+/// Every exit that fires on the cap's own iteration keeps its name: run a workload to
+/// its stop at iteration `N` under the default cap, then again with the cap at
+/// exactly `N`. The two Section 4.2 rules stop a band of 2, where splits pay
+/// duplication early; a band of 0.5 runs the frontier out first — every leaf falls
+/// below the minimum plane support before the cost-model window fills.
 #[test]
 fn rule_firing_on_the_last_allowed_iteration_keeps_its_reason() {
     let s = uniform_relation(3000, 1, 0.0, 1000.0, 13);
     let t = uniform_relation(3000, 1, 0.0, 1000.0, 14);
-    let band = BandCondition::symmetric(&[0.5]);
-    for cfg in [
-        RecPartConfig::new(10).with_theoretical_termination(),
-        RecPartConfig::new(4),
+    for (eps, cfg, reason) in [
+        (
+            2.0,
+            RecPartConfig::new(10).with_theoretical_termination(),
+            "duplication overhead exceeded best load overhead (theoretical rule)",
+        ),
+        (2.0, RecPartConfig::new(4), "predicted join time improved"),
+        (
+            0.5,
+            RecPartConfig::new(4),
+            "no leaf with a useful split remains",
+        ),
     ] {
+        let band = BandCondition::symmetric(&[eps]);
         let cfg = cfg.with_sample(small_sample_config());
         let run = |cfg: RecPartConfig| {
             let mut rng = StdRng::seed_from_u64(15);
             RecPart::new(cfg).optimize(&s, &t, &band, &mut rng).report
         };
         let free = run(cfg.clone());
-        let by_rule = free.termination_reason.contains("theoretical rule")
-            || free
-                .termination_reason
-                .starts_with("predicted join time improved");
         assert!(
-            by_rule && free.iterations < cfg.max_iterations,
-            "the workload must stop by its rule: {}",
+            free.termination_reason.starts_with(reason) && free.iterations < cfg.max_iterations,
+            "the workload must stop by `{reason}`: {}",
             free.termination_reason
         );
         let capped = run(cfg.with_max_iterations(free.iterations));
         assert_eq!(capped.iterations, free.iterations);
         assert_eq!(capped.termination_reason, free.termination_reason);
     }
+}
+
+/// The minimum plane support: a regular leaf holding one input-sample tuple fewer
+/// than [`MIN_PLANE_SUPPORT`] scores `NotSplittable` (and carries no projections);
+/// one holding exactly that many is scored and gets its plane.
+#[test]
+fn a_regular_leaf_needs_the_minimum_plane_support_to_be_scored() {
+    let s = uniform_relation(200, 1, 0.0, 100.0, 40);
+    let t = uniform_relation(200, 1, 0.0, 100.0, 41);
+    let band = BandCondition::symmetric(&[0.1]);
+    let cfg = RecPartConfig::new(6).with_sample(small_sample_config());
+    for support in [MIN_PLANE_SUPPORT - 1, MIN_PLANE_SUPPORT] {
+        let mut rng = StdRng::seed_from_u64(42);
+        let s_sample = InputSample::draw(&s, support / 2, &mut rng);
+        let t_sample = InputSample::draw(&t, support - support / 2, &mut rng);
+        let o_sample = OutputSample::draw(&s, &t, &band, &cfg.sample, &mut rng);
+        let state = OptimizerState::new(
+            &cfg,
+            &band,
+            s.len(),
+            t.len(),
+            &s_sample,
+            &t_sample,
+            &o_sample,
+        );
+        let grown = grow::GrownState::new(&state);
+        let root = grown.works[grown.tree.root() as usize].as_ref().unwrap();
+        assert!(!root.is_small, "the root must be a regular leaf");
+        assert_eq!(root.s_pts.len() + root.t_pts.len(), support);
+        if support < MIN_PLANE_SUPPORT {
+            assert_eq!(root.best, BestSplit::none());
+            assert!(root.proj.is_none());
+        } else {
+            assert!(root.best.score.is_splittable());
+            assert!(matches!(root.best.action, search::SplitAction::Plane(_)));
+        }
+    }
+}
+
+/// Narrow 1-d bands end by rule, not by the cap: almost no split there pays
+/// duplication, so the cost-model window never fills, and growth stops where the
+/// leaves run below the minimum plane support — at the default sample and `w = 30`,
+/// the paper's cluster. (Without the support floor this run grows to the cap,
+/// 1,920 iterations; with it, 854.)
+#[test]
+fn narrow_1d_band_stops_below_the_iteration_cap() {
+    let s = pareto_relation(20_000, 1, 1.5, 50);
+    let t = pareto_relation(20_000, 1, 1.5, 51);
+    let band = BandCondition::symmetric(&[5e-5]);
+    let cfg = RecPartConfig::new(30);
+    let mut rng = StdRng::seed_from_u64(52);
+    let report = RecPart::new(cfg.clone())
+        .optimize(&s, &t, &band, &mut rng)
+        .report;
+    assert!(
+        report.iterations < cfg.max_iterations,
+        "{} iterations against a cap of {}",
+        report.iterations,
+        cfg.max_iterations
+    );
+    assert_eq!(
+        report.termination_reason,
+        "no leaf with a useful split remains"
+    );
 }
 
 #[test]
