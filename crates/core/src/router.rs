@@ -283,16 +283,12 @@ impl SideTable {
                 let mut left = scratch.pool.pop().unwrap_or_default();
                 let mut right = scratch.pool.pop().unwrap_or_default();
                 if self.flags[n] & FLAG_DUP != 0 {
-                    simd::partition_dup(
-                        kernel,
-                        col,
-                        &seg,
+                    let split = simd::DupSplit {
                         boundary,
-                        self.subs[n],
-                        self.adds[n],
-                        &mut left,
-                        &mut right,
-                    );
+                        sub: self.subs[n],
+                        add: self.adds[n],
+                    };
+                    simd::partition_dup(kernel, col, &seg, split, &mut left, &mut right);
                 } else {
                     simd::partition_single(kernel, col, &seg, boundary, &mut left, &mut right);
                 }

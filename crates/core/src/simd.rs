@@ -310,31 +310,34 @@ pub(crate) fn partition_single(
     }
 }
 
-/// Stable-partition the positions of `seg` for a *duplicating* node: a
-/// position goes to `left` if `col[pos] - sub < boundary` and to `right` if
-/// `col[pos] + add >= boundary` — possibly both, possibly (NaN) neither.
-/// Same contract as [`partition_single`] otherwise.
+/// A *duplicating* node's split: a key `k` descends left if `k - sub < boundary`
+/// and right if `k + add >= boundary` — possibly both, possibly (NaN) neither.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DupSplit {
+    pub(crate) boundary: f64,
+    pub(crate) sub: f64,
+    pub(crate) add: f64,
+}
+
+/// Stable-partition the positions of `seg` for a *duplicating* node by `split`: a
+/// position goes to `left`, to `right`, to both or (NaN) to neither, as
+/// [`DupSplit`] says. Same contract as [`partition_single`] otherwise.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn partition_dup(
     kernel: RouteKernel,
     col: &[f64],
     seg: &[u32],
-    boundary: f64,
-    sub: f64,
-    add: f64,
+    split: DupSplit,
     left: &mut Vec<u32>,
     right: &mut Vec<u32>,
 ) {
     debug_assert!(seg.iter().all(|&p| (p as usize) < col.len()));
     match kernel {
         RouteKernel::Scalar => unreachable!("scalar kernel routes per tuple, not per segment"),
-        RouteKernel::Portable => portable::partition_dup(col, seg, boundary, sub, add, left, right),
+        RouteKernel::Portable => portable::partition_dup(col, seg, split, left, right),
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
-        RouteKernel::Avx2 => unsafe {
-            avx2::partition_dup(col, seg, boundary, sub, add, left, right)
-        },
+        RouteKernel::Avx2 => unsafe { avx2::partition_dup(col, seg, split, left, right) },
     }
 }
 
@@ -423,12 +426,11 @@ mod portable {
     pub(super) fn partition_dup(
         col: &[f64],
         seg: &[u32],
-        boundary: f64,
-        sub: f64,
-        add: f64,
+        split: DupSplit,
         left: &mut Vec<u32>,
         right: &mut Vec<u32>,
     ) {
+        let DupSplit { boundary, sub, add } = split;
         left.clear();
         right.clear();
         left.reserve(seg.len());
@@ -460,7 +462,7 @@ mod portable {
         }
     }
 
-    use super::JoinKernel;
+    use super::{DupSplit, JoinKernel};
     use std::ops::Range;
 
     /// Does candidate `pos` match the probe key under the band condition? The
@@ -562,6 +564,7 @@ mod portable {
 /// with a `pshufb` lookup keyed by the 4-bit compare mask.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::DupSplit;
     use std::arch::x86_64::*;
 
     /// `pshufb` controls that pack the selected 4-byte lanes of a 4×u32 vector
@@ -656,12 +659,11 @@ mod avx2 {
     pub(super) unsafe fn partition_dup(
         col: &[f64],
         seg: &[u32],
-        boundary: f64,
-        sub: f64,
-        add: f64,
+        split: DupSplit,
         left: &mut Vec<u32>,
         right: &mut Vec<u32>,
     ) {
+        let DupSplit { boundary, sub, add } = split;
         left.clear();
         right.clear();
         left.reserve(seg.len());
@@ -876,13 +878,8 @@ mod tests {
         (l, r)
     }
 
-    fn reference_dup(
-        col: &[f64],
-        seg: &[u32],
-        boundary: f64,
-        sub: f64,
-        add: f64,
-    ) -> (Vec<u32>, Vec<u32>) {
+    fn reference_dup(col: &[f64], seg: &[u32], split: DupSplit) -> (Vec<u32>, Vec<u32>) {
+        let DupSplit { boundary, sub, add } = split;
         let mut l = Vec::new();
         let mut r = Vec::new();
         for &pos in seg {
@@ -934,8 +931,13 @@ mod tests {
                         kernel.name()
                     );
 
-                    partition_dup(kernel, &col, &seg, boundary, 0.25, 0.125, &mut l, &mut r);
-                    let (el, er) = reference_dup(&col, &seg, boundary, 0.25, 0.125);
+                    let split = DupSplit {
+                        boundary,
+                        sub: 0.25,
+                        add: 0.125,
+                    };
+                    partition_dup(kernel, &col, &seg, split, &mut l, &mut r);
+                    let (el, er) = reference_dup(&col, &seg, split);
                     assert_eq!(
                         (&l, &r),
                         (&el, &er),

@@ -10,11 +10,11 @@
 //!
 //! # The sorted-slice invariant, and who may establish it
 //!
-//! * every T slice is in the order [`sort_t_ids`] leaves the shuffle's **ascending**
-//!   slice in — dimension 0 by `total_cmp`, ties wherever that one `sort_unstable_by`
-//!   call puts them, which is the order `SortedProbeSide::build` gives the same
-//!   slice;
-//! * every S slice is in `(dimension 0 total_cmp, tuple id)` order — a total order.
+//! Every S slice and every T slice is in `(dimension 0 total_cmp, tuple id)` order —
+//! one total order for both sides. [`sort_ids_by_dim0`] is stable, and the shuffle's
+//! slices arrive **ascending**, so ties come out by id; it is also the sort
+//! `SortedProbeSide::build` runs, so a T slice is exactly the order the probe side of
+//! the same ascending slice has.
 //!
 //! "Sorted" is a type, not a flag: [`prepare_partition`] is the only function that
 //! builds a [`ReadyPartition`] from loose slices (by sorting them), and
@@ -25,14 +25,12 @@
 //! # The pair-order contract
 //!
 //! [`ReadyPartition::join`] emits materialized pairs in **ascending S id**, each
-//! probe's matches in window (T dimension-0) order. Shuffle arenas are ascending, so
+//! probe's matches in window order (T's `(dimension 0, id)` order). Shuffle arenas are ascending, so
 //! that is the order probing the raw slice in arrival order produces — pair lists are
 //! those of [`crate::probe_sorted`] on the unsorted arenas, element for element, at the
 //! price of one integer sort of positions on the materializing path.
 
-use crate::local_join::{
-    gather_columns, sort_s_ids, sort_t_ids, sweep_in_key_order, LocalJoinResult,
-};
+use crate::local_join::{gather_columns, sort_ids_by_dim0, sweep_in_key_order, LocalJoinResult};
 use crate::parallel::{chunk_ranges, Parallelism};
 use crate::shuffle::{PartitionedIndex, ShuffledInputs};
 use rayon::prelude::*;
@@ -46,16 +44,21 @@ pub(crate) struct ReadyPartition<'a> {
     t_sorted: &'a [u32],
 }
 
-/// Establish the sorted-slice invariant on one partition, in place. `t_ids` must be
-/// in the shuffle's ascending order for the T tie order to be the documented one.
+/// Establish the sorted-slice invariant on one partition, in place. Both slices must
+/// be strictly ascending, as the shuffle leaves them: the stable sort turns that into
+/// the id tie order, and the pair-order contract emits in it.
 fn prepare_partition<'a>(
     s: &Relation,
     t: &Relation,
     s_ids: &'a mut [u32],
     t_ids: &'a mut [u32],
 ) -> ReadyPartition<'a> {
-    sort_s_ids(s, s_ids);
-    sort_t_ids(t, t_ids);
+    debug_assert!(
+        s_ids.is_sorted_by(|a, b| a < b) && t_ids.is_sorted_by(|a, b| a < b),
+        "a shuffle slice is not strictly ascending"
+    );
+    sort_ids_by_dim0(s, s_ids);
+    sort_ids_by_dim0(t, t_ids);
     ReadyPartition {
         s_sorted: s_ids,
         t_sorted: t_ids,
@@ -221,7 +224,7 @@ impl JoinReadyInputs {
         &self.s_parts
     }
 
-    /// The T arena; each partition in dimension-0 order.
+    /// The T arena; each partition in `(dimension 0, id)` order.
     pub fn t_parts(&self) -> &PartitionedIndex {
         &self.t_parts
     }
@@ -388,6 +391,18 @@ mod tests {
                         let mut ids = got.part(p).to_vec();
                         ids.sort_unstable();
                         prop_assert_eq!(&ids[..], want.part(p));
+                    }
+                }
+                // The sorted-slice invariant itself, on both sides.
+                for (side, parts, rel) in [("S", ready.s_parts(), &s), ("T", ready.t_parts(), &t)] {
+                    let key = rel.column(0);
+                    for p in 0..k {
+                        prop_assert!(
+                            parts.part(p).is_sorted_by(|&a, &b| {
+                                key[a as usize].total_cmp(&key[b as usize]).then(a.cmp(&b)).is_lt()
+                            }),
+                            "{} partition {}: not in (dim-0 total_cmp, id) order", side, p
+                        );
                     }
                 }
 

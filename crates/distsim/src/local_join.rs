@@ -90,27 +90,100 @@ pub(crate) const PROBE_BLOCK: usize = 1024;
 /// band evaluation of the vector [`JoinKernel`]s streams contiguous memory.
 #[derive(Debug, Clone)]
 pub struct SortedProbeSide {
-    /// Selected T-tuple indices, sorted by their dimension-0 value (`total_cmp`).
+    /// Selected T-tuple indices, sorted by their dimension-0 value (`total_cmp`), ties
+    /// in input position ([`sort_ids_by_dim0`]).
     sorted: Vec<u32>,
     /// Per-dimension value columns in `sorted` order; `cols[0]` is the sort key.
     cols: Vec<Vec<f64>>,
 }
 
-/// Sort T-tuple ids on dimension 0 (`total_cmp`). This one call is *the* T order of
-/// every probe side: ties land wherever this sort leaves them for the given input
-/// order, so the join-ready arenas ([`crate::join_ready`]) sort their ascending
-/// partition slices through it and get exactly the order [`SortedProbeSide::build`]
-/// produces from the same slice.
-pub(crate) fn sort_t_ids(t: &Relation, ids: &mut [u32]) {
-    let key = t.column(0);
-    ids.sort_unstable_by(|&a, &b| key[a as usize].total_cmp(&key[b as usize]));
+/// `x`'s bits mapped so that unsigned integer order is `f64::total_cmp` order:
+/// negative values (sign bit set) have every bit flipped, the rest get the sign bit.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
-/// Sort S-tuple ids on `(dimension 0 total_cmp, id)` — a total order (for distinct
-/// ids), so the result depends on neither the input order nor the sort algorithm.
-pub(crate) fn sort_s_ids(s: &Relation, ids: &mut [u32]) {
-    let key = s.column(0);
-    ids.sort_unstable_by(|&a, &b| key[a as usize].total_cmp(&key[b as usize]).then(a.cmp(&b)));
+/// Bits per radix digit of [`sort_ids_by_dim0`].
+const RADIX_BITS: u32 = 8;
+const RADIX: usize = 1 << RADIX_BITS;
+
+/// Sort tuple ids in place on dimension 0 (`total_cmp`), **stably**: ties keep their
+/// input position. This one sort is *the* order of every sorted id list — both sides
+/// of the join-ready arenas ([`crate::join_ready`]), [`SortedProbeSide::build`] and
+/// the verifier's S side — and since those are handed ascending ids (a shuffle's
+/// slice, `0..n`), it leaves them in `(dimension 0 total_cmp, id)` order, a total
+/// order that does not depend on the input order.
+///
+/// A stable LSD radix sort rather than a comparison sort, because a comparison reads
+/// two keys through the column (DESIGN.md §4): each id's key is read once, as
+/// [`total_order_bits`], and the keys are radixed in 8-bit digits over only the
+/// `64 − leading_zeros(max − min)` bits in which the slice's keys differ (zero passes
+/// when all are equal), with the ids permuted alongside. A digit that every key
+/// shares costs no scatter. Scratch is a second key buffer and one id buffer —
+/// 20 bytes per id — ping-ponged with `ids` itself.
+pub(crate) fn sort_ids_by_dim0(rel: &Relation, ids: &mut [u32]) {
+    let n = ids.len();
+    if n < 2 {
+        return;
+    }
+    let col = rel.column(0);
+    let mut keys: Vec<u64> = ids
+        .iter()
+        .map(|&i| total_order_bits(col[i as usize]))
+        .collect();
+    let (min, max) = keys
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let passes = (64 - (max - min).leading_zeros()).div_ceil(RADIX_BITS) as usize;
+    if passes == 0 {
+        return;
+    }
+    // Keys relative to the minimum, so the high digits they all share are zero;
+    // every pass's histogram is counted in the same read.
+    let mut counts = vec![[0usize; RADIX]; passes];
+    for k in &mut keys {
+        *k -= min;
+        for (pass, count) in counts.iter_mut().enumerate() {
+            count[(*k >> (pass as u32 * RADIX_BITS)) as usize % RADIX] += 1;
+        }
+    }
+    let mut keys_from = keys;
+    let mut keys_to = vec![0u64; n];
+    let mut ids_scratch = vec![0u32; n];
+    let mut in_scratch = false;
+    for (pass, count) in counts.iter().enumerate() {
+        if count.contains(&n) {
+            continue;
+        }
+        let mut next = [0usize; RADIX];
+        let mut at = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = at;
+            at += c;
+        }
+        let (ids_from, ids_to): (&[u32], &mut [u32]) = if in_scratch {
+            (&ids_scratch[..], &mut *ids)
+        } else {
+            (&*ids, &mut ids_scratch[..])
+        };
+        let shift = pass as u32 * RADIX_BITS;
+        for (&k, &id) in keys_from.iter().zip(ids_from) {
+            let slot = &mut next[(k >> shift) as usize % RADIX];
+            keys_to[*slot] = k;
+            ids_to[*slot] = id;
+            *slot += 1;
+        }
+        std::mem::swap(&mut keys_from, &mut keys_to);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        ids.copy_from_slice(&ids_scratch);
+    }
 }
 
 /// Gather every join dimension of the T-tuples `sorted` (already in dimension-0
@@ -125,7 +198,9 @@ pub(crate) fn gather_columns(t: &Relation, sorted: &[u32]) -> Vec<Vec<f64>> {
 }
 
 impl SortedProbeSide {
-    /// Sort the selected T-tuples on dimension 0 and gather all dimensions.
+    /// Sort the selected T-tuples on dimension 0 — stably, so ties keep their
+    /// position in `t_idx` and an ascending `t_idx` comes out in `(dimension 0, id)`
+    /// order — and gather all dimensions.
     pub fn build(t: &Relation, t_idx: &[u32]) -> SortedProbeSide {
         Self::from_ids(t, t_idx.to_vec())
     }
@@ -138,7 +213,7 @@ impl SortedProbeSide {
     }
 
     fn from_ids(t: &Relation, mut sorted: Vec<u32>) -> SortedProbeSide {
-        sort_t_ids(t, &mut sorted);
+        sort_ids_by_dim0(t, &mut sorted);
         let cols = gather_columns(t, &sorted);
         SortedProbeSide { sorted, cols }
     }
@@ -391,6 +466,7 @@ pub(crate) fn nested_loop(
 mod tests {
     use super::*;
     use crate::parallel::chunk_ranges;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rayon::prelude::*;
@@ -719,6 +795,135 @@ mod tests {
             let idx = probe_sorted_with(kernel, &s, &side, &band, s_iter, Some(&mut idx_pairs));
             assert_eq!(full, idx, "kernel {}", kernel.name());
             assert_eq!(full_pairs, idx_pairs, "kernel {}", kernel.name());
+        }
+    }
+
+    /// Radix bits [`sort_ids_by_dim0`] needs for `keys`: the span of their
+    /// [`total_order_bits`].
+    fn span_bits(keys: &[f64]) -> u32 {
+        let bits: Vec<u64> = keys.iter().map(|&k| total_order_bits(k)).collect();
+        let (min, max) = (bits.iter().min().unwrap(), bits.iter().max().unwrap());
+        64 - (max - min).leading_zeros()
+    }
+
+    /// Sort `ids` (ascending, indexing `keys`) with [`sort_ids_by_dim0`] and hold the
+    /// result to a comparison sort on `(dimension 0 total_cmp, id)`: in that order,
+    /// and a permutation of the input.
+    fn assert_dim0_sort_matches_the_oracle(label: &str, keys: &[f64], ids: &[u32]) {
+        assert!(ids.is_sorted_by(|a, b| a < b), "{label}: ids not ascending");
+        let rel = Relation::from_flat(1, keys.to_vec());
+        let mut got = ids.to_vec();
+        sort_ids_by_dim0(&rel, &mut got);
+        let mut want = ids.to_vec();
+        want.sort_unstable_by(|&a, &b| {
+            keys[a as usize]
+                .total_cmp(&keys[b as usize])
+                .then(a.cmp(&b))
+        });
+        assert_eq!(got, want, "{label}: (dim-0 total_cmp, id) order");
+        let mut members = got.clone();
+        members.sort_unstable();
+        assert_eq!(members, ids, "{label}: not a permutation of the input");
+    }
+
+    fn all_ids(keys: &[f64]) -> Vec<u32> {
+        (0..keys.len() as u32).collect()
+    }
+
+    #[test]
+    fn dim0_sort_pins_the_total_cmp_then_id_order() {
+        let mut rng = StdRng::seed_from_u64(60);
+        let uniform = |rng: &mut StdRng, n: usize| -> Vec<f64> {
+            (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect()
+        };
+        // Lengths around nothing, one and two, one digit's fan-out, and thousands.
+        for n in [0usize, 1, 2, 3, 255, 256, 257, 4_099] {
+            let keys = uniform(&mut rng, n);
+            assert_dim0_sort_matches_the_oracle(&format!("uniform n={n}"), &keys, &all_ids(&keys));
+        }
+
+        // Zero passes: every key equal, so the input (id) order is the answer.
+        let equal = vec![2.5; 1_000];
+        assert_eq!(span_bits(&equal), 0);
+        assert_dim0_sort_matches_the_oracle("all equal", &equal, &all_ids(&equal));
+
+        // One ulp apart across a carry in every digit, and −0.0 beside +0.0: adjacent in
+        // total order, so the span is one bit although the raw bits differ in all 64
+        // (−0.0) or the low 56 (the carry).
+        let below = f64::from_bits(0x3FF0_FFFF_FFFF_FFFF);
+        let above = below.next_up();
+        let zeros = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0];
+        for (label, pool) in [("one ulp", [below, above]), ("signed zeros", [0.0, -0.0])] {
+            let keys: Vec<f64> = (0..3_000).map(|i| pool[(i * 7 / 3) % 2]).collect();
+            assert_eq!(span_bits(&keys), 1, "{label}");
+            assert_dim0_sort_matches_the_oracle(label, &keys, &all_ids(&keys));
+        }
+        assert_dim0_sort_matches_the_oracle("six zeros", &zeros, &all_ids(&zeros));
+
+        // The full 64-bit span: both infinities among finite keys, every digit a pass.
+        let mut inf_mixed = uniform(&mut rng, 2_000);
+        for i in (0..inf_mixed.len()).step_by(17) {
+            inf_mixed[i] = if i % 2 == 0 {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            };
+        }
+        assert_eq!(span_bits(&inf_mixed), 64);
+        assert_dim0_sort_matches_the_oracle("±inf mixed", &inf_mixed, &all_ids(&inf_mixed));
+        let ends = [f64::INFINITY, -1.0, f64::NEG_INFINITY, 1.0, -0.0, 0.0];
+        assert_dim0_sort_matches_the_oracle("six ends", &ends, &all_ids(&ends));
+
+        // Heavy ties: four distinct keys over thousands of ids.
+        let pool = [0.3, -1.0, 0.3 + 0.1, 1e300];
+        let tied: Vec<f64> = (0..4_000)
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect();
+        assert_dim0_sort_matches_the_oracle("heavy ties", &tied, &all_ids(&tied));
+
+        // Random ascending id subsets, as the shuffle hands a partition.
+        let keys = uniform(&mut rng, 6_000);
+        for keep in [0.01, 0.3, 0.9] {
+            let ids: Vec<u32> = (0..keys.len() as u32)
+                .filter(|_| rng.gen_bool(keep))
+                .collect();
+            assert_dim0_sort_matches_the_oracle(&format!("subset {keep}"), &keys, &ids);
+        }
+    }
+
+    #[test]
+    fn dim0_sort_keeps_ties_in_input_position() {
+        // Not ascending: ids in descending order. A stable sort keeps equal keys in
+        // that order, which `sort_by` (stable) on the key alone reproduces.
+        let keys: Vec<f64> = (0..2_000).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
+        let ids: Vec<u32> = (0..keys.len() as u32).rev().collect();
+        let rel = Relation::from_flat(1, keys.clone());
+        let mut got = ids.clone();
+        sort_ids_by_dim0(&rel, &mut got);
+        let mut want = ids;
+        want.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+        assert_eq!(got, want);
+    }
+
+    /// Uniform keys, the carry and signed-zero neighbours, and both infinities.
+    fn sort_key() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            4 => -1e6f64..1e6,
+            2 => prop_oneof![Just(0.0f64), Just(-0.0f64), Just(1.0f64), Just(1.0f64.next_up())],
+            1 => prop_oneof![Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dim0_sort_equals_the_oracle_on_generated_keys(
+            keys in prop::collection::vec(sort_key(), 0..3_000),
+            keep in prop::collection::vec(any::<bool>(), 3_000),
+        ) {
+            let ids: Vec<u32> = (0..keys.len() as u32).filter(|&i| keep[i as usize]).collect();
+            assert_dim0_sort_matches_the_oracle("generated", &keys, &ids);
         }
     }
 }

@@ -13,7 +13,7 @@
 //! this, [`crate::executor::VerificationLevel::Count`] is a hidden single-threaded
 //! exact join dominating the executor's wall-clock.
 
-use crate::local_join::{probe_sorted, sort_s_ids, SortedProbeSide, PROBE_BLOCK};
+use crate::local_join::{probe_sorted, sort_ids_by_dim0, SortedProbeSide, PROBE_BLOCK};
 use crate::parallel::chunk_ranges;
 use rayon::prelude::*;
 use recpart::{BandCondition, Relation};
@@ -44,7 +44,7 @@ pub fn exact_join_count_on(s: &Relation, t: &Relation, band: &BandCondition, pie
     // Sort the T side once (no identity index vector); every probe chunk shares it.
     let side = SortedProbeSide::build_full(t);
     let mut s_sorted: Vec<u32> = (0..s.len() as u32).collect();
-    sort_s_ids(s, &mut s_sorted);
+    sort_ids_by_dim0(s, &mut s_sorted);
     let pieces = if s.len() < MIN_PARALLEL_PROBE {
         1
     } else {
