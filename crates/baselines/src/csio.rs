@@ -27,7 +27,7 @@
 use rand::Rng;
 use recpart::{
     AssignmentSink, BandCondition, InputSample, OutputSample, PartitionId, Partitioner, Relation,
-    SampleConfig, ScatterPolicy,
+    SampleConfig,
 };
 use std::ops::Range;
 use std::time::Instant;
@@ -288,11 +288,6 @@ impl Partitioner for CsioPartitioner {
                 sink.push(p, i as u32);
             }
         }
-    }
-
-    fn scatter_policy(&self) -> ScatterPolicy {
-        // Quantile-range lookup plus precomputed partition lists: cheap to re-run.
-        ScatterPolicy::Reroute
     }
 
     fn name(&self) -> &str {

@@ -13,9 +13,7 @@
 //! fails if any `ε_i` is zero.
 
 use recpart::simd::cell_indices;
-use recpart::{
-    AssignmentSink, BandCondition, PartitionId, Partitioner, Relation, RouteKernel, ScatterPolicy,
-};
+use recpart::{AssignmentSink, BandCondition, PartitionId, Partitioner, Relation, RouteKernel};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -332,12 +330,6 @@ impl Partitioner for GridPartitioner {
                 sink.push(id, i as u32);
             }
         }
-    }
-
-    fn scatter_policy(&self) -> ScatterPolicy {
-        // Closed-form cell arithmetic: re-deriving an assignment is cheaper than
-        // buffering it.
-        ScatterPolicy::Reroute
     }
 
     fn name(&self) -> &str {

@@ -9,7 +9,7 @@
 use crate::grid::GridPartitioner;
 use distsim::CostModel;
 use rand::Rng;
-use recpart::{BandCondition, OutputSample, Partitioner, Relation, SampleConfig, ScatterPolicy};
+use recpart::{BandCondition, OutputSample, Partitioner, Relation, SampleConfig};
 
 /// Report of the Grid\* search.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,9 +200,6 @@ impl Partitioner for GridStarPartitioner {
     }
     fn count_total_input(&self, s: &Relation, t: &Relation) -> u64 {
         self.inner.count_total_input(s, t)
-    }
-    fn scatter_policy(&self) -> ScatterPolicy {
-        self.inner.scatter_policy()
     }
     fn name(&self) -> &str {
         "Grid*"

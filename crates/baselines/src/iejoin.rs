@@ -15,7 +15,7 @@
 //! quantile-based partitioning duplicates far more input than RecPart because block
 //! boundaries cut through dense regions and no covering step merges joinable pairs.
 
-use recpart::{AssignmentSink, BandCondition, PartitionId, Partitioner, Relation, ScatterPolicy};
+use recpart::{AssignmentSink, BandCondition, PartitionId, Partitioner, Relation};
 use std::ops::Range;
 
 /// The distributed-IEJoin style block partitioner.
@@ -173,11 +173,6 @@ impl Partitioner for IEJoinPartitioner {
                 sink.push(p, i as u32);
             }
         }
-    }
-
-    fn scatter_policy(&self) -> ScatterPolicy {
-        // Binary search into quantile blocks plus precomputed lists: cheap to re-run.
-        ScatterPolicy::Reroute
     }
 
     fn name(&self) -> &str {

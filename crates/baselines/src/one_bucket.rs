@@ -10,7 +10,7 @@
 //! (this is exactly what Tables 2–4 of the paper show).
 
 use recpart::small::stable_hash;
-use recpart::{AssignmentSink, PartitionId, Partitioner, Relation, ScatterPolicy};
+use recpart::{AssignmentSink, PartitionId, Partitioner, Relation};
 use std::ops::Range;
 
 /// The 1-Bucket random matrix-cover partitioner.
@@ -120,11 +120,6 @@ impl Partitioner for OneBucket {
                 sink.push(r * self.cols + col, i as u32);
             }
         }
-    }
-
-    fn scatter_policy(&self) -> ScatterPolicy {
-        // One hash plus matrix-cell arithmetic per tuple: cheap to re-run.
-        ScatterPolicy::Reroute
     }
 
     fn name(&self) -> &str {

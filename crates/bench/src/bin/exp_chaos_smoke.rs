@@ -74,11 +74,8 @@ fn main() {
         partitioner.num_partitions()
     );
 
-    let exec = Executor::new(
-        ExecutorConfig::new(workers)
-            .with_verification(VerificationLevel::None)
-            .with_shuffle_chunk_tuples(65_536),
-    );
+    let exec =
+        Executor::new(ExecutorConfig::new(workers).with_verification(VerificationLevel::None));
     let identical = |got: &ExecutionReport, want: &ExecutionReport| {
         got.stats == want.stats
             && got.per_partition == want.per_partition

@@ -1,23 +1,20 @@
-//! Scale-tier gate: streaming sharded execution at ~25× the largest
-//! table-4 input (CI-guarding, not a paper table).
+//! Scale-tier gate: sharded execution at ~25× the largest table-4 input
+//! (CI-guarding, not a paper table).
 //!
 //! Runs one 4M-tuple uniform-1d band join (≥ 20× the biggest `exp_paper` Table 4
 //! workload at the same `--scale`), once through each of three executor shapes:
 //!
-//! * **unsharded / in-memory** — `Executor::execute` (heap arenas, single-pass
-//!   shuffle), the baseline everything is held to;
+//! * **unsharded** — `Executor::execute`, the baseline everything is held to;
 //! * **2 shards** and **4 shards** — `Executor::execute_supervised` with no
-//!   faults over the streaming counting shuffle
-//!   (`ExecutorConfig::with_shuffle_chunk_tuples`): bounded chunks in pass 1,
-//!   offset-aware cursors scattering into the heap arena in pass 2,
-//!   shared-nothing shard workers owning contiguous partition ranges.
+//!   faults: the same shuffle, then shared-nothing shard workers owning
+//!   contiguous partition ranges.
 //!
 //! Every check is a count, so the gate cannot fail on a slow machine. It
 //! **fails** (non-zero exit) if
 //!
 //! * the verified unsharded run's distributed output differs from the exact
 //!   count;
-//! * a sharded streaming run differs from the unsharded run in any
+//! * a sharded run differs from the unsharded run in any
 //!   deterministic field (`stats`, `per_partition`, `partition_to_worker`,
 //!   `total_comparisons`);
 //! * the workload is smaller than 20× the largest table-4 input at this
@@ -42,9 +39,6 @@ use distsim::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recpart::{BandCondition, Partitioner, RecPart, RecPartConfig};
-
-/// Streaming shuffle chunk: bounds pass-1/pass-2 working memory per chunk.
-const STREAM_CHUNK: usize = 65_536;
 
 fn main() {
     let args = ExperimentArgs::from_env();
@@ -81,7 +75,6 @@ fn main() {
     );
 
     let base_cfg = ExecutorConfig::new(workers).with_verification(VerificationLevel::None);
-    let streaming_cfg = base_cfg.with_shuffle_chunk_tuples(STREAM_CHUNK);
 
     // --- The verified unsharded run: the exact-count check anchors everything
     // downstream, since the sharded runs are held to this report's deterministic
@@ -99,10 +92,10 @@ fn main() {
         ));
     }
 
-    // --- Sharded streaming runs, bit-identical to the unsharded run. ---
+    // --- Sharded runs, bit-identical to the unsharded run. ---
     let mut shard_stats: Vec<Vec<ShardStats>> = Vec::new();
     for shards in [2usize, 4] {
-        let sharded = Executor::new(streaming_cfg)
+        let sharded = Executor::new(base_cfg)
             .execute_supervised(
                 &partitioner,
                 &s,
@@ -117,9 +110,7 @@ fn main() {
             || sharded.report.partition_to_worker != baseline.partition_to_worker
             || sharded.report.total_comparisons != baseline.total_comparisons
         {
-            failures.push(format!(
-                "{shards}-shard streaming run differs from the unsharded in-memory run"
-            ));
+            failures.push(format!("{shards}-shard run differs from the unsharded run"));
         }
         for st in &sharded.shard_stats {
             println!(

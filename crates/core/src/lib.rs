@@ -89,9 +89,7 @@ pub use metrics::{
     EvalCounters, PartitioningStats, PlanCacheCounters, SplitSearchCounters, WorkerLoad,
 };
 pub use parallel::Parallelism;
-pub use partition::{
-    AssignmentSink, PartitionId, Partitioner, ScatterPolicy, DEFAULT_BLOCK_TUPLES,
-};
+pub use partition::{AssignmentSink, PartitionId, Partitioner, DEFAULT_BLOCK_TUPLES};
 pub use recpart::{OptimizationReport, RecPart, RecPartResult, SplitTreePartitioner};
 pub use relation::{Key, Relation};
 pub use router::CompiledRouter;
@@ -105,7 +103,7 @@ pub mod prelude {
     pub use crate::geometry::Rect;
     pub use crate::load::LoadModel;
     pub use crate::metrics::PartitioningStats;
-    pub use crate::partition::{AssignmentSink, PartitionId, Partitioner, ScatterPolicy};
+    pub use crate::partition::{AssignmentSink, PartitionId, Partitioner};
     pub use crate::recpart::{OptimizationReport, RecPart, RecPartResult, SplitTreePartitioner};
     pub use crate::relation::{Key, Relation};
     pub use crate::router::CompiledRouter;

@@ -18,63 +18,18 @@ pub type PartitionId = u32;
 /// that the sink stays cache-resident, large enough to amortize the per-block setup.
 pub const DEFAULT_BLOCK_TUPLES: usize = 4_096;
 
-/// How the two-pass shuffle should feed a partitioner's assignments into the flat
-/// per-partition arena (pass 2). Both policies produce **bit-identical** arenas —
-/// the choice is purely a compute-vs-memory-traffic trade, so partitioners declare
-/// which side of it they are on via [`Partitioner::scatter_policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScatterPolicy {
-    /// Pass 1 materializes each chunk's `(partition, tuple)` pair list (routing runs
-    /// once); pass 2 replays the pairs into the arena. Right when routing a tuple is
-    /// expensive relative to 8 bytes of buffer traffic — deep split-tree descent,
-    /// or external per-tuple implementations of unknown cost (hence the default).
-    #[default]
-    PairList,
-    /// Pass 1 only counts; pass 2 routes every block *again* through an offset-aware
-    /// scatter sink that writes each tuple index straight to its final arena slot —
-    /// no pair list exists at all. Right when routing is cheap batched arithmetic
-    /// (closed-form grid/matrix cells), where re-deriving an assignment costs less
-    /// than writing, re-reading, and copying it.
-    Reroute,
-}
-
-/// Raw arena destination of a scatter-mode [`AssignmentSink`].
-///
-/// A plain wrapper so a sink holding it stays `Send`: the *creator* of a scatter
-/// sink (see [`AssignmentSink::scattering`]) guarantees that concurrent sinks write
-/// disjoint arena regions, which is what makes sharing the base pointer sound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ArenaBase(*mut u32);
-// SAFETY: the pointer is only dereferenced through `AssignmentSink::push`, whose
-// writes stay within the cursor regions the unsafe `scattering` constructor's
-// contract declares disjoint across threads.
-unsafe impl Send for ArenaBase {}
-unsafe impl Sync for ArenaBase {}
-
-/// The mode-specific storage of an [`AssignmentSink`]. Deliberately **not** `Clone`:
-/// duplicating a scatter sink would duplicate its raw arena pointer and live
-/// cursors, letting safe code violate the disjoint-writes contract the unsafe
-/// [`AssignmentSink::scattering`] constructor established.
+/// The mode-specific storage of an [`AssignmentSink`].
 #[derive(Debug, PartialEq, Eq)]
 enum SinkState {
     /// Materialize `(partition, tuple)` pairs in routing order plus per-partition
-    /// counts — the reference representation (tests, benches, the bit-identity
-    /// oracle of the scatter path).
+    /// counts — pass 1 of the two-pass shuffle, whose pass 2 replays the pairs.
     Pairs {
         pairs: Vec<(PartitionId, u32)>,
         counts: Vec<u64>,
     },
-    /// Count assignments per partition, materializing nothing — pass 1 of the
-    /// two-pass count/scatter shuffle.
+    /// Count assignments per partition, materializing nothing — for callers that
+    /// need `I` or the partition sizes but no arena.
     Counting { counts: Vec<u64>, total: u64 },
-    /// Write each tuple index straight to its final arena slot through per-partition
-    /// write cursors — pass 2 of the two-pass shuffle. No pair list exists.
-    Scatter {
-        base: ArenaBase,
-        arena_len: usize,
-        cursors: Vec<usize>,
-        written: u64,
-    },
 }
 
 /// Per-tuple coverage tracker, active in debug builds when a caller asks for it:
@@ -88,23 +43,19 @@ struct Coverage {
 }
 
 /// Flat output of the block routing API: the assignments of one block of tuples in
-/// routing order, recorded in one of three modes (see [`SinkState`]):
+/// routing order, recorded in one of two modes (see [`SinkState`]):
 ///
 /// * **pairs** ([`AssignmentSink::new`]) — materialized `(partition, tuple index)`
-///   pairs plus per-partition counts; the reference representation.
-/// * **counting** ([`AssignmentSink::counting`]) — per-partition counts only; pass 1
-///   of the two-pass count/scatter shuffle (`distsim::shuffle`).
-/// * **scatter** ([`AssignmentSink::scattering`]) — *offset-aware*: every tuple
-///   index is written directly to its final slot of the flat per-partition arena
-///   through per-partition write cursors; pass 2 of the shuffle. The materialized
-///   pair list of the old pipeline does not exist on this path at all.
+///   pairs plus per-partition counts; pass 1 of the two-pass shuffle
+///   (`distsim::shuffle`), whose pass 2 replays them into the arena.
+/// * **counting** ([`AssignmentSink::counting`]) — per-partition counts only;
+///   [`Partitioner::count_total_input`] and other callers that need no arena.
 ///
 /// Block implementations ([`Partitioner::assign_s_block`] and friends) just call
 /// [`AssignmentSink::push`] and never observe the mode. Assignments must be appended
 /// grouped by tuple, tuples in ascending index order — the same order the per-tuple
 /// [`Partitioner::assign_s`]/[`Partitioner::assign_t`] loop produces — so that
 /// per-partition arena contents stay bit-identical to per-tuple routing.
-/// (Not `Clone` — see [`SinkState`].)
 #[derive(Debug, PartialEq, Eq)]
 pub struct AssignmentSink {
     state: SinkState,
@@ -144,40 +95,8 @@ impl AssignmentSink {
         }
     }
 
-    /// An offset-aware scatter sink: [`AssignmentSink::push`] writes `tuple` to
-    /// `base[cursors[partition]]` and advances that partition's cursor, so each
-    /// assignment lands at its final arena position with no intermediate pair list.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee, for the lifetime of the sink, that
-    ///
-    /// * `base` points to an allocation of at least `arena_len` `u32` slots that
-    ///   outlives the sink's pushes, and
-    /// * for every partition `p`, the pushes this sink will receive for `p` fit in
-    ///   `base[cursors[p]..]` within `arena_len`, and those cursor regions are
-    ///   disjoint — from each other and from the regions of every other sink
-    ///   concurrently writing into the same arena.
-    ///
-    /// The two-pass shuffle establishes this by prefix-summing pass-1 counts into
-    /// exact per-(chunk, partition) bases; in debug builds every write is also
-    /// bounds-checked against `arena_len`.
-    pub unsafe fn scattering(base: *mut u32, arena_len: usize, cursors: Vec<usize>) -> Self {
-        AssignmentSink {
-            state: SinkState::Scatter {
-                base: ArenaBase(base),
-                arena_len,
-                cursors,
-                written: 0,
-            },
-            #[cfg(debug_assertions)]
-            coverage: None,
-        }
-    }
-
     /// Clear the sink and re-size it for `num_partitions` partitions, keeping the
-    /// buffer allocations so one sink can be reused across blocks. Supported by the
-    /// pairs and counting modes (scatter sinks are single-use by construction).
+    /// buffer allocations so one sink can be reused across blocks.
     pub fn reset(&mut self, num_partitions: usize) {
         match &mut self.state {
             SinkState::Pairs { pairs, counts } => {
@@ -190,7 +109,6 @@ impl AssignmentSink {
                 counts.resize(num_partitions, 0);
                 *total = 0;
             }
-            SinkState::Scatter { .. } => panic!("a scatter sink cannot be reset"),
         }
         #[cfg(debug_assertions)]
         {
@@ -199,10 +117,19 @@ impl AssignmentSink {
     }
 
     /// Pre-allocate space for `additional` more assignments (pairs mode only; the
-    /// other modes allocate nothing per assignment).
+    /// counting mode allocates nothing per assignment).
     pub fn reserve(&mut self, additional: usize) {
         if let SinkState::Pairs { pairs, .. } = &mut self.state {
             pairs.reserve(additional);
+        }
+    }
+
+    /// Release the pair buffer's spare capacity (pairs mode only). A buffer that
+    /// outgrew its reservation by a few pairs has doubled; shrinking it keeps a
+    /// held sink at 8 bytes per recorded assignment.
+    pub fn shrink_to_fit(&mut self) {
+        if let SinkState::Pairs { pairs, .. } = &mut self.state {
+            pairs.shrink_to_fit();
         }
     }
 
@@ -211,32 +138,16 @@ impl AssignmentSink {
     pub fn push(&mut self, partition: PartitionId, tuple: u32) {
         match &mut self.state {
             SinkState::Pairs { pairs, counts } => {
-                pairs.push((partition, tuple));
+                // Count first: an out-of-range partition panics before a pair is
+                // recorded, so even a caller that catches the panic never holds more
+                // pairs for a partition than `counts` says — the bound the shuffle's
+                // unchecked replay writes rely on.
                 counts[partition as usize] += 1;
+                pairs.push((partition, tuple));
             }
             SinkState::Counting { counts, total } => {
                 counts[partition as usize] += 1;
                 *total += 1;
-            }
-            SinkState::Scatter {
-                base,
-                arena_len,
-                cursors,
-                written,
-            } => {
-                let slot = cursors[partition as usize];
-                // Unconditional: `scatter_policy()` is safely overridable, so a
-                // buggy or nondeterministic external partitioner could otherwise
-                // turn this write into heap corruption from entirely safe code.
-                // One predictable branch per push is noise next to the write.
-                assert!(slot < *arena_len, "scatter write out of arena bounds");
-                // SAFETY: `slot < arena_len` was just checked, and this sink
-                // exclusively owns its cursor regions by the `scattering` contract.
-                unsafe {
-                    *base.0.add(slot) = tuple;
-                }
-                cursors[partition as usize] = slot + 1;
-                *written += 1;
             }
         }
         #[cfg(debug_assertions)]
@@ -256,8 +167,8 @@ impl AssignmentSink {
     /// The recorded `(partition, tuple index)` assignments, in routing order.
     ///
     /// # Panics
-    /// Panics unless the sink is in pairs mode — the counting and scatter modes
-    /// exist precisely to *not* materialize this list.
+    /// Panics unless the sink is in pairs mode — the counting mode exists
+    /// precisely to *not* materialize this list.
     pub fn pairs(&self) -> &[(PartitionId, u32)] {
         match &self.state {
             SinkState::Pairs { pairs, .. } => pairs,
@@ -267,24 +178,17 @@ impl AssignmentSink {
 
     /// Per-partition assignment counts (`counts()[p]` = number of assignments
     /// recorded for partition `p`). Counts are `u64` on every platform: the
-    /// streaming shuffle merges per-chunk counts across inputs larger than
-    /// `u32::MAX` assignments, and a narrower accumulator would silently wrap.
-    ///
-    /// # Panics
-    /// Panics for scatter sinks, which keep write cursors instead of counts.
+    /// shuffle merges per-chunk counts across inputs larger than `u32::MAX`
+    /// assignments, and a narrower accumulator would silently wrap.
     pub fn counts(&self) -> &[u64] {
         match &self.state {
             SinkState::Pairs { counts, .. } | SinkState::Counting { counts, .. } => counts,
-            SinkState::Scatter { .. } => panic!("counts() is not tracked by a scatter sink"),
         }
     }
 
     /// Number of partitions the sink was sized for.
     pub fn num_partitions(&self) -> usize {
-        match &self.state {
-            SinkState::Pairs { counts, .. } | SinkState::Counting { counts, .. } => counts.len(),
-            SinkState::Scatter { cursors, .. } => cursors.len(),
-        }
+        self.counts().len()
     }
 
     /// Total number of recorded assignments.
@@ -292,7 +196,6 @@ impl AssignmentSink {
         match &self.state {
             SinkState::Pairs { pairs, .. } => pairs.len(),
             SinkState::Counting { total, .. } => *total as usize,
-            SinkState::Scatter { written, .. } => *written as usize,
         }
     }
 
@@ -384,14 +287,6 @@ pub trait Partitioner: Send + Sync {
         }
     }
 
-    /// Which pass-2 strategy the two-pass shuffle should use for this partitioner
-    /// (see [`ScatterPolicy`]; both choices are bit-identical). Strategies whose
-    /// block routing is cheap closed-form arithmetic should override this to
-    /// [`ScatterPolicy::Reroute`] so the shuffle never materializes a pair list.
-    fn scatter_policy(&self) -> ScatterPolicy {
-        ScatterPolicy::PairList
-    }
-
     /// A short human-readable name of the strategy (e.g. `"RecPart"`, `"1-Bucket"`).
     fn name(&self) -> &str;
 
@@ -441,9 +336,6 @@ impl<P: Partitioner + ?Sized> Partitioner for Box<P> {
     fn assign_t_block(&self, rel: &Relation, rows: Range<usize>, sink: &mut AssignmentSink) {
         (**self).assign_t_block(rel, rows, sink)
     }
-    fn scatter_policy(&self) -> ScatterPolicy {
-        (**self).scatter_policy()
-    }
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -475,10 +367,6 @@ impl Partitioner for SinglePartition {
     }
     fn assign_t_block(&self, rel: &Relation, rows: Range<usize>, sink: &mut AssignmentSink) {
         self.assign_s_block(rel, rows, sink)
-    }
-    fn scatter_policy(&self) -> ScatterPolicy {
-        // Routing is a constant — re-deriving it is free.
-        ScatterPolicy::Reroute
     }
     fn name(&self) -> &str {
         "SinglePartition"
@@ -612,56 +500,10 @@ mod tests {
     }
 
     #[test]
-    fn scatter_sink_writes_tuples_to_their_final_slots() {
-        let mut r = Relation::new(1);
-        for i in 0..9 {
-            r.push(&[i as f64]);
-        }
-        let p = FanOut;
-        // Reference layout from the pairs path: partition-major, routing order.
-        let mut reference = AssignmentSink::new(3);
-        p.assign_s_block(&r, 0..r.len(), &mut reference);
-        let counts = reference.counts().to_vec();
-        let mut offsets = [0usize; 4];
-        for part in 0..3 {
-            offsets[part + 1] = offsets[part] + counts[part] as usize;
-        }
-        let mut expected = vec![0u32; reference.len()];
-        {
-            let mut cursor = offsets[..3].to_vec();
-            for &(part, i) in reference.pairs() {
-                expected[cursor[part as usize]] = i;
-                cursor[part as usize] += 1;
-            }
-        }
-        // The offset-aware sink must produce the identical arena directly.
-        let mut arena = vec![u32::MAX; reference.len()];
-        // SAFETY: cursors are the exclusive per-partition offsets of `arena`, which
-        // outlives the sink.
-        let mut scatter = unsafe {
-            AssignmentSink::scattering(arena.as_mut_ptr(), arena.len(), offsets[..3].to_vec())
-        };
-        p.assign_s_block(&r, 0..r.len(), &mut scatter);
-        assert_eq!(scatter.len(), reference.len());
-        assert_eq!(scatter.num_partitions(), 3);
-        assert!(!scatter.is_empty());
-        drop(scatter);
-        assert_eq!(arena, expected);
-    }
-
-    #[test]
     #[should_panic(expected = "pairs() requires a pairs-mode sink")]
     fn counting_sink_has_no_pairs() {
         let sink = AssignmentSink::counting(1);
         let _ = sink.pairs();
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be reset")]
-    fn scatter_sink_cannot_be_reset() {
-        let mut arena = vec![0u32; 1];
-        let mut sink = unsafe { AssignmentSink::scattering(arena.as_mut_ptr(), 1, vec![0]) };
-        sink.reset(1);
     }
 
     #[cfg(debug_assertions)]

@@ -196,13 +196,6 @@ impl Partitioner for SplitTreePartitioner {
         self.router.route_t_block(rel, rows, sink);
     }
 
-    fn scatter_policy(&self) -> crate::partition::ScatterPolicy {
-        // Deep-tree descent is compute-heavy: re-routing every tuple in the scatter
-        // pass costs ~2× what the 8-byte pair buffer saves (measured on the
-        // pareto-1d smoke workload), so RecPart keeps the single-routing pair list.
-        crate::partition::ScatterPolicy::PairList
-    }
-
     fn name(&self) -> &str {
         &self.name
     }

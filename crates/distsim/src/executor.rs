@@ -84,12 +84,6 @@ pub struct ExecutorConfig {
     /// (no thread pool at all), `n > 1` uses a rayon pool of `n` threads. Results are
     /// bit-identical across all settings; only wall-clock timing changes.
     pub threads: usize,
-    /// Upper bound on tuples the map/shuffle phase routes per chunk. `0` (the
-    /// default) chunks by thread count; any positive value enables **streaming
-    /// mode**: fixed-size chunks, count-only pass 1, offset-aware re-route pass 2,
-    /// so per-chunk transient memory is `O(num_partitions)` regardless of input
-    /// size (see [`crate::shuffle`]). Results are bit-identical either way.
-    pub shuffle_chunk_tuples: usize,
 }
 
 impl ExecutorConfig {
@@ -102,7 +96,6 @@ impl ExecutorConfig {
             machine: MachineModel::default(),
             verification: VerificationLevel::Count,
             threads: 0,
-            shuffle_chunk_tuples: 0,
         }
     }
 
@@ -127,13 +120,6 @@ impl ExecutorConfig {
     /// Bound every parallel phase to `threads` OS threads (0 = all available cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Route at most `chunk_tuples` tuples per shuffle chunk (0 = chunk by thread
-    /// count) — see [`ExecutorConfig::shuffle_chunk_tuples`].
-    pub fn with_shuffle_chunk_tuples(mut self, chunk_tuples: usize) -> Self {
-        self.shuffle_chunk_tuples = chunk_tuples;
         self
     }
 }
@@ -426,8 +412,13 @@ impl Executor {
         t: &Relation,
     ) -> ShuffledInputs {
         let num_partitions = partitioner.num_partitions().max(1);
-        let (par, chunk) = (self.threads.parallelism(), self.config.shuffle_chunk_tuples);
-        shuffle(partitioner, s, t, num_partitions, &par, chunk)
+        shuffle(
+            partitioner,
+            s,
+            t,
+            num_partitions,
+            &self.threads.parallelism(),
+        )
     }
 
     /// [`Executor::map_shuffle`] as a stage of `policy`: supervision retries the
@@ -444,11 +435,9 @@ impl Executor {
             return Ok(self.map_shuffle(partitioner, s, t));
         };
         let num_partitions = partitioner.num_partitions().max(1);
-        let (par, chunk) = (self.threads.parallelism(), self.config.shuffle_chunk_tuples);
-        supervision.shuffle(|faults| {
-            let faults = Some(faults);
-            try_shuffle(partitioner, s, t, num_partitions, &par, chunk, faults)
-        })
+        let par = self.threads.parallelism();
+        supervision
+            .shuffle(|faults| try_shuffle(partitioner, s, t, num_partitions, &par, Some(faults)))
     }
 
     /// The query value of a one-shot execution: pairs are materialized only for

@@ -32,9 +32,9 @@ use std::time::Duration;
 /// Where in the supervised pipeline a fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionPoint {
-    /// Before the count pass of the shuffle (unit = side: 0 for S, 1 for T).
+    /// Before the route pass of the shuffle (unit = side: 0 for S, 1 for T).
     ShufflePass1,
-    /// Before the scatter pass of the shuffle (unit = side: 0 for S, 1 for T).
+    /// Before the replay pass of the shuffle (unit = side: 0 for S, 1 for T).
     ShufflePass2,
     /// At the start of one shard's reduce pass (unit = shard index).
     ShardJoin,

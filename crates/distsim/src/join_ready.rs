@@ -364,7 +364,7 @@ mod tests {
             let pool2 = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
             let pool4 = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
             // The oracle: the scalar per-probe loop on the raw ascending slices.
-            let raw = shuffle(&partitioner, &s, &t, k, &Parallelism::Sequential, 0);
+            let raw = shuffle(&partitioner, &s, &t, k, &Parallelism::Sequential);
             let oracle: Vec<(LocalJoinResult, Vec<(u32, u32)>)> = (0..k)
                 .map(|p| {
                     let mut pairs = Vec::new();
@@ -375,13 +375,12 @@ mod tests {
                 })
                 .collect();
 
-            // Chunk by thread count, then streaming chunks of 97 and of 1.
-            for (par, chunk_tuples) in [
-                (Parallelism::Sequential, 0),
-                (Parallelism::Pool(&pool2), 97),
-                (Parallelism::Pool(&pool4), 1),
+            for par in [
+                Parallelism::Sequential,
+                Parallelism::Pool(&pool2),
+                Parallelism::Pool(&pool4),
             ] {
-                let shuffled = shuffle(&partitioner, &s, &t, k, &par, chunk_tuples);
+                let shuffled = shuffle(&partitioner, &s, &t, k, &par);
                 let (ready, _) = JoinReadyInputs::prepare(shuffled, &s, &t, &par);
 
                 // Same bytes, same ids per partition: a permutation, nothing beside it.

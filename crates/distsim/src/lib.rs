@@ -16,10 +16,9 @@
 //!   reports its own measured wall-clock. There is **one** reduce (DESIGN.md §5):
 //!   `execute`, `execute_prepared`, `execute_supervised` and a served query differ
 //!   only in the arenas they bring and the schedule they ask for;
-//! * [`shuffle`] — the chunked parallel tuple-routing fan-out whose merged
+//! * [`shuffle`] — the chunked parallel tuple-routing fan-out (fixed 64k-tuple
+//!   chunks, each routed once and its pairs replayed into the arena) whose merged
 //!   per-partition index lists are bit-identical to sequential routing;
-//!   [`ExecutorConfig::shuffle_chunk_tuples`] bounds the chunks it streams —
-//!   bit-identical to the in-memory path;
 //! * [`cost_model`] — the running-time model `M(I, I_m, O_m) = β₀ + β₁I + β₂I_m + β₃O_m`
 //!   of Li et al. [24], with least-squares fitting over a calibration benchmark;
 //! * [`machine`] — the synthetic "ground truth" cluster timing model used in place of

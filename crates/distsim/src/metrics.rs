@@ -8,7 +8,7 @@
 //!   against budgets, because a flaky gate is worse than no gate;
 //! * **observed residency** ([`process_peak_rss_bytes`]) — the kernel's high-water
 //!   mark for this process, reported alongside the accounting as evidence of what
-//!   the streaming shuffle keeps resident, but never gated on directly (it is
+//!   the shuffle keeps resident, but never gated on directly (it is
 //!   shared across the whole process and monotone over its lifetime).
 
 /// What one shared-nothing shard owned and measured during a sharded execution

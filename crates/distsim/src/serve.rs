@@ -82,9 +82,6 @@ pub struct ServiceConfig {
     pub load_model: LoadModel,
     /// Timing model of the simulated cluster.
     pub machine: MachineModel,
-    /// Shuffle chunk bound of the cold path (0 = chunk by thread count; see
-    /// [`ExecutorConfig::shuffle_chunk_tuples`]).
-    pub shuffle_chunk_tuples: usize,
 }
 
 impl Default for ServiceConfig {
@@ -98,7 +95,6 @@ impl Default for ServiceConfig {
             sample: SampleConfig::default(),
             load_model: LoadModel::default(),
             machine: MachineModel::default(),
-            shuffle_chunk_tuples: 0,
         }
     }
 }
@@ -159,12 +155,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the cold path's shuffle chunk bound.
-    pub fn with_shuffle_chunk_tuples(mut self, chunk_tuples: usize) -> Self {
-        self.shuffle_chunk_tuples = chunk_tuples;
-        self
-    }
-
     /// The [`ExecutorConfig`] the service derives for a query's worker count —
     /// exposed so tests can build a bit-identical one-shot oracle.
     pub fn executor_config(&self, workers: usize) -> ExecutorConfig {
@@ -173,7 +163,6 @@ impl ServiceConfig {
             .with_load_model(self.load_model)
             .with_machine(self.machine)
             .with_threads(self.threads)
-            .with_shuffle_chunk_tuples(self.shuffle_chunk_tuples)
     }
 
     /// The [`RecPartConfig`] the cold path optimizes under for a query's worker

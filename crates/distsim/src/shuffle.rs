@@ -2,58 +2,40 @@
 //! materialize per-partition input index lists.
 //!
 //! The per-partition lists live in one flat arena per side ([`PartitionedIndex`]),
-//! built with a **two-pass count/scatter layout** over the partitioner's block API
+//! built with a **two-pass record/replay layout** over the partitioner's block API
 //! (`Partitioner::assign_s_block`/`assign_t_block` into an
 //! [`AssignmentSink`](recpart::AssignmentSink)):
 //!
-//! * **pass 1 (count)** routes each contiguous input chunk through a *count-only*
-//!   sink — per-partition assignment counts, nothing materialized;
+//! * each side is cut into contiguous chunks of at most `SHUFFLE_CHUNK_TUPLES`
+//!   tuples, which fan out over the pool whenever there is more than one;
+//! * **pass 1 (route)** routes each chunk once into a pair-recording sink — its
+//!   `(partition, tuple)` pairs in routing order plus per-partition counts;
 //! * the counts of all chunks are prefix-summed into exact per-(chunk, partition)
 //!   arena offsets;
-//! * **pass 2 (scatter)** routes each chunk again through an *offset-aware* sink
-//!   whose per-partition write cursors start at those offsets, so every block
-//!   scatters each tuple index **directly to its final arena slot**.
+//! * **pass 2 (replay)** writes each chunk's pairs through per-partition cursors
+//!   that start at those offsets, so every tuple index lands **directly in its
+//!   final arena slot**.
 //!
 //! No per-tuple `Vec<PartitionId>` buffer, no per-chunk per-partition buckets, and
-//! no merge copy. Whether pass 2 *re-routes* (the offset-aware path above — routing
-//! runs twice, but no `(partition, tuple)` pair list is ever materialized) or
-//! replays pairs pass 1 recorded (routing runs once, 8 bytes of buffer traffic per
-//! assignment) is the partitioner's declared
-//! [`ScatterPolicy`](recpart::ScatterPolicy): cheap closed-form strategies re-route,
-//! compute-heavy split-tree descent keeps the pair list. Both policies write the
-//! identical arena. Chunks are contiguous ascending index ranges laid out in chunk
-//! order, and the block API is required to emit assignments in per-tuple routing
-//! order, so the arena contents are bit-identical to per-tuple sequential routing —
-//! and across policies — no matter how many threads ran the fan-out. Downstream
-//! local joins and verification therefore see exactly the same inputs for every
-//! `threads` setting.
-//!
-//! ## Streaming mode
-//!
-//! [`ExecutorConfig::shuffle_chunk_tuples`](crate::ExecutorConfig::shuffle_chunk_tuples)
-//! `> 0` bounds the tuples routed per chunk, decoupling chunking from the thread
-//! count. Streaming mode always counts in pass 1 and re-routes in pass 2 (the
-//! [`ScatterPolicy::PairList`] pair buffers would otherwise grow with the chunk's
-//! assignment count, defeating the memory bound); the pass-1 state kept across the
-//! whole input is just `num_chunks × num_partitions` integer counts — associative,
-//! merged by the prefix sum exactly like the parallel path. The knob changes how
-//! much transient memory a pass holds, never *which bytes* land in the arena: the
-//! streamed arena is bit-identical to the in-memory one.
+//! no merge copy; the transient state is 8 bytes per assignment of the side being
+//! routed. Chunks are contiguous ascending index ranges laid out in chunk order,
+//! and the block API is required to emit assignments in per-tuple routing order,
+//! so the arena contents are bit-identical to per-tuple sequential routing no
+//! matter how many threads ran the fan-out or how large the chunks are.
+//! Downstream local joins and verification therefore see exactly the same inputs
+//! for every `threads` setting.
 
 use crate::faults::{FaultContext, InjectionPoint};
-use crate::parallel::{chunk_ranges, Parallelism};
+use crate::parallel::Parallelism;
 use rayon::prelude::*;
-use recpart::{AssignmentSink, Partitioner, Relation, ScatterPolicy};
+use recpart::{AssignmentSink, Partitioner, Relation};
 use std::time::Instant;
 
-/// Below this many tuples a side is routed as a single chunk even in parallel mode:
-/// the chunk fan-out would cost more than it saves.
-const MIN_PARALLEL_TUPLES: usize = 4_096;
-
-/// Contiguous chunks handed to each routing thread: a few per thread so the dynamic
-/// scheduler can balance partitioners with non-uniform per-tuple cost (e.g. deep
-/// split-tree paths in dense regions).
-const CHUNKS_PER_THREAD: usize = 4;
+/// Tuples routed per shuffle chunk: enough to amortize a chunk's per-partition
+/// count vector and cursor table, few enough that a side of a 1M-tuple input
+/// yields ~16 chunks to balance over the pool and a chunk's pair list stays at
+/// half a megabyte per unit of duplication (DESIGN.md §12).
+const SHUFFLE_CHUNK_TUPLES: usize = 65_536;
 
 /// Per-partition tuple-index lists stored as one flat arena plus partition offsets
 /// (CSR layout): partition `p` owns `data[offsets[p]..offsets[p + 1]]`. As the shuffle
@@ -212,9 +194,8 @@ pub(crate) fn shuffle<P: Partitioner + ?Sized>(
     t: &Relation,
     num_partitions: usize,
     par: &Parallelism<'_>,
-    chunk_tuples: usize,
 ) -> ShuffledInputs {
-    try_shuffle(partitioner, s, t, num_partitions, par, chunk_tuples, None)
+    try_shuffle(partitioner, s, t, num_partitions, par, None)
         .unwrap_or_else(|e| unreachable!("shuffle without fault injection cannot fail: {e}"))
 }
 
@@ -227,10 +208,10 @@ pub(crate) fn try_shuffle<P: Partitioner + ?Sized>(
     t: &Relation,
     num_partitions: usize,
     par: &Parallelism<'_>,
-    chunk: usize,
     faults: Option<&FaultContext<'_>>,
 ) -> Result<ShuffledInputs, ShuffleError> {
     let start = Instant::now();
+    let chunk = SHUFFLE_CHUNK_TUPLES;
     let s_parts = route_side(partitioner, s, num_partitions, par, Side::S, chunk, faults)?;
     let t_parts = route_side(partitioner, t, num_partitions, par, Side::T, chunk, faults)?;
     Ok(ShuffledInputs {
@@ -259,7 +240,7 @@ fn trip(
     Ok(())
 }
 
-/// Raw arena pointer handed to the scatter pass. Safety: the offset layout gives
+/// Raw arena pointer handed to the replay pass. Safety: the offset layout gives
 /// every `(chunk, partition)` pair a disjoint slice of the arena, so concurrent
 /// chunk writers never alias.
 struct ArenaPtr(*mut u32);
@@ -282,7 +263,7 @@ struct ArenaLayout {
 /// `usize`-accumulating sum would wrap silently on 32-bit targets, and an
 /// unchecked `as usize` would truncate rather than fail. Overflow
 /// here means the requested arena cannot exist — panicking with a sized message
-/// beats scattering through a wrapped cursor.
+/// beats replaying through a wrapped cursor.
 fn arena_layout(per_chunk_counts: &[&[u64]], num_partitions: usize) -> ArenaLayout {
     let widen = |v: u64| -> usize {
         usize::try_from(v)
@@ -321,27 +302,20 @@ fn arena_layout(per_chunk_counts: &[&[u64]], num_partitions: usize) -> ArenaLayo
     }
 }
 
-/// Contiguous ranges of at most `chunk_tuples` tuples each — the streaming-mode
-/// chunking, sized by the memory bound instead of the thread count.
+/// Contiguous ranges of at most `chunk_tuples` tuples each, in index order (none
+/// for an empty input).
 fn bounded_ranges(n: usize, chunk_tuples: usize) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::with_capacity(n.div_ceil(chunk_tuples.max(1)).max(1));
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + chunk_tuples).min(n);
-        ranges.push((lo, hi));
-        lo = hi;
-    }
-    if ranges.is_empty() {
-        ranges.push((0, 0));
-    }
-    ranges
+    let chunk_tuples = chunk_tuples.max(1);
+    (0..n)
+        .step_by(chunk_tuples)
+        .map(|lo| (lo, (lo + chunk_tuples).min(n)))
+        .collect()
 }
 
 /// Route one relation into a flat per-partition arena with the two-pass
-/// count/scatter layout described in the module docs. Both passes hand each
-/// contiguous chunk to the partitioner's block API — there is no per-tuple routing
-/// buffer anywhere on this path, and under [`ScatterPolicy::Reroute`] no
-/// materialized pair list either.
+/// record/replay layout described in the module docs, `chunk_tuples` tuples per
+/// chunk. Pass 1 hands each contiguous chunk to the partitioner's block API —
+/// there is no per-tuple routing buffer anywhere on this path.
 fn route_side<P: Partitioner + ?Sized>(
     partitioner: &P,
     rel: &Relation,
@@ -358,64 +332,40 @@ fn route_side<P: Partitioner + ?Sized>(
         n <= u32::MAX as usize + 1,
         "relation has {n} tuples but tuple indices are u32"
     );
-    let threads = par.threads().min(n.max(1));
-    let parallel = threads > 1 && n >= MIN_PARALLEL_TUPLES;
-    let streaming = chunk_tuples > 0;
-    let ranges = if streaming {
-        bounded_ranges(n, chunk_tuples)
-    } else if parallel {
-        chunk_ranges(n, threads * CHUNKS_PER_THREAD)
-    } else {
-        chunk_ranges(n, 1)
-    };
+    let ranges = bounded_ranges(n, chunk_tuples);
     if ranges.is_empty() {
         return Ok(PartitionedIndex::empty(num_partitions));
     }
+    let parallel = par.is_parallel() && ranges.len() > 1;
     trip(faults, InjectionPoint::ShufflePass1, side)?;
 
-    // Streaming mode always counts in pass 1 and re-routes in pass 2: a pair list
-    // grows with the chunk's assignment count and would break the memory bound the
-    // fixed-size chunks exist to provide. Identical arenas either way (the policy
-    // bit-identity is proven by `scatter_policies_produce_identical_arenas`).
-    let policy = if streaming {
-        ScatterPolicy::Reroute
-    } else {
-        partitioner.scatter_policy()
-    };
-    let route_chunk = |sink: &mut AssignmentSink, (lo, hi): (usize, usize)| match side {
-        Side::S => partitioner.assign_s_block(rel, lo..hi, sink),
-        Side::T => partitioner.assign_t_block(rel, lo..hi, sink),
-    };
-
-    // Pass 1 (count): route every chunk through a count-only sink — or, under
-    // [`ScatterPolicy::PairList`], a pair-recording sink so pass 2 can replay the
-    // assignments instead of re-deriving them.
-    let count_one = |range: (usize, usize)| -> AssignmentSink {
-        let mut sink = match policy {
-            ScatterPolicy::Reroute => AssignmentSink::counting(num_partitions),
-            ScatterPolicy::PairList => {
-                let mut sink = AssignmentSink::new(num_partitions);
-                sink.reserve(range.1 - range.0);
-                sink
-            }
-        };
+    // Pass 1 (route): record every chunk's `(partition, tuple)` pairs and counts.
+    let route_one = |(lo, hi): (usize, usize)| -> AssignmentSink {
+        let mut sink = AssignmentSink::new(num_partitions);
+        sink.reserve(hi - lo);
         // Definition 1 requires h(x) ≠ ∅ for *every* tuple — check coverage per
         // tuple, not just in aggregate (a dropped tuple could otherwise hide
         // behind another tuple's duplicate).
         #[cfg(debug_assertions)]
-        sink.track_coverage(range.0..range.1);
-        route_chunk(&mut sink, range);
+        sink.track_coverage(lo..hi);
+        match side {
+            Side::S => partitioner.assign_s_block(rel, lo..hi, &mut sink),
+            Side::T => partitioner.assign_t_block(rel, lo..hi, &mut sink),
+        }
         #[cfg(debug_assertions)]
         debug_assert!(
             sink.covered_every_tuple(),
             "partitioner dropped a tuple (Definition 1 requires h(x) != empty)"
         );
+        // A duplication just above 1 has doubled the buffer past its reservation;
+        // the pairs are held until pass 2, so give the spare half back now.
+        sink.shrink_to_fit();
         sink
     };
     let chunks: Vec<AssignmentSink> = if parallel {
-        par.run(|| ranges.clone().into_par_iter().map(count_one).collect())
+        par.run(|| ranges.into_par_iter().map(route_one).collect())
     } else {
-        ranges.iter().map(|&r| count_one(r)).collect()
+        ranges.into_iter().map(route_one).collect()
     };
 
     // Exact arena offsets from the merged per-chunk counts (checked widening —
@@ -428,54 +378,33 @@ fn route_side<P: Partitioner + ?Sized>(
     } = arena_layout(&per_chunk_counts, num_partitions);
     drop(per_chunk_counts);
 
-    // Pass 2 (scatter). Under [`ScatterPolicy::Reroute`], route every chunk again
-    // through an offset-aware sink — each block writes every tuple index straight to
-    // its final arena slot, and no pair list ever existed. Under
-    // [`ScatterPolicy::PairList`], replay the pairs pass 1 recorded. The two
-    // policies write the identical arena: same per-(chunk, partition) slices, same
-    // routing order within each slice.
+    // Pass 2 (replay): write each chunk's pairs, in routing order, through cursors
+    // that start at the chunk's slice of every partition.
     trip(faults, InjectionPoint::ShufflePass2, side)?;
     let mut data = vec![0u32; total];
     let arena = ArenaPtr(data.as_mut_ptr());
-    // Borrow the wrapper (not the raw pointer field) so the scatter closure stays
+    // Borrow the wrapper (not the raw pointer field) so the replay closure stays
     // `Sync` under edition-2021 disjoint capture.
     let arena = &arena;
-    let scatter = |c: usize| match policy {
-        ScatterPolicy::Reroute => {
-            // SAFETY: `chunk_bases[c]` starts each partition cursor at this chunk's
-            // disjoint slice of the arena (disjoint across chunks and partitions by
-            // the prefix-sum layout), the pass-1 counts size those slices exactly,
-            // and routing is a pure function of the immutable partitioner — so
-            // pass 2 emits the same assignment stream pass 1 counted.
-            let mut sink =
-                unsafe { AssignmentSink::scattering(arena.0, total, chunk_bases[c].clone()) };
-            route_chunk(&mut sink, ranges[c]);
-            debug_assert_eq!(
-                sink.len(),
-                chunks[c].len(),
-                "scatter pass routed a different assignment stream than the count pass"
-            );
-        }
-        ScatterPolicy::PairList => {
-            let mut cursor = chunk_bases[c].clone();
-            for &(p, i) in chunks[c].pairs() {
-                // SAFETY: `cursor[p]` stays within this chunk's slice of partition
-                // `p` (it starts at the chunk's base and advances once per counted
-                // pair), and those slices are disjoint across chunks and partitions.
-                unsafe {
-                    *arena.0.add(cursor[p as usize]) = i;
-                }
-                cursor[p as usize] += 1;
+    let replay = |c: usize| {
+        let mut cursor = chunk_bases[c].clone();
+        for &(p, i) in chunks[c].pairs() {
+            // SAFETY: `cursor[p]` stays within this chunk's slice of partition
+            // `p`: it starts at the chunk's base and advances once per recorded
+            // pair, and a sink never records more pairs for `p` than `counts()[p]`,
+            // which sized the slice. The slices are disjoint across chunks and
+            // partitions, and `p` itself is bounds-checked by `cursor[p]`.
+            unsafe {
+                *arena.0.add(cursor[p as usize]) = i;
             }
+            cursor[p as usize] += 1;
         }
     };
     if parallel {
-        let scatter = &scatter;
-        par.run(|| (0..chunks.len()).into_par_iter().for_each(scatter));
+        let replay = &replay;
+        par.run(|| (0..chunks.len()).into_par_iter().for_each(replay));
     } else {
-        for c in 0..chunks.len() {
-            scatter(c);
-        }
+        (0..chunks.len()).for_each(replay);
     }
 
     Ok(PartitionedIndex { data, offsets })
@@ -484,8 +413,9 @@ fn route_side<P: Partitioner + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use recpart::partition::SinglePartition;
-    use recpart::PartitionId;
+    use recpart::{BandCondition, PartitionId, RecPart, RecPartConfig};
 
     fn relation(n: usize) -> Relation {
         let mut r = Relation::with_capacity(1, n);
@@ -494,9 +424,6 @@ mod tests {
         }
         r
     }
-
-    /// Chunk by thread count (the default, non-streaming shuffle).
-    const BY_THREADS: usize = 0;
 
     /// Routes tuple `i` to partition `i % m`, plus partition `0` for multiples of 7 —
     /// exercises multi-partition assignments.
@@ -531,29 +458,23 @@ mod tests {
 
     #[test]
     fn parallel_routing_is_bit_identical_to_sequential() {
-        let s = relation(10_000);
-        let t = relation(9_000);
+        // Several chunks a side, the last one partial.
+        let s = relation(2 * SHUFFLE_CHUNK_TUPLES + 10_000);
+        let t = relation(SHUFFLE_CHUNK_TUPLES + 9_000);
         let p = ModPartitioner(13);
         let pool = four_thread_pool();
-        let seq = shuffle(&p, &s, &t, 13, &Parallelism::Sequential, BY_THREADS);
-        let par = shuffle(&p, &s, &t, 13, &Parallelism::Pool(&pool), BY_THREADS);
+        let seq = shuffle(&p, &s, &t, 13, &Parallelism::Sequential);
+        let par = shuffle(&p, &s, &t, 13, &Parallelism::Pool(&pool));
         assert_eq!(seq.s_parts, par.s_parts);
         assert_eq!(seq.t_parts, par.t_parts);
     }
 
     #[test]
     fn index_lists_are_ascending() {
-        let s = relation(8_192);
-        let t = relation(8_192);
+        let s = relation(2 * SHUFFLE_CHUNK_TUPLES + 8_192);
+        let t = relation(2 * SHUFFLE_CHUNK_TUPLES + 8_192);
         let pool = four_thread_pool();
-        let shuffled = shuffle(
-            &ModPartitioner(5),
-            &s,
-            &t,
-            5,
-            &Parallelism::Pool(&pool),
-            BY_THREADS,
-        );
+        let shuffled = shuffle(&ModPartitioner(5), &s, &t, 5, &Parallelism::Pool(&pool));
         for parts in [&shuffled.s_parts, &shuffled.t_parts] {
             for list in parts.iter_parts() {
                 assert!(list.windows(2).all(|w| w[0] < w[1]));
@@ -566,14 +487,7 @@ mod tests {
         let s = relation(5_000);
         let t = relation(5_000);
         let pool = four_thread_pool();
-        let shuffled = shuffle(
-            &SinglePartition,
-            &s,
-            &t,
-            1,
-            &Parallelism::Pool(&pool),
-            BY_THREADS,
-        );
+        let shuffled = shuffle(&SinglePartition, &s, &t, 1, &Parallelism::Pool(&pool));
         assert_eq!(shuffled.s_parts.part(0).len(), 5_000);
         assert_eq!(shuffled.t_parts.part(0).len(), 5_000);
         assert_eq!(shuffled.total_input(), 10_000);
@@ -582,49 +496,34 @@ mod tests {
     }
 
     #[test]
-    fn small_inputs_take_the_sequential_path() {
+    fn single_chunk_inputs_match_sequential_routing() {
         let s = relation(10);
         let t = relation(10);
-        let shuffled = shuffle(
-            &ModPartitioner(3),
-            &s,
-            &t,
-            3,
-            &Parallelism::Ambient,
-            BY_THREADS,
-        );
-        let seq = shuffle(
-            &ModPartitioner(3),
-            &s,
-            &t,
-            3,
-            &Parallelism::Sequential,
-            BY_THREADS,
-        );
+        let shuffled = shuffle(&ModPartitioner(3), &s, &t, 3, &Parallelism::Ambient);
+        let seq = shuffle(&ModPartitioner(3), &s, &t, 3, &Parallelism::Sequential);
         assert_eq!(shuffled.s_parts, seq.s_parts);
         assert_eq!(shuffled.t_parts, seq.t_parts);
     }
 
     #[test]
     fn block_override_matches_per_tuple_fallback_arena() {
-        // `ForcePolicy` forwards no block method: it routes through the trait's
-        // per-tuple defaults, under the pair-list policy that goes with them.
-        let per_tuple_fallback = ForcePolicy(&SinglePartition, ScatterPolicy::PairList);
-        let s = relation(9_000);
+        // `PerTuple` forwards no block method: it routes through the trait's
+        // per-tuple defaults.
+        let s = relation(SHUFFLE_CHUNK_TUPLES + 9_000);
         let t = relation(5_000);
         let pool = four_thread_pool();
         for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-            let block = shuffle(&SinglePartition, &s, &t, 1, &par, BY_THREADS);
-            let per_tuple = shuffle(&per_tuple_fallback, &s, &t, 1, &par, BY_THREADS);
+            let block = shuffle(&SinglePartition, &s, &t, 1, &par);
+            let per_tuple = shuffle(&PerTuple(&SinglePartition), &s, &t, 1, &par);
             assert_eq!(block.s_parts, per_tuple.s_parts);
             assert_eq!(block.t_parts, per_tuple.t_parts);
         }
     }
 
-    /// Adapter that overrides a partitioner's declared [`ScatterPolicy`], so the
-    /// tests can drive the same partitioner through both pass-2 pipelines.
-    struct ForcePolicy<'a, P: ?Sized>(&'a P, ScatterPolicy);
-    impl<P: Partitioner + ?Sized> Partitioner for ForcePolicy<'_, P> {
+    /// Adapter that hides a partitioner's block methods, so routing falls back to
+    /// the trait's per-tuple defaults.
+    struct PerTuple<'a, P: ?Sized>(&'a P);
+    impl<P: Partitioner + ?Sized> Partitioner for PerTuple<'_, P> {
         fn num_partitions(&self) -> usize {
             self.0.num_partitions()
         }
@@ -634,55 +533,72 @@ mod tests {
         fn assign_t(&self, key: &[f64], tuple_id: u64, out: &mut Vec<PartitionId>) {
             self.0.assign_t(key, tuple_id, out)
         }
-        fn scatter_policy(&self) -> ScatterPolicy {
-            self.1
-        }
         fn name(&self) -> &str {
             self.0.name()
         }
     }
 
-    /// The offset-aware re-route pipeline and the pair-list pipeline must produce
-    /// bit-identical arenas — multi-partition, multi-assignment, sequential and
-    /// parallel, regardless of which policy the partitioner declares.
-    #[test]
-    fn scatter_policies_produce_identical_arenas() {
-        let s = relation(10_000);
-        let t = relation(4_321);
-        let p = ModPartitioner(11);
-        let pool = four_thread_pool();
-        let reroute = ForcePolicy(&p, ScatterPolicy::Reroute);
-        let pair_list = ForcePolicy(&p, ScatterPolicy::PairList);
-        let route = |p: &dyn Partitioner, rel, par: &Parallelism<'_>, side| {
-            route_side(p, rel, 11, par, side, BY_THREADS, None).expect("no faults injected")
-        };
-        for (rel, side) in [(&s, Side::S), (&t, Side::T)] {
-            let oracle = route(&pair_list, rel, &Parallelism::Sequential, side);
-            for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-                assert_eq!(route(&reroute, rel, &par, side), oracle);
-                assert_eq!(route(&pair_list, rel, &par, side), oracle);
+    /// The arena sequential per-tuple routing builds, one `assign_*` call per tuple
+    /// — the oracle of every chunked, pooled shuffle.
+    fn per_tuple_arena(p: &dyn Partitioner, rel: &Relation, side: Side) -> PartitionedIndex {
+        let mut parts = vec![Vec::new(); p.num_partitions()];
+        let mut buf = Vec::new();
+        for i in 0..rel.len() {
+            buf.clear();
+            match side {
+                Side::S => p.assign_s(&rel.key(i), i as u64, &mut buf),
+                Side::T => p.assign_t(&rel.key(i), i as u64, &mut buf),
+            }
+            for &part in &buf {
+                parts[part as usize].push(i as u32);
             }
         }
+        PartitionedIndex::from_parts(&parts)
     }
 
-    /// Streaming mode (bounded chunks, forced count+re-route) must reproduce the
-    /// legacy in-memory arena bit for bit, for both declared policies and any chunk
-    /// size — including chunk sizes that do not divide the input and a chunk size
-    /// of one.
+    /// Every chunk size — one tuple, sizes that do not divide the input, the
+    /// production size, one chunk larger than the input — on one thread and on a
+    /// pool must write the per-tuple oracle's arena bit for bit, for a
+    /// multi-assignment toy partitioner and for a real RecPart plan.
     #[test]
-    fn streaming_arenas_are_bit_identical_to_legacy() {
-        let s = relation(10_000);
-        let t = relation(4_321);
-        let p = ModPartitioner(11);
+    fn chunked_arenas_match_the_per_tuple_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5417);
+        let mut random_relation = |n: usize| {
+            let mut r = Relation::with_capacity(1, n);
+            for _ in 0..n {
+                r.push(&[rng.gen::<f64>().powi(3) * 100.0]);
+            }
+            r
+        };
+        let (s, t) = (random_relation(80_000), random_relation(50_000));
+        let band = BandCondition::symmetric(&[0.05]);
+        let recpart = RecPart::new(RecPartConfig::new(4).with_seed(3))
+            .optimize(&s, &t, &band, &mut StdRng::seed_from_u64(3))
+            .partitioner;
+        let modp = ModPartitioner(11);
         let pool = four_thread_pool();
-        let oracle = shuffle(&p, &s, &t, 11, &Parallelism::Sequential, BY_THREADS);
-        for chunk_tuples in [1usize, 777, 4_096, 100_000] {
-            for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-                for policy in [ScatterPolicy::Reroute, ScatterPolicy::PairList] {
-                    let forced = ForcePolicy(&p, policy);
-                    let got = shuffle(&forced, &s, &t, 11, &par, chunk_tuples);
-                    assert_eq!(got.s_parts, oracle.s_parts, "chunk={chunk_tuples}");
-                    assert_eq!(got.t_parts, oracle.t_parts, "chunk={chunk_tuples}");
+        let partitioners: [&dyn Partitioner; 2] = [&modp, &recpart];
+        for p in partitioners {
+            let k = p.num_partitions();
+            for (rel, side) in [(&s, Side::S), (&t, Side::T)] {
+                let oracle = per_tuple_arena(p, rel, side);
+                assert!(
+                    oracle.len() > rel.len(),
+                    "{}: no tuple duplicated",
+                    p.name()
+                );
+                for chunk_tuples in [1usize, 777, 4_096, SHUFFLE_CHUNK_TUPLES, 100_000] {
+                    for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
+                        let got = route_side(p, rel, k, &par, side, chunk_tuples, None)
+                            .expect("no faults injected");
+                        assert!(
+                            got == oracle,
+                            "{} side {} chunk={chunk_tuples} threads={}",
+                            p.name(),
+                            side.unit(),
+                            par.threads()
+                        );
+                    }
                 }
             }
         }
@@ -729,14 +645,7 @@ mod tests {
     fn arena_offsets_are_consistent() {
         let s = relation(6_000);
         let t = relation(100);
-        let shuffled = shuffle(
-            &ModPartitioner(7),
-            &s,
-            &t,
-            7,
-            &Parallelism::Sequential,
-            BY_THREADS,
-        );
+        let shuffled = shuffle(&ModPartitioner(7), &s, &t, 7, &Parallelism::Sequential);
         for parts in [&shuffled.s_parts, &shuffled.t_parts] {
             assert_eq!(parts.num_partitions(), 7);
             let total: usize = parts.iter_parts().map(<[u32]>::len).sum();

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use recpart::{
         AssignmentSink, BandCondition, CompiledRouter, EvalCounters, LoadModel, OptimizationReport,
         PartitionId, Partitioner, PartitioningStats, PlanCacheCounters, RecPart, RecPartConfig,
-        RecPartError, RecPartResult, Relation, RouteKernel, SampleConfig, ScatterPolicy,
-        SplitSearchCounters, SplitTreePartitioner, Termination,
+        RecPartError, RecPartResult, Relation, RouteKernel, SampleConfig, SplitSearchCounters,
+        SplitTreePartitioner, Termination,
     };
 }

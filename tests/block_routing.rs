@@ -169,8 +169,8 @@ proptest! {
 }
 
 /// Adapter that forwards only a partitioner's per-tuple methods: every block call
-/// takes the trait's default per-tuple loop, and the shuffle the pair-list scatter
-/// default that goes with it — the per-tuple reference of `map_shuffle`.
+/// takes the trait's default per-tuple loop — the per-tuple reference of
+/// `map_shuffle`.
 struct PerTuple<'a, P: ?Sized>(&'a P);
 impl<P: Partitioner + ?Sized> Partitioner for PerTuple<'_, P> {
     fn num_partitions(&self) -> usize {
@@ -193,8 +193,9 @@ impl<P: Partitioner + ?Sized> Partitioner for PerTuple<'_, P> {
 #[test]
 fn map_shuffle_is_deterministic_across_threads_1_0_4() {
     let mut rng = StdRng::seed_from_u64(0xB10C);
-    let s = datagen::pareto_relation(12_000, 1, 1.5, &mut rng);
-    let t = datagen::pareto_relation(9_000, 1, 1.5, &mut rng);
+    // More than one 64k-tuple shuffle chunk a side, so threads 0 and 4 fan out.
+    let s = datagen::pareto_relation(80_000, 1, 1.5, &mut rng);
+    let t = datagen::pareto_relation(70_000, 1, 1.5, &mut rng);
     let band = BandCondition::symmetric(&[0.01]);
 
     let recpart = RecPart::new(RecPartConfig::new(16).with_seed(3))
@@ -234,88 +235,5 @@ fn map_shuffle_is_deterministic_across_threads_1_0_4() {
             );
         }
         assert_eq!(sequential.total_input(), p.count_total_input(&s, &t));
-    }
-}
-
-/// Adapter that overrides a partitioner's declared [`ScatterPolicy`] so the same
-/// strategy can be driven through both pass-2 shuffle pipelines.
-struct ForcePolicy<'a, P: ?Sized>(&'a P, ScatterPolicy);
-impl<P: Partitioner + ?Sized> Partitioner for ForcePolicy<'_, P> {
-    fn num_partitions(&self) -> usize {
-        self.0.num_partitions()
-    }
-    fn assign_s(&self, key: &[f64], tuple_id: u64, out: &mut Vec<PartitionId>) {
-        self.0.assign_s(key, tuple_id, out)
-    }
-    fn assign_t(&self, key: &[f64], tuple_id: u64, out: &mut Vec<PartitionId>) {
-        self.0.assign_t(key, tuple_id, out)
-    }
-    fn assign_s_block(
-        &self,
-        rel: &Relation,
-        rows: std::ops::Range<usize>,
-        sink: &mut AssignmentSink,
-    ) {
-        self.0.assign_s_block(rel, rows, sink)
-    }
-    fn assign_t_block(
-        &self,
-        rel: &Relation,
-        rows: std::ops::Range<usize>,
-        sink: &mut AssignmentSink,
-    ) {
-        self.0.assign_t_block(rel, rows, sink)
-    }
-    fn scatter_policy(&self) -> ScatterPolicy {
-        self.1
-    }
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-}
-
-/// Both scatter policies must produce bit-identical `map_shuffle` arenas for real
-/// strategies, at every thread count — RecPart (declares pair-list: deep-tree
-/// descent is too expensive to re-run) and two closed-form baselines (declare
-/// re-route: no pair list is ever materialized), each forced through the *other*
-/// policy as the oracle.
-#[test]
-fn scatter_policies_are_bit_identical_for_real_partitioners() {
-    let mut rng = StdRng::seed_from_u64(0x5CA7);
-    let s = datagen::pareto_relation(12_000, 1, 1.5, &mut rng);
-    let t = datagen::pareto_relation(9_000, 1, 1.5, &mut rng);
-    let band = BandCondition::symmetric(&[0.01]);
-
-    let recpart = RecPart::new(RecPartConfig::new(16).with_seed(9))
-        .optimize(&s, &t, &band, &mut rng)
-        .partitioner;
-    let one_bucket = OneBucket::new(16, s.len(), t.len(), 5);
-    let grid = GridPartitioner::build(&s, &t, &band, 1.0);
-    assert_eq!(recpart.scatter_policy(), ScatterPolicy::PairList);
-    assert_eq!(one_bucket.scatter_policy(), ScatterPolicy::Reroute);
-    assert_eq!(grid.scatter_policy(), ScatterPolicy::Reroute);
-
-    let partitioners: [&dyn Partitioner; 3] = [&recpart, &one_bucket, &grid];
-    for p in partitioners {
-        for threads in [1usize, 0, 4] {
-            let exec = Executor::new(ExecutorConfig::new(16).with_threads(threads));
-            let declared = exec.map_shuffle(p, &s, &t);
-            let reroute = exec.map_shuffle(&ForcePolicy(p, ScatterPolicy::Reroute), &s, &t);
-            let pair_list = exec.map_shuffle(&ForcePolicy(p, ScatterPolicy::PairList), &s, &t);
-            for (label, other) in [("reroute", &reroute), ("pair-list", &pair_list)] {
-                assert_eq!(
-                    declared.s_parts,
-                    other.s_parts,
-                    "{}: S arena differs under forced {label} (threads={threads})",
-                    p.name()
-                );
-                assert_eq!(
-                    declared.t_parts,
-                    other.t_parts,
-                    "{}: T arena differs under forced {label} (threads={threads})",
-                    p.name()
-                );
-            }
-        }
     }
 }

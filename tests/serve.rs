@@ -462,29 +462,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random query streams: per-dimension ε below / equal to / above the
-    /// cached plans, both materialize modes, every thread setting, by-thread
-    /// and streaming shuffle chunks. Every response must be bit-identical to
-    /// its one-shot oracle — and so must every other way of running the same plan
-    /// (`execute_prepared` on a raw shuffle, fault-free `execute_supervised`) —
-    /// the pair list of a (plan, band) must come out in the same order however it
-    /// is served, and the counters must account for the stream exactly.
+    /// cached plans, both materialize modes, every thread setting. Every response
+    /// must be bit-identical to its one-shot oracle — and so must every other way
+    /// of running the same plan (`execute_prepared` on a raw shuffle, fault-free
+    /// `execute_supervised`) — the pair list of a (plan, band) must come out in the
+    /// same order however it is served, and the counters must account for the
+    /// stream exactly.
     #[test]
     fn random_query_streams_match_one_shot_oracles(
         seed in 0u64..500,
         threads_idx in 0usize..3,
-        shuffle_idx in 0usize..3,
         stream in proptest::collection::vec((0usize..3, any::<bool>()), 1..6),
     ) {
         let threads = [1usize, 0, 4][threads_idx];
-        // Chunk by thread count, then two bounded streaming chunk sizes.
-        let chunk_tuples = [0usize, 257, 511][shuffle_idx];
         let dims = 1 + (seed % 2) as usize;
         let (s, t) = workload(seed, 350, dims);
         let config = ServiceConfig::new()
             .with_seed(seed ^ 0xBAD5EED)
             .with_sample(small_sample())
             .with_threads(threads)
-            .with_shuffle_chunk_tuples(chunk_tuples)
             .with_verification(VerificationLevel::FullPairs);
         let mut service = BandJoinService::new(s, t, config);
 
@@ -501,7 +497,7 @@ proptest! {
             let prepared_before = service.health().partitions_prepared;
             let response = service.serve(&query).expect("query");
             let label = format!(
-                "seed {seed} threads {threads} chunk {chunk_tuples} query {i} \
+                "seed {seed} threads {threads} query {i} \
                  (eps {eps:?}, materialize {materialize}, source {:?})",
                 response.source
             );

@@ -7,8 +7,7 @@
 //! order. Every per-partition computation is the same code the unsharded path
 //! runs, so with no faults the merged report must be **bit-identical** to
 //! `execute` — same per-partition loads, same worker mapping, same stats, same
-//! materialized pairs — for every shard count, thread count, and shuffle
-//! chunking (streaming or by thread count).
+//! materialized pairs — for every shard count and thread count.
 //!
 //! Under injected faults the supervisor retries, speculates, and degrades, with
 //! the matching invariant: any supervised run that ends with no failed shards
@@ -48,15 +47,6 @@ fn recpart_partitioner(
     let mut rng = StdRng::seed_from_u64(seed);
     RecPart::new(cfg).optimize(s, t, band, &mut rng).partitioner
 }
-
-/// The shuffle chunkings a scale-tier deployment moves between
-/// ([`ExecutorConfig::shuffle_chunk_tuples`]): chunks by thread count, and two
-/// bounded streaming chunk sizes.
-const SHUFFLE_CHUNKINGS: [(&str, usize); 3] = [
-    ("by-threads", 0),
-    ("streaming-257", 257),
-    ("streaming-511", 511),
-];
 
 /// Field-by-field bit-identity of everything deterministic in a report (the
 /// wall-clock fields are measurements and necessarily differ).
@@ -170,8 +160,7 @@ fn assert_attempt_accounting(sup: &SupervisedExecution, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// shards {1, 2, 7} × threads {1, 0, 4} × chunking {by-threads,
-    /// streaming-257, streaming-511}: every combination must reproduce the
+    /// shards {1, 2, 7} × threads {1, 0, 4}: every combination must reproduce the
     /// sequential in-memory unsharded run bit for bit, down to the materialized
     /// pair check, and the per-shard stats must add up to the global totals.
     #[test]
@@ -199,47 +188,44 @@ proptest! {
 
         for shards in [1usize, 2, 7] {
             for threads in [1usize, 0, 4] {
-                for (chunking, chunk_tuples) in SHUFFLE_CHUNKINGS {
-                    let label = format!("shards={shards} threads={threads} {chunking}");
-                    let exec = Executor::new(
-                        ExecutorConfig::new(workers)
-                            .with_verification(VerificationLevel::FullPairs)
-                            .with_threads(threads)
-                            .with_shuffle_chunk_tuples(chunk_tuples),
-                    );
-                    let sharded = exec
-                        .execute_supervised(
-                            &partitioner,
-                            &s,
-                            &t,
-                            &band,
-                            &SupervisorConfig::new(shards),
-                            &FaultPlan::none(),
-                        )
-                        .unwrap();
-                    assert_reports_identical(&sharded.report, &oracle, &label);
+                let label = format!("shards={shards} threads={threads}");
+                let exec = Executor::new(
+                    ExecutorConfig::new(workers)
+                        .with_verification(VerificationLevel::FullPairs)
+                        .with_threads(threads),
+                );
+                let sharded = exec
+                    .execute_supervised(
+                        &partitioner,
+                        &s,
+                        &t,
+                        &band,
+                        &SupervisorConfig::new(shards),
+                        &FaultPlan::none(),
+                    )
+                    .unwrap();
+                assert_reports_identical(&sharded.report, &oracle, &label);
 
-                    // Shard accounting: disjoint contiguous coverage of the
-                    // partition space, totals equal to the global stats.
-                    let stats = &sharded.shard_stats;
-                    prop_assert!(stats.len() <= shards, "{}", &label);
-                    prop_assert_eq!(stats[0].partition_lo, 0, "{}", &label);
-                    prop_assert_eq!(
-                        stats.last().unwrap().partition_hi,
-                        oracle.partitions,
-                        "{}", &label
-                    );
-                    for w in stats.windows(2) {
-                        prop_assert_eq!(w[0].partition_hi, w[1].partition_lo, "{}", &label);
-                    }
-                    let assigned: u64 = stats.iter().map(|st| st.assignments()).sum();
-                    prop_assert_eq!(assigned, oracle.stats.total_input, "{}", &label);
-                    prop_assert!(
-                        sharded.simulated_sharded_seconds >= sharded.report.simulated_join_seconds,
-                        "{}: per-shard job overhead cannot make the simulated time shorter",
-                        &label
-                    );
+                // Shard accounting: disjoint contiguous coverage of the
+                // partition space, totals equal to the global stats.
+                let stats = &sharded.shard_stats;
+                prop_assert!(stats.len() <= shards, "{}", &label);
+                prop_assert_eq!(stats[0].partition_lo, 0, "{}", &label);
+                prop_assert_eq!(
+                    stats.last().unwrap().partition_hi,
+                    oracle.partitions,
+                    "{}", &label
+                );
+                for w in stats.windows(2) {
+                    prop_assert_eq!(w[0].partition_hi, w[1].partition_lo, "{}", &label);
                 }
+                let assigned: u64 = stats.iter().map(|st| st.assignments()).sum();
+                prop_assert_eq!(assigned, oracle.stats.total_input, "{}", &label);
+                prop_assert!(
+                    sharded.simulated_sharded_seconds >= sharded.report.simulated_join_seconds,
+                    "{}: per-shard job overhead cannot make the simulated time shorter",
+                    &label
+                );
             }
         }
     }
@@ -250,8 +236,7 @@ proptest! {
 
     /// Chaos sweep: random seeded [`FaultPlan`]s (panics, I/O errors,
     /// stragglers; recoverable and permanent) × shards {1, 2, 7} × threads
-    /// {1, 0, 4} × streaming chunks {257, 511}, half the combinations with a
-    /// speculation deadline. Every run must end in either a bit-identical
+    /// {1, 0, 4}, every other combination with a speculation deadline. Every run must end in either a bit-identical
     /// report (all faults recovered) or a structurally degraded one whose
     /// failed shard ranges exactly cover the missing partitions, with
     /// assignment conservation across all shards — and the supervisor's
@@ -281,48 +266,37 @@ proptest! {
         let mut combo = 0u64;
         for shards in [1usize, 2, 7] {
             for threads in [1usize, 0, 4] {
-                for chunk_tuples in [257usize, 511] {
-                    combo += 1;
-                    // Random plan per combination; shard faults may outlive the
-                    // 3-attempt budget (max_shard_fire = 4), so this sweep hits
-                    // recovery *and* exhaustion/degradation.
-                    let plan = FaultPlan::random(
-                        fault_seed.wrapping_add(combo),
-                        shards,
-                        4,
-                    );
-                    // Tiny backoff keeps the sweep fast; a deadline on every
-                    // other combination exercises the speculation path too.
-                    let mut sup_config = SupervisorConfig::new(shards).with_backoff_ms(1, 4);
-                    if combo.is_multiple_of(2) {
-                        sup_config = sup_config.with_shard_deadline_ms(15);
-                    }
-                    let label = format!(
-                        "shards={shards} threads={threads} chunk={chunk_tuples} plan={:?}",
-                        plan.specs()
-                    );
-                    let exec = Executor::new(
-                        ExecutorConfig::new(workers)
-                            .with_verification(VerificationLevel::FullPairs)
-                            .with_threads(threads)
-                            .with_shuffle_chunk_tuples(chunk_tuples),
-                    );
-                    // Random plans keep shuffle/merge faults within the retry
-                    // budget, and shard exhaustion degrades rather than
-                    // failing: the supervised run must always produce a result.
-                    let sup = exec
-                        .execute_supervised(&partitioner, &s, &t, &band, &sup_config, &plan)
-                        .unwrap_or_else(|e| panic!("{label}: supervised run failed: {e}"));
+                combo += 1;
+                // Random plan per combination; shard faults may outlive the
+                // 3-attempt budget (max_shard_fire = 4), so this sweep hits
+                // recovery *and* exhaustion/degradation.
+                let plan = FaultPlan::random(fault_seed.wrapping_add(combo), shards, 4);
+                // Tiny backoff keeps the sweep fast; a deadline on every
+                // other combination exercises the speculation path too.
+                let mut sup_config = SupervisorConfig::new(shards).with_backoff_ms(1, 4);
+                if combo.is_multiple_of(2) {
+                    sup_config = sup_config.with_shard_deadline_ms(15);
+                }
+                let label = format!("shards={shards} threads={threads} plan={:?}", plan.specs());
+                let exec = Executor::new(
+                    ExecutorConfig::new(workers)
+                        .with_verification(VerificationLevel::FullPairs)
+                        .with_threads(threads),
+                );
+                // Random plans keep shuffle/merge faults within the retry
+                // budget, and shard exhaustion degrades rather than
+                // failing: the supervised run must always produce a result.
+                let sup = exec
+                    .execute_supervised(&partitioner, &s, &t, &band, &sup_config, &plan)
+                    .unwrap_or_else(|e| panic!("{label}: supervised run failed: {e}"));
 
-                    assert_attempt_accounting(&sup, &label);
-                    if sup.failed.is_empty() {
-                        assert_reports_identical(&sup.report, &oracle, &label);
-                        let assigned: u64 =
-                            sup.shard_stats.iter().map(|st| st.assignments()).sum();
-                        prop_assert_eq!(assigned, oracle.stats.total_input, "{}", &label);
-                    } else {
-                        assert_degraded_coverage(&sup, &oracle, &label);
-                    }
+                assert_attempt_accounting(&sup, &label);
+                if sup.failed.is_empty() {
+                    assert_reports_identical(&sup.report, &oracle, &label);
+                    let assigned: u64 = sup.shard_stats.iter().map(|st| st.assignments()).sum();
+                    prop_assert_eq!(assigned, oracle.stats.total_input, "{}", &label);
+                } else {
+                    assert_degraded_coverage(&sup, &oracle, &label);
                 }
             }
         }
@@ -540,39 +514,4 @@ fn supervised_executor(workers: usize) -> Executor {
             .with_verification(VerificationLevel::FullPairs)
             .with_threads(1),
     )
-}
-
-/// The streaming shuffle writes the global arena through per-chunk cursors; the
-/// resulting CSR index must be bit-identical to the by-thread shuffle for every
-/// chunk size.
-#[test]
-fn streaming_shuffle_feeds_shards_identically() {
-    let mut rng = StdRng::seed_from_u64(99);
-    let mut s = Relation::new(2);
-    let mut t = Relation::new(2);
-    use rand::Rng;
-    for _ in 0..4000 {
-        s.push(&[rng.gen::<f64>() * 80.0, rng.gen::<f64>() * 80.0]);
-        t.push(&[rng.gen::<f64>() * 80.0, rng.gen::<f64>() * 80.0]);
-    }
-    let band = BandCondition::symmetric(&[0.7, 0.7]);
-    let partitioner = recpart_partitioner(&s, &t, &band, 9, 3);
-
-    let by_threads = Executor::with_workers(9).map_shuffle(&partitioner, &s, &t);
-    for chunk in [64usize, 1000, 100_000] {
-        let exec = Executor::new(ExecutorConfig::new(9).with_shuffle_chunk_tuples(chunk));
-        let streamed = exec.map_shuffle(&partitioner, &s, &t);
-        for p in 0..partitioner.num_partitions() {
-            assert_eq!(
-                by_threads.s_parts.part(p),
-                streamed.s_parts.part(p),
-                "chunk {chunk} S {p}"
-            );
-            assert_eq!(
-                by_threads.t_parts.part(p),
-                streamed.t_parts.part(p),
-                "chunk {chunk} T {p}"
-            );
-        }
-    }
 }
