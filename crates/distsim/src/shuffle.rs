@@ -415,7 +415,7 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use recpart::partition::SinglePartition;
-    use recpart::{BandCondition, PartitionId, RecPart, RecPartConfig};
+    use recpart::{BandCondition, PartitionId, RecPart, RecPartConfig, SplitTreePartitioner};
 
     fn relation(n: usize) -> Relation {
         let mut r = Relation::with_capacity(1, n);
@@ -556,12 +556,16 @@ mod tests {
         PartitionedIndex::from_parts(&parts)
     }
 
-    /// Every chunk size — one tuple, sizes that do not divide the input, the
-    /// production size, one chunk larger than the input — on one thread and on a
-    /// pool must write the per-tuple oracle's arena bit for bit, for a
-    /// multi-assignment toy partitioner and for a real RecPart plan.
-    #[test]
-    fn chunked_arenas_match_the_per_tuple_oracle() {
+    /// A toy multi-assignment partitioner and a real RecPart plan over two skewed
+    /// random sides, both partitioners duplicating tuples.
+    struct OracleFixture {
+        s: Relation,
+        t: Relation,
+        modp: ModPartitioner,
+        recpart: SplitTreePartitioner,
+    }
+
+    fn oracle_fixture() -> OracleFixture {
         let mut rng = StdRng::seed_from_u64(0x5417);
         let mut random_relation = |n: usize| {
             let mut r = Relation::with_capacity(1, n);
@@ -575,19 +579,71 @@ mod tests {
         let recpart = RecPart::new(RecPartConfig::new(4).with_seed(3))
             .optimize(&s, &t, &band, &mut StdRng::seed_from_u64(3))
             .partitioner;
-        let modp = ModPartitioner(11);
+        OracleFixture {
+            s,
+            t,
+            modp: ModPartitioner(11),
+            recpart,
+        }
+    }
+
+    impl OracleFixture {
+        fn partitioners(&self) -> [&dyn Partitioner; 2] {
+            [&self.modp, &self.recpart]
+        }
+    }
+
+    /// The shuffle's scatter — replaying the `(partition, tuple)` pairs pass 1
+    /// recorded — must write the arena that re-routing every tuple writes (the
+    /// per-tuple oracle), on one thread and on a pool, for both partitioners.
+    #[test]
+    fn scatter_policies_produce_identical_arenas() {
+        let fx = oracle_fixture();
         let pool = four_thread_pool();
-        let partitioners: [&dyn Partitioner; 2] = [&modp, &recpart];
-        for p in partitioners {
+        for p in fx.partitioners() {
             let k = p.num_partitions();
-            for (rel, side) in [(&s, Side::S), (&t, Side::T)] {
-                let oracle = per_tuple_arena(p, rel, side);
+            let s_oracle = per_tuple_arena(p, &fx.s, Side::S);
+            let t_oracle = per_tuple_arena(p, &fx.t, Side::T);
+            assert!(
+                s_oracle.len() > fx.s.len(),
+                "{}: no tuple duplicated",
+                p.name()
+            );
+            assert!(
+                t_oracle.len() > fx.t.len(),
+                "{}: no tuple duplicated",
+                p.name()
+            );
+            for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
+                let got = shuffle(p, &fx.s, &fx.t, k, &par);
                 assert!(
-                    oracle.len() > rel.len(),
-                    "{}: no tuple duplicated",
-                    p.name()
+                    got.s_parts == s_oracle,
+                    "{} side S threads={}",
+                    p.name(),
+                    par.threads()
                 );
-                for chunk_tuples in [1usize, 777, 4_096, SHUFFLE_CHUNK_TUPLES, 100_000] {
+                assert!(
+                    got.t_parts == t_oracle,
+                    "{} side T threads={}",
+                    p.name(),
+                    par.threads()
+                );
+            }
+        }
+    }
+
+    /// Every chunk size — one tuple, sizes that do not divide the input, one chunk
+    /// larger than either side (a whole side routed as one block) — on one thread
+    /// and on a pool must write the per-tuple oracle's arena bit for bit.
+    #[test]
+    fn streaming_arenas_are_bit_identical_to_legacy() {
+        let fx = oracle_fixture();
+        let pool = four_thread_pool();
+        for p in fx.partitioners() {
+            let k = p.num_partitions();
+            for (rel, side) in [(&fx.s, Side::S), (&fx.t, Side::T)] {
+                let oracle = per_tuple_arena(p, rel, side);
+                for chunk_tuples in [1usize, 777, 4_096, 100_000] {
                     for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
                         let got = route_side(p, rel, k, &par, side, chunk_tuples, None)
                             .expect("no faults injected");
