@@ -237,23 +237,15 @@ impl Partitioner for GridPartitioner {
     // relation's columnar layout — one vectorized `floor((k − origin) / cell)`
     // sweep per dimension ([`cell_indices`], dispatched on the active
     // [`RouteKernel`]), then per-row hash lookups over the coordinate buffers.
-    // `RouteKernel::Scalar` keeps the original row-major per-tuple loop verbatim
-    // as the oracle; the kernels reproduce its cell indices bit for bit (the
-    // band shifts fold into the kernel's `sub` operand exactly — see
-    // [`cell_indices`]), so block == per-tuple assignment is preserved for
-    // every kernel.
+    // Every kernel reproduces the per-tuple cell indices bit for bit (the band
+    // shifts fold into the kernel's `sub` operand exactly — see
+    // [`cell_indices`]), so block == per-tuple assignment holds for every
+    // kernel.
     fn assign_s_block(&self, rel: &Relation, rows: Range<usize>, sink: &mut AssignmentSink) {
         sink.reserve(rows.len());
         let kernel = RouteKernel::active();
         let dims = self.band.dims();
         let mut coords = vec![0i64; dims];
-        if kernel == RouteKernel::Scalar {
-            for i in rows {
-                let id = self.cell_or_default(&rel.key(i), &mut coords);
-                sink.push(id, i as u32);
-            }
-            return;
-        }
         let mut cols: Vec<Vec<i64>> = vec![Vec::new(); dims];
         for (d, col) in cols.iter_mut().enumerate() {
             cell_indices(
@@ -281,18 +273,6 @@ impl Partitioner for GridPartitioner {
         let dims = self.band.dims();
         let mut scratch = TScratch::new(dims);
         let mut coords = vec![0i64; dims];
-        if kernel == RouteKernel::Scalar {
-            for i in rows {
-                let key = rel.key(i);
-                let any =
-                    self.for_each_t_range_cell(&key, &mut scratch, |id| sink.push(id, i as u32));
-                if !any {
-                    let id = self.cell_or_default(&key, &mut coords);
-                    sink.push(id, i as u32);
-                }
-            }
-            return;
-        }
         // `range_around_t(d, k) = (k − ε_lo, k + ε_hi)`: pass `sub = ε_lo` for
         // the low endpoint and `sub = −ε_hi` for the high one (`x − (−ε) == x + ε`
         // exactly in IEEE arithmetic), so both sweeps match the scalar endpoints

@@ -16,11 +16,11 @@
 //!   folded into the boundary, which would change IEEE rounding);
 //! * per-leaf 1-Bucket grid shape, partition base, and the side's salted hash seed.
 //!
-//! A block of tuples then descends with one reusable stack (no recursion, no
-//! per-tuple `Vec<PartitionId>`) and unchecked node-array indexing (every child id
-//! was validated at compile time), writing straight into an
+//! A block of tuples then descends segment by segment (one [`simd`] split per
+//! node a segment reaches, whatever the kernel), writing straight into an
 //! [`AssignmentSink`](crate::partition::AssignmentSink). Routing is **bit-identical**
-//! to the tree walk: same partition ids in the same order for every tuple.
+//! to the tree walk, which stays the reference the tests hold it to: same
+//! partition ids in the same order for every tuple.
 
 use crate::band::BandCondition;
 use crate::partition::{AssignmentSink, PartitionId};
@@ -138,105 +138,39 @@ impl SideTable {
         }
     }
 
-    /// Descend one tuple through the table, emitting every partition id in exactly
-    /// the order [`SplitTree::route_s`]/[`route_t`](SplitTree::route_t) would push
-    /// it (LIFO stack, left child pushed before right, so the right subtree of a
-    /// duplicating node is visited first — just like the tree walk).
-    ///
-    /// # Safety (internal)
-    /// The unchecked node-array accesses are sound because
-    /// [`CompiledRouter::validate`] — run when a router is compiled — guarantees
-    /// that all per-node arrays share one length and that the root and every
-    /// inner node's child ids index into them. The stack
-    /// is a plain `Vec` (pre-reserved to the tree depth + 1, the DFS maximum, so
-    /// pushes do not reallocate on the hot path — but a reallocation would still
-    /// be safe).
-    #[inline]
-    fn descend(
-        &self,
-        root: u32,
-        key: &[f64],
-        tuple_id: u64,
-        stack: &mut Vec<u32>,
-        mut emit: impl FnMut(PartitionId),
-    ) {
-        stack.push(root);
-        while let Some(n) = stack.pop() {
-            let n = n as usize;
-            let flags = unsafe { *self.flags.get_unchecked(n) };
-            if flags & FLAG_LEAF != 0 {
-                let copies = unsafe { *self.leaf_copies.get_unchecked(n) };
-                let choices = unsafe { *self.leaf_choices.get_unchecked(n) };
-                let first = unsafe { *self.leaf_base.get_unchecked(n) }
-                    + if choices == 1 {
-                        // `hash % 1 == 0`: skip the hash entirely for the common
-                        // un-gridded direction.
-                        0
-                    } else {
-                        let seed = unsafe { *self.leaf_seeds.get_unchecked(n) };
-                        (stable_hash(seed, tuple_id) % choices as u64) as u32
-                            * unsafe { *self.leaf_choice_stride.get_unchecked(n) }
-                    };
-                let stride = unsafe { *self.leaf_stride.get_unchecked(n) };
-                for c in 0..copies {
-                    emit(first + c * stride);
-                }
-            } else {
-                let dim = unsafe { *self.dims.get_unchecked(n) } as usize;
-                let boundary = unsafe { *self.boundaries.get_unchecked(n) };
-                let k = key[dim];
-                let left = unsafe { *self.lefts.get_unchecked(n) };
-                let right = unsafe { *self.rights.get_unchecked(n) };
-                if flags & FLAG_DUP != 0 {
-                    // Duplicated side: both children whose region intersects the
-                    // band range around the key. The shifts are applied to the key
-                    // (identical IEEE arithmetic to `BandCondition::range_around_*`).
-                    if k - unsafe { *self.subs.get_unchecked(n) } < boundary {
-                        stack.push(left);
-                    }
-                    if k + unsafe { *self.adds.get_unchecked(n) } >= boundary {
-                        stack.push(right);
-                    }
-                } else {
-                    // Partitioned side: exactly one child contains the key.
-                    stack.push(if k < boundary { left } else { right });
-                }
-            }
-        }
-    }
-
     /// Batch descent: route a whole block of tuples through the table at once,
-    /// leveling the tree one *segment* at a time instead of one tuple at a time.
+    /// leveling the tree one *segment* at a time instead of one tuple at a time,
+    /// and append the `(partition, tuple)` pairs to `sink`.
     ///
-    /// The classic walk takes one tuple down the tree; this takes the tree down
-    /// the tuples. A segment is the list of block positions that reached a node;
-    /// an inner node splits it with one [`simd`] kernel call over the node's
-    /// *column* (the columnar [`Relation`] makes that a contiguous gather), a
-    /// leaf turns its segment into `(position, partition)` pairs. Segments keep
-    /// their positions in block order (the kernels are stable partitions), and
-    /// the pair stream is finally transposed back to per-tuple order with a
-    /// stable counting sort, so the emitted stream is **bit-identical** to the
-    /// per-tuple [`descend`](SideTable::descend) loop:
+    /// The tree walk ([`SplitTree::route_s`]) takes one tuple down the tree; this
+    /// takes the tree down the tuples. A segment is the list of block positions
+    /// that reached a node; an inner node splits it with one [`simd`] kernel
+    /// call over the node's *column* (the columnar [`Relation`] makes that a
+    /// contiguous gather), a leaf turns its segment into `(position, partition)`
+    /// pairs. Segments keep their positions in block order (the kernels are
+    /// stable partitions), and the pair stream is finally transposed back to
+    /// per-tuple order with a stable counting sort, so the emitted stream is
+    /// **bit-identical** to the tree walk run tuple by tuple:
     ///
     /// * tuples ascend in block order (the counting sort groups by position);
     /// * within one tuple, pairs appear in DFS order with the right subtree of
     ///   a duplicating node first — the segment stack pushes left before right,
-    ///   so LIFO pops mirror the per-tuple stack exactly, and the counting
+    ///   so LIFO pops mirror the tree walk's stack exactly, and the counting
     ///   sort's stability preserves that order within each position.
     ///
     /// Node fields are read with plain (checked) indexing: the cost is per
-    /// *segment*, not per tuple, so there is nothing to win by `get_unchecked`
-    /// here. Column reads inside the kernels are unchecked; soundness comes
-    /// from the `rows` bound assert below plus segments only ever containing
-    /// positions from `rows`.
+    /// *segment*, not per tuple. Column reads inside the kernels are unchecked;
+    /// soundness comes from the `rows` bound assert below plus segments only
+    /// ever containing positions from `rows`. The working buffers are locals of
+    /// the call: the shuffle routes 64k-tuple chunks, so their allocation is
+    /// paid once per chunk, and nothing outlives the block.
     fn descend_block(
         &self,
         root: u32,
         rel: &Relation,
         rows: Range<usize>,
         kernel: RouteKernel,
-        scratch: &mut BlockScratch,
-        mut emit: impl FnMut(PartitionId, u32),
+        sink: &mut AssignmentSink,
     ) {
         assert!(rows.end <= rel.len(), "block rows out of range");
         if rows.is_empty() {
@@ -245,13 +179,12 @@ impl SideTable {
         let base = rows.start as u32;
         let n_rows = rows.len();
 
-        let mut seg = scratch.pool.pop().unwrap_or_default();
-        seg.clear();
-        seg.extend(rows.map(|i| i as u32));
-        scratch.stack.push((root, seg));
-        scratch.pairs.clear();
+        // Retired segment buffers, reused for the children of later nodes.
+        let mut pool: Vec<Vec<u32>> = Vec::new();
+        let mut stack: Vec<(u32, Vec<u32>)> = vec![(root, rows.map(|i| i as u32).collect())];
+        let mut pairs: Vec<(u32, PartitionId)> = Vec::with_capacity(n_rows);
 
-        while let Some((n, seg)) = scratch.stack.pop() {
+        while let Some((n, seg)) = stack.pop() {
             let n = n as usize;
             if self.flags[n] & FLAG_LEAF != 0 {
                 let copies = self.leaf_copies[n];
@@ -261,7 +194,7 @@ impl SideTable {
                 if choices == 1 {
                     for &pos in &seg {
                         for c in 0..copies {
-                            scratch.pairs.push((pos, leaf_base + c * stride));
+                            pairs.push((pos, leaf_base + c * stride));
                         }
                     }
                 } else {
@@ -272,16 +205,16 @@ impl SideTable {
                             + (stable_hash(seed, pos as u64) % choices as u64) as u32
                                 * choice_stride;
                         for c in 0..copies {
-                            scratch.pairs.push((pos, first + c * stride));
+                            pairs.push((pos, first + c * stride));
                         }
                     }
                 }
-                scratch.pool.push(seg);
+                pool.push(seg);
             } else {
                 let col = rel.column(self.dims[n] as usize);
                 let boundary = self.boundaries[n];
-                let mut left = scratch.pool.pop().unwrap_or_default();
-                let mut right = scratch.pool.pop().unwrap_or_default();
+                let mut left = pool.pop().unwrap_or_default();
+                let mut right = pool.pop().unwrap_or_default();
                 if self.flags[n] & FLAG_DUP != 0 {
                     let split = simd::DupSplit {
                         boundary,
@@ -292,14 +225,14 @@ impl SideTable {
                 } else {
                     simd::partition_single(kernel, col, &seg, boundary, &mut left, &mut right);
                 }
-                scratch.pool.push(seg);
+                pool.push(seg);
                 // Left pushed before right: the LIFO pop visits the right
-                // subtree first, matching the per-tuple walk's emission order.
+                // subtree first, matching the tree walk's emission order.
                 for (child, child_seg) in [(self.lefts[n], left), (self.rights[n], right)] {
                     if child_seg.is_empty() {
-                        scratch.pool.push(child_seg);
+                        pool.push(child_seg);
                     } else {
-                        scratch.stack.push((child, child_seg));
+                        stack.push((child, child_seg));
                     }
                 }
             }
@@ -307,62 +240,26 @@ impl SideTable {
 
         // Stable counting-sort transpose: group the pair stream by position
         // (ascending), preserving emission order within each position.
-        scratch.counts.clear();
-        scratch.counts.resize(n_rows, 0);
-        for &(pos, _) in &scratch.pairs {
-            scratch.counts[(pos - base) as usize] += 1;
+        let mut counts = vec![0u32; n_rows];
+        for &(pos, _) in &pairs {
+            counts[(pos - base) as usize] += 1;
         }
         let mut offset = 0u32;
-        for slot in scratch.counts.iter_mut() {
+        for slot in counts.iter_mut() {
             let count = *slot;
             *slot = offset;
             offset += count;
         }
-        scratch.sorted.clear();
-        scratch.sorted.resize(scratch.pairs.len(), (0, 0));
-        for &(pos, part) in &scratch.pairs {
-            let slot = &mut scratch.counts[(pos - base) as usize];
-            scratch.sorted[*slot as usize] = (pos, part);
+        let mut sorted = vec![(0u32, 0 as PartitionId); pairs.len()];
+        for &(pos, part) in &pairs {
+            let slot = &mut counts[(pos - base) as usize];
+            sorted[*slot as usize] = (pos, part);
             *slot += 1;
         }
-        for &(pos, part) in &scratch.sorted {
-            emit(part, pos);
+        for &(pos, part) in &sorted {
+            sink.push(part, pos);
         }
     }
-}
-
-/// Reusable working memory of one [`SideTable::descend_block`] call: the
-/// segment stack, a pool of retired segment buffers, and the pair stream plus
-/// its counting-sort transpose. One instance serves any number of blocks.
-#[derive(Debug, Default)]
-struct BlockScratch {
-    stack: Vec<(u32, Vec<u32>)>,
-    pool: Vec<Vec<u32>>,
-    pairs: Vec<(u32, PartitionId)>,
-    sorted: Vec<(u32, PartitionId)>,
-    counts: Vec<u32>,
-}
-
-std::thread_local! {
-    /// Per-thread [`BlockScratch`] shared by every router on the thread. The
-    /// shuffle calls `route_*_block` once per ~4k-tuple chunk, and a fresh scratch
-    /// per call meant five allocations re-growing to the same high-water mark each
-    /// time; the buffers are request-independent working memory (`descend_block`
-    /// clears or fully overwrites every one before reading it), so one per-thread
-    /// instance serves all routers and blocks without affecting results.
-    static BLOCK_SCRATCH: std::cell::RefCell<BlockScratch> =
-        std::cell::RefCell::new(BlockScratch::default());
-}
-
-/// Run `f` with the calling thread's cached [`BlockScratch`]. Falls back to a
-/// fresh scratch if the cache is already borrowed — possible only if a sink
-/// callback re-enters block routing on the same thread, which must degrade to
-/// the old allocate-per-call behaviour rather than panic.
-fn with_block_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
-    BLOCK_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut BlockScratch::default()),
-    })
 }
 
 /// A [`SplitTree`] compiled into flat per-side routing tables (see the module docs).
@@ -370,14 +267,14 @@ fn with_block_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
 /// Compile once after the tree is frozen ([`SplitTree::assign_partition_ids`] must
 /// have run); route blocks forever. The router is immutable and `Send + Sync`, so
 /// the executor's parallel map phase shares one instance across all threads.
-/// Every router has passed [`CompiledRouter::validate`] before the unchecked
-/// descent can run.
+/// Every router has passed [`CompiledRouter::validate`] before it can route.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRouter {
     s_side: SideTable,
     t_side: SideTable,
     root: u32,
-    /// Maximum stack entries any descent can need (= tree depth).
+    /// Depth of the compiled tree. No descent reads it; it is folded into
+    /// [`CompiledRouter::signature`], which plan caches key on.
     depth: u32,
     num_partitions: u32,
 }
@@ -455,18 +352,21 @@ impl CompiledRouter {
             depth: tree.depth() as u32,
             num_partitions: tree.num_partitions() as u32,
         };
-        // The tree's own accessors bounds-check, but the descent indexes unchecked,
-        // so every router must prove the invariants before it is allowed to exist.
+        // A `SplitTree` is public and buildable by hand: a corrupt one must fail
+        // here, not as a `% 0` or an out-of-range partition id mid-shuffle.
         router
             .validate()
             .expect("split tree carries out-of-range node references");
         router
     }
 
-    /// Check the structural invariants the unchecked descent relies on: all
-    /// per-node arrays of both sides share one length, and the root and every
-    /// inner node's child ids index into them. Runs once per compile — never on
-    /// the routing path.
+    /// Check the structural invariants the descent relies on: all per-node
+    /// arrays of both sides share one length, the root and every inner node's
+    /// child ids index into them, and every leaf's grid reaches only ids below
+    /// the partition count. The descent reads with checked indexing, so a
+    /// violation would still be caught — but mid-shuffle, as a panic, a `% 0`
+    /// or a partition id past the arena; this turns it into a compile-time
+    /// error. Runs once per compile — never on the routing path.
     fn validate(&self) -> Result<(), String> {
         for (label, side) in [("S", &self.s_side), ("T", &self.t_side)] {
             let n = side.flags.len();
@@ -501,7 +401,7 @@ impl CompiledRouter {
                         return Err(format!("{label}-side node {i} has an out-of-range child"));
                     }
                 } else {
-                    // Leaf payloads feed unchecked arithmetic in `descend`:
+                    // Leaf payloads feed the descent's arithmetic:
                     // `choices == 0` would divide by zero in the grid hash, and an
                     // oversized base/stride/copies would emit partition ids
                     // `>= num_partitions`, corrupting the CSR arena scatter
@@ -549,11 +449,6 @@ impl CompiledRouter {
         self.t_side.fold_signature(h)
     }
 
-    /// A descent stack sized for this tree, reusable across tuples and blocks.
-    fn stack(&self) -> Vec<u32> {
-        Vec::with_capacity(self.depth as usize + 1)
-    }
-
     /// Route the S-tuples `rows` of `rel` into `sink` (bit-identical ids and order
     /// to [`SplitTree::route_s`] per tuple, tuples in ascending index order),
     /// using the process-wide routing kernel ([`RouteKernel::active`]).
@@ -567,9 +462,9 @@ impl CompiledRouter {
     }
 
     /// [`route_s_block`](CompiledRouter::route_s_block) with an explicit
-    /// kernel. [`RouteKernel::Scalar`] runs the per-tuple descent loop
-    /// verbatim; the batch kernels must produce a bit-identical stream (tests
-    /// and the CI smoke gate hold them to it).
+    /// kernel. Every kernel runs the same segment descent and differs only in
+    /// the primitive that splits a segment at a node, so every kernel emits the
+    /// same stream (tests hold each to the [`SplitTree`] walk).
     pub fn route_s_block_with(
         &self,
         kernel: RouteKernel,
@@ -577,25 +472,8 @@ impl CompiledRouter {
         rows: Range<usize>,
         sink: &mut AssignmentSink,
     ) {
-        match kernel {
-            RouteKernel::Scalar => {
-                let mut stack = self.stack();
-                for i in rows {
-                    self.s_side
-                        .descend(self.root, &rel.key(i), i as u64, &mut stack, |p| {
-                            sink.push(p, i as u32)
-                        });
-                }
-            }
-            _ => {
-                with_block_scratch(|scratch| {
-                    self.s_side
-                        .descend_block(self.root, rel, rows, kernel, scratch, |p, i| {
-                            sink.push(p, i)
-                        })
-                });
-            }
-        }
+        self.s_side
+            .descend_block(self.root, rel, rows, kernel, sink);
     }
 
     /// [`route_t_block`](CompiledRouter::route_t_block) with an explicit kernel.
@@ -606,40 +484,8 @@ impl CompiledRouter {
         rows: Range<usize>,
         sink: &mut AssignmentSink,
     ) {
-        match kernel {
-            RouteKernel::Scalar => {
-                let mut stack = self.stack();
-                for i in rows {
-                    self.t_side
-                        .descend(self.root, &rel.key(i), i as u64, &mut stack, |p| {
-                            sink.push(p, i as u32)
-                        });
-                }
-            }
-            _ => {
-                with_block_scratch(|scratch| {
-                    self.t_side
-                        .descend_block(self.root, rel, rows, kernel, scratch, |p, i| {
-                            sink.push(p, i)
-                        })
-                });
-            }
-        }
-    }
-
-    /// Route one S-tuple, appending its partitions to `out` (the compiled
-    /// counterpart of [`SplitTree::route_s`]).
-    pub fn route_s(&self, key: &[f64], tuple_id: u64, out: &mut Vec<PartitionId>) {
-        let mut stack = self.stack();
-        self.s_side
-            .descend(self.root, key, tuple_id, &mut stack, |p| out.push(p));
-    }
-
-    /// Route one T-tuple, appending its partitions to `out`.
-    pub fn route_t(&self, key: &[f64], tuple_id: u64, out: &mut Vec<PartitionId>) {
-        let mut stack = self.stack();
         self.t_side
-            .descend(self.root, key, tuple_id, &mut stack, |p| out.push(p));
+            .descend_block(self.root, rel, rows, kernel, sink);
     }
 }
 
@@ -659,27 +505,78 @@ mod tests {
         (tree, BandCondition::symmetric(&[0.75]))
     }
 
-    fn assert_router_matches_tree(tree: &SplitTree, band: &BandCondition, seed: u64) {
+    /// The tree walk's `(partition, tuple)` stream over every row of `rel`, row
+    /// index as tuple id: the reference every kernel's block routing is held to.
+    fn tree_pairs(
+        tree: &SplitTree,
+        band: &BandCondition,
+        seed: u64,
+        rel: &Relation,
+        t_side: bool,
+    ) -> Vec<(PartitionId, u32)> {
+        let mut expected = Vec::new();
+        let mut buf = Vec::new();
+        for i in 0..rel.len() {
+            buf.clear();
+            if t_side {
+                tree.route_t(&rel.key(i), i as u64, band, seed, &mut buf);
+            } else {
+                tree.route_s(&rel.key(i), i as u64, band, seed, &mut buf);
+            }
+            expected.extend(buf.iter().map(|&p| (p, i as u32)));
+        }
+        expected
+    }
+
+    /// The router's stream over `rel`, routed with `kernel` block by block.
+    fn block_pairs(
+        router: &CompiledRouter,
+        kernel: RouteKernel,
+        rel: &Relation,
+        blocks: &[Range<usize>],
+        t_side: bool,
+    ) -> Vec<(PartitionId, u32)> {
+        let mut sink = AssignmentSink::new(router.num_partitions());
+        for rows in blocks {
+            if t_side {
+                router.route_t_block_with(kernel, rel, rows.clone(), &mut sink);
+            } else {
+                router.route_s_block_with(kernel, rel, rows.clone(), &mut sink);
+            }
+        }
+        sink.pairs().to_vec()
+    }
+
+    /// One block per row: the tuple-at-a-time chunking.
+    fn single_rows(n: usize) -> Vec<Range<usize>> {
+        (0..n).map(|i| i..i + 1).collect()
+    }
+
+    /// Every kernel, on both sides, must emit the tree walk's stream for the
+    /// rows of `rel`, whether they are routed as one block or as `blocks`.
+    fn assert_kernels_match_tree(
+        tree: &SplitTree,
+        band: &BandCondition,
+        seed: u64,
+        rel: &Relation,
+        blocks: &[Range<usize>],
+    ) {
         let router = CompiledRouter::compile(tree, band, seed);
         assert_eq!(router.num_partitions(), tree.num_partitions());
-        let mut tree_out = Vec::new();
-        let mut router_out = Vec::new();
-        for i in 0..400u64 {
-            let key = [i as f64 * 0.03];
-            for t_side in [false, true] {
-                tree_out.clear();
-                router_out.clear();
-                if t_side {
-                    tree.route_t(&key, i, band, seed, &mut tree_out);
-                    router.route_t(&key, i, &mut router_out);
-                } else {
-                    tree.route_s(&key, i, band, seed, &mut tree_out);
-                    router.route_s(&key, i, &mut router_out);
+        let whole = 0..rel.len();
+        for t_side in [false, true] {
+            let expected = tree_pairs(tree, band, seed, rel, t_side);
+            for kernel in RouteKernel::all_supported() {
+                for chunking in [std::slice::from_ref(&whole), blocks] {
+                    assert_eq!(
+                        block_pairs(&router, kernel, rel, chunking, t_side),
+                        expected,
+                        "kernel {} diverged from the tree walk \
+                         (t_side={t_side}, {} blocks)",
+                        kernel.name(),
+                        chunking.len()
+                    );
                 }
-                assert_eq!(
-                    tree_out, router_out,
-                    "side {t_side} tuple {i}: router diverged from the tree walk"
-                );
             }
         }
     }
@@ -687,8 +584,15 @@ mod tests {
     #[test]
     fn router_is_bit_identical_to_tree_walk() {
         let (tree, band) = mixed_tree();
+        // The quarter-step tail lands exactly on every boundary and every
+        // boundary ± ε, where a duplicating node's `<` and `>=` part ways.
+        let keys: Vec<f64> = (0..400)
+            .map(|i| i as f64 * 0.03)
+            .chain((0..48).map(|i| i as f64 * 0.25 - 1.0))
+            .collect();
+        let rel = Relation::from_values_1d(&keys);
         for seed in [0u64, 7, 0xDEAD_BEEF] {
-            assert_router_matches_tree(&tree, &band, seed);
+            assert_kernels_match_tree(&tree, &band, seed, &rel, &single_rows(keys.len()));
         }
     }
 
@@ -699,45 +603,22 @@ mod tests {
         tree.split_leaf(l, 1, -0.5, SplitKind::SSplit);
         tree.assign_partition_ids();
         let band = BandCondition::try_asymmetric(&[0.2, 1.5], &[0.9, 0.1]).unwrap();
-        let router = CompiledRouter::compile(&tree, &band, 11);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for i in 0..300u64 {
-            let key = [(i as f64) * 0.017 - 2.0, (i as f64) * -0.013 + 1.0];
-            a.clear();
-            b.clear();
-            tree.route_s(&key, i, &band, 11, &mut a);
-            router.route_s(&key, i, &mut b);
-            assert_eq!(a, b);
-            a.clear();
-            b.clear();
-            tree.route_t(&key, i, &band, 11, &mut a);
-            router.route_t(&key, i, &mut b);
-            assert_eq!(a, b);
+        let mut rel = Relation::new(2);
+        for i in 0..300 {
+            rel.push(&[(i as f64) * 0.017 - 2.0, (i as f64) * -0.013 + 1.0]);
         }
+        assert_kernels_match_tree(&tree, &band, 11, &rel, &single_rows(300));
     }
 
     #[test]
     fn block_routing_matches_per_tuple_routing() {
+        // A whole block and a split block must both reproduce the tree walk's
+        // per-tuple stream, through the active kernel's public entry point too.
         let (tree, band) = mixed_tree();
+        let rel = Relation::from_values_1d(&(0..257).map(|i| i as f64 * 0.041).collect::<Vec<_>>());
+        assert_kernels_match_tree(&tree, &band, 3, &rel, &[0..100, 100..257]);
         let router = CompiledRouter::compile(&tree, &band, 3);
-        let mut rel = Relation::new(1);
-        for i in 0..257 {
-            rel.push(&[(i as f64) * 0.041]);
-        }
-        let mut expected = Vec::new();
-        let mut buf = Vec::new();
-        for i in 0..rel.len() {
-            buf.clear();
-            router.route_s(&rel.key(i), i as u64, &mut buf);
-            for &p in &buf {
-                expected.push((p, i as u32));
-            }
-        }
-        // Whole block and a split block must both reproduce the per-tuple stream.
-        let mut whole = AssignmentSink::new(router.num_partitions());
-        router.route_s_block(&rel, 0..rel.len(), &mut whole);
-        assert_eq!(whole.pairs(), &expected[..]);
+        let expected = tree_pairs(&tree, &band, 3, &rel, false);
         let mut split = AssignmentSink::new(router.num_partitions());
         router.route_s_block(&rel, 0..100, &mut split);
         router.route_s_block(&rel, 100..rel.len(), &mut split);
@@ -745,42 +626,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_kernels_match_scalar_on_gridded_trees() {
+    fn every_kernel_matches_the_tree_walk_on_gridded_trees() {
         // The mixed tree has duplicating splits on both sides and a 2×3 gridded
         // leaf, so this exercises the hashed-choice leaf emission and both
-        // partition kernels of every supported batch implementation.
+        // partition primitives of every supported kernel. Split at an odd
+        // offset so segments hit both the vector body and the tail lanes.
         let (tree, band) = mixed_tree();
-        let router = CompiledRouter::compile(&tree, &band, 21);
-        let mut rel = Relation::new(1);
-        for i in 0..533 {
-            rel.push(&[(i as f64) * 0.023 - 1.0]);
-        }
-        for t_side in [false, true] {
-            let mut oracle = AssignmentSink::new(router.num_partitions());
-            if t_side {
-                router.route_t_block_with(RouteKernel::Scalar, &rel, 0..rel.len(), &mut oracle);
-            } else {
-                router.route_s_block_with(RouteKernel::Scalar, &rel, 0..rel.len(), &mut oracle);
-            }
-            for kernel in RouteKernel::all_supported() {
-                let mut got = AssignmentSink::new(router.num_partitions());
-                // Split at an odd offset so segments hit both the vector body
-                // and the tail lanes.
-                for range in [0..311, 311..rel.len()] {
-                    if t_side {
-                        router.route_t_block_with(kernel, &rel, range, &mut got);
-                    } else {
-                        router.route_s_block_with(kernel, &rel, range, &mut got);
-                    }
-                }
-                assert_eq!(
-                    got.pairs(),
-                    oracle.pairs(),
-                    "kernel {} diverged on t_side={t_side}",
-                    kernel.name()
-                );
-            }
-        }
+        let rel =
+            Relation::from_values_1d(&(0..533).map(|i| i as f64 * 0.023 - 1.0).collect::<Vec<_>>());
+        assert_kernels_match_tree(&tree, &band, 21, &rel, &[0..311, 311..533]);
     }
 
     #[test]
@@ -810,10 +664,10 @@ mod tests {
         assert!(bad_len.validate().is_err());
     }
 
-    /// Regression test: leaf payloads are read with `get_unchecked` arithmetic, so
+    /// Regression test: leaf payloads feed the descent's arithmetic, so
     /// `validate` must reject them too — pre-fix it only checked child pointers,
     /// letting a corrupted router reach a `% 0` (choices) or emit partition ids
-    /// `>= num_partitions` (oversized base/stride/copies) from safe code.
+    /// `>= num_partitions` (oversized base/stride/copies) mid-shuffle.
     #[test]
     fn validate_rejects_corrupt_leaf_payloads() {
         let (tree, band) = mixed_tree();
@@ -849,9 +703,9 @@ mod tests {
     }
 
     #[test]
-    fn deep_tree_descent_stays_within_the_reserved_stack() {
-        // A left-leaning comb of duplicating T-splits: every level can push both
-        // children, the worst case for the descent stack bound.
+    fn deep_duplicating_comb_routes_to_every_leaf() {
+        // A left-leaning comb of duplicating T-splits: every level pushes both
+        // children, the deepest segment stack a 41-leaf tree can build.
         let mut tree = SplitTree::new(1);
         let mut leaf = tree.root();
         for depth in 0..40 {
@@ -861,11 +715,14 @@ mod tests {
         tree.assign_partition_ids();
         let band = BandCondition::symmetric(&[1000.0]); // every split duplicates T
         let router = CompiledRouter::compile(&tree, &band, 5);
-        let mut tree_out = Vec::new();
-        let mut router_out = Vec::new();
-        tree.route_t(&[-20.0], 1, &band, 5, &mut tree_out);
-        router.route_t(&[-20.0], 1, &mut router_out);
-        assert_eq!(tree_out, router_out);
-        assert_eq!(tree_out.len(), 41, "T duplicated to every leaf");
+        let rel = Relation::from_values_1d(&[-20.0]);
+        let expected = tree_pairs(&tree, &band, 5, &rel, true);
+        assert_eq!(expected.len(), 41, "T duplicated to every leaf");
+        for kernel in RouteKernel::all_supported() {
+            assert_eq!(
+                block_pairs(&router, kernel, &rel, &single_rows(1), true),
+                expected
+            );
+        }
     }
 }

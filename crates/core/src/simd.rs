@@ -9,12 +9,11 @@
 //! provides that primitive — a **stable partition of a position segment by a
 //! column predicate** — in three interchangeable implementations:
 //!
-//! * [`RouteKernel::Scalar`] — no batch descent at all; the router falls back
-//!   to the per-tuple [`descend`](crate::router::CompiledRouter) walk. This is
-//!   the measured baseline and the bit-identity oracle for the other kernels.
 //! * [`RouteKernel::Portable`] — branchless scalar code (always write the
 //!   position, conditionally advance the cursor) that autovectorizes on any
-//!   target and has no data-dependent branches.
+//!   target and has no data-dependent branches. [`RouteKernel::Scalar`] runs
+//!   it too: routing has one scalar primitive, as Grid-ε's [`cell_indices`] has
+//!   one scalar expression.
 //! * [`RouteKernel::Avx2`] — x86-64 AVX2: four keys per iteration via
 //!   `vgatherdpd`, one `vcmppd` per side, and a 16-entry `pshufb` lookup table
 //!   that compress-stores the surviving positions. Selected at runtime with
@@ -26,7 +25,8 @@
 //!
 //! # Bit-identity contract
 //!
-//! Every kernel must route **bit-identically** to the scalar per-tuple walk:
+//! Every kernel must route **bit-identically** to the split tree's own walk
+//! ([`SplitTree::route_s`](crate::split_tree::SplitTree::route_s)), the routing reference:
 //! the same partition ids in the same order for every tuple, including
 //! non-finite keys. The comparisons are chosen to match IEEE-754 semantics of
 //! the scalar code exactly:
@@ -36,7 +36,7 @@
 //!   like the scalar `if k < boundary { left } else { right }`;
 //! * the duplicated side's `k - sub < boundary` / `k + add ≥ boundary` map to
 //!   `_CMP_LT_OQ` / `_CMP_GE_OQ`, both false for NaN — a NaN key is dropped at
-//!   a duplicating node, exactly like the scalar walk.
+//!   a duplicating node, exactly like the tree walk.
 //!
 //! (A [`Relation`](crate::Relation) rejects NaN keys and accepts `±∞` — see the
 //! [`relation`](crate::relation) module docs — but the kernels take raw slices,
@@ -85,8 +85,8 @@ use std::sync::OnceLock;
 /// picks one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Per-tuple / per-candidate scalar code: the routing layer's bit-identity
-    /// oracle, and the join window's literal per-candidate `matches` loop.
+    /// Scalar code: the join window's literal per-candidate `matches` loop;
+    /// the routing layer runs the portable segment primitive.
     Scalar,
     /// Branchless portable kernels (any target).
     Portable,
@@ -289,8 +289,8 @@ pub fn band_window_collect_dims(
 /// passing positions append to `left`, failing ones (including NaN) to
 /// `right`, both in `seg` order. `left`/`right` are cleared first.
 ///
-/// `kernel` must not be [`RouteKernel::Scalar`] (the scalar path never builds
-/// segments); every position in `seg` must index into `col`.
+/// [`RouteKernel::Scalar`] runs the portable primitive; every position in
+/// `seg` must index into `col`.
 #[inline]
 pub(crate) fn partition_single(
     kernel: RouteKernel,
@@ -302,8 +302,9 @@ pub(crate) fn partition_single(
 ) {
     debug_assert!(seg.iter().all(|&p| (p as usize) < col.len()));
     match kernel {
-        RouteKernel::Scalar => unreachable!("scalar kernel routes per tuple, not per segment"),
-        RouteKernel::Portable => portable::partition_single(col, seg, boundary, left, right),
+        RouteKernel::Scalar | RouteKernel::Portable => {
+            portable::partition_single(col, seg, boundary, left, right)
+        }
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
         RouteKernel::Avx2 => unsafe { avx2::partition_single(col, seg, boundary, left, right) },
@@ -333,8 +334,9 @@ pub(crate) fn partition_dup(
 ) {
     debug_assert!(seg.iter().all(|&p| (p as usize) < col.len()));
     match kernel {
-        RouteKernel::Scalar => unreachable!("scalar kernel routes per tuple, not per segment"),
-        RouteKernel::Portable => portable::partition_dup(col, seg, split, left, right),
+        RouteKernel::Scalar | RouteKernel::Portable => {
+            portable::partition_dup(col, seg, split, left, right)
+        }
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
         RouteKernel::Avx2 => unsafe { avx2::partition_dup(col, seg, split, left, right) },
@@ -678,7 +680,7 @@ mod avx2 {
             let idx = _mm_loadu_si128(seg.as_ptr().add(i) as *const __m128i);
             let keys = _mm256_i32gather_pd::<8>(col.as_ptr(), idx);
             // Both ordered compares are false for NaN, so a NaN key descends
-            // into neither child — identical to the scalar walk.
+            // into neither child — identical to the tree walk.
             let lt = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_sub_pd(keys, sub_v), b))
                 as usize;
             let ge = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_add_pd(keys, add_v), b))
@@ -858,13 +860,6 @@ mod avx2 {
 mod tests {
     use super::*;
 
-    fn non_scalar_kernels() -> Vec<RouteKernel> {
-        RouteKernel::all_supported()
-            .into_iter()
-            .filter(|k| *k != RouteKernel::Scalar)
-            .collect()
-    }
-
     fn reference_single(col: &[f64], seg: &[u32], boundary: f64) -> (Vec<u32>, Vec<u32>) {
         let mut l = Vec::new();
         let mut r = Vec::new();
@@ -916,7 +911,7 @@ mod tests {
     #[test]
     fn kernels_match_reference_on_all_segment_lengths() {
         let col = test_column(300);
-        for kernel in non_scalar_kernels() {
+        for kernel in RouteKernel::all_supported() {
             let (mut l, mut r) = (Vec::new(), Vec::new());
             // Every length 0..=67 hits the vector loop and every tail residue.
             for len in 0..=67usize {
@@ -952,7 +947,7 @@ mod tests {
     #[test]
     fn outputs_are_reused_without_stale_data() {
         let col = vec![1.0, 2.0, 3.0, 4.0];
-        for kernel in non_scalar_kernels() {
+        for kernel in RouteKernel::all_supported() {
             let mut l = vec![9, 9, 9, 9, 9];
             let mut r = vec![9, 9, 9];
             partition_single(kernel, &col, &[0, 1, 2, 3], 2.5, &mut l, &mut r);
@@ -964,7 +959,7 @@ mod tests {
     #[test]
     fn cell_indices_match_scalar_expression_bit_for_bit() {
         let col = test_column(300);
-        for kernel in non_scalar_kernels() {
+        for kernel in RouteKernel::all_supported() {
             let mut got = vec![7i64; 3]; // stale contents must be cleared
                                          // Lengths 0..=67 hit the vector loop and every tail residue; the
                                          // `sub` values cover the S-side (0.0), the T-side low endpoint

@@ -1,16 +1,17 @@
-//! Property tests pinning the SIMD batch-routing kernels to the scalar
-//! per-tuple descent oracle.
+//! Property tests pinning every routing kernel to the split-tree walk.
 //!
-//! The scalar `descend` walk is kept verbatim in the router as the semantic
-//! ground truth ([`RouteKernel::Scalar`]); every other kernel must reproduce
-//! its `(partition, tuple)` stream **bit-identically** — same ids, same order —
+//! The routing reference is the tree walk a RecPart partitioner answers
+//! `assign_s`/`assign_t` with (`SplitTree::route_s`), independent of the
+//! compiled router. Every kernel's block routing must reproduce its
+//! `(partition, tuple)` stream **bit-identically** — same ids, same order —
 //! for random trees, random key blocks, and every block chunking. A separate
 //! sweep checks that every partitioner in the repository still satisfies
 //! block-routing == per-tuple routing with the SIMD path live, and that the
-//! executor's parallel map phase stays on the scalar oracle for any thread
+//! executor's parallel map phase reproduces the tree walk for any thread
 //! count.
 
 use band_join::prelude::*;
+use band_join::recpart::split_tree::Node;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,6 +46,23 @@ fn recpart_partitioner(
     RecPart::new(cfg).optimize(s, t, band, &mut rng).partitioner
 }
 
+/// The tree walk's `(partition, tuple)` stream over every row of `rel`, row
+/// index as tuple id.
+fn tree_pairs(p: &dyn Partitioner, rel: &Relation, t_side: bool) -> Vec<(PartitionId, u32)> {
+    let mut expected = Vec::new();
+    let mut buf = Vec::new();
+    for i in 0..rel.len() {
+        buf.clear();
+        if t_side {
+            p.assign_t(&rel.key(i), i as u64, &mut buf);
+        } else {
+            p.assign_s(&rel.key(i), i as u64, &mut buf);
+        }
+        expected.extend(buf.iter().map(|&part| (part, i as u32)));
+    }
+    expected
+}
+
 /// The `(partition, tuple)` stream of routing `rel` in `chunk`-sized blocks
 /// with an explicit kernel.
 fn pairs_with(
@@ -72,15 +90,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random trees × random key blocks × random chunkings: every supported
-    /// kernel must emit the scalar oracle's stream bit for bit, on both sides.
+    /// kernel must emit the tree walk's stream bit for bit, on both sides.
     /// Chunk sizes below the 4-lane vector width exercise the pure-tail path;
-    /// odd sizes exercise every vector/tail mix. The batch kernels route through
-    /// the thread-local `BlockScratch` cache, so the many consecutive block calls
-    /// here (across chunkings, kernels, and both sides on one thread) also pin
-    /// scratch *reuse* to the oracle: stale state leaking between any two block
-    /// calls would break the stream equality below.
+    /// odd sizes exercise every vector/tail mix. Each block call builds its own
+    /// working buffers, so the many consecutive calls here (across chunkings,
+    /// kernels, and both sides on one thread) pin that no state carries from
+    /// one block to the next.
     #[test]
-    fn simd_kernels_match_scalar_descent_bit_for_bit(
+    fn every_kernel_matches_the_tree_walk_bit_for_bit(
         s_vals in prop::collection::vec(key_strategy(2), 30..150),
         t_vals in prop::collection::vec(key_strategy(2), 30..150),
         block_vals in prop::collection::vec(key_strategy(2), 1..260),
@@ -96,16 +113,37 @@ proptest! {
         let partitioner = recpart_partitioner(&s, &t, &band, workers, seed);
         let router = partitioner.router();
         // Route a block that is *not* one of the build inputs: the tree's
-        // boundaries fall anywhere relative to these keys.
+        // boundaries fall anywhere relative to these keys. The block also holds
+        // keys at every split boundary `v` and at `v ∓ ε`, where `(v − ε) + ε`
+        // lands exactly on `v` for most `v`: there a duplicating node's `<` and
+        // `>=` part ways.
+        let tree = partitioner.tree();
+        let ties: Vec<Vec<f64>> = (0..tree.num_nodes() as u32)
+            .filter_map(|id| match tree.node(id) {
+                Node::Inner(inner) => Some(inner),
+                Node::Leaf(_) => None,
+            })
+            .enumerate()
+            .flat_map(|(j, inner)| {
+                let eps = [eps0, eps1][inner.dim];
+                let base = &block_vals[j % block_vals.len()];
+                [-eps, 0.0, eps].map(|shift| {
+                    let mut key = base.clone();
+                    key[inner.dim] = inner.value + shift;
+                    key
+                })
+            })
+            .collect();
+        let block_vals: Vec<Vec<f64>> = block_vals.iter().cloned().chain(ties).collect();
         let block = relation_from(&block_vals, 2);
         for t_side in [false, true] {
-            let oracle = pairs_with(router, RouteKernel::Scalar, &block, block.len(), t_side);
+            let expected = tree_pairs(&partitioner, &block, t_side);
             for kernel in RouteKernel::all_supported() {
                 for chunk in [chunk, 1, 3, block.len()] {
                     let got = pairs_with(router, kernel, &block, chunk, t_side);
                     prop_assert_eq!(
-                        &got, &oracle,
-                        "kernel {} diverged from scalar (t_side={}, chunk={})",
+                        &got, &expected,
+                        "kernel {} diverged from the tree walk (t_side={}, chunk={})",
                         kernel.name(), t_side, chunk
                     );
                 }
@@ -167,17 +205,7 @@ fn every_partitioner_blocks_match_per_tuple_with_simd_live() {
     ] {
         for t_side in [false, true] {
             let rel = if t_side { t } else { s };
-            let mut expected = Vec::new();
-            let mut buf = Vec::new();
-            for i in 0..rel.len() {
-                buf.clear();
-                if t_side {
-                    p.assign_t(&rel.key(i), i as u64, &mut buf);
-                } else {
-                    p.assign_s(&rel.key(i), i as u64, &mut buf);
-                }
-                expected.extend(buf.iter().map(|&part| (part, i as u32)));
-            }
+            let expected = tree_pairs(p.as_ref(), rel, t_side);
             for chunk in [61, rel.len()] {
                 let mut sink = AssignmentSink::new(p.num_partitions());
                 let mut lo = 0;
@@ -201,8 +229,8 @@ fn every_partitioner_blocks_match_per_tuple_with_simd_live() {
     }
 }
 
-/// The executor's map phase — which now routes through the batch kernel — must
-/// reproduce the scalar per-tuple assignment exactly, for every thread count.
+/// The executor's map phase — which routes through the batch kernel — must
+/// reproduce the tree walk's per-tuple assignment exactly, for every thread count.
 #[test]
 fn map_shuffle_matches_scalar_reference_across_threads() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -216,24 +244,11 @@ fn map_shuffle_matches_scalar_reference_across_threads() {
     let band = BandCondition::symmetric(&[0.6, 0.6]);
     let partitioner = recpart_partitioner(&s, &t, &band, 8, 5);
 
-    // Scalar per-tuple reference CSR: ascending tuples appended per partition.
+    // Tree-walk reference CSR: ascending tuples appended per partition.
     let build_reference = |rel: &Relation, t_side: bool| -> Vec<Vec<u32>> {
         let mut parts = vec![Vec::new(); partitioner.num_partitions()];
-        let mut buf = Vec::new();
-        for i in 0..rel.len() {
-            buf.clear();
-            if t_side {
-                partitioner
-                    .router()
-                    .route_t(&rel.key(i), i as u64, &mut buf);
-            } else {
-                partitioner
-                    .router()
-                    .route_s(&rel.key(i), i as u64, &mut buf);
-            }
-            for &p in &buf {
-                parts[p as usize].push(i as u32);
-            }
+        for (p, i) in tree_pairs(&partitioner, rel, t_side) {
+            parts[p as usize].push(i);
         }
         parts
     };
@@ -250,12 +265,12 @@ fn map_shuffle_matches_scalar_reference_across_threads() {
             assert_eq!(
                 shuffled.s_parts.part(p),
                 &expected_s[p][..],
-                "threads={threads}: S partition {p} diverged from scalar reference"
+                "threads={threads}: S partition {p} diverged from the tree walk"
             );
             assert_eq!(
                 shuffled.t_parts.part(p),
                 &expected_t[p][..],
-                "threads={threads}: T partition {p} diverged from scalar reference"
+                "threads={threads}: T partition {p} diverged from the tree walk"
             );
         }
     }
