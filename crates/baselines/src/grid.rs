@@ -12,8 +12,7 @@
 //! Grid-ε is not defined for band width zero (the paper notes the same); construction
 //! fails if any `ε_i` is zero.
 
-use recpart::simd::cell_indices;
-use recpart::{AssignmentSink, BandCondition, PartitionId, Partitioner, Relation, RouteKernel};
+use recpart::{AssignmentSink, BandCondition, PartitionId, Partitioner, Relation};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -148,7 +147,7 @@ impl GridPartitioner {
     /// already loaded into `scratch.lo`/`scratch.hi`, emitting every
     /// materialized cell. Shared by the per-tuple path (ranges from
     /// [`Self::for_each_t_range_cell`]) and the block path (ranges from the
-    /// vectorized [`cell_indices`] sweeps).
+    /// [`Self::cell_column`] sweeps).
     fn for_each_cell_in_box(
         &self,
         scratch: &mut TScratch,
@@ -180,6 +179,23 @@ impl GridPartitioner {
                 d += 1;
             }
         }
+    }
+
+    /// Dimension-`d` cell indices of `rows` of `col`, column-major:
+    /// `out[j] = floor(((col[rows.start + j] − sub) − origin) / cell) as i64`.
+    /// `sub` folds the band shift of the T-side range endpoints in **exactly**:
+    /// IEEE subtraction is addition of the negated operand, so `sub = ε_lo`
+    /// gives `k − ε_lo`, `sub = −ε_hi` gives `k + ε_hi`, and `sub = 0.0` the
+    /// unshifted S-side cell (`x − 0.0 == x` for every value, `−0.0` included)
+    /// — bit for bit the per-tuple expressions. `out` is cleared first.
+    fn cell_column(&self, col: &[f64], rows: Range<usize>, d: usize, sub: f64, out: &mut Vec<i64>) {
+        let (origin, width) = (self.origin[d], self.cell[d]);
+        out.clear();
+        out.extend(
+            col[rows]
+                .iter()
+                .map(|&k| (((k - sub) - origin) / width).floor() as i64),
+        );
     }
 
     /// The tuple's own cell, or partition 0 when it falls outside every
@@ -234,29 +250,18 @@ impl Partitioner for GridPartitioner {
     }
 
     // Block routing: same cell arithmetic, restructured column-major over the
-    // relation's columnar layout — one vectorized `floor((k − origin) / cell)`
-    // sweep per dimension ([`cell_indices`], dispatched on the active
-    // [`RouteKernel`]), then per-row hash lookups over the coordinate buffers.
-    // Every kernel reproduces the per-tuple cell indices bit for bit (the band
-    // shifts fold into the kernel's `sub` operand exactly — see
-    // [`cell_indices`]), so block == per-tuple assignment holds for every
-    // kernel.
+    // relation's columnar layout — one `floor((k − origin) / cell)` sweep per
+    // dimension ([`GridPartitioner::cell_column`]), then per-row hash lookups
+    // over the coordinate buffers. The sweeps reproduce the per-tuple cell
+    // indices bit for bit (the band shifts fold into `sub` exactly), so block
+    // == per-tuple assignment.
     fn assign_s_block(&self, rel: &Relation, rows: Range<usize>, sink: &mut AssignmentSink) {
         sink.reserve(rows.len());
-        let kernel = RouteKernel::active();
         let dims = self.band.dims();
         let mut coords = vec![0i64; dims];
         let mut cols: Vec<Vec<i64>> = vec![Vec::new(); dims];
         for (d, col) in cols.iter_mut().enumerate() {
-            cell_indices(
-                kernel,
-                rel.column(d),
-                rows.clone(),
-                0.0, // k − 0.0 == k bitwise: the unshifted S-side cell
-                self.origin[d],
-                self.cell[d],
-                col,
-            );
+            self.cell_column(rel.column(d), rows.clone(), d, 0.0, col);
         }
         for (j, i) in rows.enumerate() {
             for (c, col) in coords.iter_mut().zip(&cols) {
@@ -269,7 +274,6 @@ impl Partitioner for GridPartitioner {
 
     fn assign_t_block(&self, rel: &Relation, rows: Range<usize>, sink: &mut AssignmentSink) {
         sink.reserve(rows.len());
-        let kernel = RouteKernel::active();
         let dims = self.band.dims();
         let mut scratch = TScratch::new(dims);
         let mut coords = vec![0i64; dims];
@@ -280,22 +284,13 @@ impl Partitioner for GridPartitioner {
         let mut lo_cols: Vec<Vec<i64>> = vec![Vec::new(); dims];
         let mut hi_cols: Vec<Vec<i64>> = vec![Vec::new(); dims];
         for d in 0..dims {
-            cell_indices(
-                kernel,
-                rel.column(d),
+            let col = rel.column(d);
+            self.cell_column(col, rows.clone(), d, self.band.eps_low(d), &mut lo_cols[d]);
+            self.cell_column(
+                col,
                 rows.clone(),
-                self.band.eps_low(d),
-                self.origin[d],
-                self.cell[d],
-                &mut lo_cols[d],
-            );
-            cell_indices(
-                kernel,
-                rel.column(d),
-                rows.clone(),
+                d,
                 -self.band.eps_high(d),
-                self.origin[d],
-                self.cell[d],
                 &mut hi_cols[d],
             );
         }
@@ -429,10 +424,10 @@ mod tests {
         );
     }
 
-    /// Block routing (vectorized column-major cell indexing on the live kernel)
-    /// must reproduce the per-tuple assignments exactly, including on keys far
-    /// outside every materialized cell and across asymmetric bands — the cases
-    /// where a cell-index off-by-one would silently change the odometer box.
+    /// Block routing (column-major cell indexing) must reproduce the per-tuple
+    /// assignments exactly, including on keys far outside every materialized
+    /// cell and across asymmetric bands — the cases where a cell-index
+    /// off-by-one would silently change the odometer box.
     #[test]
     fn block_routing_matches_per_tuple_on_adversarial_keys() {
         let s = random_relation(300, 2, 0.0, 25.0, 20);
@@ -477,6 +472,19 @@ mod tests {
                 &expected[..],
                 "block routing diverged from per-tuple (t_side={t_side})"
             );
+        }
+    }
+
+    /// The T-side high endpoint's sweep passes `sub = −ε_hi` and the S side
+    /// `sub = 0.0`: the folds rely on IEEE `x − (−ε) == x + ε` and `x − 0.0 == x`
+    /// bit for bit.
+    #[test]
+    fn negated_band_shift_is_bit_identical_to_the_added_one() {
+        for x in [1.75, -3.0, 0.1, f64::MAX, 5e-324, -0.0] {
+            assert_eq!((x - 0.0).to_bits(), x.to_bits());
+            for e in [0.3, 1e-9, 1e300] {
+                assert_eq!((x - (-e)).to_bits(), (x + e).to_bits());
+            }
         }
     }
 

@@ -505,6 +505,14 @@ mod tests {
         (tree, BandCondition::symmetric(&[0.75]))
     }
 
+    /// `keys` followed by [`mixed_tree`]'s tie grid: quarter steps over
+    /// `[−1, 10.75]` land exactly on every boundary and every boundary ± ε,
+    /// where a duplicating node's `<` and `>=` part ways.
+    fn with_mixed_tree_ties(keys: impl Iterator<Item = f64>) -> Relation {
+        let ties = (0..48).map(|i| i as f64 * 0.25 - 1.0);
+        Relation::from_values_1d(&keys.chain(ties).collect::<Vec<_>>())
+    }
+
     /// The tree walk's `(partition, tuple)` stream over every row of `rel`, row
     /// index as tuple id: the reference every kernel's block routing is held to.
     fn tree_pairs(
@@ -584,15 +592,9 @@ mod tests {
     #[test]
     fn router_is_bit_identical_to_tree_walk() {
         let (tree, band) = mixed_tree();
-        // The quarter-step tail lands exactly on every boundary and every
-        // boundary ± ε, where a duplicating node's `<` and `>=` part ways.
-        let keys: Vec<f64> = (0..400)
-            .map(|i| i as f64 * 0.03)
-            .chain((0..48).map(|i| i as f64 * 0.25 - 1.0))
-            .collect();
-        let rel = Relation::from_values_1d(&keys);
+        let rel = with_mixed_tree_ties((0..400).map(|i| i as f64 * 0.03));
         for seed in [0u64, 7, 0xDEAD_BEEF] {
-            assert_kernels_match_tree(&tree, &band, seed, &rel, &single_rows(keys.len()));
+            assert_kernels_match_tree(&tree, &band, seed, &rel, &single_rows(rel.len()));
         }
     }
 
@@ -615,8 +617,8 @@ mod tests {
         // A whole block and a split block must both reproduce the tree walk's
         // per-tuple stream, through the active kernel's public entry point too.
         let (tree, band) = mixed_tree();
-        let rel = Relation::from_values_1d(&(0..257).map(|i| i as f64 * 0.041).collect::<Vec<_>>());
-        assert_kernels_match_tree(&tree, &band, 3, &rel, &[0..100, 100..257]);
+        let rel = with_mixed_tree_ties((0..257).map(|i| i as f64 * 0.041));
+        assert_kernels_match_tree(&tree, &band, 3, &rel, &[0..100, 100..rel.len()]);
         let router = CompiledRouter::compile(&tree, &band, 3);
         let expected = tree_pairs(&tree, &band, 3, &rel, false);
         let mut split = AssignmentSink::new(router.num_partitions());
@@ -632,9 +634,8 @@ mod tests {
         // partition primitives of every supported kernel. Split at an odd
         // offset so segments hit both the vector body and the tail lanes.
         let (tree, band) = mixed_tree();
-        let rel =
-            Relation::from_values_1d(&(0..533).map(|i| i as f64 * 0.023 - 1.0).collect::<Vec<_>>());
-        assert_kernels_match_tree(&tree, &band, 21, &rel, &[0..311, 311..533]);
+        let rel = with_mixed_tree_ties((0..533).map(|i| i as f64 * 0.023 - 1.0));
+        assert_kernels_match_tree(&tree, &band, 21, &rel, &[0..311, 311..rel.len()]);
     }
 
     #[test]

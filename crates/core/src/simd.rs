@@ -7,13 +7,11 @@
 //! tuple positions, compare them against one broadcast boundary, and split the
 //! segment into the left-going and right-going position lists. This module
 //! provides that primitive — a **stable partition of a position segment by a
-//! column predicate** — in three interchangeable implementations:
+//! column predicate** — in two interchangeable implementations:
 //!
 //! * [`RouteKernel::Portable`] — branchless scalar code (always write the
 //!   position, conditionally advance the cursor) that autovectorizes on any
-//!   target and has no data-dependent branches. [`RouteKernel::Scalar`] runs
-//!   it too: routing has one scalar primitive, as Grid-ε's [`cell_indices`] has
-//!   one scalar expression.
+//!   target and has no data-dependent branches.
 //! * [`RouteKernel::Avx2`] — x86-64 AVX2: four keys per iteration via
 //!   `vgatherdpd`, one `vcmppd` per side, and a 16-entry `pshufb` lookup table
 //!   that compress-stores the surviving positions. Selected at runtime with
@@ -45,8 +43,8 @@
 //! # Forcing a kernel
 //!
 //! The environment variable `BAND_JOIN_KERNEL` overrides detection for every
-//! layer at once (the router and the join window below): `scalar`, `portable`,
-//! `avx2`, or `auto` (the default). Forcing a kernel the CPU does not support
+//! layer at once (the router and the join window below): `portable`, `avx2`,
+//! or `auto` (the default). Forcing a kernel the CPU does not support
 //! panics at first use rather than silently downgrading, so CI gates measure
 //! what they claim to measure. To force the router alone, pass a kernel to
 //! `CompiledRouter::route_{s,t}_block_with`.
@@ -58,10 +56,10 @@
 //! over the SoA-sorted candidate columns, evaluating the full band condition
 //! against every candidate in the window is a vertical operation too. The
 //! [`JoinKernel`] variants provide it ([`band_window_count_dims`] /
-//! [`band_window_collect_dims`]): the literal per-candidate scalar loop,
-//! branchless portable, and AVX2 masked compares with AND-accumulated
-//! per-dimension accept masks, popcount for output counting, and the same
-//! `pshufb` compress-store for pair materialization. They take the probe-key,
+//! [`band_window_collect_dims`]): branchless portable, and AVX2 masked
+//! compares with AND-accumulated per-dimension accept masks, popcount for
+//! output counting, and the same `pshufb` compress-store for pair
+//! materialization. They take the probe-key,
 //! column and ε slices of the dimensions to test rather than a whole
 //! [`BandCondition`]: the local join settles dimension 0 on the sorted column
 //! itself and hands the kernels dimensions `1..` only.
@@ -79,15 +77,12 @@ use std::sync::OnceLock;
 
 /// Which kernel implementation a vectorized layer runs: the router's batch
 /// descent ([`RouteKernel`]) and the local join's window evaluation
-/// ([`JoinKernel`]) are the same three choices with the same detection and the
+/// ([`JoinKernel`]) are the same two choices with the same detection and the
 /// same forcing contract, so they are one type under two names. See the module
 /// docs for what each variant does in each layer and how [`Kernel::active`]
 /// picks one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Scalar code: the join window's literal per-candidate `matches` loop;
-    /// the routing layer runs the portable segment primitive.
-    Scalar,
     /// Branchless portable kernels (any target).
     Portable,
     /// AVX2 kernels: gather + compare + compress-store for routing, masked
@@ -129,27 +124,26 @@ impl Kernel {
         })
     }
 
-    /// Parse a forced kernel name: `scalar`, `portable`, `avx2`, or `auto`
-    /// (= [`Kernel::detect`]), case-insensitive. An unknown name, or `avx2` on a
+    /// Parse a forced kernel name: `portable`, `avx2`, or `auto` (=
+    /// [`Kernel::detect`]), case-insensitive. An unknown name, or `avx2` on a
     /// CPU without it, is an `Err` naming the accepted values — never a
     /// downgrade.
     pub fn forced(name: &str) -> Result<Kernel, String> {
         match name.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(Kernel::Scalar),
             "portable" => Ok(Kernel::Portable),
             "auto" => Ok(Self::detect()),
             #[cfg(target_arch = "x86_64")]
             "avx2" if std::arch::is_x86_feature_detected!("avx2") => Ok(Kernel::Avx2),
             _ => Err(format!(
-                "kernel {name:?} is not available (expected scalar, portable, avx2, or auto)"
+                "kernel {name:?} is not available (expected portable, avx2, or auto)"
             )),
         }
     }
 
-    /// Every kernel the current CPU can run (always includes `Scalar` and
-    /// `Portable`). Used by tests and benchmarks to sweep the whole matrix.
+    /// Every kernel the current CPU can run (always includes `Portable`). Used
+    /// by tests and benchmarks to sweep the whole matrix.
     pub fn all_supported() -> Vec<Kernel> {
-        let mut all = vec![Kernel::Scalar, Kernel::Portable];
+        let mut all = vec![Kernel::Portable];
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -159,11 +153,10 @@ impl Kernel {
         all
     }
 
-    /// Stable lowercase name (`scalar` / `portable` / `avx2`), accepted back
-    /// by [`Kernel::forced`] and used in benchmark reports.
+    /// Stable lowercase name (`portable` / `avx2`), accepted back by
+    /// [`Kernel::forced`] and used in benchmark reports.
     pub fn name(&self) -> &'static str {
         match self {
-            Kernel::Scalar => "scalar",
             Kernel::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => "avx2",
@@ -214,11 +207,10 @@ fn assert_window_in_columns(
 /// sorted column per dimension) that pass the band test over a caller-chosen run
 /// of dimensions: candidate `pos` is counted unless `d = sk[i] − cols[i][pos]` has
 /// `d < −eps_low[i] || d > eps_high[i]` for some `i` — [`BandCondition::matches`]'
-/// own test, so a NaN difference matches. Every kernel returns the same count;
-/// `Scalar` runs the literal per-candidate loop. The local join passes the slices
-/// of dimensions `1..` once it has settled dimension 0 on the sorted column
-/// itself; with no dimensions left every candidate of the window counts, and no
-/// kernel runs to say so.
+/// own test, so a NaN difference matches. Every kernel returns the same count.
+/// The local join passes the slices of dimensions `1..` once it has settled
+/// dimension 0 on the sorted column itself; with no dimensions left every
+/// candidate of the window counts, and no kernel runs to say so.
 ///
 /// # Panics
 /// Panics unless `sk`, `cols`, `eps_low` and `eps_high` have one length and
@@ -236,9 +228,7 @@ pub fn band_window_count_dims(
         return window.len() as u64;
     }
     match kernel {
-        JoinKernel::Scalar | JoinKernel::Portable => {
-            portable::window_count(kernel, sk, cols, eps_low, eps_high, window)
-        }
+        JoinKernel::Portable => portable::window_count(sk, cols, eps_low, eps_high, window),
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`;
         // the asserts above are the kernel's length and bounds contract.
@@ -273,9 +263,7 @@ pub fn band_window_collect_dims(
         return window.len() as u64;
     }
     match kernel {
-        JoinKernel::Scalar | JoinKernel::Portable => {
-            portable::window_collect(kernel, sk, cols, eps_low, eps_high, window, out)
-        }
+        JoinKernel::Portable => portable::window_collect(sk, cols, eps_low, eps_high, window, out),
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`;
         // the asserts above are the kernel's length and bounds contract.
@@ -287,10 +275,8 @@ pub fn band_window_collect_dims(
 
 /// Stable-partition the positions of `seg` by the test `col[pos] < boundary`:
 /// passing positions append to `left`, failing ones (including NaN) to
-/// `right`, both in `seg` order. `left`/`right` are cleared first.
-///
-/// [`RouteKernel::Scalar`] runs the portable primitive; every position in
-/// `seg` must index into `col`.
+/// `right`, both in `seg` order. `left`/`right` are cleared first. Every
+/// position in `seg` must index into `col`.
 #[inline]
 pub(crate) fn partition_single(
     kernel: RouteKernel,
@@ -302,9 +288,7 @@ pub(crate) fn partition_single(
 ) {
     debug_assert!(seg.iter().all(|&p| (p as usize) < col.len()));
     match kernel {
-        RouteKernel::Scalar | RouteKernel::Portable => {
-            portable::partition_single(col, seg, boundary, left, right)
-        }
+        RouteKernel::Portable => portable::partition_single(col, seg, boundary, left, right),
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
         RouteKernel::Avx2 => unsafe { avx2::partition_single(col, seg, boundary, left, right) },
@@ -334,54 +318,10 @@ pub(crate) fn partition_dup(
 ) {
     debug_assert!(seg.iter().all(|&p| (p as usize) < col.len()));
     match kernel {
-        RouteKernel::Scalar | RouteKernel::Portable => {
-            portable::partition_dup(col, seg, split, left, right)
-        }
+        RouteKernel::Portable => portable::partition_dup(col, seg, split, left, right),
         #[cfg(target_arch = "x86_64")]
         // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
         RouteKernel::Avx2 => unsafe { avx2::partition_dup(col, seg, split, left, right) },
-    }
-}
-
-/// Grid-cell indices of a contiguous run of a column — the Grid-ε baseline's
-/// per-dimension `floor((key − origin) / width)` as a vertical operation over
-/// the columnar layout:
-///
-/// ```text
-/// out[j] = floor(((col[rows.start + j] − sub) − origin) / width) as i64
-/// ```
-///
-/// `sub` folds the band shift of the T-side range endpoints into the same
-/// kernel **exactly**: IEEE-754 subtraction is addition of the negated operand,
-/// so `k − ε_lo` (pass `sub = ε_lo`), `k + ε_hi` (pass `sub = −ε_hi`), and the
-/// unshifted S-side cell (pass `sub = 0.0`; `x − 0.0 == x` for every value
-/// including `−0.0`) all reproduce the scalar expressions bit for bit.
-/// Subtraction, division, and `floor` are all correctly-rounded IEEE
-/// operations, and the final `as i64` cast (saturating, NaN → 0) runs lane by
-/// lane in scalar code in every kernel — so the output is bit-identical to the
-/// scalar loop, which [`RouteKernel::Scalar`] (and `Portable`, whose loop *is*
-/// that expression) runs verbatim as the oracle.
-///
-/// `out` is cleared and filled with `rows.len()` entries.
-pub fn cell_indices(
-    kernel: RouteKernel,
-    col: &[f64],
-    rows: std::ops::Range<usize>,
-    sub: f64,
-    origin: f64,
-    width: f64,
-    out: &mut Vec<i64>,
-) {
-    let src = &col[rows];
-    out.clear();
-    out.resize(src.len(), 0);
-    match kernel {
-        RouteKernel::Scalar | RouteKernel::Portable => {
-            portable::cell_indices(src, sub, origin, width, out)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
-        RouteKernel::Avx2 => unsafe { avx2::cell_indices(src, sub, origin, width, out) },
     }
 }
 
@@ -456,31 +396,8 @@ mod portable {
         }
     }
 
-    /// The literal scalar cell-index expression — this loop *is* the oracle the
-    /// vector kernels are held to.
-    pub(super) fn cell_indices(src: &[f64], sub: f64, origin: f64, width: f64, out: &mut [i64]) {
-        for (o, &k) in out.iter_mut().zip(src) {
-            *o = (((k - sub) - origin) / width).floor() as i64;
-        }
-    }
-
-    use super::{DupSplit, JoinKernel};
+    use super::DupSplit;
     use std::ops::Range;
-
-    /// Does candidate `pos` match the probe key under the band condition? The
-    /// literal [`BandCondition::matches`](crate::BandCondition::matches) reject
-    /// test (NaN difference matches) — this expression is the oracle every join
-    /// kernel is held to.
-    #[inline(always)]
-    fn scalar_matches(sk: &[f64], cols: &[Vec<f64>], pos: usize, lo: &[f64], hi: &[f64]) -> bool {
-        for d in 0..sk.len() {
-            let diff = sk[d] - cols[d][pos];
-            if diff < -lo[d] || diff > hi[d] {
-                return false;
-            }
-        }
-        true
-    }
 
     /// Branchless reject accumulator: `|=`s every dimension's two ordered
     /// compares instead of early-exiting, so there is no data-dependent branch.
@@ -502,28 +419,18 @@ mod portable {
     }
 
     pub(super) fn window_count(
-        kernel: JoinKernel,
         sk: &[f64],
         cols: &[Vec<f64>],
         lo: &[f64],
         hi: &[f64],
         window: Range<usize>,
     ) -> u64 {
-        let mut n = 0u64;
-        if kernel == JoinKernel::Scalar {
-            for pos in window {
-                n += scalar_matches(sk, cols, pos, lo, hi) as u64;
-            }
-        } else {
-            for pos in window {
-                n += !branchless_reject(sk, cols, pos, lo, hi) as u64;
-            }
-        }
-        n
+        window
+            .map(|pos| !branchless_reject(sk, cols, pos, lo, hi) as u64)
+            .sum()
     }
 
     pub(super) fn window_collect(
-        kernel: JoinKernel,
         sk: &[f64],
         cols: &[Vec<f64>],
         lo: &[f64],
@@ -531,33 +438,19 @@ mod portable {
         window: Range<usize>,
         out: &mut Vec<u32>,
     ) -> u64 {
-        if kernel == JoinKernel::Scalar {
-            let before = out.len();
-            for pos in window {
-                if scalar_matches(sk, cols, pos, lo, hi) {
-                    out.push(pos as u32);
-                }
-            }
-            return (out.len() - before) as u64;
-        }
         // Branchless append: always write the position, conditionally advance
-        // the cursor. Cursor invariant: after `k` candidates the cursor is at
-        // offset `≤ k` past the old length, so every write lands inside the
-        // `window.len()` slots reserved up front.
-        out.reserve(window.len());
+        // the cursor. After `k` candidates the cursor is at most `k`, so every
+        // write lands inside the `window.len()` slots grown up front.
         let base = out.len();
-        // Safety: the reservation and the cursor invariant above.
-        unsafe {
-            let first = out.as_mut_ptr().add(base);
-            let mut p = first;
-            for pos in window {
-                *p = pos as u32;
-                p = p.add(!branchless_reject(sk, cols, pos, lo, hi) as usize);
-            }
-            let n = p.offset_from(first) as usize;
-            out.set_len(base + n);
-            n as u64
+        out.resize(base + window.len(), 0);
+        let slots = &mut out[base..];
+        let mut n = 0;
+        for pos in window {
+            slots[n] = pos as u32;
+            n += !branchless_reject(sk, cols, pos, lo, hi) as usize;
         }
+        out.truncate(base + n);
+        n as u64
     }
 }
 
@@ -698,44 +591,6 @@ mod avx2 {
         }
         left.set_len(lp.offset_from(left.as_ptr()) as usize);
         right.set_len(rp.offset_from(right.as_ptr()) as usize);
-    }
-
-    /// # Safety
-    /// AVX2 must be available; `src` and `out` must have equal lengths.
-    ///
-    /// Subtraction, division and `VROUNDPD` (floor mode) are correctly-rounded
-    /// IEEE operations — bitwise equal to the scalar expression per lane. The
-    /// `f64 → i64` cast is *not* (CVTTPD saturates differently and maps NaN to
-    /// `i64::MIN`, Rust's `as` maps NaN to 0), so the cast runs lane by lane
-    /// in scalar code.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cell_indices(
-        src: &[f64],
-        sub: f64,
-        origin: f64,
-        width: f64,
-        out: &mut [i64],
-    ) {
-        debug_assert_eq!(src.len(), out.len());
-        let sub_v = _mm256_set1_pd(sub);
-        let origin_v = _mm256_set1_pd(origin);
-        let width_v = _mm256_set1_pd(width);
-        let mut buf = [0.0f64; 4];
-        let mut i = 0;
-        while i + 4 <= src.len() {
-            let keys = _mm256_loadu_pd(src.as_ptr().add(i));
-            let shifted = _mm256_sub_pd(_mm256_sub_pd(keys, sub_v), origin_v);
-            let cells = _mm256_floor_pd(_mm256_div_pd(shifted, width_v));
-            _mm256_storeu_pd(buf.as_mut_ptr(), cells);
-            for (lane, &cell) in buf.iter().enumerate() {
-                *out.get_unchecked_mut(i + lane) = cell as i64;
-            }
-            i += 4;
-        }
-        for j in i..src.len() {
-            let k = *src.get_unchecked(j);
-            *out.get_unchecked_mut(j) = (((k - sub) - origin) / width).floor() as i64;
-        }
     }
 
     use std::ops::Range;
@@ -956,63 +811,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cell_indices_match_scalar_expression_bit_for_bit() {
-        let col = test_column(300);
-        for kernel in RouteKernel::all_supported() {
-            let mut got = vec![7i64; 3]; // stale contents must be cleared
-                                         // Lengths 0..=67 hit the vector loop and every tail residue; the
-                                         // `sub` values cover the S-side (0.0), the T-side low endpoint
-                                         // (ε_lo) and the negated-ε high endpoint, plus a NaN shift.
-            for len in 0..=67usize {
-                let lo = (len * 3) % 200;
-                for (sub, origin, width) in [
-                    (0.0, -1.5, 0.25),
-                    (0.8, 0.0, 0.5),
-                    (-0.8, 2.0, 1.0 / 3.0),
-                    (f64::NAN, 0.0, 1.0),
-                ] {
-                    cell_indices(kernel, &col, lo..lo + len, sub, origin, width, &mut got);
-                    let expected: Vec<i64> = col[lo..lo + len]
-                        .iter()
-                        .map(|&k| (((k - sub) - origin) / width).floor() as i64)
-                        .collect();
-                    assert_eq!(
-                        got,
-                        expected,
-                        "kernel {} cell_indices len {len} sub {sub}",
-                        kernel.name()
-                    );
-                }
-            }
-        }
-        // The band-shift folding relies on IEEE `x − (−ε) == x + ε` exactly.
-        for x in [1.75, -3.0, 0.1, f64::MAX, 5e-324] {
-            for e in [0.3, 1e-9, 1e300] {
-                assert_eq!((x - (-e)).to_bits(), (x + e).to_bits());
-            }
-        }
-    }
-
+    /// `RouteKernel` and `JoinKernel` are one type, so one round trip covers both.
     #[test]
     fn kernel_names_round_trip() {
-        for kernel in RouteKernel::all_supported() {
-            assert_eq!(RouteKernel::forced(kernel.name()), Ok(kernel));
+        for kernel in Kernel::all_supported() {
+            assert_eq!(Kernel::forced(kernel.name()), Ok(kernel));
         }
-        assert_eq!(RouteKernel::forced("auto"), Ok(RouteKernel::detect()));
-        assert!(RouteKernel::forced("neon-someday").is_err());
-        assert!(RouteKernel::all_supported().contains(&RouteKernel::detect()));
-    }
-
-    #[test]
-    fn join_kernel_names_round_trip() {
-        for kernel in JoinKernel::all_supported() {
-            assert_eq!(JoinKernel::forced(kernel.name()), Ok(kernel));
-        }
-        assert_eq!(JoinKernel::forced("auto"), Ok(JoinKernel::detect()));
-        assert!(JoinKernel::forced("sse-someday").is_err());
-        assert!(JoinKernel::all_supported().contains(&JoinKernel::detect()));
-        assert_ne!(JoinKernel::detect(), JoinKernel::Scalar);
+        assert_eq!(Kernel::forced("auto"), Ok(Kernel::detect()));
+        assert!(Kernel::forced("neon-someday").is_err());
+        assert!(Kernel::all_supported().contains(&Kernel::detect()));
     }
 
     /// The forcing contract `Kernel::active` panics on: a name that is unknown, or
@@ -1020,10 +827,12 @@ mod tests {
     /// never a silent downgrade, which would void every forced-kernel gate.
     #[test]
     fn forcing_an_unknown_or_unsupported_kernel_is_an_error() {
-        let accepted = "expected scalar, portable, avx2, or auto";
+        let accepted = "expected portable, avx2, or auto";
         let err = Kernel::forced("sse9").unwrap_err();
         assert!(err.contains("sse9") && err.contains(accepted), "{err}");
         assert!(Kernel::forced("").unwrap_err().contains(accepted));
+        let err = Kernel::forced("scalar").unwrap_err();
+        assert!(err.contains("scalar") && err.contains(accepted), "{err}");
         if Kernel::detect() == Kernel::Portable {
             // Off x86-64, or on x86-64 without AVX2.
             assert!(Kernel::forced("avx2").unwrap_err().contains(accepted));

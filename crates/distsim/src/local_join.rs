@@ -19,8 +19,8 @@
 //! sorted-by-dimension-0 order at build time, so evaluating the band condition over a
 //! candidate window reads contiguous memory instead of gathering one cache-missing
 //! tuple at a time. The per-window evaluation of dimensions `1..` dispatches through
-//! [`JoinKernel`] (`scalar` per-candidate `matches` loop / branchless `portable` /
-//! `avx2` masked compares; override with `BAND_JOIN_KERNEL`) — see [`recpart::simd`]
+//! [`JoinKernel`] (branchless `portable` / `avx2` masked compares; override with
+//! `BAND_JOIN_KERNEL`) — see [`recpart::simd`]
 //! for the kernel contract and NaN policy.
 //!
 //! Probes in arbitrary order are processed in blocks: each block is sorted on
@@ -341,8 +341,8 @@ pub(crate) fn sweep_in_key_order(
 /// process them in blocks, sort each block on dimension 0 once (stable order: key
 /// `total_cmp`, then arrival position), sweep the block with [`sweep_in_key_order`],
 /// and emit pairs through the block's inverse permutation so the output order matches
-/// the scalar per-probe loop exactly. Every kernel, `Scalar` included, takes this
-/// path and produces bit-identical pairs, pair order, `output`, and `comparisons`.
+/// the scalar per-probe loop exactly. Every kernel takes this path and produces
+/// bit-identical pairs, pair order, `output`, and `comparisons`.
 pub(crate) fn probe_sorted_with(
     kernel: JoinKernel,
     s: &Relation,

@@ -5,6 +5,7 @@
 //! across thread counts 1 / 0 (all cores) / 4.
 
 use band_join::prelude::*;
+use band_join::recpart::split_tree::Node;
 use distsim::CostModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,6 +21,29 @@ fn relation_from(values: &[Vec<f64>], dims: usize) -> Relation {
 
 fn key_strategy(dims: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-40.0f64..40.0, dims)
+}
+
+/// `vals` plus, for every split of `p`'s tree, three keys copied from a row of
+/// `vals` with the split dimension set to the boundary `v` and to `v ∓ eps`:
+/// `(v − ε) + ε` lands exactly on `v` for most `v`, where a duplicating node's
+/// `<` and `>=` part ways.
+fn with_boundary_ties(p: &SplitTreePartitioner, vals: &[Vec<f64>], eps: f64) -> Relation {
+    let tree = p.tree();
+    let ties = (0..tree.num_nodes() as u32)
+        .filter_map(|id| match tree.node(id) {
+            Node::Inner(inner) => Some(inner),
+            Node::Leaf(_) => None,
+        })
+        .enumerate()
+        .flat_map(|(j, inner)| {
+            [-eps, 0.0, eps].map(|shift| {
+                let mut key = vals[j % vals.len()].clone();
+                key[inner.dim] = inner.value + shift;
+                key
+            })
+        });
+    let vals: Vec<Vec<f64>> = vals.iter().cloned().chain(ties).collect();
+    relation_from(&vals, 2)
 }
 
 /// The per-tuple reference stream: `(partition, tuple index)` in routing order.
@@ -124,7 +148,8 @@ proptest! {
         let band = BandCondition::symmetric(&[eps, eps]);
         let mut rng = StdRng::seed_from_u64(seed);
 
-        // RecPart (compiled-router block path), both role configurations.
+        // RecPart (compiled-router block path), both role configurations, with
+        // keys on every split boundary and boundary ∓ ε added to each side.
         for symmetric in [true, false] {
             let mut cfg = RecPartConfig::new(workers)
                 .with_seed(seed)
@@ -134,8 +159,10 @@ proptest! {
                     output_probe_count: 80,
                 });
             cfg.symmetric = symmetric;
-            let recpart = RecPart::new(cfg).optimize(&s, &t, &band, &mut rng);
-            assert_block_identical(&recpart.partitioner, &s, &t);
+            let recpart = RecPart::new(cfg).optimize(&s, &t, &band, &mut rng).partitioner;
+            let s_ties = with_boundary_ties(&recpart, &s_vals, eps);
+            let t_ties = with_boundary_ties(&recpart, &t_vals, eps);
+            assert_block_identical(&recpart, &s_ties, &t_ties);
         }
 
         // 1-Bucket (closed-form matrix cells).
