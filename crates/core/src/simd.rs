@@ -811,15 +811,31 @@ mod tests {
         }
     }
 
-    /// `RouteKernel` and `JoinKernel` are one type, so one round trip covers both.
     #[test]
     fn kernel_names_round_trip() {
-        for kernel in Kernel::all_supported() {
-            assert_eq!(Kernel::forced(kernel.name()), Ok(kernel));
+        for kernel in RouteKernel::all_supported() {
+            assert_eq!(RouteKernel::forced(kernel.name()), Ok(kernel));
         }
-        assert_eq!(Kernel::forced("auto"), Ok(Kernel::detect()));
-        assert!(Kernel::forced("neon-someday").is_err());
-        assert!(Kernel::all_supported().contains(&Kernel::detect()));
+        assert_eq!(RouteKernel::forced("auto"), Ok(RouteKernel::detect()));
+        assert!(RouteKernel::forced("neon-someday").is_err());
+        assert!(RouteKernel::all_supported().contains(&RouteKernel::detect()));
+    }
+
+    /// `JoinKernel` names the same type as `RouteKernel`; the local joins reach it
+    /// under this name, so its round trip is checked under it too. `detect` picks
+    /// the widest kernel this CPU runs, never the portable one when AVX2 is there.
+    #[test]
+    fn join_kernel_names_round_trip() {
+        for kernel in JoinKernel::all_supported() {
+            assert_eq!(JoinKernel::forced(kernel.name()), Ok(kernel));
+        }
+        assert_eq!(JoinKernel::forced("auto"), Ok(JoinKernel::detect()));
+        assert!(JoinKernel::forced("sse-someday").is_err());
+        assert!(JoinKernel::all_supported().contains(&JoinKernel::detect()));
+        assert_eq!(
+            JoinKernel::all_supported().last(),
+            Some(&JoinKernel::detect())
+        );
     }
 
     /// The forcing contract `Kernel::active` panics on: a name that is unknown, or
