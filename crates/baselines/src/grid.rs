@@ -92,16 +92,6 @@ impl GridPartitioner {
         builder
     }
 
-    /// The grid cell side lengths.
-    pub fn cell_sizes(&self) -> &[f64] {
-        &self.cell
-    }
-
-    /// Number of materialized (non-empty) cells.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     fn intern(&mut self, coords: &[i64], weight: f64) -> PartitionId {
         if let Some(&id) = self.cells.get(coords) {
             self.cell_input[id as usize] += weight;
@@ -122,7 +112,7 @@ impl GridPartitioner {
     #[inline]
     fn cell_coords(&self, key: &[f64], out: &mut [i64]) {
         for (d, c) in out.iter_mut().enumerate() {
-            *c = ((key[d] - self.origin[d]) / self.cell[d]).floor() as i64;
+            *c = floor_to_i64((key[d] - self.origin[d]) / self.cell[d]);
         }
     }
 
@@ -137,8 +127,8 @@ impl GridPartitioner {
     ) -> bool {
         for (d, &k) in key.iter().enumerate() {
             let (range_lo, range_hi) = self.band.range_around_t(d, k);
-            scratch.lo[d] = ((range_lo - self.origin[d]) / self.cell[d]).floor() as i64;
-            scratch.hi[d] = ((range_hi - self.origin[d]) / self.cell[d]).floor() as i64;
+            scratch.lo[d] = floor_to_i64((range_lo - self.origin[d]) / self.cell[d]);
+            scratch.hi[d] = floor_to_i64((range_hi - self.origin[d]) / self.cell[d]);
         }
         self.for_each_cell_in_box(scratch, emit)
     }
@@ -194,7 +184,7 @@ impl GridPartitioner {
         out.extend(
             col[rows]
                 .iter()
-                .map(|&k| (((k - sub) - origin) / width).floor() as i64),
+                .map(|&k| floor_to_i64(((k - sub) - origin) / width)),
         );
     }
 
@@ -211,6 +201,16 @@ impl GridPartitioner {
             None => 0,
         }
     }
+}
+
+/// `x.floor() as i64` for every `f64`, NaN and the saturating ends included, without
+/// the libm `floor` call the baseline x86-64 target (no SSE4.1 `roundsd`) makes per
+/// key: the `as` cast truncates toward zero and saturates (NaN → 0), and a negative
+/// non-integer, which truncation rounded up, steps down by one.
+#[inline]
+fn floor_to_i64(x: f64) -> i64 {
+    let t = x as i64;
+    t.saturating_sub(((t as f64) > x) as i64)
 }
 
 /// Reusable odometer buffers of the T-side range enumeration.
@@ -318,6 +318,56 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    #[test]
+    fn floor_to_i64_matches_libm_floor_cast() {
+        let two52 = 2f64.powi(52);
+        let two63 = 2f64.powi(63);
+        let mut edges = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            two63,
+            -two63,
+            1e19,
+            -1e19,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+        ];
+        for base in [two52, two52 / 2.0, two52 / 4.0] {
+            for x in [base - 0.5, base + 0.5, base - 1.5, base - 1.0] {
+                edges.extend([x, -x]);
+            }
+        }
+        for x in [two63, -two63] {
+            edges.extend([
+                f64::from_bits(x.to_bits() - 1),
+                f64::from_bits(x.to_bits() + 1),
+            ]);
+        }
+        for x in edges {
+            assert_eq!(floor_to_i64(x), x.floor() as i64, "x = {x:e}");
+        }
+        let mut rng = StdRng::seed_from_u64(52);
+        for _ in 0..200_000 {
+            let bits = f64::from_bits(rng.gen::<u64>());
+            let quotient = rng.gen_range(-1e6..1e6) / rng.gen_range(1e-3..10.0);
+            for x in [bits, quotient] {
+                assert_eq!(floor_to_i64(x), x.floor() as i64, "x = {x:e}");
+            }
+        }
+    }
+
     fn random_relation(n: usize, dims: usize, lo: f64, hi: f64, seed: u64) -> Relation {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut r = Relation::with_capacity(dims, n);
@@ -398,8 +448,8 @@ mod tests {
         let band = BandCondition::symmetric(&[1.0]);
         let fine = GridPartitioner::build(&s, &t, &band, 1.0);
         let coarse = GridPartitioner::build(&s, &t, &band, 8.0);
-        assert!(coarse.num_cells() < fine.num_cells());
-        assert_eq!(fine.num_partitions(), fine.num_cells());
+        assert!(coarse.num_partitions() < fine.num_partitions());
+        assert_eq!(fine.num_partitions(), fine.cells.len());
         let dup = |g: &GridPartitioner| g.count_total_input(&s, &t);
         assert!(dup(&coarse) < dup(&fine));
     }
@@ -518,6 +568,6 @@ mod tests {
         let t = random_relation(20, 2, 0.0, 10.0, 15);
         let band = BandCondition::symmetric(&[0.5, 2.0]);
         let grid = GridPartitioner::build(&s, &t, &band, 3.0);
-        assert_eq!(grid.cell_sizes(), &[1.5, 6.0]);
+        assert_eq!(grid.cell, [1.5, 6.0]);
     }
 }

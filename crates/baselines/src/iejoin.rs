@@ -106,16 +106,6 @@ impl IEJoinPartitioner {
         self.size_per_block
     }
 
-    /// Number of S blocks.
-    pub fn s_blocks(&self) -> usize {
-        self.s_bounds.len()
-    }
-
-    /// Number of T blocks.
-    pub fn t_blocks(&self) -> usize {
-        self.t_bounds.len()
-    }
-
     fn block_of(bounds: &[f64], value: f64) -> usize {
         bounds
             .partition_point(|&b| b < value)
@@ -205,8 +195,8 @@ mod tests {
         let t = random_relation(500, 1, 2);
         let band = BandCondition::symmetric(&[1.0]);
         let p = IEJoinPartitioner::build(&s, &t, &band, 100);
-        assert_eq!(p.s_blocks(), 10);
-        assert_eq!(p.t_blocks(), 5);
+        assert_eq!(p.s_bounds.len(), 10);
+        assert_eq!(p.t_bounds.len(), 5);
         assert_eq!(p.size_per_block(), 100);
     }
 

@@ -9,7 +9,7 @@
 //! the band condition, the duplication does not shrink for selective joins
 //! (this is exactly what Tables 2–4 of the paper show).
 
-use recpart::small::stable_hash;
+use recpart::stable_hash;
 use recpart::{AssignmentSink, PartitionId, Partitioner, Relation};
 use std::ops::Range;
 
@@ -53,12 +53,6 @@ impl OneBucket {
         }
     }
 
-    /// Construct with an explicit grid shape (used by tests and ablations).
-    pub fn with_shape(rows: u32, cols: u32, seed: u64) -> Self {
-        assert!(rows >= 1 && cols >= 1);
-        OneBucket { rows, cols, seed }
-    }
-
     /// Number of matrix rows (S side).
     pub fn rows(&self) -> u32 {
         self.rows
@@ -67,12 +61,6 @@ impl OneBucket {
     /// Number of matrix columns (T side).
     pub fn cols(&self) -> u32 {
         self.cols
-    }
-
-    /// Expected duplication factor of the total input:
-    /// `(c·|S| + r·|T|) / (|S| + |T|)`.
-    pub fn expected_duplication(&self, s_len: usize, t_len: usize) -> f64 {
-        (self.cols as f64 * s_len as f64 + self.rows as f64 * t_len as f64) / (s_len + t_len) as f64
     }
 }
 
@@ -151,7 +139,8 @@ mod tests {
     fn thirty_workers_duplication_matches_paper_scale() {
         // The paper reports I = 2200M for 400M input on 30 workers → factor 5.5.
         let b = OneBucket::new(30, 200, 200, 2);
-        let dup = b.expected_duplication(200, 200);
+        // Each S-tuple is copied to `cols` cells, each T-tuple to `rows`.
+        let dup = f64::from(b.cols() * 200 + b.rows() * 200) / 400.0;
         assert!(
             (5.0..6.0).contains(&dup),
             "expected ≈5.5× duplication on 30 workers, got {dup}"
@@ -160,7 +149,11 @@ mod tests {
 
     #[test]
     fn every_pair_meets_in_exactly_one_cell() {
-        let b = OneBucket::with_shape(3, 5, 7);
+        let b = OneBucket {
+            rows: 3,
+            cols: 5,
+            seed: 7,
+        };
         let mut s_parts = Vec::new();
         let mut t_parts = Vec::new();
         for sid in 0..200u64 {
@@ -179,8 +172,16 @@ mod tests {
 
     #[test]
     fn assignment_is_deterministic_and_seed_dependent() {
-        let a = OneBucket::with_shape(4, 4, 1);
-        let b = OneBucket::with_shape(4, 4, 2);
+        let a = OneBucket {
+            rows: 4,
+            cols: 4,
+            seed: 1,
+        };
+        let b = OneBucket {
+            rows: 4,
+            cols: 4,
+            seed: 2,
+        };
         let mut out1 = Vec::new();
         let mut out2 = Vec::new();
         a.assign_s(&[0.0], 123, &mut out1);
@@ -201,7 +202,11 @@ mod tests {
 
     #[test]
     fn rows_are_roughly_balanced() {
-        let b = OneBucket::with_shape(4, 1, 3);
+        let b = OneBucket {
+            rows: 4,
+            cols: 1,
+            seed: 3,
+        };
         let mut counts = [0usize; 4];
         let mut out = Vec::new();
         for id in 0..4000u64 {

@@ -98,11 +98,6 @@ impl BandCondition {
         self.eps_low[dim].max(self.eps_high[dim])
     }
 
-    /// All symmetric band widths as a slice (only meaningful for symmetric conditions).
-    pub fn eps_all(&self) -> &[f64] {
-        &self.eps_low
-    }
-
     /// All lower band widths (`ε_i^L`) as a slice, indexed by dimension.
     #[inline]
     pub fn eps_low_all(&self) -> &[f64] {
@@ -113,14 +108,6 @@ impl BandCondition {
     #[inline]
     pub fn eps_high_all(&self) -> &[f64] {
         &self.eps_high
-    }
-
-    /// Whether the condition is symmetric in every dimension.
-    pub fn is_symmetric(&self) -> bool {
-        self.eps_low
-            .iter()
-            .zip(&self.eps_high)
-            .all(|(l, h)| (l - h).abs() == 0.0)
     }
 
     /// Whether this is an equi-join (zero band width everywhere).
@@ -194,7 +181,7 @@ mod tests {
     fn symmetric_matches() {
         let b = BandCondition::symmetric(&[1.0, 0.5]);
         assert_eq!(b.dims(), 2);
-        assert!(b.is_symmetric());
+        assert_eq!(b.eps_low_all(), b.eps_high_all());
         assert!(!b.is_equi());
         assert!(b.matches(&[1.0, 1.0], &[2.0, 1.5]));
         assert!(b.matches(&[2.0, 1.5], &[1.0, 1.0]));
@@ -224,7 +211,7 @@ mod tests {
     fn asymmetric_matches_and_ranges() {
         // s must be within [t - 1, t + 3]
         let b = BandCondition::try_asymmetric(&[1.0], &[3.0]).unwrap();
-        assert!(!b.is_symmetric());
+        assert_ne!(b.eps_low_all(), b.eps_high_all());
         assert!(b.matches(&[4.0], &[5.0])); // s - t = -1
         assert!(b.matches(&[8.0], &[5.0])); // s - t = 3
         assert!(!b.matches(&[3.9], &[5.0]));
@@ -286,7 +273,8 @@ mod tests {
             assert_eq!(b.eps_low(d), 2.5);
             assert_eq!(b.eps_high(d), 2.5);
         }
-        assert_eq!(b.eps_all(), &[2.5; 4]);
+        assert_eq!(b.eps_low_all(), &[2.5; 4]);
+        assert_eq!(b.eps_high_all(), &[2.5; 4]);
     }
 
     #[test]

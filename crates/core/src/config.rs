@@ -110,13 +110,6 @@ impl RecPartConfig {
         self
     }
 
-    /// Use the cost-model termination condition with the given relative improvement
-    /// threshold.
-    pub fn with_cost_model_termination(mut self, min_improvement: f64) -> Self {
-        self.termination = Termination::CostModel { min_improvement };
-        self
-    }
-
     /// Override the sampling configuration.
     pub fn with_sample(mut self, sample: SampleConfig) -> Self {
         self.sample = sample;
@@ -129,22 +122,9 @@ impl RecPartConfig {
         self
     }
 
-    /// Override the running-time model's `β₀`/`β₁` (shuffle) coefficients.
-    pub fn with_shuffle_weights(mut self, beta0: f64, beta1: f64) -> Self {
-        self.beta0 = beta0;
-        self.beta1 = beta1;
-        self
-    }
-
     /// Override the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Override the iteration cap.
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
         self
     }
 
@@ -157,7 +137,7 @@ impl RecPartConfig {
     }
 
     /// The name the resulting partitioner reports: `"RecPart"` or `"RecPart-S"`.
-    pub fn strategy_name(&self) -> &'static str {
+    pub(crate) fn strategy_name(&self) -> &'static str {
         if self.symmetric {
             "RecPart"
         } else {
@@ -201,8 +181,6 @@ mod tests {
             .without_symmetric()
             .with_theoretical_termination()
             .with_seed(99)
-            .with_max_iterations(10)
-            .with_shuffle_weights(5.0, 2.0)
             .with_load_model(LoadModel::new(3.0, 1.0))
             .with_threads(3);
         assert!(!c.symmetric);
@@ -210,15 +188,16 @@ mod tests {
         assert_eq!(c.strategy_name(), "RecPart-S");
         assert_eq!(c.termination, Termination::Theoretical);
         assert_eq!(c.seed, 99);
-        assert_eq!(c.max_iterations, 10);
-        assert_eq!(c.beta0, 5.0);
-        assert_eq!(c.beta1, 2.0);
         assert_eq!(c.load_model.beta_input, 3.0);
     }
 
     #[test]
     fn predict_time_is_linear() {
-        let c = RecPartConfig::new(2).with_shuffle_weights(10.0, 2.0);
+        let c = RecPartConfig {
+            beta0: 10.0,
+            beta1: 2.0,
+            ..RecPartConfig::new(2)
+        };
         // 10 + 2·100 + 4·20 + 1·30
         assert!((c.predict_time(100.0, 20.0, 30.0) - (10.0 + 200.0 + 80.0 + 30.0)).abs() < 1e-12);
     }

@@ -69,7 +69,7 @@ impl Rect {
     /// Used to decide whether a partition is "small" even when the partition itself is
     /// unbounded (the root starts at ±∞): only the part that overlaps the observed data
     /// domain matters.
-    pub fn clipped_extent(&self, dim: usize, domain: &Rect) -> f64 {
+    pub(crate) fn clipped_extent(&self, dim: usize, domain: &Rect) -> f64 {
         let lo = self.lo[dim].max(domain.lo[dim]);
         let hi = self.hi[dim].min(domain.hi[dim]);
         (hi - lo).max(0.0)
@@ -105,22 +105,6 @@ impl Rect {
         true
     }
 
-    /// Does the ε-range around an **S**-tuple `s` intersect this rectangle?
-    ///
-    /// Used when the roles of the inputs are reversed (an *S-split*, Section 4.2
-    /// "Extension: symmetric partitioning").
-    #[inline]
-    pub fn intersects_s_range(&self, s: &[f64], band: &BandCondition) -> bool {
-        debug_assert_eq!(s.len(), self.dims());
-        for (i, &sv) in s.iter().enumerate() {
-            let (lo, hi) = band.range_around_s(i, sv);
-            if hi < self.lo[i] || lo >= self.hi[i] {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Split this rectangle at `value` in dimension `dim`.
     ///
     /// Returns `(left, right)` where `left` keeps points with `x[dim] < value` and
@@ -143,7 +127,7 @@ impl Rect {
     }
 
     /// The smallest rectangle containing both `self` and `other`.
-    pub fn union(&self, other: &Rect) -> Rect {
+    pub(crate) fn union(&self, other: &Rect) -> Rect {
         assert_eq!(self.dims(), other.dims());
         let lo = self
             .lo
@@ -160,27 +144,13 @@ impl Rect {
         Rect { lo, hi }
     }
 
-    /// The intersection of two rectangles, or `None` if they do not overlap.
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
-        assert_eq!(self.dims(), other.dims());
-        let mut lo = Vec::with_capacity(self.dims());
-        let mut hi = Vec::with_capacity(self.dims());
-        for i in 0..self.dims() {
-            let l = self.lo[i].max(other.lo[i]);
-            let h = self.hi[i].min(other.hi[i]);
-            if l >= h {
-                return None;
-            }
-            lo.push(l);
-            hi.push(h);
-        }
-        Some(Rect { lo, hi })
-    }
-
     /// The bounding box of a set of points (each of dimension `dims`), or `None` if
     /// the iterator is empty. The upper bounds are widened by the smallest positive
     /// amount that keeps every point strictly inside the half-open box.
-    pub fn bounding_box<'a>(dims: usize, points: impl Iterator<Item = &'a [f64]>) -> Option<Rect> {
+    pub(crate) fn bounding_box<'a>(
+        dims: usize,
+        points: impl Iterator<Item = &'a [f64]>,
+    ) -> Option<Rect> {
         let mut lo = vec![f64::INFINITY; dims];
         let mut hi = vec![f64::NEG_INFINITY; dims];
         let mut any = false;
@@ -291,18 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn s_range_intersection_asymmetric() {
-        // s within [t-1, t+3]  ⇔  t within [s-3, s+1]
-        let band = BandCondition::try_asymmetric(&[1.0], &[3.0]).unwrap();
-        let r = Rect::new(vec![0.0], vec![10.0]); // region of T-values
-        assert!(r.intersects_s_range(&[9.5], &band)); // t-range [6.5, 10.5]
-        assert!(r.intersects_s_range(&[12.9], &band)); // t-range [9.9, 13.9]
-        assert!(!r.intersects_s_range(&[13.1], &band)); // t-range [10.1, 14.1]
-        assert!(r.intersects_s_range(&[-0.9], &band)); // t-range [-3.9, 0.1]
-        assert!(!r.intersects_s_range(&[-1.1], &band)); // t-range [-4.1, -0.1]
-    }
-
-    #[test]
     fn epsilon_range_consistency_with_matches() {
         // If (s, t) matches then the region containing s must intersect the ε-range of t.
         let band = BandCondition::symmetric(&[0.5, 2.0]);
@@ -312,18 +270,6 @@ mod tests {
         assert!(band.matches(&s, &t));
         assert!(region.contains(&s));
         assert!(region.intersects_t_range(&t, &band));
-    }
-
-    #[test]
-    fn union_and_intersection() {
-        let a = Rect::new(vec![0.0, 0.0], vec![2.0, 2.0]);
-        let b = Rect::new(vec![1.0, 1.0], vec![3.0, 3.0]);
-        let u = a.union(&b);
-        assert_eq!(u, Rect::new(vec![0.0, 0.0], vec![3.0, 3.0]));
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, Rect::new(vec![1.0, 1.0], vec![2.0, 2.0]));
-        let c = Rect::new(vec![5.0, 5.0], vec![6.0, 6.0]);
-        assert!(a.intersection(&c).is_none());
     }
 
     #[test]

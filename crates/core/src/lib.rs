@@ -14,28 +14,31 @@
 //!
 //! ## Crate layout
 //!
+//! The modules are private: the `pub use` list at the end of this file is the crate's
+//! whole public surface (DESIGN.md, "The public surface").
+//!
 //! | module | contents |
 //! |---|---|
-//! | [`relation`] | columnar (one contiguous array per dimension) [`Relation`] storage for join-key vectors |
-//! | [`band`] | [`BandCondition`] — per-dimension (possibly asymmetric) band widths |
-//! | [`geometry`] | [`Rect`] — axis-aligned hyper-rectangles of the attribute space |
-//! | [`load`] | [`LoadModel`] (β coefficients), per-worker loads, lower bounds |
-//! | [`metrics`] | [`PartitioningStats`] — I, Im, Om, Lm and overhead-vs-lower-bound measures |
-//! | [`parallel`] | the shared sequential / ambient / bounded-pool dispatch every `threads` knob uses |
-//! | [`partition`] | the [`Partitioner`] trait every partitioning strategy implements |
-//! | [`sample`] | input sampling and band-join output sampling |
-//! | [`split_tree`] | the recursive split tree grown by RecPart |
-//! | [`router`] | the split tree compiled into flat per-side routing tables for block routing |
-//! | [`simd`] | runtime-dispatched batch routing kernels ([`RouteKernel`]) |
-//! | [`scoring`] | split scoring: load-variance reduction / duplication increase |
-//! | [`small`] | 1-Bucket style internal sub-partitioning of "small" leaves |
-//! | [`recpart`] | the optimizer driver (Algorithm 1 of the paper) |
-//! | [`config`] | [`RecPartConfig`], termination conditions |
+//! | `relation` | columnar (one contiguous array per dimension) [`Relation`] storage for join-key vectors |
+//! | `band` | [`BandCondition`] — per-dimension (possibly asymmetric) band widths |
+//! | `geometry` | [`Rect`] — axis-aligned hyper-rectangles of the attribute space |
+//! | `load` | [`LoadModel`] (β coefficients), per-worker loads, lower bounds |
+//! | `metrics` | [`PartitioningStats`] — I, Im, Om, Lm and overhead-vs-lower-bound measures |
+//! | `parallel` | [`Parallelism`], the shared sequential / ambient / bounded-pool dispatch every `threads` knob uses |
+//! | `partition` | the [`Partitioner`] trait every partitioning strategy implements |
+//! | `sample` | [`InputSample`] and band-join [`OutputSample`]s |
+//! | `split_tree` | the recursive [`SplitTree`] grown by RecPart |
+//! | `router` | the split tree compiled into flat per-side routing tables ([`CompiledRouter`]) |
+//! | `simd` | runtime-dispatched batch routing and join kernels ([`RouteKernel`], [`JoinKernel`]) |
+//! | `scoring` | [`SplitScore`]: load-variance reduction / duplication increase |
+//! | `small` | [`BucketGrid`], 1-Bucket style internal sub-partitioning of "small" leaves |
+//! | [`recpart`] | the optimizer driver, [`RecPart`] (Algorithm 1 of the paper) |
+//! | `config` | [`RecPartConfig`], [`Termination`] conditions |
 //!
 //! ## Quick example
 //!
 //! ```
-//! use recpart::prelude::*;
+//! use recpart::{BandCondition, Partitioner, RecPart, RecPartConfig, Relation};
 //! use rand::{rngs::StdRng, SeedableRng, Rng};
 //!
 //! // Two small 1-D relations.
@@ -63,22 +66,24 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod band;
-pub mod config;
-pub mod error;
-pub mod geometry;
-pub mod load;
-pub mod metrics;
-pub mod parallel;
-pub mod partition;
+mod band;
+mod config;
+mod error;
+mod geometry;
+mod load;
+mod metrics;
+mod parallel;
+mod partition;
+/// The optimizer driver. Every item here is re-exported below; the module itself stays
+/// public only because the benchmark package names `recpart::recpart::OptimizationReport`.
 pub mod recpart;
-pub mod relation;
-pub mod router;
-pub mod sample;
-pub mod scoring;
-pub mod simd;
-pub mod small;
-pub mod split_tree;
+mod relation;
+mod router;
+mod sample;
+mod scoring;
+mod simd;
+mod small;
+mod split_tree;
 
 pub use band::BandCondition;
 pub use config::{RecPartConfig, Termination};
@@ -88,25 +93,15 @@ pub use load::{LeastLoaded, LoadModel};
 pub use metrics::{
     EvalCounters, PartitioningStats, PlanCacheCounters, SplitSearchCounters, WorkerLoad,
 };
-pub use parallel::Parallelism;
-pub use partition::{AssignmentSink, PartitionId, Partitioner, DEFAULT_BLOCK_TUPLES};
+pub use parallel::{chunk_ranges, Parallelism, Threads};
+pub use partition::{
+    AssignmentSink, PartitionId, Partitioner, SinglePartition, DEFAULT_BLOCK_TUPLES,
+};
 pub use recpart::{OptimizationReport, RecPart, RecPartResult, SplitTreePartitioner};
 pub use relation::{Key, Relation};
 pub use router::CompiledRouter;
 pub use sample::{InputSample, OutputSample, SampleConfig};
-pub use simd::{JoinKernel, Kernel, RouteKernel};
-
-/// Convenience re-exports for downstream users.
-pub mod prelude {
-    pub use crate::band::BandCondition;
-    pub use crate::config::{RecPartConfig, Termination};
-    pub use crate::geometry::Rect;
-    pub use crate::load::LoadModel;
-    pub use crate::metrics::PartitioningStats;
-    pub use crate::partition::{AssignmentSink, PartitionId, Partitioner};
-    pub use crate::recpart::{OptimizationReport, RecPart, RecPartResult, SplitTreePartitioner};
-    pub use crate::relation::{Key, Relation};
-    pub use crate::router::CompiledRouter;
-    pub use crate::sample::{InputSample, OutputSample, SampleConfig};
-    pub use crate::simd::{JoinKernel, RouteKernel};
-}
+pub use scoring::SplitScore;
+pub use simd::{band_window_collect_dims, band_window_count_dims, JoinKernel, Kernel, RouteKernel};
+pub use small::{stable_hash, BucketGrid};
+pub use split_tree::{Node, SplitKind, SplitTree};

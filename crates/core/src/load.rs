@@ -56,7 +56,7 @@ impl LoadModel {
 
     /// Lower bound `L₀ = (β₂(|S|+|T|) + β₃|S ⋈ T|) / w` on the max worker load
     /// (Lemma 1 of the paper).
-    pub fn max_load_lower_bound(
+    pub(crate) fn max_load_lower_bound(
         &self,
         s_len: usize,
         t_len: usize,
@@ -65,16 +65,6 @@ impl LoadModel {
     ) -> f64 {
         assert!(workers > 0, "need at least one worker");
         self.load((s_len + t_len) as f64, output as f64) / workers as f64
-    }
-
-    /// The ratio `β₂/β₃`, used when reporting `L_m = (β₂/β₃)·I_m + O_m` in the paper's
-    /// "4·Im + Om" form. Returns `f64::INFINITY` if `β₃ == 0`.
-    pub fn input_output_ratio(&self) -> f64 {
-        if self.beta_output == 0.0 {
-            f64::INFINITY
-        } else {
-            self.beta_input / self.beta_output
-        }
     }
 }
 
@@ -171,7 +161,7 @@ fn load_key(load: f64) -> u64 {
 /// Lower bound on the total input `I` of any correct partitioning: every input tuple must
 /// be examined by at least one worker, so `I ≥ |S| + |T|` (Lemma 1).
 #[inline]
-pub fn total_input_lower_bound(s_len: usize, t_len: usize) -> usize {
+pub(crate) fn total_input_lower_bound(s_len: usize, t_len: usize) -> usize {
     s_len + t_len
 }
 
@@ -180,7 +170,7 @@ pub fn total_input_lower_bound(s_len: usize, t_len: usize) -> usize {
 /// Returns 0 when both are 0, and `f64::INFINITY` when the bound is 0 but the value is
 /// positive.
 #[inline]
-pub fn relative_overhead(value: f64, lower_bound: f64) -> f64 {
+pub(crate) fn relative_overhead(value: f64, lower_bound: f64) -> f64 {
     if lower_bound == 0.0 {
         if value <= 0.0 {
             0.0
@@ -199,7 +189,7 @@ mod tests {
     #[test]
     fn default_matches_paper_ratio() {
         let m = LoadModel::default();
-        assert_eq!(m.input_output_ratio(), 4.0);
+        assert_eq!(m.beta_input / m.beta_output, 4.0);
         assert_eq!(m.load(10.0, 8.0), 48.0);
     }
 
@@ -218,12 +208,6 @@ mod tests {
         assert_eq!(relative_overhead(0.0, 0.0), 0.0);
         assert_eq!(relative_overhead(5.0, 0.0), f64::INFINITY);
         assert!(relative_overhead(9.0, 10.0) < 0.0);
-    }
-
-    #[test]
-    fn zero_output_weight_ratio_is_infinite() {
-        let m = LoadModel::new(1.0, 0.0);
-        assert_eq!(m.input_output_ratio(), f64::INFINITY);
     }
 
     #[test]

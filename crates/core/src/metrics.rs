@@ -107,16 +107,6 @@ impl PlanCacheCounters {
     pub fn queries(&self) -> u64 {
         self.hits + self.subsumed_hits + self.misses
     }
-
-    /// Fraction of queries served without building a plan (1.0 = all warm).
-    pub fn warm_rate(&self) -> f64 {
-        let q = self.queries();
-        if q == 0 {
-            0.0
-        } else {
-            (self.hits + self.subsumed_hits) as f64 / q as f64
-        }
-    }
 }
 
 /// Input and output volume assigned to one worker.
@@ -224,11 +214,6 @@ impl PartitioningStats {
         relative_overhead(self.max_worker_load, self.load_lower_bound())
     }
 
-    /// The paper's near-optimality criterion: the larger of the two overheads.
-    pub fn max_overhead(&self) -> f64 {
-        self.duplication_overhead().max(self.load_overhead())
-    }
-
     /// Load imbalance: max worker load divided by mean worker load (1.0 = perfect).
     /// Reported in Table 14 of the paper.
     pub fn imbalance(&self) -> f64 {
@@ -315,7 +300,6 @@ mod tests {
     fn plan_cache_counters_accounting() {
         let c = PlanCacheCounters::default();
         assert_eq!(c.queries(), 0);
-        assert_eq!(c.warm_rate(), 0.0);
         let c = PlanCacheCounters {
             hits: 3,
             subsumed_hits: 1,
@@ -324,7 +308,6 @@ mod tests {
             arena_bytes_cached: 1024,
         };
         assert_eq!(c.queries(), 8);
-        assert!((c.warm_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -374,7 +357,6 @@ mod tests {
         assert!(stats.duplication_overhead().abs() < 1e-12);
         assert!(stats.load_overhead().abs() < 1e-12);
         assert!((stats.imbalance() - 1.0).abs() < 1e-12);
-        assert!(stats.max_overhead().abs() < 1e-12);
     }
 
     #[test]

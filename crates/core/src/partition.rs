@@ -43,7 +43,7 @@ struct Coverage {
 }
 
 /// Flat output of the block routing API: the assignments of one block of tuples in
-/// routing order, recorded in one of two modes (see [`SinkState`]):
+/// routing order, recorded in one of two modes:
 ///
 /// * **pairs** ([`AssignmentSink::new`]) — materialized `(partition, tuple index)`
 ///   pairs plus per-partition counts; pass 1 of the two-pass shuffle

@@ -2,7 +2,7 @@
 //!
 //! Starting from a single leaf covering the whole join-attribute space, RecPart
 //! repeatedly picks the leaf whose best candidate split has the highest score (ratio of
-//! load-variance reduction to input-duplication increase, see [`crate::scoring`]) and
+//! load-variance reduction to input-duplication increase, see [`crate::SplitScore`]) and
 //! applies that split:
 //!
 //! * a **regular** leaf is split by the best hyperplane found over all allowed
@@ -13,7 +13,7 @@
 //! All estimates are derived from a fixed-size input sample and output sample, so the
 //! optimization cost is `O(w log w + w·d)` for `w` workers and `d` dimensions.
 //! The optimizer tracks the best partitioning seen so far and stops according to the
-//! configured [`Termination`](crate::config::Termination) rule.
+//! configured [`Termination`](crate::Termination) rule.
 //!
 //! Each decision is written once and known to one module (DESIGN.md §8):
 //!

@@ -235,7 +235,10 @@ fn rule_firing_on_the_last_allowed_iteration_keeps_its_reason() {
             "the workload must stop by `{reason}`: {}",
             free.termination_reason
         );
-        let capped = run(cfg.with_max_iterations(free.iterations));
+        let capped = run(RecPartConfig {
+            max_iterations: free.iterations,
+            ..cfg
+        });
         assert_eq!(capped.iterations, free.iterations);
         assert_eq!(capped.termination_reason, free.termination_reason);
     }

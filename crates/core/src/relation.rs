@@ -69,7 +69,7 @@ pub struct Key {
 
 impl Key {
     /// Dimensions stored without a heap allocation.
-    pub const INLINE: usize = 8;
+    pub(crate) const INLINE: usize = 8;
 }
 
 impl Deref for Key {
@@ -280,11 +280,6 @@ impl Relation {
         self.fold_per_dim(f64::INFINITY, f64::min)
     }
 
-    /// Per-dimension maximum over all tuples, or `None` if empty.
-    pub fn max_per_dim(&self) -> Option<Vec<f64>> {
-        self.fold_per_dim(f64::NEG_INFINITY, f64::max)
-    }
-
     fn fold_per_dim(&self, init: f64, f: impl Fn(f64, f64) -> f64) -> Option<Vec<f64>> {
         if self.is_empty() {
             return None;
@@ -295,29 +290,6 @@ impl Relation {
                 .map(|col| col.iter().fold(init, |a, &v| f(a, v)))
                 .collect(),
         )
-    }
-
-    /// Create a new relation containing the tuples at the given indices, in order.
-    pub fn project(&self, indices: &[usize]) -> Relation {
-        Relation {
-            len: indices.len(),
-            generation: indices.len() as u64,
-            columns: self
-                .columns
-                .iter()
-                .map(|col| indices.iter().map(|&i| col[i]).collect())
-                .collect(),
-        }
-    }
-
-    /// Sort indices `0..len` by the value of `dim`, ascending in the IEEE 754
-    /// `totalOrder` sense (`f64::total_cmp`, so `−∞` first, `+∞` last and `−0.0`
-    /// before `0.0`) — the same total order the local-join sorts use.
-    pub fn argsort_by_dim(&self, dim: usize) -> Vec<usize> {
-        let col = &self.columns[dim];
-        let mut idx: Vec<usize> = (0..self.len).collect();
-        idx.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
-        idx
     }
 }
 
@@ -410,6 +382,13 @@ mod tests {
         assert_eq!(via_into, collected);
     }
 
+    /// The optimizer's argsort (`InputSample::argsort_by_dim`) over a full-size sample
+    /// of `r`, which holds every key in relation order.
+    fn argsort(r: &Relation, dim: usize) -> Vec<u32> {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
+        crate::InputSample::draw(r, r.len(), &mut rng).argsort_by_dim(dim)
+    }
+
     #[test]
     fn wide_keys_spill_but_stay_correct() {
         let dims = Key::INLINE + 3;
@@ -423,10 +402,8 @@ mod tests {
     fn min_max_per_dim() {
         let r = sample_relation();
         assert_eq!(r.min_per_dim().unwrap(), vec![-1.0, 0.5, 3.0]);
-        assert_eq!(r.max_per_dim().unwrap(), vec![4.0, 5.0, 9.0]);
         let empty = Relation::new(2);
         assert!(empty.min_per_dim().is_none());
-        assert!(empty.max_per_dim().is_none());
     }
 
     #[test]
@@ -447,25 +424,14 @@ mod tests {
     }
 
     #[test]
-    fn project_selects_rows() {
-        let r = sample_relation();
-        let p = r.project(&[2, 0]);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.key(0), r.key(2));
-        assert_eq!(p.key(1), r.key(0));
-    }
-
-    #[test]
     fn argsort_by_dim_orders_values() {
         let r = sample_relation();
-        let order = r.argsort_by_dim(0);
-        assert_eq!(order, vec![2, 0, 1]);
-        let order = r.argsort_by_dim(2);
-        assert_eq!(order, vec![0, 1, 2]);
+        assert_eq!(argsort(&r, 0), vec![2, 0, 1]);
+        assert_eq!(argsort(&r, 2), vec![0, 1, 2]);
     }
 
-    /// The constructors keep NaN out, but `argsort_by_dim` must not depend on that
-    /// for its own soundness: it orders by `total_cmp` — NaN last, like the
+    /// The constructors keep NaN out, but the optimizer's argsort must not depend on
+    /// that for its own soundness: it orders by `total_cmp` — NaN last, like the
     /// local-join sorts — instead of panicking on a `partial_cmp().expect()`. The
     /// relation is built field by field to get a NaN past the ingress check.
     #[test]
@@ -475,7 +441,7 @@ mod tests {
             generation: 4,
             columns: vec![vec![f64::NAN, 1.0, 5.0, -3.0]],
         };
-        assert_eq!(r.argsort_by_dim(0), vec![3, 1, 2, 0], "NaN must sort last");
+        assert_eq!(argsort(&r, 0), vec![3, 1, 2, 0], "NaN must sort last");
     }
 
     /// A NaN key is rejected by `push` — in every build since the ingress check
@@ -488,7 +454,8 @@ mod tests {
     }
 
     /// The ingress policy, identical in debug and release: NaN of either sign is
-    /// rejected by every constructor, `±∞` is accepted and argsorts by `total_cmp`.
+    /// rejected by every constructor, `±∞` is accepted and sorts by `total_cmp` in the
+    /// optimizer's argsort (`InputSample::argsort_by_dim`, over a full-size sample).
     #[test]
     fn constructors_reject_nan_and_accept_infinities() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -510,10 +477,10 @@ mod tests {
         let inf = f64::INFINITY;
         let flat = Relation::from_flat(2, vec![inf, 1.0, -inf, inf, 0.0, -inf]);
         assert_eq!(flat.len(), 3);
-        assert_eq!(flat.argsort_by_dim(0), vec![1, 2, 0]);
-        assert_eq!(flat.argsort_by_dim(1), vec![2, 0, 1]);
+        assert_eq!(argsort(&flat, 0), vec![1, 2, 0]);
+        assert_eq!(argsort(&flat, 1), vec![2, 0, 1]);
         let one_d = Relation::from_values_1d(&[inf, 1.0, -inf, -3.0]);
-        assert_eq!(one_d.argsort_by_dim(0), vec![2, 3, 1, 0]);
+        assert_eq!(argsort(&one_d, 0), vec![2, 3, 1, 0]);
         let mut pushed = Relation::new(2);
         for key in flat.iter() {
             pushed.push(&key);

@@ -267,7 +267,7 @@ impl SideTable {
 /// Compile once after the tree is frozen ([`SplitTree::assign_partition_ids`] must
 /// have run); route blocks forever. The router is immutable and `Send + Sync`, so
 /// the executor's parallel map phase shares one instance across all threads.
-/// Every router has passed [`CompiledRouter::validate`] before it can route.
+/// Every router is validated when it is compiled, before it can route.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRouter {
     s_side: SideTable,
@@ -452,17 +452,27 @@ impl CompiledRouter {
     /// Route the S-tuples `rows` of `rel` into `sink` (bit-identical ids and order
     /// to [`SplitTree::route_s`] per tuple, tuples in ascending index order),
     /// using the process-wide routing kernel ([`RouteKernel::active`]).
-    pub fn route_s_block(&self, rel: &Relation, rows: Range<usize>, sink: &mut AssignmentSink) {
+    pub(crate) fn route_s_block(
+        &self,
+        rel: &Relation,
+        rows: Range<usize>,
+        sink: &mut AssignmentSink,
+    ) {
         self.route_s_block_with(RouteKernel::active(), rel, rows, sink);
     }
 
     /// Route the T-tuples `rows` of `rel` into `sink`.
-    pub fn route_t_block(&self, rel: &Relation, rows: Range<usize>, sink: &mut AssignmentSink) {
+    pub(crate) fn route_t_block(
+        &self,
+        rel: &Relation,
+        rows: Range<usize>,
+        sink: &mut AssignmentSink,
+    ) {
         self.route_t_block_with(RouteKernel::active(), rel, rows, sink);
     }
 
-    /// [`route_s_block`](CompiledRouter::route_s_block) with an explicit
-    /// kernel. Every kernel runs the same segment descent and differs only in
+    /// Route the S-tuples `rows` of `rel` into `sink` with an explicit kernel (the
+    /// partitioner routes with [`RouteKernel::active`]). Every kernel runs the same segment descent and differs only in
     /// the primitive that splits a segment at a node, so every kernel emits the
     /// same stream (tests hold each to the [`SplitTree`] walk).
     pub fn route_s_block_with(
@@ -476,7 +486,7 @@ impl CompiledRouter {
             .descend_block(self.root, rel, rows, kernel, sink);
     }
 
-    /// [`route_t_block`](CompiledRouter::route_t_block) with an explicit kernel.
+    /// Route the T-tuples `rows` of `rel` into `sink` with an explicit kernel.
     pub fn route_t_block_with(
         &self,
         kernel: RouteKernel,

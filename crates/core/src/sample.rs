@@ -187,15 +187,10 @@ impl InputSample {
         self.data.chunks_exact(self.dims)
     }
 
-    /// Size of the relation the sample was drawn from.
-    pub fn relation_len(&self) -> usize {
-        self.relation_len
-    }
-
     /// Indices `0..len` sorted ascending by the key value in dimension `dim`
     /// (`f64::total_cmp`, so the order is deterministic even for NaNs and ±0.0).
     /// Seeds the optimizer's cached per-dimension projections.
-    pub fn argsort_by_dim(&self, dim: usize) -> Vec<u32> {
+    pub(crate) fn argsort_by_dim(&self, dim: usize) -> Vec<u32> {
         let mut order: Vec<u32> = (0..self.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
             self.key(a as usize)[dim].total_cmp(&self.key(b as usize)[dim])
@@ -342,7 +337,7 @@ impl OutputSample {
 
     /// Pair indices `0..len` sorted ascending by the **S-side** key value in
     /// dimension `dim` (`f64::total_cmp`).
-    pub fn argsort_by_s_dim(&self, dim: usize) -> Vec<u32> {
+    pub(crate) fn argsort_by_s_dim(&self, dim: usize) -> Vec<u32> {
         let mut order: Vec<u32> = (0..self.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
             self.s_key(a as usize)[dim].total_cmp(&self.s_key(b as usize)[dim])
@@ -352,7 +347,7 @@ impl OutputSample {
 
     /// Pair indices `0..len` sorted ascending by the **T-side** key value in
     /// dimension `dim` (`f64::total_cmp`).
-    pub fn argsort_by_t_dim(&self, dim: usize) -> Vec<u32> {
+    pub(crate) fn argsort_by_t_dim(&self, dim: usize) -> Vec<u32> {
         let mut order: Vec<u32> = (0..self.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
             self.t_key(a as usize)[dim].total_cmp(&self.t_key(b as usize)[dim])
@@ -604,7 +599,8 @@ mod reference {
 
         // Sort T on dimension 0 once; probes binary-search the ε-range in that dimension
         // and verify the remaining dimensions exactly.
-        let order = t.argsort_by_dim(0);
+        let mut order: Vec<usize> = (0..t.len()).collect();
+        order.sort_by(|&a, &b| t.value(a, 0).total_cmp(&t.value(b, 0)));
         let sorted_vals: Vec<f64> = order.iter().map(|&i| t.value(i, 0)).collect();
 
         let probe_count = config.output_probe_count.min(s.len()).max(1);
@@ -686,7 +682,7 @@ mod tests {
         let sample = InputSample::draw(&r, 100, &mut rng);
         assert_eq!(sample.len(), 100);
         assert_eq!(sample.dims(), 2);
-        assert_eq!(sample.relation_len(), 1000);
+        assert_eq!(sample.relation_len, 1000);
         assert!((sample.weight() - 10.0).abs() < 1e-12);
         for key in sample.iter() {
             assert!(key.iter().all(|v| (0.0..100.0).contains(v)));

@@ -18,7 +18,7 @@
 use std::cmp::Ordering;
 
 /// The smallest duplication increase used as a ratio denominator (one input tuple).
-pub const MIN_DUPLICATION_DENOMINATOR: f64 = 1.0;
+pub(crate) const MIN_DUPLICATION_DENOMINATOR: f64 = 1.0;
 
 /// Score of a candidate split.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,19 +58,8 @@ impl SplitScore {
     }
 
     /// Is this a usable split?
-    pub fn is_splittable(&self) -> bool {
+    pub(crate) fn is_splittable(&self) -> bool {
         !matches!(self, SplitScore::NotSplittable)
-    }
-
-    /// Does the split avoid duplication entirely?
-    pub fn is_zero_duplication(&self) -> bool {
-        matches!(
-            self,
-            SplitScore::Useful {
-                zero_duplication: true,
-                ..
-            }
-        )
     }
 }
 
@@ -96,7 +85,7 @@ impl Ord for SplitScore {
 /// ranking of splits, but we keep it for fidelity with the paper (and so that reported
 /// variance values are meaningful).
 #[inline]
-pub fn variance_factor(workers: usize) -> f64 {
+pub(crate) fn variance_factor(workers: usize) -> f64 {
     assert!(workers > 0, "need at least one worker");
     let w = workers as f64;
     (w - 1.0) / (w * w)
@@ -105,13 +94,13 @@ pub fn variance_factor(workers: usize) -> f64 {
 /// Load `l_p = β₂·I_p + β₃·O_p` induced by a partition with estimated input `input` and
 /// output `output`.
 #[inline]
-pub fn partition_load(beta_input: f64, beta_output: f64, input: f64, output: f64) -> f64 {
+pub(crate) fn partition_load(beta_input: f64, beta_output: f64, input: f64, output: f64) -> f64 {
     beta_input * input + beta_output * output
 }
 
 /// Contribution `(w−1)/w² · l_p²` of one partition to the load variance.
 #[inline]
-pub fn variance_term(workers: usize, load: f64) -> f64 {
+pub(crate) fn variance_term(workers: usize, load: f64) -> f64 {
     variance_factor(workers) * load * load
 }
 
@@ -161,8 +150,17 @@ mod tests {
         let zero = SplitScore::new(100.0, 0.0);
         let with_dup = SplitScore::new(100.0, 5.0);
         assert!(zero > with_dup);
-        assert!(zero.is_zero_duplication());
-        assert!(!with_dup.is_zero_duplication());
+        let zero_dup = |score: &SplitScore| {
+            matches!(
+                score,
+                SplitScore::Useful {
+                    zero_duplication: true,
+                    ..
+                }
+            )
+        };
+        assert!(zero_dup(&zero));
+        assert!(!zero_dup(&with_dup));
     }
 
     #[test]

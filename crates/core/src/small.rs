@@ -43,7 +43,7 @@ impl BucketGrid {
 
     /// Expected load of one cell of the grid.
     #[inline]
-    pub fn cell_load(
+    pub(crate) fn cell_load(
         &self,
         beta_input: f64,
         beta_output: f64,
@@ -59,7 +59,7 @@ impl BucketGrid {
     /// Contribution of all cells of this grid to the load variance `Σ l_p²`, including
     /// the `(w−1)/w²` factor.
     #[inline]
-    pub fn variance_contribution(
+    pub(crate) fn variance_contribution(
         &self,
         workers: usize,
         beta_input: f64,
@@ -74,7 +74,7 @@ impl BucketGrid {
 
     /// Evaluate incrementing the number of rows: returns the score and the duplication
     /// increase (which equals the leaf's T-input, since every T-tuple gains one copy).
-    pub fn score_add_row(
+    pub(crate) fn score_add_row(
         &self,
         workers: usize,
         beta_input: f64,
@@ -96,7 +96,7 @@ impl BucketGrid {
 
     /// Evaluate incrementing the number of columns: returns the score and the duplication
     /// increase (the leaf's S-input).
-    pub fn score_add_col(
+    pub(crate) fn score_add_col(
         &self,
         workers: usize,
         beta_input: f64,
@@ -119,13 +119,13 @@ impl BucketGrid {
     /// The cell index an S-tuple with the given pseudo-random hash is routed to, as
     /// `(row, all columns)` — callers enumerate the `cols` cells `row * cols + j`.
     #[inline]
-    pub fn s_row(&self, hash: u64) -> u32 {
+    pub(crate) fn s_row(&self, hash: u64) -> u32 {
         (hash % self.rows as u64) as u32
     }
 
     /// The column a T-tuple with the given pseudo-random hash is routed to.
     #[inline]
-    pub fn t_col(&self, hash: u64) -> u32 {
+    pub(crate) fn t_col(&self, hash: u64) -> u32 {
         (hash % self.cols as u64) as u32
     }
 }

@@ -133,7 +133,7 @@ impl SplitTree {
     /// Visit every leaf in depth-first order without materializing an id list
     /// (the optimizer re-evaluates the frontier after every split, so this runs on
     /// the hot path).
-    pub fn for_each_leaf(&self, mut f: impl FnMut(NodeId, &LeafNode)) {
+    pub(crate) fn for_each_leaf(&self, mut f: impl FnMut(NodeId, &LeafNode)) {
         let mut stack: Vec<NodeId> = Vec::with_capacity(32);
         stack.push(self.root);
         while let Some(id) = stack.pop() {
@@ -219,7 +219,7 @@ impl SplitTree {
     /// # Panics
     /// Panics if `leaf_id` is not an inner node whose children are the two most
     /// recently appended nodes (i.e. if the undo is attempted out of LIFO order).
-    pub fn undo_split(&mut self, leaf_id: NodeId, prior: LeafNode) {
+    pub(crate) fn undo_split(&mut self, leaf_id: NodeId, prior: LeafNode) {
         let n = self.nodes.len();
         match &self.nodes[leaf_id as usize] {
             Node::Inner(inner) => {

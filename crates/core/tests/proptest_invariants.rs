@@ -3,11 +3,7 @@
 //! of the split score.
 
 use proptest::prelude::*;
-use recpart::geometry::Rect;
-use recpart::scoring::SplitScore;
-use recpart::small::BucketGrid;
-use recpart::split_tree::{SplitKind, SplitTree};
-use recpart::{BandCondition, Relation};
+use recpart::{BandCondition, BucketGrid, Rect, Relation, SplitKind, SplitScore, SplitTree};
 
 fn key(dims: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, dims)

@@ -51,9 +51,9 @@ pub enum DatasetSpec {
         dims: usize,
     },
     /// `ebird ⋈ cloud`: 3-D spatio-temporal join of bird observations with weather
-    /// reports (synthetic stand-ins, see [`crate::spatial`]).
+    /// reports (synthetic stand-ins, see [`crate::BirdObservationGenerator`]).
     EbirdCloud,
-    /// `ptf_objects`: 2-D sky-survey self-join (synthetic stand-in, see [`crate::sky`]).
+    /// `ptf_objects`: 2-D sky-survey self-join (synthetic stand-in, see [`crate::SkySurveyGenerator`]).
     PtfObjects,
 }
 
@@ -97,7 +97,7 @@ impl DatasetSpec {
 
     /// How the paper splits the total input between S and T for this dataset
     /// (fraction assigned to S).
-    pub fn s_fraction(&self) -> f64 {
+    pub(crate) fn s_fraction(&self) -> f64 {
         match self {
             // Equal-sized synthetic pairs.
             DatasetSpec::Pareto { .. } | DatasetSpec::ReversePareto { .. } => 0.5,
@@ -187,21 +187,6 @@ impl ExperimentConfig {
             t,
             band,
             target_output_ratio: target_ratio,
-        }
-    }
-
-    /// Instantiate at the paper's band widths without any calibration.
-    pub fn instantiate_uncalibrated(&self, total_tuples: usize, seed: u64) -> Workload {
-        let s_len = ((total_tuples as f64) * self.dataset.s_fraction()).round() as usize;
-        let s_len = s_len.clamp(1, total_tuples.saturating_sub(1).max(1));
-        let t_len = total_tuples - s_len;
-        let (s, t) = self.dataset.generate(s_len, t_len.max(1), seed);
-        Workload {
-            id: self.id.clone(),
-            s,
-            t,
-            band: BandCondition::symmetric(&self.paper_band),
-            target_output_ratio: self.paper_output_ratio(),
         }
     }
 }
@@ -500,7 +485,7 @@ mod tests {
     #[test]
     fn ebird_cloud_split_follows_paper_ratio() {
         let c = catalog_entry("ebird-cloud/eps0");
-        let w = c.instantiate_uncalibrated(890, 2);
+        let w = c.instantiate(890, 2);
         // 508 : 382 split.
         assert!((w.s.len() as f64 - 508.0).abs() <= 1.0);
         assert!((w.t.len() as f64 - 382.0).abs() <= 1.0);

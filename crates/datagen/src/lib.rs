@@ -8,12 +8,14 @@
 //!   attributes drawn from a Pareto distribution with shape `z` (the paper explores
 //!   `z ∈ [0.5, 2.0]`), optionally reversed so that the high-density regions of `S` and
 //!   `T` are anti-correlated.
-//! * [`spatial`] — `ebird`-like bird observations and `cloud`-like weather reports:
-//!   clustered latitude/longitude/time data with correlated hot spots.
-//! * [`sky`] — `ptf`-like sky-survey objects (right ascension / declination) with a
-//!   dense galactic band, for the self-join style queries of Table 16.
-//! * [`synthetic`] — uniform, Gaussian-cluster, and adversarial corner-packed data used
-//!   by unit tests and the Lemma 2/3 experiments.
+//! * [`BirdObservationGenerator`] / [`WeatherReportGenerator`] — `ebird`-like bird
+//!   observations and `cloud`-like weather reports: clustered latitude/longitude/time
+//!   data with correlated hot spots.
+//! * [`SkySurveyGenerator`] — `ptf`-like sky-survey objects (right ascension /
+//!   declination) with a dense galactic band, for the self-join style queries of
+//!   Table 16.
+//! * [`uniform_relation`] / [`corner_packed_relation`] — uniform and adversarial
+//!   corner-packed data used by unit tests and the Lemma 2/3 experiments.
 //! * [`catalog`] — the experiment catalog mirroring Table 1/Table 10 of the paper, with
 //!   a global scale factor so the multi-hundred-million tuple workloads shrink to
 //!   laptop-sized inputs while keeping their distributional shape.
@@ -23,12 +25,12 @@
 
 pub mod catalog;
 pub mod pareto;
-pub mod sky;
-pub mod spatial;
-pub mod synthetic;
+mod sky;
+mod spatial;
+mod synthetic;
 
 pub use catalog::{DatasetSpec, ExperimentConfig, ExperimentId};
 pub use pareto::{pareto_relation, reverse_pareto_relation, ParetoGenerator};
 pub use sky::SkySurveyGenerator;
-pub use spatial::{BirdObservationGenerator, WeatherReportGenerator};
-pub use synthetic::{clustered_relation, corner_packed_relation, uniform_relation};
+pub use spatial::{BirdObservationGenerator, SpatialConfig, WeatherReportGenerator};
+pub use synthetic::{corner_packed_relation, uniform_relation};

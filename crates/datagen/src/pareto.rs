@@ -13,7 +13,7 @@ use recpart::Relation;
 
 /// The reflection point used by the reverse-Pareto (`rv-pareto-z`) family: T-values are
 /// generated as `10⁶ − y` with `y` Pareto-distributed.
-pub const REVERSE_PARETO_OFFSET: f64 = 1.0e6;
+pub(crate) const REVERSE_PARETO_OFFSET: f64 = 1.0e6;
 
 /// Draw one value from a Pareto distribution with shape `z` on `[1, ∞)` via inverse
 /// transform sampling: `x = (1 − u)^(−1/z)`.

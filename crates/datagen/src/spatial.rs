@@ -120,11 +120,6 @@ impl BirdObservationGenerator {
         }
         relation
     }
-
-    /// The hot-spot centers (exposed for tests).
-    pub fn hotspots(&self) -> &[(f64, f64)] {
-        &self.hotspots
-    }
 }
 
 impl WeatherReportGenerator {
@@ -139,11 +134,6 @@ impl WeatherReportGenerator {
             relation.push(&[time, lat, lon]);
         }
         relation
-    }
-
-    /// The hot-spot centers (exposed for tests).
-    pub fn hotspots(&self) -> &[(f64, f64)] {
-        &self.hotspots
     }
 }
 
@@ -201,10 +191,10 @@ mod tests {
     #[test]
     fn paired_generators_share_hotspots() {
         let (birds, weather) = generators(3);
-        for h in birds.hotspots() {
-            assert!(weather.hotspots().contains(h));
+        for h in &birds.hotspots {
+            assert!(weather.hotspots.contains(h));
         }
-        assert!(weather.hotspots().len() > birds.hotspots().len());
+        assert!(weather.hotspots.len() > birds.hotspots.len());
     }
 
     #[test]
@@ -219,7 +209,7 @@ mod tests {
             / ((cfg.latitude_range.1 - cfg.latitude_range.0)
                 * (cfg.longitude_range.1 - cfg.longitude_range.0));
         let best_count = birds
-            .hotspots()
+            .hotspots
             .iter()
             .map(|(clat, clon)| {
                 b.iter()

@@ -1,5 +1,5 @@
-//! Basic synthetic distributions: uniform, Gaussian clusters, and adversarial
-//! corner-packed data.
+//! Basic synthetic distributions: uniform, adversarial corner-packed data, and the
+//! standard-normal draw the spatial and sky generators share.
 //!
 //! These are used by unit and property tests across the workspace and by the analytical
 //! experiments around Lemma 2 and Lemma 3 (grid partitioning behaviour under extreme
@@ -28,46 +28,13 @@ pub fn uniform_relation<R: Rng + ?Sized>(
     relation
 }
 
-/// A mixture of `centers.len()` isotropic Gaussian clusters (standard deviation `sigma`)
-/// plus a `background` fraction of uniform noise on the bounding box of the centers
-/// (inflated by `3·sigma`).
-pub fn clustered_relation<R: Rng + ?Sized>(
-    n: usize,
-    centers: &[Vec<f64>],
-    sigma: f64,
-    background: f64,
-    rng: &mut R,
-) -> Relation {
-    assert!(!centers.is_empty(), "need at least one cluster center");
-    assert!((0.0..=1.0).contains(&background));
-    let dims = centers[0].len();
-    assert!(centers.iter().all(|c| c.len() == dims));
-
-    let mut lo = vec![f64::INFINITY; dims];
-    let mut hi = vec![f64::NEG_INFINITY; dims];
-    for c in centers {
-        for d in 0..dims {
-            lo[d] = lo[d].min(c[d] - 3.0 * sigma);
-            hi[d] = hi[d].max(c[d] + 3.0 * sigma);
-        }
-    }
-
-    let mut relation = Relation::with_capacity(dims, n);
-    let mut key = vec![0.0; dims];
-    for _ in 0..n {
-        if rng.gen::<f64>() < background {
-            for (d, k) in key.iter_mut().enumerate() {
-                *k = rng.gen_range(lo[d]..hi[d]);
-            }
-        } else {
-            let c = &centers[rng.gen_range(0..centers.len())];
-            for (d, k) in key.iter_mut().enumerate() {
-                *k = c[d] + gaussian(rng) * sigma;
-            }
-        }
-        relation.push(&key);
-    }
-    relation
+/// One standard-normal draw via the Box–Muller transform (avoids an extra dependency on
+/// `rand_distr`).
+#[inline]
+pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// The adversarial construction behind the grid-partitioning lower bound discussion
@@ -104,15 +71,6 @@ pub fn corner_packed_relation<R: Rng + ?Sized>(
     relation
 }
 
-/// One standard-normal draw via the Box–Muller transform (avoids an extra dependency on
-/// `rand_distr`).
-#[inline]
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,53 +96,6 @@ mod tests {
             samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / samples.len() as f64;
         assert!(mean.abs() < 0.03, "mean {mean} too far from 0");
         assert!((var - 1.0).abs() < 0.05, "variance {var} too far from 1");
-    }
-
-    #[test]
-    fn clusters_concentrate_mass_near_centers() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let centers = vec![vec![0.0, 0.0], vec![100.0, 100.0]];
-        let r = clustered_relation(2000, &centers, 1.0, 0.0, &mut rng);
-        let near_center = r
-            .iter()
-            .filter(|k| {
-                centers.iter().any(|c| {
-                    k.iter()
-                        .zip(c)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                        .sqrt()
-                        < 4.0
-                })
-            })
-            .count();
-        assert!(
-            near_center > 1900,
-            "only {near_center}/2000 tuples near a cluster center"
-        );
-    }
-
-    #[test]
-    fn background_fraction_spreads_points() {
-        // Two far-apart clusters with 50% background: the region between the clusters is
-        // only reachable by background points, so it must receive a sizable share.
-        let mut rng = StdRng::seed_from_u64(4);
-        let centers = vec![vec![0.0], vec![100.0]];
-        let with_bg = clustered_relation(2000, &centers, 0.1, 0.5, &mut rng);
-        let between = with_bg
-            .iter()
-            .filter(|k| k[0] > 10.0 && k[0] < 90.0)
-            .count();
-        assert!(
-            between > 500,
-            "background noise should fill the gap between clusters, got {between}"
-        );
-        let without_bg = clustered_relation(2000, &centers, 0.1, 0.0, &mut rng);
-        let between = without_bg
-            .iter()
-            .filter(|k| k[0] > 10.0 && k[0] < 90.0)
-            .count();
-        assert_eq!(between, 0, "no background ⇒ nothing between the clusters");
     }
 
     #[test]

@@ -52,16 +52,6 @@ impl CostModel {
         self.beta0 + self.beta1 * total_input + self.beta2 * max_input + self.beta3 * max_output
     }
 
-    /// Relative prediction error `|predicted − actual| / actual` for one observation.
-    pub fn relative_error(&self, point: &CalibrationPoint) -> f64 {
-        let predicted = self.predict(point.total_input, point.max_input, point.max_output);
-        if point.join_seconds == 0.0 {
-            predicted.abs()
-        } else {
-            (predicted - point.join_seconds).abs() / point.join_seconds
-        }
-    }
-
     /// Fit the model to calibration data by ordinary least squares (normal equations,
     /// solved by Gaussian elimination with partial pivoting). Negative coefficients are
     /// clamped to zero — a negative per-tuple cost is physically meaningless and only
@@ -91,14 +81,6 @@ impl CostModel {
             beta2: beta[2].max(0.0),
             beta3: beta[3].max(0.0),
         })
-    }
-
-    /// Mean relative error over a set of observations.
-    pub fn mean_relative_error(&self, points: &[CalibrationPoint]) -> f64 {
-        if points.is_empty() {
-            return 0.0;
-        }
-        points.iter().map(|p| self.relative_error(p)).sum::<f64>() / points.len() as f64
     }
 }
 
@@ -140,6 +122,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Mean of `|predict − join_seconds| / join_seconds` over `points`.
+    fn mean_relative_error(model: &CostModel, points: &[CalibrationPoint]) -> f64 {
+        let error = |p: &CalibrationPoint| {
+            let predicted = model.predict(p.total_input, p.max_input, p.max_output);
+            (predicted - p.join_seconds).abs() / p.join_seconds
+        };
+        points.iter().map(error).sum::<f64>() / points.len() as f64
+    }
+
     #[test]
     fn default_has_paper_ratio() {
         let m = CostModel::default();
@@ -174,7 +165,7 @@ mod tests {
         assert!((fitted.beta1 - truth.beta1).abs() < 1e-8);
         assert!((fitted.beta2 - truth.beta2).abs() < 1e-8);
         assert!((fitted.beta3 - truth.beta3).abs() < 1e-8);
-        assert!(fitted.mean_relative_error(&points) < 1e-9);
+        assert!(mean_relative_error(&fitted, &points) < 1e-9);
     }
 
     #[test]
@@ -201,7 +192,7 @@ mod tests {
             })
             .collect();
         let fitted = CostModel::fit(&points).unwrap();
-        assert!(fitted.mean_relative_error(&points) < 0.06);
+        assert!(mean_relative_error(&fitted, &points) < 0.06);
         assert!((fitted.beta2 / fitted.beta3 - 4.0).abs() < 1.0);
     }
 
@@ -227,18 +218,6 @@ mod tests {
             join_seconds: 3.0,
         };
         assert!(CostModel::fit(&[p; 8]).is_none());
-    }
-
-    #[test]
-    fn relative_error_handles_zero_actual() {
-        let m = CostModel::default();
-        let p = CalibrationPoint {
-            total_input: 1.0,
-            max_input: 0.0,
-            max_output: 0.0,
-            join_seconds: 0.0,
-        };
-        assert!(m.relative_error(&p) > 0.0);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl ExecutorConfig {
     }
 
     /// Override the machine model.
-    pub fn with_machine(mut self, machine: MachineModel) -> Self {
+    pub(crate) fn with_machine(mut self, machine: MachineModel) -> Self {
         self.machine = machine;
         self
     }
@@ -510,7 +510,7 @@ impl Executor {
     /// returns them: the back half of [`Executor::execute`] on its own. The arenas
     /// are only borrowed, so they are copied and the copy enters the pipeline where
     /// `execute`'s own shuffle output does; the
-    /// plan-cached service ([`crate::serve`]) keeps [`JoinReadyInputs`] instead and
+    /// plan-cached service ([`crate::BandJoinService`]) keeps [`JoinReadyInputs`] instead and
     /// skips both the copy and the sorts. The result is bit-identical by
     /// construction to a fresh [`Executor::execute`] with the same partitioner
     /// (only the wall-clock measurements differ; `map_shuffle_wall_seconds` is
@@ -934,8 +934,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use recpart::partition::SinglePartition;
     use recpart::PartitionId;
+    use recpart::SinglePartition;
 
     fn random_relation(n: usize, dims: usize, seed: u64) -> Relation {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -45,7 +45,7 @@ pub enum InjectionPoint {
 /// What an injection point does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// Unwind with an [`InjectedPanic`] payload (a crashed worker).
+    /// Unwind with an `InjectedPanic` payload (a crashed worker).
     Panic,
     /// Return a synthetic `io::Error` (a failed syscall).
     IoError,
@@ -139,7 +139,7 @@ impl FaultPlan {
     }
 
     /// Whether the plan schedules at least one [`FaultKind::Panic`].
-    pub fn has_panics(&self) -> bool {
+    pub(crate) fn has_panics(&self) -> bool {
         self.specs.iter().any(|s| s.kind == FaultKind::Panic)
     }
 
@@ -190,13 +190,6 @@ pub struct FiredCounts {
     pub delays: u64,
 }
 
-impl FiredCounts {
-    /// Total faults fired across all kinds.
-    pub fn total(&self) -> u64 {
-        self.panics + self.io_errors + self.delays
-    }
-}
-
 /// A [`FaultPlan`] armed for execution: performs the scheduled side effects at
 /// each [`trip`](FaultInjector::trip) and counts what actually fired.
 #[derive(Debug)]
@@ -220,11 +213,6 @@ impl FaultInjector {
             io_errors: AtomicU64::new(0),
             delays: AtomicU64::new(0),
         }
-    }
-
-    /// The armed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Hit an injection point on behalf of `unit`'s `attempt`-th attempt.
@@ -258,7 +246,7 @@ impl FaultInjector {
     }
 
     /// Snapshot of what has fired so far.
-    pub fn fired(&self) -> FiredCounts {
+    pub(crate) fn fired(&self) -> FiredCounts {
         FiredCounts {
             panics: self.panics.load(Ordering::Relaxed),
             io_errors: self.io_errors.load(Ordering::Relaxed),
@@ -281,7 +269,7 @@ pub struct FaultContext<'a> {
 /// backtrace spew for [`InjectedPanic`] payloads and delegates every other
 /// panic to the previously installed hook. Chaos tests fire panics by design;
 /// without this, every injected crash would print a spurious stack trace.
-pub fn install_quiet_panic_hook() {
+pub(crate) fn install_quiet_panic_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();

@@ -60,7 +60,7 @@
 //! **exactly** the scalar count for every kernel, so model-derived compute times are
 //! unchanged by kernel choice.
 
-use recpart::simd::{band_window_collect_dims, band_window_count_dims};
+use recpart::{band_window_collect_dims, band_window_count_dims};
 use recpart::{BandCondition, JoinKernel, Relation};
 
 #[cfg(test)]
@@ -208,7 +208,7 @@ impl SortedProbeSide {
     /// [`SortedProbeSide::build`] over the entire relation, without materializing an
     /// identity index vector first (the sort permutation is the only allocation
     /// besides the gathered columns).
-    pub fn build_full(t: &Relation) -> SortedProbeSide {
+    pub(crate) fn build_full(t: &Relation) -> SortedProbeSide {
         Self::from_ids(t, (0..t.len() as u32).collect())
     }
 

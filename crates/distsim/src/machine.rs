@@ -65,19 +65,8 @@ impl Default for MachineModel {
 }
 
 impl MachineModel {
-    /// A model scaled so that all per-tuple constants are multiplied by `factor`
-    /// (useful to emulate faster/slower clusters, Table 8's β₂/β₁ sweep).
-    pub fn scaled_compute(&self, factor: f64) -> MachineModel {
-        MachineModel {
-            read_per_tuple: self.read_per_tuple * factor,
-            compare_per_pair: self.compare_per_pair * factor,
-            emit_per_tuple: self.emit_per_tuple * factor,
-            ..*self
-        }
-    }
-
     /// Time spent by one worker on its local joins.
-    pub fn worker_seconds(&self, work: &WorkerWork) -> f64 {
+    pub(crate) fn worker_seconds(&self, work: &WorkerWork) -> f64 {
         self.read_per_tuple * work.input as f64
             + self.compare_per_pair * work.comparisons as f64
             + self.emit_per_tuple * work.output as f64
@@ -100,7 +89,7 @@ impl MachineModel {
     /// concurrently), but every shard process pays the fixed per-job startup once —
     /// the overhead term of the process-per-shard deployment the in-thread shard
     /// executor models. Degenerates to [`MachineModel::join_seconds`] at one shard.
-    pub fn sharded_join_seconds(
+    pub(crate) fn sharded_join_seconds(
         &self,
         total_input: u64,
         workers: &[WorkerWork],
@@ -169,21 +158,6 @@ mod tests {
         // But reducing the heaviest worker reduces the time.
         let better = m.join_seconds(200_000, &[light, light]);
         assert!(better < balanced);
-    }
-
-    #[test]
-    fn scaled_compute_changes_compute_but_not_shuffle() {
-        let m = MachineModel::default();
-        let fast = m.scaled_compute(0.1);
-        assert!((fast.shuffle_per_tuple - m.shuffle_per_tuple).abs() < 1e-15);
-        assert!(fast.read_per_tuple < m.read_per_tuple);
-        let w = WorkerWork {
-            input: 1000,
-            output: 1000,
-            comparisons: 1000,
-            partitions: 0,
-        };
-        assert!(fast.worker_seconds(&w) < m.worker_seconds(&w));
     }
 
     #[test]

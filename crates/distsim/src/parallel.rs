@@ -7,4 +7,4 @@
 //! `threads` knob runs on the exact same plumbing; this module just re-exports it for
 //! the executor's internal use.
 
-pub(crate) use recpart::parallel::{chunk_ranges, Parallelism, Threads};
+pub(crate) use recpart::{chunk_ranges, Parallelism, Threads};

@@ -161,11 +161,6 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
-    /// The arena-byte capacity.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
     /// The hit/miss/eviction accounting so far.
     pub fn counters(&self) -> PlanCacheCounters {
         self.counters
@@ -209,7 +204,7 @@ impl PlanCache {
 
     /// Re-borrow a cached plan by signature without touching recency or
     /// counters (test oracles and introspection).
-    pub fn peek_by_signature(&self, plan_signature: u64) -> Option<&CachedPlan> {
+    pub(crate) fn peek_by_signature(&self, plan_signature: u64) -> Option<&CachedPlan> {
         self.entries
             .iter()
             .find(|e| e.plan.plan_signature == plan_signature)
@@ -252,7 +247,7 @@ impl PlanCache {
     /// Such plans are unreachable anyway (the generations are part of every
     /// key), so this only frees their arena bytes early; each drop is counted
     /// as an eviction.
-    pub fn purge_stale(&mut self, s_generation: u64, t_generation: u64) {
+    pub(crate) fn purge_stale(&mut self, s_generation: u64, t_generation: u64) {
         let before = self.entries.len();
         let mut freed = 0u64;
         self.entries.retain(|e| {
@@ -272,8 +267,8 @@ mod tests {
     use super::*;
     use crate::parallel::Parallelism;
     use crate::shuffle::{PartitionedIndex, ShuffledInputs};
-    use recpart::split_tree::SplitTree;
     use recpart::Relation;
+    use recpart::SplitTree;
 
     fn tiny_plan(seed: u64, tuples: u32) -> CachedPlan {
         let band = BandCondition::symmetric(&[0.5]);
@@ -382,7 +377,7 @@ mod tests {
         let mut small = PlanCache::new(10);
         small.insert(key(1, 1.0), tiny_plan(1, 10));
         assert_eq!(small.len(), 1);
-        assert!(small.counters().arena_bytes_cached > small.capacity_bytes());
+        assert!(small.counters().arena_bytes_cached > small.capacity_bytes);
         small.insert(key(1, 2.0), tiny_plan(2, 10));
         assert_eq!(small.len(), 1, "the newest plan evicts the oversized one");
         assert_eq!(small.counters().evictions, 1);

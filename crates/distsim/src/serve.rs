@@ -32,12 +32,10 @@
 //! the service keeps serving; recovery accounting accumulates in
 //! [`ServiceHealth`].
 //!
-//! Mutating the dataset ([`BandJoinService::append_s`]/[`append_t`]) bumps the
-//! relation's generation; generations are part of every [`PlanKey`], so a
-//! mutated dataset can never be served from a stale arena. Stale plans are
-//! purged eagerly (counted as evictions).
-//!
-//! [`append_t`]: BandJoinService::append_t
+//! Mutating the dataset ([`BandJoinService::append_s`]) bumps the relation's
+//! generation; generations are part of every [`PlanKey`], so a mutated dataset
+//! can never be served from a stale arena. Stale plans are purged eagerly
+//! (counted as evictions).
 
 use crate::executor::{
     Arenas, ExecutionReport, Executor, ExecutorConfig, JoinQuery, ReducePolicy, VerificationLevel,
@@ -146,12 +144,6 @@ impl ServiceConfig {
     /// Override the load model.
     pub fn with_load_model(mut self, load_model: LoadModel) -> Self {
         self.load_model = load_model;
-        self
-    }
-
-    /// Override the cluster timing model.
-    pub fn with_machine(mut self, machine: MachineModel) -> Self {
-        self.machine = machine;
         self
     }
 
@@ -361,13 +353,6 @@ impl BandJoinService {
     /// stale arena).
     pub fn append_s(&mut self, key: &[f64]) {
         self.s.push(key);
-        self.cache
-            .purge_stale(self.s.generation(), self.t.generation());
-    }
-
-    /// Append a tuple to T. See [`BandJoinService::append_s`].
-    pub fn append_t(&mut self, key: &[f64]) {
-        self.t.push(key);
         self.cache
             .purge_stale(self.s.generation(), self.t.generation());
     }

@@ -57,9 +57,10 @@ impl PartitionedIndex {
         }
     }
 
-    /// Build an index directly from per-partition index lists (tests and tools;
-    /// the executor builds arenas through the two-pass shuffle instead).
-    pub fn from_parts(parts: &[Vec<u32>]) -> Self {
+    /// Build an index directly from per-partition index lists (the executor builds
+    /// arenas through the shuffle instead).
+    #[cfg(test)]
+    pub(crate) fn from_parts(parts: &[Vec<u32>]) -> Self {
         let mut data = Vec::new();
         let mut offsets = Vec::with_capacity(parts.len() + 1);
         offsets.push(0);
@@ -111,11 +112,6 @@ impl PartitionedIndex {
     pub fn arena_bytes(&self) -> u64 {
         (self.data.len() * std::mem::size_of::<u32>()
             + self.offsets.len() * std::mem::size_of::<usize>()) as u64
-    }
-
-    /// Iterate over the per-partition index slices in partition order.
-    pub fn iter_parts(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.num_partitions()).map(|p| self.part(p))
     }
 }
 
@@ -414,7 +410,7 @@ fn route_side<P: Partitioner + ?Sized>(
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use recpart::partition::SinglePartition;
+    use recpart::SinglePartition;
     use recpart::{BandCondition, PartitionId, RecPart, RecPartConfig, SplitTreePartitioner};
 
     fn relation(n: usize) -> Relation {
@@ -476,7 +472,7 @@ mod tests {
         let pool = four_thread_pool();
         let shuffled = shuffle(&ModPartitioner(5), &s, &t, 5, &Parallelism::Pool(&pool));
         for parts in [&shuffled.s_parts, &shuffled.t_parts] {
-            for list in parts.iter_parts() {
+            for list in (0..parts.num_partitions()).map(|p| parts.part(p)) {
                 assert!(list.windows(2).all(|w| w[0] < w[1]));
             }
         }
@@ -704,7 +700,9 @@ mod tests {
         let shuffled = shuffle(&ModPartitioner(7), &s, &t, 7, &Parallelism::Sequential);
         for parts in [&shuffled.s_parts, &shuffled.t_parts] {
             assert_eq!(parts.num_partitions(), 7);
-            let total: usize = parts.iter_parts().map(<[u32]>::len).sum();
+            let total: usize = (0..parts.num_partitions())
+                .map(|p| parts.part(p).len())
+                .sum();
             assert_eq!(total, parts.len());
         }
         assert!(shuffled.s_parts.len() >= 6_000, "duplicates counted");

@@ -247,7 +247,7 @@ pub struct SupervisedExecution {
     /// ([`ShardStats::attempts`], [`ShardStats::recovery_wall_seconds`]).
     pub shard_stats: Vec<ShardStats>,
     /// Simulated join time when each shard pays its own per-process job overhead
-    /// (see [`crate::MachineModel::sharded_join_seconds`]); the report's
+    /// (see `MachineModel::sharded_join_seconds`); the report's
     /// `simulated_join_seconds` keeps the single-job model for comparability.
     pub simulated_sharded_seconds: f64,
     /// The shards that exhausted their retry budget — empty for a fully

@@ -3,15 +3,17 @@
 //! Definition 1 of the paper requires that every join result is produced by *exactly
 //! one* local join. The helpers here compute the exact result on a single node so that
 //! the executor (and the test suites of every partitioner) can check both directions:
-//! no result is lost, and no result is produced twice.
+//! no result is lost, and no result is produced twice. The executor compares the
+//! pairs it produced against one exact pair set (`check_pairs_against`), so a full
+//! verification runs one exact join, not one per check.
 //!
 //! The exact join is itself parallel: the probe (S) side is split into contiguous
 //! chunks that are joined independently on the current rayon context and merged in
-//! chunk order, so counts and pair sets are identical for every chunking. The
-//! `*_on(…, pieces)` variants take an explicit chunk count (`1` = strictly
-//! sequential); the plain functions chunk by [`rayon::current_num_threads`]. Without
-//! this, [`crate::executor::VerificationLevel::Count`] is a hidden single-threaded
-//! exact join dominating the executor's wall-clock.
+//! chunk order, so counts and pair sets are identical for every chunking.
+//! [`exact_join_count_on`] and the crate's `exact_join_pairs_on` take an explicit
+//! chunk count (`1` = strictly sequential); the plain functions chunk by
+//! [`rayon::current_num_threads`]. Without this, [`crate::VerificationLevel::Count`]
+//! is a hidden single-threaded exact join dominating the executor's wall-clock.
 
 use crate::local_join::{probe_sorted, sort_ids_by_dim0, SortedProbeSide, PROBE_BLOCK};
 use crate::parallel::chunk_ranges;
@@ -32,7 +34,7 @@ pub fn exact_join_count(s: &Relation, t: &Relation, band: &BandCondition) -> u64
 /// strictly sequentially. The count is identical for every `pieces`.
 ///
 /// A count does not depend on probe order, so S is sorted once on `(dimension 0, id)`
-/// and probed in runs of [`PROBE_BLOCK`] sorted ids: each probe block's dimension-0
+/// and probed in runs of `PROBE_BLOCK` sorted ids (the local join's probe block): each probe block's dimension-0
 /// window then covers only the T values near that run. Probing in arrival order
 /// instead makes every block span — and scan — nearly all of T. Piece `j` takes runs
 /// `j, j + pieces, …`: dense regions of a skewed S cost far more per probe than sparse
@@ -69,7 +71,7 @@ pub fn exact_join_pairs(s: &Relation, t: &Relation, band: &BandCondition) -> Has
 /// [`exact_join_pairs`] with an explicit probe-side chunk count; `pieces <= 1` runs
 /// strictly sequentially, as one chunk. The resulting set is identical for every
 /// `pieces`.
-pub fn exact_join_pairs_on(
+pub(crate) fn exact_join_pairs_on(
     s: &Relation,
     t: &Relation,
     band: &BandCondition,
@@ -113,36 +115,17 @@ pub struct PairCheck {
 
 impl PairCheck {
     /// `true` iff the distributed execution produced exactly the exact result, once each.
-    pub fn is_correct(&self) -> bool {
+    pub(crate) fn is_correct(&self) -> bool {
         self.spurious == 0 && self.missing == 0 && self.duplicated == 0
     }
 }
 
-/// Compare the concatenated per-partition outputs of a distributed execution against the
-/// exact join result (exact join computed on the current rayon context).
-pub fn check_pairs(
-    s: &Relation,
-    t: &Relation,
-    band: &BandCondition,
-    produced: &[(u32, u32)],
-) -> PairCheck {
-    check_pairs_on(s, t, band, produced, rayon::current_num_threads())
-}
-
-/// [`check_pairs`] with an explicit probe-side chunk count for the exact join.
-pub fn check_pairs_on(
-    s: &Relation,
-    t: &Relation,
-    band: &BandCondition,
-    produced: &[(u32, u32)],
-    pieces: usize,
-) -> PairCheck {
-    check_pairs_against(&exact_join_pairs_on(s, t, band, pieces), produced)
-}
-
 /// Compare produced pairs against an already-computed exact pair set. Lets callers
 /// that also need the exact output count reuse one exact join for both.
-pub fn check_pairs_against(exact: &HashSet<(u32, u32)>, produced: &[(u32, u32)]) -> PairCheck {
+pub(crate) fn check_pairs_against(
+    exact: &HashSet<(u32, u32)>,
+    produced: &[(u32, u32)],
+) -> PairCheck {
     let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(produced.len());
     let mut check = PairCheck::default();
     for &pair in produced {
@@ -206,7 +189,7 @@ mod tests {
     fn check_pairs_accepts_exact_result() {
         let (s, t, band) = tiny_inputs();
         let exact: Vec<(u32, u32)> = exact_join_pairs(&s, &t, &band).into_iter().collect();
-        let check = check_pairs(&s, &t, &band, &exact);
+        let check = check_pairs_against(&exact_join_pairs(&s, &t, &band), &exact);
         assert!(check.is_correct(), "{check:?}");
     }
 
@@ -215,7 +198,7 @@ mod tests {
         let (s, t, band) = tiny_inputs();
         let mut produced: Vec<(u32, u32)> = exact_join_pairs(&s, &t, &band).into_iter().collect();
         produced.push(produced[0]);
-        let check = check_pairs(&s, &t, &band, &produced);
+        let check = check_pairs_against(&exact_join_pairs(&s, &t, &band), &produced);
         assert_eq!(check.duplicated, 1);
         assert!(!check.is_correct());
     }
@@ -226,7 +209,7 @@ mod tests {
         let mut produced: Vec<(u32, u32)> = exact_join_pairs(&s, &t, &band).into_iter().collect();
         produced.pop();
         produced.push((0, 3)); // S=1.0 with T=10.0 does not match.
-        let check = check_pairs(&s, &t, &band, &produced);
+        let check = check_pairs_against(&exact_join_pairs(&s, &t, &band), &produced);
         assert_eq!(check.missing, 1);
         assert_eq!(check.spurious, 1);
         assert!(!check.is_correct());

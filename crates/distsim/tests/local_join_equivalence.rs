@@ -4,7 +4,7 @@
 
 use distsim::{exact_join_count, Executor, ExecutorConfig, VerificationLevel};
 use proptest::prelude::*;
-use recpart::partition::SinglePartition;
+use recpart::SinglePartition;
 use recpart::{BandCondition, Relation};
 
 fn relation(values: &[Vec<f64>], dims: usize) -> Relation {

@@ -7,7 +7,7 @@
 //! ```
 
 use band_join::prelude::*;
-use datagen::spatial::{BirdObservationGenerator, SpatialConfig};
+use datagen::{BirdObservationGenerator, SpatialConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

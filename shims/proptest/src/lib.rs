@@ -213,7 +213,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use rand::Rng;
 
-    /// Sizes accepted by [`vec`]: a fixed length or a half-open range of lengths.
+    /// Sizes accepted by [`vec()`]: a fixed length or a half-open range of lengths.
     pub trait IntoSizeRange {
         /// Draw a concrete length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;

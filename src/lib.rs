@@ -5,8 +5,10 @@
 //! API of the four underlying crates so that applications can depend on a single crate:
 //!
 //! * [`recpart`] — the RecPart optimizer and split-tree partitioner (the paper's
-//!   contribution), plus the shared vocabulary types ([`Relation`], [`BandCondition`],
-//!   the [`Partitioner`] trait, load models and partitioning statistics);
+//!   contribution), plus the shared vocabulary types ([`Relation`](recpart::Relation),
+//!   [`BandCondition`](recpart::BandCondition), the
+//!   [`Partitioner`](recpart::Partitioner) trait, load models and partitioning
+//!   statistics);
 //! * [`baselines`] — the competitor partitioners (1-Bucket, Grid-ε, Grid*, CSIO,
 //!   IEJoin-style blocks);
 //! * [`distsim`] — the simulated MapReduce-style cluster: the local join, the
@@ -46,25 +48,14 @@ pub use datagen;
 pub use distsim;
 pub use recpart;
 
-/// One-stop imports for applications.
+/// One-stop imports for applications: what the quickstart, the README and the examples
+/// use. Everything else is imported from its crate (`band_join::distsim::PlanCache`).
 pub mod prelude {
     pub use baselines::{
         CsioConfig, CsioPartitioner, GridPartitioner, GridStarPartitioner, IEJoinPartitioner,
         OneBucket,
     };
     pub use datagen;
-    pub use distsim::{
-        exact_join_count, exact_join_count_on, process_peak_rss_bytes, BandJoinQuery,
-        BandJoinService, CostModel, ExecutionReport, Executor, ExecutorConfig, FaultKind,
-        FaultPlan, FaultSpec, InjectionPoint, JoinReadyInputs, MachineModel, PartitionedIndex,
-        PlanCache, PlanKey, PlanSource, QueryResponse, RecoveryCounters, ServeError, ServiceConfig,
-        ServiceHealth, ShardError, ShardFailureKind, ShardPlan, ShardStats, ShuffledInputs,
-        SuperviseError, SupervisedExecution, SupervisorConfig, VerificationLevel,
-    };
-    pub use recpart::{
-        AssignmentSink, BandCondition, CompiledRouter, EvalCounters, LoadModel, OptimizationReport,
-        PartitionId, Partitioner, PartitioningStats, PlanCacheCounters, RecPart, RecPartConfig,
-        RecPartError, RecPartResult, Relation, RouteKernel, SampleConfig, SplitSearchCounters,
-        SplitTreePartitioner, Termination,
-    };
+    pub use distsim::{CostModel, Executor};
+    pub use recpart::{BandCondition, LoadModel, Partitioner, RecPart, RecPartConfig, Relation};
 }

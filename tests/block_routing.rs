@@ -4,8 +4,10 @@
 //! the input — and the executor's block-driven map/shuffle must stay bit-identical
 //! across thread counts 1 / 0 (all cores) / 4.
 
+use band_join::distsim::ExecutorConfig;
 use band_join::prelude::*;
-use band_join::recpart::split_tree::Node;
+use band_join::recpart::Node;
+use band_join::recpart::{AssignmentSink, PartitionId, SampleConfig, SplitTreePartitioner};
 use distsim::CostModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

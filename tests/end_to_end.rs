@@ -1,6 +1,7 @@
 //! End-to-end integration tests: every partitioner in the workspace is run through the
 //! simulated cluster on several workloads and must produce the exact join result.
 
+use band_join::distsim::exact_join_count;
 use band_join::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -7,6 +7,7 @@
 //! the shim `rand::StdRng` (xoshiro256** — see shims/README.md). Re-baselining is
 //! required if that generator, the sampling pipeline, or the optimizer change.
 
+use band_join::distsim::ExecutionReport;
 use band_join::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

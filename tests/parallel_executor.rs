@@ -2,7 +2,9 @@
 //! pure wall-clock optimization — same join output (byte-identical pairs), same stats,
 //! same per-partition loads — while surfacing real per-worker wall-clock timing.
 
+use band_join::distsim::{ExecutorConfig, VerificationLevel};
 use band_join::prelude::*;
+use band_join::recpart::SplitTreePartitioner;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -3,7 +3,9 @@
 //! and every tuple must be assigned to at least one partition — for arbitrary inputs,
 //! band widths, and worker counts.
 
+use band_join::distsim::{ExecutorConfig, VerificationLevel};
 use band_join::prelude::*;
+use band_join::recpart::{PartitionId, SampleConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

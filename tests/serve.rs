@@ -25,7 +25,13 @@
 //! * **supervised degradation** — a permanently crashing shard degrades
 //!   exactly one response while the service keeps serving.
 
+use band_join::distsim::{
+    BandJoinQuery, BandJoinService, ExecutionReport, FaultKind, FaultPlan, FaultSpec,
+    InjectionPoint, PlanSource, ServeError, ServiceConfig, SuperviseError, SupervisorConfig,
+    VerificationLevel,
+};
 use band_join::prelude::*;
+use band_join::recpart::{RecPartError, SampleConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -398,7 +404,7 @@ fn zero_shards_to_execute_supervised_is_an_error_not_a_panic() {
     for supervisor in unusable_supervisor_configs() {
         let err = Executor::with_workers(good.workers)
             .execute_supervised(
-                &recpart::partition::SinglePartition,
+                &recpart::SinglePartition,
                 service.s(),
                 service.t(),
                 &good.band,

@@ -16,8 +16,14 @@
 //! missing — the chaos proptest sweeps random seeded [`FaultPlan`]s to enforce
 //! both.
 
-use band_join::distsim::executor::PartitionLoad;
+use band_join::distsim::PartitionLoad;
+use band_join::distsim::{
+    ExecutionReport, ExecutorConfig, FaultKind, FaultPlan, FaultSpec, InjectionPoint,
+    RecoveryCounters, ShardFailureKind, ShardPlan, SuperviseError, SupervisedExecution,
+    SupervisorConfig, VerificationLevel,
+};
 use band_join::prelude::*;
+use band_join::recpart::{SampleConfig, SplitTreePartitioner};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

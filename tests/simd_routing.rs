@@ -10,8 +10,12 @@
 //! executor's parallel map phase reproduces the tree walk for any thread
 //! count.
 
+use band_join::distsim::ExecutorConfig;
 use band_join::prelude::*;
-use band_join::recpart::split_tree::Node;
+use band_join::recpart::Node;
+use band_join::recpart::{
+    AssignmentSink, CompiledRouter, PartitionId, RouteKernel, SampleConfig, SplitTreePartitioner,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -7,6 +7,7 @@
 //! pool, the public `OutputSample::draw` is sequential, and both must draw one sample.
 
 use band_join::prelude::*;
+use band_join::recpart::{EvalCounters, RecPartResult, SampleConfig, SplitSearchCounters};
 use band_join::recpart::{InputSample, OutputSample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
