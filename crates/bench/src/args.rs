@@ -1,11 +1,9 @@
-//! Minimal command-line argument handling shared by the experiment binaries.
-//!
-//! Every binary accepts:
+//! Minimal command-line argument handling for `exp_paper`, which accepts:
 //!
 //! * `--scale <f64>`   — fraction of the paper's input size to generate
 //!   (default `2e-4`, i.e. 400 M paper tuples become 80 k tuples);
 //! * `--workers <n>`   — override the default worker count of the experiment;
-//! * `--quick`         — shrink everything further for smoke tests / CI;
+//! * `--quick`         — cap `--scale` at `5e-5` for smoke runs and CI;
 //! * `--seed <u64>`    — change the data-generation seed.
 
 /// Parsed command-line options.
@@ -15,8 +13,6 @@ pub struct ExperimentArgs {
     pub scale: f64,
     /// Worker-count override (`None` keeps each experiment's paper value).
     pub workers: Option<usize>,
-    /// Quick mode for smoke testing.
-    pub quick: bool,
     /// Data-generation seed.
     pub seed: u64,
 }
@@ -26,7 +22,6 @@ impl Default for ExperimentArgs {
         ExperimentArgs {
             scale: 2e-4,
             workers: None,
-            quick: false,
             seed: 0xBA2D_2020,
         }
     }
@@ -36,6 +31,7 @@ impl ExperimentArgs {
     /// Parse from an iterator of arguments (excluding the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> ExperimentArgs {
         let mut out = ExperimentArgs::default();
+        let mut quick = false;
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
@@ -58,7 +54,7 @@ impl ExperimentArgs {
                         .and_then(|v| v.parse().ok())
                         .expect("--seed needs an integer");
                 }
-                "--quick" => out.quick = true,
+                "--quick" => quick = true,
                 "--help" | "-h" => {
                     eprintln!("options: [--scale <f64>] [--workers <n>] [--seed <u64>] [--quick]");
                     std::process::exit(0);
@@ -66,7 +62,7 @@ impl ExperimentArgs {
                 other => panic!("unknown argument: {other}"),
             }
         }
-        if out.quick {
+        if quick {
             out.scale = out.scale.min(5e-5);
         }
         out
@@ -117,7 +113,6 @@ mod tests {
     #[test]
     fn quick_mode_shrinks_scale() {
         let a = parse(&["--quick"]);
-        assert!(a.quick);
         assert!(a.scale <= 5e-5);
         assert_eq!(a.scaled_tuples(400.0).max(1_000), a.scaled_tuples(400.0));
     }

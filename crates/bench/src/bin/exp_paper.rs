@@ -565,7 +565,7 @@ mod tests {
     fn table_flag_selects_views_and_passes_the_rest_on() {
         let (views, args) = parse(strings(&["--quick", "--table", "4d", "--seed", "9"]));
         assert_eq!(views.iter().map(|v| v.0).collect::<Vec<_>>(), ["4d"]);
-        assert!(args.quick);
+        assert_eq!(args.scale, 5e-5);
         assert_eq!(args.seed, 9);
         assert_eq!(parse(strings(&["--quick"])).0.len(), VIEWS.len());
     }

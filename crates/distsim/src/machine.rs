@@ -83,21 +83,6 @@ impl MachineModel {
             .fold(0.0, f64::max);
         self.job_overhead + shuffle + slowest
     }
-
-    /// Simulated join time when the reduce phase runs as `shards` shared-nothing
-    /// processes: shuffle and the slowest worker are unchanged (shards start
-    /// concurrently), but every shard process pays the fixed per-job startup once —
-    /// the overhead term of the process-per-shard deployment the in-thread shard
-    /// executor models. Degenerates to [`MachineModel::join_seconds`] at one shard.
-    pub(crate) fn sharded_join_seconds(
-        &self,
-        total_input: u64,
-        workers: &[WorkerWork],
-        shards: usize,
-    ) -> f64 {
-        let extra_jobs = shards.max(1) as f64 - 1.0;
-        self.join_seconds(total_input, workers) + self.job_overhead * extra_jobs
-    }
 }
 
 #[cfg(test)]
@@ -173,21 +158,5 @@ mod tests {
     fn empty_cluster_is_just_job_overhead() {
         let m = MachineModel::default();
         assert!((m.join_seconds(0, &[]) - m.job_overhead).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sharded_time_adds_one_job_overhead_per_extra_shard() {
-        let m = MachineModel::default();
-        let w = WorkerWork {
-            input: 1000,
-            output: 100,
-            comparisons: 5000,
-            partitions: 2,
-        };
-        let base = m.join_seconds(2000, &[w]);
-        assert!((m.sharded_join_seconds(2000, &[w], 1) - base).abs() < 1e-12);
-        assert!((m.sharded_join_seconds(2000, &[w], 0) - base).abs() < 1e-12);
-        let four = m.sharded_join_seconds(2000, &[w], 4);
-        assert!((four - base - 3.0 * m.job_overhead).abs() < 1e-12);
     }
 }

@@ -246,10 +246,6 @@ pub struct SupervisedExecution {
     /// Per-shard ownership, measurements, and supervision accounting
     /// ([`ShardStats::attempts`], [`ShardStats::recovery_wall_seconds`]).
     pub shard_stats: Vec<ShardStats>,
-    /// Simulated join time when each shard pays its own per-process job overhead
-    /// (see `MachineModel::sharded_join_seconds`); the report's
-    /// `simulated_join_seconds` keeps the single-job model for comparability.
-    pub simulated_sharded_seconds: f64,
     /// The shards that exhausted their retry budget — empty for a fully
     /// successful run; their ranges exactly cover the partitions the degraded
     /// report is missing.
@@ -322,11 +318,6 @@ impl Executor {
         let query = self.query(s, t, band);
         let done = self.run(partitioner, &query, None, &mut policy)?;
         Ok(SupervisedExecution {
-            simulated_sharded_seconds: self.config().machine.sharded_join_seconds(
-                done.report.stats.total_input,
-                &done.report.per_worker_work,
-                done.shard_stats.len(),
-            ),
             report: done.report,
             shard_stats: done.shard_stats,
             failed: done.failed,

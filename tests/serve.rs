@@ -23,18 +23,26 @@
 //!   workers, or zero supervised shards or attempts is an `Err`, and the service
 //!   keeps serving;
 //! * **supervised degradation** — a permanently crashing shard degrades
-//!   exactly one response while the service keeps serving.
+//!   exactly one response while the service keeps serving;
+//! * **a warm hit is fast** — in release, the median warm hit is ≥ 5× faster than
+//!   a cold one-shot run (ignored under plain `cargo test`: it reads the wall clock).
 
+mod common;
+
+use band_join::datagen::pareto_relation;
 use band_join::distsim::{
     BandJoinQuery, BandJoinService, ExecutionReport, FaultKind, FaultPlan, FaultSpec,
-    InjectionPoint, PlanSource, ServeError, ServiceConfig, SuperviseError, SupervisorConfig,
-    VerificationLevel,
+    InjectionPoint, PlanSource, QueryResponse, ServeError, ServiceConfig, SuperviseError,
+    SupervisorConfig, VerificationLevel,
 };
 use band_join::prelude::*;
 use band_join::recpart::{RecPartError, SampleConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
+
+use common::assert_reports_identical;
 
 /// A small skewed-ish workload (mixture of a dense cluster and a uniform tail)
 /// so RecPart has something to balance.
@@ -68,37 +76,11 @@ fn small_sample() -> SampleConfig {
     }
 }
 
-/// Field-by-field bit-identity of everything deterministic in a report (the
-/// wall-clock fields are measurements and necessarily differ; a warm response
-/// additionally reports `map_shuffle_wall_seconds == 0.0` by design).
-fn assert_reports_identical(got: &ExecutionReport, want: &ExecutionReport, label: &str) {
-    assert_eq!(got.strategy, want.strategy, "{label}: strategy");
-    assert_eq!(got.stats, want.stats, "{label}: stats");
-    assert_eq!(got.partitions, want.partitions, "{label}: partitions");
-    assert_eq!(got.per_partition, want.per_partition, "{label}: loads");
-    assert_eq!(
-        got.partition_to_worker, want.partition_to_worker,
-        "{label}: worker mapping"
-    );
-    assert_eq!(
-        got.per_worker_work, want.per_worker_work,
-        "{label}: per-worker work"
-    );
-    assert_eq!(
-        got.total_comparisons, want.total_comparisons,
-        "{label}: comparisons"
-    );
-    assert_eq!(got.exact_output, want.exact_output, "{label}: exact output");
-    assert_eq!(got.correct, want.correct, "{label}: correctness");
-    assert_eq!(got.pair_check, want.pair_check, "{label}: pair check");
-    assert_eq!(got.degraded, want.degraded, "{label}: degraded flag");
-}
-
 /// The one-shot oracle for a response: a fresh `Executor::execute` with the
 /// partitioner that served it and the query band.
 fn oracle_for(
     service: &BandJoinService,
-    response: &band_join::distsim::QueryResponse,
+    response: &QueryResponse,
     band: &BandCondition,
     workers: usize,
 ) -> ExecutionReport {
@@ -132,6 +114,60 @@ fn assert_health_invariants(service: &BandJoinService, queries: u64) {
     );
 }
 
+/// Serves `stream` in order and holds every response to its expected plan source,
+/// to its one-shot oracle, and to the work its source allows: a cold build shuffles
+/// and prepares each partition of its plan once, a warm or subsumed hit shuffles no
+/// tuple and prepares no partition.
+fn serve_stream(
+    service: &mut BandJoinService,
+    stream: &[(&BandJoinQuery, PlanSource)],
+) -> Vec<QueryResponse> {
+    let mut responses = Vec::with_capacity(stream.len());
+    for (i, &(query, expected)) in stream.iter().enumerate() {
+        let before = service.health();
+        let response = service.serve(query).expect("query");
+        let after = service.health();
+        let label = format!("query {i} ({:?}, {:?})", query.band, response.source);
+        assert_eq!(response.source, expected, "{label}");
+        let shuffled = after.tuples_shuffled - before.tuples_shuffled;
+        let prepared = after.partitions_prepared - before.partitions_prepared;
+        if response.source == PlanSource::ColdBuild {
+            assert!(shuffled > 0, "{label}: a cold build shuffles");
+            assert_eq!(
+                prepared, response.report.partitions as u64,
+                "{label}: a cold build sorts each partition of its plan exactly once"
+            );
+        } else {
+            assert_eq!(shuffled, 0, "{label}: a hit shuffles nothing");
+            assert_eq!(prepared, 0, "{label}: a hit sorts nothing");
+            assert_eq!(response.report.map_shuffle_wall_seconds, 0.0, "{label}");
+        }
+        let oracle = oracle_for(service, &response, &query.band, query.workers);
+        assert_reports_identical(&response.report, &oracle, &label);
+        responses.push(response);
+    }
+    responses
+}
+
+/// The seed of the Pareto serving workload.
+const PARETO_SEED: u64 = 0xBA2D_2020;
+
+/// Workers of every query on the Pareto serving workload.
+const PARETO_WORKERS: usize = 64;
+
+/// A service over 30k + 30k Pareto(1.5) 1-d tuples that does not verify. Its bands
+/// are narrow enough that the front half of a cold query (optimize, compile,
+/// shuffle) dominates it: the regime the plan cache is for.
+fn pareto_service() -> BandJoinService {
+    let mut rng = StdRng::seed_from_u64(PARETO_SEED);
+    let s = pareto_relation(30_000, 1, 1.5, &mut rng);
+    let t = pareto_relation(30_000, 1, 1.5, &mut rng);
+    let config = ServiceConfig::new()
+        .with_seed(PARETO_SEED)
+        .with_verification(VerificationLevel::None);
+    BandJoinService::new(s, t, config)
+}
+
 #[test]
 fn warm_and_subsumed_hits_are_bit_identical_to_one_shot() {
     let (s, t) = workload(11, 600, 1);
@@ -145,55 +181,30 @@ fn warm_and_subsumed_hits_are_bit_identical_to_one_shot() {
     let wide = BandJoinQuery::new(BandCondition::symmetric(&[0.05]), 4);
     let narrow = BandJoinQuery::new(BandCondition::symmetric(&[0.02]), 4).with_materialize();
 
-    // Query 1: cold build.
-    let cold = service.serve(&wide).expect("cold query");
-    assert_eq!(cold.source, PlanSource::ColdBuild);
+    // A cold build, an exact warm hit, and a narrower band served from the same
+    // plan, materialized pairs and all.
+    let responses = serve_stream(
+        &mut service,
+        &[
+            (&wide, PlanSource::ColdBuild),
+            (&wide, PlanSource::WarmHit),
+            (&narrow, PlanSource::SubsumedHit),
+        ],
+    );
+    let [cold, warm, subsumed] = &responses[..] else {
+        unreachable!("three queries, three responses")
+    };
     assert_eq!(cold.report.correct, Some(true));
-    let shuffled_after_cold = service.health().tuples_shuffled;
-    assert!(shuffled_after_cold > 0);
-    let prepared_after_cold = service.health().partitions_prepared;
-    assert_eq!(
-        prepared_after_cold, cold.report.partitions as u64,
-        "a cold build sorts each partition of its plan exactly once"
-    );
-
-    // Query 2: identical band — exact warm hit, zero new shuffles.
-    let warm = service.serve(&wide).expect("warm query");
-    assert_eq!(warm.source, PlanSource::WarmHit);
     assert_eq!(warm.plan_signature, cold.plan_signature);
-    assert_eq!(warm.report.map_shuffle_wall_seconds, 0.0);
-    assert_eq!(service.health().tuples_shuffled, shuffled_after_cold);
-    assert_eq!(
-        service.health().partitions_prepared,
-        prepared_after_cold,
-        "a warm hit sorts nothing"
-    );
-
-    // Query 3: narrower band — subsumed hit from the same plan, zero shuffles.
-    let subsumed = service.serve(&narrow).expect("subsumed query");
-    assert_eq!(subsumed.source, PlanSource::SubsumedHit);
     assert_eq!(subsumed.plan_signature, cold.plan_signature);
-    assert_eq!(service.health().tuples_shuffled, shuffled_after_cold);
-    assert_eq!(
-        service.health().partitions_prepared,
-        prepared_after_cold,
-        "a subsumed hit re-sorts no partition, materialized pairs or not"
-    );
     assert_eq!(
         subsumed.report.correct,
         Some(true),
         "exact under subsumption"
     );
 
-    // Bit-identity of every response against its one-shot oracle.
-    let oracle_wide = oracle_for(&service, &cold, &wide.band, 4);
-    assert_reports_identical(&cold.report, &oracle_wide, "cold");
-    assert_reports_identical(&warm.report, &oracle_wide, "warm");
-    let oracle_narrow = oracle_for(&service, &subsumed, &narrow.band, 4);
-    assert_reports_identical(&subsumed.report, &oracle_narrow, "subsumed");
-
     // Materialized pairs of the narrow query are exactly the exact join.
-    let mut pairs = subsumed.pairs.expect("materialize was requested");
+    let mut pairs = subsumed.pairs.clone().expect("materialize was requested");
     let mut exact = exact_join_count_probe(&service, &narrow.band);
     pairs.sort_unstable();
     exact.sort_unstable();
@@ -220,6 +231,75 @@ fn warm_and_subsumed_hits_are_bit_identical_to_one_shot() {
         service.t(),
     );
     assert_eq!(h.cache.arena_bytes_cached, shuffled.arena_bytes());
+
+    // The same contract at size: two plans, repeats and narrower bands over the
+    // Pareto workload.
+    let mut service = pareto_service();
+    let query = |eps| BandJoinQuery::new(BandCondition::symmetric(&[eps]), PARETO_WORKERS);
+    let (narrow, mid, wide) = (query(0.0002), query(0.0005), query(0.0020));
+    let stream = [
+        (&mid, PlanSource::ColdBuild),
+        (&mid, PlanSource::WarmHit),
+        (&narrow, PlanSource::SubsumedHit),
+        (&narrow, PlanSource::SubsumedHit),
+        (&wide, PlanSource::ColdBuild),
+        (&mid, PlanSource::WarmHit),
+        (&wide, PlanSource::WarmHit),
+    ];
+    serve_stream(&mut service, &stream);
+    assert_health_invariants(&service, stream.len() as u64);
+}
+
+/// The serving tier's headline claim: on the Pareto workload the median of nine
+/// warm hits is at least 5× faster than the best of three cold one-shot runs
+/// (optimize, compile, shuffle and join).
+///
+/// Release only, and alone, since it compares wall clocks: `cargo test --release
+/// --test serve -- --ignored --test-threads=1`.
+#[test]
+#[ignore = "wall clock: run in release with --ignored --test-threads=1"]
+fn warm_hits_are_five_times_faster_than_a_cold_one_shot() {
+    const COLD_ROUNDS: usize = 3;
+    const WARM_TIMED: usize = 9;
+    const MIN_WARM_SPEEDUP: f64 = 5.0;
+    let mut service = pareto_service();
+    let band = BandCondition::symmetric(&[0.0005]);
+    let query = BandJoinQuery::new(band.clone(), PARETO_WORKERS);
+    let cold = service.serve(&query).expect("cold build");
+    assert_eq!(cold.source, PlanSource::ColdBuild);
+
+    let config = service.config();
+    let cold_best = (0..COLD_ROUNDS)
+        .map(|_| {
+            let exec = Executor::new(config.executor_config(PARETO_WORKERS));
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let start = Instant::now();
+            let partitioner = RecPart::new(config.recpart_config(PARETO_WORKERS))
+                .optimize(service.s(), service.t(), &band, &mut rng)
+                .partitioner;
+            let report = exec.execute(&partitioner, service.s(), service.t(), &band);
+            let elapsed = start.elapsed().as_secs_f64();
+            assert!(report.stats.output_len > 0, "empty join");
+            elapsed
+        })
+        .fold(f64::INFINITY, f64::min);
+
+    let mut warm: Vec<f64> = (0..WARM_TIMED)
+        .map(|_| {
+            let start = Instant::now();
+            let response = service.serve(&query).expect("warm hit");
+            let elapsed = start.elapsed().as_secs_f64();
+            assert_eq!(response.source, PlanSource::WarmHit);
+            elapsed
+        })
+        .collect();
+    warm.sort_by(f64::total_cmp);
+    let warm_median = warm[WARM_TIMED / 2];
+    assert!(
+        cold_best >= MIN_WARM_SPEEDUP * warm_median,
+        "a warm hit is only {:.2}x faster than a cold one-shot: {warm_median:.4}s vs {cold_best:.4}s",
+        cold_best / warm_median
+    );
 }
 
 fn exact_join_count_probe(service: &BandJoinService, band: &BandCondition) -> Vec<(u32, u32)> {
