@@ -315,6 +315,7 @@ impl Partitioner for GridPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distsim::Executor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -450,7 +451,11 @@ mod tests {
         let coarse = GridPartitioner::build(&s, &t, &band, 8.0);
         assert!(coarse.num_partitions() < fine.num_partitions());
         assert_eq!(fine.num_partitions(), fine.cells.len());
-        let dup = |g: &GridPartitioner| g.count_total_input(&s, &t);
+        let dup = |g: &GridPartitioner| {
+            Executor::with_workers(1)
+                .map_shuffle(g, &s, &t)
+                .total_input()
+        };
         assert!(dup(&coarse) < dup(&fine));
     }
 

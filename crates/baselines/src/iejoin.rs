@@ -173,6 +173,7 @@ impl Partitioner for IEJoinPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distsim::Executor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -256,7 +257,12 @@ mod tests {
         let fine = IEJoinPartitioner::build(&s, &t, &band, 50);
         let coarse = IEJoinPartitioner::build(&s, &t, &band, 500);
         assert!(fine.num_partitions() > coarse.num_partitions());
-        assert!(fine.count_total_input(&s, &t) > coarse.count_total_input(&s, &t));
+        let total_input = |p: &IEJoinPartitioner| {
+            Executor::with_workers(1)
+                .map_shuffle(p, &s, &t)
+                .total_input()
+        };
+        assert!(total_input(&fine) > total_input(&coarse));
     }
 
     #[test]

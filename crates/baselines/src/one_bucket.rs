@@ -113,11 +113,6 @@ impl Partitioner for OneBucket {
     fn name(&self) -> &str {
         "1-Bucket"
     }
-
-    /// Closed form: every S-tuple is copied `cols` times, every T-tuple `rows` times.
-    fn count_total_input(&self, s: &Relation, t: &Relation) -> u64 {
-        s.len() as u64 * self.cols as u64 + t.len() as u64 * self.rows as u64
-    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@ use std::ops::Range;
 /// Identifier of a logical partition produced by a [`Partitioner`].
 pub type PartitionId = u32;
 
-/// Tuples per block when a block-oriented caller (e.g. the default
-/// [`Partitioner::count_total_input`]) has no chunk layout of its own. Small enough
+/// Tuples per block when a block-oriented caller (e.g. Grid\*'s per-cell input
+/// histogram) has no chunk layout of its own. Small enough
 /// that the sink stays cache-resident, large enough to amortize the per-block setup.
 pub const DEFAULT_BLOCK_TUPLES: usize = 4_096;
 
@@ -48,8 +48,9 @@ struct Coverage {
 /// * **pairs** ([`AssignmentSink::new`]) — materialized `(partition, tuple index)`
 ///   pairs plus per-partition counts; pass 1 of the two-pass shuffle
 ///   (`distsim::shuffle`), whose pass 2 replays them into the arena.
-/// * **counting** ([`AssignmentSink::counting`]) — per-partition counts only;
-///   [`Partitioner::count_total_input`] and other callers that need no arena.
+/// * **counting** ([`AssignmentSink::counting`]) — per-partition counts only, for
+///   callers that need `I` or the partition sizes but no arena (Grid\*'s per-cell
+///   input histogram).
 ///
 /// Block implementations ([`Partitioner::assign_s_block`] and friends) just call
 /// [`AssignmentSink::push`] and never observe the mode. Assignments must be appended
@@ -289,33 +290,6 @@ pub trait Partitioner: Send + Sync {
 
     /// A short human-readable name of the strategy (e.g. `"RecPart"`, `"1-Bucket"`).
     fn name(&self) -> &str;
-
-    /// Count the total number of partition assignments ("input including duplicates",
-    /// the quantity `I` of the paper) this partitioner produces for the given inputs.
-    ///
-    /// The default implementation drives the block routing API over fixed-size
-    /// blocks through a count-only sink (reused across blocks, so memory stays
-    /// bounded and nothing is materialized); strategies with a cheaper closed form
-    /// may override it.
-    fn count_total_input(&self, s: &Relation, t: &Relation) -> u64 {
-        let mut sink = AssignmentSink::counting(self.num_partitions().max(1));
-        let mut total = 0u64;
-        for (rel, is_s) in [(s, true), (t, false)] {
-            let mut lo = 0;
-            while lo < rel.len() {
-                let hi = (lo + DEFAULT_BLOCK_TUPLES).min(rel.len());
-                sink.reset(sink.num_partitions());
-                if is_s {
-                    self.assign_s_block(rel, lo..hi, &mut sink);
-                } else {
-                    self.assign_t_block(rel, lo..hi, &mut sink);
-                }
-                total += sink.len() as u64;
-                lo = hi;
-            }
-        }
-        total
-    }
 }
 
 /// Blanket implementation so boxed partitioners can be used wherever a partitioner is
@@ -338,9 +312,6 @@ impl<P: Partitioner + ?Sized> Partitioner for Box<P> {
     }
     fn name(&self) -> &str {
         (**self).name()
-    }
-    fn count_total_input(&self, s: &Relation, t: &Relation) -> u64 {
-        (**self).count_total_input(s, t)
     }
 }
 
@@ -388,20 +359,6 @@ mod tests {
         assert_eq!(out, vec![0]);
         assert_eq!(p.num_partitions(), 1);
         assert_eq!(p.name(), "SinglePartition");
-    }
-
-    #[test]
-    fn count_total_input_default_impl() {
-        let p = SinglePartition;
-        let mut s = Relation::new(1);
-        let mut t = Relation::new(1);
-        for i in 0..10 {
-            s.push(&[i as f64]);
-        }
-        for i in 0..7 {
-            t.push(&[i as f64]);
-        }
-        assert_eq!(p.count_total_input(&s, &t), 17);
     }
 
     #[test]

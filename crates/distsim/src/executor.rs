@@ -19,7 +19,7 @@
 //!    strategy, so comparisons remain fair).
 //! 4. **Reporting**: per-worker input/output/comparison counts, the derived
 //!    [`PartitioningStats`] (`I`, `I_m`, `O_m`, `L_m`, overheads vs. lower bounds), the
-//!    simulated wall-clock join time from the [`MachineModel`], and optional correctness
+//!    simulated wall-clock join time from the `MachineModel`, and optional correctness
 //!    verification against an exact single-node join.
 //!
 //! Every phase — map/shuffle (see [`crate::shuffle`]), the local joins, and the exact
@@ -41,7 +41,7 @@ use crate::join_ready::{partition_tasks, JoinReadyInputs, ReadyPartition};
 use crate::machine::{MachineModel, WorkerWork};
 use crate::metrics::ShardStats;
 use crate::parallel::{chunk_ranges, Parallelism, Threads};
-use crate::shuffle::{shuffle, try_shuffle, PartitionedIndex, ShuffledInputs};
+use crate::shuffle::{shuffle, PartitionedIndex, ShuffledInputs};
 use crate::supervise::{ShardError, SuperviseError, Supervision};
 use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
 use rayon::prelude::*;
@@ -75,8 +75,6 @@ pub struct ExecutorConfig {
     pub workers: usize,
     /// Load weights used for `L_m` and the partition→worker mapping.
     pub load_model: LoadModel,
-    /// Timing model of the simulated cluster.
-    pub machine: MachineModel,
     /// Verification level.
     pub verification: VerificationLevel,
     /// Parallelism of every measured phase (map/shuffle, local joins, verification):
@@ -93,7 +91,6 @@ impl ExecutorConfig {
         ExecutorConfig {
             workers,
             load_model: LoadModel::default(),
-            machine: MachineModel::default(),
             verification: VerificationLevel::Count,
             threads: 0,
         }
@@ -108,12 +105,6 @@ impl ExecutorConfig {
     /// Override the load model.
     pub fn with_load_model(mut self, load_model: LoadModel) -> Self {
         self.load_model = load_model;
-        self
-    }
-
-    /// Override the machine model.
-    pub(crate) fn with_machine(mut self, machine: MachineModel) -> Self {
-        self.machine = machine;
         self
     }
 
@@ -161,7 +152,8 @@ pub struct ExecutionReport {
     pub per_worker_work: Vec<WorkerWork>,
     /// Total candidate comparisons across the cluster.
     pub total_comparisons: u64,
-    /// Simulated end-to-end join time (seconds) under the machine model.
+    /// Simulated end-to-end join time (seconds) under the simulated cluster's
+    /// fixed timing model.
     pub simulated_join_seconds: f64,
     /// Measured wall-clock seconds each partition's local join took on this machine.
     pub per_partition_wall_seconds: Vec<f64>,
@@ -274,6 +266,9 @@ struct Reduced {
     failed: Vec<ShardError>,
     /// The prepared arenas, when the reduce owned them.
     ready: Option<JoinReadyInputs>,
+    /// Partitions the reduce sorted into join-ready order: all of owned arenas,
+    /// none of shared ones.
+    partitions_prepared: u64,
 }
 
 /// A finished query: the report, and what only some entry points pass on.
@@ -285,6 +280,8 @@ pub(crate) struct Executed {
     pub(crate) pairs: Option<Vec<(u32, u32)>>,
     /// The prepared arenas, when the query owned them.
     pub(crate) ready: Option<JoinReadyInputs>,
+    /// Partitions the query's reduce sorted into join-ready order.
+    pub(crate) partitions_prepared: u64,
 }
 
 /// One partition's local join over its join-ready slices: the single per-partition
@@ -421,25 +418,6 @@ impl Executor {
         )
     }
 
-    /// [`Executor::map_shuffle`] as a stage of `policy`: supervision retries the
-    /// whole (pure, idempotent) shuffle on failure and trips its fault injector on
-    /// the way; under the pool the shuffle cannot fail.
-    pub(crate) fn shuffle_stage<P: Partitioner + ?Sized>(
-        &self,
-        partitioner: &P,
-        s: &Relation,
-        t: &Relation,
-        policy: &mut ReducePolicy<'_>,
-    ) -> Result<ShuffledInputs, SuperviseError> {
-        let ReducePolicy::Supervised(supervision) = policy else {
-            return Ok(self.map_shuffle(partitioner, s, t));
-        };
-        let num_partitions = partitioner.num_partitions().max(1);
-        let par = self.threads.parallelism();
-        supervision
-            .shuffle(|faults| try_shuffle(partitioner, s, t, num_partitions, &par, Some(faults)))
-    }
-
     /// The query value of a one-shot execution: pairs are materialized only for
     /// [`VerificationLevel::FullPairs`].
     pub(crate) fn query<'a>(
@@ -469,7 +447,9 @@ impl Executor {
     ) -> Result<Executed, SuperviseError> {
         let arenas = match arenas {
             Some(arenas) => arenas,
-            None => Arenas::Owned(self.shuffle_stage(partitioner, query.s, query.t, policy)?),
+            None => {
+                Arenas::Owned(policy.shuffle(|| self.map_shuffle(partitioner, query.s, query.t))?)
+            }
         };
         // Seconds of the shuffle that produced the arenas: 0 when the caller shares
         // (or, like `execute_prepared`, copied) arenas shuffled for an earlier query.
@@ -570,9 +550,12 @@ impl Executor {
         let par = self.threads.parallelism();
         let (s, t) = (query.s, query.t);
         let mut prepared = None;
+        let mut partitions_prepared = 0;
         let arenas = match arenas {
             Arenas::Owned(shuffled) if matches!(policy, ReducePolicy::Supervised(_)) => {
-                Arenas::Shared(prepared.insert(JoinReadyInputs::prepare(shuffled, s, t, &par).0))
+                let ready = prepared.insert(JoinReadyInputs::prepare(shuffled, s, t, &par).0);
+                partitions_prepared = ready.num_partitions() as u64;
+                Arenas::Shared(ready)
             }
             arenas => arenas,
         };
@@ -611,6 +594,7 @@ impl Executor {
                     JoinReadyInputs::prepare_with(shuffled, s, t, &par, &tasks, |started, part| {
                         join_partition(query, part, started)
                     });
+                partitions_prepared = ready.num_partitions() as u64;
                 let outcomes = per_task.into_iter().flat_map(|task| task.0).collect();
                 (&*prepared.insert(ready), whole(outcomes), Vec::new())
             }
@@ -645,6 +629,7 @@ impl Executor {
             shard_stats,
             failed,
             ready: prepared,
+            partitions_prepared,
         })
     }
 
@@ -669,6 +654,7 @@ impl Executor {
             shard_stats,
             failed,
             ready,
+            partitions_prepared,
         } = reduced;
         let per_partition = local.per_partition;
         let degraded = !failed.is_empty();
@@ -710,10 +696,8 @@ impl Executor {
         );
         debug_assert_eq!(stats.total_input, total_input);
 
-        let simulated_join_seconds = self
-            .config
-            .machine
-            .join_seconds(total_input, &per_worker_work);
+        let simulated_join_seconds =
+            MachineModel::default().join_seconds(total_input, &per_worker_work);
 
         // --- Verification (exact join chunked on the same rayon context). ---
         let par = self.threads.parallelism();
@@ -780,6 +764,7 @@ impl Executor {
             failed,
             pairs: local.all_pairs,
             ready,
+            partitions_prepared,
         }
     }
 

@@ -19,9 +19,11 @@
 //! * [`FaultKind::Delay`] — sleeps, modelling a straggler; the work still
 //!   completes, only late.
 //!
-//! Injection points cover the supervised pipeline end to end: both shuffle
-//! passes, the per-shard join, and the merge. The
-//! supervisor in [`crate::supervise`] drives every point through retry, backoff,
+//! Injection points cover the supervised pipeline end to end: the shuffle (once
+//! per side), the per-shard join, and the merge. Every point is tripped in
+//! [`crate::supervise`], the one module that retries, at the start of the attempt
+//! it fails: the shuffle, the join and the merge themselves know nothing of
+//! faults. The supervisor drives every point through retry, backoff,
 //! speculation, and degradation; production runs pass [`FaultPlan::none`], which
 //! makes every `trip` a no-op.
 
@@ -32,10 +34,9 @@ use std::time::Duration;
 /// Where in the supervised pipeline a fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionPoint {
-    /// Before the route pass of the shuffle (unit = side: 0 for S, 1 for T).
-    ShufflePass1,
-    /// Before the replay pass of the shuffle (unit = side: 0 for S, 1 for T).
-    ShufflePass2,
+    /// At the start of a shuffle attempt, before any tuple is routed (unit =
+    /// side: 0 for S, 1 for T; side 0 is tripped first).
+    Shuffle,
     /// At the start of one shard's reduce pass (unit = shard index).
     ShardJoin,
     /// Before the order-preserving merge of shard results (unit = 0).
@@ -59,7 +60,7 @@ pub struct FaultSpec {
     /// Where the fault fires.
     pub point: InjectionPoint,
     /// Which unit it applies to (shard index for [`InjectionPoint::ShardJoin`],
-    /// side 0/1 for the shuffle points, 0 for the merge).
+    /// side 0/1 for [`InjectionPoint::Shuffle`], 0 for the merge).
     pub unit: u32,
     /// The fault keeps firing on attempts `1..=fire_attempts`; attempt
     /// `fire_attempts + 1` runs clean. Set it at or above the supervisor's
@@ -99,15 +100,14 @@ impl FaultPlan {
         let mut specs = Vec::with_capacity(num_faults);
         for _ in 0..num_faults {
             let point = match rng.next() % 4 {
-                0 => InjectionPoint::ShufflePass1,
-                1 => InjectionPoint::ShufflePass2,
+                0 | 1 => InjectionPoint::Shuffle,
                 2 => InjectionPoint::ShardJoin,
                 _ => InjectionPoint::Merge,
             };
             let unit = match point {
                 InjectionPoint::ShardJoin => (rng.next() % shards.max(1) as u64) as u32,
                 InjectionPoint::Merge => 0,
-                _ => (rng.next() % 2) as u32,
+                InjectionPoint::Shuffle => (rng.next() % 2) as u32,
             };
             let fire_attempts = match point {
                 InjectionPoint::ShardJoin => 1 + (rng.next() % max_shard_fire.max(1) as u64) as u32,
@@ -255,16 +255,6 @@ impl FaultInjector {
     }
 }
 
-/// Fault context threaded through the shuffle: which injector to trip and which
-/// attempt the enclosing supervised phase is on.
-#[derive(Clone, Copy)]
-pub struct FaultContext<'a> {
-    /// The armed injector.
-    pub injector: &'a FaultInjector,
-    /// The supervised phase's attempt number (1-based).
-    pub attempt: u32,
-}
-
 /// Install (once, process-wide) a panic hook that suppresses the default
 /// backtrace spew for [`InjectedPanic`] payloads and delegates every other
 /// panic to the previously installed hook. Chaos tests fire panics by design;
@@ -290,8 +280,7 @@ mod tests {
     fn empty_plan_never_fires() {
         let inj = FaultInjector::new(FaultPlan::none());
         for point in [
-            InjectionPoint::ShufflePass1,
-            InjectionPoint::ShufflePass2,
+            InjectionPoint::Shuffle,
             InjectionPoint::ShardJoin,
             InjectionPoint::Merge,
         ] {
@@ -372,8 +361,7 @@ mod tests {
         // reach every injection point.
         assert!((0..200u64).any(|s| !FaultPlan::random(s, 7, 4).is_empty()));
         for point in [
-            InjectionPoint::ShufflePass1,
-            InjectionPoint::ShufflePass2,
+            InjectionPoint::Shuffle,
             InjectionPoint::ShardJoin,
             InjectionPoint::Merge,
         ] {

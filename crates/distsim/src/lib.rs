@@ -25,7 +25,7 @@
 //! * `cost_model` — the running-time model `M(I, I_m, O_m) = β₀ + β₁I + β₂I_m + β₃O_m`
 //!   of Li et al. \[24\] ([`CostModel`]), with least-squares fitting over a
 //!   calibration benchmark;
-//! * `machine` — the synthetic "ground truth" cluster timing model ([`MachineModel`])
+//! * `machine` — the synthetic "ground truth" cluster timing model (`MachineModel`)
 //!   used in place of real wall-clock measurements (shuffle + per-worker
 //!   scan/compare/emit costs), which the linear cost model is fitted against;
 //! * `verify` — exact single-node joins ([`exact_join_count`], [`exact_join_pairs`])
@@ -69,7 +69,6 @@ pub use executor::{
 pub use faults::{FaultKind, FaultPlan, FaultSpec, InjectionPoint};
 pub use join_ready::JoinReadyInputs;
 pub use local_join::{probe_sorted, LocalJoinResult, SortedProbeSide};
-pub use machine::MachineModel;
 pub use metrics::{process_peak_rss_bytes, RecoveryCounters, ShardStats};
 pub use plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
 pub use recpart::JoinKernel;

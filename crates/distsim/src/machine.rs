@@ -34,21 +34,22 @@ pub struct WorkerWork {
     pub partitions: u64,
 }
 
-/// Deterministic timing model of the simulated cluster.
+/// Deterministic timing model of the simulated cluster. Its constants are
+/// fixed: every report is simulated under [`MachineModel::default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MachineModel {
+pub(crate) struct MachineModel {
     /// Seconds per shuffled input tuple (network + serialization).
-    pub shuffle_per_tuple: f64,
+    shuffle_per_tuple: f64,
     /// Seconds per input tuple read and staged by a worker.
-    pub read_per_tuple: f64,
+    read_per_tuple: f64,
     /// Seconds per candidate comparison in the local join.
-    pub compare_per_pair: f64,
+    compare_per_pair: f64,
     /// Seconds per output tuple emitted.
-    pub emit_per_tuple: f64,
+    emit_per_tuple: f64,
     /// Fixed seconds per reduce task (partition) — models task scheduling overhead.
-    pub task_overhead: f64,
+    task_overhead: f64,
     /// Fixed seconds per job (container startup, job setup).
-    pub job_overhead: f64,
+    job_overhead: f64,
 }
 
 impl Default for MachineModel {
@@ -75,7 +76,7 @@ impl MachineModel {
 
     /// End-to-end simulated join time: shuffle of the total input plus the slowest
     /// worker, plus the fixed job overhead.
-    pub fn join_seconds(&self, total_input: u64, workers: &[WorkerWork]) -> f64 {
+    pub(crate) fn join_seconds(&self, total_input: u64, workers: &[WorkerWork]) -> f64 {
         let shuffle = self.shuffle_per_tuple * total_input as f64;
         let slowest = workers
             .iter()

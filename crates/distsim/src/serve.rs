@@ -41,7 +41,6 @@ use crate::executor::{
     Arenas, ExecutionReport, Executor, ExecutorConfig, JoinQuery, ReducePolicy, VerificationLevel,
 };
 use crate::faults::FaultPlan;
-use crate::machine::MachineModel;
 use crate::metrics::RecoveryCounters;
 use crate::plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
 use crate::supervise::{SuperviseError, SupervisorConfig};
@@ -78,8 +77,6 @@ pub struct ServiceConfig {
     pub sample: SampleConfig,
     /// Load weights shared by the optimizer and the executor.
     pub load_model: LoadModel,
-    /// Timing model of the simulated cluster.
-    pub machine: MachineModel,
 }
 
 impl Default for ServiceConfig {
@@ -92,7 +89,6 @@ impl Default for ServiceConfig {
             seed: 0x5EED_0001,
             sample: SampleConfig::default(),
             load_model: LoadModel::default(),
-            machine: MachineModel::default(),
         }
     }
 }
@@ -153,7 +149,6 @@ impl ServiceConfig {
         ExecutorConfig::new(workers)
             .with_verification(self.verification)
             .with_load_model(self.load_model)
-            .with_machine(self.machine)
             .with_threads(self.threads)
     }
 
@@ -235,18 +230,22 @@ pub struct QueryResponse {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceHealth {
     /// Plan-cache accounting: hits, subsumed hits, misses, evictions, arena
-    /// bytes currently cached. `cache.queries()` equals `queries_served`.
+    /// bytes currently cached. `cache.queries()` counts every lookup, so it
+    /// also counts a query that failed after its lookup (a supervised phase out
+    /// of attempts) and exceeds `queries_served` by the number of such failures.
     pub cache: PlanCacheCounters,
     /// Supervision accounting accumulated over every served query.
     pub recovery: RecoveryCounters,
     /// Tuple assignments routed by all cold-build shuffles (warm and subsumed
     /// hits shuffle nothing, by construction).
     pub tuples_shuffled: u64,
-    /// Number of shuffles run (== cold builds that reached the shuffle).
+    /// Number of shuffles that completed. A cold build whose supervised shuffle
+    /// ran out of attempts counts a miss but no shuffle, so this can fall short
+    /// of `cache.misses`.
     pub shuffles_run: u64,
-    /// Partitions sorted into join-ready order: a cold build prepares each
-    /// partition of its plan exactly once; warm and subsumed hits hold the
-    /// prepared arenas immutably and prepare none.
+    /// Partitions sorted into join-ready order, counted by the reduce that sorts
+    /// them: a cold build prepares each partition of its plan exactly once; warm
+    /// and subsumed hits hold the prepared arenas immutably and prepare none.
     pub partitions_prepared: u64,
     /// Plans currently cached.
     pub cached_plans: usize,
@@ -455,13 +454,13 @@ impl BandJoinService {
                     &mut rng,
                 );
                 let partitioner = result.partitioner;
-                let shuffled = exec.shuffle_stage(&partitioner, &self.s, &self.t, &mut policy)?;
+                let shuffled =
+                    policy.shuffle(|| exec.map_shuffle(&partitioner, &self.s, &self.t))?;
                 self.tuples_shuffled += shuffled.total_input();
                 self.shuffles_run += 1;
                 let owned = Some(Arenas::Owned(shuffled));
                 let mut done = exec.run(&partitioner, &join, owned, &mut policy)?;
                 let inputs = (done.ready.take()).expect("a reduce hands owned arenas back");
-                self.partitions_prepared += inputs.num_partitions() as u64;
                 let plan_signature = partitioner.plan_signature();
                 // A degraded *response* does not poison the *plan*: the arenas
                 // are complete (the shuffle succeeded); only this query's
@@ -481,6 +480,7 @@ impl BandJoinService {
 
         let (report, recovery) = (done.report, policy.recovery());
         self.recovery += recovery;
+        self.partitions_prepared += done.partitions_prepared;
         self.queries_served += 1;
         if report.degraded {
             self.degraded_responses += 1;

@@ -24,8 +24,11 @@
 //! matter how many threads ran the fan-out or how large the chunks are.
 //! Downstream local joins and verification therefore see exactly the same inputs
 //! for every `threads` setting.
+//!
+//! The shuffle is a pure, infallible function of the partitioner and the inputs,
+//! and it does no I/O: [`shuffle`] returns the arenas, not a `Result`. Injected
+//! faults fire in [`crate::supervise`], before each retried attempt calls it.
 
-use crate::faults::{FaultContext, InjectionPoint};
 use crate::parallel::Parallelism;
 use rayon::prelude::*;
 use recpart::{AssignmentSink, Partitioner, Relation};
@@ -139,48 +142,10 @@ impl ShuffledInputs {
 }
 
 /// Which side of the join a routing pass handles.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum Side {
     S,
     T,
-}
-
-impl Side {
-    /// The fault-injection unit of this side (0 = S, 1 = T).
-    fn unit(self) -> u32 {
-        match self {
-            Side::S => 0,
-            Side::T => 1,
-        }
-    }
-}
-
-/// A shuffle pass failed with an I/O error — retryable by the supervisor (the
-/// shuffle is a pure function of immutable inputs, so re-running it is safe).
-#[derive(Debug)]
-pub struct ShuffleError {
-    /// The pipeline point that failed.
-    pub point: InjectionPoint,
-    /// The side being routed (0 = S, 1 = T).
-    pub side: u32,
-    /// The underlying I/O error.
-    pub source: std::io::Error,
-}
-
-impl std::fmt::Display for ShuffleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shuffle failed at {:?} (side {}): {}",
-            self.point, self.side, self.source
-        )
-    }
-}
-
-impl std::error::Error for ShuffleError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
 }
 
 /// Route both sides of the join under the given parallelism context.
@@ -191,49 +156,15 @@ pub(crate) fn shuffle<P: Partitioner + ?Sized>(
     num_partitions: usize,
     par: &Parallelism<'_>,
 ) -> ShuffledInputs {
-    try_shuffle(partitioner, s, t, num_partitions, par, None)
-        .unwrap_or_else(|e| unreachable!("shuffle without fault injection cannot fail: {e}"))
-}
-
-/// Fault-aware [`shuffle`]: trips the [`InjectionPoint::ShufflePass1`] /
-/// [`InjectionPoint::ShufflePass2`] points of `faults` on the way. Without a fault
-/// context this is infallible.
-pub(crate) fn try_shuffle<P: Partitioner + ?Sized>(
-    partitioner: &P,
-    s: &Relation,
-    t: &Relation,
-    num_partitions: usize,
-    par: &Parallelism<'_>,
-    faults: Option<&FaultContext<'_>>,
-) -> Result<ShuffledInputs, ShuffleError> {
     let start = Instant::now();
     let chunk = SHUFFLE_CHUNK_TUPLES;
-    let s_parts = route_side(partitioner, s, num_partitions, par, Side::S, chunk, faults)?;
-    let t_parts = route_side(partitioner, t, num_partitions, par, Side::T, chunk, faults)?;
-    Ok(ShuffledInputs {
+    let s_parts = route_side(partitioner, s, num_partitions, par, Side::S, chunk);
+    let t_parts = route_side(partitioner, t, num_partitions, par, Side::T, chunk);
+    ShuffledInputs {
         s_parts,
         t_parts,
         wall_seconds: start.elapsed().as_secs_f64(),
-    })
-}
-
-/// Hit injection point `point` for `side`, mapping an injected I/O error into a
-/// [`ShuffleError`]. No-op without a fault context.
-fn trip(
-    faults: Option<&FaultContext<'_>>,
-    point: InjectionPoint,
-    side: Side,
-) -> Result<(), ShuffleError> {
-    if let Some(f) = faults {
-        f.injector
-            .trip(point, side.unit(), f.attempt)
-            .map_err(|source| ShuffleError {
-                point,
-                side: side.unit(),
-                source,
-            })?;
     }
-    Ok(())
 }
 
 /// Raw arena pointer handed to the replay pass. Safety: the offset layout gives
@@ -319,8 +250,7 @@ fn route_side<P: Partitioner + ?Sized>(
     par: &Parallelism<'_>,
     side: Side,
     chunk_tuples: usize,
-    faults: Option<&FaultContext<'_>>,
-) -> Result<PartitionedIndex, ShuffleError> {
+) -> PartitionedIndex {
     let n = rel.len();
     // Tuple indices travel as u32 through sinks and arenas; fail loudly at the
     // chokepoint instead of truncating on the way in.
@@ -330,10 +260,9 @@ fn route_side<P: Partitioner + ?Sized>(
     );
     let ranges = bounded_ranges(n, chunk_tuples);
     if ranges.is_empty() {
-        return Ok(PartitionedIndex::empty(num_partitions));
+        return PartitionedIndex::empty(num_partitions);
     }
     let parallel = par.is_parallel() && ranges.len() > 1;
-    trip(faults, InjectionPoint::ShufflePass1, side)?;
 
     // Pass 1 (route): record every chunk's `(partition, tuple)` pairs and counts.
     let route_one = |(lo, hi): (usize, usize)| -> AssignmentSink {
@@ -376,7 +305,6 @@ fn route_side<P: Partitioner + ?Sized>(
 
     // Pass 2 (replay): write each chunk's pairs, in routing order, through cursors
     // that start at the chunk's slice of every partition.
-    trip(faults, InjectionPoint::ShufflePass2, side)?;
     let mut data = vec![0u32; total];
     let arena = ArenaPtr(data.as_mut_ptr());
     // Borrow the wrapper (not the raw pointer field) so the replay closure stays
@@ -403,7 +331,7 @@ fn route_side<P: Partitioner + ?Sized>(
         (0..chunks.len()).for_each(replay);
     }
 
-    Ok(PartitionedIndex { data, offsets })
+    PartitionedIndex { data, offsets }
 }
 
 #[cfg(test)]
@@ -641,13 +569,11 @@ mod tests {
                 let oracle = per_tuple_arena(p, rel, side);
                 for chunk_tuples in [1usize, 777, 4_096, 100_000] {
                     for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-                        let got = route_side(p, rel, k, &par, side, chunk_tuples, None)
-                            .expect("no faults injected");
+                        let got = route_side(p, rel, k, &par, side, chunk_tuples);
                         assert!(
                             got == oracle,
-                            "{} side {} chunk={chunk_tuples} threads={}",
+                            "{} side {side:?} chunk={chunk_tuples} threads={}",
                             p.name(),
-                            side.unit(),
                             par.threads()
                         );
                     }

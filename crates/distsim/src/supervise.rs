@@ -16,6 +16,11 @@
 //!   `min(cap, base · 2^(k−2))` ms first (on the worker thread, never blocking
 //!   the supervisor). The shuffle and merge phases get the same retry loop:
 //!   both are pure functions of immutable inputs, so re-running them is safe.
+//! * **Fault injection** — this module is the only one that trips the armed
+//!   [`FaultPlan`]'s points: each shard attempt trips
+//!   [`InjectionPoint::ShardJoin`] for its shard, each shuffle attempt trips
+//!   [`InjectionPoint::Shuffle`] for side 0 and then side 1 before it runs the
+//!   (infallible) shuffle, and each merge attempt trips [`InjectionPoint::Merge`].
 //! * **Straggler speculation** — with a [`SupervisorConfig::shard_deadline_ms`],
 //!   a shard still running past its deadline gets one speculative duplicate
 //!   attempt; the first completed result is kept. Safe because shards are
@@ -39,20 +44,20 @@
 //!
 //! Supervision is one of the two `ReducePolicy` cases of the executor's single
 //! reduce, the other being the pool: [`Supervision`] holds the policy, the armed
-//! injector and the recovery tally, and contributes the retried shuffle, the
-//! shard schedule and the merge gate. Attempts of one shard may overlap
-//! (speculation) and repeat (retry), so they **share** the arenas, prepared once
-//! as a pass of its own, where the pool's cold path fuses the sort into the join
-//! pass over arenas it owns.
+//! injector and the recovery tally, and contributes the retried shuffle
+//! ([`ReducePolicy::shuffle`]), the shard schedule and the merge gate. Attempts of
+//! one shard may overlap (speculation) and repeat (retry), so they **share** the
+//! arenas, prepared once as a pass of its own, where the pool's cold path fuses
+//! the sort into the join pass over arenas it owns.
 
 use crate::executor::{
     join_range, ExecutionReport, Executor, JoinQuery, PartitionJoinOutcome, ReducePolicy,
     ShardOutcome, ShardPlan,
 };
-use crate::faults::{FaultContext, FaultInjector, FaultPlan, InjectedPanic, InjectionPoint};
+use crate::faults::{FaultInjector, FaultPlan, InjectedPanic, InjectionPoint};
 use crate::join_ready::JoinReadyInputs;
 use crate::metrics::{RecoveryCounters, ShardStats};
-use crate::shuffle::{ShuffleError, ShuffledInputs};
+use crate::shuffle::ShuffledInputs;
 use recpart::{BandCondition, Partitioner, Relation};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -362,6 +367,18 @@ impl<'a> ReducePolicy<'a> {
         }))
     }
 
+    /// The shuffle stage under this policy. The pool runs `shuffle` once; supervision
+    /// retries it as one unit (see [`Supervision::shuffle`]).
+    pub(crate) fn shuffle(
+        &mut self,
+        shuffle: impl Fn() -> ShuffledInputs,
+    ) -> Result<ShuffledInputs, SuperviseError> {
+        match self {
+            ReducePolicy::Pool => Ok(shuffle()),
+            ReducePolicy::Supervised(supervision) => supervision.shuffle(shuffle),
+        }
+    }
+
     /// What supervision did so far — the retry and speculation tally plus the
     /// faults that actually fired; all zeros under the pool.
     pub(crate) fn recovery(&self) -> RecoveryCounters {
@@ -408,11 +425,12 @@ impl Supervision<'_> {
     }
 
     /// The supervised shuffle phase: the whole (pure, idempotent) shuffle is
-    /// one retryable unit — a panic or injected I/O error on either side
-    /// discards the partial arenas and re-runs from scratch after backoff.
-    pub(crate) fn shuffle(
+    /// one retryable unit. Each attempt trips [`InjectionPoint::Shuffle`] for
+    /// side 0, then side 1, then runs `shuffle`; a panic or injected I/O error
+    /// fails the attempt, which re-runs from scratch after backoff.
+    fn shuffle(
         &mut self,
-        shuffle: impl Fn(&FaultContext<'_>) -> Result<ShuffledInputs, ShuffleError>,
+        shuffle: impl Fn() -> ShuffledInputs,
     ) -> Result<ShuffledInputs, SuperviseError> {
         let injector = &self.injector;
         let exhausted = |attempts, last_error| SuperviseError::Shuffle {
@@ -420,7 +438,10 @@ impl Supervision<'_> {
             last_error,
         };
         let (shuffled, retries) = self.retried(exhausted, |attempt| {
-            shuffle(&FaultContext { injector, attempt })
+            for side in 0..2 {
+                injector.trip(InjectionPoint::Shuffle, side, attempt)?;
+            }
+            Ok::<_, std::io::Error>(shuffle())
         })?;
         self.recovery.shuffle_retries += retries;
         Ok(shuffled)

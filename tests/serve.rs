@@ -24,6 +24,8 @@
 //!   keeps serving;
 //! * **supervised degradation** — a permanently crashing shard degrades
 //!   exactly one response while the service keeps serving;
+//! * **a failed cold build is a lookup only** — a supervised shuffle out of
+//!   attempts counts a cache miss, but no shuffle and no served query;
 //! * **a warm hit is fast** — in release, the median warm hit is ≥ 5× faster than
 //!   a cold one-shot run (ignored under plain `cargo test`: it reads the wall clock).
 
@@ -542,6 +544,52 @@ fn supervised_crash_degrades_one_response_and_service_keeps_serving() {
         "recovery accounting accumulates in health"
     );
     assert_health_invariants(&service, 3);
+}
+
+/// A cold build whose supervised shuffle fails on every attempt answers nothing,
+/// yet its cache lookup was made: the miss is counted with no shuffle and no
+/// served query beside it. The same query, served again without faults, is a cold
+/// build identical to its one-shot oracle.
+#[test]
+fn an_exhausted_cold_shuffle_counts_its_lookup_but_no_shuffle() {
+    let (s, t) = workload(29, 300, 1);
+    let config = ServiceConfig::new()
+        .with_seed(61)
+        .with_sample(small_sample())
+        .with_threads(1)
+        .with_supervised(SupervisorConfig::new(2).with_backoff_ms(1, 1));
+    let mut service = BandJoinService::new(s, t, config);
+    let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05]), 4);
+
+    let lost = FaultPlan::new(vec![FaultSpec {
+        point: InjectionPoint::Shuffle,
+        unit: 1,
+        fire_attempts: u32::MAX,
+        kind: FaultKind::IoError,
+    }]);
+    let err = service
+        .serve_with_faults(&query, &lost)
+        .expect_err("the shuffle is out of attempts");
+    assert!(
+        matches!(
+            err,
+            ServeError::Supervise(SuperviseError::Shuffle { attempts: 3, .. })
+        ),
+        "{err}"
+    );
+    let h = service.health();
+    assert_eq!((h.cache.queries(), h.queries_served), (1, 0));
+    assert_eq!((h.shuffles_run, h.cache.misses), (0, 1));
+    assert_eq!((h.tuples_shuffled, h.partitions_prepared), (0, 0));
+    assert_eq!(h.cached_plans, 0);
+
+    let response = service.serve(&query).expect("the same query, fault-free");
+    assert_eq!(response.source, PlanSource::ColdBuild);
+    let h = service.health();
+    assert_eq!((h.cache.queries(), h.queries_served), (2, 1));
+    assert_eq!((h.shuffles_run, h.cache.misses), (1, 2));
+    let oracle = oracle_for(&service, &response, &query.band, query.workers);
+    assert_reports_identical(&response.report, &oracle, "after the exhausted shuffle");
 }
 
 proptest! {

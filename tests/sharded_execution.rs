@@ -344,7 +344,7 @@ fn transient_faults_on_every_stage_are_retried_to_the_identical_result() {
 
     let plan = FaultPlan::new(vec![
         FaultSpec {
-            point: InjectionPoint::ShufflePass1,
+            point: InjectionPoint::Shuffle,
             unit: 1,
             fire_attempts: 1,
             kind: FaultKind::Panic,
