@@ -64,6 +64,21 @@
 //! [`BandCondition`]: the local join settles dimension 0 on the sorted column
 //! itself and hands the kernels dimensions `1..` only.
 //!
+//! Each window call runs a kernel body specialized to the number `D` of tested
+//! dimensions, with an arm for each `D` from 1 to 4 (a 2- to 5-dimensional join
+//! after the dimension-0 trim, or the output sampler's full-dimension test). Before
+//! the candidate loop an arm hoists, per dimension, the probe key, `−ε_low` and
+//! `ε_high` into fixed-size arrays (the AVX2 kernel broadcasts them to four lanes
+//! once per window) and cuts every column to the window, so the loop does no
+//! per-dimension bookkeeping and no bounds checks. A wider call runs the widest arm
+//! on its first four dimensions and tests the others in a runtime-length loop, which
+//! broadcasts their constants per group of four candidates. Every arm makes the same
+//! IEEE compares per dimension and ORs them, so counts and appended positions do not
+//! depend on the arm. The AVX2 count adds the reject masks up in a vector register,
+//! and a window whose length is not a multiple of four ends with one more vector
+//! step over its last four candidates, keeping only the lanes no earlier step
+//! covered; a window under four candidates is tested one candidate at a time.
+//!
 //! NaN semantics deliberately mirror [`BandCondition::matches`]: a pair is
 //! *rejected* iff `d < -ε_low || d > ε_high` for some dimension (`d = s − t`),
 //! so a NaN difference — which fails both ordered compares — **matches**. The
@@ -185,8 +200,9 @@ pub(crate) fn band_window_collect(
     band_window_collect_dims(kernel, sk, cols, lo, hi, window, out)
 }
 
-/// The vector kernels load with `get_unchecked`: these checks are what makes the
-/// safe entry points sound, so they hold in release builds too.
+/// A malformed call panics here, naming what is wrong, in release builds too — not
+/// deep in a kernel.
+#[inline]
 fn assert_window_in_columns(
     sk: &[f64],
     cols: &[Vec<f64>],
@@ -224,15 +240,19 @@ pub fn band_window_count_dims(
     window: Range<usize>,
 ) -> u64 {
     assert_window_in_columns(sk, cols, eps_low, eps_high, &window);
-    if sk.is_empty() {
-        return window.len() as u64;
-    }
-    match kernel {
-        JoinKernel::Portable => portable::window_count(sk, cols, eps_low, eps_high, window),
-        #[cfg(target_arch = "x86_64")]
-        // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`;
-        // the asserts above are the kernel's length and bounds contract.
-        JoinKernel::Avx2 => unsafe { avx2::window_count(sk, cols, eps_low, eps_high, window) },
+    let probe = Probe {
+        sk,
+        cols,
+        eps_low,
+        eps_high,
+        window,
+    };
+    match sk.len() {
+        0 => probe.window.len() as u64,
+        1 => count_in(kernel, &Hoisted::<1>::new(probe)),
+        2 => count_in(kernel, &Hoisted::<2>::new(probe)),
+        3 => count_in(kernel, &Hoisted::<3>::new(probe)),
+        _ => count_in(kernel, &Hoisted::<{ WIDEST }>::new(probe)),
     }
 }
 
@@ -258,18 +278,146 @@ pub fn band_window_collect_dims(
         window.end <= u32::MAX as usize,
         "window {window:?} does not fit u32 positions"
     );
-    if sk.is_empty() {
-        out.extend(window.start as u32..window.end as u32);
-        return window.len() as u64;
+    let probe = Probe {
+        sk,
+        cols,
+        eps_low,
+        eps_high,
+        window,
+    };
+    match sk.len() {
+        0 => {
+            out.extend(probe.window.start as u32..probe.window.end as u32);
+            probe.window.len() as u64
+        }
+        1 => collect_in(kernel, &Hoisted::<1>::new(probe), out),
+        2 => collect_in(kernel, &Hoisted::<2>::new(probe), out),
+        3 => collect_in(kernel, &Hoisted::<3>::new(probe), out),
+        _ => collect_in(kernel, &Hoisted::<{ WIDEST }>::new(probe), out),
     }
+}
+
+/// `kernel`'s count over one arm's hoisted probe.
+fn count_in<const D: usize>(kernel: JoinKernel, band: &Hoisted<'_, D>) -> u64 {
     match kernel {
-        JoinKernel::Portable => portable::window_collect(sk, cols, eps_low, eps_high, window, out),
+        JoinKernel::Portable => portable::window_count(band),
         #[cfg(target_arch = "x86_64")]
-        // Safety: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`;
-        // the asserts above are the kernel's length and bounds contract.
-        JoinKernel::Avx2 => unsafe {
-            avx2::window_collect(sk, cols, eps_low, eps_high, window, out)
-        },
+        // SAFETY: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
+        JoinKernel::Avx2 => unsafe { avx2::window_count(band) },
+    }
+}
+
+/// `kernel`'s collect over one arm's hoisted probe.
+fn collect_in<const D: usize>(
+    kernel: JoinKernel,
+    band: &Hoisted<'_, D>,
+    out: &mut Vec<u32>,
+) -> u64 {
+    match kernel {
+        JoinKernel::Portable => portable::window_collect(band, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `count_in`.
+        JoinKernel::Avx2 => unsafe { avx2::window_collect(band, out) },
+    }
+}
+
+/// One window call as its caller passes it: the probe key, the candidate columns and
+/// the ε slices of the dimensions to test (one length, checked by
+/// `assert_window_in_columns`), and the window of candidate positions.
+#[derive(Clone)]
+struct Probe<'a> {
+    sk: &'a [f64],
+    cols: &'a [Vec<f64>],
+    eps_low: &'a [f64],
+    eps_high: &'a [f64],
+    window: Range<usize>,
+}
+
+impl<'a> Probe<'a> {
+    /// Per tested dimension: the probe key, the candidate column, `ε_low`, `ε_high`.
+    #[inline(always)]
+    fn dims(&self) -> impl Iterator<Item = (f64, &'a Vec<f64>, f64, f64)> + 'a {
+        let eps = self.eps_low.iter().zip(self.eps_high);
+        (self.sk.iter().zip(self.cols).zip(eps)).map(|((&key, col), (&lo, &hi))| (key, col, lo, hi))
+    }
+}
+
+/// The widest dimension-specialized arm. Wider calls run it too: it hoists their
+/// first `WIDEST` dimensions and tests the rest per candidate at run time.
+const WIDEST: usize = 4;
+
+/// A [`Probe`] over `D` tested dimensions with everything the candidate loop reads
+/// per dimension hoisted out of it: the key, `−ε_low`, `ε_high`, and the column cut
+/// to the window, so a candidate is addressed by its offset in the window and every
+/// column is as long as the window. The kernels have one arm per `D = 1..=WIDEST`.
+#[derive(Clone)]
+struct Hoisted<'a, const D: usize> {
+    key: [f64; D],
+    neg_lo: [f64; D],
+    hi: [f64; D],
+    cols: [&'a [f64]; D],
+    /// The window, and the dimensions past the first `D`: only a call wider than
+    /// [`WIDEST`] has any.
+    rest: Probe<'a>,
+}
+
+impl<'a, const D: usize> Hoisted<'a, D> {
+    #[inline(always)]
+    fn new(probe: Probe<'a>) -> Self {
+        debug_assert!(D == probe.sk.len() || (D == WIDEST && D < probe.sk.len()));
+        let window = probe.window;
+        Hoisted {
+            key: std::array::from_fn(|d| probe.sk[d]),
+            neg_lo: std::array::from_fn(|d| -probe.eps_low[d]),
+            hi: std::array::from_fn(|d| probe.eps_high[d]),
+            cols: std::array::from_fn(|d| &probe.cols[d][window.clone()]),
+            rest: Probe {
+                sk: &probe.sk[D..],
+                cols: &probe.cols[D..],
+                eps_low: &probe.eps_low[D..],
+                eps_high: &probe.eps_high[D..],
+                window,
+            },
+        }
+    }
+
+    /// Candidates in the window.
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.rest.window.len()
+    }
+
+    /// This band with every column re-cut to [`Hoisted::len`]. Taken at the top of a
+    /// kernel, beside its loop over `0..len()`, it shows the compiler that no column
+    /// access in the loop is out of bounds, so the loop carries no bounds check.
+    #[inline(always)]
+    fn cut(&self) -> Self {
+        let len = self.len();
+        let mut band = self.clone();
+        for col in &mut band.cols {
+            *col = &col[..len];
+        }
+        band
+    }
+
+    /// Whether the candidate at window offset `i` fails the band on some dimension:
+    /// both ordered compares of every dimension, `|=`-accumulated without a
+    /// data-dependent branch.
+    #[inline(always)]
+    fn rejects(&self, i: usize) -> bool {
+        let mut reject = false;
+        for d in 0..D {
+            let diff = self.key[d] - self.cols[d][i];
+            reject |= (diff < self.neg_lo[d]) | (diff > self.hi[d]);
+        }
+        if D == WIDEST {
+            let at = self.rest.window.start + i;
+            for (key, col, lo, hi) in self.rest.dims() {
+                let diff = key - col[at];
+                reject |= (diff < -lo) | (diff > hi);
+            }
+        }
+        reject
     }
 }
 
@@ -396,58 +544,26 @@ mod portable {
         }
     }
 
-    use super::DupSplit;
-    use std::ops::Range;
+    use super::{DupSplit, Hoisted};
 
-    /// Branchless reject accumulator: `|=`s every dimension's two ordered
-    /// compares instead of early-exiting, so there is no data-dependent branch.
-    #[inline(always)]
-    fn branchless_reject(
-        sk: &[f64],
-        cols: &[Vec<f64>],
-        pos: usize,
-        lo: &[f64],
-        hi: &[f64],
-    ) -> bool {
-        let mut reject = false;
-        for d in 0..sk.len() {
-            // Safety-free: all indices are checked by the dispatch asserts.
-            let diff = sk[d] - cols[d][pos];
-            reject |= (diff < -lo[d]) | (diff > hi[d]);
-        }
-        reject
+    pub(super) fn window_count<const D: usize>(band: &Hoisted<'_, D>) -> u64 {
+        let band = band.cut();
+        (0..band.len()).map(|i| !band.rejects(i) as u64).sum()
     }
 
-    pub(super) fn window_count(
-        sk: &[f64],
-        cols: &[Vec<f64>],
-        lo: &[f64],
-        hi: &[f64],
-        window: Range<usize>,
-    ) -> u64 {
-        window
-            .map(|pos| !branchless_reject(sk, cols, pos, lo, hi) as u64)
-            .sum()
-    }
-
-    pub(super) fn window_collect(
-        sk: &[f64],
-        cols: &[Vec<f64>],
-        lo: &[f64],
-        hi: &[f64],
-        window: Range<usize>,
-        out: &mut Vec<u32>,
-    ) -> u64 {
+    pub(super) fn window_collect<const D: usize>(band: &Hoisted<'_, D>, out: &mut Vec<u32>) -> u64 {
         // Branchless append: always write the position, conditionally advance
         // the cursor. After `k` candidates the cursor is at most `k`, so every
-        // write lands inside the `window.len()` slots grown up front.
+        // write lands inside the `band.len()` slots grown up front.
+        let band = band.cut();
+        let (start, len) = (band.rest.window.start, band.len());
         let base = out.len();
-        out.resize(base + window.len(), 0);
+        out.resize(base + len, 0);
         let slots = &mut out[base..];
         let mut n = 0;
-        for pos in window {
-            slots[n] = pos as u32;
-            n += !branchless_reject(sk, cols, pos, lo, hi) as usize;
+        for i in 0..len {
+            slots[n] = (start + i) as u32;
+            n += !band.rejects(i) as usize;
         }
         out.truncate(base + n);
         n as u64
@@ -459,7 +575,7 @@ mod portable {
 /// with a `pshufb` lookup keyed by the 4-bit compare mask.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::DupSplit;
+    use super::{DupSplit, Hoisted, WIDEST};
     use std::arch::x86_64::*;
 
     /// `pshufb` controls that pack the selected 4-byte lanes of a 4×u32 vector
@@ -593,121 +709,151 @@ mod avx2 {
         right.set_len(rp.offset_from(right.as_ptr()) as usize);
     }
 
-    use std::ops::Range;
-
-    /// Reject mask of four candidates at positions `i..i+4`: for each
-    /// dimension, `d = s − t` fails iff `d < −ε_low` or `d > ε_high` — two
-    /// *ordered* compares, both false for a NaN difference, OR-accumulated
-    /// across dimensions. The caller inverts (`^ 0xF`) to get the accept mask
-    /// — equivalently, the AND-accumulation of the per-dimension accept masks
-    /// — so a NaN difference matches, exactly like the scalar
-    /// [`BandCondition::matches`](crate::BandCondition::matches).
-    ///
-    /// # Safety
-    /// AVX2 must be available; `i + 4 <= cols[d].len()` and
-    /// `sk.len() == cols.len() == lo.len() == hi.len()`.
-    #[inline(always)]
-    unsafe fn band_reject_mask(
-        sk: &[f64],
-        cols: &[Vec<f64>],
-        i: usize,
-        lo: &[f64],
-        hi: &[f64],
-    ) -> usize {
-        let mut rej = _mm256_setzero_pd();
-        for d in 0..sk.len() {
-            let tv = _mm256_loadu_pd(cols.get_unchecked(d).as_ptr().add(i));
-            let dv = _mm256_sub_pd(_mm256_set1_pd(*sk.get_unchecked(d)), tv);
-            let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(dv, _mm256_set1_pd(-*lo.get_unchecked(d)));
-            let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(dv, _mm256_set1_pd(*hi.get_unchecked(d)));
-            rej = _mm256_or_pd(rej, _mm256_or_pd(lt, gt));
-        }
-        _mm256_movemask_pd(rej) as usize
+    /// A [`Hoisted`] probe's constants broadcast to the four lanes, once per window,
+    /// beside its columns cut to the window's length ([`Hoisted::cut`]), so picking a
+    /// group of four needs no check in the loop.
+    struct Lanes<'a, const D: usize> {
+        band: Hoisted<'a, D>,
+        key: [__m256d; D],
+        neg_lo: [__m256d; D],
+        hi: [__m256d; D],
     }
 
-    /// Scalar per-candidate band test for the vector loops' tails.
-    #[inline(always)]
-    unsafe fn band_matches_one(
-        sk: &[f64],
-        cols: &[Vec<f64>],
-        pos: usize,
-        lo: &[f64],
-        hi: &[f64],
-    ) -> bool {
-        for d in 0..sk.len() {
-            let diff = *sk.get_unchecked(d) - *cols.get_unchecked(d).get_unchecked(pos);
-            if diff < -*lo.get_unchecked(d) || diff > *hi.get_unchecked(d) {
-                return false;
+    impl<'a, const D: usize> Lanes<'a, D> {
+        #[target_feature(enable = "avx2")]
+        fn new(band: &Hoisted<'a, D>) -> Self {
+            Lanes {
+                band: band.cut(),
+                key: band.key.map(|k| _mm256_set1_pd(k)),
+                neg_lo: band.neg_lo.map(|v| _mm256_set1_pd(v)),
+                hi: band.hi.map(|v| _mm256_set1_pd(v)),
             }
         }
-        true
+
+        /// Reject mask of the four candidates `four` picks from every column (cut
+        /// to the window): for each dimension, `d = s − t` fails iff `d < −ε_low`
+        /// or `d > ε_high` — two *ordered* compares, both false for a NaN
+        /// difference, OR-accumulated across dimensions. The caller inverts
+        /// (`^ 0xF`) to get the accept mask — equivalently, the AND-accumulation of
+        /// the per-dimension accept masks — so a NaN difference matches, exactly
+        /// like the scalar [`BandCondition::matches`](crate::BandCondition::matches).
+        /// A call wider than [`WIDEST`] broadcasts its further dimensions here, per
+        /// group.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn reject_mask(&self, four: impl Fn(&'a [f64]) -> &'a [f64; 4]) -> usize {
+            _mm256_movemask_pd(self.rejects(four)) as usize
+        }
+
+        /// [`Lanes::reject_mask`] as a vector: all ones in a rejected lane.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn rejects(&self, four: impl Fn(&'a [f64]) -> &'a [f64; 4]) -> __m256d {
+            let mut rej = _mm256_setzero_pd();
+            for d in 0..D {
+                let dv = _mm256_sub_pd(self.key[d], load4(four(self.band.cols[d])));
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(dv, self.neg_lo[d]);
+                let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(dv, self.hi[d]);
+                rej = _mm256_or_pd(rej, _mm256_or_pd(lt, gt));
+            }
+            if D == WIDEST {
+                let rest = &self.band.rest;
+                for (key, col, lo, hi) in rest.dims() {
+                    let col = &col[rest.window.clone()];
+                    let dv = _mm256_sub_pd(_mm256_set1_pd(key), load4(four(col)));
+                    let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(dv, _mm256_set1_pd(-lo));
+                    let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(dv, _mm256_set1_pd(hi));
+                    rej = _mm256_or_pd(rej, _mm256_or_pd(lt, gt));
+                }
+            }
+            rej
+        }
     }
 
-    /// # Safety
-    /// AVX2 must be available; `window.end <= cols[d].len()` for every
-    /// dimension and `sk.len() == cols.len() == lo.len() == hi.len()`.
+    /// The candidates at window offsets `4 · group ..`.
+    fn group(col: &[f64], group: usize) -> &[f64; 4] {
+        &col.as_chunks::<4>().0[group]
+    }
+
+    /// The last four candidates of a window of at least four.
+    fn last_four(col: &[f64]) -> &[f64; 4] {
+        col.last_chunk::<4>().expect("a window of at least four")
+    }
+
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn window_count(
-        sk: &[f64],
-        cols: &[Vec<f64>],
-        lo: &[f64],
-        hi: &[f64],
-        window: Range<usize>,
-    ) -> u64 {
-        let mut n = 0u64;
-        let mut i = window.start;
-        while i + 4 <= window.end {
-            let acc = band_reject_mask(sk, cols, i, lo, hi) ^ 0xF;
-            n += acc.count_ones() as u64;
-            i += 4;
+    #[inline]
+    fn load4(four: &[f64; 4]) -> __m256d {
+        // SAFETY: the pointer addresses four `f64`s, and AVX is enabled.
+        unsafe { _mm256_loadu_pd(four.as_ptr()) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn window_count<const D: usize>(band: &Hoisted<'_, D>) -> u64 {
+        let lanes = Lanes::new(band);
+        let len = lanes.band.len();
+        // A rejected lane is all ones, −1 as an integer: subtracting the masks
+        // counts rejections per lane without leaving the vector unit.
+        let mut rejected = _mm256_setzero_si256();
+        for g in 0..len / 4 {
+            let mask = _mm256_castpd_si256(lanes.rejects(|col| group(col, g)));
+            rejected = _mm256_sub_epi64(rejected, mask);
         }
-        for pos in i..window.end {
-            n += band_matches_one(sk, cols, pos, lo, hi) as u64;
+        let rejected = _mm256_extract_epi64::<0>(rejected)
+            + _mm256_extract_epi64::<1>(rejected)
+            + _mm256_extract_epi64::<2>(rejected)
+            + _mm256_extract_epi64::<3>(rejected);
+        let mut n = (len / 4 * 4) as u64 - rejected as u64;
+        let rest = len % 4;
+        if len < 4 {
+            for i in 0..len {
+                n += !band.rejects(i) as u64;
+            }
+        } else if rest > 0 {
+            // The last four again, counting only the lanes no group covered.
+            let accept = (lanes.reject_mask(last_four) ^ 0xF) >> (4 - rest);
+            n += accept.count_ones() as u64;
         }
         n
     }
 
-    /// # Safety
-    /// Same contract as [`window_count`].
-    ///
-    /// Store-bounds proof: before the vector iteration starting at `i` the
-    /// cursor is at offset `≤ i − window.start` past the old length, and
-    /// `i + 4 <= window.end`, so the 16-byte compress-store touches offsets
-    /// `< (i − window.start) + 4 <= window.len()` — within the `window.len()`
-    /// slots reserved up front. The scalar tail writes single elements at
-    /// offsets `≤ window.len() − 1`.
+    /// [`window_count`] that appends the matching positions to `out`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn window_collect(
-        sk: &[f64],
-        cols: &[Vec<f64>],
-        lo: &[f64],
-        hi: &[f64],
-        window: Range<usize>,
-        out: &mut Vec<u32>,
-    ) -> u64 {
-        out.reserve(window.len());
+    pub(super) fn window_collect<const D: usize>(band: &Hoisted<'_, D>, out: &mut Vec<u32>) -> u64 {
+        let lanes = Lanes::new(band);
+        let (start, len) = (band.rest.window.start, lanes.band.len());
+        out.reserve(len + 4);
         let base = out.len();
-        let first = out.as_mut_ptr().add(base);
-        let mut p = first;
-        let mut idx = _mm_add_epi32(
-            _mm_set1_epi32(window.start as i32),
-            _mm_set_epi32(3, 2, 1, 0),
-        );
+        let lane = _mm_set_epi32(3, 2, 1, 0);
+        let mut idx = _mm_add_epi32(_mm_set1_epi32(start as i32), lane);
         let four = _mm_set1_epi32(4);
-        let mut i = window.start;
-        while i + 4 <= window.end {
-            let acc = band_reject_mask(sk, cols, i, lo, hi) ^ 0xF;
-            p = compress_store(p, idx, acc);
-            idx = _mm_add_epi32(idx, four);
-            i += 4;
+        let rest = len % 4;
+        // SAFETY: `out` has `len + 4` spare slots from `base`. Before every
+        // compress-store the cursor is at most `len` slots past `base` (at most
+        // `4 · g` before group `g`), so its 16 bytes end within them; the scalar
+        // loop of a window under four writes single slots below `len`. Every slot
+        // below the final cursor was written.
+        unsafe {
+            let first = out.as_mut_ptr().add(base);
+            let mut p = first;
+            for g in 0..len / 4 {
+                p = compress_store(p, idx, lanes.reject_mask(|col| group(col, g)) ^ 0xF);
+                idx = _mm_add_epi32(idx, four);
+            }
+            if len < 4 {
+                for i in 0..len {
+                    *p = (start + i) as u32;
+                    p = p.add(!band.rejects(i) as usize);
+                }
+            } else if rest > 0 {
+                // The last four again, keeping only the lanes no group covered.
+                let idx = _mm_add_epi32(_mm_set1_epi32((start + len - 4) as i32), lane);
+                let accept = (lanes.reject_mask(last_four) ^ 0xF) & (0xF << (4 - rest));
+                p = compress_store(p, idx, accept);
+            }
+            let n = p.offset_from(first) as usize;
+            out.set_len(base + n);
+            n as u64
         }
-        for pos in i..window.end {
-            *p = pos as u32;
-            p = p.add(band_matches_one(sk, cols, pos, lo, hi) as usize);
-        }
-        let n = p.offset_from(first) as usize;
-        out.set_len(base + n);
-        n as u64
     }
 }
 
@@ -872,15 +1018,15 @@ mod tests {
             .collect()
     }
 
+    /// Dimensions 1 to 8 reach every dimension-specialized arm (1 to 4) and the
+    /// wider fallback; window lengths 0 to 67 reach every tail length of each.
     #[test]
     fn join_kernels_match_band_condition_on_all_window_lengths() {
-        let dims = 3;
         let n = 200;
-        let long = test_column(n + dims);
-        let cols: Vec<Vec<f64>> = (0..dims).map(|d| long[d..d + n].to_vec()).collect();
-        let band = BandCondition::try_asymmetric(&[0.4, 0.9, 0.0], &[0.7, 0.0, 1.3]).unwrap();
-        // Probe keys cover finite values, ties, ±inf, and NaN (a NaN difference
-        // *matches* — see the module docs).
+        // Bands and probe keys repeat these per-dimension patterns. The keys cover
+        // finite values, ties, ±inf, and NaN (a NaN difference *matches* — see the
+        // module docs).
+        let (lo, hi) = ([0.4, 0.9, 0.0], [0.7, 0.0, 1.3]);
         let probes: [[f64; 3]; 5] = [
             [0.5, 0.5, 0.5],
             [-0.25, 1.0, 0.0],
@@ -888,33 +1034,41 @@ mod tests {
             [f64::INFINITY, f64::NEG_INFINITY, 0.0],
             [1.0, f64::NAN, f64::NAN],
         ];
-        for kernel in JoinKernel::all_supported() {
-            let mut got = Vec::new();
-            for len in 0..=67usize {
-                let start = (len * 3) % (n - 67);
-                let window = start..start + len;
-                for sk in &probes {
-                    let expected = reference_window(sk, &cols, window.clone(), &band);
-                    let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
-                    let count = band_window_count_dims(kernel, sk, &cols, lo, hi, window.clone());
-                    assert_eq!(
-                        count,
-                        expected.len() as u64,
-                        "kernel {} count len {len} probe {sk:?}",
-                        kernel.name()
-                    );
-                    got.clear();
-                    got.push(7); // collect appends — pre-existing content must survive
-                    let appended =
-                        band_window_collect(kernel, sk, &cols, window.clone(), &band, &mut got);
-                    assert_eq!(appended, expected.len() as u64);
-                    assert_eq!(got[0], 7, "kernel {} clobbered the prefix", kernel.name());
-                    assert_eq!(
-                        &got[1..],
-                        expected.as_slice(),
-                        "kernel {} collect len {len} probe {sk:?}",
-                        kernel.name()
-                    );
+        for dims in 1..=8 {
+            let long = test_column(n + dims);
+            let cols: Vec<Vec<f64>> = (0..dims).map(|d| long[d..d + n].to_vec()).collect();
+            let cycle = |pattern: &[f64; 3]| (0..dims).map(|d| pattern[d % 3]).collect::<Vec<_>>();
+            let band = BandCondition::try_asymmetric(&cycle(&lo), &cycle(&hi)).unwrap();
+            let probes: Vec<Vec<f64>> = probes.iter().map(cycle).collect();
+            for kernel in JoinKernel::all_supported() {
+                let mut got = Vec::new();
+                for len in 0..=67usize {
+                    let start = (len * 3) % (n - 67);
+                    let window = start..start + len;
+                    for sk in &probes {
+                        let expected = reference_window(sk, &cols, window.clone(), &band);
+                        let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
+                        let count =
+                            band_window_count_dims(kernel, sk, &cols, lo, hi, window.clone());
+                        assert_eq!(
+                            count,
+                            expected.len() as u64,
+                            "kernel {} count len {len} probe {sk:?}",
+                            kernel.name()
+                        );
+                        got.clear();
+                        got.push(7); // collect appends — pre-existing content must survive
+                        let appended =
+                            band_window_collect(kernel, sk, &cols, window.clone(), &band, &mut got);
+                        assert_eq!(appended, expected.len() as u64);
+                        assert_eq!(got[0], 7, "kernel {} clobbered the prefix", kernel.name());
+                        assert_eq!(
+                            &got[1..],
+                            expected.as_slice(),
+                            "kernel {} collect len {len} probe {sk:?}",
+                            kernel.name()
+                        );
+                    }
                 }
             }
         }

@@ -21,7 +21,12 @@
 //! tuple at a time. The per-window evaluation of dimensions `1..` dispatches through
 //! [`JoinKernel`] (branchless `portable` / `avx2` masked compares; override with
 //! `BAND_JOIN_KERNEL`) — see [`recpart::simd`]
-//! for the kernel contract and NaN policy.
+//! for the kernel contract and NaN policy. The kernels are specialized to the
+//! number of dimensions they test, from one to four, with the probe key and the
+//! band widths hoisted out of the candidate loop: a `d`-dimensional join runs the
+//! `d − 1` arm, and a join of more than five dimensions runs the widest arm, which
+//! tests its dimensions past the fifth in a runtime-length loop. The sweep passes
+//! the same slices either way.
 //!
 //! Probes in arbitrary order are processed in blocks: each block is sorted on
 //! dimension 0 once, swept with one amortized sliding window, and its pairs are

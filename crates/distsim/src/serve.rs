@@ -433,53 +433,55 @@ impl BandJoinService {
                 || self.config.verification == VerificationLevel::FullPairs,
         };
 
-        let (source, plan_signature, done) = match self.cache.lookup(&key) {
-            Some((plan, cache_outcome)) => {
-                let source = match cache_outcome {
-                    CacheOutcome::Hit => PlanSource::WarmHit,
-                    CacheOutcome::SubsumedHit => PlanSource::SubsumedHit,
-                };
-                let shared = Some(Arenas::Shared(&plan.inputs));
-                let done = exec.run(&plan.partitioner, &join, shared, &mut policy)?;
-                (source, plan.plan_signature, done)
-            }
-            None => {
-                // Cold build: the full existing pipeline, then cache the plan.
-                // (The miss was counted by the lookup.)
-                let mut rng = StdRng::seed_from_u64(self.config.seed);
-                let result = RecPart::new(self.config.recpart_config(query.workers)).optimize(
-                    &self.s,
-                    &self.t,
-                    &query.band,
-                    &mut rng,
-                );
-                let partitioner = result.partitioner;
-                let shuffled =
-                    policy.shuffle(|| exec.map_shuffle(&partitioner, &self.s, &self.t))?;
-                self.tuples_shuffled += shuffled.total_input();
-                self.shuffles_run += 1;
-                let owned = Some(Arenas::Owned(shuffled));
-                let mut done = exec.run(&partitioner, &join, owned, &mut policy)?;
-                let inputs = (done.ready.take()).expect("a reduce hands owned arenas back");
-                let plan_signature = partitioner.plan_signature();
-                // A degraded *response* does not poison the *plan*: the arenas
-                // are complete (the shuffle succeeded); only this query's
-                // reduce lost shards.
-                self.cache.insert(
-                    key,
-                    CachedPlan {
-                        band: partitioner.band().clone(),
-                        partitioner,
-                        inputs,
-                        plan_signature,
-                    },
-                );
-                (PlanSource::ColdBuild, plan_signature, done)
-            }
-        };
-
-        let (report, recovery) = (done.report, policy.recovery());
+        // What supervision did reaches the health counters whether or not the query
+        // succeeds, so the lookup-and-run is one fallible step folded in below.
+        let outcome =
+            (|| -> Result<_, SuperviseError> {
+                Ok(match self.cache.lookup(&key) {
+                    Some((plan, cache_outcome)) => {
+                        let source = match cache_outcome {
+                            CacheOutcome::Hit => PlanSource::WarmHit,
+                            CacheOutcome::SubsumedHit => PlanSource::SubsumedHit,
+                        };
+                        let shared = Some(Arenas::Shared(&plan.inputs));
+                        let done = exec.run(&plan.partitioner, &join, shared, &mut policy)?;
+                        (source, plan.plan_signature, done)
+                    }
+                    None => {
+                        // Cold build: the full existing pipeline, then cache the plan.
+                        // (The miss was counted by the lookup.)
+                        let mut rng = StdRng::seed_from_u64(self.config.seed);
+                        let result = RecPart::new(self.config.recpart_config(query.workers))
+                            .optimize(&self.s, &self.t, &query.band, &mut rng);
+                        let partitioner = result.partitioner;
+                        let shuffled =
+                            policy.shuffle(|| exec.map_shuffle(&partitioner, &self.s, &self.t))?;
+                        self.tuples_shuffled += shuffled.total_input();
+                        self.shuffles_run += 1;
+                        let owned = Some(Arenas::Owned(shuffled));
+                        let mut done = exec.run(&partitioner, &join, owned, &mut policy)?;
+                        let inputs = (done.ready.take()).expect("a reduce hands owned arenas back");
+                        let plan_signature = partitioner.plan_signature();
+                        // A degraded *response* does not poison the *plan*: the arenas
+                        // are complete (the shuffle succeeded); only this query's
+                        // reduce lost shards.
+                        self.cache.insert(
+                            key,
+                            CachedPlan {
+                                band: partitioner.band().clone(),
+                                partitioner,
+                                inputs,
+                                plan_signature,
+                            },
+                        );
+                        (PlanSource::ColdBuild, plan_signature, done)
+                    }
+                })
+            })();
+        let recovery = policy.recovery();
         self.recovery += recovery;
+        let (source, plan_signature, done) = outcome?;
+        let report = done.report;
         self.partitions_prepared += done.partitions_prepared;
         self.queries_served += 1;
         if report.degraded {

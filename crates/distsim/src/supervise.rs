@@ -403,22 +403,23 @@ impl Supervision<'_> {
 
     /// One retried phase: run `attempt` (1-based attempt number) behind
     /// `catch_unwind` until it succeeds or the budget is gone, sleeping the
-    /// backoff between tries. Returns the value and the retries it took.
+    /// backoff between tries. Returns the outcome and the retries it took — an
+    /// exhausted phase retried too, and the tally must say so.
     fn retried<T, E: std::fmt::Display>(
         &self,
         exhausted: fn(u32, String) -> SuperviseError,
         attempt: impl Fn(u32) -> Result<T, E>,
-    ) -> Result<(T, u64), SuperviseError> {
+    ) -> (Result<T, SuperviseError>, u64) {
         let mut n = 0u32;
         loop {
             n += 1;
             let failure = match catch_unwind(AssertUnwindSafe(|| attempt(n))) {
-                Ok(Ok(value)) => return Ok((value, u64::from(n - 1))),
+                Ok(Ok(value)) => return (Ok(value), u64::from(n - 1)),
                 Ok(Err(e)) => e.to_string(),
                 Err(payload) => describe_panic(&*payload),
             };
             if n >= self.config.max_attempts {
-                return Err(exhausted(n, failure));
+                return (Err(exhausted(n, failure)), u64::from(n - 1));
             }
             std::thread::sleep(Duration::from_millis(self.config.backoff_ms(n + 1)));
         }
@@ -442,9 +443,9 @@ impl Supervision<'_> {
                 injector.trip(InjectionPoint::Shuffle, side, attempt)?;
             }
             Ok::<_, std::io::Error>(shuffle())
-        })?;
+        });
         self.recovery.shuffle_retries += retries;
-        Ok(shuffled)
+        shuffled
     }
 
     /// The supervised schedule of the reduce over shared arenas: shard attempts
@@ -644,8 +645,8 @@ impl Supervision<'_> {
             last_error,
         };
         let trip = |attempt| injector.trip(InjectionPoint::Merge, 0, attempt);
-        let ((), retries) = self.retried(exhausted, trip)?;
+        let (merged, retries) = self.retried(exhausted, trip);
         self.recovery.merge_retries += retries;
-        Ok(())
+        merged
     }
 }

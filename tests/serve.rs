@@ -582,6 +582,12 @@ fn an_exhausted_cold_shuffle_counts_its_lookup_but_no_shuffle() {
     assert_eq!((h.shuffles_run, h.cache.misses), (0, 1));
     assert_eq!((h.tuples_shuffled, h.partitions_prepared), (0, 0));
     assert_eq!(h.cached_plans, 0);
+    // The failed query's faults and retries are in the health counters: one I/O
+    // error per attempt, and two attempts beyond the first.
+    assert_eq!(
+        (h.recovery.injected_io_errors, h.recovery.shuffle_retries),
+        (3, 2)
+    );
 
     let response = service.serve(&query).expect("the same query, fault-free");
     assert_eq!(response.source, PlanSource::ColdBuild);
