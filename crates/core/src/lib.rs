@@ -102,6 +102,6 @@ pub use relation::{Key, Relation};
 pub use router::CompiledRouter;
 pub use sample::{InputSample, OutputSample, SampleConfig};
 pub use scoring::SplitScore;
-pub use simd::{band_window_collect_dims, band_window_count_dims, JoinKernel, Kernel, RouteKernel};
+pub use simd::{JoinKernel, Kernel, RouteKernel, WindowKernel};
 pub use small::{stable_hash, BucketGrid};
 pub use split_tree::{Node, SplitKind, SplitTree};

@@ -27,9 +27,10 @@
 //!   binary search per T row finds its run — for most rows of a selective join, the
 //!   empty one.
 //! * Every probe of that run is tested against the T-tuple in all dimensions with
-//!   the window kernel of the local join (`simd::band_window_collect`, the literal
+//!   the window kernel of the local join ([`WindowKernel`], the literal
 //!   [`BandCondition::matches`] predicate, vectorised over the contiguous probe
-//!   columns). The kernel computes `key − column`, here `t − s`, so it is handed the
+//!   columns), one call per block of 256 T rows, each row's run its window. The
+//!   kernel computes `key − column`, here `t − s`, so it is handed the
 //!   band with its two widths exchanged: negation is exact in IEEE-754, hence
 //!   `t − s` rejects under the exchanged widths exactly when `s − t` rejects under
 //!   the original ones.
@@ -63,7 +64,7 @@
 use crate::band::BandCondition;
 use crate::parallel::{chunk_ranges, Parallelism};
 use crate::relation::Relation;
-use crate::simd::{band_window_collect, JoinKernel};
+use crate::simd::{JoinKernel, WindowKernel};
 use rand::Rng;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -393,6 +394,9 @@ struct MatchLists {
 /// scanned in one piece. (Tiny under test so that small inputs exercise the fan-out.)
 const SCAN_CHUNK_ROWS: usize = if cfg!(test) { 64 } else { 1 << 16 };
 
+/// T rows per kernel call of the scan.
+const SCAN_BLOCK_ROWS: usize = 256;
+
 /// The probed S-tuples as the build side of the output-sampling scan: sorted by `s₀`,
 /// one column per dimension. See the module docs.
 struct ProbeIndex {
@@ -464,8 +468,9 @@ impl ProbeIndex {
     fn match_lists(&self, t: &Relation, band: &BandCondition, par: Parallelism<'_>) -> MatchLists {
         // The kernel evaluates `key − column` = `t − s`; see the module docs.
         let exchanged = band.exchanged();
-        let kernel = JoinKernel::active();
-        let scan = |rows: Range<usize>| self.scan(t, &exchanged, kernel, rows);
+        let (lo, hi) = (exchanged.eps_low_all(), exchanged.eps_high_all());
+        let kernel = WindowKernel::new(JoinKernel::active(), &self.cols, lo, hi);
+        let scan = |rows: Range<usize>| self.scan(t, &kernel, rows);
         let (mut rows, hits) = if par.is_parallel() && t.len() >= 2 * SCAN_CHUNK_ROWS {
             let ranges = chunk_ranges(t.len(), t.len().div_ceil(SCAN_CHUNK_ROWS));
             let chunks: Vec<ScanOutput> = par.run(|| {
@@ -516,45 +521,40 @@ impl ProbeIndex {
     }
 
     /// The T rows of `rows` that join a probe, in row order, with the probes they join.
-    fn scan(
-        &self,
-        t: &Relation,
-        exchanged: &BandCondition,
-        kernel: JoinKernel,
-        rows: Range<usize>,
-    ) -> ScanOutput {
+    fn scan(&self, t: &Relation, kernel: &WindowKernel<'_>, rows: Range<usize>) -> ScanOutput {
         let t_cols: Vec<&[f64]> = (0..t.dims()).map(|d| t.column(d)).collect();
-        let mut t_key = vec![0.0; t_cols.len()];
         let (mut matched, mut hits) = (Vec::new(), Vec::new());
         // A block at a time: first every row's run (searches of consecutive rows are
         // independent and overlap as long as no data-dependent branch sits between
-        // them), then the rows whose run is not empty.
-        let mut runs = [(0u32, 0u32); 256];
-        for block in rows.clone().step_by(runs.len()) {
-            let values = &t_cols[0][block..rows.end.min(block + runs.len())];
+        // them), then one kernel call that tests every row of the block, in all
+        // dimensions, against the probes of its run.
+        let mut runs = vec![0..0; SCAN_BLOCK_ROWS];
+        let mut counts = Vec::with_capacity(SCAN_BLOCK_ROWS);
+        let mut keys: Vec<&[f64]> = Vec::with_capacity(t_cols.len());
+        for block in rows.clone().step_by(SCAN_BLOCK_ROWS) {
+            let block = block..rows.end.min(block + SCAN_BLOCK_ROWS);
+            let values = &t_cols[0][block.clone()];
             for (run, &t0) in runs.iter_mut().zip(values) {
-                *run = self.runs[self.thresholds.partition_point(|&e| e <= t0)];
+                let (start, end) = self.runs[self.thresholds.partition_point(|&e| e <= t0)];
+                *run = start as usize..end as usize;
             }
-            for (i, (&(start, end), &t0)) in (block..).zip(runs.iter().zip(values)) {
-                if start == end {
-                    continue;
-                }
-                for (k, col) in t_key.iter_mut().zip(&t_cols) {
-                    *k = col[i];
-                }
-                let first_hit = hits.len();
-                let run = start as usize..end as usize;
-                band_window_collect(kernel, &t_key, &self.cols, run, exchanged, &mut hits);
-                if hits.len() > first_hit {
-                    for position in &mut hits[first_hit..] {
-                        *position = self.draw_index[*position as usize];
-                    }
+            keys.clear();
+            keys.extend(t_cols.iter().map(|col| &col[block.clone()]));
+            counts.clear();
+            let mut first_hit = hits.len();
+            kernel.collect(&keys, &runs[..values.len()], &mut hits, &mut counts);
+            for position in &mut hits[first_hit..] {
+                *position = self.draw_index[*position as usize];
+            }
+            for ((i, &n), &t0) in block.zip(&counts).zip(values) {
+                if n > 0 {
                     matched.push(MatchedRow {
                         t0,
                         first_hit,
-                        hits: (hits.len() - first_hit) as u32,
+                        hits: n,
                         t: i as u32,
                     });
+                    first_hit += n as usize;
                 }
             }
         }

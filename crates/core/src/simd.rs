@@ -54,39 +54,43 @@
 //! The same recipe is applied to the *local band-join* hot path: once the
 //! probe side of an index-nested-loop join is narrowed to a dimension-0 window
 //! over the SoA-sorted candidate columns, evaluating the full band condition
-//! against every candidate in the window is a vertical operation too. The
-//! [`JoinKernel`] variants provide it ([`band_window_count_dims`] /
-//! [`band_window_collect_dims`]): branchless portable, and AVX2 masked
-//! compares with AND-accumulated per-dimension accept masks, popcount for
-//! output counting, and the same `pshufb` compress-store for pair
-//! materialization. They take the probe-key,
-//! column and ε slices of the dimensions to test rather than a whole
-//! [`BandCondition`]: the local join settles dimension 0 on the sorted column
-//! itself and hands the kernels dimensions `1..` only.
+//! against every candidate in the window is a vertical operation too. A
+//! [`WindowKernel`] provides it in each [`JoinKernel`] variant: branchless portable,
+//! and AVX2 masked compares with OR-accumulated per-dimension reject masks, a vector
+//! accumulator for output counting, and the same `pshufb` compress-store for pair
+//! materialization. It is built once per sweep from the kernel, the candidate columns
+//! and the ε slices of the dimensions to test rather than a whole
+//! [`BandCondition`](crate::BandCondition):
+//! the local join settles dimension 0 on the sorted column itself and hands the
+//! kernel dimensions `1..` only; the output sampler hands it every dimension.
 //!
-//! Each window call runs a kernel body specialized to the number `D` of tested
-//! dimensions, with an arm for each `D` from 1 to 4 (a 2- to 5-dimensional join
-//! after the dimension-0 trim, or the output sampler's full-dimension test). Before
-//! the candidate loop an arm hoists, per dimension, the probe key, `−ε_low` and
-//! `ε_high` into fixed-size arrays (the AVX2 kernel broadcasts them to four lanes
-//! once per window) and cuts every column to the window, so the loop does no
-//! per-dimension bookkeeping and no bounds checks. A wider call runs the widest arm
-//! on its first four dimensions and tests the others in a runtime-length loop, which
-//! broadcasts their constants per group of four candidates. Every arm makes the same
-//! IEEE compares per dimension and ORs them, so counts and appended positions do not
-//! depend on the arm. The AVX2 count adds the reject masks up in a vector register,
-//! and a window whose length is not a multiple of four ends with one more vector
-//! step over its last four candidates, keeping only the lanes no earlier step
-//! covered; a window under four candidates is tested one candidate at a time.
+//! Building a [`WindowKernel`] checks those lengths once and fixes the kernel and the
+//! arm: the kernels are specialized to the number `D` of tested dimensions, with an arm
+//! for each `D` from 1 to 4 (a 2- to 5-dimensional join after the dimension-0 trim, or
+//! the output sampler's full-dimension test). Each call, [`WindowKernel::count`] or
+//! [`WindowKernel::collect`], takes a whole **block** of probes, a key and a window of
+//! candidate positions each, and crosses the dispatch on `D` and the kernel (for AVX2,
+//! the `#[target_feature]` boundary) once per block; per window it checks only
+//! `start ≤ end ≤ rows`. An arm hoists `−ε_low` and `ε_high` into fixed-size arrays
+//! once per block (the AVX2 kernel broadcasts them to four lanes there), and per window
+//! the probe key (broadcast once per window) and every column cut to the window, so the
+//! candidate loop does no per-dimension bookkeeping and no bounds checks. A wider call
+//! runs the widest arm on its first four dimensions and tests the others in a
+//! runtime-length loop, which broadcasts their constants per group of four candidates.
+//! Every arm makes the same IEEE compares per dimension and ORs them, so counts and
+//! appended positions do not depend on the arm. The AVX2 count adds the reject masks up
+//! in a vector register, and a window whose length is not a multiple of four ends with
+//! one more vector step over its last four candidates, keeping only the lanes no earlier
+//! step covered; a window under four candidates is tested one candidate at a time.
 //!
-//! NaN semantics deliberately mirror [`BandCondition::matches`]: a pair is
+//! NaN semantics deliberately mirror
+//! [`BandCondition::matches`](crate::BandCondition::matches): a pair is
 //! *rejected* iff `d < -ε_low || d > ε_high` for some dimension (`d = s − t`),
 //! so a NaN difference — which fails both ordered compares — **matches**. The
 //! kernels therefore compute the reject mask with ordered compares
 //! (`_CMP_LT_OQ` / `_CMP_GT_OQ`, both false for NaN) and invert it, rather
 //! than testing acceptance directly.
 
-use crate::band::BandCondition;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -179,225 +183,290 @@ impl Kernel {
     }
 }
 
-/// [`band_window_collect_dims`] over every dimension of `band`: **appends** the
-/// positions of `window` (absolute indices into the SoA columns `cols`, one per
-/// join dimension, as `u32`, in window order) whose full band condition against
-/// the probe key `sk` holds — exactly [`BandCondition::matches`] per candidate,
-/// NaN semantics included — to `out`, and returns how many it appended. Every
-/// kernel appends the same positions in the same order.
+/// The band test of one sweep, built once and called once per block of probes: a
+/// [`JoinKernel`], the candidate columns to test (one per tested dimension, positions
+/// in every column addressing the same candidate) and their `ε_low` / `ε_high`.
 ///
-/// # Panics
-/// As [`band_window_collect_dims`], the band's dimensions being the ε slices.
-pub(crate) fn band_window_collect(
+/// Candidate `pos` of probe `i`'s window passes unless `d = keys[j][i] − cols[j][pos]`
+/// has `d < −eps_low[j] || d > eps_high[j]` for some tested dimension `j` —
+/// [`BandCondition::matches`](crate::BandCondition::matches)' own test, so a NaN
+/// difference matches. Every kernel returns the same counts and appends the same
+/// positions in the same order. The local join passes the columns of dimensions `1..`
+/// once it has settled dimension 0 on the sorted column itself; with no dimension left
+/// every candidate of a window passes, and no kernel runs to say so.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowKernel<'a> {
     kernel: JoinKernel,
-    sk: &[f64],
-    cols: &[Vec<f64>],
-    window: Range<usize>,
-    band: &BandCondition,
-    out: &mut Vec<u32>,
-) -> u64 {
-    let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
-    band_window_collect_dims(kernel, sk, cols, lo, hi, window, out)
-}
-
-/// A malformed call panics here, naming what is wrong, in release builds too — not
-/// deep in a kernel.
-#[inline]
-fn assert_window_in_columns(
-    sk: &[f64],
-    cols: &[Vec<f64>],
-    eps_low: &[f64],
-    eps_high: &[f64],
-    window: &Range<usize>,
-) {
-    assert_eq!(sk.len(), cols.len(), "probe key vs candidate columns");
-    assert_eq!(sk.len(), eps_low.len(), "probe key vs ε_low");
-    assert_eq!(sk.len(), eps_high.len(), "probe key vs ε_high");
-    assert!(
-        cols.iter().all(|c| window.end <= c.len()),
-        "window {window:?} runs past a candidate column"
-    );
-}
-
-/// Count the candidates of `window` (positions into the SoA columns `cols`, one
-/// sorted column per dimension) that pass the band test over a caller-chosen run
-/// of dimensions: candidate `pos` is counted unless `d = sk[i] − cols[i][pos]` has
-/// `d < −eps_low[i] || d > eps_high[i]` for some `i` — [`BandCondition::matches`]'
-/// own test, so a NaN difference matches. Every kernel returns the same count.
-/// The local join passes the slices of dimensions `1..` once it has settled
-/// dimension 0 on the sorted column itself; with no dimensions left every
-/// candidate of the window counts, and no kernel runs to say so.
-///
-/// # Panics
-/// Panics unless `sk`, `cols`, `eps_low` and `eps_high` have one length and
-/// `window.end` is within every column.
-pub fn band_window_count_dims(
-    kernel: JoinKernel,
-    sk: &[f64],
-    cols: &[Vec<f64>],
-    eps_low: &[f64],
-    eps_high: &[f64],
-    window: Range<usize>,
-) -> u64 {
-    assert_window_in_columns(sk, cols, eps_low, eps_high, &window);
-    let probe = Probe {
-        sk,
-        cols,
-        eps_low,
-        eps_high,
-        window,
-    };
-    match sk.len() {
-        0 => probe.window.len() as u64,
-        1 => count_in(kernel, &Hoisted::<1>::new(probe)),
-        2 => count_in(kernel, &Hoisted::<2>::new(probe)),
-        3 => count_in(kernel, &Hoisted::<3>::new(probe)),
-        _ => count_in(kernel, &Hoisted::<{ WIDEST }>::new(probe)),
-    }
-}
-
-/// [`band_window_count_dims`] that additionally **appends** the matching positions
-/// (absolute indices into the columns, as `u32`, in window order) to `out`, and
-/// returns the number appended. Every kernel appends the same positions in the
-/// same order.
-///
-/// # Panics
-/// As [`band_window_count_dims`], and if `window.end` exceeds `u32::MAX` (positions
-/// are appended as `u32`).
-pub fn band_window_collect_dims(
-    kernel: JoinKernel,
-    sk: &[f64],
-    cols: &[Vec<f64>],
-    eps_low: &[f64],
-    eps_high: &[f64],
-    window: Range<usize>,
-    out: &mut Vec<u32>,
-) -> u64 {
-    assert_window_in_columns(sk, cols, eps_low, eps_high, &window);
-    assert!(
-        window.end <= u32::MAX as usize,
-        "window {window:?} does not fit u32 positions"
-    );
-    let probe = Probe {
-        sk,
-        cols,
-        eps_low,
-        eps_high,
-        window,
-    };
-    match sk.len() {
-        0 => {
-            out.extend(probe.window.start as u32..probe.window.end as u32);
-            probe.window.len() as u64
-        }
-        1 => collect_in(kernel, &Hoisted::<1>::new(probe), out),
-        2 => collect_in(kernel, &Hoisted::<2>::new(probe), out),
-        3 => collect_in(kernel, &Hoisted::<3>::new(probe), out),
-        _ => collect_in(kernel, &Hoisted::<{ WIDEST }>::new(probe), out),
-    }
-}
-
-/// `kernel`'s count over one arm's hoisted probe.
-fn count_in<const D: usize>(kernel: JoinKernel, band: &Hoisted<'_, D>) -> u64 {
-    match kernel {
-        JoinKernel::Portable => portable::window_count(band),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
-        JoinKernel::Avx2 => unsafe { avx2::window_count(band) },
-    }
-}
-
-/// `kernel`'s collect over one arm's hoisted probe.
-fn collect_in<const D: usize>(
-    kernel: JoinKernel,
-    band: &Hoisted<'_, D>,
-    out: &mut Vec<u32>,
-) -> u64 {
-    match kernel {
-        JoinKernel::Portable => portable::window_collect(band, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `count_in`.
-        JoinKernel::Avx2 => unsafe { avx2::window_collect(band, out) },
-    }
-}
-
-/// One window call as its caller passes it: the probe key, the candidate columns and
-/// the ε slices of the dimensions to test (one length, checked by
-/// `assert_window_in_columns`), and the window of candidate positions.
-#[derive(Clone)]
-struct Probe<'a> {
-    sk: &'a [f64],
     cols: &'a [Vec<f64>],
     eps_low: &'a [f64],
     eps_high: &'a [f64],
-    window: Range<usize>,
+    /// The rows every window must end within: the shortest column's length (with no
+    /// column, every `u32` position).
+    rows: usize,
 }
 
-impl<'a> Probe<'a> {
-    /// Per tested dimension: the probe key, the candidate column, `ε_low`, `ε_high`.
-    #[inline(always)]
-    fn dims(&self) -> impl Iterator<Item = (f64, &'a Vec<f64>, f64, f64)> + 'a {
-        let eps = self.eps_low.iter().zip(self.eps_high);
-        (self.sk.iter().zip(self.cols).zip(eps)).map(|((&key, col), (&lo, &hi))| (key, col, lo, hi))
+impl<'a> WindowKernel<'a> {
+    /// Check the lengths once and fix the kernel and the arm.
+    ///
+    /// # Panics
+    /// Panics unless `cols`, `eps_low` and `eps_high` have one length, and if a column
+    /// has more rows than `u32` positions address.
+    pub fn new(
+        kernel: JoinKernel,
+        cols: &'a [Vec<f64>],
+        eps_low: &'a [f64],
+        eps_high: &'a [f64],
+    ) -> Self {
+        assert_eq!(cols.len(), eps_low.len(), "candidate columns vs ε_low");
+        assert_eq!(cols.len(), eps_high.len(), "candidate columns vs ε_high");
+        let rows = cols.iter().map(Vec::len).min().unwrap_or(u32::MAX as usize);
+        assert!(
+            rows <= u32::MAX as usize,
+            "candidate columns of {rows} rows do not fit u32 positions"
+        );
+        WindowKernel {
+            kernel,
+            cols,
+            eps_low,
+            eps_high,
+            rows,
+        }
     }
+
+    /// The passing candidates of a block of probes, summed: probe `i` has the key
+    /// `keys[j][i]` in tested dimension `j` and the window `windows[i]` of candidate
+    /// positions.
+    ///
+    /// # Panics
+    /// Panics unless `keys` has one column per candidate column, each with at least
+    /// `windows.len()` rows, and every window has `start ≤ end ≤` the shortest
+    /// candidate column's length.
+    pub fn count(&self, keys: &[&[f64]], windows: &[Range<usize>]) -> u64 {
+        self.assert_keys(keys, windows);
+        match self.cols.len() {
+            0 => windows
+                .iter()
+                .map(|w| {
+                    check_window(w, self.rows);
+                    w.len() as u64
+                })
+                .sum(),
+            1 => self.count_arm::<1>(keys, windows),
+            2 => self.count_arm::<2>(keys, windows),
+            3 => self.count_arm::<3>(keys, windows),
+            _ => self.count_arm::<{ WIDEST }>(keys, windows),
+        }
+    }
+
+    /// [`WindowKernel::count`] that also **appends** every probe's passing positions to
+    /// `out` (absolute positions into the columns, as `u32`, in window order, probe
+    /// after probe) and pushes one count per probe to `counts`. Returns the number of
+    /// positions appended.
+    ///
+    /// # Panics
+    /// As [`WindowKernel::count`].
+    pub fn collect(
+        &self,
+        keys: &[&[f64]],
+        windows: &[Range<usize>],
+        out: &mut Vec<u32>,
+        counts: &mut Vec<u32>,
+    ) -> u64 {
+        self.assert_keys(keys, windows);
+        counts.reserve(windows.len());
+        match self.cols.len() {
+            0 => {
+                let before = out.len();
+                for w in windows {
+                    check_window(w, self.rows);
+                    out.extend(w.start as u32..w.end as u32);
+                    counts.push(w.len() as u32);
+                }
+                (out.len() - before) as u64
+            }
+            1 => self.collect_arm::<1>(keys, windows, out, counts),
+            2 => self.collect_arm::<2>(keys, windows, out, counts),
+            3 => self.collect_arm::<3>(keys, windows, out, counts),
+            _ => self.collect_arm::<{ WIDEST }>(keys, windows, out, counts),
+        }
+    }
+
+    /// A malformed block panics here, naming what is wrong, in release builds too —
+    /// not deep in a kernel.
+    fn assert_keys(&self, keys: &[&[f64]], windows: &[Range<usize>]) {
+        assert_eq!(
+            keys.len(),
+            self.cols.len(),
+            "probe keys vs candidate columns"
+        );
+        assert!(
+            keys.iter().all(|k| k.len() >= windows.len()),
+            "fewer probe key rows than the block's {} windows",
+            windows.len()
+        );
+    }
+
+    fn count_arm<const D: usize>(&self, keys: &[&[f64]], windows: &[Range<usize>]) -> u64 {
+        let block = Block::<D>::new(self, keys, windows);
+        match self.kernel {
+            JoinKernel::Portable => portable::block_count(&block),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2` is only constructed after `is_x86_feature_detected!("avx2")`.
+            JoinKernel::Avx2 => unsafe { avx2::block_count(&block) },
+        }
+    }
+
+    fn collect_arm<const D: usize>(
+        &self,
+        keys: &[&[f64]],
+        windows: &[Range<usize>],
+        out: &mut Vec<u32>,
+        counts: &mut Vec<u32>,
+    ) -> u64 {
+        let block = Block::<D>::new(self, keys, windows);
+        match self.kernel {
+            JoinKernel::Portable => portable::block_collect(&block, out, counts),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `count_arm`.
+            JoinKernel::Avx2 => unsafe { avx2::block_collect(&block, out, counts) },
+        }
+    }
+}
+
+/// The one per-window check: the window is a range of rows within the columns.
+#[inline(always)]
+fn check_window(window: &Range<usize>, rows: usize) {
+    assert!(
+        window.start <= window.end,
+        "window {window:?} ends before it starts"
+    );
+    assert!(
+        window.end <= rows,
+        "window {window:?} runs past a candidate column"
+    );
 }
 
 /// The widest dimension-specialized arm. Wider calls run it too: it hoists their
 /// first `WIDEST` dimensions and tests the rest per candidate at run time.
 const WIDEST: usize = 4;
 
-/// A [`Probe`] over `D` tested dimensions with everything the candidate loop reads
-/// per dimension hoisted out of it: the key, `−ε_low`, `ε_high`, and the column cut
-/// to the window, so a candidate is addressed by its offset in the window and every
-/// column is as long as the window. The kernels have one arm per `D = 1..=WIDEST`.
+/// One block call of the `D`-dimension arm, with what its loop over windows reads per
+/// dimension hoisted out of it: `−ε_low`, `ε_high`, the columns and the key columns as
+/// fixed-size arrays. The kernels have one arm per `D = 1..=WIDEST`.
+struct Block<'a, const D: usize> {
+    neg_lo: [f64; D],
+    hi: [f64; D],
+    cols: [&'a [f64]; D],
+    keys: [&'a [f64]; D],
+    windows: &'a [Range<usize>],
+    rows: usize,
+    /// The dimensions past the first `D`: only a call wider than [`WIDEST`] has any.
+    rest: Rest<'a>,
+}
+
+/// The tested dimensions a [`Block`] does not hoist: keys, columns, `ε_low`, `ε_high`.
+#[derive(Clone, Copy)]
+struct Rest<'a> {
+    keys: &'a [&'a [f64]],
+    cols: &'a [Vec<f64>],
+    eps_low: &'a [f64],
+    eps_high: &'a [f64],
+}
+
+impl<'a, const D: usize> Block<'a, D> {
+    #[inline(always)]
+    fn new(kernel: &WindowKernel<'a>, keys: &'a [&'a [f64]], windows: &'a [Range<usize>]) -> Self {
+        debug_assert!(D == kernel.cols.len() || (D == WIDEST && D < kernel.cols.len()));
+        Block {
+            neg_lo: std::array::from_fn(|d| -kernel.eps_low[d]),
+            hi: std::array::from_fn(|d| kernel.eps_high[d]),
+            cols: std::array::from_fn(|d| kernel.cols[d].as_slice()),
+            keys: std::array::from_fn(|d| keys[d]),
+            windows,
+            rows: kernel.rows,
+            rest: Rest {
+                keys: &keys[D..],
+                cols: &kernel.cols[D..],
+                eps_low: &kernel.eps_low[D..],
+                eps_high: &kernel.eps_high[D..],
+            },
+        }
+    }
+
+    /// Windows in the block.
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// Probe `i`'s window with its key hoisted and the columns cut to it, or `None`
+    /// when the window is empty.
+    ///
+    /// # Panics
+    /// Unless the window lies within the columns (`check_window`).
+    #[inline(always)]
+    fn window(&self, i: usize) -> Option<Hoisted<'_, D>> {
+        let window = self.windows[i].clone();
+        check_window(&window, self.rows);
+        if window.is_empty() {
+            return None;
+        }
+        Some(Hoisted {
+            key: std::array::from_fn(|d| self.keys[d][i]),
+            neg_lo: self.neg_lo,
+            hi: self.hi,
+            cols: std::array::from_fn(|d| &self.cols[d][window.clone()]),
+            row: i,
+            window,
+            rest: self.rest,
+        })
+    }
+}
+
+/// One probe of a [`Block`] over `D` tested dimensions, with everything the candidate
+/// loop reads per dimension hoisted out of it: the key, `−ε_low`, `ε_high`, and the
+/// column cut to the window, so a candidate is addressed by its offset in the window
+/// and every column is as long as the window.
 #[derive(Clone)]
 struct Hoisted<'a, const D: usize> {
     key: [f64; D],
     neg_lo: [f64; D],
     hi: [f64; D],
     cols: [&'a [f64]; D],
-    /// The window, and the dimensions past the first `D`: only a call wider than
-    /// [`WIDEST`] has any.
-    rest: Probe<'a>,
+    /// The probe's row in the block's keys, and its window.
+    row: usize,
+    window: Range<usize>,
+    rest: Rest<'a>,
 }
 
 impl<'a, const D: usize> Hoisted<'a, D> {
-    #[inline(always)]
-    fn new(probe: Probe<'a>) -> Self {
-        debug_assert!(D == probe.sk.len() || (D == WIDEST && D < probe.sk.len()));
-        let window = probe.window;
-        Hoisted {
-            key: std::array::from_fn(|d| probe.sk[d]),
-            neg_lo: std::array::from_fn(|d| -probe.eps_low[d]),
-            hi: std::array::from_fn(|d| probe.eps_high[d]),
-            cols: std::array::from_fn(|d| &probe.cols[d][window.clone()]),
-            rest: Probe {
-                sk: &probe.sk[D..],
-                cols: &probe.cols[D..],
-                eps_low: &probe.eps_low[D..],
-                eps_high: &probe.eps_high[D..],
-                window,
-            },
-        }
-    }
-
     /// Candidates in the window.
     #[inline(always)]
     fn len(&self) -> usize {
-        self.rest.window.len()
+        self.window.len()
     }
 
-    /// This band with every column re-cut to [`Hoisted::len`]. Taken at the top of a
+    /// This probe with every column re-cut to [`Hoisted::len`]. Taken at the top of a
     /// kernel, beside its loop over `0..len()`, it shows the compiler that no column
     /// access in the loop is out of bounds, so the loop carries no bounds check.
     #[inline(always)]
     fn cut(&self) -> Self {
         let len = self.len();
-        let mut band = self.clone();
-        for col in &mut band.cols {
+        let mut probe = self.clone();
+        for col in &mut probe.cols {
             *col = &col[..len];
         }
-        band
+        probe
+    }
+
+    /// Per dimension past the first `D`: the probe key, the whole candidate column,
+    /// `ε_low`, `ε_high`.
+    #[inline(always)]
+    fn rest_dims(&self) -> impl Iterator<Item = (f64, &'a [f64], f64, f64)> + 'a {
+        let (rest, row) = (self.rest, self.row);
+        let eps = rest.eps_low.iter().zip(rest.eps_high);
+        (rest.keys.iter().zip(rest.cols).zip(eps))
+            .map(move |((key, col), (&lo, &hi))| (key[row], col.as_slice(), lo, hi))
     }
 
     /// Whether the candidate at window offset `i` fails the band on some dimension:
@@ -411,8 +480,8 @@ impl<'a, const D: usize> Hoisted<'a, D> {
             reject |= (diff < self.neg_lo[d]) | (diff > self.hi[d]);
         }
         if D == WIDEST {
-            let at = self.rest.window.start + i;
-            for (key, col, lo, hi) in self.rest.dims() {
+            let at = self.window.start + i;
+            for (key, col, lo, hi) in self.rest_dims() {
                 let diff = key - col[at];
                 reject |= (diff < -lo) | (diff > hi);
             }
@@ -544,29 +613,64 @@ mod portable {
         }
     }
 
-    use super::{DupSplit, Hoisted};
+    use super::{Block, DupSplit, Hoisted};
 
-    pub(super) fn window_count<const D: usize>(band: &Hoisted<'_, D>) -> u64 {
-        let band = band.cut();
-        (0..band.len()).map(|i| !band.rejects(i) as u64).sum()
+    pub(super) fn block_count<const D: usize>(block: &Block<'_, D>) -> u64 {
+        (0..block.len())
+            .filter_map(|i| block.window(i))
+            .map(|probe| window_count(&probe))
+            .sum()
     }
 
-    pub(super) fn window_collect<const D: usize>(band: &Hoisted<'_, D>, out: &mut Vec<u32>) -> u64 {
-        // Branchless append: always write the position, conditionally advance
-        // the cursor. After `k` candidates the cursor is at most `k`, so every
-        // write lands inside the `band.len()` slots grown up front.
-        let band = band.cut();
-        let (start, len) = (band.rest.window.start, band.len());
-        let base = out.len();
-        out.resize(base + len, 0);
-        let slots = &mut out[base..];
-        let mut n = 0;
-        for i in 0..len {
-            slots[n] = (start + i) as u32;
-            n += !band.rejects(i) as usize;
+    pub(super) fn block_collect<const D: usize>(
+        block: &Block<'_, D>,
+        out: &mut Vec<u32>,
+        counts: &mut Vec<u32>,
+    ) -> u64 {
+        let before = out.len();
+        let mut stretch = [0u32; STRETCH];
+        for i in 0..block.len() {
+            let n = match block.window(i) {
+                Some(probe) => window_collect(&probe, &mut stretch, out),
+                None => 0,
+            };
+            counts.push(n);
         }
-        out.truncate(base + n);
-        n as u64
+        (out.len() - before) as u64
+    }
+
+    fn window_count<const D: usize>(probe: &Hoisted<'_, D>) -> u64 {
+        let probe = probe.cut();
+        (0..probe.len()).map(|i| !probe.rejects(i) as u64).sum()
+    }
+
+    /// Candidates the collect tests before it appends what passed.
+    const STRETCH: usize = 64;
+
+    /// Branchless append through a stack buffer: every candidate of a stretch writes
+    /// its position at the buffer's cursor and advances it by whether it passed, and
+    /// the passed prefix is appended to `out`. After `k` candidates of a stretch the
+    /// cursor is at most `k`, below [`STRETCH`], so `out` is written once per match
+    /// and never zero-filled first.
+    fn window_collect<const D: usize>(
+        probe: &Hoisted<'_, D>,
+        stretch: &mut [u32; STRETCH],
+        out: &mut Vec<u32>,
+    ) -> u32 {
+        let probe = probe.cut();
+        let (start, len) = (probe.window.start, probe.len());
+        let before = out.len();
+        for from in (0..len).step_by(STRETCH) {
+            let mut n = 0;
+            for i in from..len.min(from + STRETCH) {
+                // `n ≤ i − from < STRETCH`, so the `%` never wraps; it shows the
+                // compiler that the store is in bounds.
+                stretch[n % STRETCH] = (start + i) as u32;
+                n += !probe.rejects(i) as usize;
+            }
+            out.extend_from_slice(&stretch[..n]);
+        }
+        (out.len() - before) as u32
     }
 }
 
@@ -575,7 +679,7 @@ mod portable {
 /// with a `pshufb` lookup keyed by the 4-bit compare mask.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{DupSplit, Hoisted, WIDEST};
+    use super::{Block, DupSplit, Hoisted, WIDEST};
     use std::arch::x86_64::*;
 
     /// `pshufb` controls that pack the selected 4-byte lanes of a 4×u32 vector
@@ -709,24 +813,39 @@ mod avx2 {
         right.set_len(rp.offset_from(right.as_ptr()) as usize);
     }
 
-    /// A [`Hoisted`] probe's constants broadcast to the four lanes, once per window,
-    /// beside its columns cut to the window's length ([`Hoisted::cut`]), so picking a
-    /// group of four needs no check in the loop.
-    struct Lanes<'a, const D: usize> {
-        band: Hoisted<'a, D>,
-        key: [__m256d; D],
+    /// A [`Block`]'s band widths broadcast to the four lanes, once per block.
+    #[derive(Clone, Copy)]
+    struct Bounds<const D: usize> {
         neg_lo: [__m256d; D],
         hi: [__m256d; D],
     }
 
+    impl<const D: usize> Bounds<D> {
+        #[target_feature(enable = "avx2")]
+        fn new(block: &Block<'_, D>) -> Self {
+            Bounds {
+                neg_lo: block.neg_lo.map(|v| _mm256_set1_pd(v)),
+                hi: block.hi.map(|v| _mm256_set1_pd(v)),
+            }
+        }
+    }
+
+    /// A [`Hoisted`] probe with its key broadcast to the four lanes, once per window,
+    /// beside its columns cut to the window's length ([`Hoisted::cut`]), so picking a
+    /// group of four needs no check in the loop.
+    struct Lanes<'a, const D: usize> {
+        probe: Hoisted<'a, D>,
+        key: [__m256d; D],
+        bounds: Bounds<D>,
+    }
+
     impl<'a, const D: usize> Lanes<'a, D> {
         #[target_feature(enable = "avx2")]
-        fn new(band: &Hoisted<'a, D>) -> Self {
+        fn new(probe: &Hoisted<'a, D>, bounds: Bounds<D>) -> Self {
             Lanes {
-                band: band.cut(),
-                key: band.key.map(|k| _mm256_set1_pd(k)),
-                neg_lo: band.neg_lo.map(|v| _mm256_set1_pd(v)),
-                hi: band.hi.map(|v| _mm256_set1_pd(v)),
+                probe: probe.cut(),
+                key: probe.key.map(|k| _mm256_set1_pd(k)),
+                bounds,
             }
         }
 
@@ -751,15 +870,15 @@ mod avx2 {
         fn rejects(&self, four: impl Fn(&'a [f64]) -> &'a [f64; 4]) -> __m256d {
             let mut rej = _mm256_setzero_pd();
             for d in 0..D {
-                let dv = _mm256_sub_pd(self.key[d], load4(four(self.band.cols[d])));
-                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(dv, self.neg_lo[d]);
-                let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(dv, self.hi[d]);
+                let dv = _mm256_sub_pd(self.key[d], load4(four(self.probe.cols[d])));
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(dv, self.bounds.neg_lo[d]);
+                let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(dv, self.bounds.hi[d]);
                 rej = _mm256_or_pd(rej, _mm256_or_pd(lt, gt));
             }
             if D == WIDEST {
-                let rest = &self.band.rest;
-                for (key, col, lo, hi) in rest.dims() {
-                    let col = &col[rest.window.clone()];
+                let window = &self.probe.window;
+                for (key, col, lo, hi) in self.probe.rest_dims() {
+                    let col = &col[window.clone()];
                     let dv = _mm256_sub_pd(_mm256_set1_pd(key), load4(four(col)));
                     let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(dv, _mm256_set1_pd(-lo));
                     let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(dv, _mm256_set1_pd(hi));
@@ -788,9 +907,39 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn window_count<const D: usize>(band: &Hoisted<'_, D>) -> u64 {
-        let lanes = Lanes::new(band);
-        let len = lanes.band.len();
+    pub(super) fn block_count<const D: usize>(block: &Block<'_, D>) -> u64 {
+        let bounds = Bounds::new(block);
+        let mut n = 0;
+        for i in 0..block.len() {
+            if let Some(probe) = block.window(i) {
+                n += window_count(&Lanes::new(&probe, bounds));
+            }
+        }
+        n
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn block_collect<const D: usize>(
+        block: &Block<'_, D>,
+        out: &mut Vec<u32>,
+        counts: &mut Vec<u32>,
+    ) -> u64 {
+        let bounds = Bounds::new(block);
+        let before = out.len();
+        for i in 0..block.len() {
+            let n = match block.window(i) {
+                Some(probe) => window_collect(&Lanes::new(&probe, bounds), out),
+                None => 0,
+            };
+            counts.push(n);
+        }
+        (out.len() - before) as u64
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn window_count<const D: usize>(lanes: &Lanes<'_, D>) -> u64 {
+        let len = lanes.probe.len();
         // A rejected lane is all ones, −1 as an integer: subtracting the masks
         // counts rejections per lane without leaving the vector unit.
         let mut rejected = _mm256_setzero_si256();
@@ -806,7 +955,7 @@ mod avx2 {
         let rest = len % 4;
         if len < 4 {
             for i in 0..len {
-                n += !band.rejects(i) as u64;
+                n += !lanes.probe.rejects(i) as u64;
             }
         } else if rest > 0 {
             // The last four again, counting only the lanes no group covered.
@@ -818,9 +967,10 @@ mod avx2 {
 
     /// [`window_count`] that appends the matching positions to `out`.
     #[target_feature(enable = "avx2")]
-    pub(super) fn window_collect<const D: usize>(band: &Hoisted<'_, D>, out: &mut Vec<u32>) -> u64 {
-        let lanes = Lanes::new(band);
-        let (start, len) = (band.rest.window.start, lanes.band.len());
+    #[inline]
+    fn window_collect<const D: usize>(lanes: &Lanes<'_, D>, out: &mut Vec<u32>) -> u32 {
+        let probe = &lanes.probe;
+        let (start, len) = (probe.window.start, probe.len());
         out.reserve(len + 4);
         let base = out.len();
         let lane = _mm_set_epi32(3, 2, 1, 0);
@@ -842,7 +992,7 @@ mod avx2 {
             if len < 4 {
                 for i in 0..len {
                     *p = (start + i) as u32;
-                    p = p.add(!band.rejects(i) as usize);
+                    p = p.add(!probe.rejects(i) as usize);
                 }
             } else if rest > 0 {
                 // The last four again, keeping only the lanes no group covered.
@@ -852,7 +1002,7 @@ mod avx2 {
             }
             let n = p.offset_from(first) as usize;
             out.set_len(base + n);
-            n as u64
+            n as u32
         }
     }
 }
@@ -860,6 +1010,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BandCondition;
 
     fn reference_single(col: &[f64], seg: &[u32], boundary: f64) -> (Vec<u32>, Vec<u32>) {
         let mut l = Vec::new();
@@ -1002,24 +1153,65 @@ mod tests {
         assert_eq!(Kernel::forced("AUTO"), Ok(Kernel::detect()));
     }
 
-    /// `BandCondition::matches` on gathered keys — the join kernels' oracle.
+    /// `BandCondition::matches` on gathered keys — the join kernels' oracle. With no
+    /// band (no dimension to test) every candidate of the window matches.
     fn reference_window(
         sk: &[f64],
         cols: &[Vec<f64>],
-        window: std::ops::Range<usize>,
-        band: &BandCondition,
+        window: Range<usize>,
+        band: Option<&BandCondition>,
     ) -> Vec<u32> {
         window
             .filter(|&pos| {
                 let tk: Vec<f64> = cols.iter().map(|c| c[pos]).collect();
-                band.matches(sk, &tk)
+                band.is_none_or(|band| band.matches(sk, &tk))
             })
             .map(|pos| pos as u32)
             .collect()
     }
 
+    /// Hold one block call of [`WindowKernel::count`] and one of
+    /// [`WindowKernel::collect`] to [`reference_window`], probe by probe: the summed
+    /// count, the appended positions and the per-window counts, each behind a prefix
+    /// that must survive. Probe `i` has the key `probes[i]` and the window `windows[i]`.
+    fn assert_block_matches_reference(
+        label: &str,
+        kernel: JoinKernel,
+        cols: &[Vec<f64>],
+        band: Option<&BandCondition>,
+        probes: &[Vec<f64>],
+        windows: &[Range<usize>],
+    ) {
+        let (lo, hi) = band.map_or((&[][..], &[][..]), |b| (b.eps_low_all(), b.eps_high_all()));
+        let block = WindowKernel::new(kernel, cols, lo, hi);
+        let key_cols: Vec<Vec<f64>> = (0..cols.len())
+            .map(|d| probes.iter().map(|p| p[d]).collect())
+            .collect();
+        let keys: Vec<&[f64]> = key_cols.iter().map(Vec::as_slice).collect();
+        let expected: Vec<Vec<u32>> = (probes.iter().zip(windows))
+            .map(|(sk, w)| reference_window(sk, cols, w.clone(), band))
+            .collect();
+        let total = expected.iter().map(Vec::len).sum::<usize>() as u64;
+        let label = format!("kernel {} {label}", kernel.name());
+        assert_eq!(block.count(&keys, windows), total, "{label}: count");
+        let (mut got, mut counts) = (vec![7], vec![9]);
+        let appended = block.collect(&keys, windows, &mut got, &mut counts);
+        assert_eq!(appended, total, "{label}: appended");
+        assert_eq!((got[0], counts[0]), (7, 9), "{label}: clobbered a prefix");
+        assert_eq!(got[1..], expected.concat(), "{label}: positions");
+        let expected_counts: Vec<u32> = expected.iter().map(|e| e.len() as u32).collect();
+        assert_eq!(counts[1..], expected_counts, "{label}: per-window counts");
+    }
+
+    /// `dims` columns of `n` rows, each a shifted cut of one [`test_column`].
+    fn test_columns(dims: usize, n: usize) -> Vec<Vec<f64>> {
+        let long = test_column(n + dims);
+        (0..dims).map(|d| long[d..d + n].to_vec()).collect()
+    }
+
     /// Dimensions 1 to 8 reach every dimension-specialized arm (1 to 4) and the
-    /// wider fallback; window lengths 0 to 67 reach every tail length of each.
+    /// wider fallback; window lengths 0 to 67 reach every tail length of each. Each
+    /// block holds every window length under every probe key.
     #[test]
     fn join_kernels_match_band_condition_on_all_window_lengths() {
         let n = 200;
@@ -1027,7 +1219,7 @@ mod tests {
         // finite values, ties, ±inf, and NaN (a NaN difference *matches* — see the
         // module docs).
         let (lo, hi) = ([0.4, 0.9, 0.0], [0.7, 0.0, 1.3]);
-        let probes: [[f64; 3]; 5] = [
+        let patterns: [[f64; 3]; 5] = [
             [0.5, 0.5, 0.5],
             [-0.25, 1.0, 0.0],
             [f64::NAN, 0.5, 0.5],
@@ -1035,92 +1227,118 @@ mod tests {
             [1.0, f64::NAN, f64::NAN],
         ];
         for dims in 1..=8 {
-            let long = test_column(n + dims);
-            let cols: Vec<Vec<f64>> = (0..dims).map(|d| long[d..d + n].to_vec()).collect();
+            let cols = test_columns(dims, n);
             let cycle = |pattern: &[f64; 3]| (0..dims).map(|d| pattern[d % 3]).collect::<Vec<_>>();
             let band = BandCondition::try_asymmetric(&cycle(&lo), &cycle(&hi)).unwrap();
-            let probes: Vec<Vec<f64>> = probes.iter().map(cycle).collect();
-            for kernel in JoinKernel::all_supported() {
-                let mut got = Vec::new();
-                for len in 0..=67usize {
-                    let start = (len * 3) % (n - 67);
-                    let window = start..start + len;
-                    for sk in &probes {
-                        let expected = reference_window(sk, &cols, window.clone(), &band);
-                        let (lo, hi) = (band.eps_low_all(), band.eps_high_all());
-                        let count =
-                            band_window_count_dims(kernel, sk, &cols, lo, hi, window.clone());
-                        assert_eq!(
-                            count,
-                            expected.len() as u64,
-                            "kernel {} count len {len} probe {sk:?}",
-                            kernel.name()
-                        );
-                        got.clear();
-                        got.push(7); // collect appends — pre-existing content must survive
-                        let appended =
-                            band_window_collect(kernel, sk, &cols, window.clone(), &band, &mut got);
-                        assert_eq!(appended, expected.len() as u64);
-                        assert_eq!(got[0], 7, "kernel {} clobbered the prefix", kernel.name());
-                        assert_eq!(
-                            &got[1..],
-                            expected.as_slice(),
-                            "kernel {} collect len {len} probe {sk:?}",
-                            kernel.name()
-                        );
-                    }
+            let (mut probes, mut windows) = (Vec::new(), Vec::new());
+            for len in 0..=67usize {
+                let start = (len * 3) % (n - 67);
+                for pattern in &patterns {
+                    probes.push(cycle(pattern));
+                    windows.push(start..start + len);
                 }
+            }
+            for kernel in JoinKernel::all_supported() {
+                let label = format!("dims {dims}");
+                assert_block_matches_reference(
+                    &label,
+                    kernel,
+                    &cols,
+                    Some(&band),
+                    &probes,
+                    &windows,
+                );
             }
         }
     }
 
     #[test]
     fn join_kernels_match_on_single_dimension_windows() {
-        let col = test_column(150);
-        let cols = vec![col];
+        let cols = vec![test_column(150)];
         let band = BandCondition::symmetric(&[0.5]);
+        let probes = [0.0, 0.5, f64::NAN, f64::INFINITY].map(|k| vec![k]);
+        let windows = vec![0..150; probes.len()];
         for kernel in JoinKernel::all_supported() {
-            for sk in [[0.0], [0.5], [f64::NAN], [f64::INFINITY]] {
-                let expected = reference_window(&sk, &cols, 0..150, &band);
-                let mut got = Vec::new();
-                let n = band_window_collect(kernel, &sk, &cols, 0..150, &band, &mut got);
-                assert_eq!(n, expected.len() as u64, "kernel {}", kernel.name());
-                assert_eq!(got, expected, "kernel {}", kernel.name());
-            }
+            assert_block_matches_reference("1-d", kernel, &cols, Some(&band), &probes, &windows);
         }
     }
 
-    /// The slice-taking entry points test exactly the dimensions they are handed —
-    /// the local join's `1..` — and, handed none, accept the whole window.
+    /// A kernel tests exactly the dimensions it is handed — the local join's `1..` —
+    /// and, handed none, accepts the whole window.
     #[test]
-    fn dims_entry_points_test_only_the_dimensions_given() {
+    fn the_kernel_tests_only_the_dimensions_given() {
         let (dims, n) = (4, 120);
-        let long = test_column(n + dims);
-        let cols: Vec<Vec<f64>> = (0..dims).map(|d| long[d..d + n].to_vec()).collect();
+        let cols = test_columns(dims, n);
         let (lo, hi) = ([0.4, 0.9, 0.0, 0.3], [0.7, 0.0, 1.3, 0.3]);
         let sk = [0.5, -0.25, f64::NAN, 0.1];
+        let windows = [0..0, 3..4, 5..72, 0..n];
         for kernel in JoinKernel::all_supported() {
             for from in 0..=dims {
                 let band = (from < dims)
                     .then(|| BandCondition::try_asymmetric(&lo[from..], &hi[from..]).unwrap());
-                for window in [0..0, 3..4, 5..72, 0..n] {
-                    let expected = match &band {
-                        Some(band) => {
-                            reference_window(&sk[from..], &cols[from..], window.clone(), band)
+                let probes = vec![sk[from..].to_vec(); windows.len()];
+                let label = format!("dims {from}..");
+                let cols = &cols[from..];
+                assert_block_matches_reference(
+                    &label,
+                    kernel,
+                    cols,
+                    band.as_ref(),
+                    &probes,
+                    &windows,
+                );
+            }
+        }
+    }
+
+    /// Blocks of 0, 1, 1,023, 1,024 and 1,025 windows over 0 to 8 tested dimensions:
+    /// every arm, and no column at all. A quarter of the windows are empty (at the
+    /// first row, the last row, or between), a quarter end at the columns' last row,
+    /// and the rest are short or long windows anywhere.
+    #[test]
+    fn block_entry_matches_reference_on_every_block_size() {
+        let n = 150;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for dims in 0..=8 {
+            let cols = test_columns(dims, n);
+            let eps: Vec<f64> = (0..dims).map(|d| [0.3, 0.0, 1.1][d % 3]).collect();
+            let band = (dims > 0).then(|| BandCondition::symmetric(&eps));
+            for blocks in [0, 1, 1_023, 1_024, 1_025] {
+                let windows: Vec<Range<usize>> = (0..blocks)
+                    .map(|i| {
+                        let start = next(n);
+                        match i % 4 {
+                            0 => [0, start, n][next(3)]..[0, start, n][next(3)],
+                            1 => start..n,
+                            2 => start..n.min(start + next(9)),
+                            _ => start..n.min(start + next(80)),
                         }
-                        None => window.clone().map(|pos| pos as u32).collect(),
-                    };
-                    let label = format!("kernel {} dims {from}.. {window:?}", kernel.name());
-                    let (sk, cols) = (&sk[from..], &cols[from..]);
-                    let (lo, hi) = (&lo[from..], &hi[from..]);
-                    let count = band_window_count_dims(kernel, sk, cols, lo, hi, window.clone());
-                    assert_eq!(count, expected.len() as u64, "{label}");
-                    let mut got = vec![7];
-                    let appended =
-                        band_window_collect_dims(kernel, sk, cols, lo, hi, window, &mut got);
-                    assert_eq!(appended, expected.len() as u64, "{label}");
-                    assert_eq!(got[0], 7, "{label}: clobbered the prefix");
-                    assert_eq!(&got[1..], expected.as_slice(), "{label}");
+                    })
+                    .map(|w| w.start..w.end.max(w.start))
+                    .collect();
+                let probes: Vec<Vec<f64>> = (0..blocks)
+                    .map(|_| {
+                        (0..dims)
+                            .map(|_| next(2_000) as f64 / 1_000.0 - 1.0)
+                            .collect()
+                    })
+                    .collect();
+                let label = format!("dims {dims} block {blocks}");
+                for kernel in JoinKernel::all_supported() {
+                    assert_block_matches_reference(
+                        &label,
+                        kernel,
+                        &cols,
+                        band.as_ref(),
+                        &probes,
+                        &windows,
+                    );
                 }
             }
         }
@@ -1129,49 +1347,66 @@ mod tests {
     // The vector kernels load unchecked, so a malformed call from safe code must
     // panic in the profile that ships: CI runs these with `--release` too.
 
+    /// A two-dimension kernel over columns of 8 and 3 rows.
+    fn short_column_kernel(cols: &[Vec<f64>]) -> WindowKernel<'_> {
+        WindowKernel::new(JoinKernel::detect(), cols, &[1.0, 1.0], &[1.0, 1.0])
+    }
+
     #[test]
     #[should_panic(expected = "runs past a candidate column")]
     fn collect_panics_on_a_window_past_a_short_column() {
         let cols = vec![vec![0.0; 8], vec![0.0; 3]];
-        let band = BandCondition::symmetric(&[1.0, 1.0]);
-        band_window_collect(
-            JoinKernel::detect(),
-            &[0.0, 0.0],
-            &cols,
-            0..8,
-            &band,
-            &mut Vec::new(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "probe key vs ε_high")]
-    fn count_dims_panics_on_a_short_epsilon_slice() {
-        let cols = vec![vec![0.0; 8], vec![0.0; 8]];
-        let eps = [1.0, 1.0];
-        band_window_count_dims(
-            JoinKernel::detect(),
-            &[0.0, 0.0],
-            &cols,
-            &eps,
-            &eps[..1],
-            0..8,
-        );
+        let key: &[f64] = &[0.0, 0.0];
+        let windows = [0..3, 0..8];
+        short_column_kernel(&cols).collect(&[key, key], &windows, &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "runs past a candidate column")]
-    fn collect_dims_panics_on_a_window_past_a_short_column() {
-        let cols = vec![vec![0.0; 3]];
-        let mut out = Vec::new();
-        band_window_collect_dims(
-            JoinKernel::detect(),
-            &[0.0],
-            &cols,
-            &[1.0],
-            &[1.0],
-            4..8,
-            &mut out,
-        );
+    fn count_panics_on_a_window_past_a_short_column() {
+        let cols = vec![vec![0.0; 8], vec![0.0; 3]];
+        let key: &[f64] = &[0.0, 0.0];
+        short_column_kernel(&cols).count(&[key, key], &[0..3, 4..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ends before it starts")]
+    fn count_panics_on_a_window_that_ends_before_it_starts() {
+        let cols = vec![vec![0.0; 8], vec![0.0; 8]];
+        let key: &[f64] = &[0.0];
+        let backwards = Range { start: 5, end: 4 };
+        short_column_kernel(&cols).count(&[key, key], &[backwards]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer probe key rows")]
+    fn collect_panics_on_fewer_key_rows_than_windows() {
+        let cols = vec![vec![0.0; 8], vec![0.0; 8]];
+        let (long, short): (&[f64], &[f64]) = (&[0.0, 0.0], &[0.0]);
+        let (mut out, mut counts) = (Vec::new(), Vec::new());
+        short_column_kernel(&cols).collect(&[long, short], &[0..1, 1..2], &mut out, &mut counts);
+    }
+
+    #[test]
+    #[should_panic(expected = "probe keys vs candidate columns")]
+    fn count_panics_on_key_columns_that_miss_a_dimension() {
+        let cols = vec![vec![0.0; 8], vec![0.0; 8]];
+        let key: &[f64] = &[0.0, 0.0];
+        short_column_kernel(&cols).count(&[key], &[0..4, 4..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate columns vs ε_high")]
+    fn kernel_panics_on_a_short_epsilon_slice() {
+        let cols = vec![vec![0.0; 8], vec![0.0; 8]];
+        let eps = [1.0, 1.0];
+        WindowKernel::new(JoinKernel::detect(), &cols, &eps, &eps[..1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate columns vs ε_low")]
+    fn kernel_panics_on_more_columns_than_epsilons() {
+        let cols = vec![vec![0.0; 8]; 3];
+        WindowKernel::new(JoinKernel::detect(), &cols, &[1.0, 1.0], &[1.0, 1.0]);
     }
 }

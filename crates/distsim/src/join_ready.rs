@@ -76,10 +76,11 @@ impl ReadyPartition<'_> {
         self.t_sorted.len()
     }
 
-    /// The partition's band-join: gather T's columns (no sort), sweep the sorted S
-    /// slice once with a single monotone dimension-0 window, evaluate every window
-    /// with `kernel`. `output`, `comparisons`, the pairs and their order equal
-    /// [`crate::probe_sorted`] on the ascending slices, for every kernel.
+    /// The partition's band-join: gather both sides' columns in their sorted order
+    /// (no sort), sweep the gathered S keys once with a single monotone dimension-0
+    /// window, evaluate the windows with `kernel`, a block at a time. `output`,
+    /// `comparisons`, the pairs and their order equal [`crate::probe_sorted`] on the
+    /// ascending slices, for every kernel.
     pub(crate) fn join(
         &self,
         kernel: JoinKernel,
@@ -93,25 +94,33 @@ impl ReadyPartition<'_> {
             return LocalJoinResult::default();
         }
         let cols = gather_columns(t, t_sorted);
-        let probes = s_sorted.iter().copied().enumerate();
+        let probes = gather_columns(s, s_sorted);
         let Some(pairs) = pairs else {
-            return sweep_in_key_order(kernel, s, &cols, band, probes, None);
+            return sweep_in_key_order(kernel, &probes, &cols, band, None);
         };
-        let mut matched = Vec::new();
-        let mut slots = vec![(0, 0); s_sorted.len()];
-        let collect = Some((&mut matched, slots.as_mut_slice()));
-        let result = sweep_in_key_order(kernel, s, &cols, band, probes, collect);
+        let (mut matched, mut counts) = (Vec::new(), Vec::with_capacity(s_sorted.len()));
+        let collect = Some((&mut matched, &mut counts));
+        let result = sweep_in_key_order(kernel, &probes, &cols, band, collect);
+        // Where each sorted position's matches start in `matched`.
+        let offsets: Vec<usize> = counts
+            .iter()
+            .scan(0, |at, &count| {
+                let offset = *at;
+                *at += count as usize;
+                Some(offset)
+            })
+            .collect();
         // Back to ascending S id, the arrival order of the shuffle's arena.
         let mut emit: Vec<u32> = (0..s_sorted.len() as u32).collect();
         emit.sort_unstable_by_key(|&pos| s_sorted[pos as usize]);
         pairs.reserve(matched.len());
         for pos in emit {
-            let (offset, count) = slots[pos as usize];
-            let si = s_sorted[pos as usize];
+            let pos = pos as usize;
+            let (offset, count) = (offsets[pos], counts[pos] as usize);
             pairs.extend(
                 matched[offset..offset + count]
                     .iter()
-                    .map(|&m| (si, t_sorted[m as usize])),
+                    .map(|&m| (s_sorted[pos], t_sorted[m as usize])),
             );
         }
         result

@@ -14,28 +14,33 @@
 //!
 //! # Join kernels
 //!
-//! The candidate side of the index-nested-loop probe is columnar: [`SortedProbeSide`]
-//! gathers **every** join dimension into per-dimension arrays in
+//! Both sides of the index-nested-loop probe are columnar. [`SortedProbeSide`]
+//! gathers **every** join dimension of the candidate side into per-dimension arrays in
 //! sorted-by-dimension-0 order at build time, so evaluating the band condition over a
 //! candidate window reads contiguous memory instead of gathering one cache-missing
-//! tuple at a time. The per-window evaluation of dimensions `1..` dispatches through
-//! [`JoinKernel`] (branchless `portable` / `avx2` masked compares; override with
-//! `BAND_JOIN_KERNEL`) — see [`recpart::simd`]
-//! for the kernel contract and NaN policy. The kernels are specialized to the
-//! number of dimensions they test, from one to four, with the probe key and the
-//! band widths hoisted out of the candidate loop: a `d`-dimensional join runs the
+//! tuple at a time. The probe side is gathered the same way, in its own dimension-0
+//! order, before the sweep: [`sweep_in_key_order`] reads probe keys from contiguous
+//! columns, never through a tuple id, so the key loads of consecutive probes overlap
+//! instead of missing the cache one at a time. The evaluation of dimensions `1..`
+//! runs through one [`WindowKernel`] per sweep, built from the [`JoinKernel`]
+//! (branchless `portable` / `avx2` masked compares; override with `BAND_JOIN_KERNEL`),
+//! the columns and the band widths — see [`recpart::simd`] for the kernel contract and
+//! NaN policy. The sweep hands it a block of up to [`PROBE_BLOCK`] windows per call,
+//! so the dispatch is paid once per block, not per probe. The kernels are specialized
+//! to the number of dimensions they test, from one to four, with the probe key and
+//! the band widths hoisted out of the candidate loop: a `d`-dimensional join runs the
 //! `d − 1` arm, and a join of more than five dimensions runs the widest arm, which
-//! tests its dimensions past the fifth in a runtime-length loop. The sweep passes
-//! the same slices either way.
+//! tests its dimensions past the fifth in a runtime-length loop.
 //!
 //! Probes in arbitrary order are processed in blocks: each block is sorted on
-//! dimension 0 once, swept with one amortized sliding window, and its pairs are
-//! emitted through a stable inverse permutation — so pair **order** stays
-//! bit-identical to the scalar per-probe binary-search loop, the proptest oracle. The
-//! sweep itself ([`sweep_in_key_order`]) only needs its probes in dimension-0 order,
-//! so the executor's reduce — whose partitions are sorted once, by
-//! [`crate::join_ready`] — runs it over a whole partition with no blocks at all;
-//! [`probe_sorted`], the one public probe entry point, is the verifier's join.
+//! dimension 0 once, its keys gathered in that order into reused block scratch, swept
+//! with one amortized sliding window, and its pairs are emitted through a stable
+//! inverse permutation — so pair **order** stays bit-identical to the scalar
+//! per-probe binary-search loop, the proptest oracle. The sweep itself only needs its
+//! probes in dimension-0 order, so the executor's reduce — whose partitions are sorted
+//! once, by [`crate::join_ready`] — gathers a whole partition's keys and sweeps them
+//! with no sort at all; [`probe_sorted`], the one public probe entry point, is the
+//! verifier's join.
 //!
 //! # The dimension-0 trim
 //!
@@ -65,8 +70,8 @@
 //! **exactly** the scalar count for every kernel, so model-derived compute times are
 //! unchanged by kernel choice.
 
-use recpart::{band_window_collect_dims, band_window_count_dims};
-use recpart::{BandCondition, JoinKernel, Relation};
+use recpart::{BandCondition, JoinKernel, Relation, WindowKernel};
+use std::ops::Range;
 
 #[cfg(test)]
 mod kernel_tests;
@@ -82,8 +87,9 @@ pub struct LocalJoinResult {
     pub comparisons: u64,
 }
 
-/// Probes per block of the vectorized probe path: large enough to amortize the
-/// per-block sort, small enough that the block scratch stays cache-resident.
+/// Probes per block: of the blocked probe path (sorted and gathered once per block)
+/// and of every kernel call of the sweep. Large enough to amortize the per-block sort
+/// and dispatch, small enough that the block scratch stays cache-resident.
 pub(crate) const PROBE_BLOCK: usize = 1024;
 
 /// The T side of an index-nested-loop band-join, sorted once on dimension 0 so that
@@ -191,12 +197,12 @@ pub(crate) fn sort_ids_by_dim0(rel: &Relation, ids: &mut [u32]) {
     }
 }
 
-/// Gather every join dimension of the T-tuples `sorted` (already in dimension-0
-/// order) into one contiguous column per dimension.
-pub(crate) fn gather_columns(t: &Relation, sorted: &[u32]) -> Vec<Vec<f64>> {
-    (0..t.dims())
+/// Gather every join dimension of the tuples `sorted` (already in dimension-0 order)
+/// into one contiguous column per dimension: T's candidate columns, or S's probe keys.
+pub(crate) fn gather_columns(rel: &Relation, sorted: &[u32]) -> Vec<Vec<f64>> {
+    (0..rel.dims())
         .map(|d| {
-            let col = t.column(d);
+            let col = rel.column(d);
             sorted.iter().map(|&i| col[i as usize]).collect()
         })
         .collect()
@@ -242,20 +248,22 @@ pub fn probe_sorted(
     probe_sorted_with(JoinKernel::active(), s, side, band, s_idx, pairs)
 }
 
-/// Where a probe's matches sit in the sweep's `matched` buffer: `(offset, len)`.
-pub(crate) type MatchSlot = (usize, usize);
+/// What a collecting sweep records: every probe's matching column positions, appended
+/// probe after probe (each probe's in window order), and one count per probe.
+type Matches<'a> = (&'a mut Vec<u32>, &'a mut Vec<u32>);
 
-/// The inner loop of every probe path: probe S-tuples that arrive in
-/// dimension-0 (`total_cmp`) order against the gathered T columns `cols` (`cols[0]`
-/// sorted), advancing **one** monotone dimension-0 window over the column instead of
-/// binary-searching per probe, trimming each window to its dimension-0 matches on the
-/// column itself, and evaluating dimensions `1..` of what is left with the kernel
-/// (module docs, "The dimension-0 trim").
+/// The inner loop of every probe path: probe S-tuples in dimension-0 (`total_cmp`)
+/// order against the gathered T columns `cols` (`cols[0]` sorted), advancing **one**
+/// monotone dimension-0 window over the column instead of binary-searching per probe,
+/// trimming each window to its dimension-0 matches on the column itself, and
+/// evaluating dimensions `1..` of what is left with the kernel (module docs, "The
+/// dimension-0 trim").
 ///
-/// `probes` yields `(slot, S id)`. With `collect`, the matching column positions of
-/// every probe are appended to the first buffer (window order) and its
-/// [`MatchSlot`] is recorded at `slots[slot]`, so the caller can emit pairs in
-/// whatever probe order it owes its own caller.
+/// `probes` is the probe side as columns, one per dimension, gathered in that order,
+/// so the sweep reads contiguous keys only. It hands the kernel a block of up to
+/// [`PROBE_BLOCK`] windows per call. With `collect`, every probe's matching column
+/// positions and its count are appended in probe order, so the caller can emit pairs
+/// in whatever probe order it owes its own caller.
 ///
 /// Window equivalence with the scalar `partition_point`s: for finite probe keys the
 /// window bounds `lo`/`hi` are non-decreasing in key order, and the predicates
@@ -263,91 +271,96 @@ pub(crate) type MatchSlot = (usize, usize);
 /// forward scan from the previous boundary stops exactly at the `partition_point`.
 /// The window *starts* at the first finite probe's own `partition_point` rather
 /// than at 0, so a run of probes far into the column does not pay a scan from the
-/// front. Probes with infinite keys take the literal binary search without
-/// touching the shared window.
+/// front. Probes with infinite keys — the ends of the order — take the literal binary
+/// search without touching the shared window, in blocks of their own.
 pub(crate) fn sweep_in_key_order(
     kernel: JoinKernel,
-    s: &Relation,
+    probes: &[Vec<f64>],
     cols: &[Vec<f64>],
     band: &BandCondition,
-    probes: impl Iterator<Item = (usize, u32)>,
-    mut collect: Option<(&mut Vec<u32>, &mut [MatchSlot])>,
+    mut collect: Option<Matches<'_>>,
 ) -> LocalJoinResult {
     let mut result = LocalJoinResult::default();
-    let vals = cols[0].as_slice();
+    let (keys0, vals) = (probes[0].as_slice(), cols[0].as_slice());
     let n = vals.len();
     let (eps_lo, eps_hi) = (band.eps_low_all(), band.eps_high_all());
-    // The probe key is rebuilt into one reused buffer from the hoisted columns.
-    let s_cols: Vec<&[f64]> = (0..s.dims()).map(|d| s.column(d)).collect();
-    let mut sk = vec![0.0f64; s_cols.len()];
+    // A finite probe is left dimensions `1..` to test once the trim has settled
+    // dimension 0 (with one dimension no kernel runs); an infinite one, all of them.
+    let trimmed = WindowKernel::new(kernel, &cols[1..], &eps_lo[1..], &eps_hi[1..]);
+    let full = WindowKernel::new(kernel, cols, eps_lo, eps_hi);
+    let mut windows: Vec<Range<usize>> = Vec::with_capacity(keys0.len().min(PROBE_BLOCK));
+    let mut keys: Vec<&[f64]> = Vec::with_capacity(probes.len());
     let mut window: Option<(usize, usize)> = None;
-    for (slot, si) in probes {
-        for (k, col) in sk.iter_mut().zip(&s_cols) {
-            *k = col[si as usize];
-        }
-        let (lo, hi) = band.range_around_s(0, sk[0]);
-        // The dimension-0 window (what `comparisons` charges), the candidates still
-        // to test, and the first dimension they are still to be tested on.
-        let (window_len, untested, from_dim) = if !sk[0].is_finite() {
-            let start = vals.partition_point(|&v| v < lo);
-            let end = vals.partition_point(|&v| v <= hi);
-            (end - start, start..end, 0)
-        } else {
-            let (mut w_start, mut w_end) = window.unwrap_or_else(|| {
-                let first = vals.partition_point(|&v| v < lo);
-                (first, first)
-            });
-            while w_start < n && vals[w_start] < lo {
-                w_start += 1;
-            }
-            if w_end < w_start {
-                w_end = w_start;
-            }
-            while w_end < n && vals[w_end] <= hi {
-                w_end += 1;
-            }
-            window = Some((w_start, w_end));
-            // The exact trim: `BandCondition::matches`' own dimension-0 reject test,
-            // inward from both ends (module docs, "The dimension-0 trim").
-            let rejects = |v: f64| {
-                let d = sk[0] - v;
-                d < -eps_lo[0] || d > eps_hi[0]
+    let mut first = 0;
+    while first < keys0.len() {
+        // One block: up to `PROBE_BLOCK` probes, all finite or all infinite.
+        let finite = keys0[first].is_finite();
+        let limit = keys0.len().min(first + PROBE_BLOCK);
+        let end = keys0[first..limit]
+            .iter()
+            .position(|k| k.is_finite() != finite)
+            .map_or(limit, |at| first + at);
+        windows.clear();
+        for &s0 in &keys0[first..end] {
+            let (lo, hi) = band.range_around_s(0, s0);
+            // The dimension-0 window (what `comparisons` charges), and the candidates
+            // still to test.
+            let (window_len, untested) = if !finite {
+                let start = vals.partition_point(|&v| v < lo);
+                let end = vals.partition_point(|&v| v <= hi);
+                (end - start, start..end)
+            } else {
+                let (mut w_start, mut w_end) = window.unwrap_or_else(|| {
+                    let first = vals.partition_point(|&v| v < lo);
+                    (first, first)
+                });
+                while w_start < n && vals[w_start] < lo {
+                    w_start += 1;
+                }
+                if w_end < w_start {
+                    w_end = w_start;
+                }
+                while w_end < n && vals[w_end] <= hi {
+                    w_end += 1;
+                }
+                window = Some((w_start, w_end));
+                // The exact trim: `BandCondition::matches`' own dimension-0 reject
+                // test, inward from both ends (module docs, "The dimension-0 trim").
+                let rejects = |v: f64| {
+                    let d = s0 - v;
+                    d < -eps_lo[0] || d > eps_hi[0]
+                };
+                let (mut a, mut b) = (w_start, w_end);
+                while a < b && rejects(vals[a]) {
+                    a += 1;
+                }
+                while a < b && rejects(vals[b - 1]) {
+                    b -= 1;
+                }
+                (w_end - w_start, a..b)
             };
-            let (mut a, mut b) = (w_start, w_end);
-            while a < b && rejects(vals[a]) {
-                a += 1;
-            }
-            while a < b && rejects(vals[b - 1]) {
-                b -= 1;
-            }
-            (w_end - w_start, a..b, 1)
-        };
-        result.comparisons += window_len as u64;
-        // With dimension 0 settled a 1-d probe has no dimension left: the entry
-        // points answer it by the range's length and no kernel runs.
-        let d = from_dim;
-        let (sk_d, cols_d) = (&sk[d..], &cols[d..]);
-        let (lo_d, hi_d) = (&eps_lo[d..], &eps_hi[d..]);
+            result.comparisons += window_len as u64;
+            windows.push(untested);
+        }
+        let (kernel, from) = if finite { (&trimmed, 1) } else { (&full, 0) };
+        keys.clear();
+        keys.extend(probes[from..].iter().map(|col| &col[first..end]));
         result.output += match collect.as_mut() {
-            Some((matched, slots)) => {
-                let offset = matched.len();
-                let count =
-                    band_window_collect_dims(kernel, sk_d, cols_d, lo_d, hi_d, untested, matched);
-                slots[slot] = (offset, count as usize);
-                count
-            }
-            None => band_window_count_dims(kernel, sk_d, cols_d, lo_d, hi_d, untested),
+            Some((matched, counts)) => kernel.collect(&keys, &windows, matched, counts),
+            None => kernel.count(&keys, &windows),
         };
+        first = end;
     }
     result
 }
 
 /// [`probe_sorted`] with an explicit kernel, for probes in **arbitrary** order:
 /// process them in blocks, sort each block on dimension 0 once (stable order: key
-/// `total_cmp`, then arrival position), sweep the block with [`sweep_in_key_order`],
-/// and emit pairs through the block's inverse permutation so the output order matches
-/// the scalar per-probe loop exactly. Every kernel takes this path and produces
-/// bit-identical pairs, pair order, `output`, and `comparisons`.
+/// `total_cmp`, then arrival position), gather the block's keys in that order, sweep
+/// them with [`sweep_in_key_order`], and emit pairs through the block's inverse
+/// permutation so the output order matches the scalar per-probe loop exactly. Every
+/// kernel takes this path and produces bit-identical pairs, pair order, `output`, and
+/// `comparisons`.
 pub(crate) fn probe_sorted_with(
     kernel: JoinKernel,
     s: &Relation,
@@ -361,9 +374,11 @@ pub(crate) fn probe_sorted_with(
 
     // Scratch reused across blocks.
     let mut block: Vec<u32> = Vec::with_capacity(PROBE_BLOCK);
+    let mut arrival_key: Vec<f64> = Vec::with_capacity(PROBE_BLOCK);
     let mut order: Vec<u32> = Vec::with_capacity(PROBE_BLOCK);
-    let mut slots: Vec<MatchSlot> = Vec::new(); // by block position
-    let mut matched: Vec<u32> = Vec::new();
+    let mut keys: Vec<Vec<f64>> = vec![Vec::with_capacity(PROBE_BLOCK); s.dims()];
+    let (mut matched, mut counts) = (Vec::new(), Vec::new());
+    let mut slots: Vec<(usize, usize)> = Vec::new(); // (offset, count) by block position
 
     let mut iter = s_idx.into_iter();
     loop {
@@ -374,24 +389,40 @@ pub(crate) fn probe_sorted_with(
         }
         // Stable sort of the block's positions by probe key: ties keep arrival
         // order, so equal-key probes emit in the same order as the scalar loop.
+        arrival_key.clear();
+        arrival_key.extend(block.iter().map(|&si| s_key[si as usize]));
         order.clear();
         order.extend(0..block.len() as u32);
         order.sort_unstable_by(|&a, &b| {
-            s_key[block[a as usize] as usize]
-                .total_cmp(&s_key[block[b as usize] as usize])
+            arrival_key[a as usize]
+                .total_cmp(&arrival_key[b as usize])
                 .then(a.cmp(&b))
         });
-        let probes = order.iter().map(|&bp| (bp as usize, block[bp as usize]));
+        // The block's keys, one column per dimension, in that order.
+        keys[0].clear();
+        keys[0].extend(order.iter().map(|&bp| arrival_key[bp as usize]));
+        for (d, col) in keys.iter_mut().enumerate().skip(1) {
+            let s_col = s.column(d);
+            col.clear();
+            col.extend(order.iter().map(|&bp| s_col[block[bp as usize] as usize]));
+        }
         let swept = match pairs.as_deref_mut() {
-            None => sweep_in_key_order(kernel, s, &side.cols, band, probes, None),
+            None => sweep_in_key_order(kernel, &keys, &side.cols, band, None),
             Some(p) => {
                 matched.clear();
+                counts.clear();
+                let collect = Some((&mut matched, &mut counts));
+                let swept = sweep_in_key_order(kernel, &keys, &side.cols, band, collect);
+                // Each probe's matches by arrival position: the inverse of the sort.
                 slots.clear();
                 slots.resize(block.len(), (0, 0));
-                let collect = Some((&mut matched, slots.as_mut_slice()));
-                let swept = sweep_in_key_order(kernel, s, &side.cols, band, probes, collect);
-                // Emit in arrival order (the inverse of the block sort); within a
-                // probe, matches are already in window (sorted-position) order.
+                let mut offset = 0;
+                for (&bp, &count) in order.iter().zip(&counts) {
+                    slots[bp as usize] = (offset, count as usize);
+                    offset += count as usize;
+                }
+                // Emit in arrival order; within a probe, matches are already in window
+                // (sorted-position) order.
                 for (&si, &(offset, count)) in block.iter().zip(&slots) {
                     p.extend(
                         matched[offset..offset + count]

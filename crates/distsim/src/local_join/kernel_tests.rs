@@ -13,9 +13,12 @@
 //! tie runs on the window bounds, signed zeros, infinities, and the fallback.
 
 use super::tests::{index_join, quadratic_join, scalar_join, JOINS};
-use super::{probe_sorted_with, LocalJoinResult, SortedProbeSide};
+use super::{probe_sorted_with, LocalJoinResult, SortedProbeSide, PROBE_BLOCK};
+use crate::join_ready::JoinReadyInputs;
+use crate::parallel::Parallelism;
+use crate::shuffle::shuffle;
 use proptest::prelude::*;
-use recpart::{BandCondition, JoinKernel, Relation};
+use recpart::{BandCondition, JoinKernel, Relation, SinglePartition};
 
 /// The first `dims` coordinates of every row.
 fn relation(rows: &[Vec<f64>], dims: usize) -> Relation {
@@ -211,6 +214,15 @@ fn empty_sides_and_empty_windows() {
     }
 }
 
+/// A join with an explicit kernel over whole relations.
+type KernelJoin = fn(
+    JoinKernel,
+    &Relation,
+    &Relation,
+    &BandCondition,
+    Option<&mut Vec<(u32, u32)>>,
+) -> LocalJoinResult;
+
 /// Ties long enough to outlast a 1,024-probe block and any short inward step.
 const TIE_RUN: usize = 1_100;
 
@@ -234,9 +246,23 @@ fn edge_inputs(s0: &[f64], t0: &[f64], dims: usize) -> (Relation, Relation) {
     (relation(&s_rows, dims), relation(&t_rows, dims))
 }
 
-/// Hold every kernel's index-nested-loop join — materializing and count-only — to
-/// the scalar per-candidate probe bit for bit and to the quadratic oracle's pair
-/// set. Returns the scalar result.
+/// The reduce's join: both relations shuffled into one partition, prepared (sorted)
+/// and joined as [`crate::join_ready::ReadyPartition::join`] joins it.
+fn ready_join(
+    kernel: JoinKernel,
+    s: &Relation,
+    t: &Relation,
+    band: &BandCondition,
+    pairs: Option<&mut Vec<(u32, u32)>>,
+) -> LocalJoinResult {
+    let par = Parallelism::Sequential;
+    let (ready, _) = JoinReadyInputs::prepare(shuffle(&SinglePartition, s, t, 1, &par), s, t, &par);
+    ready.part(0).join(kernel, s, t, band, pairs)
+}
+
+/// Hold every kernel's index-nested-loop join, the blocked probe path's and the
+/// reduce's, materializing and count-only, to the scalar per-candidate probe bit for
+/// bit and to the quadratic oracle's pair set. Returns the scalar result.
 fn assert_edge_case(label: &str, s0: &[f64], t0: &[f64], eps0: (f64, f64)) -> LocalJoinResult {
     let mut one_d = LocalJoinResult::default();
     for dims in 1..=4usize {
@@ -266,14 +292,17 @@ fn assert_edge_case(label: &str, s0: &[f64], t0: &[f64], eps0: (f64, f64)) -> Lo
             sorted, oracle_pairs,
             "{label} dims {dims}: nested-loop pair set"
         );
+        let paths: [(&str, KernelJoin); 2] = [("probe", index_join), ("reduce", ready_join)];
         for kernel in JoinKernel::all_supported() {
-            let label = format!("{label} dims {dims} kernel {}", kernel.name());
-            let mut pairs = Vec::new();
-            let got = index_join(kernel, &s, &t, &band, Some(&mut pairs));
-            assert_eq!(got, scalar, "{label}");
-            assert!(pairs == scalar_pairs, "{label}: pairs and pair order");
-            let counted = index_join(kernel, &s, &t, &band, None);
-            assert_eq!(counted, scalar, "{label} count-only");
+            for (path, join) in paths {
+                let label = format!("{label} dims {dims} kernel {} {path}", kernel.name());
+                let mut pairs = Vec::new();
+                let got = join(kernel, &s, &t, &band, Some(&mut pairs));
+                assert_eq!(got, scalar, "{label}");
+                assert!(pairs == scalar_pairs, "{label}: pairs and pair order");
+                let counted = join(kernel, &s, &t, &band, None);
+                assert_eq!(counted, scalar, "{label} count-only");
+            }
         }
     }
     one_d
@@ -391,6 +420,10 @@ fn infinities_in_t() {
 /// The fallback: a probe with an infinite dimension-0 key binary-searches its
 /// window instead of advancing the shared one, here on a column that holds both
 /// infinities — each infinity joins its equals (`∞ − ∞` is NaN, which matches).
+/// Then more than two blocks of finite probes with infinite ones strewn among them:
+/// the blocked probe path sorts a few to both ends of each block, and the reduce,
+/// which sorts the whole partition, sweeps them as blocks of their own before and
+/// after several blocks of finite probes.
 #[test]
 fn non_finite_probes_take_the_fallback() {
     let probes = [0.3, f64::INFINITY, f64::NEG_INFINITY, 0.5, -0.5];
@@ -399,11 +432,31 @@ fn non_finite_probes_take_the_fallback() {
         .chain(run(0.5))
         .chain(run(f64::INFINITY))
         .collect();
+    let many: Vec<f64> = (0..2 * PROBE_BLOCK + 300)
+        .map(|i| match i % 97 {
+            0 => f64::INFINITY,
+            50 => f64::NEG_INFINITY,
+            _ => ((i * 37) % 1_000) as f64 / 50.0 - 10.0,
+        })
+        .collect();
+    let inf_probes = many.iter().filter(|&&v| v == f64::INFINITY).count() as u64;
+    // A short T, so the quadratic oracle stays cheap: both infinities, four +inf.
+    let short_t0: Vec<f64> = (0..40)
+        .map(|i| i as f64 / 2.0 - 10.0)
+        .chain([f64::NEG_INFINITY, 0.25, 0.75])
+        .chain([f64::INFINITY; 4])
+        .collect();
     for eps in [(0.25, 0.5), (0.0, 0.0)] {
         let got = assert_edge_case(&format!("infinite probes, eps {eps:?}"), &probes, &t0, eps);
         assert!(
             got.output >= 2 * TIE_RUN as u64,
             "the +inf probe joins the +inf run and the finite probes still join"
+        );
+        let label = format!("{} probes across blocks, eps {eps:?}", many.len());
+        let got = assert_edge_case(&label, &many, &short_t0, eps);
+        assert!(
+            got.output >= 4 * inf_probes,
+            "{label}: every +inf probe joins every +inf in T"
         );
     }
 }
