@@ -71,10 +71,11 @@ pub struct RecPartConfig {
     /// Parallelism of the output sampler's T scan — output-sample scan only; the split
     /// search and the evaluation are sequential by construction (every measurement
     /// read their thread fan-outs slower than one thread, DESIGN.md §6). `0` uses one
-    /// rayon thread per available core, `1` runs strictly sequentially (no thread
-    /// pool at all), `n > 1` uses a bounded pool of `n` threads built once per
-    /// [`crate::RecPart`]. The drawn sample, and with it the optimization result, is
-    /// bit-identical across all settings; only wall-clock timing changes.
+    /// thread per available core, `1` runs strictly sequentially (no thread at all),
+    /// `n > 1` uses `n` threads; [`crate::RecPart::new`] resolves the setting once
+    /// ([`crate::Parallelism`]), and the config keeps it as given. The drawn sample,
+    /// and with it the optimization result, is bit-identical across all settings;
+    /// only wall-clock timing changes.
     pub threads: usize,
 }
 

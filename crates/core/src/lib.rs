@@ -24,7 +24,7 @@
 //! | `geometry` | [`Rect`] — axis-aligned hyper-rectangles of the attribute space |
 //! | `load` | [`LoadModel`] (β coefficients), per-worker loads, lower bounds |
 //! | `metrics` | [`PartitioningStats`] — I, Im, Om, Lm and overhead-vs-lower-bound measures |
-//! | `parallel` | [`Parallelism`], the shared sequential / ambient / bounded-pool dispatch every `threads` knob uses |
+//! | `parallel` | [`Parallelism`], the one fan-out primitive (an ordered map over scoped threads) every `threads` knob uses |
 //! | `partition` | the [`Partitioner`] trait every partitioning strategy implements |
 //! | `sample` | [`InputSample`] and band-join [`OutputSample`]s |
 //! | `split_tree` | the recursive [`SplitTree`] grown by RecPart |
@@ -93,7 +93,7 @@ pub use load::{LeastLoaded, LoadModel};
 pub use metrics::{
     EvalCounters, PartitioningStats, PlanCacheCounters, SplitSearchCounters, WorkerLoad,
 };
-pub use parallel::{chunk_ranges, Parallelism, Threads};
+pub use parallel::{chunk_ranges, Parallelism};
 pub use partition::{
     AssignmentSink, PartitionId, Partitioner, SinglePartition, DEFAULT_BLOCK_TUPLES,
 };

@@ -39,7 +39,7 @@ use crate::config::RecPartConfig;
 use crate::error::RecPartError;
 use crate::geometry::Rect;
 use crate::metrics::{EvalCounters, SplitSearchCounters};
-use crate::parallel::Threads;
+use crate::parallel::Parallelism;
 use crate::partition::{AssignmentSink, PartitionId, Partitioner};
 use crate::relation::Relation;
 use crate::router::CompiledRouter;
@@ -214,9 +214,9 @@ pub struct RecPartResult {
 #[derive(Debug, Clone)]
 pub struct RecPart {
     config: RecPartConfig,
-    /// Holder of `config.threads`' pool. Output-sample scan only: the split search
-    /// and the evaluation are sequential by construction (DESIGN.md §6).
-    threads: Threads,
+    /// `config.threads`, resolved. Output-sample scan only: the split search and the
+    /// evaluation are sequential by construction (DESIGN.md §6).
+    par: Parallelism,
     #[cfg(test)]
     oracles: Oracles,
 }
@@ -238,10 +238,9 @@ struct Oracles {
 impl RecPart {
     /// Create an optimizer with the given configuration.
     pub fn new(config: RecPartConfig) -> Self {
-        let threads = Threads::new(config.threads);
         RecPart {
+            par: Parallelism::new(config.threads),
             config,
-            threads,
             #[cfg(test)]
             oracles: Oracles::default(),
         }
@@ -300,14 +299,7 @@ impl RecPart {
             .clamp(1, total - 1);
         let s_sample = InputSample::draw(s, s_share, rng);
         let t_sample = InputSample::draw(t, total - s_share, rng);
-        let o_sample = OutputSample::draw_with(
-            s,
-            t,
-            band,
-            &self.config.sample,
-            rng,
-            self.threads.parallelism(),
-        );
+        let o_sample = OutputSample::draw_with(s, t, band, &self.config.sample, rng, self.par);
 
         Ok(self.optimize_with_samples(
             s.len(),

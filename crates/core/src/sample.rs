@@ -66,7 +66,6 @@ use crate::parallel::{chunk_ranges, Parallelism};
 use crate::relation::Relation;
 use crate::simd::{JoinKernel, WindowKernel};
 use rand::Rng;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -239,7 +238,7 @@ impl OutputSample {
         config: &SampleConfig,
         rng: &mut R,
     ) -> Self {
-        Self::draw_with(s, t, band, config, rng, Parallelism::Sequential)
+        Self::draw_with(s, t, band, config, rng, Parallelism::new(1))
     }
 
     /// [`OutputSample::draw`] with the T scan fanned out under `par`. The sample
@@ -250,7 +249,7 @@ impl OutputSample {
         band: &BandCondition,
         config: &SampleConfig,
         rng: &mut R,
-        par: Parallelism<'_>,
+        par: Parallelism,
     ) -> Self {
         let dims = s.dims();
         if s.is_empty() || t.is_empty() {
@@ -465,33 +464,32 @@ impl ProbeIndex {
     }
 
     /// The match list of every probe against `t`, in the module's defined order.
-    fn match_lists(&self, t: &Relation, band: &BandCondition, par: Parallelism<'_>) -> MatchLists {
+    fn match_lists(&self, t: &Relation, band: &BandCondition, par: Parallelism) -> MatchLists {
         // The kernel evaluates `key − column` = `t − s`; see the module docs.
         let exchanged = band.exchanged();
         let (lo, hi) = (exchanged.eps_low_all(), exchanged.eps_high_all());
         let kernel = WindowKernel::new(JoinKernel::active(), &self.cols, lo, hi);
-        let scan = |rows: Range<usize>| self.scan(t, &kernel, rows);
-        let (mut rows, hits) = if par.is_parallel() && t.len() >= 2 * SCAN_CHUNK_ROWS {
-            let ranges = chunk_ranges(t.len(), t.len().div_ceil(SCAN_CHUNK_ROWS));
-            let chunks: Vec<ScanOutput> = par.run(|| {
-                ranges
-                    .into_par_iter()
-                    .map(|(lo, hi)| scan(lo..hi))
-                    .collect()
-            });
-            let (mut rows, mut hits) = (Vec::new(), Vec::new());
-            for (chunk_rows, chunk_hits) in chunks {
-                let shift = hits.len();
-                rows.extend(chunk_rows.into_iter().map(|row| MatchedRow {
-                    first_hit: row.first_hit + shift,
-                    ..row
-                }));
-                hits.extend(chunk_hits);
-            }
-            (rows, hits)
+        // One chunk of about `SCAN_CHUNK_ROWS` rows per work item when there are
+        // threads and at least two chunks to fan out; otherwise all of T in one.
+        let pieces = if par.threads() > 1 && t.len() >= 2 * SCAN_CHUNK_ROWS {
+            t.len().div_ceil(SCAN_CHUNK_ROWS)
         } else {
-            scan(0..t.len())
+            1
         };
+        let mut chunks = par
+            .map(chunk_ranges(t.len(), pieces), |(lo, hi)| {
+                self.scan(t, &kernel, lo..hi)
+            })
+            .into_iter();
+        let (mut rows, mut hits) = chunks.next().unwrap_or_default();
+        for (chunk_rows, chunk_hits) in chunks {
+            let shift = hits.len();
+            rows.extend(chunk_rows.into_iter().map(|row| MatchedRow {
+                first_hit: row.first_hit + shift,
+                ..row
+            }));
+            hits.extend(chunk_hits);
+        }
 
         // Put the matched rows into `(t₀, T index)` order — a total order, so the
         // order the scan found them in is immaterial — and deal their hits out to the
@@ -926,13 +924,11 @@ mod tests {
                     observe(sample, rng)
                 };
 
-                let pool = |n: usize| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap();
-                let (two, four) = (pool(2), pool(4));
                 for par in [
-                    Parallelism::Sequential,
-                    Parallelism::Pool(&two),
-                    Parallelism::Pool(&four),
-                    Parallelism::Ambient,
+                    Parallelism::new(1),
+                    Parallelism::new(2),
+                    Parallelism::new(4),
+                    Parallelism::new(0),
                 ] {
                     let mut rng = rng.clone();
                     let sample = OutputSample::draw_with(&s, &t, &band, &config, &mut rng, par);

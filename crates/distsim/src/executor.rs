@@ -24,30 +24,28 @@
 //!
 //! Every phase — map/shuffle (see [`crate::shuffle`]), the local joins, and the exact
 //! verification join (see [`crate::verify`]) — honours [`ExecutorConfig::threads`] and
-//! runs on the same rayon context, so end-to-end `execute` wall-clock scales with
+//! fans out over the same thread count, so end-to-end `execute` wall-clock scales with
 //! cores while its results stay bit-identical to the sequential path. The measured
 //! wall-clock of each phase is reported separately
 //! ([`ExecutionReport::map_shuffle_wall_seconds`],
 //! [`ExecutionReport::local_join_wall_seconds`],
 //! [`ExecutionReport::verify_wall_seconds`]).
 //!
-//! The reduce runs on that pool for [`Executor::execute`] and
+//! The reduce fans out over those threads for [`Executor::execute`] and
 //! [`Executor::execute_prepared`]; the one sharded path,
 //! [`Executor::execute_supervised`] ([`crate::supervise`]), splits it into
 //! shared-nothing [`ShardPlan`] ranges under supervision, bit-identical to the
-//! pool whenever no shard is lost.
+//! fan-out whenever no shard is lost.
 
 use crate::join_ready::{partition_tasks, JoinReadyInputs, ReadyPartition};
 use crate::machine::{MachineModel, WorkerWork};
 use crate::metrics::ShardStats;
-use crate::parallel::{chunk_ranges, Parallelism, Threads};
 use crate::shuffle::{shuffle, PartitionedIndex, ShuffledInputs};
 use crate::supervise::{ShardError, SuperviseError, Supervision};
-use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
-use rayon::prelude::*;
+use crate::verify::{check_pairs_against, exact_join_count_with, exact_join_pairs_with, PairCheck};
 use recpart::{
-    BandCondition, JoinKernel, LeastLoaded, LoadModel, Partitioner, PartitioningStats, Relation,
-    WorkerLoad,
+    chunk_ranges, BandCondition, JoinKernel, LeastLoaded, LoadModel, Parallelism, Partitioner,
+    PartitioningStats, Relation, WorkerLoad,
 };
 #[cfg(test)]
 use std::cmp::Ordering;
@@ -78,9 +76,9 @@ pub struct ExecutorConfig {
     /// Verification level.
     pub verification: VerificationLevel,
     /// Parallelism of every measured phase (map/shuffle, local joins, verification):
-    /// `0` uses one rayon thread per available core, `1` runs strictly sequentially
-    /// (no thread pool at all), `n > 1` uses a rayon pool of `n` threads. Results are
-    /// bit-identical across all settings; only wall-clock timing changes.
+    /// `0` uses one thread per available core, `1` runs strictly sequentially (no
+    /// thread at all), `n > 1` uses `n` threads; [`Executor::new`] resolves it once.
+    /// Results are bit-identical across all settings; only wall-clock timing changes.
     pub threads: usize,
 }
 
@@ -248,7 +246,7 @@ pub(crate) enum Arenas<'a> {
 /// How a reduce schedules its partitions — the only thing that differs between
 /// `execute`, `execute_supervised` and a served query.
 pub(crate) enum ReducePolicy<'a> {
-    /// Dynamically scheduled on the executor's rayon context.
+    /// Dynamically scheduled over the executor's threads.
     Pool,
     /// Shared-nothing shards ([`ShardPlan::contiguous`]), each joining its
     /// partitions sequentially, every attempt on an OS thread of its own under
@@ -375,8 +373,8 @@ impl ShardPlan {
 #[derive(Debug, Clone)]
 pub struct Executor {
     config: ExecutorConfig,
-    /// Holder of `config.threads`' pool, built once per executor.
-    threads: Threads,
+    /// `config.threads`, resolved.
+    par: Parallelism,
 }
 
 impl Executor {
@@ -384,7 +382,7 @@ impl Executor {
     pub fn new(config: ExecutorConfig) -> Self {
         Executor {
             config,
-            threads: Threads::new(config.threads),
+            par: Parallelism::new(config.threads),
         }
     }
 
@@ -409,13 +407,7 @@ impl Executor {
         t: &Relation,
     ) -> ShuffledInputs {
         let num_partitions = partitioner.num_partitions().max(1);
-        shuffle(
-            partitioner,
-            s,
-            t,
-            num_partitions,
-            &self.threads.parallelism(),
-        )
+        shuffle(partitioner, s, t, num_partitions, self.par)
     }
 
     /// The query value of a one-shot execution: pairs are materialized only for
@@ -547,13 +539,13 @@ impl Executor {
         policy: &mut ReducePolicy<'_>,
     ) -> Result<Reduced, SuperviseError> {
         let phase_start = Instant::now();
-        let par = self.threads.parallelism();
+        let par = self.par;
         let (s, t) = (query.s, query.t);
         let mut prepared = None;
         let mut partitions_prepared = 0;
         let arenas = match arenas {
             Arenas::Owned(shuffled) if matches!(policy, ReducePolicy::Supervised(_)) => {
-                let ready = prepared.insert(JoinReadyInputs::prepare(shuffled, s, t, &par).0);
+                let ready = prepared.insert(JoinReadyInputs::prepare(shuffled, s, t, par).0);
                 partitions_prepared = ready.num_partitions() as u64;
                 Arenas::Shared(ready)
             }
@@ -589,9 +581,9 @@ impl Executor {
             // Only the pool gets here with owned arenas (supervision prepared them
             // above). Every visit also sorts, so it fuses a few partitions per task.
             (Arenas::Owned(shuffled), _) => {
-                let tasks = partition_tasks(n, &par);
+                let tasks = partition_tasks(n, par);
                 let (ready, per_task) =
-                    JoinReadyInputs::prepare_with(shuffled, s, t, &par, &tasks, |started, part| {
+                    JoinReadyInputs::prepare_with(shuffled, s, t, par, &tasks, |started, part| {
                         join_partition(query, part, started)
                     });
                 partitions_prepared = ready.num_partitions() as u64;
@@ -600,11 +592,7 @@ impl Executor {
             }
             (Arenas::Shared(ready), ReducePolicy::Pool) => {
                 let join_one = |p| join_partition(query, ready.part(p), Instant::now());
-                let outcomes = if par.is_parallel() && n > 1 {
-                    par.run(|| (0..n).into_par_iter().map(join_one).collect())
-                } else {
-                    (0..n).map(join_one).collect()
-                };
+                let outcomes = par.map((0..n).collect(), join_one);
                 (ready, whole(outcomes), Vec::new())
             }
             (Arenas::Shared(ready), ReducePolicy::Supervised(supervision)) => {
@@ -699,14 +687,14 @@ impl Executor {
         let simulated_join_seconds =
             MachineModel::default().join_seconds(total_input, &per_worker_work);
 
-        // --- Verification (exact join chunked on the same rayon context). ---
-        let par = self.threads.parallelism();
+        // --- Verification (exact join chunked over the same threads). ---
+        let par = self.par;
         // Over-decompose so the dynamic scheduler can balance probe chunks with
         // skewed per-tuple candidate counts (a dense head would otherwise gate the
         // whole phase as one static chunk per thread).
-        let pieces = match par {
-            Parallelism::Sequential => 1,
-            _ => par.threads() * 4,
+        let pieces = match par.threads() {
+            1 => 1,
+            threads => threads * 4,
         };
         let verify_start = Instant::now();
         let verification = if degraded {
@@ -717,18 +705,16 @@ impl Executor {
         let (exact_output, correct, pair_check) = match verification {
             VerificationLevel::None => (None, None, None),
             VerificationLevel::Count => {
-                let exact = par.run(|| exact_join_count_on(s, t, band, pieces));
+                let exact = exact_join_count_with(s, t, band, pieces, par);
                 (Some(exact), Some(exact == output_count), None)
             }
             VerificationLevel::FullPairs => {
                 let pairs = local.all_pairs.as_ref().expect("pairs were materialized");
                 // One exact join serves both the pair-level check and the exact
                 // output count (the exact result never contains duplicates).
-                let (check, exact) = par.run(|| {
-                    let exact_pairs = exact_join_pairs_on(s, t, band, pieces);
-                    let check = check_pairs_against(&exact_pairs, pairs);
-                    (check, exact_pairs.len() as u64)
-                });
+                let exact_pairs = exact_join_pairs_with(s, t, band, pieces, par);
+                let check = check_pairs_against(&exact_pairs, pairs);
+                let exact = exact_pairs.len() as u64;
                 (Some(exact), Some(check.is_correct()), Some(check))
             }
         };

@@ -31,10 +31,8 @@
 //! price of one integer sort of positions on the materializing path.
 
 use crate::local_join::{gather_columns, sort_ids_by_dim0, sweep_in_key_order, LocalJoinResult};
-use crate::parallel::{chunk_ranges, Parallelism};
 use crate::shuffle::{PartitionedIndex, ShuffledInputs};
-use rayon::prelude::*;
-use recpart::{BandCondition, JoinKernel, Relation};
+use recpart::{chunk_ranges, BandCondition, JoinKernel, Parallelism, Relation};
 use std::time::Instant;
 
 /// One partition's S and T tuple ids in join-ready order (see the module docs).
@@ -159,7 +157,7 @@ impl JoinReadyInputs {
         shuffled: ShuffledInputs,
         s: &Relation,
         t: &Relation,
-        par: &Parallelism<'_>,
+        par: Parallelism,
         tasks: &[(usize, usize)],
         visit: impl Fn(Instant, ReadyPartition<'_>) -> R + Sync,
     ) -> (JoinReadyInputs, Vec<(Vec<R>, f64)>) {
@@ -196,11 +194,7 @@ impl JoinReadyInputs {
                 .collect();
             (results, task_start.elapsed().as_secs_f64())
         };
-        let results = if par.is_parallel() && work.len() > 1 {
-            par.run(|| work.into_par_iter().map(run_task).collect())
-        } else {
-            work.into_iter().map(run_task).collect()
-        };
+        let results = par.map(work, run_task);
         (JoinReadyInputs { s_parts, t_parts }, results)
     }
 
@@ -212,7 +206,7 @@ impl JoinReadyInputs {
         shuffled: ShuffledInputs,
         s: &Relation,
         t: &Relation,
-        par: &Parallelism<'_>,
+        par: Parallelism,
     ) -> (JoinReadyInputs, f64) {
         let start = Instant::now();
         let tasks = partition_tasks(shuffled.s_parts.num_partitions(), par);
@@ -256,7 +250,7 @@ const TASKS_PER_THREAD: usize = 8;
 
 /// The tasks of a partition-parallel [`JoinReadyInputs::prepare_with`] pass:
 /// [`TASKS_PER_THREAD`] near-equal contiguous ranges per thread.
-pub(crate) fn partition_tasks(num_partitions: usize, par: &Parallelism<'_>) -> Vec<(usize, usize)> {
+pub(crate) fn partition_tasks(num_partitions: usize, par: Parallelism) -> Vec<(usize, usize)> {
     chunk_ranges(num_partitions, par.threads() * TASKS_PER_THREAD)
 }
 
@@ -370,10 +364,8 @@ mod tests {
                 BandCondition::try_asymmetric(&eps_lo[..dims], &eps_hi[..dims]).unwrap()
             };
             let partitioner = ByTupleId { k, copy_every };
-            let pool2 = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-            let pool4 = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
             // The oracle: the scalar per-probe loop on the raw ascending slices.
-            let raw = shuffle(&partitioner, &s, &t, k, &Parallelism::Sequential);
+            let raw = shuffle(&partitioner, &s, &t, k, Parallelism::new(1));
             let oracle: Vec<(LocalJoinResult, Vec<(u32, u32)>)> = (0..k)
                 .map(|p| {
                     let mut pairs = Vec::new();
@@ -385,12 +377,12 @@ mod tests {
                 .collect();
 
             for par in [
-                Parallelism::Sequential,
-                Parallelism::Pool(&pool2),
-                Parallelism::Pool(&pool4),
+                Parallelism::new(1),
+                Parallelism::new(2),
+                Parallelism::new(4),
             ] {
-                let shuffled = shuffle(&partitioner, &s, &t, k, &par);
-                let (ready, _) = JoinReadyInputs::prepare(shuffled, &s, &t, &par);
+                let shuffled = shuffle(&partitioner, &s, &t, k, par);
+                let (ready, _) = JoinReadyInputs::prepare(shuffled, &s, &t, par);
 
                 // Same bytes, same ids per partition: a permutation, nothing beside it.
                 prop_assert_eq!(ready.arena_bytes(), raw.arena_bytes());

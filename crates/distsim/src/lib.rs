@@ -13,8 +13,8 @@
 //!   partitions onto workers (modelling the dynamic scheduler with a
 //!   longest-processing-time heuristic), runs the local joins, and reports the paper's
 //!   success measures (`I`, `I_m`, `O_m`, `L_m`, overheads vs. lower bounds) in an
-//!   [`ExecutionReport`]. Every phase — map/shuffle, local joins, verification — is
-//!   rayon-parallel under one `threads` knob and reports its own measured wall-clock.
+//!   [`ExecutionReport`]. Every phase — map/shuffle, local joins, verification — fans
+//!   out over threads under one `threads` knob and reports its own measured wall-clock.
 //!   There is **one** reduce (DESIGN.md §5): `execute`, `execute_prepared`,
 //!   `execute_supervised` and a served query differ only in the arenas they bring and
 //!   the schedule they ask for;
@@ -55,7 +55,6 @@ mod join_ready;
 mod local_join;
 mod machine;
 mod metrics;
-mod parallel;
 mod plan_cache;
 mod serve;
 mod shuffle;

@@ -55,10 +55,10 @@
 //! ends with that literal test — usually zero or one step. What is left needs only
 //! dimensions `1..`: the [`JoinKernel`]s evaluate those, and a 1-d probe is answered
 //! by the sub-range's length without a kernel, in time independent of its output.
-//! The one case the monotone window excludes — a probe with an infinite
-//! dimension-0 key — keeps the binary-searched window and the kernels'
-//! full-dimension test. No column holds NaN: [`Relation`] rejects it at ingress.
-//! (DESIGN.md §7.)
+//! A probe with an infinite dimension-0 key needs no case of its own: its window
+//! `[s₀ − ε_high, s₀ + ε_low]` holds only keys equal to it, and `∞ − ∞` is NaN, which
+//! the trim's reject test does not reject. No column holds NaN: [`Relation`] rejects
+//! it at ingress. (DESIGN.md §7.)
 //!
 //! # Comparisons accounting
 //!
@@ -265,14 +265,13 @@ type Matches<'a> = (&'a mut Vec<u32>, &'a mut Vec<u32>);
 /// positions and its count are appended in probe order, so the caller can emit pairs
 /// in whatever probe order it owes its own caller.
 ///
-/// Window equivalence with the scalar `partition_point`s: for finite probe keys the
-/// window bounds `lo`/`hi` are non-decreasing in key order, and the predicates
-/// `v < lo` / `v <= hi` are partitioned over the NaN-free sorted column, so a
-/// forward scan from the previous boundary stops exactly at the `partition_point`.
-/// The window *starts* at the first finite probe's own `partition_point` rather
-/// than at 0, so a run of probes far into the column does not pay a scan from the
-/// front. Probes with infinite keys — the ends of the order — take the literal binary
-/// search without touching the shared window, in blocks of their own.
+/// Window equivalence with the scalar `partition_point`s: the window bounds
+/// `lo`/`hi` are non-decreasing in key order (infinite keys included: their bounds are
+/// the key itself), and the predicates `v < lo` / `v <= hi` are partitioned over the
+/// NaN-free sorted column, so a forward scan from the previous boundary stops exactly
+/// at the `partition_point`. The window *starts* at the first probe's own
+/// `partition_point` rather than at 0, so a run of probes far into the column does not
+/// pay a scan from the front.
 pub(crate) fn sweep_in_key_order(
     kernel: JoinKernel,
     probes: &[Vec<f64>],
@@ -284,67 +283,52 @@ pub(crate) fn sweep_in_key_order(
     let (keys0, vals) = (probes[0].as_slice(), cols[0].as_slice());
     let n = vals.len();
     let (eps_lo, eps_hi) = (band.eps_low_all(), band.eps_high_all());
-    // A finite probe is left dimensions `1..` to test once the trim has settled
-    // dimension 0 (with one dimension no kernel runs); an infinite one, all of them.
-    let trimmed = WindowKernel::new(kernel, &cols[1..], &eps_lo[1..], &eps_hi[1..]);
-    let full = WindowKernel::new(kernel, cols, eps_lo, eps_hi);
+    // The trim settles dimension 0, so the kernel tests dimensions `1..` (with one
+    // dimension no kernel runs).
+    let kernel = WindowKernel::new(kernel, &cols[1..], &eps_lo[1..], &eps_hi[1..]);
     let mut windows: Vec<Range<usize>> = Vec::with_capacity(keys0.len().min(PROBE_BLOCK));
     let mut keys: Vec<&[f64]> = Vec::with_capacity(probes.len());
     let mut window: Option<(usize, usize)> = None;
     let mut first = 0;
     while first < keys0.len() {
-        // One block: up to `PROBE_BLOCK` probes, all finite or all infinite.
-        let finite = keys0[first].is_finite();
-        let limit = keys0.len().min(first + PROBE_BLOCK);
-        let end = keys0[first..limit]
-            .iter()
-            .position(|k| k.is_finite() != finite)
-            .map_or(limit, |at| first + at);
+        let end = keys0.len().min(first + PROBE_BLOCK);
         windows.clear();
         for &s0 in &keys0[first..end] {
             let (lo, hi) = band.range_around_s(0, s0);
-            // The dimension-0 window (what `comparisons` charges), and the candidates
-            // still to test.
-            let (window_len, untested) = if !finite {
-                let start = vals.partition_point(|&v| v < lo);
-                let end = vals.partition_point(|&v| v <= hi);
-                (end - start, start..end)
-            } else {
-                let (mut w_start, mut w_end) = window.unwrap_or_else(|| {
-                    let first = vals.partition_point(|&v| v < lo);
-                    (first, first)
-                });
-                while w_start < n && vals[w_start] < lo {
-                    w_start += 1;
-                }
-                if w_end < w_start {
-                    w_end = w_start;
-                }
-                while w_end < n && vals[w_end] <= hi {
-                    w_end += 1;
-                }
-                window = Some((w_start, w_end));
-                // The exact trim: `BandCondition::matches`' own dimension-0 reject
-                // test, inward from both ends (module docs, "The dimension-0 trim").
-                let rejects = |v: f64| {
-                    let d = s0 - v;
-                    d < -eps_lo[0] || d > eps_hi[0]
-                };
-                let (mut a, mut b) = (w_start, w_end);
-                while a < b && rejects(vals[a]) {
-                    a += 1;
-                }
-                while a < b && rejects(vals[b - 1]) {
-                    b -= 1;
-                }
-                (w_end - w_start, a..b)
+            let (mut w_start, mut w_end) = window.unwrap_or_else(|| {
+                let first = vals.partition_point(|&v| v < lo);
+                (first, first)
+            });
+            while w_start < n && vals[w_start] < lo {
+                w_start += 1;
+            }
+            if w_end < w_start {
+                w_end = w_start;
+            }
+            while w_end < n && vals[w_end] <= hi {
+                w_end += 1;
+            }
+            window = Some((w_start, w_end));
+            // The exact trim: `BandCondition::matches`' own dimension-0 reject test,
+            // inward from both ends (module docs, "The dimension-0 trim").
+            let rejects = |v: f64| {
+                let d = s0 - v;
+                d < -eps_lo[0] || d > eps_hi[0]
             };
-            result.comparisons += window_len as u64;
-            windows.push(untested);
+            let (mut a, mut b) = (w_start, w_end);
+            while a < b && rejects(vals[a]) {
+                a += 1;
+            }
+            while a < b && rejects(vals[b - 1]) {
+                b -= 1;
+            }
+            // The dimension-0 window is what `comparisons` charges; the trimmed one
+            // holds the candidates still to test.
+            result.comparisons += (w_end - w_start) as u64;
+            windows.push(a..b);
         }
-        let (kernel, from) = if finite { (&trimmed, 1) } else { (&full, 0) };
         keys.clear();
-        keys.extend(probes[from..].iter().map(|col| &col[first..end]));
+        keys.extend(probes[1..].iter().map(|col| &col[first..end]));
         result.output += match collect.as_mut() {
             Some((matched, counts)) => kernel.collect(&keys, &windows, matched, counts),
             None => kernel.count(&keys, &windows),
@@ -501,12 +485,10 @@ pub(crate) fn nested_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::chunk_ranges;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rayon::prelude::*;
-    use rayon::ThreadPoolBuilder;
+    use recpart::{chunk_ranges, Parallelism};
 
     type Pairs<'a> = Option<&'a mut Vec<(u32, u32)>>;
 
@@ -701,24 +683,22 @@ mod tests {
         }
     }
 
-    /// Probe S in `chunks` — concurrently on the current rayon context — and
-    /// concatenate the outputs in chunk order: the parallel verifier's shape.
+    /// Probe S in `chunks` — concurrently under `par` — and concatenate the outputs
+    /// in chunk order: the parallel verifier's shape.
     fn chunked_probe(
+        par: Parallelism,
         kernel: JoinKernel,
         s: &Relation,
         side: &SortedProbeSide,
         band: &BandCondition,
         chunks: Vec<(usize, usize)>,
     ) -> (LocalJoinResult, Vec<(u32, u32)>) {
-        let per_chunk: Vec<(LocalJoinResult, Vec<(u32, u32)>)> = chunks
-            .into_par_iter()
-            .map(|(lo, hi)| {
-                let mut pairs = Vec::new();
-                let chunk = lo as u32..hi as u32;
-                let r = probe_sorted_with(kernel, s, side, band, chunk, Some(&mut pairs));
-                (r, pairs)
-            })
-            .collect();
+        let per_chunk = par.map(chunks, |(lo, hi)| {
+            let mut pairs = Vec::new();
+            let chunk = lo as u32..hi as u32;
+            let r = probe_sorted_with(kernel, s, side, band, chunk, Some(&mut pairs));
+            (r, pairs)
+        });
         let mut total = LocalJoinResult::default();
         let mut pairs = Vec::new();
         for (r, chunk_pairs) in per_chunk {
@@ -740,7 +720,8 @@ mod tests {
 
             let side = SortedProbeSide::build_full(&t);
             let chunks = vec![(0, 123), (123, 124), (124, 500)];
-            let (chunked, chunked_pairs) = chunked_probe(kernel, &s, &side, &band, chunks);
+            let (chunked, chunked_pairs) =
+                chunked_probe(Parallelism::new(0), kernel, &s, &side, &band, chunks);
             assert_eq!(chunked, full, "kernel {}", kernel.name());
             assert_eq!(
                 chunked_pairs,
@@ -786,8 +767,7 @@ mod tests {
 
         // Candidate-heavy Pareto joins, 1-d (no kernel runs once dimension 0 is
         // settled) and 3-d (kernels test dimensions 1..), also probed in chunks on a
-        // 4-thread pool and concatenated in chunk order — the verifier's shape.
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        // four threads and concatenated in chunk order — the verifier's shape.
         for dims in [1usize, 3] {
             let label = format!("pareto {dims}-d");
             let s = pareto_relation(2_500, dims, 40 + dims as u64);
@@ -804,7 +784,7 @@ mod tests {
             for kernel in JoinKernel::all_supported() {
                 let chunks = chunk_ranges(s.len(), 16);
                 let (chunked, chunked_pairs) =
-                    pool.install(|| chunked_probe(kernel, &s, &side, &band, chunks));
+                    chunked_probe(Parallelism::new(4), kernel, &s, &side, &band, chunks);
                 let label = format!("{label} kernel {} chunked", kernel.name());
                 assert_eq!(chunked, scalar, "{label}");
                 assert!(

@@ -15,10 +15,9 @@
 use super::tests::{index_join, quadratic_join, scalar_join, JOINS};
 use super::{probe_sorted_with, LocalJoinResult, SortedProbeSide, PROBE_BLOCK};
 use crate::join_ready::JoinReadyInputs;
-use crate::parallel::Parallelism;
 use crate::shuffle::shuffle;
 use proptest::prelude::*;
-use recpart::{BandCondition, JoinKernel, Relation, SinglePartition};
+use recpart::{BandCondition, JoinKernel, Parallelism, Relation, SinglePartition};
 
 /// The first `dims` coordinates of every row.
 fn relation(rows: &[Vec<f64>], dims: usize) -> Relation {
@@ -255,8 +254,8 @@ fn ready_join(
     band: &BandCondition,
     pairs: Option<&mut Vec<(u32, u32)>>,
 ) -> LocalJoinResult {
-    let par = Parallelism::Sequential;
-    let (ready, _) = JoinReadyInputs::prepare(shuffle(&SinglePartition, s, t, 1, &par), s, t, &par);
+    let par = Parallelism::new(1);
+    let (ready, _) = JoinReadyInputs::prepare(shuffle(&SinglePartition, s, t, 1, par), s, t, par);
     ready.part(0).join(kernel, s, t, band, pairs)
 }
 

@@ -265,8 +265,8 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Parallelism;
     use crate::shuffle::{PartitionedIndex, ShuffledInputs};
+    use recpart::Parallelism;
     use recpart::Relation;
     use recpart::SplitTree;
 
@@ -281,7 +281,7 @@ mod tests {
             t_parts: PartitionedIndex::from_parts(&[(0..tuples).collect()]),
             wall_seconds: 0.0,
         };
-        let (inputs, _) = JoinReadyInputs::prepare(shuffled, &rel, &rel, &Parallelism::Sequential);
+        let (inputs, _) = JoinReadyInputs::prepare(shuffled, &rel, &rel, Parallelism::new(1));
         let plan_signature = partitioner.plan_signature();
         CachedPlan {
             partitioner,

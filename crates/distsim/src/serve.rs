@@ -119,7 +119,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Bound every phase to `threads` OS threads (0 = all cores).
+    /// Bound every phase to `threads` OS threads (`0` = all cores, `1` = strictly
+    /// sequential); each query's executor resolves the setting when it is built.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -262,9 +263,6 @@ pub struct BandJoinService {
     s: Relation,
     t: Relation,
     cache: PlanCache,
-    /// One executor per distinct worker count seen (the rayon pool behind the
-    /// `threads` knob is built once per executor, not per query).
-    executors: Vec<(usize, Executor)>,
     recovery: RecoveryCounters,
     tuples_shuffled: u64,
     shuffles_run: u64,
@@ -322,7 +320,6 @@ impl BandJoinService {
             s,
             t,
             cache,
-            executors: Vec::new(),
             recovery: RecoveryCounters::default(),
             tuples_shuffled: 0,
             shuffles_run: 0,
@@ -410,8 +407,7 @@ impl BandJoinService {
                 message: "a query needs at least one worker".into(),
             }));
         }
-        let exec_idx = self.ensure_executor(query.workers);
-        let exec = &self.executors[exec_idx].1;
+        let exec = Executor::new(self.config.executor_config(query.workers));
         // The policy this service's configuration implies; an unusable supervisor
         // configuration is caught here, before the lookup counts anything.
         let mut policy = match &self.config.supervised {
@@ -494,16 +490,5 @@ impl BandJoinService {
             pairs: done.pairs.filter(|_| query.materialize),
             recovery,
         })
-    }
-
-    /// The executor for `workers`, built (with its thread pool) at most once
-    /// per distinct worker count.
-    fn ensure_executor(&mut self, workers: usize) -> usize {
-        if let Some(i) = self.executors.iter().position(|(w, _)| *w == workers) {
-            return i;
-        }
-        let exec = Executor::new(self.config.executor_config(workers));
-        self.executors.push((workers, exec));
-        self.executors.len() - 1
     }
 }

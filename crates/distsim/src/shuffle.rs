@@ -7,7 +7,8 @@
 //! [`AssignmentSink`](recpart::AssignmentSink)):
 //!
 //! * each side is cut into contiguous chunks of at most `SHUFFLE_CHUNK_TUPLES`
-//!   tuples, which fan out over the pool whenever there is more than one;
+//!   tuples, which fan out over the executor's threads whenever there is more than
+//!   one;
 //! * **pass 1 (route)** routes each chunk once into a pair-recording sink — its
 //!   `(partition, tuple)` pairs in routing order plus per-partition counts;
 //! * the counts of all chunks are prefix-summed into exact per-(chunk, partition)
@@ -29,14 +30,12 @@
 //! and it does no I/O: [`shuffle`] returns the arenas, not a `Result`. Injected
 //! faults fire in [`crate::supervise`], before each retried attempt calls it.
 
-use crate::parallel::Parallelism;
-use rayon::prelude::*;
-use recpart::{AssignmentSink, Partitioner, Relation};
+use recpart::{AssignmentSink, Parallelism, Partitioner, Relation};
 use std::time::Instant;
 
 /// Tuples routed per shuffle chunk: enough to amortize a chunk's per-partition
 /// count vector and cursor table, few enough that a side of a 1M-tuple input
-/// yields ~16 chunks to balance over the pool and a chunk's pair list stays at
+/// yields ~16 chunks to balance over the threads and a chunk's pair list stays at
 /// half a megabyte per unit of duplication (DESIGN.md §12).
 const SHUFFLE_CHUNK_TUPLES: usize = 65_536;
 
@@ -148,13 +147,13 @@ enum Side {
     T,
 }
 
-/// Route both sides of the join under the given parallelism context.
+/// Route both sides of the join, fanned out under `par`.
 pub(crate) fn shuffle<P: Partitioner + ?Sized>(
     partitioner: &P,
     s: &Relation,
     t: &Relation,
     num_partitions: usize,
-    par: &Parallelism<'_>,
+    par: Parallelism,
 ) -> ShuffledInputs {
     let start = Instant::now();
     let chunk = SHUFFLE_CHUNK_TUPLES;
@@ -247,7 +246,7 @@ fn route_side<P: Partitioner + ?Sized>(
     partitioner: &P,
     rel: &Relation,
     num_partitions: usize,
-    par: &Parallelism<'_>,
+    par: Parallelism,
     side: Side,
     chunk_tuples: usize,
 ) -> PartitionedIndex {
@@ -262,7 +261,6 @@ fn route_side<P: Partitioner + ?Sized>(
     if ranges.is_empty() {
         return PartitionedIndex::empty(num_partitions);
     }
-    let parallel = par.is_parallel() && ranges.len() > 1;
 
     // Pass 1 (route): record every chunk's `(partition, tuple)` pairs and counts.
     let route_one = |(lo, hi): (usize, usize)| -> AssignmentSink {
@@ -287,11 +285,7 @@ fn route_side<P: Partitioner + ?Sized>(
         sink.shrink_to_fit();
         sink
     };
-    let chunks: Vec<AssignmentSink> = if parallel {
-        par.run(|| ranges.into_par_iter().map(route_one).collect())
-    } else {
-        ranges.into_iter().map(route_one).collect()
-    };
+    let chunks: Vec<AssignmentSink> = par.map(ranges, route_one);
 
     // Exact arena offsets from the merged per-chunk counts (checked widening —
     // see [`arena_layout`]).
@@ -324,12 +318,7 @@ fn route_side<P: Partitioner + ?Sized>(
             cursor[p as usize] += 1;
         }
     };
-    if parallel {
-        let replay = &replay;
-        par.run(|| (0..chunks.len()).into_par_iter().for_each(replay));
-    } else {
-        (0..chunks.len()).for_each(replay);
-    }
+    par.map((0..chunks.len()).collect(), replay);
 
     PartitionedIndex { data, offsets }
 }
@@ -370,25 +359,14 @@ mod tests {
         }
     }
 
-    /// A pool with more than one thread, so the chunked routing path runs even on a
-    /// single-core machine (where the ambient context degenerates to one thread and
-    /// would silently take the sequential path).
-    fn four_thread_pool() -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-    }
-
     #[test]
     fn parallel_routing_is_bit_identical_to_sequential() {
         // Several chunks a side, the last one partial.
         let s = relation(2 * SHUFFLE_CHUNK_TUPLES + 10_000);
         let t = relation(SHUFFLE_CHUNK_TUPLES + 9_000);
         let p = ModPartitioner(13);
-        let pool = four_thread_pool();
-        let seq = shuffle(&p, &s, &t, 13, &Parallelism::Sequential);
-        let par = shuffle(&p, &s, &t, 13, &Parallelism::Pool(&pool));
+        let seq = shuffle(&p, &s, &t, 13, Parallelism::new(1));
+        let par = shuffle(&p, &s, &t, 13, Parallelism::new(4));
         assert_eq!(seq.s_parts, par.s_parts);
         assert_eq!(seq.t_parts, par.t_parts);
     }
@@ -397,8 +375,7 @@ mod tests {
     fn index_lists_are_ascending() {
         let s = relation(2 * SHUFFLE_CHUNK_TUPLES + 8_192);
         let t = relation(2 * SHUFFLE_CHUNK_TUPLES + 8_192);
-        let pool = four_thread_pool();
-        let shuffled = shuffle(&ModPartitioner(5), &s, &t, 5, &Parallelism::Pool(&pool));
+        let shuffled = shuffle(&ModPartitioner(5), &s, &t, 5, Parallelism::new(4));
         for parts in [&shuffled.s_parts, &shuffled.t_parts] {
             for list in (0..parts.num_partitions()).map(|p| parts.part(p)) {
                 assert!(list.windows(2).all(|w| w[0] < w[1]));
@@ -410,8 +387,7 @@ mod tests {
     fn every_tuple_is_routed_at_least_once() {
         let s = relation(5_000);
         let t = relation(5_000);
-        let pool = four_thread_pool();
-        let shuffled = shuffle(&SinglePartition, &s, &t, 1, &Parallelism::Pool(&pool));
+        let shuffled = shuffle(&SinglePartition, &s, &t, 1, Parallelism::new(4));
         assert_eq!(shuffled.s_parts.part(0).len(), 5_000);
         assert_eq!(shuffled.t_parts.part(0).len(), 5_000);
         assert_eq!(shuffled.total_input(), 10_000);
@@ -423,8 +399,8 @@ mod tests {
     fn single_chunk_inputs_match_sequential_routing() {
         let s = relation(10);
         let t = relation(10);
-        let shuffled = shuffle(&ModPartitioner(3), &s, &t, 3, &Parallelism::Ambient);
-        let seq = shuffle(&ModPartitioner(3), &s, &t, 3, &Parallelism::Sequential);
+        let shuffled = shuffle(&ModPartitioner(3), &s, &t, 3, Parallelism::new(0));
+        let seq = shuffle(&ModPartitioner(3), &s, &t, 3, Parallelism::new(1));
         assert_eq!(shuffled.s_parts, seq.s_parts);
         assert_eq!(shuffled.t_parts, seq.t_parts);
     }
@@ -435,10 +411,9 @@ mod tests {
         // per-tuple defaults.
         let s = relation(SHUFFLE_CHUNK_TUPLES + 9_000);
         let t = relation(5_000);
-        let pool = four_thread_pool();
-        for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-            let block = shuffle(&SinglePartition, &s, &t, 1, &par);
-            let per_tuple = shuffle(&PerTuple(&SinglePartition), &s, &t, 1, &par);
+        for par in [Parallelism::new(1), Parallelism::new(4)] {
+            let block = shuffle(&SinglePartition, &s, &t, 1, par);
+            let per_tuple = shuffle(&PerTuple(&SinglePartition), &s, &t, 1, par);
             assert_eq!(block.s_parts, per_tuple.s_parts);
             assert_eq!(block.t_parts, per_tuple.t_parts);
         }
@@ -463,7 +438,7 @@ mod tests {
     }
 
     /// The arena sequential per-tuple routing builds, one `assign_*` call per tuple
-    /// — the oracle of every chunked, pooled shuffle.
+    /// — the oracle of every chunked, parallel shuffle.
     fn per_tuple_arena(p: &dyn Partitioner, rel: &Relation, side: Side) -> PartitionedIndex {
         let mut parts = vec![Vec::new(); p.num_partitions()];
         let mut buf = Vec::new();
@@ -519,11 +494,10 @@ mod tests {
 
     /// The shuffle's scatter — replaying the `(partition, tuple)` pairs pass 1
     /// recorded — must write the arena that re-routing every tuple writes (the
-    /// per-tuple oracle), on one thread and on a pool, for both partitioners.
+    /// per-tuple oracle), on one thread and on four, for both partitioners.
     #[test]
     fn scatter_policies_produce_identical_arenas() {
         let fx = oracle_fixture();
-        let pool = four_thread_pool();
         for p in fx.partitioners() {
             let k = p.num_partitions();
             let s_oracle = per_tuple_arena(p, &fx.s, Side::S);
@@ -538,8 +512,8 @@ mod tests {
                 "{}: no tuple duplicated",
                 p.name()
             );
-            for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-                let got = shuffle(p, &fx.s, &fx.t, k, &par);
+            for par in [Parallelism::new(1), Parallelism::new(4)] {
+                let got = shuffle(p, &fx.s, &fx.t, k, par);
                 assert!(
                     got.s_parts == s_oracle,
                     "{} side S threads={}",
@@ -558,18 +532,17 @@ mod tests {
 
     /// Every chunk size — one tuple, sizes that do not divide the input, one chunk
     /// larger than either side (a whole side routed as one block) — on one thread
-    /// and on a pool must write the per-tuple oracle's arena bit for bit.
+    /// and on four must write the per-tuple oracle's arena bit for bit.
     #[test]
     fn streaming_arenas_are_bit_identical_to_legacy() {
         let fx = oracle_fixture();
-        let pool = four_thread_pool();
         for p in fx.partitioners() {
             let k = p.num_partitions();
             for (rel, side) in [(&fx.s, Side::S), (&fx.t, Side::T)] {
                 let oracle = per_tuple_arena(p, rel, side);
                 for chunk_tuples in [1usize, 777, 4_096, 100_000] {
-                    for par in [Parallelism::Sequential, Parallelism::Pool(&pool)] {
-                        let got = route_side(p, rel, k, &par, side, chunk_tuples);
+                    for par in [Parallelism::new(1), Parallelism::new(4)] {
+                        let got = route_side(p, rel, k, par, side, chunk_tuples);
                         assert!(
                             got == oracle,
                             "{} side {side:?} chunk={chunk_tuples} threads={}",
@@ -623,7 +596,7 @@ mod tests {
     fn arena_offsets_are_consistent() {
         let s = relation(6_000);
         let t = relation(100);
-        let shuffled = shuffle(&ModPartitioner(7), &s, &t, 7, &Parallelism::Sequential);
+        let shuffled = shuffle(&ModPartitioner(7), &s, &t, 7, Parallelism::new(1));
         for parts in [&shuffled.s_parts, &shuffled.t_parts] {
             assert_eq!(parts.num_partitions(), 7);
             let total: usize = (0..parts.num_partitions())

@@ -7,27 +7,28 @@
 //! pairs it produced against one exact pair set (`check_pairs_against`), so a full
 //! verification runs one exact join, not one per check.
 //!
-//! The exact join is itself parallel: the probe (S) side is split into contiguous
-//! chunks that are joined independently on the current rayon context and merged in
-//! chunk order, so counts and pair sets are identical for every chunking.
-//! [`exact_join_count_on`] and the crate's `exact_join_pairs_on` take an explicit
-//! chunk count (`1` = strictly sequential); the plain functions chunk by
-//! [`rayon::current_num_threads`]. Without this, [`crate::VerificationLevel::Count`]
-//! is a hidden single-threaded exact join dominating the executor's wall-clock.
+//! The exact join is itself parallel: the probe (S) side is split into chunks that
+//! are joined independently, fanned out over threads, and merged in chunk order, so
+//! counts and pair sets are identical for every chunking. The public functions run
+//! on every available core: [`exact_join_count_on`] takes an explicit chunk count
+//! (`1` = strictly sequential), the plain functions chunk by the core count. The
+//! executor verifies at its own thread count through the crate's
+//! `exact_join_count_with` / `exact_join_pairs_with`. Without this,
+//! [`crate::VerificationLevel::Count`] is a hidden single-threaded exact join
+//! dominating the executor's wall-clock.
 
 use crate::local_join::{probe_sorted, sort_ids_by_dim0, SortedProbeSide, PROBE_BLOCK};
-use crate::parallel::chunk_ranges;
-use rayon::prelude::*;
-use recpart::{BandCondition, Relation};
+use recpart::{chunk_ranges, BandCondition, Parallelism, Relation};
 use std::collections::HashSet;
 
 /// Below this probe-side size the exact join runs sequentially even in parallel mode.
 const MIN_PARALLEL_PROBE: usize = 2_048;
 
 /// Exact number of band-join results `|S ⋈ T|`, computed with the index-nested-loop
-/// algorithm on the current rayon context (probe side chunked across threads).
+/// algorithm on every available core (probe side chunked across threads).
 pub fn exact_join_count(s: &Relation, t: &Relation, band: &BandCondition) -> u64 {
-    exact_join_count_on(s, t, band, rayon::current_num_threads())
+    let par = Parallelism::new(0);
+    exact_join_count_with(s, t, band, par.threads(), par)
 }
 
 /// [`exact_join_count`] with an explicit probe-side chunk count; `pieces <= 1` runs
@@ -40,6 +41,17 @@ pub fn exact_join_count(s: &Relation, t: &Relation, band: &BandCondition) -> u64
 /// `j, j + pieces, …`: dense regions of a skewed S cost far more per probe than sparse
 /// ones, and contiguous pieces of the *sorted* order would hand one piece all of them.
 pub fn exact_join_count_on(s: &Relation, t: &Relation, band: &BandCondition, pieces: usize) -> u64 {
+    exact_join_count_with(s, t, band, pieces, Parallelism::new(0))
+}
+
+/// [`exact_join_count_on`] with its pieces fanned out under `par`.
+pub(crate) fn exact_join_count_with(
+    s: &Relation,
+    t: &Relation,
+    band: &BandCondition,
+    pieces: usize,
+    par: Parallelism,
+) -> u64 {
     if s.is_empty() || t.is_empty() {
         return 0;
     }
@@ -56,26 +68,25 @@ pub fn exact_join_count_on(s: &Relation, t: &Relation, band: &BandCondition, pie
         let runs = s_sorted.chunks(PROBE_BLOCK).skip(j).step_by(pieces);
         probe_sorted(s, t, &side, band, runs.flatten().copied(), None).output
     };
-    if pieces == 1 {
-        return count_piece(0);
-    }
-    (0..pieces).into_par_iter().map(count_piece).sum()
+    par.map((0..pieces).collect(), count_piece).iter().sum()
 }
 
-/// Exact set of matching `(s index, t index)` pairs, computed on the current rayon
-/// context. Only use for small inputs — the result is materialized in memory.
+/// Exact set of matching `(s index, t index)` pairs, computed on every available
+/// core. Only use for small inputs — the result is materialized in memory.
 pub fn exact_join_pairs(s: &Relation, t: &Relation, band: &BandCondition) -> HashSet<(u32, u32)> {
-    exact_join_pairs_on(s, t, band, rayon::current_num_threads())
+    let par = Parallelism::new(0);
+    exact_join_pairs_with(s, t, band, par.threads(), par)
 }
 
-/// [`exact_join_pairs`] with an explicit probe-side chunk count; `pieces <= 1` runs
-/// strictly sequentially, as one chunk. The resulting set is identical for every
-/// `pieces`.
-pub(crate) fn exact_join_pairs_on(
+/// [`exact_join_pairs`] with an explicit probe-side chunk count, fanned out under
+/// `par`; `pieces <= 1` runs strictly sequentially, as one chunk. The resulting set
+/// is identical for every `pieces`.
+pub(crate) fn exact_join_pairs_with(
     s: &Relation,
     t: &Relation,
     band: &BandCondition,
     pieces: usize,
+    par: Parallelism,
 ) -> HashSet<(u32, u32)> {
     let pieces = if s.len() < MIN_PARALLEL_PROBE {
         1
@@ -84,14 +95,11 @@ pub(crate) fn exact_join_pairs_on(
     };
     // Sort the T side once (no identity index vector); every probe chunk shares it.
     let side = SortedProbeSide::build_full(t);
-    let per_chunk: Vec<Vec<(u32, u32)>> = chunk_ranges(s.len(), pieces)
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            let mut pairs = Vec::new();
-            probe_sorted(s, t, &side, band, lo as u32..hi as u32, Some(&mut pairs));
-            pairs
-        })
-        .collect();
+    let per_chunk = par.map(chunk_ranges(s.len(), pieces), |(lo, hi)| {
+        let mut pairs = Vec::new();
+        probe_sorted(s, t, &side, band, lo as u32..hi as u32, Some(&mut pairs));
+        pairs
+    });
     let total: usize = per_chunk.iter().map(|c| c.len()).sum();
     let mut set = HashSet::with_capacity(total);
     for chunk in per_chunk {
@@ -177,11 +185,12 @@ mod tests {
         let t = random_relation(3_000, 2);
         let band = BandCondition::symmetric(&[0.6]);
         let seq_count = exact_join_count_on(&s, &t, &band, 1);
-        let seq_pairs = exact_join_pairs_on(&s, &t, &band, 1);
+        let par = Parallelism::new(0);
+        let seq_pairs = exact_join_pairs_with(&s, &t, &band, 1, par);
         assert!(seq_count > 0, "test needs non-empty output");
         for pieces in [2, 3, 8, 64] {
             assert_eq!(exact_join_count_on(&s, &t, &band, pieces), seq_count);
-            assert_eq!(exact_join_pairs_on(&s, &t, &band, pieces), seq_pairs);
+            assert_eq!(exact_join_pairs_with(&s, &t, &band, pieces, par), seq_pairs);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Sequential vs. rayon-parallel executor equivalence: the parallel backend must be a
+//! Sequential vs. multi-threaded executor equivalence: the parallel backend must be a
 //! pure wall-clock optimization — same join output (byte-identical pairs), same stats,
 //! same per-partition loads — while surfacing real per-worker wall-clock timing.
 
@@ -147,7 +147,7 @@ fn explicit_thread_counts_agree() {
 }
 
 /// Map/shuffle determinism on a real RecPart partitioning: sequential, all-cores, and
-/// an explicit 4-thread pool must route every tuple to bit-identical per-partition
+/// an explicit 4 threads must route every tuple to bit-identical per-partition
 /// index lists.
 #[test]
 fn map_shuffle_is_bit_identical_across_thread_counts() {

@@ -4,7 +4,7 @@
 //! steps one by one and is only meaningful while the composition reproduces the plan of
 //! the one-call path; this test holds the two paths together inside the workspace, at
 //! every `threads` setting — `try_optimize` fans the output sampler's scan out over its
-//! pool, the public `OutputSample::draw` is sequential, and both must draw one sample.
+//! threads, the public `OutputSample::draw` is sequential, and both must draw one sample.
 
 use band_join::prelude::*;
 use band_join::recpart::{EvalCounters, RecPartResult, SampleConfig, SplitSearchCounters};
