@@ -105,3 +105,71 @@ pub use scoring::SplitScore;
 pub use simd::{JoinKernel, Kernel, RouteKernel, WindowKernel};
 pub use small::{stable_hash, BucketGrid};
 pub use split_tree::{Node, SplitKind, SplitTree};
+
+/// The fan-out primitive through the crate's public exports, the way the `distsim`
+/// crate reaches it: [`Parallelism::map`]'s input order and coverage, and the
+/// [`chunk_ranges`] split it claims from.
+#[cfg(test)]
+mod tests {
+    use super::{chunk_ranges, Parallelism};
+    use std::thread;
+
+    #[test]
+    fn map_collect_preserves_order() {
+        let out = Parallelism::new(4).map((0..1_000).collect(), |i: usize| i * 2);
+        assert_eq!(out, (0..1_000).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn collected_order_is_stable_across_runs() {
+        let expected: Vec<usize> = (0..5_000).map(|i| i * 3 + 1).collect();
+        for _ in 0..5 {
+            let out = Parallelism::new(4).map((0..5_000).collect(), |i: usize| i * 3 + 1);
+            assert_eq!(out, expected);
+        }
+    }
+
+    #[test]
+    fn collect_len_matches_input_len_for_awkward_sizes() {
+        // Sizes around chunk boundaries: primes, one-more-than-multiples, tiny.
+        for threads in [1, 4] {
+            for n in [0usize, 1, 2, 31, 64, 65, 1_009] {
+                let out = Parallelism::new(threads).map((0..n).collect(), |i: usize| i);
+                assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_thread_pool_runs_inline() {
+        let caller = thread::current().id();
+        let out =
+            Parallelism::new(1).map((0..10).collect(), |i: usize| (i, thread::current().id()));
+        assert_eq!(
+            out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            (0..10).collect::<Vec<_>>()
+        );
+        assert!(
+            out.iter().all(|&(_, id)| id == caller),
+            "one thread runs on the caller"
+        );
+    }
+
+    #[test]
+    fn split_into_chunks_preserves_order_and_covers_everything() {
+        for (n, pieces) in [(10usize, 3usize), (4, 4), (7, 16), (1, 2), (1_000, 7)] {
+            let items: Vec<usize> = (0..n).collect();
+            let chunks: Vec<&[usize]> = chunk_ranges(n, pieces)
+                .into_iter()
+                .map(|(lo, hi)| &items[lo..hi])
+                .collect();
+            assert!(chunks.len() <= pieces.max(1));
+            assert!(
+                chunks.iter().all(|c| !c.is_empty()),
+                "n={n} pieces={pieces}"
+            );
+            let flat: Vec<usize> = chunks.concat();
+            assert_eq!(flat, items, "n={n} pieces={pieces}");
+        }
+    }
+}
