@@ -31,8 +31,6 @@ pub struct IEJoinPartitioner {
     t_block_partitions: Vec<Vec<PartitionId>>,
     /// Number of joinable block pairs.
     num_partitions: usize,
-    /// The `sizePerBlock` parameter used.
-    size_per_block: usize,
 }
 
 impl IEJoinPartitioner {
@@ -97,13 +95,7 @@ impl IEJoinPartitioner {
             s_block_partitions,
             t_block_partitions,
             num_partitions,
-            size_per_block,
         }
-    }
-
-    /// The `sizePerBlock` parameter this partitioner was built with.
-    pub fn size_per_block(&self) -> usize {
-        self.size_per_block
     }
 
     fn block_of(bounds: &[f64], value: f64) -> usize {
@@ -198,7 +190,6 @@ mod tests {
         let p = IEJoinPartitioner::build(&s, &t, &band, 100);
         assert_eq!(p.s_bounds.len(), 10);
         assert_eq!(p.t_bounds.len(), 5);
-        assert_eq!(p.size_per_block(), 100);
     }
 
     #[test]

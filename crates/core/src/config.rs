@@ -7,31 +7,24 @@ use crate::sample::SampleConfig;
 /// seen along the way is returned?
 ///
 /// Section 4.2 "Termination condition and winning partitioning" describes both variants.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Termination {
     /// **Theoretical** condition: stop as soon as the (monotonically increasing)
     /// duplication overhead exceeds the smallest max-load overhead seen so far; return
     /// the partitioning minimizing `max{dup overhead, load overhead}`. Needs no cost
     /// model beyond the relative weight of input vs. output tuples.
     Theoretical,
-    /// **Applied** condition: evaluate the running-time model `β₀ + β₁·I + β₂·I_m + β₃·O_m`
+    /// **Applied** condition: evaluate the running-time model `I + β₂·I_m + β₃·O_m`
     /// after every split and stop when the predicted join time has improved by less than
-    /// `min_improvement` (relative) over a window of `w` iterations; return the
-    /// partitioning with the lowest predicted time.
-    CostModel {
-        /// Relative improvement below which the window is considered converged
-        /// (the paper uses 1%).
-        min_improvement: f64,
-    },
+    /// the paper's 1 % over a window of `w` iterations; return the partitioning with the
+    /// lowest predicted time.
+    #[default]
+    CostModel,
 }
 
-impl Default for Termination {
-    fn default() -> Self {
-        Termination::CostModel {
-            min_improvement: 0.01,
-        }
-    }
-}
+/// Relative improvement of the predicted join time below which the cost-model
+/// termination's window is considered converged (the paper's 1 %).
+pub(crate) const MIN_IMPROVEMENT: f64 = 0.01;
 
 /// Configuration of a RecPart optimization run.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,13 +33,9 @@ pub struct RecPartConfig {
     pub workers: usize,
     /// Sampling configuration (input and output sample sizes).
     pub sample: SampleConfig,
-    /// Per-worker load weights `β₂` (input) and `β₃` (output).
+    /// Per-worker load weights `β₂` (input) and `β₃` (output), relative to the total
+    /// input's weight `β₁ = 1`.
     pub load_model: LoadModel,
-    /// Fixed cost `β₀` of the running-time model (only used by the cost-model
-    /// termination and reporting).
-    pub beta0: f64,
-    /// Weight `β₁` of the total (shuffled) input in the running-time model.
-    pub beta1: f64,
     /// Enable symmetric partitioning: at every split the optimizer may choose which
     /// input is partitioned and which is duplicated (the paper's full *RecPart*).
     /// With `false`, `T` is always the duplicated side (*RecPart-S*).
@@ -87,8 +76,6 @@ impl RecPartConfig {
             workers,
             sample: SampleConfig::default(),
             load_model: LoadModel::default(),
-            beta0: 0.0,
-            beta1: 1.0,
             symmetric: true,
             termination: Termination::default(),
             max_iterations: (workers * 64).max(512),
@@ -146,11 +133,11 @@ impl RecPartConfig {
         }
     }
 
-    /// Predicted running time `β₀ + β₁·I + β₂·I_m + β₃·O_m` under this configuration's
-    /// coefficients.
+    /// Predicted running time `I + β₂·I_m + β₃·O_m` under this configuration's load
+    /// model: the paper's `β₀ + β₁·I + β₂·I_m + β₃·O_m` with `β₀ = 0` and `β₁ = 1`,
+    /// which the load model's weights are relative to.
     pub fn predict_time(&self, total_input: f64, max_input: f64, max_output: f64) -> f64 {
-        self.beta0
-            + self.beta1 * total_input
+        total_input
             + self.load_model.beta_input * max_input
             + self.load_model.beta_output * max_output
     }
@@ -168,12 +155,8 @@ mod tests {
         assert_eq!(c.threads, 0, "all cores by default");
         assert_eq!(c.strategy_name(), "RecPart");
         assert!(c.max_iterations >= 30);
-        assert_eq!(
-            c.termination,
-            Termination::CostModel {
-                min_improvement: 0.01
-            }
-        );
+        assert_eq!(c.termination, Termination::CostModel);
+        assert_eq!(MIN_IMPROVEMENT, 0.01, "the paper's 1 %");
     }
 
     #[test]
@@ -194,13 +177,9 @@ mod tests {
 
     #[test]
     fn predict_time_is_linear() {
-        let c = RecPartConfig {
-            beta0: 10.0,
-            beta1: 2.0,
-            ..RecPartConfig::new(2)
-        };
-        // 10 + 2·100 + 4·20 + 1·30
-        assert!((c.predict_time(100.0, 20.0, 30.0) - (10.0 + 200.0 + 80.0 + 30.0)).abs() < 1e-12);
+        let c = RecPartConfig::new(2).with_load_model(LoadModel::new(3.0, 0.5));
+        // 100 + 3·20 + 0.5·30
+        assert_eq!(c.predict_time(100.0, 20.0, 30.0), 100.0 + 60.0 + 15.0);
     }
 
     #[test]

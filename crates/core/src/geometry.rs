@@ -58,12 +58,6 @@ impl Rect {
         self.hi[dim]
     }
 
-    /// Extent (side length) in dimension `dim`; may be infinite.
-    #[inline]
-    pub fn extent(&self, dim: usize) -> f64 {
-        self.hi[dim] - self.lo[dim]
-    }
-
     /// Extent in dimension `dim` after clipping this rectangle to `domain`.
     ///
     /// Used to decide whether a partition is "small" even when the partition itself is
@@ -175,27 +169,6 @@ impl Rect {
         }
         Some(Rect { lo, hi })
     }
-
-    /// Volume of the rectangle; infinite if any side is unbounded.
-    pub fn volume(&self) -> f64 {
-        (0..self.dims()).map(|d| self.extent(d)).product()
-    }
-
-    /// The center point, with unbounded sides clamped to the finite bound (or 0 if both
-    /// sides are unbounded). Mostly useful for diagnostics and tests.
-    pub fn center(&self) -> Vec<f64> {
-        (0..self.dims())
-            .map(|d| {
-                let (lo, hi) = (self.lo[d], self.hi[d]);
-                match (lo.is_finite(), hi.is_finite()) {
-                    (true, true) => 0.5 * (lo + hi),
-                    (true, false) => lo,
-                    (false, true) => hi,
-                    (false, false) => 0.0,
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +179,7 @@ mod tests {
     fn unbounded_contains_everything() {
         let r = Rect::unbounded(3);
         assert!(r.contains(&[0.0, -1e300, 1e300]));
-        assert_eq!(r.extent(0), f64::INFINITY);
+        assert_eq!((r.lo(0), r.hi(0)), (f64::NEG_INFINITY, f64::INFINITY));
     }
 
     #[test]
@@ -291,14 +264,6 @@ mod tests {
         assert_eq!(left.clipped_extent(0, &domain), 30.0);
         let outside = Rect::new(vec![200.0], vec![300.0]);
         assert_eq!(outside.clipped_extent(0, &domain), 0.0);
-    }
-
-    #[test]
-    fn volume_and_center() {
-        let r = Rect::new(vec![0.0, 0.0], vec![2.0, 3.0]);
-        assert_eq!(r.volume(), 6.0);
-        assert_eq!(r.center(), vec![1.0, 1.5]);
-        assert_eq!(Rect::unbounded(2).volume(), f64::INFINITY);
     }
 
     #[test]

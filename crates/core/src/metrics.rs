@@ -229,11 +229,6 @@ impl PartitioningStats {
             self.max_worker_load / mean
         }
     }
-
-    /// Number of duplicate input assignments created by the partitioning.
-    pub fn duplicates(&self) -> u64 {
-        self.total_input.saturating_sub(self.input_lower_bound())
-    }
 }
 
 #[cfg(test)]
@@ -353,7 +348,7 @@ mod tests {
             80,
             100,
         );
-        assert_eq!(stats.duplicates(), 0);
+        assert_eq!(stats.total_input, stats.input_lower_bound());
         assert!(stats.duplication_overhead().abs() < 1e-12);
         assert!(stats.load_overhead().abs() < 1e-12);
         assert!((stats.imbalance() - 1.0).abs() < 1e-12);
@@ -376,7 +371,7 @@ mod tests {
             100,
             0,
         );
-        assert_eq!(stats.duplicates(), 100);
+        assert_eq!(stats.total_input - stats.input_lower_bound(), 100);
         assert!((stats.duplication_overhead() - 0.5).abs() < 1e-12);
     }
 

@@ -11,7 +11,7 @@ use super::search::SplitAction;
 use super::{
     LeafWork, OptimizationReport, OptimizerState, Plane, RecPartResult, SplitTreePartitioner,
 };
-use crate::config::Termination;
+use crate::config::{Termination, MIN_IMPROVEMENT};
 use crate::metrics::{EvalCounters, SplitSearchCounters};
 use crate::partition::Partitioner;
 use crate::scoring::SplitScore;
@@ -319,7 +319,7 @@ impl GrownState {
         }
         let criterion = match state.cfg.termination {
             Termination::Theoretical => eval.dup_overhead.max(eval.load_overhead),
-            Termination::CostModel { .. } => eval.predicted_time,
+            Termination::CostModel => eval.predicted_time,
         };
         if self.winner.is_none_or(|w| criterion < w.criterion) {
             self.eval_counters.winner_updates += 1;
@@ -381,7 +381,7 @@ impl OptimizerState<'_> {
                         break;
                     }
                 }
-                Termination::CostModel { min_improvement } => {
+                Termination::CostModel => {
                     let w = cfg.workers;
                     if g.paid_time_history.len() > w {
                         let split = g.paid_time_history.len() - w;
@@ -389,11 +389,11 @@ impl OptimizerState<'_> {
                             |times: &[f64]| times.iter().cloned().fold(f64::INFINITY, f64::min);
                         let before = best_of(&g.paid_time_history[..split]);
                         let recent = best_of(&g.paid_time_history[split..]);
-                        if recent > before * (1.0 - min_improvement) {
+                        if recent > before * (1.0 - MIN_IMPROVEMENT) {
                             g.termination_reason = format!(
                                 "predicted join time improved < {:.1}% over the last {} \
                                  duplication-incurring iterations",
-                                min_improvement * 100.0,
+                                MIN_IMPROVEMENT * 100.0,
                                 w
                             );
                             break;

@@ -93,19 +93,6 @@ impl Default for SampleConfig {
     }
 }
 
-impl SampleConfig {
-    /// A configuration with every knob scaled by `factor` (≥ 1 keeps at least one
-    /// element per knob). Useful for optimization-time experiments.
-    pub fn scaled(&self, factor: f64) -> SampleConfig {
-        let scale = |v: usize| ((v as f64 * factor).round() as usize).max(1);
-        SampleConfig {
-            input_sample_size: scale(self.input_sample_size),
-            output_sample_size: scale(self.output_sample_size),
-            output_probe_count: scale(self.output_probe_count),
-        }
-    }
-}
-
 /// The first `k` slots of a Fisher–Yates shuffle of `0..n`: `k` distinct indices,
 /// uniformly distributed, in draw order, in `O(k)` memory.
 ///
@@ -815,15 +802,6 @@ mod tests {
                 assert!(sample.t_key(w[0] as usize)[dim] <= sample.t_key(w[1] as usize)[dim]);
             }
         }
-    }
-
-    #[test]
-    fn sample_config_scaled() {
-        let cfg = SampleConfig::default();
-        let half = cfg.scaled(0.5);
-        assert_eq!(half.input_sample_size, cfg.input_sample_size / 2);
-        let tiny = cfg.scaled(0.0);
-        assert_eq!(tiny.input_sample_size, 1);
     }
 
     #[test]

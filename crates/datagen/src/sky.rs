@@ -93,11 +93,6 @@ impl SkySurveyGenerator {
             (ra, dec)
         }
     }
-
-    /// The survey field centers (exposed for tests).
-    pub fn fields(&self) -> &[(f64, f64)] {
-        &self.fields
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +154,7 @@ mod tests {
         let near_field = r
             .iter()
             .filter(|k| {
-                gen.fields()
+                gen.fields
                     .iter()
                     .any(|(ra, dec)| (k[0] - ra).abs() < 3.0 && (k[1] - dec).abs() < 3.0)
             })

@@ -25,12 +25,17 @@
 //! # The pair-order contract
 //!
 //! [`ReadyPartition::join`] emits materialized pairs in **ascending S id**, each
-//! probe's matches in window order (T's `(dimension 0, id)` order). Shuffle arenas are ascending, so
-//! that is the order probing the raw slice in arrival order produces — pair lists are
-//! those of [`crate::probe_sorted`] on the unsorted arenas, element for element, at the
-//! price of one integer sort of positions on the materializing path.
+//! probe's matches in window order (T's `(dimension 0, id)` order). Shuffle arenas are
+//! ascending, so that is the order probing the raw slice in arrival order produces —
+//! pair lists are those of [`crate::probe_sorted`] on the unsorted arenas, element for
+//! element. Both get there through the local join's one inverse permutation
+//! ([`Emit`], keyed here by S id), which costs one integer sort of positions on the
+//! materializing path; the count-only path — every reduce that does not return pairs
+//! — gathers both sides and sweeps once, with no sort at all.
 
-use crate::local_join::{gather_columns, sort_ids_by_dim0, sweep_in_key_order, LocalJoinResult};
+use crate::local_join::{
+    gather_columns, sort_ids_by_dim0, sweep_in_key_order, Emit, LocalJoinResult,
+};
 use crate::shuffle::{PartitionedIndex, ShuffledInputs};
 use recpart::{chunk_ranges, BandCondition, JoinKernel, Parallelism, Relation};
 use std::time::Instant;
@@ -93,35 +98,14 @@ impl ReadyPartition<'_> {
         }
         let cols = gather_columns(t, t_sorted);
         let probes = gather_columns(s, s_sorted);
-        let Some(pairs) = pairs else {
-            return sweep_in_key_order(kernel, &probes, &cols, band, None);
-        };
-        let (mut matched, mut counts) = (Vec::new(), Vec::with_capacity(s_sorted.len()));
-        let collect = Some((&mut matched, &mut counts));
-        let result = sweep_in_key_order(kernel, &probes, &cols, band, collect);
-        // Where each sorted position's matches start in `matched`.
-        let offsets: Vec<usize> = counts
-            .iter()
-            .scan(0, |at, &count| {
-                let offset = *at;
-                *at += count as usize;
-                Some(offset)
-            })
-            .collect();
         // Back to ascending S id, the arrival order of the shuffle's arena.
-        let mut emit: Vec<u32> = (0..s_sorted.len() as u32).collect();
-        emit.sort_unstable_by_key(|&pos| s_sorted[pos as usize]);
-        pairs.reserve(matched.len());
-        for pos in emit {
-            let pos = pos as usize;
-            let (offset, count) = (offsets[pos], counts[pos] as usize);
-            pairs.extend(
-                matched[offset..offset + count]
-                    .iter()
-                    .map(|&m| (s_sorted[pos], t_sorted[m as usize])),
-            );
-        }
-        result
+        let emit = pairs.map(|pairs| Emit {
+            pairs,
+            s_ids: s_sorted,
+            t_ids: t_sorted,
+            order_by: s_sorted,
+        });
+        sweep_in_key_order(kernel, &probes, &cols, band, emit)
     }
 }
 
@@ -303,7 +287,7 @@ mod tests {
     }
 
     /// Mostly small sides (empty and single-tuple included), sometimes one past the
-    /// 1,024- and 2,048-probe marks the blocked probe path restarts its window at.
+    /// 1,024- and 2,048-probe marks where the sweep's kernel blocks end.
     fn rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
         prop_oneof![
             8 => prop::collection::vec(prop::collection::vec(coord(), 8), 0..70),

@@ -32,15 +32,17 @@
 //! `d − 1` arm, and a join of more than five dimensions runs the widest arm, which
 //! tests its dimensions past the fifth in a runtime-length loop.
 //!
-//! Probes in arbitrary order are processed in blocks: each block is sorted on
-//! dimension 0 once, its keys gathered in that order into reused block scratch, swept
-//! with one amortized sliding window, and its pairs are emitted through a stable
-//! inverse permutation — so pair **order** stays bit-identical to the scalar
-//! per-probe binary-search loop, the proptest oracle. The sweep itself only needs its
-//! probes in dimension-0 order, so the executor's reduce — whose partitions are sorted
-//! once, by [`crate::join_ready`] — gathers a whole partition's keys and sweeps them
-//! with no sort at all; [`probe_sorted`], the one public probe entry point, is the
-//! verifier's join.
+//! Every local join is that one sweep over probes in dimension-0 order; they differ
+//! only in how the order is had. The executor's reduce gets it for free: its
+//! partitions are sorted once, by [`crate::join_ready`], so it gathers a whole
+//! partition's keys and sweeps them with no sort at all. [`probe_sorted`], the one
+//! public probe entry point, takes probes in arbitrary order: it sorts the list once on
+//! `(dimension 0 total_cmp, arrival position)`, gathers its keys once and sweeps them
+//! once. Pairs leave every sweep through one inverse permutation, [`Emit`], which puts
+//! them back in the order the caller owes — ascending S id for the reduce, arrival
+//! order for [`probe_sorted`], so its pair **order** stays bit-identical to the scalar
+//! per-probe binary-search loop, the proptest oracle. The verifier
+//! ([`crate::verify`]) sorts S once and sweeps runs of it directly.
 //!
 //! # The dimension-0 trim
 //!
@@ -87,9 +89,10 @@ pub struct LocalJoinResult {
     pub comparisons: u64,
 }
 
-/// Probes per block: of the blocked probe path (sorted and gathered once per block)
-/// and of every kernel call of the sweep. Large enough to amortize the per-block sort
-/// and dispatch, small enough that the block scratch stays cache-resident.
+/// Probe windows per kernel call of [`sweep_in_key_order`], and the verifier's
+/// interleave unit (its pieces take every `pieces`-th run of this many sorted probes).
+/// Large enough to amortize the kernel dispatch, small enough that a block's windows
+/// stay cache-resident.
 pub(crate) const PROBE_BLOCK: usize = 1024;
 
 /// The T side of an index-nested-loop band-join, sorted once on dimension 0 so that
@@ -101,11 +104,11 @@ pub(crate) const PROBE_BLOCK: usize = 1024;
 /// band evaluation of the vector [`JoinKernel`]s streams contiguous memory.
 #[derive(Debug, Clone)]
 pub struct SortedProbeSide {
-    /// Selected T-tuple indices, sorted by their dimension-0 value (`total_cmp`), ties
+    /// Selected tuple indices, sorted by their dimension-0 value (`total_cmp`), ties
     /// in input position ([`sort_ids_by_dim0`]).
-    sorted: Vec<u32>,
+    pub(crate) sorted: Vec<u32>,
     /// Per-dimension value columns in `sorted` order; `cols[0]` is the sort key.
-    cols: Vec<Vec<f64>>,
+    pub(crate) cols: Vec<Vec<f64>>,
 }
 
 /// `x`'s bits mapped so that unsigned integer order is `f64::total_cmp` order:
@@ -138,15 +141,18 @@ const RADIX: usize = 1 << RADIX_BITS;
 /// shares costs no scatter. Scratch is a second key buffer and one id buffer —
 /// 20 bytes per id — ping-ponged with `ids` itself.
 pub(crate) fn sort_ids_by_dim0(rel: &Relation, ids: &mut [u32]) {
+    let col = rel.column(0);
+    radix_sort_by_key(ids, |i| col[i as usize]);
+}
+
+/// [`sort_ids_by_dim0`] with each element's key read through `key`, once: the sort of
+/// a probe list's arrival positions by their probes' keys ([`probe_sorted_with`]).
+fn radix_sort_by_key(ids: &mut [u32], key: impl Fn(u32) -> f64) {
     let n = ids.len();
     if n < 2 {
         return;
     }
-    let col = rel.column(0);
-    let mut keys: Vec<u64> = ids
-        .iter()
-        .map(|&i| total_order_bits(col[i as usize]))
-        .collect();
+    let mut keys: Vec<u64> = ids.iter().map(|&i| total_order_bits(key(i))).collect();
     let (min, max) = keys
         .iter()
         .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
@@ -248,22 +254,55 @@ pub fn probe_sorted(
     probe_sorted_with(JoinKernel::active(), s, side, band, s_idx, pairs)
 }
 
-/// What a collecting sweep records: every probe's matching column positions, appended
-/// probe after probe (each probe's in window order), and one count per probe.
-type Matches<'a> = (&'a mut Vec<u32>, &'a mut Vec<u32>);
+/// Where a sweep's pairs go, and in which order: [`sweep_in_key_order`] appends
+/// `(s_ids[k], t_ids[m])` for every match of its `k`-th probe with column position
+/// `m`, probe by probe in ascending `order_by[k]` (one distinct key per probe, so this
+/// undoes the dimension-0 sort into the order the caller owes), each probe's matches
+/// in window order.
+pub(crate) struct Emit<'a> {
+    pub(crate) pairs: &'a mut Vec<(u32, u32)>,
+    pub(crate) s_ids: &'a [u32],
+    pub(crate) t_ids: &'a [u32],
+    pub(crate) order_by: &'a [u32],
+}
 
-/// The inner loop of every probe path: probe S-tuples in dimension-0 (`total_cmp`)
-/// order against the gathered T columns `cols` (`cols[0]` sorted), advancing **one**
-/// monotone dimension-0 window over the column instead of binary-searching per probe,
-/// trimming each window to its dimension-0 matches on the column itself, and
-/// evaluating dimensions `1..` of what is left with the kernel (module docs, "The
-/// dimension-0 trim").
+impl Emit<'_> {
+    /// The one inverse permutation: `matched` holds every probe's matching column
+    /// positions, probe after probe in sweep order, and `counts` one count per probe.
+    fn pairs(self, matched: &[u32], counts: &[u32]) {
+        // Where each probe's matches start in `matched`.
+        let offsets: Vec<usize> = counts
+            .iter()
+            .scan(0, |at, &count| {
+                let offset = *at;
+                *at += count as usize;
+                Some(offset)
+            })
+            .collect();
+        let mut emit: Vec<u32> = (0..counts.len() as u32).collect();
+        emit.sort_unstable_by_key(|&k| self.order_by[k as usize]);
+        self.pairs.reserve(matched.len());
+        for k in emit {
+            let (k, s_id) = (k as usize, self.s_ids[k as usize]);
+            let probe_matches = &matched[offsets[k]..offsets[k] + counts[k] as usize];
+            let t_ids = self.t_ids;
+            self.pairs
+                .extend(probe_matches.iter().map(|&m| (s_id, t_ids[m as usize])));
+        }
+    }
+}
+
+/// The one probe loop: probe S-tuples in dimension-0 (`total_cmp`) order against the
+/// gathered T columns `cols` (`cols[0]` sorted), advancing **one** monotone
+/// dimension-0 window over the column instead of binary-searching per probe, trimming
+/// each window to its dimension-0 matches on the column itself, and evaluating
+/// dimensions `1..` of what is left with the kernel (module docs, "The dimension-0
+/// trim").
 ///
 /// `probes` is the probe side as columns, one per dimension, gathered in that order,
 /// so the sweep reads contiguous keys only. It hands the kernel a block of up to
-/// [`PROBE_BLOCK`] windows per call. With `collect`, every probe's matching column
-/// positions and its count are appended in probe order, so the caller can emit pairs
-/// in whatever probe order it owes its own caller.
+/// [`PROBE_BLOCK`] windows per call. With `emit`, the pairs are appended in the order
+/// [`Emit`] sets; without, the kernel only counts.
 ///
 /// Window equivalence with the scalar `partition_point`s: the window bounds
 /// `lo`/`hi` are non-decreasing in key order (infinite keys included: their bounds are
@@ -274,13 +313,13 @@ type Matches<'a> = (&'a mut Vec<u32>, &'a mut Vec<u32>);
 /// pay a scan from the front.
 pub(crate) fn sweep_in_key_order(
     kernel: JoinKernel,
-    probes: &[Vec<f64>],
+    probes: &[impl AsRef<[f64]>],
     cols: &[Vec<f64>],
     band: &BandCondition,
-    mut collect: Option<Matches<'_>>,
+    emit: Option<Emit<'_>>,
 ) -> LocalJoinResult {
     let mut result = LocalJoinResult::default();
-    let (keys0, vals) = (probes[0].as_slice(), cols[0].as_slice());
+    let (keys0, vals) = (probes[0].as_ref(), cols[0].as_slice());
     let n = vals.len();
     let (eps_lo, eps_hi) = (band.eps_low_all(), band.eps_high_all());
     // The trim settles dimension 0, so the kernel tests dimensions `1..` (with one
@@ -288,6 +327,7 @@ pub(crate) fn sweep_in_key_order(
     let kernel = WindowKernel::new(kernel, &cols[1..], &eps_lo[1..], &eps_hi[1..]);
     let mut windows: Vec<Range<usize>> = Vec::with_capacity(keys0.len().min(PROBE_BLOCK));
     let mut keys: Vec<&[f64]> = Vec::with_capacity(probes.len());
+    let (mut matched, mut counts) = (Vec::new(), Vec::new());
     let mut window: Option<(usize, usize)> = None;
     let mut first = 0;
     while first < keys0.len() {
@@ -328,99 +368,47 @@ pub(crate) fn sweep_in_key_order(
             windows.push(a..b);
         }
         keys.clear();
-        keys.extend(probes[1..].iter().map(|col| &col[first..end]));
-        result.output += match collect.as_mut() {
-            Some((matched, counts)) => kernel.collect(&keys, &windows, matched, counts),
+        keys.extend(probes[1..].iter().map(|col| &col.as_ref()[first..end]));
+        result.output += match emit {
+            Some(_) => kernel.collect(&keys, &windows, &mut matched, &mut counts),
             None => kernel.count(&keys, &windows),
         };
         first = end;
     }
+    if let Some(emit) = emit {
+        emit.pairs(&matched, &counts);
+    }
     result
 }
 
-/// [`probe_sorted`] with an explicit kernel, for probes in **arbitrary** order:
-/// process them in blocks, sort each block on dimension 0 once (stable order: key
-/// `total_cmp`, then arrival position), gather the block's keys in that order, sweep
-/// them with [`sweep_in_key_order`], and emit pairs through the block's inverse
-/// permutation so the output order matches the scalar per-probe loop exactly. Every
-/// kernel takes this path and produces bit-identical pairs, pair order, `output`, and
-/// `comparisons`.
+/// [`probe_sorted`] with an explicit kernel, for probes in **arbitrary** order: sort
+/// the probe list once on `(dimension 0 total_cmp, arrival position)`, gather its keys
+/// in that order, sweep them once with [`sweep_in_key_order`], and emit the pairs in
+/// arrival order — the scalar per-probe loop's. Every kernel takes this path and
+/// produces bit-identical pairs, pair order, `output`, and `comparisons`.
 pub(crate) fn probe_sorted_with(
     kernel: JoinKernel,
     s: &Relation,
     side: &SortedProbeSide,
     band: &BandCondition,
     s_idx: impl IntoIterator<Item = u32>,
-    mut pairs: Option<&mut Vec<(u32, u32)>>,
+    pairs: Option<&mut Vec<(u32, u32)>>,
 ) -> LocalJoinResult {
-    let mut result = LocalJoinResult::default();
+    let arrival: Vec<u32> = s_idx.into_iter().collect();
     let s_key = s.column(0);
-
-    // Scratch reused across blocks.
-    let mut block: Vec<u32> = Vec::with_capacity(PROBE_BLOCK);
-    let mut arrival_key: Vec<f64> = Vec::with_capacity(PROBE_BLOCK);
-    let mut order: Vec<u32> = Vec::with_capacity(PROBE_BLOCK);
-    let mut keys: Vec<Vec<f64>> = vec![Vec::with_capacity(PROBE_BLOCK); s.dims()];
-    let (mut matched, mut counts) = (Vec::new(), Vec::new());
-    let mut slots: Vec<(usize, usize)> = Vec::new(); // (offset, count) by block position
-
-    let mut iter = s_idx.into_iter();
-    loop {
-        block.clear();
-        block.extend(iter.by_ref().take(PROBE_BLOCK));
-        if block.is_empty() {
-            break;
-        }
-        // Stable sort of the block's positions by probe key: ties keep arrival
-        // order, so equal-key probes emit in the same order as the scalar loop.
-        arrival_key.clear();
-        arrival_key.extend(block.iter().map(|&si| s_key[si as usize]));
-        order.clear();
-        order.extend(0..block.len() as u32);
-        order.sort_unstable_by(|&a, &b| {
-            arrival_key[a as usize]
-                .total_cmp(&arrival_key[b as usize])
-                .then(a.cmp(&b))
-        });
-        // The block's keys, one column per dimension, in that order.
-        keys[0].clear();
-        keys[0].extend(order.iter().map(|&bp| arrival_key[bp as usize]));
-        for (d, col) in keys.iter_mut().enumerate().skip(1) {
-            let s_col = s.column(d);
-            col.clear();
-            col.extend(order.iter().map(|&bp| s_col[block[bp as usize] as usize]));
-        }
-        let swept = match pairs.as_deref_mut() {
-            None => sweep_in_key_order(kernel, &keys, &side.cols, band, None),
-            Some(p) => {
-                matched.clear();
-                counts.clear();
-                let collect = Some((&mut matched, &mut counts));
-                let swept = sweep_in_key_order(kernel, &keys, &side.cols, band, collect);
-                // Each probe's matches by arrival position: the inverse of the sort.
-                slots.clear();
-                slots.resize(block.len(), (0, 0));
-                let mut offset = 0;
-                for (&bp, &count) in order.iter().zip(&counts) {
-                    slots[bp as usize] = (offset, count as usize);
-                    offset += count as usize;
-                }
-                // Emit in arrival order; within a probe, matches are already in window
-                // (sorted-position) order.
-                for (&si, &(offset, count)) in block.iter().zip(&slots) {
-                    p.extend(
-                        matched[offset..offset + count]
-                            .iter()
-                            .map(|&pos| (si, side.sorted[pos as usize])),
-                    );
-                }
-                swept
-            }
-        };
-        result.output += swept.output;
-        result.comparisons += swept.comparisons;
-    }
-    result
+    // Arrival positions, stably sorted by their probe's key: equal-key probes keep
+    // arrival order, as in the scalar loop.
+    let mut order: Vec<u32> = (0..arrival.len() as u32).collect();
+    radix_sort_by_key(&mut order, |pos| s_key[arrival[pos as usize] as usize]);
+    let s_sorted: Vec<u32> = order.iter().map(|&pos| arrival[pos as usize]).collect();
+    let probes = gather_columns(s, &s_sorted);
+    let emit = pairs.map(|pairs| Emit {
+        pairs,
+        s_ids: &s_sorted,
+        t_ids: &side.sorted,
+        order_by: &order,
+    });
+    sweep_in_key_order(kernel, &probes, &side.cols, band, emit)
 }
 
 /// The scalar per-probe loop: binary-search each probe's dimension-0 window and test
@@ -759,7 +747,7 @@ mod tests {
 
     #[test]
     fn every_kernel_is_bit_identical_to_the_scalar_probe() {
-        // Larger than PROBE_BLOCK so the blocked path crosses block boundaries.
+        // Larger than PROBE_BLOCK so the sweep crosses kernel-block boundaries.
         let s = random_relation(2_500, 2, 30);
         let t = random_relation(1_800, 2, 31);
         let band = BandCondition::symmetric(&[0.8, 5.0]);
@@ -811,6 +799,54 @@ mod tests {
             let idx = probe_sorted_with(kernel, &s, &side, &band, s_iter, Some(&mut idx_pairs));
             assert_eq!(full, idx, "kernel {}", kernel.name());
             assert_eq!(full_pairs, idx_pairs, "kernel {}", kernel.name());
+        }
+    }
+
+    #[test]
+    fn probe_order_is_arrival_order_not_id_order() {
+        // Dimension 0 from a pool of 25 keys, so equal keys form tie runs spread over
+        // the ids; dimension 1 leaves the kernels candidates to reject.
+        let n = 1_500u32;
+        let mut rng = StdRng::seed_from_u64(70);
+        let mut s = Relation::new(2);
+        for i in 0..n {
+            s.push(&[(i * 7 % 25) as f64 * 0.3, rng.gen_range(0.0..8.0)]);
+        }
+        let t = drawn_relation(1_000, 2, 71, |rng| rng.gen_range(0.0..8.0));
+        let band = BandCondition::symmetric(&[0.4, 2.0]);
+        // Reversed, then permuted, then an id repeated between others: longer than a
+        // block, never ascending.
+        let probes: Vec<u32> = (0..n)
+            .rev()
+            .chain((0..n).map(|i| i * 7_919 % n))
+            .chain([5, 1_200, 5, 0, 5])
+            .collect();
+        assert!(probes.len() > PROBE_BLOCK);
+        let side = SortedProbeSide::build_full(&t);
+        let mut scalar_pairs = Vec::new();
+        let scalar = probe_scalar(
+            &s,
+            &t,
+            &side,
+            &band,
+            probes.clone(),
+            Some(&mut scalar_pairs),
+        );
+        assert!(
+            !scalar_pairs.is_sorted_by_key(|&(si, _)| si),
+            "arrival order must differ from id order"
+        );
+        for kernel in JoinKernel::all_supported() {
+            let mut pairs = Vec::new();
+            let got = probe_sorted_with(kernel, &s, &side, &band, probes.clone(), Some(&mut pairs));
+            assert_eq!(got, scalar, "kernel {}", kernel.name());
+            assert!(
+                pairs == scalar_pairs,
+                "kernel {}: pairs and pair order",
+                kernel.name()
+            );
+            let counted = probe_sorted_with(kernel, &s, &side, &band, probes.clone(), None);
+            assert_eq!(counted, scalar, "kernel {} count-only", kernel.name());
         }
     }
 

@@ -259,7 +259,7 @@ fn ready_join(
     ready.part(0).join(kernel, s, t, band, pairs)
 }
 
-/// Hold every kernel's index-nested-loop join, the blocked probe path's and the
+/// Hold every kernel's index-nested-loop join, the probe path's and the
 /// reduce's, materializing and count-only, to the scalar per-candidate probe bit for
 /// bit and to the quadratic oracle's pair set. Returns the scalar result.
 fn assert_edge_case(label: &str, s0: &[f64], t0: &[f64], eps0: (f64, f64)) -> LocalJoinResult {
@@ -416,13 +416,12 @@ fn infinities_in_t() {
     }
 }
 
-/// The fallback: a probe with an infinite dimension-0 key binary-searches its
-/// window instead of advancing the shared one, here on a column that holds both
-/// infinities — each infinity joins its equals (`∞ − ∞` is NaN, which matches).
-/// Then more than two blocks of finite probes with infinite ones strewn among them:
-/// the blocked probe path sorts a few to both ends of each block, and the reduce,
-/// which sorts the whole partition, sweeps them as blocks of their own before and
-/// after several blocks of finite probes.
+/// Probes with an infinite dimension-0 key, which advance the one window like every
+/// other probe, here on a column that holds both infinities — each infinity joins its
+/// equals (`∞ − ∞` is NaN, which matches). Then more than two blocks of finite probes with infinite ones
+/// strewn among them: the probe path and the reduce both sort the whole list, so
+/// they sweep the infinite probes as blocks of their own before and after several
+/// blocks of finite probes.
 #[test]
 fn non_finite_probes_take_the_fallback() {
     let probes = [0.3, f64::INFINITY, f64::NEG_INFINITY, 0.5, -0.5];

@@ -46,7 +46,7 @@ use crate::plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
 use crate::supervise::{SuperviseError, SupervisorConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use recpart::{
-    BandCondition, LoadModel, RecPart, RecPartConfig, Relation, SampleConfig, SplitTreePartitioner,
+    BandCondition, RecPart, RecPartConfig, Relation, SampleConfig, SplitTreePartitioner,
 };
 use recpart::{PlanCacheCounters, RecPartError};
 
@@ -75,8 +75,6 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Sampling configuration of the cold path's RecPart run.
     pub sample: SampleConfig,
-    /// Load weights shared by the optimizer and the executor.
-    pub load_model: LoadModel,
 }
 
 impl Default for ServiceConfig {
@@ -88,7 +86,6 @@ impl Default for ServiceConfig {
             threads: 0,
             seed: 0x5EED_0001,
             sample: SampleConfig::default(),
-            load_model: LoadModel::default(),
         }
     }
 }
@@ -138,18 +135,11 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the load model.
-    pub fn with_load_model(mut self, load_model: LoadModel) -> Self {
-        self.load_model = load_model;
-        self
-    }
-
     /// The [`ExecutorConfig`] the service derives for a query's worker count —
     /// exposed so tests can build a bit-identical one-shot oracle.
     pub fn executor_config(&self, workers: usize) -> ExecutorConfig {
         ExecutorConfig::new(workers)
             .with_verification(self.verification)
-            .with_load_model(self.load_model)
             .with_threads(self.threads)
     }
 
@@ -159,7 +149,6 @@ impl ServiceConfig {
         RecPartConfig::new(workers)
             .with_seed(self.seed)
             .with_sample(self.sample)
-            .with_load_model(self.load_model)
             .with_threads(self.threads)
     }
 }

@@ -7,18 +7,19 @@
 //! pairs it produced against one exact pair set (`check_pairs_against`), so a full
 //! verification runs one exact join, not one per check.
 //!
-//! The exact join is itself parallel: the probe (S) side is split into chunks that
-//! are joined independently, fanned out over threads, and merged in chunk order, so
-//! counts and pair sets are identical for every chunking. The public functions run
-//! on every available core: [`exact_join_count_on`] takes an explicit chunk count
-//! (`1` = strictly sequential), the plain functions chunk by the core count. The
-//! executor verifies at its own thread count through the crate's
-//! `exact_join_count_with` / `exact_join_pairs_with`. Without this,
-//! [`crate::VerificationLevel::Count`] is a hidden single-threaded exact join
+//! The exact join is one local-join sweep run directly: S and T are each sorted and
+//! gathered once, S's sorted order is cut into runs of the sweep's block size, and
+//! the runs are dealt round-robin to pieces that sweep them against the whole of T,
+//! fanned out over threads. Counts and pair sets are identical for every piece count.
+//! The public functions run on every available core: [`exact_join_count_on`] takes an
+//! explicit piece count (`1` = strictly sequential), the plain functions use one
+//! piece per core. The executor verifies at its own thread count through the crate's
+//! `exact_join_count_with` / `exact_join_pairs_with`, which share one runner. Without
+//! this, [`crate::VerificationLevel::Count`] is a hidden single-threaded exact join
 //! dominating the executor's wall-clock.
 
-use crate::local_join::{probe_sorted, sort_ids_by_dim0, SortedProbeSide, PROBE_BLOCK};
-use recpart::{chunk_ranges, BandCondition, Parallelism, Relation};
+use crate::local_join::{sweep_in_key_order, Emit, SortedProbeSide, PROBE_BLOCK};
+use recpart::{BandCondition, JoinKernel, Parallelism, Relation};
 use std::collections::HashSet;
 
 /// Below this probe-side size the exact join runs sequentially even in parallel mode.
@@ -33,13 +34,6 @@ pub fn exact_join_count(s: &Relation, t: &Relation, band: &BandCondition) -> u64
 
 /// [`exact_join_count`] with an explicit probe-side chunk count; `pieces <= 1` runs
 /// strictly sequentially. The count is identical for every `pieces`.
-///
-/// A count does not depend on probe order, so S is sorted once on `(dimension 0, id)`
-/// and probed in runs of `PROBE_BLOCK` sorted ids (the local join's probe block): each probe block's dimension-0
-/// window then covers only the T values near that run. Probing in arrival order
-/// instead makes every block span — and scan — nearly all of T. Piece `j` takes runs
-/// `j, j + pieces, …`: dense regions of a skewed S cost far more per probe than sparse
-/// ones, and contiguous pieces of the *sorted* order would hand one piece all of them.
 pub fn exact_join_count_on(s: &Relation, t: &Relation, band: &BandCondition, pieces: usize) -> u64 {
     exact_join_count_with(s, t, band, pieces, Parallelism::new(0))
 }
@@ -52,23 +46,8 @@ pub(crate) fn exact_join_count_with(
     pieces: usize,
     par: Parallelism,
 ) -> u64 {
-    if s.is_empty() || t.is_empty() {
-        return 0;
-    }
-    // Sort the T side once (no identity index vector); every probe chunk shares it.
-    let side = SortedProbeSide::build_full(t);
-    let mut s_sorted: Vec<u32> = (0..s.len() as u32).collect();
-    sort_ids_by_dim0(s, &mut s_sorted);
-    let pieces = if s.len() < MIN_PARALLEL_PROBE {
-        1
-    } else {
-        pieces.max(1)
-    };
-    let count_piece = |j: usize| {
-        let runs = s_sorted.chunks(PROBE_BLOCK).skip(j).step_by(pieces);
-        probe_sorted(s, t, &side, band, runs.flatten().copied(), None).output
-    };
-    par.map((0..pieces).collect(), count_piece).iter().sum()
+    let per_piece = exact_join(s, t, band, pieces, par, false);
+    per_piece.iter().map(|&(output, _)| output).sum()
 }
 
 /// Exact set of matching `(s index, t index)` pairs, computed on every available
@@ -79,8 +58,8 @@ pub fn exact_join_pairs(s: &Relation, t: &Relation, band: &BandCondition) -> Has
 }
 
 /// [`exact_join_pairs`] with an explicit probe-side chunk count, fanned out under
-/// `par`; `pieces <= 1` runs strictly sequentially, as one chunk. The resulting set
-/// is identical for every `pieces`.
+/// `par`; `pieces <= 1` runs strictly sequentially. The resulting set is identical
+/// for every `pieces`.
 pub(crate) fn exact_join_pairs_with(
     s: &Relation,
     t: &Relation,
@@ -88,24 +67,63 @@ pub(crate) fn exact_join_pairs_with(
     pieces: usize,
     par: Parallelism,
 ) -> HashSet<(u32, u32)> {
+    let per_piece = exact_join(s, t, band, pieces, par, true);
+    let total: usize = per_piece.iter().map(|(_, pairs)| pairs.len()).sum();
+    let mut set = HashSet::with_capacity(total);
+    for (_, pairs) in per_piece {
+        set.extend(pairs);
+    }
+    set
+}
+
+/// The one exact join behind the count and the pair set, returning each piece's
+/// output and — with `collect` — its pairs, in no particular order.
+///
+/// S and T are each sorted on `(dimension 0, id)` and gathered once. S's sorted order
+/// is cut into runs of [`PROBE_BLOCK`] probes, and each run is swept against the whole
+/// of T directly, so its dimension-0 windows cover only the T values near that run
+/// (probing in arrival order instead makes every block span — and scan — nearly all
+/// of T). Piece `j` takes runs `j, j + pieces, …`: dense regions of a skewed S cost
+/// far more per probe than sparse ones, and contiguous pieces of the *sorted* order
+/// would hand one piece all of them.
+fn exact_join(
+    s: &Relation,
+    t: &Relation,
+    band: &BandCondition,
+    pieces: usize,
+    par: Parallelism,
+    collect: bool,
+) -> Vec<(u64, Vec<(u32, u32)>)> {
+    if s.is_empty() || t.is_empty() {
+        return Vec::new();
+    }
+    let kernel = JoinKernel::active();
+    let (s_side, t_side) = (
+        SortedProbeSide::build_full(s),
+        SortedProbeSide::build_full(t),
+    );
     let pieces = if s.len() < MIN_PARALLEL_PROBE {
         1
     } else {
-        pieces
+        pieces.max(1)
     };
-    // Sort the T side once (no identity index vector); every probe chunk shares it.
-    let side = SortedProbeSide::build_full(t);
-    let per_chunk = par.map(chunk_ranges(s.len(), pieces), |(lo, hi)| {
-        let mut pairs = Vec::new();
-        probe_sorted(s, t, &side, band, lo as u32..hi as u32, Some(&mut pairs));
-        pairs
-    });
-    let total: usize = per_chunk.iter().map(|c| c.len()).sum();
-    let mut set = HashSet::with_capacity(total);
-    for chunk in per_chunk {
-        set.extend(chunk);
-    }
-    set
+    let run_piece = |j: usize| {
+        let (mut output, mut pairs) = (0, Vec::new());
+        for lo in (j * PROBE_BLOCK..s.len()).step_by(pieces * PROBE_BLOCK) {
+            let run = lo..s.len().min(lo + PROBE_BLOCK);
+            let probes: Vec<&[f64]> = s_side.cols.iter().map(|c| &c[run.clone()]).collect();
+            let s_ids = &s_side.sorted[run];
+            let emit = collect.then(|| Emit {
+                pairs: &mut pairs,
+                s_ids,
+                t_ids: &t_side.sorted,
+                order_by: s_ids,
+            });
+            output += sweep_in_key_order(kernel, &probes, &t_side.cols, band, emit).output;
+        }
+        (output, pairs)
+    };
+    par.map((0..pieces).collect(), run_piece)
 }
 
 /// Outcome of comparing a distributed execution's materialized pairs against the exact
