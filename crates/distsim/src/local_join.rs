@@ -313,13 +313,13 @@ impl Emit<'_> {
 /// pay a scan from the front.
 pub(crate) fn sweep_in_key_order(
     kernel: JoinKernel,
-    probes: &[impl AsRef<[f64]>],
+    probes: &[Vec<f64>],
     cols: &[Vec<f64>],
     band: &BandCondition,
     emit: Option<Emit<'_>>,
 ) -> LocalJoinResult {
     let mut result = LocalJoinResult::default();
-    let (keys0, vals) = (probes[0].as_ref(), cols[0].as_slice());
+    let (keys0, vals) = (probes[0].as_slice(), cols[0].as_slice());
     let n = vals.len();
     let (eps_lo, eps_hi) = (band.eps_low_all(), band.eps_high_all());
     // The trim settles dimension 0, so the kernel tests dimensions `1..` (with one
@@ -368,7 +368,7 @@ pub(crate) fn sweep_in_key_order(
             windows.push(a..b);
         }
         keys.clear();
-        keys.extend(probes[1..].iter().map(|col| &col.as_ref()[first..end]));
+        keys.extend(probes[1..].iter().map(|col| &col[first..end]));
         result.output += match emit {
             Some(_) => kernel.collect(&keys, &windows, &mut matched, &mut counts),
             None => kernel.count(&keys, &windows),

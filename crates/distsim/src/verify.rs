@@ -9,8 +9,8 @@
 //!
 //! The exact join is one local-join sweep run directly: S and T are each sorted and
 //! gathered once, S's sorted order is cut into runs of the sweep's block size, and
-//! the runs are dealt round-robin to pieces that sweep them against the whole of T,
-//! fanned out over threads. Counts and pair sets are identical for every piece count.
+//! the runs are dealt round-robin to pieces that gather and sweep them against the
+//! whole of T, fanned out over threads. Counts and pair sets are identical for every piece count.
 //! The public functions run on every available core: [`exact_join_count_on`] takes an
 //! explicit piece count (`1` = strictly sequential), the plain functions use one
 //! piece per core. The executor verifies at its own thread count through the crate's
@@ -18,7 +18,9 @@
 //! this, [`crate::VerificationLevel::Count`] is a hidden single-threaded exact join
 //! dominating the executor's wall-clock.
 
-use crate::local_join::{sweep_in_key_order, Emit, SortedProbeSide, PROBE_BLOCK};
+use crate::local_join::{
+    gather_columns, sort_ids_by_dim0, sweep_in_key_order, Emit, SortedProbeSide, PROBE_BLOCK,
+};
 use recpart::{BandCondition, JoinKernel, Parallelism, Relation};
 use std::collections::HashSet;
 
@@ -79,13 +81,13 @@ pub(crate) fn exact_join_pairs_with(
 /// The one exact join behind the count and the pair set, returning each piece's
 /// output and — with `collect` — its pairs, in no particular order.
 ///
-/// S and T are each sorted on `(dimension 0, id)` and gathered once. S's sorted order
-/// is cut into runs of [`PROBE_BLOCK`] probes, and each run is swept against the whole
-/// of T directly, so its dimension-0 windows cover only the T values near that run
-/// (probing in arrival order instead makes every block span — and scan — nearly all
-/// of T). Piece `j` takes runs `j, j + pieces, …`: dense regions of a skewed S cost
-/// far more per probe than sparse ones, and contiguous pieces of the *sorted* order
-/// would hand one piece all of them.
+/// S and T are each sorted on `(dimension 0, id)` once. S's sorted order is cut into
+/// runs of [`PROBE_BLOCK`] probes; the piece that owns a run gathers it (so S's gather
+/// runs in parallel) and sweeps it against the whole of T directly, so its dimension-0
+/// windows cover only the T values near that run (probing in arrival order instead
+/// makes every block span — and scan — nearly all of T). Piece `j` takes runs
+/// `j, j + pieces, …`: dense regions of a skewed S cost far more per probe than sparse
+/// ones, and contiguous pieces of the *sorted* order would hand one piece all of them.
 fn exact_join(
     s: &Relation,
     t: &Relation,
@@ -98,10 +100,9 @@ fn exact_join(
         return Vec::new();
     }
     let kernel = JoinKernel::active();
-    let (s_side, t_side) = (
-        SortedProbeSide::build_full(s),
-        SortedProbeSide::build_full(t),
-    );
+    let t_side = SortedProbeSide::build_full(t);
+    let mut s_sorted: Vec<u32> = (0..s.len() as u32).collect();
+    sort_ids_by_dim0(s, &mut s_sorted);
     let pieces = if s.len() < MIN_PARALLEL_PROBE {
         1
     } else {
@@ -110,9 +111,8 @@ fn exact_join(
     let run_piece = |j: usize| {
         let (mut output, mut pairs) = (0, Vec::new());
         for lo in (j * PROBE_BLOCK..s.len()).step_by(pieces * PROBE_BLOCK) {
-            let run = lo..s.len().min(lo + PROBE_BLOCK);
-            let probes: Vec<&[f64]> = s_side.cols.iter().map(|c| &c[run.clone()]).collect();
-            let s_ids = &s_side.sorted[run];
+            let s_ids = &s_sorted[lo..s.len().min(lo + PROBE_BLOCK)];
+            let probes = gather_columns(s, s_ids);
             let emit = collect.then(|| Emit {
                 pairs: &mut pairs,
                 s_ids,
