@@ -10,7 +10,7 @@
 //!
 //! The deterministic cases at the end sit on the edge of the sweep's exact
 //! dimension-0 trim (`local_join` module docs): window members the band test rejects,
-//! tie runs on the window bounds, signed zeros, infinities, and the fallback.
+//! tie runs on the window bounds, signed zeros, and infinities in either input.
 
 use super::tests::{index_join, quadratic_join, scalar_join, JOINS};
 use super::{probe_sorted_with, LocalJoinResult, SortedProbeSide, PROBE_BLOCK};
@@ -28,8 +28,7 @@ fn relation(rows: &[Vec<f64>], dims: usize) -> Relation {
 }
 
 /// Coordinates with a heavy dose of ties and both infinities: `∞ − ∞` is a NaN
-/// difference, which *matches* the band condition, and an infinite probe takes
-/// the sweep's binary-searched fallback.
+/// difference, which *matches* the band condition.
 fn coord() -> impl Strategy<Value = f64> {
     prop_oneof![
         6 => -25.0f64..25.0,
