@@ -15,7 +15,7 @@ use band_join::recpart::{
 use distsim::CostModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::ops::Range;
 
 fn relation_from(values: &[Vec<f64>], dims: usize) -> Relation {
@@ -28,17 +28,6 @@ fn relation_from(values: &[Vec<f64>], dims: usize) -> Relation {
 
 fn key_strategy(dims: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-40.0f64..40.0, dims)
-}
-
-/// `n` uniform 2-d keys in `[0, scale)²` a side.
-fn uniform_2d(n: usize, scale: f64, rng: &mut StdRng) -> (Relation, Relation) {
-    let mut s = Relation::new(2);
-    let mut t = Relation::new(2);
-    for _ in 0..n {
-        s.push(&[rng.gen::<f64>() * scale, rng.gen::<f64>() * scale]);
-        t.push(&[rng.gen::<f64>() * scale, rng.gen::<f64>() * scale]);
-    }
-    (s, t)
 }
 
 /// A RecPart partitioner optimized on a small sample.
@@ -315,8 +304,8 @@ impl<P: Partitioner + ?Sized> Partitioner for PerTuple<'_, P> {
 }
 
 /// The executor's block-driven map/shuffle is bit-identical across thread counts —
-/// for the compiled-router path (RecPart, 1-d and 2-d) and for closed-form
-/// baselines — and matches the per-tuple fallback routed through the same executor.
+/// for the compiled-router path (RecPart) and for closed-form baselines — and
+/// matches the per-tuple fallback routed through the same executor.
 #[test]
 fn map_shuffle_is_deterministic_across_threads_1_0_4() {
     let mut rng = StdRng::seed_from_u64(0xB10C);
@@ -330,15 +319,8 @@ fn map_shuffle_is_deterministic_across_threads_1_0_4() {
         .partitioner;
     let one_bucket = OneBucket::new(16, s.len(), t.len(), 5);
     let grid = GridPartitioner::build(&s, &t, &band, 1.0);
-    // And a 2-d tree over 3,000 uniform tuples a side.
-    let (s2, t2) = uniform_2d(3_000, 60.0, &mut StdRng::seed_from_u64(11));
-    let recpart_2d = recpart_partitioner(&s2, &t2, &BandCondition::symmetric(&[0.6, 0.6]), 8, 5);
-    let cases: [(&dyn Partitioner, &Relation, &Relation); 4] = [
-        (&recpart, &s, &t),
-        (&one_bucket, &s, &t),
-        (&grid, &s, &t),
-        (&recpart_2d, &s2, &t2),
-    ];
+    let cases: [(&dyn Partitioner, &Relation, &Relation); 3] =
+        [(&recpart, &s, &t), (&one_bucket, &s, &t), (&grid, &s, &t)];
 
     for (p, s, t) in cases {
         let shuffle_with = |threads: usize| {
