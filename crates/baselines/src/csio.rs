@@ -758,26 +758,6 @@ mod tests {
         }
     }
 
-    fn exactly_once(p: &CsioPartitioner, s: &Relation, t: &Relation, band: &BandCondition) {
-        let mut s_parts = Vec::new();
-        let mut t_parts = Vec::new();
-        for (si, sk) in s.iter().enumerate() {
-            s_parts.clear();
-            p.assign_s(&sk, si as u64, &mut s_parts);
-            assert!(!s_parts.is_empty(), "S#{si} unassigned");
-            for (ti, tk) in t.iter().enumerate() {
-                if !band.matches(&sk, &tk) {
-                    continue;
-                }
-                t_parts.clear();
-                p.assign_t(&tk, ti as u64, &mut t_parts);
-                assert!(!t_parts.is_empty(), "T#{ti} unassigned");
-                let common = s_parts.iter().filter(|x| t_parts.contains(x)).count();
-                assert_eq!(common, 1, "pair (S#{si}, T#{ti}) met {common} times");
-            }
-        }
-    }
-
     #[test]
     fn exactly_once_1d() {
         let s = random_relation(400, 1, 0.0, 100.0, 1);
@@ -787,7 +767,7 @@ mod tests {
         let p = CsioPartitioner::build(&s, &t, &band, 8, &small_config(), &mut rng);
         assert!(p.report().rectangles <= 8);
         assert!(p.report().rectangles > 0);
-        exactly_once(&p, &s, &t, &band);
+        crate::assert_exactly_once(&p, &s, &t, &band);
     }
 
     #[test]
@@ -802,7 +782,7 @@ mod tests {
             };
             let mut rng = StdRng::seed_from_u64(6);
             let p = CsioPartitioner::build(&s, &t, &band, 6, &cfg, &mut rng);
-            exactly_once(&p, &s, &t, &band);
+            crate::assert_exactly_once(&p, &s, &t, &band);
         }
     }
 
@@ -867,7 +847,7 @@ mod tests {
         }
         let band = BandCondition::symmetric(&[0.05]);
         let p = CsioPartitioner::build(&s, &t, &band, 8, &small_config(), &mut rng);
-        exactly_once(&p, &s, &t, &band);
+        crate::assert_exactly_once(&p, &s, &t, &band);
     }
 
     #[test]

@@ -382,23 +382,10 @@ mod tests {
         r
     }
 
+    /// Exactly once, with every S-tuple in exactly one cell.
     fn exactly_once(grid: &GridPartitioner, s: &Relation, t: &Relation, band: &BandCondition) {
-        let mut s_parts = Vec::new();
-        let mut t_parts = Vec::new();
-        for (si, sk) in s.iter().enumerate() {
-            s_parts.clear();
-            grid.assign_s(&sk, si as u64, &mut s_parts);
-            assert_eq!(s_parts.len(), 1, "S-tuples go to exactly one cell");
-            for (ti, tk) in t.iter().enumerate() {
-                if !band.matches(&sk, &tk) {
-                    continue;
-                }
-                t_parts.clear();
-                grid.assign_t(&tk, ti as u64, &mut t_parts);
-                let common = s_parts.iter().filter(|p| t_parts.contains(p)).count();
-                assert_eq!(common, 1, "pair (S#{si}, T#{ti}) must meet exactly once");
-            }
-        }
+        let s_cells = crate::assert_exactly_once(grid, s, t, band);
+        assert_eq!(s_cells, 1, "S-tuples go to exactly one cell");
     }
 
     #[test]

@@ -256,21 +256,7 @@ mod tests {
         let band = BandCondition::symmetric(&[0.1]);
         let mut rng = StdRng::seed_from_u64(6);
         let gs = GridStarPartitioner::build(&s, &t, &band, 4, &CostModel::default(), 16, &mut rng);
-        let mut s_parts = Vec::new();
-        let mut t_parts = Vec::new();
-        for (si, sk) in s.iter().enumerate() {
-            s_parts.clear();
-            gs.assign_s(&sk, si as u64, &mut s_parts);
-            for (ti, tk) in t.iter().enumerate() {
-                if !band.matches(&sk, &tk) {
-                    continue;
-                }
-                t_parts.clear();
-                gs.assign_t(&tk, ti as u64, &mut t_parts);
-                let common = s_parts.iter().filter(|p| t_parts.contains(p)).count();
-                assert_eq!(common, 1);
-            }
-        }
+        crate::assert_exactly_once(&gs, &s, &t, &band);
     }
 
     #[test]

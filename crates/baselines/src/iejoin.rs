@@ -198,22 +198,7 @@ mod tests {
         let t = random_relation(300, 2, 4);
         let band = BandCondition::symmetric(&[2.0, 50.0]);
         let p = IEJoinPartitioner::build(&s, &t, &band, 64);
-        let mut s_parts = Vec::new();
-        let mut t_parts = Vec::new();
-        for (si, sk) in s.iter().enumerate() {
-            s_parts.clear();
-            p.assign_s(&sk, si as u64, &mut s_parts);
-            assert!(!s_parts.is_empty());
-            for (ti, tk) in t.iter().enumerate() {
-                if !band.matches(&sk, &tk) {
-                    continue;
-                }
-                t_parts.clear();
-                p.assign_t(&tk, ti as u64, &mut t_parts);
-                let common = s_parts.iter().filter(|x| t_parts.contains(x)).count();
-                assert_eq!(common, 1, "pair (S#{si}, T#{ti})");
-            }
-        }
+        crate::assert_exactly_once(&p, &s, &t, &band);
     }
 
     #[test]

@@ -38,3 +38,36 @@ pub use grid::GridPartitioner;
 pub use grid_star::{GridStarPartitioner, GridStarReport};
 pub use iejoin::IEJoinPartitioner;
 pub use one_bucket::OneBucket;
+
+/// Assert that `p` joins `s` and `t` exactly once: every S-tuple is assigned to some
+/// partition, so is every T-tuple of a pair `band` matches, and the two tuples of
+/// every such pair meet in exactly one partition. Returns the most partitions any
+/// S-tuple was assigned to.
+#[cfg(test)]
+fn assert_exactly_once(
+    p: &dyn recpart::Partitioner,
+    s: &recpart::Relation,
+    t: &recpart::Relation,
+    band: &recpart::BandCondition,
+) -> usize {
+    let mut s_parts = Vec::new();
+    let mut t_parts = Vec::new();
+    let mut most_s_copies = 0;
+    for (si, sk) in s.iter().enumerate() {
+        s_parts.clear();
+        p.assign_s(&sk, si as u64, &mut s_parts);
+        assert!(!s_parts.is_empty(), "S#{si} unassigned");
+        most_s_copies = most_s_copies.max(s_parts.len());
+        for (ti, tk) in t.iter().enumerate() {
+            if !band.matches(&sk, &tk) {
+                continue;
+            }
+            t_parts.clear();
+            p.assign_t(&tk, ti as u64, &mut t_parts);
+            assert!(!t_parts.is_empty(), "T#{ti} unassigned");
+            let common = s_parts.iter().filter(|x| t_parts.contains(x)).count();
+            assert_eq!(common, 1, "pair (S#{si}, T#{ti}) met {common} times");
+        }
+    }
+    most_s_copies
+}

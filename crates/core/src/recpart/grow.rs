@@ -7,6 +7,7 @@
 //! know how either is computed.
 
 use super::ledger::{EvalLedger, Evaluation};
+use super::projections::{child_projections, SplitRecord};
 use super::search::SplitAction;
 use super::{
     LeafWork, OptimizationReport, OptimizerState, Plane, RecPartResult, SplitTreePartitioner,
@@ -76,11 +77,18 @@ fn timed<R>(seconds: &mut f64, f: impl FnOnce() -> R) -> R {
 
 /// Stable split of a leaf's sample-point list over the two children of a plane:
 /// every point goes to each child `children` names for it — exactly one for the
-/// partitioned side and the output pairs, one or both for the duplicated side.
-fn split_points(points: &[u32], children: impl Fn(u32) -> (bool, bool)) -> (Vec<u32>, Vec<u32>) {
+/// partitioned side and the output pairs, one or both for the duplicated side. Each
+/// point's decision is also written to `record[i]`, which the leaf's projections
+/// then split by.
+fn split_points(
+    points: &[u32],
+    record: &mut [(bool, bool)],
+    children: impl Fn(u32) -> (bool, bool),
+) -> (Vec<u32>, Vec<u32>) {
     let (mut left, mut right) = (Vec::new(), Vec::new());
     for &i in points {
         let (l, r) = children(i);
+        record[i as usize] = (l, r);
         if l {
             left.push(i);
         }
@@ -131,6 +139,8 @@ pub(super) struct GrownState {
     eval_counters: EvalCounters,
     split_search_seconds: f64,
     evaluation_seconds: f64,
+    /// Where the split being applied sends each sample point, reused by every split.
+    record: SplitRecord,
 }
 
 impl GrownState {
@@ -169,6 +179,11 @@ impl GrownState {
             eval_counters,
             split_search_seconds: 0.0,
             evaluation_seconds,
+            record: SplitRecord {
+                s: vec![(false, false); state.s_sample.len()],
+                t: vec![(false, false); state.t_sample.len()],
+                o: vec![(false, false); state.o_sample.len()],
+            },
         };
         grown.refresh(state, &[root]);
         grown.evaluate(state, true);
@@ -211,11 +226,11 @@ impl GrownState {
         None
     }
 
-    /// Apply a hyperplane split of `leaf_id`: update the tree, distribute the
-    /// parent's sample points over the two new leaves (plain lists and cached
-    /// projections alike, by the role `plane` gives each side — stable linear
-    /// partitions, so the work per split is proportional to the leaf's sample size),
-    /// tell the ledger and re-score the children. Returns the ids of the two new
+    /// Apply a hyperplane split of `leaf_id`: update the tree, decide once per parent
+    /// sample point which children it goes to (by the role `plane` gives its side),
+    /// distribute the plain lists and cached projections by those decisions — stable
+    /// linear partitions, so the work per split is proportional to the leaf's sample
+    /// size — tell the ledger and re-score the children. Returns the ids of the two new
     /// leaves.
     pub(super) fn split_plane(
         &mut self,
@@ -240,14 +255,18 @@ impl GrownState {
 
         let mut left = LeafWork::new(left_id);
         let mut right = LeafWork::new(right_id);
-        (left.s_pts, right.s_pts) = split_points(&parent.s_pts, |i| state.s_children(plane, i));
-        (left.t_pts, right.t_pts) = split_points(&parent.t_pts, |i| state.t_children(plane, i));
-        (left.o_pts, right.o_pts) = split_points(&parent.o_pts, |i| state.o_children(plane, i));
+        let record = &mut self.record;
+        (left.s_pts, right.s_pts) =
+            split_points(&parent.s_pts, &mut record.s, |i| state.s_children(plane, i));
+        (left.t_pts, right.t_pts) =
+            split_points(&parent.t_pts, &mut record.t, |i| state.t_children(plane, i));
+        (left.o_pts, right.o_pts) =
+            split_points(&parent.o_pts, &mut record.o, |i| state.o_children(plane, i));
         left.is_small = state.is_small(&self.tree, left_id);
         right.is_small = state.is_small(&self.tree, right_id);
-        (left.proj, right.proj) = state.child_projections(
+        (left.proj, right.proj) = child_projections(
             parent.proj.as_ref(),
-            plane,
+            record,
             (left.plane_candidate(), right.plane_candidate()),
         );
         store_work(&mut self.works, left);

@@ -20,7 +20,7 @@
 //! | module | owns | does not know |
 //! |---|---|---|
 //! | this one | the public API, the sample context (`OptimizerState`), the role formulation of a plane split (`Plane`) | how a split is found, costed or applied |
-//! | `projections` | a leaf's cached sorted columns and how a split distributes them | scores, the ledger |
+//! | `projections` | a leaf's cached sorted columns and how a split distributes them, by the children recorded for each point | scores, the ledger, `Plane` and the role rules |
 //! | `search` | the best split of one leaf: the sweep's counting and the one scoring routine | the ledger, the growth loop |
 //! | `ledger` | the per-leaf cost ledger and the LPT evaluation | how splits are found |
 //! | `grow` | the repeat loop, winner and undo log, termination, the report | how a split is scored or costed |

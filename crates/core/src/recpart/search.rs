@@ -9,11 +9,12 @@
 //! hand their counts to the one **scoring** routine, [`OptimizerState::score_plane`],
 //! so the arithmetic and the strict-`>` tie-break cannot drift apart.
 
-use super::projections::{BandProj, DimProjection};
+use super::projections::DimProjection;
 use super::{LeafWork, OptimizerState, Plane};
+use crate::band::BandCondition;
 use crate::geometry::Rect;
 use crate::metrics::SplitSearchCounters;
-use crate::scoring::{advance, partition_load, variance_term, SplitScore};
+use crate::scoring::{merge_dedup, partition_load, variance_term, SplitScore};
 use crate::split_tree::{SplitKind, SplitTree};
 
 /// The action chosen for a leaf by [`OptimizerState::refresh_best`].
@@ -77,41 +78,62 @@ struct LeafTerms<'a> {
 }
 
 /// The four monotone pointers the sweep keeps for one role assignment over one
-/// dimension's cached columns — the partitioned side's values, the duplicated side's
-/// `minus` and `plus` copies, the output values. Where they stand is exactly the
-/// [`RoleCounts`] of the current candidate.
+/// dimension's cached value columns — the partitioned side's, the duplicated side's
+/// (twice: shifted down by `sub` and up by `add`, that side's band widths) and the
+/// output's. Where they stand is exactly the [`RoleCounts`] of the current candidate.
+/// The shifted pointers test `v − sub < x` and `v + add < x`, the very expressions
+/// the reference scorer's `partition_point`s evaluate; shifting by a constant is
+/// monotone under IEEE rounding, so a shifted sorted column is sorted too, and every
+/// pointer only advances as the candidate values grow.
 struct RoleSweep<'a> {
-    columns: [&'a [f64]; 4],
+    partitioned: &'a [f64],
+    duplicated: &'a [f64],
+    output: &'a [f64],
+    sub: f64,
+    add: f64,
     at: RoleCounts,
 }
 
 impl<'a> RoleSweep<'a> {
-    /// Pointers initialized at the first candidate value `x0`; from there each only
-    /// advances (candidate midpoints never decrease).
-    fn new(
-        partitioned: &'a BandProj,
-        duplicated: &'a BandProj,
-        output: &'a BandProj,
-        x0: f64,
-    ) -> Self {
-        let columns = [
-            &partitioned.vals[..],
-            &duplicated.minus,
-            &duplicated.plus,
-            &output.vals,
-        ];
+    /// The pointers of a `kind` split in dimension `dim` of `p`, at the start of their
+    /// columns; the first candidate moves them. A T-split partitions S and duplicates
+    /// T (left iff `t − ε_lo < x`); an S-split partitions T and duplicates S (left iff
+    /// `s − ε_hi < x`); output pairs follow the partitioned side's key.
+    fn of(p: &'a DimProjection, band: &BandCondition, dim: usize, kind: SplitKind) -> Self {
+        let (eps_lo, eps_hi) = (band.eps_low(dim), band.eps_high(dim));
+        let (partitioned, duplicated, (sub, add), output) = match kind {
+            SplitKind::TSplit => (&p.s, &p.t, (eps_lo, eps_hi), &p.o_s),
+            SplitKind::SSplit => (&p.t, &p.s, (eps_hi, eps_lo), &p.o_t),
+        };
         RoleSweep {
-            columns,
-            at: columns.map(|col| col.partition_point(|&v| v < x0)),
+            partitioned: &partitioned.vals,
+            duplicated: &duplicated.vals,
+            output: &output.vals,
+            sub,
+            add,
+            at: [0; 4],
         }
     }
 
+    /// The role counts at candidate `x`, which must not be below the last one asked.
     #[inline]
     fn advance_to(&mut self, x: f64) -> RoleCounts {
-        for (col, p) in self.columns.iter().zip(&mut self.at) {
-            advance(col, p, x);
-        }
+        let (sub, add) = (self.sub, self.add);
+        let [part_l, dup_l, dup_not_r, out_l] = &mut self.at;
+        advance(self.partitioned, part_l, |v| v < x);
+        advance(self.duplicated, dup_l, |v| v - sub < x);
+        advance(self.duplicated, dup_not_r, |v| v + add < x);
+        advance(self.output, out_l, |v| v < x);
         self.at
+    }
+}
+
+/// Move `*p` past the leading entries of `col` that satisfy `below`, which must hold
+/// on a prefix of `col` — so `*p` ends at `col.partition_point(below)`.
+#[inline]
+fn advance(col: &[f64], p: &mut usize, below: impl Fn(f64) -> bool) {
+    while *p < col.len() && below(col[*p]) {
+        *p += 1;
     }
 }
 
@@ -218,20 +240,19 @@ impl OptimizerState<'_> {
         (best, counters)
     }
 
-    /// The sweep-line scorer's pass over one dimension's cached projections: every
-    /// left/right count is maintained by a pointer that advances monotonically with
-    /// the (non-decreasing) candidate values, so the whole dimension costs
+    /// The sweep-line scorer's pass over one dimension's cached projections: the
+    /// candidate boundaries are the distinct values of the combined input sample
+    /// ([`merge_dedup`] of the two sorted value columns), and every left/right count
+    /// is maintained by a pointer that advances monotonically with the
+    /// (non-decreasing) candidate values, so the whole dimension costs
     /// O(windows + points) with zero per-candidate binary searches.
     fn sweep_dim(&self, p: &DimProjection, dim: usize, leaf: &LeafTerms<'_>) -> (usize, BestSplit) {
-        if p.bounds.len() < 2 {
-            return (0, BestSplit::none());
-        }
-        let x0 = 0.5 * (p.bounds[0] + p.bounds[1]);
-        let mut t_split = RoleSweep::new(&p.s, &p.t, &p.o_s, x0);
-        // Under asymmetric partitioning `p.s` carries no shifted copies and `p.o_t` is
-        // empty; these pointers then never move.
-        let mut s_split = RoleSweep::new(&p.t, &p.s, &p.o_t, x0);
-        self.score_candidates(&p.bounds, dim, leaf, |kind, x| match kind {
+        let bounds = merge_dedup(&p.s.vals, &p.t.vals);
+        let mut t_split = RoleSweep::of(p, self.band, dim, SplitKind::TSplit);
+        // Under asymmetric partitioning only T-splits are scored: these pointers
+        // never move, and `p.o_t` is empty.
+        let mut s_split = RoleSweep::of(p, self.band, dim, SplitKind::SSplit);
+        self.score_candidates(&bounds, dim, leaf, |kind, x| match kind {
             SplitKind::TSplit => t_split.advance_to(x),
             SplitKind::SSplit => s_split.advance_to(x),
         })
@@ -376,7 +397,6 @@ mod tests {
     use super::super::grow::GrownState;
     use super::super::tests::{pareto_relation, uniform_relation};
     use super::*;
-    use crate::band::BandCondition;
     use crate::config::RecPartConfig;
     use crate::relation::Relation;
     use crate::sample::{InputSample, OutputSample, SampleConfig};
@@ -386,14 +406,16 @@ mod tests {
 
     /// Build an optimizer state over drawn samples and compare the sweep-line and
     /// binary-search scorers on the root leaf and (after applying the chosen
-    /// split) on both children, exercising the incremental projection split.
+    /// split) on both children, exercising the incremental projection split. The
+    /// split must also hand each child exactly the points the winning plane was
+    /// scored with. Returns the root's chosen action.
     fn compare_scorers(
         s: &Relation,
         t: &Relation,
         band: &BandCondition,
         symmetric: bool,
         sample_seed: u64,
-    ) {
+    ) -> SplitAction {
         let mut cfg = RecPartConfig::new(6).with_sample(SampleConfig {
             input_sample_size: 400,
             output_sample_size: 200,
@@ -418,7 +440,7 @@ mod tests {
         let root = grown.tree.root();
         let work = grown.works[root as usize].as_ref().unwrap();
         if !work.plane_candidate() {
-            return;
+            return SplitAction::None;
         }
 
         let reference = |tree: &SplitTree, work: &LeafWork| {
@@ -432,7 +454,19 @@ mod tests {
         // Apply the chosen split and compare the children, whose projections were
         // distributed incrementally rather than argsorted from scratch.
         if let SplitAction::Plane(plane) = sweep.action {
+            // Point counts in role order: partitioned side, duplicated side, output.
+            let sizes = |w: &LeafWork| match plane.kind {
+                SplitKind::TSplit => [w.s_pts.len(), w.t_pts.len(), w.o_pts.len()],
+                SplitKind::SSplit => [w.t_pts.len(), w.s_pts.len(), w.o_pts.len()],
+            };
+            let [part, dup, out] = sizes(work);
+            let proj = &work.proj.as_ref().unwrap().dims[plane.dim];
+            let scored = RoleSweep::of(proj, band, plane.dim, plane.kind).advance_to(plane.value);
             let (l, r) = grown.split_plane(&state, root, plane);
+            let [part_l, dup_l, out_l] = sizes(grown.works[l as usize].as_ref().unwrap());
+            let [part_r, dup_r, out_r] = sizes(grown.works[r as usize].as_ref().unwrap());
+            prop_assert_eq!([part_l, dup_l, dup - dup_r, out_l], scored, "left child");
+            prop_assert_eq!([part_r, out_r], [part - part_l, out - out_l], "right child");
             for child in [l, r] {
                 let work = grown.works[child as usize].as_ref().unwrap();
                 if !work.plane_candidate() {
@@ -445,6 +479,59 @@ mod tests {
                     "child best split differs"
                 );
             }
+        }
+        sweep.action
+    }
+
+    /// Leaves whose points sit exactly on `x − ε` and `x + ε` of the plane `x = 1`
+    /// they are split at, where the sweep's shifted pointers and
+    /// `Plane::reached_children` decide by a strict `<` (and `≥`). The keys are
+    /// dyadic, so `v − ε` and `v + ε` are exact. Each case names the plane it must
+    /// win with, so the ties are what the scorers and the split are compared on.
+    #[test]
+    fn ties_at_the_band_edges_are_scored_and_split_alike() {
+        let keys = |runs: &[(f64, usize)]| {
+            let vals: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
+                .collect();
+            Relation::from_values_1d(&vals)
+        };
+        let eps_1 = BandCondition::symmetric(&[1.0]);
+        let cases = [
+            // T-split: T at 2 has `t − ε = x`, T at 0 has `t + ε = x`.
+            (
+                keys(&[(0.0, 8), (2.0, 8)]),
+                keys(&[(0.0, 4), (2.0, 4)]),
+                eps_1.clone(),
+                false,
+                SplitKind::TSplit,
+            ),
+            // The same ties on S, whose duplication is cheaper than T's.
+            (
+                keys(&[(0.0, 2), (2.0, 14)]),
+                keys(&[(0.0, 8), (2.0, 8)]),
+                eps_1,
+                true,
+                SplitKind::SSplit,
+            ),
+            // Unequal widths: `t − ε_lo = x` at 2, `t + ε_hi = x` at 0.5.
+            (
+                keys(&[(0.5, 8), (1.5, 8)]),
+                keys(&[(0.5, 4), (2.0, 4), (2.5, 1)]),
+                BandCondition::try_asymmetric(&[1.0], &[0.5]).unwrap(),
+                false,
+                SplitKind::TSplit,
+            ),
+        ];
+        for (s, t, band, symmetric, kind) in cases {
+            let plane = Plane {
+                dim: 0,
+                value: 1.0,
+                kind,
+            };
+            let action = compare_scorers(&s, &t, &band, symmetric, 7);
+            assert_eq!(action, SplitAction::Plane(plane));
         }
     }
 

@@ -108,9 +108,9 @@ pub(crate) fn variance_term(workers: usize, load: f64) -> f64 {
 /// sequence of *distinct* values, replicating `sort_unstable_by(total_cmp)` followed
 /// by `dedup()` (which removes consecutive `==`-equal values) on the concatenation.
 ///
-/// This is how the sweep scorer's candidate split boundaries are derived from a
-/// leaf's cached per-dimension projections — once per leaf at projection-split time,
-/// never per visit (see `recpart`'s `DimProjection::bounds`).
+/// This is how the sweep scorer derives a dimension's candidate split boundaries from
+/// the leaf's cached S and T value columns, once per scored leaf (see `recpart`'s
+/// `sweep_dim`).
 pub(crate) fn merge_dedup(a: &[f64], b: &[f64]) -> Vec<f64> {
     let mut out: Vec<f64> = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
@@ -129,16 +129,6 @@ pub(crate) fn merge_dedup(a: &[f64], b: &[f64]) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Advance a sweep pointer so that `*p == arr.partition_point(|&v| v < x)` for a
-/// sorted (non-decreasing) array and a candidate value `x` that never decreases
-/// between calls.
-#[inline]
-pub(crate) fn advance(arr: &[f64], p: &mut usize, x: f64) {
-    while *p < arr.len() && arr[*p] < x {
-        *p += 1;
-    }
 }
 
 #[cfg(test)]
@@ -239,16 +229,6 @@ mod tests {
         assert_eq!(merged, reference);
         assert!(merge_dedup(&[], &[]).is_empty());
         assert_eq!(merge_dedup(&[3.0], &[]), vec![3.0]);
-    }
-
-    #[test]
-    fn advance_matches_partition_point() {
-        let arr = [0.0, 1.0, 1.0, 2.0, 5.0];
-        let mut p = 0;
-        for x in [0.5, 1.0, 1.5, 4.9, 9.0] {
-            advance(&arr, &mut p, x);
-            assert_eq!(p, arr.partition_point(|&v| v < x), "x = {x}");
-        }
     }
 
     #[test]

@@ -482,7 +482,7 @@ impl Executor {
     /// returns them: the back half of [`Executor::execute`] on its own. The arenas
     /// are only borrowed, so they are copied and the copy enters the pipeline where
     /// `execute`'s own shuffle output does; the
-    /// plan-cached service ([`crate::BandJoinService`]) keeps [`JoinReadyInputs`] instead and
+    /// plan-cached service ([`crate::BandJoinService`]) keeps its arenas join-ready instead and
     /// skips both the copy and the sorts. The result is bit-identical by
     /// construction to a fresh [`Executor::execute`] with the same partitioner
     /// (only the wall-clock measurements differ; `map_shuffle_wall_seconds` is

@@ -40,7 +40,7 @@
 //!   path whenever no shard is lost;
 //! * `plan_cache` / `serve` — the query-serving tier: a long-running
 //!   [`BandJoinService`] loads the dataset once and answers a stream of band-join
-//!   queries from a [`PlanCache`] of compiled partitionings plus their shuffled CSR
+//!   queries from a plan cache of compiled partitionings plus their shuffled CSR
 //!   arenas (LRU by arena bytes, keyed on dataset generations + band + worker count,
 //!   with band-subsumption reuse) — warm queries skip optimize/compile/shuffle and
 //!   run only the reduce phase, bit-identical to a one-shot execution.
@@ -66,10 +66,8 @@ pub use executor::{
     ExecutionReport, Executor, ExecutorConfig, PartitionLoad, ShardPlan, VerificationLevel,
 };
 pub use faults::{FaultKind, FaultPlan, FaultSpec, InjectionPoint};
-pub use join_ready::JoinReadyInputs;
 pub use local_join::{probe_sorted, LocalJoinResult, SortedProbeSide};
 pub use metrics::{process_peak_rss_bytes, RecoveryCounters, ShardStats};
-pub use plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
 pub use recpart::JoinKernel;
 pub use serve::{
     BandJoinQuery, BandJoinService, PlanSource, QueryResponse, ServeError, ServiceConfig,

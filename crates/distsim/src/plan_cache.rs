@@ -83,9 +83,6 @@ impl PlanKey {
 pub struct CachedPlan {
     /// The optimized split-tree partitioner (owns the compiled router).
     pub partitioner: SplitTreePartitioner,
-    /// The plan's band (the ε the partitioner was built for — the widest band
-    /// this plan serves).
-    pub band: BandCondition,
     /// Both shuffled per-partition tuple-index arenas, every partition sorted
     /// once at build time so no query served from this plan sorts it again.
     pub inputs: JoinReadyInputs,
@@ -154,11 +151,6 @@ impl PlanCache {
     /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the cache holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The hit/miss/eviction accounting so far.
@@ -273,7 +265,7 @@ mod tests {
     fn tiny_plan(seed: u64, tuples: u32) -> CachedPlan {
         let band = BandCondition::symmetric(&[0.5]);
         let tree = SplitTree::new(1);
-        let partitioner = SplitTreePartitioner::from_tree(tree, band.clone(), seed, "test");
+        let partitioner = SplitTreePartitioner::from_tree(tree, band, seed, "test");
         let values: Vec<f64> = (0..tuples).map(f64::from).collect();
         let rel = Relation::from_values_1d(&values);
         let shuffled = ShuffledInputs {
@@ -285,7 +277,6 @@ mod tests {
         let plan_signature = partitioner.plan_signature();
         CachedPlan {
             partitioner,
-            band,
             inputs,
             plan_signature,
         }

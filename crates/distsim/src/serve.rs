@@ -453,7 +453,6 @@ impl BandJoinService {
                         self.cache.insert(
                             key,
                             CachedPlan {
-                                band: partitioner.band().clone(),
                                 partitioner,
                                 inputs,
                                 plan_signature,

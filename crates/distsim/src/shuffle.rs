@@ -42,7 +42,7 @@ const SHUFFLE_CHUNK_TUPLES: usize = 65_536;
 /// Per-partition tuple-index lists stored as one flat arena plus partition offsets
 /// (CSR layout): partition `p` owns `data[offsets[p]..offsets[p + 1]]`. As the shuffle
 /// returns it, every partition is in routing (ascending tuple-index) order; once
-/// [`crate::JoinReadyInputs`] owns the index, every partition is in dimension-0 order
+/// the reduce has made the index join-ready, every partition is in dimension-0 order
 /// instead (same ids, same offsets, same bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionedIndex {
@@ -79,7 +79,7 @@ impl PartitionedIndex {
     }
 
     /// The tuple indices routed to partition `p`: ascending in a shuffle's own output
-    /// ([`ShuffledInputs`]), in dimension-0 order inside [`crate::JoinReadyInputs`].
+    /// ([`ShuffledInputs`]), in dimension-0 order once the index is join-ready.
     pub fn part(&self, p: usize) -> &[u32] {
         &self.data[self.offsets[p]..self.offsets[p + 1]]
     }

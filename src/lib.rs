@@ -49,7 +49,7 @@ pub use distsim;
 pub use recpart;
 
 /// One-stop imports for applications: what the quickstart, the README and the examples
-/// use. Everything else is imported from its crate (`band_join::distsim::PlanCache`).
+/// use. Everything else is imported from its crate (`band_join::distsim::ExecutorConfig`).
 pub mod prelude {
     pub use baselines::{
         CsioConfig, CsioPartitioner, GridPartitioner, GridStarPartitioner, IEJoinPartitioner,
