@@ -57,9 +57,10 @@ pub struct RecPartConfig {
     pub max_iterations: usize,
     /// Seed for all randomized choices (sampling, 1-Bucket row/column assignment).
     pub seed: u64,
-    /// Parallelism of the output sampler's T scan — output-sample scan only; the split
-    /// search and the evaluation are sequential by construction (every measurement
-    /// read their thread fan-outs slower than one thread, DESIGN.md §6). `0` uses one
+    /// Parallelism of the output sampler's T scan and per-probe selection — output
+    /// sampling only; the split search and the evaluation are sequential by
+    /// construction (every measurement read their thread fan-outs slower than one
+    /// thread, DESIGN.md §6). `0` uses one
     /// thread per available core, `1` runs strictly sequentially (no thread at all),
     /// `n > 1` uses `n` threads; [`crate::RecPart::new`] resolves the setting once
     /// ([`crate::Parallelism`]), and the config keeps it as given. The drawn sample,

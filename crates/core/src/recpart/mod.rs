@@ -214,8 +214,9 @@ pub struct RecPartResult {
 #[derive(Debug, Clone)]
 pub struct RecPart {
     config: RecPartConfig,
-    /// `config.threads`, resolved. Output-sample scan only: the split search and the
-    /// evaluation are sequential by construction (DESIGN.md §6).
+    /// `config.threads`, resolved. Output sampling only (the T scan and the per-probe
+    /// selection): the split search and the evaluation are sequential by construction
+    /// (DESIGN.md §6).
     par: Parallelism,
     #[cfg(test)]
     oracles: Oracles,

@@ -35,22 +35,29 @@
 //!   `t − s` rejects under the exchanged widths exactly when `s − t` rejects under
 //!   the original ones.
 //! * The scan records one entry per T-tuple that joined at least one probe and one
-//!   `u32` per match; nothing of size `|T|` is allocated, and only the matched rows
-//!   are ever sorted. Sorting *them* once by `(t₀, T index)` and dealing their
-//!   matches out to the probes in that order (a stable counting sort by probe)
-//!   leaves every probe's list in the order the contract below demands, at a cost
-//!   that does not grow with the number of probes a row joins.
+//!   `u32` per match; nothing of size `|T|` is allocated. Dealing the matches out to
+//!   the probes in row order (a counting sort by probe) leaves every probe's list in
+//!   ascending T index, each entry carrying its `t₀`.
+//! * Only the drawn positions are ordered: a few thousand pairs are drawn from up to
+//!   millions of matches, so the sampler draws every rank first and then, within
+//!   each probe's list, selects just the entries at its drawn ranks
+//!   (`select_nth_unstable_by` on `(t₀, T index)`, recursing between the ranks; a
+//!   list whose drawn ranks are dense is sorted instead). The order the contract
+//!   below defines thus holds at the drawn positions and nowhere else.
 //!
-//! The T scan fans out over contiguous row chunks under the caller's
-//! [`Parallelism`]; [`OutputSample::draw`] is the sequential entry point.
+//! The T scan fans out over contiguous row chunks, and the selection over the
+//! probes' lists, under the caller's [`Parallelism`]; [`OutputSample::draw`] is the
+//! sequential entry point.
 //!
 //! # The ordering contract
 //!
 //! The sample must not depend on how the matches were found, or every plan,
 //! golden statistic and benchmark count would move with the scan's implementation
-//! or thread count. So the match list of each probe is put into one defined total
-//! order before anything is drawn from it: ascending `(t₀ by f64::total_cmp, T
-//! index)` — the order a stable sort of T on dimension 0 visits a probe's window in.
+//! or thread count. So the match list of each probe is drawn from as if it were in
+//! one defined total order: ascending `(t₀ by f64::total_cmp, T index)` — the order
+//! a stable sort of T on dimension 0 visits a probe's window in. The order is total
+//! over distinct T indices, so the entry at each rank is unique, and selecting it
+//! yields exactly what sorting the whole list would.
 //! The lists are concatenated in probe draw order and pair `r` of the concatenation
 //! is addressed by one `gen_range(0..total_degree)` call per sampled pair. Given the
 //! same RNG state, any correct way of finding the matches therefore yields the same
@@ -66,6 +73,7 @@ use crate::parallel::{chunk_ranges, Parallelism};
 use crate::relation::Relation;
 use crate::simd::{JoinKernel, WindowKernel};
 use rand::Rng;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -228,8 +236,11 @@ impl OutputSample {
         Self::draw_with(s, t, band, config, rng, Parallelism::new(1))
     }
 
-    /// [`OutputSample::draw`] with the T scan fanned out under `par`. The sample
-    /// and the RNG stream are the same for every `par`.
+    /// [`OutputSample::draw`] with the T scan and the per-probe selection fanned out
+    /// under `par`. All pair ranks are drawn before any pair is read, one
+    /// `gen_range(0..total_degree)` call each, in the order the pairs are emitted;
+    /// only the drawn ranks are then put in place within their probes' lists. The
+    /// sample and the RNG stream are the same for every `par`.
     pub(crate) fn draw_with<R: Rng + ?Sized>(
         s: &Relation,
         t: &Relation,
@@ -255,19 +266,20 @@ impl OutputSample {
         let probe_indices = sample_indices(s.len(), probe_count, rng);
         let probes = ProbeIndex::build(s, &probe_indices, band);
 
-        let matches = probes.match_lists(t, band, par);
+        let mut matches = probes.match_lists(t, band, par);
         let total_degree = matches.t.len();
         let estimated_output = total_degree as f64 * s.len() as f64 / probe_count as f64;
 
         // Draw output pairs proportional to degree: uniformly from the concatenated
         // match lists, which `matches.offsets` indexes cumulatively.
         let want = config.output_sample_size.min(total_degree);
+        let ranks: Vec<usize> = (0..want).map(|_| rng.gen_range(0..total_degree)).collect();
+        matches.place(&ranks, par);
         let mut pairs = Vec::with_capacity(want * 2 * dims);
-        for _ in 0..want {
-            let r = rng.gen_range(0..total_degree);
+        for &r in &ranks {
             let probe = matches.offsets.partition_point(|&c| c <= r) - 1;
             pairs.extend_from_slice(&s.key(probe_indices[probe]));
-            pairs.extend_from_slice(&t.key(matches.t[r] as usize));
+            pairs.extend_from_slice(&t.key(matches.t[r].1 as usize));
         }
 
         OutputSample {
@@ -353,13 +365,12 @@ impl OutputSample {
     }
 }
 
-/// A T-tuple that joins at least one probe, as the scan records it: which probes
-/// (`hits` entries of the scan's hit list from `first_hit` on), and its dimension-0
-/// value so ordering the rows never goes back to the column.
+/// A T-tuple that joins at least one probe, as the scan records it: how many
+/// entries of the scan's hit list (which follows the rows' order) are its probes,
+/// and its dimension-0 value, so the selection never goes back to the column.
 #[derive(Debug, Clone, Copy)]
 struct MatchedRow {
     t0: f64,
-    first_hit: usize,
     hits: u32,
     /// Index of the T-tuple.
     t: u32,
@@ -369,11 +380,70 @@ struct MatchedRow {
 /// lists (probes by draw-order index).
 type ScanOutput = (Vec<MatchedRow>, Vec<u32>);
 
+/// One entry of a probe's match list: a T-tuple's dimension-0 value and its index,
+/// the key of the defined order.
+type Match = (f64, u32);
+
+/// The defined order of a probe's match list: ascending `(t₀ by f64::total_cmp, T
+/// index)`, a total order over distinct T-tuples.
+fn defined_order(a: &Match, b: &Match) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
 /// The match list of every probe, concatenated in probe draw order: probe `p` joins
-/// the T-tuples `t[offsets[p]..offsets[p + 1]]`, ascending by `(t₀, T index)`.
+/// the T-tuples of `t[offsets[p]..offsets[p + 1]]`. The scan leaves each list in
+/// ascending T index; [`MatchLists::place`] puts the drawn positions of a list where
+/// the defined order puts them, and leaves the rest unordered.
 struct MatchLists {
     offsets: Vec<usize>,
-    t: Vec<u32>,
+    t: Vec<Match>,
+}
+
+impl MatchLists {
+    /// Put the entry that the defined order places at each of `ranks` (positions in
+    /// the concatenation, in any order, repeats allowed) at that position, selecting
+    /// within each probe's list only.
+    fn place(&mut self, ranks: &[usize], par: Parallelism) {
+        let mut ranks = ranks.to_vec();
+        ranks.sort_unstable();
+        ranks.dedup();
+        let MatchLists { offsets, t } = self;
+        // Every list that owns a drawn rank, with its ranks and where it starts.
+        let mut lists = Vec::new();
+        let (mut rest, mut tail, mut tail_start) = (&ranks[..], &mut t[..], 0);
+        while let Some(&r) = rest.first() {
+            let probe = offsets.partition_point(|&c| c <= r) - 1;
+            let (start, end) = (offsets[probe], offsets[probe + 1]);
+            let owned = rest.partition_point(|&r| r < end);
+            let (list, after) = tail[start - tail_start..].split_at_mut(end - start);
+            lists.push((list, &rest[..owned], start));
+            (rest, tail, tail_start) = (&rest[owned..], after, end);
+        }
+        par.map(lists, |(list, ranks, base)| select_ranks(list, ranks, base));
+    }
+}
+
+/// A list whose drawn ranks number at least `1 / DENSE_RANKS` of its length is
+/// sorted whole rather than selected rank by rank.
+const DENSE_RANKS: usize = 8;
+
+/// Put the entry that sorting `list` by [`defined_order`] would place at position
+/// `rank − base` there, for every rank of `ranks` (ascending, distinct, each in
+/// `base..base + list.len()`): a quickselect on the middle rank, then the ranks on
+/// either side of it within the part on that side.
+fn select_ranks(list: &mut [Match], ranks: &[usize], base: usize) {
+    if ranks.is_empty() {
+        return;
+    }
+    if ranks.len() * DENSE_RANKS >= list.len() {
+        list.sort_unstable_by(defined_order);
+        return;
+    }
+    let mid = ranks.len() / 2;
+    let k = ranks[mid] - base;
+    let (left, _, right) = list.select_nth_unstable_by(k, defined_order);
+    select_ranks(left, &ranks[..mid], base);
+    select_ranks(right, &ranks[mid + 1..], base + k + 1);
 }
 
 /// T rows per parallel work item of the scan; a T of fewer than two of them is
@@ -463,40 +533,34 @@ impl ProbeIndex {
         } else {
             1
         };
-        let mut chunks = par
-            .map(chunk_ranges(t.len(), pieces), |(lo, hi)| {
-                self.scan(t, &kernel, lo..hi)
-            })
-            .into_iter();
-        let (mut rows, mut hits) = chunks.next().unwrap_or_default();
-        for (chunk_rows, chunk_hits) in chunks {
-            let shift = hits.len();
-            rows.extend(chunk_rows.into_iter().map(|row| MatchedRow {
-                first_hit: row.first_hit + shift,
-                ..row
-            }));
-            hits.extend(chunk_hits);
-        }
+        let chunks = par.map(chunk_ranges(t.len(), pieces), |(lo, hi)| {
+            self.scan(t, &kernel, lo..hi)
+        });
 
-        // Put the matched rows into `(t₀, T index)` order — a total order, so the
-        // order the scan found them in is immaterial — and deal their hits out to the
-        // probes in that order (a stable counting sort by probe): every probe's list
-        // comes out in the defined order without being sorted itself.
-        rows.sort_unstable_by(|a, b| a.t0.total_cmp(&b.t0).then(a.t.cmp(&b.t)));
+        // Count every probe's degree, then deal each matched row's hits out to its
+        // probes, chunk by chunk in row order (a counting sort by probe): every list
+        // comes out in ascending T index, whatever the chunking.
         let mut offsets = vec![0usize; self.len() + 1];
-        for &probe in &hits {
-            offsets[probe as usize + 1] += 1;
+        for (_, hits) in &chunks {
+            for &probe in hits {
+                offsets[probe as usize + 1] += 1;
+            }
         }
         for p in 0..self.len() {
             offsets[p + 1] += offsets[p];
         }
-        let mut matched = vec![0u32; hits.len()];
+        let mut matched = vec![(0.0, 0u32); offsets[self.len()]];
         let mut cursor = offsets.clone();
-        for row in &rows {
-            for &probe in &hits[row.first_hit..][..row.hits as usize] {
-                let at = &mut cursor[probe as usize];
-                matched[*at] = row.t;
-                *at += 1;
+        for (rows, hits) in &chunks {
+            let mut first_hit = 0;
+            for row in rows {
+                let row_hits = &hits[first_hit..][..row.hits as usize];
+                first_hit += row_hits.len();
+                for &probe in row_hits {
+                    let at = &mut cursor[probe as usize];
+                    matched[*at] = (row.t0, row.t);
+                    *at += 1;
+                }
             }
         }
         MatchLists {
@@ -526,7 +590,7 @@ impl ProbeIndex {
             keys.clear();
             keys.extend(t_cols.iter().map(|col| &col[block.clone()]));
             counts.clear();
-            let mut first_hit = hits.len();
+            let first_hit = hits.len();
             kernel.collect(&keys, &runs[..values.len()], &mut hits, &mut counts);
             for position in &mut hits[first_hit..] {
                 *position = self.draw_index[*position as usize];
@@ -535,11 +599,9 @@ impl ProbeIndex {
                 if n > 0 {
                     matched.push(MatchedRow {
                         t0,
-                        first_hit,
                         hits: n,
                         t: i as u32,
                     });
-                    first_hit += n as usize;
                 }
             }
         }
@@ -822,6 +884,53 @@ mod tests {
         }
     }
 
+    /// `select_ranks` puts every requested rank where a full sort by the defined
+    /// order does, on lists in scrambled order whose `t₀` ties heavily (±0.0 among
+    /// them), so the T index decides; the list stays a permutation of itself.
+    #[test]
+    fn selected_ranks_equal_a_full_sort() {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(0x5E1E);
+        let grid = [-1.0, -0.0, 0.0, 0.5, 1.0];
+        for len in [0usize, 1, 2, 7, 100, 5_000] {
+            let mut list: Vec<Match> = (0..len as u32)
+                .map(|i| (grid[rng.gen_range(0..grid.len())], 3 * i + 1))
+                .collect();
+            list.shuffle(&mut rng);
+            let mut sorted = list.clone();
+            sorted.sort_by(defined_order);
+            let mut sparse = sample_indices(len, 11, &mut rng);
+            sparse.sort_unstable();
+            let rank_sets = [
+                vec![],
+                vec![len / 2],
+                vec![0],
+                vec![len.saturating_sub(1)],
+                vec![0, len.saturating_sub(1)],
+                sparse,
+                (0..len).collect(),
+            ];
+            for ranks in rank_sets.iter().filter(|r| r.iter().all(|&r| r < len)) {
+                for base in [0usize, 977] {
+                    let mut ranks = ranks.iter().map(|r| r + base).collect::<Vec<_>>();
+                    ranks.dedup();
+                    let mut placed = list.clone();
+                    select_ranks(&mut placed, &ranks, base);
+                    for &r in &ranks {
+                        let (got, want) = (placed[r - base], sorted[r - base]);
+                        assert_eq!(
+                            (got.0.to_bits(), got.1),
+                            (want.0.to_bits(), want.1),
+                            "len {len}, rank {r}, base {base}"
+                        );
+                    }
+                    placed.sort_by(defined_order);
+                    assert!(placed.iter().zip(&sorted).all(|(a, b)| a.1 == b.1));
+                }
+            }
+        }
+    }
+
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -856,6 +965,54 @@ mod tests {
                 sample.dims,
                 rng.gen::<u64>(),
             )
+        }
+
+        /// Probes whose match lists run to thousands of entries of five tied `t₀`
+        /// values (±0.0 among them), each list receiving ≥ 64 draws: the selection's
+        /// quickselect path, which the proptest's small T rarely reaches, draws the
+        /// reference's sample at every parallelism.
+        #[test]
+        fn long_tied_match_lists_equal_reference() {
+            let (probes, t_len) = (16usize, 12_000);
+            let mut s = Relation::with_capacity(2, probes);
+            for i in 0..probes {
+                s.push(&[i as f64 / 64.0, (i % 3) as f64 - 1.0]);
+            }
+            let grid = [-1.0, -0.0, 0.0, 0.5, 1.0];
+            let mut rng = StdRng::seed_from_u64(0x71ED);
+            let mut t = Relation::with_capacity(2, t_len);
+            for _ in 0..t_len {
+                let t0 = grid[rng.gen_range(0..grid.len())];
+                t.push(&[t0, rng.gen_range(-2i32..3) as f64]);
+            }
+            let band = BandCondition::symmetric(&[2.0, 1.0]);
+            let config = SampleConfig {
+                input_sample_size: 16,
+                output_sample_size: 4_096,
+                output_probe_count: probes,
+            };
+
+            let rng = StdRng::seed_from_u64(0xD1A3);
+            let expected = {
+                let mut rng = rng.clone();
+                let sample = reference::draw(&s, &t, &band, &config, &mut rng);
+                for i in 0..probes {
+                    let s0 = i as f64 / 64.0;
+                    let degree = (0..t_len)
+                        .filter(|&j| band.matches(&s.key(i), &t.key(j)))
+                        .count();
+                    let draws = (0..sample.len()).filter(|&p| sample.s_key(p)[0] == s0);
+                    assert!(degree >= 4_000, "probe {i} joins only {degree}");
+                    assert!(draws.count() >= 64, "probe {i} drew too few pairs");
+                }
+                observe(sample, rng)
+            };
+            for threads in [1, 2, 0] {
+                let mut rng = rng.clone();
+                let par = Parallelism::new(threads);
+                let sample = OutputSample::draw_with(&s, &t, &band, &config, &mut rng, par);
+                assert_eq!(observe(sample, rng), expected, "threads {threads}");
+            }
         }
 
         proptest! {
